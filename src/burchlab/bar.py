@@ -24,8 +24,9 @@ checked mechanically after assembly.
 from __future__ import annotations
 
 from .complexes import GradedFreeComplex
-from .errors import ArityCapError, InternalCheckError
-from .groebner import Ideal
+from .errors import InternalCheckError
+from .groebner import Ideal, Strand
+from .linalg import rank_of
 from .matrices import FreeModuleElement, PolyMatrix
 from .ring import Polynomial
 
@@ -289,18 +290,11 @@ class BarComplex:
 
     def h0_dims(self, through: int):
         """Graded dimensions of H_0(B) = coker(d_1), to compare against M."""
-        out = []
-        idx0 = self.complex.strand_index(0, 0)
-        for d in range(through + 1):
-            tgt = self.complex.strand_index(0, d)
-            _, _, cols = self.complex.strand_columns(1, d)
-            from .linalg import SparseEchelon
-
-            ech = SparseEchelon(self.ring.p)
-            for c in cols:
-                ech.insert(dict(c))
-            out.append(len(tgt) - ech.rank)
-        return out
+        table = self.quotient.table()
+        degrees = self.complex.basis_degrees(0)
+        return [len(Strand(table, degrees, d))
+                - rank_of(self.complex.strand_columns(1, d), self.ring.p)
+                for d in range(through + 1)]
 
     def minimality_report(self):
         """Degrees of differential entries with unit parts (empty iff minimal)."""

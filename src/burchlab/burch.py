@@ -10,20 +10,17 @@ mod BI, and socle lifts s_i with a_{j_i} = x_i * s_i exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, InternalCheckError
-from .groebner import Ideal, maximal_ideal
+from .groebner import Ideal, Strand, maximal_ideal
 from .linalg import SparseEchelon
-from .ring import Polynomial, PolyRing, grevlex_key, mono_deg, monomials_of_degree, poly_sort_key
-
-
-def poly_to_vec(f: Polynomial, index: dict) -> dict:
-    return {index[m]: c for m, c in f.terms.items()}
+from .matrices import FreeModuleElement
+from .ring import Polynomial, PolyRing, mono_deg, poly_sort_key
 
 
 class DegreeSpan:
-    """Echelonized degree-d piece of a span of polynomial multiples.
+    """Echelonized degree-d piece of a span of polynomial multiples in Q.
 
     Supports congruence solving: targets are expressed modulo the untagged
     span in terms of tagged basis polynomials.
@@ -31,33 +28,30 @@ class DegreeSpan:
 
     def __init__(self, ring: PolyRing, d: int):
         self.ring = ring
-        self.d = d
-        self.index = {m: i for i, m in enumerate(monomials_of_degree(ring.nvars, d))}
+        self.strand = Strand(Ideal(ring, []).table(), [0], d)   # Q_d, by monomials
         self.ech = SparseEchelon(ring.p, track_reps=True)
+
+    def vec(self, f: Polynomial) -> dict:
+        return self.strand.vector({0: f})
 
     def add_multiples(self, gens, min_mult_degree=0):
         """Insert m*g for every monomial m with deg(m*g) = d, deg(m) >= min_mult_degree."""
-        for g in sorted(gens, key=poly_sort_key):
-            if not g:
-                continue
-            gd = g.degree()
-            if self.d - gd < min_mult_degree:
-                continue
-            for m in monomials_of_degree(self.ring.nvars, self.d - gd):
-                self.ech.insert(poly_to_vec(g.mul_term(m, 1), self.index), {})
+        elements = [(FreeModuleElement(self.ring, {0: g}), g.degree())
+                    for g in sorted(gens, key=poly_sort_key) if g]
+        self.strand.span(elements, min_mult_degree, self.ech)
 
     def add_tagged(self, tag, f: Polynomial):
         """Insert f carrying a tag; returns True if f was independent."""
-        piv, _ = self.ech.insert(poly_to_vec(f, self.index), {tag: 1})
+        piv, _ = self.ech.insert(self.vec(f), {tag: 1})
         return piv is not None
 
     def coefficients_mod_untagged(self, f: Polynomial):
         """Solve f = sum c_tag * tagged + (untagged span); None if unsolvable."""
-        sol = self.ech.solve(poly_to_vec(f, self.index))
+        sol = self.ech.solve(self.vec(f))
         return sol
 
     def contains(self, f: Polynomial) -> bool:
-        return self.ech.contains(poly_to_vec(f, self.index))
+        return self.ech.contains(self.vec(f))
 
 
 def minimal_generators(gens, ring: PolyRing):

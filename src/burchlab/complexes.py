@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from .errors import InternalCheckError
 from .groebner import Ideal, SubmoduleBasis, syzygies_of
-from .linalg import SparseEchelon, kernel_basis
+from .linalg import kernel_basis, rank_of
 from .matrices import FreeModuleElement, PolyMatrix
-from .ring import PolyRing, mono_deg, mono_mul, monomials_of_degree
+from .ring import PolyRing
 
 
 class GradedFreeComplex:
@@ -49,11 +49,6 @@ class GradedFreeComplex:
     def reduce_poly(self, f):
         return self.quotient.normal_form(f) if self.quotient is not None else f
 
-    def coefficient_basis(self, d: int):
-        if self.quotient is not None:
-            return self.quotient.standard_monomials(d)
-        return monomials_of_degree(self.ring.nvars, d)
-
     # -- checks ---------------------------------------------------------------
 
     def check_homogeneous(self):
@@ -73,41 +68,11 @@ class GradedFreeComplex:
 
     # -- strands ---------------------------------------------------------------
 
-    def strand_index(self, n: int, d: int):
-        """Flat index of the degree-d piece of C_n: list of (basis, monomial)."""
-        out = []
-        for i, bdeg in enumerate(self.basis_degrees(n)):
-            for m in self.coefficient_basis(d - bdeg):
-                out.append((i, m))
-        return out
-
     def strand_columns(self, n: int, d: int):
-        """Columns of the strand of d_n at internal degree d, as F_p vectors.
-
-        Returns (source_index, target_pos, columns) where columns[j] is the
-        image of source_index[j].
-        """
-        src = self.strand_index(n, d)
-        tgt = self.strand_index(n - 1, d)
-        tgt_pos = {key: t for t, key in enumerate(tgt)}
-        mat = self.diff(n)
-        cols = []
-        for (j, m) in src:
-            col = {}
-            column = mat.columns.get(j, {})
-            for i, g in column.items():
-                prod = self.reduce_poly(g.mul_term(m, 1))
-                for mm, c in prod.terms.items():
-                    t = tgt_pos.get((i, mm))
-                    if t is None:
-                        raise InternalCheckError("strand image outside target basis")
-                    v = (col.get(t, 0) + c) % self.ring.p
-                    if v:
-                        col[t] = v
-                    else:
-                        col.pop(t, None)
-            cols.append(col)
-        return src, tgt_pos, cols
+        """Columns of the strand of d_n at internal degree d, as F_p vectors,
+        one per basis element of the source strand."""
+        quotient = self.quotient if self.quotient is not None else Ideal(self.ring, [])
+        return quotient.table().matrix_strand(self.diff(n), d)[1]
 
     def internal_degree_range(self, n: int):
         degs = self.basis_degrees(n)
@@ -128,14 +93,8 @@ class GradedFreeComplex:
             raise InternalCheckError("homology_dims is for complexes over Artinian R")
         out = {}
         for d in rng:
-            _, _, cols = self.strand_columns(n, d)
-            rank_n, kern = kernel_basis(cols, self.ring.p)
-            dim_ker = len(kern)
-            _, _, cols_up = self.strand_columns(n + 1, d)
-            ech = SparseEchelon(self.ring.p)
-            for c in cols_up:
-                ech.insert(dict(c))
-            h = dim_ker - ech.rank
+            _, kern = kernel_basis(self.strand_columns(n, d), self.ring.p)
+            h = len(kern) - rank_of(self.strand_columns(n + 1, d), self.ring.p)
             if h < 0:
                 raise InternalCheckError("image larger than kernel; not a complex?")
             if h:

@@ -28,7 +28,7 @@ from .bar import BarComplex, BarWord
 from .burch import BurchData
 from .complexes import ChainMap, GradedFreeComplex
 from .errors import InputError, InternalCheckError
-from .groebner import Ideal, SubmoduleBasis, lift_through, maximal_ideal, syzygies_of
+from .groebner import Ideal, Strand, lift_through, maximal_ideal, syzygies_of
 from .linalg import SparseEchelon
 from .matrices import FreeModuleElement, PolyMatrix
 from .resolve import kernel_gens_over_R
@@ -335,32 +335,10 @@ def project_to_minimal(ctr, cycles, quotient: Ideal, q: int):
     small = ctr.small
     proj = ctr.proj_at(q)
     red = quotient.normal_form
-    kergens = kernel_gens_over_R(small.diff(q), quotient)
     gen_degrees = small.basis_degrees(q)
-
-    # strand span of m * K per internal degree, built on demand
-    spans = {}
-
-    def span_for(d):
-        if d not in spans:
-            idx = [(i, mm) for i, bdeg in enumerate(gen_degrees)
-                   for mm in quotient.standard_monomials(d - bdeg)]
-            pos = {key: t for t, key in enumerate(idx)}
-            ech = SparseEchelon(ring.p)
-            for g in kergens:
-                gdeg = g.degree(gen_degrees)
-                for mm in quotient.standard_monomials(d - gdeg):
-                    if sum(mm) == 0:
-                        continue
-                    w = g.mul_term(mm, 1).map_coords(red)
-                    vec = {}
-                    for i2, f in w.coords.items():
-                        for m2, c in f.terms.items():
-                            t = pos[(i2, m2)]
-                            vec[t] = (vec.get(t, 0) + c) % ring.p
-                    ech.insert({k: v for k, v in vec.items() if v})
-            spans[d] = (pos, ech)
-        return spans[d]
+    kergens = [(g, g.degree(gen_degrees)) for g in kernel_gens_over_R(small.diff(q), quotient)]
+    table = quotient.table()
+    spans = {}  # internal degree -> (strand, echelon of m * K), built on demand
 
     certs = []
     residual_rank = SparseEchelon(ring.p)
@@ -379,12 +357,11 @@ def project_to_minimal(ctr, cycles, quotient: Ideal, q: int):
                 raise InternalCheckError("projected element is not a cycle")
         if nonzero and killed:
             dsum = v.degree(gen_degrees)
-            pos, ech = span_for(dsum)
-            vec = {}
-            for i2, f in v.coords.items():
-                for m2, c in f.terms.items():
-                    vec[pos[(i2, m2)]] = c
-            res, _ = ech.reduce(vec)
+            if dsum not in spans:
+                strand = Strand(table, gen_degrees, dsum)
+                spans[dsum] = (strand, strand.span(kergens, 1))
+            strand, ech = spans[dsum]
+            res, _ = ech.reduce(strand.vector(v.coords))
             outside = bool(res)
             if outside:
                 # survivor count = rank of the projected span modulo m K

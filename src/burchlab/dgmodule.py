@@ -291,7 +291,7 @@ class TaylorDgModule(DgModule):
         return self.full.product_basis(dx, self.full.position[dx][S], ny, iy)
 
 
-def taylor_module_fast_path(I: Ideal, extra_gens, up_to_unused: int = 0):
+def taylor_module_fast_path(I: Ideal, extra_gens):
     """Y = Taylor(I-gens + extra monomial gens) over X = Taylor(I-gens).
 
     Requires monomial data; resolves R/(extra)R = Q/(I + extra).  Returns

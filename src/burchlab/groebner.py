@@ -8,10 +8,16 @@ Syzygies and lifts use the augmentation trick: to study columns g_1..g_s
 of Q^a, run the engine on g_i + e_(a+i) inside Q^(a+s); basis elements
 supported in the tail positions are syzygies, and tails of normal forms
 are lift certificates.
+
+Each Ideal owns one RTable, the graded data of R = Q/I (standard monomials
+per degree, normal forms per monomial), and every strand of a graded free
+R-module is a Strand over that table.
 """
 
 from __future__ import annotations
 
+from .errors import InternalCheckError
+from .linalg import SparseEchelon
 from .ring import (
     Polynomial,
     PolyRing,
@@ -22,6 +28,7 @@ from .ring import (
     mono_gcd,
     mono_lcm,
     mono_mul,
+    monomials_of_degree,
 )
 from .matrices import FreeModuleElement, PolyMatrix
 
@@ -159,10 +166,6 @@ def module_groebner(gens, ring: PolyRing):
     return reduced
 
 
-def module_normal_form(v: FreeModuleElement, gb) -> FreeModuleElement:
-    return reduce_element(v, [(lead_term(g), g) for g in gb], full=True)
-
-
 def _augment(columns, ambient_rank, ring):
     out = []
     for i, col in enumerate(columns):
@@ -258,14 +261,14 @@ def _unwrap(v: FreeModuleElement) -> Polynomial:
 class Ideal:
     """Homogeneous ideal of Q with a cached reduced Groebner basis."""
 
-    __slots__ = ("ring", "gens", "_gb", "_leads", "_nf_basis")
+    __slots__ = ("ring", "gens", "_gb", "_leads", "_table")
 
     def __init__(self, ring: PolyRing, gens):
         self.ring = ring
         self.gens = [g for g in gens if g]
         self._gb = None
         self._leads = None
-        self._nf_basis = None
+        self._table = None
 
     def groebner(self):
         if self._gb is None:
@@ -275,8 +278,13 @@ class Ideal:
                 gb = module_groebner([_wrap(g) for g in self.gens], self.ring)
                 self._gb = [_unwrap(v) for v in gb]
             self._leads = [g.lead_monomial() for g in self._gb]
-            self._nf_basis = [(lead_term(_wrap(g)), _wrap(g)) for g in self._gb]
         return self._gb
+
+    def table(self) -> "RTable":
+        """The graded data of Q/I, built on first use and kept for the ideal's life."""
+        if self._table is None:
+            self._table = RTable(self)
+        return self._table
 
     def lead_monomials(self):
         self.groebner()
@@ -286,10 +294,24 @@ class Ideal:
         return not self.gens
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        self.groebner()
-        if not self._nf_basis:
+        """The linear combination of the table's monomial normal forms."""
+        table = self._table or self.table()
+        if not table.leads:
             return f
-        return _unwrap(reduce_element(_wrap(f), self._nf_basis, full=True))
+        forms = table.forms
+        p = self.ring.p
+        res = {}
+        for m, c in f.terms.items():
+            form = forms.get(m)
+            if form is None:
+                form = table.form(m)
+            for mm, cc in form:
+                v = (res.get(mm, 0) + c * cc) % p
+                if v:
+                    res[mm] = v
+                else:
+                    res.pop(mm, None)
+        return Polynomial(self.ring, res)
 
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f)
@@ -371,34 +393,184 @@ class Ideal:
 
     def standard_monomials(self, d: int):
         """Monomials of degree d outside the lead-term ideal: a k-basis of (Q/I)_d."""
-        from .ring import monomials_of_degree
+        return list(self.table().basis(d))
 
-        leads = self.lead_monomials()
-        return [m for m in monomials_of_degree(self.ring.nvars, d)
-                if not any(mono_divides(lm, m) for lm in leads)]
+    def quotient_top_degree(self):
+        """Largest d with (Q/I)_d != 0, or None if Q/I is not Artinian."""
+        return self.table().top
 
-    def quotient_top_degree(self, cap: int = 200):
-        """Largest d with (Q/I)_d != 0, or None if Q/I is not Artinian within cap."""
-        leads = self.lead_monomials()
+    def __repr__(self):
+        return f"Ideal({', '.join(map(str, self.gens))})"
+
+
+class RTable:
+    """Graded data of R = Q/I, shared by every strand computation over R.
+
+    Per degree d it holds the standard monomials of degree d in ascending
+    grevlex order (a k-basis of R_d) and their positions; per monomial m it
+    holds the normal form of m modulo I as a tuple of (monomial, coefficient)
+    terms.  Both are filled in on first use.  A monomial no lead monomial
+    divides is its own normal form; any other reduces to 0 when the Groebner
+    basis is monomial and otherwise costs one reduction against it.  Normal
+    forms against a Groebner basis are linear, so the normal form of a
+    polynomial is the combination of the forms of its monomials.
+    """
+
+    __slots__ = ("ring", "leads", "forms", "top", "_monomial_gb", "_reducers",
+                 "_bases", "_indexes")
+
+    def __init__(self, ideal: Ideal):
+        gb = ideal.groebner()
+        self.ring = ideal.ring
+        self.leads = ideal.lead_monomials()
+        self.forms = {}     # monomial -> tuple of (standard monomial, coefficient)
+        self._monomial_gb = all(len(g.terms) == 1 for g in gb)
+        self._reducers = [(lead_term(_wrap(g)), _wrap(g)) for g in gb]
+        self._bases = {}    # degree -> standard monomials
+        self._indexes = {}  # degree -> {standard monomial: position}
+        self.top = None     # basis() cuts off above top, once it is known
+        self.top = self._top_degree()
+
+    def _top_degree(self):
+        """Largest d with R_d != 0, or None if R is not Artinian within degree 200."""
+        leads = self.leads
         # Artinian iff every variable has a pure power among the lead terms
         for i in range(self.ring.nvars):
             if not any(all(e == 0 for t, e in enumerate(lm) if t != i) and lm[i] > 0 for lm in leads):
                 return None
         top = -1
         d = 0
-        while d <= cap:
-            if self.standard_monomials(d):
-                top = d
-                d += 1
-            else:
-                break
+        while d <= 200 and self.basis(d):
+            top = d
+            d += 1
         return top
 
-    def quotient_hilbert(self, through: int):
-        return [len(self.standard_monomials(d)) for d in range(through + 1)]
+    def basis(self, d: int) -> list:
+        """Standard monomials of degree d, ascending grevlex; shared, do not mutate."""
+        b = self._bases.get(d)
+        if b is None:
+            if self.top is not None and d > self.top:
+                b = []
+            else:
+                leads = self.leads
+                b = [m for m in monomials_of_degree(self.ring.nvars, d)
+                     if not any(mono_divides(lm, m) for lm in leads)]
+            self._bases[d] = b
+            self._indexes[d] = {m: t for t, m in enumerate(b)}
+        return b
 
-    def __repr__(self):
-        return f"Ideal({', '.join(map(str, self.gens))})"
+    def index(self, d: int) -> dict:
+        """Position of each standard monomial of degree d in basis(d)."""
+        if d not in self._indexes:
+            self.basis(d)
+        return self._indexes[d]
+
+    def form(self, m) -> tuple:
+        """Normal form of the monomial m modulo I, as (monomial, coefficient) terms."""
+        form = self.forms.get(m)
+        if form is None:
+            if not any(mono_divides(lm, m) for lm in self.leads):
+                form = ((m, 1),)
+            elif self._monomial_gb:
+                form = ()
+            else:
+                r = reduce_element(_wrap(self.ring.monomial(m)), self._reducers, full=True)
+                form = tuple(_unwrap(r).terms.items())
+            self.forms[m] = form
+        return form
+
+    def matrix_strand(self, matrix: PolyMatrix, d: int):
+        """(source strand, columns) of a homogeneous matrix at internal degree d.
+
+        Column t holds the coordinates of m * (column i of matrix) in the
+        target strand, for the t-th source basis element (i, m).
+        """
+        src = Strand(self, matrix.col_degrees, d)
+        tgt = Strand(self, matrix.row_degrees, d)
+        columns = matrix.columns
+        return src, [tgt.vector(columns.get(i, {}), m) for i, m in src]
+
+
+class Strand:
+    """Degree-d piece of a graded free R-module with basis degrees `degrees`.
+
+    Its k-basis, numbered from 0, is the pairs (i, m) with m a standard
+    monomial of degree d - degrees[i], ordered by i and then by grevlex.
+    Vectors are sparse dicts {position: nonzero residue mod p}.
+    """
+
+    __slots__ = ("table", "d", "pairs", "_offsets", "_indexes")
+
+    def __init__(self, table: RTable, degrees, d: int):
+        self.table = table
+        self.d = d
+        self.pairs = []
+        self._offsets = []
+        self._indexes = []
+        for i, bdeg in enumerate(degrees):
+            self._offsets.append(len(self.pairs))
+            self._indexes.append(table.index(d - bdeg))
+            self.pairs.extend((i, m) for m in table.basis(d - bdeg))
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+    def vector(self, coords: dict, mono=None) -> dict:
+        """Coordinates of the normal form of mono * v, v = {i: Polynomial}.
+
+        v must be homogeneous of degree d - deg(mono) (mono = 1 when None).
+        """
+        table = self.table
+        forms = table.forms
+        p = table.ring.p
+        vec = {}
+        for i, f in coords.items():
+            off = self._offsets[i]
+            index = self._indexes[i]
+            for m, c in f.terms.items():
+                if mono is not None:
+                    m = mono_mul(m, mono)
+                form = forms.get(m)
+                if form is None:
+                    form = table.form(m)
+                for mm, cc in form:
+                    t = index.get(mm)
+                    if t is None:
+                        raise InternalCheckError("strand vector outside the standard basis")
+                    t += off
+                    v = (vec.get(t, 0) + c * cc) % p
+                    if v:
+                        vec[t] = v
+                    else:
+                        vec.pop(t, None)
+        return vec
+
+    def span(self, elements, min_mult_degree: int = 0, ech: SparseEchelon | None = None):
+        """Echelon of the vectors of m * v over (v, deg v) in elements and
+        standard monomials m of degree d - deg v >= min_mult_degree.
+
+        The vectors go into ech when it is given, else into a new echelon.
+        """
+        if ech is None:
+            ech = SparseEchelon(self.table.ring.p)
+        for v, vdeg in elements:
+            need = self.d - vdeg
+            if need >= min_mult_degree:
+                for m in self.table.basis(need):
+                    ech.insert(self.vector(v.coords, m))
+        return ech
+
+    def element(self, vec: dict) -> FreeModuleElement:
+        """The module element with coordinates vec."""
+        ring = self.table.ring
+        coords = {}
+        for t, c in vec.items():
+            i, m = self.pairs[t]
+            coords.setdefault(i, {})[m] = c
+        return FreeModuleElement(ring, {i: Polynomial(ring, terms) for i, terms in coords.items()})
 
 
 def maximal_ideal(ring: PolyRing) -> Ideal:

@@ -17,7 +17,7 @@ from .groebner import Ideal
 from .matrices import FreeModuleElement
 from .pipeline import Caps, RingContext
 from .resolve import ModulePresentation
-from .ring import ParseError, PolyRing
+from .ring import ParseError, PolyRing, is_prime
 
 SCHEMA_VERSION = 1
 
@@ -59,7 +59,10 @@ class JobSpec:
     # -- realization -------------------------------------------------------
 
     def ring(self) -> PolyRing:
-        return PolyRing(self.prime, tuple(self.variables))
+        try:
+            return PolyRing(self.prime, tuple(self.variables))
+        except ValueError as e:   # e.g. a --prime override that is not prime
+            raise InputError(str(e)) from None
 
     def ideal(self, ring: PolyRing) -> Ideal:
         gens = []
@@ -123,8 +126,8 @@ def parse_job(doc) -> JobSpec:
         if key not in doc:
             raise InputError(f"missing required field {key!r}")
     p = doc["p"]
-    if not isinstance(p, int) or p < 2:
-        raise InputError("p must be a prime integer")
+    if not isinstance(p, int) or not is_prime(p):
+        raise InputError(f"p must be a prime integer, got {p!r}")
     variables = doc["vars"]
     if (not isinstance(variables, list) or not variables
             or not all(isinstance(v, str) and v.isidentifier() for v in variables)):

@@ -16,15 +16,15 @@ dim_k((soc M + mM)/mM).  Three routes are kept deliberately separate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .errors import InputError, ResourceCapError
-from .groebner import Ideal, syzygies_of
+from .groebner import Ideal, Strand, syzygies_of
 from .linalg import SparseEchelon, kernel_basis
-from .matrices import FreeModuleElement, PolyMatrix
-from .resolve import ModulePresentation, minimal_module_generators, resolve_over_R
-from .ring import PolyRing, mono_deg, mono_mul, monomials_of_degree
+from .matrices import FreeModuleElement
+from .resolve import ModulePresentation, resolve_over_R
+from .ring import mono_deg, mono_mul, monomials_of_degree
 
 
 def _module_gens_with_I(pres: ModulePresentation):
@@ -61,7 +61,7 @@ def _intersect_modules(a_cols, b_cols, ambient_rank, ring):
     return out
 
 
-def _class_in_M_mod_mM(v: FreeModuleElement, gen_degrees):
+def _class_in_M_mod_mM(v: FreeModuleElement):
     """Image of a homogeneous v in F/(nF) = k^a: the constant coordinate parts."""
     out = {}
     for i, f in v.coords.items():
@@ -82,12 +82,12 @@ def krank_gb(pres: ModulePresentation) -> int:
         soc = piece if soc is None else _intersect_modules(soc, piece, a, ring)
     ech = SparseEchelon(ring.p)
     for v in N:
-        vec = _class_in_M_mod_mM(v, pres.gen_degrees)
+        vec = _class_in_M_mod_mM(v)
         if vec:
             ech.insert(vec)
     count = 0
     for v in soc or []:
-        vec = _class_in_M_mod_mM(v, pres.gen_degrees)
+        vec = _class_in_M_mod_mM(v)
         piv, _ = ech.insert(vec) if vec else (None, None)
         if piv is not None:
             count += 1
@@ -97,61 +97,40 @@ def krank_gb(pres: ModulePresentation) -> int:
 def krank_strand(pres: ModulePresentation) -> int:
     """Socle strand by strand; needs an Artinian quotient."""
     ring = pres.ring
-    quotient = pres.quotient
-    p = ring.p
-    top = quotient.quotient_top_degree()
-    if top is None:
+    table = pres.quotient.table()
+    if table.top is None:
         raise InputError("strand k-rank needs an Artinian quotient")
-    rels = pres.relations
-    hi = max(pres.gen_degrees, default=0) + top
-
-    def strand(d):
-        idx = [(i, m) for i, bdeg in enumerate(pres.gen_degrees)
-               for m in quotient.standard_monomials(d - bdeg)]
-        return idx, {key: t for t, key in enumerate(idx)}
-
-    def relation_echelon(d, pos):
-        ech = SparseEchelon(p)
-        for v in rels:
-            vdeg = v.degree(pres.gen_degrees)
-            if vdeg > d:
-                continue
-            for m in quotient.standard_monomials(d - vdeg):
-                w = v.mul_term(m, 1).map_coords(quotient.normal_form)
-                vec = {}
-                for i, f in w.coords.items():
-                    for mm, c in f.terms.items():
-                        t = pos[(i, mm)]
-                        vec[t] = (vec.get(t, 0) + c) % p
-                ech.insert({k: c for k, c in vec.items() if c})
-        return ech
-
+    degrees = pres.gen_degrees
+    rels = [(v, v.degree(degrees)) for v in pres.relations]
+    xs = ring.maximal_ideal_gens()
     total = 0
-    for d in range(min(pres.gen_degrees, default=0), hi + 1):
-        src, src_pos = strand(d)
+    # the degree-(d+1) strand and relation echelon of one step are the
+    # degree-d ones of the next
+    carried = None
+    for d in range(min(degrees, default=0), max(degrees, default=0) + table.top + 1):
+        src, ech = carried if carried is not None else (Strand(table, degrees, d), None)
+        carried = None
         if not src:
             continue
-        tgt, tgt_pos = strand(d + 1)
-        ech_up = relation_echelon(d + 1, tgt_pos)
+        tgt = Strand(table, degrees, d + 1)
+        ech_up = tgt.span(rels)
+        carried = (tgt, ech_up)
         # columns of u -> (x_j * u mod N) stacked over j
         cols = []
         block = len(tgt)
-        for (i, m) in src:
+        for i, m in src:
             col = {}
-            for j in range(ring.nvars):
-                prod = quotient.normal_form(ring.monomial(m, 1) * ring.var(j))
-                vec = {}
-                for mm, c in prod.terms.items():
-                    vec[tgt_pos[(i, mm)]] = c
-                res, _ = ech_up.reduce(vec)
+            for j, x in enumerate(xs):
+                res, _ = ech_up.reduce(tgt.vector({i: x}, m))
                 for t, c in res.items():
                     col[j * block + t] = c
             cols.append(col)
-        _, kern = kernel_basis(cols, p)
+        _, kern = kernel_basis(cols, ring.p)
         if not kern:
             continue
         # quotient by mM: relation span at degree d plus positive-degree coords
-        ech = relation_echelon(d, src_pos)
+        if ech is None:
+            ech = src.span(rels)
         for t, (i, m) in enumerate(src):
             if mono_deg(m) > 0:
                 ech.insert({t: 1})

@@ -127,10 +127,6 @@ def ainf_pair(ctx: RingContext, pres: ModulePresentation, caps: Caps):
     return alg, mod
 
 
-def presentation_dims(pres: ModulePresentation, through: int):
-    return pres.dims(through)
-
-
 # ---------------------------------------------------------------------------
 # pipelines
 # ---------------------------------------------------------------------------
@@ -139,7 +135,7 @@ def presentation_dims(pres: ModulePresentation, through: int):
 def verify_golod(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict:
     """Theorem-B pipeline: golod check, cycle families, splitting, survival,
     and the independent k-rank oracle comparison."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     report: dict = {"burch": ctx.burch_summary()}
     alg, mod = ainf_pair(ctx, pres, caps)
     cap = caps.hom_degree
@@ -181,7 +177,7 @@ def verify_golod(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict
         "vacuous": ctx.index < 2,
         "allHold": verdicts.all_ok() and all_pass,
     }
-    report["timingSeconds"] = round(time.time() - t0, 3)
+    report["timingSeconds"] = round(time.perf_counter() - t0, 3)
     return report
 
 
@@ -194,7 +190,7 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
     Survivor counts are measured and reported; the asserted bound is the
     oracle one (see the ledger on the non-minimal splitting gap).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     report: dict = {"burch": ctx.burch_summary()}
     if ctx.index < 2:
         verdicts = theorem_verdicts(ctx.ideal, pres, oracle_through, ctx.index, ctx.mu,
@@ -203,7 +199,7 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
         report["bounds"] = {"vacuous": True, "allHold": True,
                             "note": "Burch index < 2: no bound claimed"}
         report["cycles"] = []
-        report["timingSeconds"] = round(time.time() - t0, 3)
+        report["timingSeconds"] = round(time.perf_counter() - t0, 3)
         return report
 
     qs = sorted(set(caps.general_qs))
@@ -242,24 +238,24 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
         "vacuous": False,
         "allHold": verdicts.all_ok() and all(c["allSplit"] for c in cycles_out),
     }
-    report["timingSeconds"] = round(time.time() - t0, 3)
+    report["timingSeconds"] = round(time.perf_counter() - t0, 3)
     return report
 
 
 def resolve_report(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = resolve_over_R(pres, caps.hom_degree, rank_guard=caps.rank_guard)
     verdicts = theorem_verdicts(ctx.ideal, pres, caps.hom_degree - 1, ctx.index, ctx.mu,
                                 golod=False, engine="strand")
     return {
         "betti": [res.rank(n) for n in range(res.top() + 1)],
         "krank": verdicts.to_dict(),
-        "timingSeconds": round(time.time() - t0, 3),
+        "timingSeconds": round(time.perf_counter() - t0, 3),
     }
 
 
 def bar_report(ctx: RingContext, pres: ModulePresentation, caps: Caps, regime: str) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cap = caps.hom_degree
     if regime == "dg":
         X, Y, _psi = dg_pair(ctx, pres, cap=cap, rank_guard=caps.rank_guard)
@@ -279,7 +275,7 @@ def bar_report(ctx: RingContext, pres: ModulePresentation, caps: Caps, regime: s
         "minimal": not bar.minimality_report(),
         "h0Dims": bar.h0_dims(max(2, max(pres.gen_degrees, default=0) + 2)),
         "moduleDims": pres.dims(max(2, max(pres.gen_degrees, default=0) + 2)),
-        "timingSeconds": round(time.time() - t0, 3),
+        "timingSeconds": round(time.perf_counter() - t0, 3),
     }
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 from .complexes import GradedFreeComplex
 from .errors import InputError, InternalCheckError, ResourceCapError
-from .groebner import Ideal, syzygies_of
-from .linalg import SparseEchelon, kernel_basis
+from .groebner import Ideal, Strand, syzygies_of
+from .linalg import kernel_basis
 from .matrices import FreeModuleElement, PolyMatrix
-from .ring import PolyRing, mono_deg, monomials_of_degree, poly_sort_key
+from .ring import PolyRing
 
 
 @dataclass
@@ -64,35 +64,17 @@ class ModulePresentation:
     def ambient_rank(self) -> int:
         return len(self.gen_degrees)
 
-    def strand_index(self, d: int):
-        out = []
-        for i, bdeg in enumerate(self.gen_degrees):
-            for m in self.quotient.standard_monomials(d - bdeg):
-                out.append((i, m))
-        return out
-
     def dims(self, through: int) -> list:
         """k-dimensions of the module's graded pieces M_d for d = 0..through."""
+        table = self.quotient.table()
+        rels = [(v, v.degree(self.gen_degrees)) for v in self.relations]
         out = []
         for d in range(through + 1):
-            idx = self.strand_index(d)
-            pos = {key: t for t, key in enumerate(idx)}
-            ech = SparseEchelon(self.ring.p)
-            for v in self.relations:
-                vdeg = v.degree(self.gen_degrees)
-                if vdeg > d:
-                    continue
-                for m in self.quotient.standard_monomials(d - vdeg):
-                    w = v.mul_term(m, 1).map_coords(self.quotient.normal_form)
-                    vec = {}
-                    for i, f in w.coords.items():
-                        for mm, c in f.terms.items():
-                            vec[pos[(i, mm)]] = c
-                    ech.insert(vec)
-            out.append(len(idx) - ech.rank)
+            strand = Strand(table, self.gen_degrees, d)
+            out.append(len(strand) - strand.span(rels).rank)
         return out
 
-    def total_dim_bound(self, cap: int = 100000) -> int:
+    def total_dim_bound(self) -> int:
         top = self.quotient.quotient_top_degree()
         if top is None:
             raise InputError("module is not finite dimensional (quotient not Artinian)")
@@ -104,27 +86,6 @@ class ModulePresentation:
 # ---------------------------------------------------------------------------
 
 
-def _module_span_echelon(ring, quotient, gen_degrees, elements, d, min_mult_degree, index_pos):
-    """Echelon of degree-d multiples (by standard monomials) of the elements."""
-    ech = SparseEchelon(ring.p)
-    red = quotient.normal_form
-    for v, vdeg in elements:
-        need = d - vdeg
-        if need < min_mult_degree:
-            continue
-        for m in quotient.standard_monomials(need):
-            w = v.mul_term(m, 1).map_coords(red)
-            vec = {}
-            for i, f in w.coords.items():
-                for mm, c in f.terms.items():
-                    t = index_pos.get((i, mm))
-                    if t is None:
-                        raise InternalCheckError("multiple leaves the strand basis")
-                    vec[t] = (vec.get(t, 0) + c) % ring.p
-            ech.insert({k: v2 for k, v2 in vec.items() if v2})
-    return ech
-
-
 def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span=None):
     """Greedy minimal generating subset over R, degree by degree.
 
@@ -133,46 +94,26 @@ def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span
     extra_span elements are quotiented out in every degree (all multiples),
     so with extra_span = boundaries this picks homology generators.
     """
-    ring = quotient.ring
-    red = quotient.normal_form
-    elems = []
-    for v in elements:
-        w = v.map_coords(red)
-        if w.coords:
-            elems.append((w, w.degree(gen_degrees)))
+    table = quotient.table()
+
+    def graded(vectors):
+        out = []
+        for v in vectors:
+            w = v.map_coords(quotient.normal_form)
+            if w.coords:
+                out.append((w, w.degree(gen_degrees)))
+        return out
+
+    elems = graded(elements)
     if not elems:
         return []
-    extra = []
-    for v in extra_span or []:
-        w = v.map_coords(red)
-        if w.coords:
-            extra.append((w, w.degree(gen_degrees)))
+    extra = graded(extra_span or [])
     chosen = []
     for d in sorted({dg for _, dg in elems}):
-        idx = [(i, m) for i, bdeg in enumerate(gen_degrees)
-               for m in quotient.standard_monomials(d - bdeg)]
-        pos = {key: t for t, key in enumerate(idx)}
-        ech = _module_span_echelon(ring, quotient, gen_degrees, elems, d, 1, pos)
-        for v, vdeg in extra:
-            if vdeg > d:
-                continue
-            for m in quotient.standard_monomials(d - vdeg):
-                w = v.mul_term(m, 1).map_coords(red)
-                vec = {}
-                for i, f in w.coords.items():
-                    for mm, c in f.terms.items():
-                        t = pos[(i, mm)]
-                        vec[t] = (vec.get(t, 0) + c) % ring.p
-                ech.insert({k: c for k, c in vec.items() if c})
+        strand = Strand(table, gen_degrees, d)
+        ech = strand.span(extra, 0, strand.span(elems, 1))
         for w, dg in elems:
-            if dg != d:
-                continue
-            vec = {}
-            for i, f in w.coords.items():
-                for mm, c in f.terms.items():
-                    vec[pos[(i, mm)]] = c
-            piv, _ = ech.insert(vec)
-            if piv is not None:
+            if dg == d and ech.insert(strand.vector(w.coords))[0] is not None:
                 chosen.append(w)
     return chosen
 
@@ -184,53 +125,22 @@ def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span
 
 def kernel_gens_over_R(matrix: PolyMatrix, quotient: Ideal):
     """Minimal generators of ker(matrix) over Artinian R, strand by strand."""
-    ring = matrix.ring
-    red = quotient.normal_form
-    top = quotient.quotient_top_degree()
-    if top is None:
+    table = quotient.table()
+    if table.top is None:
         raise InputError("strand kernel engine needs an Artinian quotient")
     if not matrix.col_degrees:
         return []
     gens = []  # list of (element, degree)
-    lo = min(matrix.col_degrees)
-    hi = max(matrix.col_degrees) + top
-    for d in range(lo, hi + 1):
-        src = [(j, m) for j, bdeg in enumerate(matrix.col_degrees)
-               for m in quotient.standard_monomials(d - bdeg)]
-        if not src:
-            continue
-        src_pos = {key: t for t, key in enumerate(src)}
-        tgt = [(i, m) for i, bdeg in enumerate(matrix.row_degrees)
-               for m in quotient.standard_monomials(d - bdeg)]
-        tgt_pos = {key: t for t, key in enumerate(tgt)}
-        cols = []
-        for (j, m) in src:
-            col = {}
-            for i, g in matrix.columns.get(j, {}).items():
-                prod = red(g.mul_term(m, 1))
-                for mm, c in prod.terms.items():
-                    t = tgt_pos[(i, mm)]
-                    v = (col.get(t, 0) + c) % ring.p
-                    if v:
-                        col[t] = v
-                    else:
-                        col.pop(t, None)
-            cols.append(col)
-        _, kern = kernel_basis(cols, ring.p)
+    for d in range(min(matrix.col_degrees), max(matrix.col_degrees) + table.top + 1):
+        src, cols = table.matrix_strand(matrix, d)
+        _, kern = kernel_basis(cols, matrix.ring.p)
         if not kern:
             continue
-        span = _module_span_echelon(ring, quotient, matrix.col_degrees, gens, d, 1, src_pos)
+        span = src.span(gens, 1)
         for kv in kern:
             piv, _ = span.insert(dict(kv))
-            if piv is None:
-                continue
-            coords = {}
-            for t, c in kv.items():
-                j, m = src[t]
-                f = ring.monomial(m, c)
-                coords[j] = coords.get(j, ring.zero()) + f
-            elt = FreeModuleElement(ring, {j: f for j, f in coords.items() if f})
-            gens.append((elt, d))
+            if piv is not None:
+                gens.append((src.element(kv), d))
     return [g for g, _ in gens]
 
 
@@ -298,12 +208,6 @@ def resolve_over_R(pres: ModulePresentation, up_to: int, engine: str = "strand",
 # ---------------------------------------------------------------------------
 
 
-def minimal_module_generators_Q(elements, gen_degrees, ring: PolyRing):
-    """Minimal generating subset over Q (span modulo n * submodule)."""
-    zero_ideal = Ideal(ring, [])
-    return minimal_module_generators(elements, gen_degrees, zero_ideal)
-
-
 def resolve_over_Q(pres: ModulePresentation, up_to: int | None = None) -> GradedFreeComplex:
     """Minimal Q-free resolution of the module presented over R, viewed over Q.
 
@@ -336,8 +240,3 @@ def resolve_over_Q(pres: ModulePresentation, up_to: int | None = None) -> Graded
     if not cx.is_minimal():
         raise InternalCheckError("Q-resolution is not minimal")
     return cx
-
-
-def betti_numbers(cx: GradedFreeComplex, through: int | None = None):
-    top = cx.top() if through is None else through
-    return [cx.rank(n) for n in range(top + 1)]

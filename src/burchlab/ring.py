@@ -48,6 +48,30 @@ def grevlex_key(m: Mono):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the first twelve prime bases, which decides every
+    n < 3.3 * 10^24 (above that it is a strong probable-prime test)."""
+    if n < 2 or any(n % q == 0 for q in _PRIME_BASES):
+        return n in _PRIME_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def monomials_of_degree(nvars: int, d: int):
     """All exponent tuples of total degree d, in ascending grevlex order."""
     if d < 0:
@@ -72,7 +96,7 @@ class PolyRing:
     variables: tuple
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % q == 0 for q in range(2, min(self.p, 1000)) if q * q <= self.p):
+        if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
@@ -268,7 +292,6 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     # split into signed terms
     terms = []
     sign, cur = 1, ""
-    depth_guard = 0
     for ch in s:
         if ch in "+-" and cur != "" and not cur.endswith("^"):
             terms.append((sign, cur))
@@ -278,7 +301,6 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             sign *= 1 if ch == "+" else -1
         else:
             cur += ch
-        depth_guard += 1
     if cur == "":
         raise ParseError(f"dangling sign in {text!r}")
     terms.append((sign, cur))

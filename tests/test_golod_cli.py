@@ -77,6 +77,13 @@ def test_parse_job_rejects_bad_polynomial():
                    "module": {"cyclic": ["x"]}})
 
 
+@pytest.mark.parametrize("p", [1022117, 21])   # 1009 * 1013 and 3 * 7
+def test_parse_job_rejects_composite_p(p):
+    with pytest.raises(InputError):
+        parse_job({"p": p, "vars": ["x", "y"], "ideal": ["x^2", "y^2"],
+                   "module": {"cyclic": ["x"]}})
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "burchlab.cli", *args],
                           capture_output=True, text=True)
@@ -107,6 +114,16 @@ def test_cli_input_error_exit_code(tmp_path):
                                "module": {"cyclic": ["x"]}}))
     r = run_cli("burch", "--job", str(bad))
     assert r.returncode == 2
+
+
+def test_cli_composite_prime_exit_code(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"p": 1022117, "vars": ["x", "y"], "ideal": ["x^2", "y^2"],
+                               "module": {"cyclic": ["x"]}}))
+    assert run_cli("burch", "--job", str(bad)).returncode == 2
+    r = run_cli("burch", "--job", str(CORPUS / "ex_bione.json"), "--prime", "21")
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
 
 
 def test_cli_vacuous_general_bounds_exit_zero():

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burchlab.ring import (ParseError, PolyRing, Polynomial, grevlex_key, mono_deg,
-                           monomials_of_degree)
+from burchlab.ring import (ParseError, PolyRing, Polynomial, grevlex_key, is_prime,
+                           mono_deg, monomials_of_degree)
 
 P = 32003
 
@@ -35,6 +35,20 @@ def test_square_expansion_against_naive_oracle(R):
     prod = f * f
     assert prod == R.parse("x^4+2*x^2*y+y^2")
     assert prod.terms == naive_product(f, f)
+
+
+def test_composite_p_is_rejected():
+    for p in (1022117, 21, 1, 0, 32003 * 32009):   # 1022117 = 1009 * 1013
+        with pytest.raises(ValueError):
+            PolyRing(p, ("x",))
+    assert PolyRing(2**31 - 1, ("x",)).inv(2) * 2 % (2**31 - 1) == 1
+
+
+def test_is_prime_against_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % q for q in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if trial(n)]
+    assert is_prime(2**61 - 1) and not is_prime(1009 * 1013) and not is_prime(3215031751)
 
 
 coeff = st.integers(min_value=0, max_value=P - 1)

@@ -28,14 +28,14 @@ def main():
         ideal = Ideal(ring, [ring.monomial(m) for m in monomials_of_degree(nvars, 2)])
         ctx = RingContext.build(ring, ideal)
         k = ModulePresentation.residue_field(ideal)
-        t0 = time.time()
+        t0 = time.perf_counter()
         body = verify_golod(ctx, k, caps)
-        block(f"verify-golod: k over the {nvars}-variable square ({time.time()-t0:.1f}s)", body)
-        t0 = time.time()
+        block(f"verify-golod: k over the {nvars}-variable square ({time.perf_counter()-t0:.1f}s)", body)
+        t0 = time.perf_counter()
         caps_g = Caps(hom_degree=caps.hom_degree,
                       general_qs=(4, 5) if nvars == 2 else (4,))
         body = verify_general(ctx, k, caps_g, oracle_through=9)
-        block(f"verify-general: k over the {nvars}-variable square ({time.time()-t0:.1f}s)", body)
+        block(f"verify-general: k over the {nvars}-variable square ({time.perf_counter()-t0:.1f}s)", body)
 
 
 if __name__ == "__main__":

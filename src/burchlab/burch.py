@@ -89,11 +89,11 @@ def _linear_part_echelon(I: Ideal):
 
 
 def check_in_square(I: Ideal):
-    n2 = maximal_ideal(I.ring).product(maximal_ideal(I.ring))
     for g in I.gens:
         if not g.is_homogeneous():
             raise InputError(f"inhomogeneous ideal generator {g}")
-        if g and not n2.contains(g):
+        # n^2 is spanned by the monomials of degree >= 2: homogeneous g is in it iff deg g >= 2
+        if g and g.degree() < 2:
             raise InputError(f"generator {g} is not in the square of the maximal ideal")
     if not I.is_proper():
         raise InputError("ideal is not proper")
@@ -128,6 +128,7 @@ class BurchData:
       the factorizations below are exact equalities).
     xs: linear forms spanning n/n^2; the first b are independent mod BI.
     socle_lifts: s_1..s_b in (I : n) with gens[j_indices[i]] = xs[i]*s_i.
+    nI: the product n*I, kept so its R-table is built once per ideal.
     """
 
     ideal: Ideal
@@ -138,6 +139,7 @@ class BurchData:
     socle_lifts: list
     j_indices: list
     b: int
+    nI: Ideal
 
     def verify(self):
         """Re-check every invariant by membership tests only."""
@@ -145,12 +147,12 @@ class BurchData:
         n = maximal_ideal(ring)
         BI = burch_ideal(I)
         soc = I.colon(n)
-        if not (BI == self.burch_ideal and soc == self.socle):
-            raise InternalCheckError("stored Burch/socle ideals disagree with recomputation")
+        nI = n.product(I)
+        if not (BI == self.burch_ideal and soc == self.socle and nI == self.nI):
+            raise InternalCheckError("stored Burch/socle/nI ideals disagree with recomputation")
         # gens generate I minimally
         if not (Ideal(ring, self.gens) == I):
             raise InternalCheckError("stored generators do not generate I")
-        nI = n.product(I)
         d_span = {}
         for j, a in enumerate(self.gens):
             d = a.degree()
@@ -286,6 +288,7 @@ def burch_data(I: Ideal) -> BurchData:
         socle_lifts=socle_lifts,
         j_indices=j_indices,
         b=b,
+        nI=nI,
     )
     data.verify()
     return data

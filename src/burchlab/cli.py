@@ -4,8 +4,8 @@
              [--regime dg|ainf|auto] [--out report.json]
 
 Commands: burch, resolve, bar, cycles, verify-general, verify-golod, and
-corpus (runs every bundled example concurrently, bounded by
-BURCHLAB_THREADS, and compares against the golden reports).
+corpus (runs every bundled example, one after another, and compares each
+against its golden report).
 
 Exit codes: 0 all assertions hold or are vacuous, 1 a verified bound
 failed, 2 input error, 3 resource cap exceeded.
@@ -15,17 +15,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from .errors import BoundViolation, InputError, ResourceCapError
 from .jobs import COMMANDS, JobSpec, load_job, parse_job
 from .pipeline import (bar_report, cycles_report, resolve_report,
                        verify_general, verify_golod)
-from .report import assemble, reports_equal, serialize, strip_timing
+from .report import SCHEMA_VERSION, assemble, reports_equal, serialize, strip_timing
 
 EXIT_OK = 0
 EXIT_BOUND = 1
@@ -73,54 +71,41 @@ def corpus_entries():
     return [(name, base.joinpath(name)) for name in names]
 
 
-def run_corpus(threads: int | None, out_path: str | None) -> int:
-    """Run every bundled job, compare against goldens, aggregate exit codes."""
-    entries = corpus_entries()
+def run_corpus(out_path: str | None) -> int:
+    """Run every bundled job in turn, compare against goldens, aggregate exit codes."""
     golden_base = resources.files("burchlab").joinpath("corpus", "golden")
-
-    def one(entry):
-        name, path = entry
+    worst = EXIT_OK
+    results = {}
+    for name, path in corpus_entries():
         spec = parse_job(path.read_text(encoding="utf-8"))
         command = spec.command or "burch"
         t0 = time.perf_counter()
         try:
             body, code = run_command(command, spec)
         except ResourceCapError as e:
-            return name, {"error": str(e)}, EXIT_RESOURCE, time.perf_counter() - t0
-        report = assemble(command, spec.to_dict(), body, code)
-        golden = golden_base.joinpath(name)
-        match = None
-        if golden.is_file():
-            expected = json.loads(golden.read_text(encoding="utf-8"))
-            match = reports_equal(expected, report)
-            if not match:
-                code = max(code, EXIT_BOUND)
-        report["goldenMatch"] = match
-        return name, report, code, time.perf_counter() - t0
-
-    if threads is None:
-        threads = int(os.environ.get("BURCHLAB_THREADS", "4"))
-    results = []
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        for res in pool.map(one, entries):
-            results.append(res)
-
-    worst = EXIT_OK
-    summary = []
-    for name, report, code, dt in results:
-        worst = max(worst, code)
-        line = f"{name}: exit {code}, {dt:.1f}s"
-        if isinstance(report, dict) and report.get("goldenMatch") is not None:
+            report, code = {"error": str(e)}, EXIT_RESOURCE
+        else:
+            report = assemble(command, spec.to_dict(), body, code)
+            golden = golden_base.joinpath(name)
+            match = None
+            if golden.is_file():
+                expected = json.loads(golden.read_text(encoding="utf-8"))
+                match = reports_equal(expected, report)
+                if not match:
+                    code = max(code, EXIT_BOUND)
+            report["goldenMatch"] = match
+        line = f"{name}: exit {code}, {time.perf_counter() - t0:.1f}s"
+        if report.get("goldenMatch") is not None:
             line += f", golden {'ok' if report['goldenMatch'] else 'MISMATCH'}"
-        summary.append(line)
-        print(line)
+        print(line, flush=True)
+        worst = max(worst, code)
+        results[name] = strip_timing(report)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(serialize({
-                "schemaVersion": 1,
+                "schemaVersion": SCHEMA_VERSION,
                 "command": "corpus",
-                "results": {name: strip_timing(rep) if isinstance(rep, dict) else rep
-                            for name, rep, _, _ in results},
+                "results": results,
             }))
     return worst
 
@@ -136,12 +121,11 @@ def main(argv=None) -> int:
     parser.add_argument("--prime", type=int, help="override the coefficient prime p")
     parser.add_argument("--regime", choices=["dg", "ainf", "auto"], help="override the regime")
     parser.add_argument("--out", help="write the JSON report here")
-    parser.add_argument("--threads", type=int, help="corpus parallelism (default BURCHLAB_THREADS)")
     args = parser.parse_args(argv)
 
     try:
         if args.command == "corpus":
-            return run_corpus(args.threads, args.out)
+            return run_corpus(args.out)
         if not args.job:
             raise InputError(f"command {args.command!r} needs --job")
         spec = load_job(args.job)

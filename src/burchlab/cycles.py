@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .bar import BarComplex, BarWord
-from .burch import BurchData
+from .burch import BurchData, minimal_generators
 from .complexes import ChainMap, GradedFreeComplex
 from .errors import InputError, InternalCheckError
-from .groebner import Ideal, Strand, lift_through, maximal_ideal, syzygies_of
+from .groebner import Ideal, Strand, lift_through, syzygies_of
 from .linalg import SparseEchelon
 from .matrices import FreeModuleElement, PolyMatrix
 from .resolve import kernel_gens_over_R
@@ -295,12 +295,9 @@ def splitting_check(rho: FreeModuleElement, diff: PolyMatrix, bd: BurchData) -> 
             return SplitVerdict("fails", None, "boundary has a unit coefficient", False)
     BI = bd.burch_ideal
     outside_BI = any(not BI.contains(c) for c in w.coords.values())
-    nI = maximal_ideal(ring).product(bd.ideal)
     witness = None
-    from .burch import minimal_generators
-
     for s in minimal_generators(bd.socle.gens, ring):
-        if any(nI.normal_form(s * c) for c in w.coords.values()):
+        if any(bd.nI.normal_form(s * c) for c in w.coords.values()):
             witness = s
             break
     if (witness is not None) != outside_BI:

@@ -19,7 +19,6 @@ from .pipeline import Caps, RingContext
 from .resolve import ModulePresentation
 from .ring import ParseError, PolyRing, is_prime
 
-SCHEMA_VERSION = 1
 
 COMMANDS = ("burch", "resolve", "bar", "cycles", "verify-general", "verify-golod", "corpus")
 

@@ -1,17 +1,11 @@
 """k-rank of graded modules over R and the syzygy verdict tables.
 
 k-rank(M) is the maximal d with k^d a direct summand; it is computed as
-dim_k((soc M + mM)/mM).  Three routes are kept deliberately separate:
-
-* krank(): socle via module colon (Groebner syzygies over Q), the default
-  for small modules;
-* krank(engine="strand"): socle strand by strand with k-linear algebra,
-  which scales to the large graded Artinian modules the verdict tables
-  need;
-* krank_brute_force(): fully Groebner-free; enumerates the module as a
-  k-space from raw generator multiples, builds the variable action
-  matrices, and reads off socle-mod-radical.  This is the independent
-  oracle the other two are validated against.
+dim_k((soc M + mM)/mM).  krank_strand finds the socle strand by strand with
+k-linear algebra, which scales to the large graded Artinian modules the
+verdict tables need; it is the only route the pipelines use.  The Groebner
+module-colon route and the Groebner-free brute force it is checked against
+live in oracle.py.
 """
 
 from __future__ import annotations
@@ -19,79 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InputError, ResourceCapError
-from .groebner import Ideal, Strand, syzygies_of
-from .linalg import SparseEchelon, kernel_basis
-from .matrices import FreeModuleElement
+from .errors import InputError
+from .groebner import Ideal, Strand
+from .linalg import kernel_basis
 from .resolve import ModulePresentation, resolve_over_R
-from .ring import mono_deg, mono_mul, monomials_of_degree
-
-
-def _module_gens_with_I(pres: ModulePresentation):
-    """Q-submodule N with M = Q^a / N: relations plus I times the basis."""
-    ring = pres.ring
-    cols = list(pres.relations)
-    for i in range(pres.ambient_rank):
-        for f in pres.quotient.gens:
-            cols.append(FreeModuleElement(ring, {i: f}))
-    return cols
-
-
-def _colon_by_element(columns, ambient_rank, f, ring):
-    """Generators of {u in Q^a : f*u in span(columns)}."""
-    aug = [FreeModuleElement(ring, {i: f}) for i in range(ambient_rank)] + columns
-    out = []
-    for w in syzygies_of(aug, ambient_rank, ring):
-        v = FreeModuleElement(ring, {i: g for i, g in w.coords.items() if i < ambient_rank})
-        if v.coords:
-            out.append(v)
-    return out
-
-
-def _intersect_modules(a_cols, b_cols, ambient_rank, ring):
-    aug = list(a_cols) + [(-v) for v in b_cols]
-    out = []
-    for w in syzygies_of(aug, ambient_rank, ring):
-        elt = FreeModuleElement(ring, {})
-        for i, g in w.coords.items():
-            if i < len(a_cols):
-                elt = elt + a_cols[i].mul_poly(g)
-        if elt.coords:
-            out.append(elt)
-    return out
-
-
-def _class_in_M_mod_mM(v: FreeModuleElement):
-    """Image of a homogeneous v in F/(nF) = k^a: the constant coordinate parts."""
-    out = {}
-    for i, f in v.coords.items():
-        c = f.constant_coeff()
-        if c:
-            out[i] = c
-    return out
-
-
-def krank_gb(pres: ModulePresentation) -> int:
-    """Socle route via module colon over Q (one colon per variable, then meet)."""
-    ring = pres.ring
-    a = pres.ambient_rank
-    N = _module_gens_with_I(pres)
-    soc = None
-    for i in range(ring.nvars):
-        piece = _colon_by_element(N, a, ring.var(i), ring)
-        soc = piece if soc is None else _intersect_modules(soc, piece, a, ring)
-    ech = SparseEchelon(ring.p)
-    for v in N:
-        vec = _class_in_M_mod_mM(v)
-        if vec:
-            ech.insert(vec)
-    count = 0
-    for v in soc or []:
-        vec = _class_in_M_mod_mM(v)
-        piv, _ = ech.insert(vec) if vec else (None, None)
-        if piv is not None:
-            count += 1
-    return count
+from .ring import mono_deg
 
 
 def krank_strand(pres: ModulePresentation) -> int:
@@ -141,142 +67,6 @@ def krank_strand(pres: ModulePresentation) -> int:
     return total
 
 
-def krank(pres: ModulePresentation, engine: str = "auto") -> int:
-    """k-rank = dim_k((soc M + mM)/mM); engine picks the socle route."""
-    if engine == "auto":
-        try:
-            small = pres.total_dim_bound() <= 80
-        except InputError:
-            small = True
-        engine = "gb" if small else "strand"
-    if engine == "gb":
-        return krank_gb(pres)
-    if engine == "strand":
-        return krank_strand(pres)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle (no Groebner anywhere)
-# ---------------------------------------------------------------------------
-
-
-def krank_brute_force(pres: ModulePresentation, dim_cap: int = 400) -> int:
-    """Enumerate M as a k-space with variable action matrices, then read
-    socle-mod-radical off the raw matrices.
-
-    Spans are built from monomial multiples of the raw relation and ideal
-    generators; no normal forms or Groebner bases are used anywhere.
-    """
-    ring = pres.ring
-    p = ring.p
-    raw_cols = _module_gens_with_I(pres)
-
-    def strand(d):
-        idx = [(i, m) for i, bdeg in enumerate(pres.gen_degrees)
-               for m in monomials_of_degree(ring.nvars, d - bdeg)]
-        return idx, {key: t for t, key in enumerate(idx)}
-
-    def span_echelon(d, pos):
-        ech = SparseEchelon(p)
-        for v in raw_cols:
-            vdeg = v.degree(pres.gen_degrees)
-            if vdeg > d:
-                continue
-            for m in monomials_of_degree(ring.nvars, d - vdeg):
-                vec = {}
-                for i, f in v.coords.items():
-                    for mm, c in f.terms.items():
-                        t = pos[(i, mono_mul(mm, m))]
-                        vec[t] = (vec.get(t, 0) + c) % p
-                ech.insert({k: c for k, c in vec.items() if c})
-        return ech
-
-    # per-degree quotient bases: non-pivot coordinates of the span echelon
-    degrees = []
-    bases = []       # list of (idx, pos, echelon, free coordinate list)
-    total_dim = 0
-    d = min(pres.gen_degrees, default=0)
-    max_gen = max(pres.gen_degrees, default=0)
-    while True:
-        idx, pos = strand(d)
-        ech = span_echelon(d, pos)
-        free = [t for t in range(len(idx)) if t not in ech.pivots]
-        dim = len(free)
-        total_dim += dim
-        if total_dim > dim_cap:
-            raise ResourceCapError(f"brute-force dimension cap {dim_cap} exceeded")
-        degrees.append(d)
-        bases.append((idx, pos, ech, free))
-        if dim == 0 and d >= max_gen:
-            break
-        if d > max_gen + 60:
-            raise ResourceCapError("no Artinian truncation found within degree 60")
-        d += 1
-
-    # action of each variable: M_d -> M_{d+1} in quotient coordinates
-    def reduce_to_classes(vec, ech, free_pos):
-        res, _ = ech._full_reduce(dict(vec), {})
-        return {free_pos[t]: c for t, c in res.items()}
-
-    actions = []  # actions[j][di] : dict col -> dict row -> c
-    for j in range(ring.nvars):
-        per_degree = []
-        for di in range(len(degrees) - 1):
-            idx, pos, ech, free = bases[di]
-            idx2, pos2, ech2, free2 = bases[di + 1]
-            free2_pos = {t: a for a, t in enumerate(free2)}
-            mat = {}
-            for a, t in enumerate(free):
-                i, m = idx[t]
-                target = {pos2[(i, mono_mul(m, _unit_exp(ring, j)))]: 1}
-                mat[a] = reduce_to_classes(target, ech2, free2_pos)
-            per_degree.append(mat)
-        actions.append(per_degree)
-
-    # socle and radical, degree by degree
-    total = 0
-    for di in range(len(degrees)):
-        idx, pos, ech, free = bases[di]
-        dim = len(free)
-        if dim == 0:
-            continue
-        # radical at this degree: images of all actions from degree below
-        rad = SparseEchelon(p)
-        if di >= 1:
-            prev_dim = len(bases[di - 1][3])
-            for j in range(ring.nvars):
-                mat = actions[j][di - 1]
-                for a in range(prev_dim):
-                    col = mat.get(a, {})
-                    if col:
-                        rad.insert(dict(col))
-        # socle: kernel of stacked actions out of this degree
-        if di < len(degrees) - 1:
-            out_dim = len(bases[di + 1][3])
-            cols = []
-            for a in range(dim):
-                col = {}
-                for j in range(ring.nvars):
-                    for r, c in actions[j][di].get(a, {}).items():
-                        col[j * out_dim + r] = c
-                cols.append(col)
-            _, kern = kernel_basis(cols, p)
-        else:
-            kern = [{a: 1} for a in range(dim)]
-        for kv in kern:
-            piv, _ = rad.insert(dict(kv))
-            if piv is not None:
-                total += 1
-    return total
-
-
-def _unit_exp(ring, j):
-    e = [0] * ring.nvars
-    e[j] = 1
-    return tuple(e)
-
-
 # ---------------------------------------------------------------------------
 # theorem verdict tables
 # ---------------------------------------------------------------------------
@@ -298,7 +88,6 @@ class KRankReport:
     mu_I: int
     golod: bool
     rows: list
-    complete: bool = True
 
     def all_ok(self) -> bool:
         return all(r.ok for r in self.rows)
@@ -308,7 +97,7 @@ class KRankReport:
             "burchIndex": self.burch_index,
             "muI": self.mu_I,
             "golod": self.golod,
-            "complete": self.complete,
+            "complete": True,  # every row is computed; the goldens keep the key
             "rows": [
                 {
                     "i": r.index,
@@ -333,19 +122,14 @@ def syzygy_presentation(res, i: int, quotient: Ideal) -> ModulePresentation:
 
 
 def theorem_verdicts(I: Ideal, pres: ModulePresentation, up_to: int,
-                     burch_idx: int, mu: int, golod: bool,
-                     engine: str = "auto") -> KRankReport:
+                     burch_idx: int, mu: int, golod: bool) -> KRankReport:
     """k-ranks of syz_1..syz_up_to against the two syzygy lower bounds.
 
     With Burch index b >= 2: krank(syz_i) >= 1 for i >= 5; and for Golod
     modules krank(syz_i) >= C(b,2) * mu^floor((i-4)/2) for i >= 4.
     """
     b = burch_idx
-    complete = True
-    try:
-        res = resolve_over_R(pres, up_to + 1)
-    except ResourceCapError:
-        raise
+    res = resolve_over_R(pres, up_to + 1)
     rows = []
     for i in range(1, up_to + 1):
         if i > res.top():
@@ -353,7 +137,7 @@ def theorem_verdicts(I: Ideal, pres: ModulePresentation, up_to: int,
             kr, betti = 0, 0
         else:
             sp = syzygy_presentation(res, i, I)
-            kr = krank(sp, engine=engine)
+            kr = krank_strand(sp)
             betti = res.rank(i)
         # zero syzygies (free modules) carry no claim
         claims = betti > 0
@@ -365,4 +149,4 @@ def theorem_verdicts(I: Ideal, pres: ModulePresentation, up_to: int,
         if bgo is not None and kr < bgo:
             ok = False
         rows.append(KRankRow(i, betti, kr, bg, bgo, ok))
-    return KRankReport(burch_index=b, mu_I=mu, golod=golod, rows=rows, complete=complete)
+    return KRankReport(burch_index=b, mu_I=mu, golod=golod, rows=rows)

@@ -3,7 +3,7 @@
 A RingContext packages the ring data (ideal, Burch data, socle); builders
 assemble the dg pair (X, Y, psi) or the transferred A-infinity pair for a
 presented module, and the verify_* functions run the two theorem pipelines
-and the independent k-rank oracle, returning plain dict reports.
+and the k-rank verdict tables, returning plain dict reports.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .dgmodule import build_semifree_resolution, taylor_module_fast_path
 from .errors import InputError
 from .golod import golod_check
 from .groebner import Ideal, maximal_ideal
-from .krank import krank, theorem_verdicts
+from .krank import theorem_verdicts
 from .resolve import ModulePresentation, resolve_over_R
 from .ring import PolyRing
 from .tate import acyclic_closure
@@ -134,7 +134,7 @@ def ainf_pair(ctx: RingContext, pres: ModulePresentation, caps: Caps):
 
 def verify_golod(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict:
     """Theorem-B pipeline: golod check, cycle families, splitting, survival,
-    and the independent k-rank oracle comparison."""
+    and the k-rank verdict table."""
     t0 = time.perf_counter()
     report: dict = {"burch": ctx.burch_summary()}
     alg, mod = ainf_pair(ctx, pres, caps)
@@ -150,28 +150,25 @@ def verify_golod(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict
         ctr = minimalize(bar.complex, through=cap)
         for q in range(3, cap):
             recs = rho_cycles_golod(bcs, bar, q)
-            split_ok = []
-            for rec in recs:
-                sv = splitting_check(rec.rho, bar.complex.diff(q), ctx.burch)
-                split_ok.append(sv.ok)
-            certs, survivors = project_to_minimal(ctr, recs, ctx.ideal, q)
+            split = [splitting_check(r.rho, bar.complex.diff(q), ctx.burch) for r in recs]
+            all_split = all(s.ok for s in split)
+            _, survivors = project_to_minimal(ctr, recs, ctx.ideal, q)
             expected = comb(ctx.burch.b, 2) * ctx.mu ** ((q - 3) // 2)
             row = {
                 "q": q,
                 "cycles": len(recs),
                 "expected": expected,
-                "allSplit": all(split_ok),
+                "allSplit": all_split,
                 "survivors": survivors,
-                "witnesses": [str(splitting_check(r.rho, bar.complex.diff(q), ctx.burch).witness)
-                              for r in recs[:3]],
+                "witnesses": [str(s.witness) for s in split[:3]],
             }
-            all_pass = all_pass and (len(recs) == expected) and all(split_ok) \
+            all_pass = all_pass and (len(recs) == expected) and all_split \
                 and survivors == len(recs)
             cycles_out.append(row)
     report["cycles"] = cycles_out
 
     verdicts = theorem_verdicts(ctx.ideal, pres, cap + 1, ctx.index, ctx.mu,
-                                golod=golod.golod, engine="strand")
+                                golod=golod.golod)
     report["krank"] = verdicts.to_dict()
     report["bounds"] = {
         "vacuous": ctx.index < 2,
@@ -194,7 +191,7 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
     report: dict = {"burch": ctx.burch_summary()}
     if ctx.index < 2:
         verdicts = theorem_verdicts(ctx.ideal, pres, oracle_through, ctx.index, ctx.mu,
-                                    golod=False, engine="strand")
+                                    golod=False)
         report["krank"] = verdicts.to_dict()
         report["bounds"] = {"vacuous": True, "allHold": True,
                             "note": "Burch index < 2: no bound claimed"}
@@ -219,7 +216,7 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
         for q in use_qs:
             recs = rho_cycles_general(bcs, bar, psi, q)
             split = [splitting_check(r.rho, bar.complex.diff(q), ctx.burch) for r in recs]
-            certs, survivors = project_to_minimal(ctr, recs, ctx.ideal, q)
+            _, survivors = project_to_minimal(ctr, recs, ctx.ideal, q)
             cycles_out.append({
                 "q": q,
                 "algebra": algebra,
@@ -232,7 +229,7 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
     report["cycles"] = cycles_out
 
     verdicts = theorem_verdicts(ctx.ideal, pres, oracle_through, ctx.index, ctx.mu,
-                                golod=False, engine="strand")
+                                golod=False)
     report["krank"] = verdicts.to_dict()
     report["bounds"] = {
         "vacuous": False,
@@ -246,7 +243,7 @@ def resolve_report(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> di
     t0 = time.perf_counter()
     res = resolve_over_R(pres, caps.hom_degree, rank_guard=caps.rank_guard)
     verdicts = theorem_verdicts(ctx.ideal, pres, caps.hom_degree - 1, ctx.index, ctx.mu,
-                                golod=False, engine="strand")
+                                golod=False)
     return {
         "betti": [res.rank(n) for n in range(res.top() + 1)],
         "krank": verdicts.to_dict(),

@@ -1,13 +1,11 @@
-"""Free resolutions over Q and over R = Q/I.
+"""Module presentations and minimal free resolutions over R = Q/I.
 
-Over Q resolutions are iterated Groebner syzygies with minimal-generator
-trimming (length is bounded by the number of variables).  Over an Artinian
-graded R the kernel of a homogeneous matrix is computed strand by strand
-with k-linear algebra, trimming generators degree by degree, which keeps
-the work proportional to the (sparse) strand data; a lift-to-Q Groebner
-path is kept alongside as an independent cross-check for small inputs.
-Either way the output is a minimal resolution: every differential entry
-lies in the maximal ideal.
+Over an Artinian graded R the kernel of a homogeneous matrix is computed
+strand by strand with k-linear algebra, trimming generators degree by
+degree, which keeps the work proportional to the (sparse) strand data.  The
+output is a minimal resolution: every differential entry lies in the
+maximal ideal.  The lift-to-Q Groebner kernels and the resolution over Q
+that this is checked against live in oracle.py.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .complexes import GradedFreeComplex
 from .errors import InputError, InternalCheckError, ResourceCapError
-from .groebner import Ideal, Strand, syzygies_of
+from .groebner import Ideal, Strand
 from .linalg import kernel_basis
 from .matrices import FreeModuleElement, PolyMatrix
 from .ring import PolyRing
@@ -73,12 +71,6 @@ class ModulePresentation:
             strand = Strand(table, self.gen_degrees, d)
             out.append(len(strand) - strand.span(rels).rank)
         return out
-
-    def total_dim_bound(self) -> int:
-        top = self.quotient.quotient_top_degree()
-        if top is None:
-            raise InputError("module is not finite dimensional (quotient not Artinian)")
-        return sum(self.dims(max(self.gen_degrees) + top))
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +136,7 @@ def kernel_gens_over_R(matrix: PolyMatrix, quotient: Ideal):
     return [g for g, _ in gens]
 
 
-def kernel_gens_over_R_gb(matrix: PolyMatrix, quotient: Ideal):
-    """Kernel generators over R by lifting to Q and appending I-columns."""
-    ring = matrix.ring
-    cols = [matrix.column(j) for j in range(matrix.cols)]
-    aug = list(cols)
-    for i in range(matrix.rows):
-        for f in quotient.gens:
-            aug.append(FreeModuleElement(ring, {i: f}))
-    syz = syzygies_of(aug, matrix.rows, ring)
-    red = quotient.normal_form
-    out = []
-    for w in syz:
-        v = FreeModuleElement(ring, {j: f for j, f in w.coords.items() if j < matrix.cols})
-        v = v.map_coords(red)
-        if v.coords:
-            out.append(v)
-    return minimal_module_generators(out, matrix.col_degrees, quotient)
-
-
-def resolve_over_R(pres: ModulePresentation, up_to: int, engine: str = "strand",
+def resolve_over_R(pres: ModulePresentation, up_to: int,
                    rank_guard: int = 200000) -> GradedFreeComplex:
     """Minimal free resolution of the presented module over R, to degree up_to."""
     quotient = pres.quotient
@@ -188,55 +161,10 @@ def resolve_over_R(pres: ModulePresentation, up_to: int, engine: str = "strand",
             break
         if n == up_to:
             break
-        if engine == "strand":
-            nxt = kernel_gens_over_R(mat, quotient)
-        elif engine == "gb":
-            nxt = kernel_gens_over_R_gb(mat, quotient)
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
         prev_degrees = col_degs
-        current = nxt
+        current = kernel_gens_over_R(mat, quotient)
         n += 1
     cx = GradedFreeComplex(ring, degrees, diffs, quotient=quotient)
     if not cx.is_minimal():
         raise InternalCheckError("resolution over R is not minimal")
-    return cx
-
-
-# ---------------------------------------------------------------------------
-# resolutions over Q
-# ---------------------------------------------------------------------------
-
-
-def resolve_over_Q(pres: ModulePresentation, up_to: int | None = None) -> GradedFreeComplex:
-    """Minimal Q-free resolution of the module presented over R, viewed over Q.
-
-    The Q-relations are the R-relations plus I times the ambient basis.
-    """
-    ring = pres.ring
-    cols = list(pres.relations)
-    for i in range(pres.ambient_rank):
-        for f in pres.quotient.gens:
-            cols.append(FreeModuleElement(ring, {i: f}))
-    cap = ring.nvars if up_to is None else up_to
-    zero_ideal = Ideal(ring, [])
-    current = minimal_module_generators(cols, pres.gen_degrees, zero_ideal)
-    degrees = {0: list(pres.gen_degrees)}
-    diffs = {}
-    prev_degrees = pres.gen_degrees
-    n = 1
-    while current and n <= cap:
-        col_degs = [v.degree(prev_degrees) for v in current]
-        mat = PolyMatrix.from_columns(ring, prev_degrees, current, col_degs)
-        degrees[n] = col_degs
-        diffs[n] = mat
-        syz = syzygies_of(current, len(prev_degrees), ring)
-        current = minimal_module_generators(syz, col_degs, zero_ideal)
-        prev_degrees = col_degs
-        n += 1
-    if current:
-        raise InternalCheckError("Q-resolution did not terminate within the variable count")
-    cx = GradedFreeComplex(ring, degrees, diffs, quotient=None)
-    if not cx.is_minimal():
-        raise InternalCheckError("Q-resolution is not minimal")
     return cx

@@ -24,9 +24,9 @@ from burchlab.cycles import (burch_cycles, project_to_minimal, rho_cycles_genera
                              rho_cycles_golod, splitting_check)
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.groebner import Ideal, maximal_ideal
-from burchlab.krank import (krank_brute_force, krank_gb, krank_strand,
-                            syzygy_presentation, theorem_verdicts)
+from burchlab.krank import krank_strand, syzygy_presentation, theorem_verdicts
 from burchlab.matrices import FreeModuleElement
+from burchlab.oracle import krank_brute_force, krank_gb, total_dim_bound
 from burchlab.pipeline import Caps, dg_pair, verify_general
 from burchlab.resolve import ModulePresentation, resolve_over_R
 from burchlab.ring import PolyRing, monomials_of_degree
@@ -88,7 +88,7 @@ def oracle_tables(m2_ideal, m23_ideal, modules_for_theorem_a):
                 for name, pres in modules_for_theorem_a[I.ring.nvars]:
                     golod = name == "k"  # k is Golod over these rings
                     cache[(I.ring.nvars, name)] = theorem_verdicts(
-                        I, pres, 9, burch_idx=b, mu=mu, golod=golod, engine="strand")
+                        I, pres, 9, burch_idx=b, mu=mu, golod=golod)
         return cache
 
     return get
@@ -123,8 +123,7 @@ def test_criterion_2_negative_control_syzygies(bione_ideal):
     t0 = time.time()
     R = bione_ideal.ring
     M = ModulePresentation.cyclic(bione_ideal, [R.parse("x^2"), R.parse("y")])
-    rep = theorem_verdicts(bione_ideal, M, 8, burch_idx=1, mu=3, golod=False,
-                           engine="strand")
+    rep = theorem_verdicts(bione_ideal, M, 8, burch_idx=1, mu=3, golod=False)
     assert [r.krank for r in rep.rows] == [0] * 8
     report(2, t0, 30.0)
 
@@ -331,7 +330,7 @@ def test_criterion_8_oracle_cross_validation(m2_ideal, bione_ideal, jn_ideal):
     while checked < 50:
         I = rng.choice(ideals)
         pres = random_presentation(rng, I)
-        if pres.total_dim_bound() > 60:
+        if total_dim_bound(pres) > 60:
             continue
         assert krank_gb(pres) == krank_strand(pres) == krank_brute_force(pres, dim_cap=120)
         checked += 1
@@ -374,7 +373,7 @@ def test_criterion_9_exponential_growth_onset(m2_ideal, m23_ideal, jn_ideal,
     cases.append((onset(oracle_tables()[(2, "k")]), min(9, 2 + 4)))
     cases.append((onset(oracle_tables()[(3, "k")]), min(9, 3 + 4)))
     jn_table = theorem_verdicts(jn_ideal, ModulePresentation.residue_field(jn_ideal),
-                                8, burch_idx=2, mu=3, golod=True, engine="strand")
+                                8, burch_idx=2, mu=3, golod=True)
     assert jn_table.all_ok()
     cases.append((onset(jn_table), min(9, 2 + 4)))
     for got, bound in cases:

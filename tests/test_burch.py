@@ -73,6 +73,8 @@ def test_rejects_ideal_not_in_square(R):
         burch_ideal(Ideal(R, [R.parse("x")]))
     with pytest.raises(InputError):
         burch_ideal(Ideal(R, [R.parse("x^2+x")]))
+    with pytest.raises(InputError):
+        burch_ideal(Ideal(R, [R.parse("3")]))
 
 
 def test_minimal_generators_duplicates_and_redundant(R):

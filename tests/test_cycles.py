@@ -8,6 +8,7 @@ from burchlab.cycles import (burch_cycles, project_to_minimal, rho_cycles_genera
                              rho_cycles_golod, splitting_check)
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.errors import InputError
+from burchlab.groebner import Ideal
 from burchlab.matrices import FreeModuleElement
 from burchlab.resolve import ModulePresentation
 from burchlab.taylor import TaylorComplex
@@ -51,6 +52,19 @@ def test_m2_burch_cycles(m2_ideal):
     R = m2_ideal.ring
     cyc = bcs.cycles[(0, 1)]
     assert X.complex.diff(1).apply(cyc.omega) == FreeModuleElement(R, {})
+
+
+def test_splitting_check_reuses_the_stored_nI(m2_ideal, monkeypatch):
+    bd = burch_data(m2_ideal)
+    X = TaylorComplex(m2_ideal.ring, bd.gens)
+    cyc = burch_cycles(bd, X.complex).cycles[(0, 1)]
+
+    def no_product(self, other):
+        raise AssertionError("splitting_check rebuilt an ideal product")
+
+    monkeypatch.setattr(Ideal, "product", no_product)
+    verdict = splitting_check(cyc.preimage, X.complex.diff(2), bd)
+    assert verdict.kind == "splits" and verdict.witness is not None
 
 
 def test_splitting_zero_boundary_mode(m2_ideal, bione_data):

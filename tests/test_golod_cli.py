@@ -135,10 +135,25 @@ def test_cli_vacuous_general_bounds_exit_zero():
 
 
 def test_cli_corpus_matches_goldens():
-    r = run_cli("corpus", "--threads", "2")
+    r = run_cli("corpus")
     assert r.returncode == 0, r.stdout + r.stderr
     assert "golden ok" in r.stdout
     assert "MISMATCH" not in r.stdout
+
+
+def test_production_commands_never_import_the_oracles():
+    # a fresh interpreter, so no other test can have imported burchlab.oracle
+    code = (
+        "import sys\n"
+        "from burchlab.cli import run_command\n"
+        "from burchlab.jobs import load_job\n"
+        f"spec = load_job({str(CORPUS / 'ex_m2_2vars.json')!r})\n"
+        "for command in ('burch', spec.command):\n"
+        "    assert run_command(command, spec)[1] == 0, command\n"
+        "assert 'burchlab.oracle' not in sys.modules\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
 
 
 def test_cli_resource_cap_exit_code(tmp_path):

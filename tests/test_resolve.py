@@ -2,8 +2,8 @@ import pytest
 
 from burchlab.groebner import Ideal
 from burchlab.matrices import FreeModuleElement
-from burchlab.resolve import (ModulePresentation, kernel_gens_over_R,
-                              kernel_gens_over_R_gb, resolve_over_Q, resolve_over_R)
+from burchlab.oracle import kernel_gens_over_R_gb, resolve_over_Q
+from burchlab.resolve import ModulePresentation, kernel_gens_over_R, resolve_over_R
 from burchlab.ring import PolyRing
 
 P = 32003

@@ -8,7 +8,8 @@ corpus (runs every bundled example, one after another, and compares each
 against its golden report).
 
 Exit codes: 0 all assertions hold or are vacuous, 1 a verified bound
-failed, 2 input error, 3 resource cap exceeded.
+failed, 2 input error, 3 resource cap exceeded, 4 internal error (a
+self-check of the program failed: a bug, not a falsified bound).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import time
 from importlib import resources
 
-from .errors import BoundViolation, InputError, ResourceCapError
+from .errors import BoundViolation, InputError, InternalCheckError, ResourceCapError
 from .jobs import COMMANDS, JobSpec, load_job, parse_job
 from .pipeline import (bar_report, cycles_report, resolve_report,
                        verify_general, verify_golod)
@@ -29,6 +30,21 @@ EXIT_OK = 0
 EXIT_BOUND = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
+
+# exceptions a job may end with: (type, exit code, stderr prefix)
+FAILURES = (
+    (InputError, EXIT_INPUT, "input error"),
+    (ResourceCapError, EXIT_RESOURCE, "resource cap"),
+    (BoundViolation, EXIT_BOUND, "BOUND VIOLATION (would falsify a verified statement)"),
+    (InternalCheckError, EXIT_INTERNAL, "internal error (a self-check failed)"),
+)
+FAILURE_TYPES = tuple(t for t, _, _ in FAILURES)
+
+
+def failure_exit(e: Exception) -> tuple:
+    """(exit code, stderr prefix) for one of the FAILURE_TYPES."""
+    return next((code, prefix) for t, code, prefix in FAILURES if isinstance(e, t))
 
 
 def run_command(command: str, spec: JobSpec) -> tuple:
@@ -77,13 +93,14 @@ def run_corpus(out_path: str | None) -> int:
     worst = EXIT_OK
     results = {}
     for name, path in corpus_entries():
-        spec = parse_job(path.read_text(encoding="utf-8"))
-        command = spec.command or "burch"
         t0 = time.perf_counter()
         try:
+            spec = parse_job(path.read_text(encoding="utf-8"))
+            command = spec.command or "burch"
             body, code = run_command(command, spec)
-        except ResourceCapError as e:
-            report, code = {"error": str(e)}, EXIT_RESOURCE
+        except FAILURE_TYPES as e:
+            code, _ = failure_exit(e)
+            report = {"error": str(e)}
         else:
             report = assemble(command, spec.to_dict(), body, code)
             golden = golden_base.joinpath(name)
@@ -95,6 +112,8 @@ def run_corpus(out_path: str | None) -> int:
                     code = max(code, EXIT_BOUND)
             report["goldenMatch"] = match
         line = f"{name}: exit {code}, {time.perf_counter() - t0:.1f}s"
+        if "error" in report:
+            line += f", error: {report['error']}"
         if report.get("goldenMatch") is not None:
             line += f", golden {'ok' if report['goldenMatch'] else 'MISMATCH'}"
         print(line, flush=True)
@@ -137,15 +156,10 @@ def main(argv=None) -> int:
         if args.regime is not None:
             spec.regime = args.regime
         body, code = run_command(args.command, spec)
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ResourceCapError as e:
-        print(f"resource cap: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except BoundViolation as e:
-        print(f"BOUND VIOLATION (would falsify a verified statement): {e}", file=sys.stderr)
-        return EXIT_BOUND
+    except FAILURE_TYPES as e:
+        code, prefix = failure_exit(e)
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
     report = assemble(args.command, spec.to_dict(), body, code)
     text = serialize(report)

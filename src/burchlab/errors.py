@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping in the CLI: InputError -> 2, ResourceCapError -> 3,
-BoundViolation -> 1.  InternalCheckError signals a broken invariant that
-contradicts a proved statement, i.e. a bug, and is never caught.
+Exit-code mapping in the CLI: BoundViolation -> 1, InputError -> 2,
+ResourceCapError -> 3, InternalCheckError -> 4.  InternalCheckError signals
+a broken invariant of the program itself, i.e. a bug; it gets its own code
+so that a bug never reads as a falsified bound.  `corpus` records any of
+them as the job's error and goes on to the next job.
 """
 
 

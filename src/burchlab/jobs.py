@@ -112,6 +112,33 @@ class JobSpec:
         raise InputError("module must have a 'cyclic' or 'presentation' key")
 
 
+def _int_field(caps_doc: dict, key: str, default: int) -> int:
+    v = caps_doc.get(key, default)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise InputError(f"caps.{key} must be an integer, got {v!r}")
+    return v
+
+
+def _parse_caps(caps_doc) -> Caps:
+    """Validate the optional caps object of a job; defaults as in Caps."""
+    if not isinstance(caps_doc, dict):
+        raise InputError("caps must be a JSON object")
+    qs = caps_doc.get("generalQs", [4, 5])
+    if (not isinstance(qs, list) or not qs
+            or not all(isinstance(q, int) and not isinstance(q, bool) and q >= 4 for q in qs)):
+        raise InputError(f"caps.generalQs must be a nonempty list of integers >= 4, got {qs!r}")
+    caps = Caps(
+        hom_degree=_int_field(caps_doc, "homDegree", 10),
+        arity=_int_field(caps_doc, "arity", 4),
+        degree=_int_field(caps_doc, "degree", 10),
+        brute_force_dim=_int_field(caps_doc, "bruteForceDim", 400),
+        general_qs=tuple(qs),
+    )
+    if caps.hom_degree < 2 or caps.hom_degree > 12:
+        raise InputError("caps.homDegree must be between 2 and 12")
+    return caps
+
+
 def parse_job(doc) -> JobSpec:
     """Validate a JSON job document into a JobSpec."""
     if isinstance(doc, (str, bytes)):
@@ -139,16 +166,7 @@ def parse_job(doc) -> JobSpec:
     module = doc["module"]
     if not isinstance(module, dict) or not ({"cyclic", "presentation"} & set(module)):
         raise InputError("module must be {'cyclic': [...]} or {'presentation': {...}}")
-    caps_doc = doc.get("caps", {})
-    caps = Caps(
-        hom_degree=int(caps_doc.get("homDegree", 10)),
-        arity=int(caps_doc.get("arity", 4)),
-        degree=int(caps_doc.get("degree", 10)),
-        brute_force_dim=int(caps_doc.get("bruteForceDim", 400)),
-        general_qs=tuple(caps_doc.get("generalQs", (4, 5))),
-    )
-    if caps.hom_degree < 2 or caps.hom_degree > 12:
-        raise InputError("caps.homDegree must be between 2 and 12")
+    caps = _parse_caps(doc.get("caps", {}))
     regime = doc.get("regime", "auto")
     if regime not in ("dg", "ainf", "auto"):
         raise InputError("regime must be dg, ainf, or auto")

@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .complexes import GradedFreeComplex
 from .errors import InputError
 from .groebner import Ideal, Strand
 from .linalg import kernel_basis
-from .resolve import ModulePresentation, resolve_over_R
+from .resolve import ModulePresentation
 from .ring import mono_deg
 
 
@@ -121,15 +122,17 @@ def syzygy_presentation(res, i: int, quotient: Ideal) -> ModulePresentation:
     return ModulePresentation(ring, quotient, list(gen_degrees), rels)
 
 
-def theorem_verdicts(I: Ideal, pres: ModulePresentation, up_to: int,
+def theorem_verdicts(I: Ideal, res: GradedFreeComplex, up_to: int,
                      burch_idx: int, mu: int, golod: bool) -> KRankReport:
     """k-ranks of syz_1..syz_up_to against the two syzygy lower bounds.
 
+    res is the minimal resolution of the module over R through degree
+    up_to + 1, as resolve_over_R(pres, up_to + 1) returns it (the caller
+    builds it, with its own rank guard, and may reuse it).
     With Burch index b >= 2: krank(syz_i) >= 1 for i >= 5; and for Golod
     modules krank(syz_i) >= C(b,2) * mu^floor((i-4)/2) for i >= 4.
     """
     b = burch_idx
-    res = resolve_over_R(pres, up_to + 1)
     rows = []
     for i in range(1, up_to + 1):
         if i > res.top():

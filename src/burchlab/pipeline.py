@@ -77,11 +77,15 @@ class RingContext:
         return out
 
 
-def taylor_algebra(ctx: RingContext) -> TaylorComplex:
+def taylor_generators(ctx: RingContext) -> list:
     gens = ctx.minimal_gens()
     if not all(len(g.terms) == 1 for g in gens):
         raise InputError("Taylor resolutions need a monomial ideal")
-    return TaylorComplex(ctx.ring, gens, verify=False)
+    return gens
+
+
+def taylor_algebra(ctx: RingContext) -> TaylorComplex:
+    return TaylorComplex(ctx.ring, taylor_generators(ctx), verify=False)
 
 
 def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str = "taylor",
@@ -105,19 +109,18 @@ def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str =
 
 def ainf_pair(ctx: RingContext, pres: ModulePresentation, caps: Caps):
     """Transferred A-infinity structures on the minimal resolutions of R and M."""
-    X = taylor_algebra(ctx)
+    gens = taylor_generators(ctx)  # both branches resolve over a Taylor complex
     cyclic_monomial = (
         pres.ambient_rank == 1
         and all(len(v.coords) == 1 and 0 in v.coords and len(v.coords[0].terms) == 1
                 for v in pres.relations)
     )
     if cyclic_monomial:
-        X2, Ymod, _psi = taylor_module_fast_path(
+        X, big_module, _psi = taylor_module_fast_path(
             ctx.ideal, [v.coords[0] for v in pres.relations])
-        X = X2
-        big_module = Ymod
-        ctr_y = minimalize(Ymod.complex)
+        ctr_y = minimalize(big_module.complex)
     else:
+        X = TaylorComplex(ctx.ring, gens, verify=False)
         Y, _psi = build_semifree_resolution(pres, X, up_to=caps.hom_degree + 2)
         big_module = Y
         ctr_y = minimalize(Y.complex).truncated(caps.hom_degree + 1)
@@ -167,8 +170,8 @@ def verify_golod(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict
             cycles_out.append(row)
     report["cycles"] = cycles_out
 
-    verdicts = theorem_verdicts(ctx.ideal, pres, cap + 1, ctx.index, ctx.mu,
-                                golod=golod.golod)
+    res = resolve_over_R(pres, cap + 2, rank_guard=caps.rank_guard)
+    verdicts = theorem_verdicts(ctx.ideal, res, cap + 1, ctx.index, ctx.mu, golod=golod.golod)
     report["krank"] = verdicts.to_dict()
     report["bounds"] = {
         "vacuous": ctx.index < 2,
@@ -190,7 +193,8 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
     t0 = time.perf_counter()
     report: dict = {"burch": ctx.burch_summary()}
     if ctx.index < 2:
-        verdicts = theorem_verdicts(ctx.ideal, pres, oracle_through, ctx.index, ctx.mu,
+        res = resolve_over_R(pres, oracle_through + 1, rank_guard=caps.rank_guard)
+        verdicts = theorem_verdicts(ctx.ideal, res, oracle_through, ctx.index, ctx.mu,
                                     golod=False)
         report["krank"] = verdicts.to_dict()
         report["bounds"] = {"vacuous": True, "allHold": True,
@@ -228,8 +232,8 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
             })
     report["cycles"] = cycles_out
 
-    verdicts = theorem_verdicts(ctx.ideal, pres, oracle_through, ctx.index, ctx.mu,
-                                golod=False)
+    res = resolve_over_R(pres, oracle_through + 1, rank_guard=caps.rank_guard)
+    verdicts = theorem_verdicts(ctx.ideal, res, oracle_through, ctx.index, ctx.mu, golod=False)
     report["krank"] = verdicts.to_dict()
     report["bounds"] = {
         "vacuous": False,
@@ -242,7 +246,7 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
 def resolve_report(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict:
     t0 = time.perf_counter()
     res = resolve_over_R(pres, caps.hom_degree, rank_guard=caps.rank_guard)
-    verdicts = theorem_verdicts(ctx.ideal, pres, caps.hom_degree - 1, ctx.index, ctx.mu,
+    verdicts = theorem_verdicts(ctx.ideal, res, caps.hom_degree - 1, ctx.index, ctx.mu,
                                 golod=False)
     return {
         "betti": [res.rank(n) for n in range(res.top() + 1)],

@@ -11,12 +11,13 @@ is the workhorse dg resolution for monomial quotients.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+from operator import add
 
 from .complexes import GradedFreeComplex
 from .errors import InternalCheckError, ResourceCapError
 from .matrices import FreeModuleElement, PolyMatrix
-from .ring import PolyRing, mono_deg, mono_div, mono_lcm, mono_mul
+from .ring import Polynomial, PolyRing, mono_deg, mono_div, mono_lcm
 
 TAYLOR_GENERATOR_CAP = 12
 
@@ -64,29 +65,41 @@ class DgAlgebra:
                 if left != want or right != want:
                     raise InternalCheckError(f"unit law fails on basis ({d},{i})")
 
+    def leibniz_pairs(self, da, db):
+        """Basis index pairs (ia, ib) of degrees da, db that check_leibniz compares."""
+        return product(range(self.complex.rank(da)), range(self.complex.rank(db)))
+
     def check_leibniz(self, through: int | None = None):
-        top = self.complex.top() if through is None else through
+        """d(a*b) = d(a)*b + (-1)^|a| a*d(b) on every pair from leibniz_pairs.
+
+        Each side is accumulated as {position: {monomial: coeff}} straight
+        from the differential columns and compared exactly mod p.
+        """
+        cx = self.complex
+        p = self.ring.p
+        top = cx.top() if through is None else through
+        cols = {n: cx.diff(n).columns for n in range(1, top + 1)}
         for da in range(top + 1):
             for db in range(top + 1 - da):
-                for ia in range(self.complex.rank(da)):
-                    for ib in range(self.complex.rank(db)):
-                        prod = self.product_basis(da, ia, db, ib)
-                        lhs = (
-                            self.complex.diff(da + db).apply(prod)
-                            if da + db >= 1
-                            else FreeModuleElement(self.ring, {})
-                        )
-                        rhs = FreeModuleElement(self.ring, {})
-                        if da >= 1:
-                            rhs = rhs + self.product_elements(da - 1, self.diff_basis(da, ia), db,
-                                                              FreeModuleElement.basis(self.ring, ib))
-                        term = self.product_elements(da, FreeModuleElement.basis(self.ring, ia),
-                                                     db - 1, self.diff_basis(db, ib)) if db >= 1 else None
-                        if term is not None:
-                            rhs = rhs + (term if da % 2 == 0 else -term)
-                        if lhs != rhs:
-                            raise InternalCheckError(
-                                f"Leibniz fails on basis pair ({da},{ia}) ({db},{ib})")
+                sign_b = 1 if da % 2 == 0 else -1
+                for ia, ib in self.leibniz_pairs(da, db):
+                    lhs, rhs = {}, {}
+                    if da + db >= 1:
+                        dcols = cols[da + db]
+                        for k, f in self.product_basis(da, ia, db, ib).coords.items():
+                            for i, g in dcols.get(k, {}).items():
+                                _add_product(lhs, i, g, f, 1)
+                    if da >= 1:
+                        for k, f in cols[da].get(ia, {}).items():
+                            for i, g in self.product_basis(da - 1, k, db, ib).coords.items():
+                                _add_product(rhs, i, f, g, 1)
+                    if db >= 1:
+                        for k, f in cols[db].get(ib, {}).items():
+                            for i, g in self.product_basis(da, ia, db - 1, k).coords.items():
+                                _add_product(rhs, i, f, g, sign_b)
+                    if _reduced(lhs, p) != _reduced(rhs, p):
+                        raise InternalCheckError(
+                            f"Leibniz fails on basis pair ({da},{ia}) ({db},{ib})")
 
     def check_commutative(self, through: int | None = None):
         top = self.complex.top() if through is None else through
@@ -124,13 +137,23 @@ class DgAlgebra:
                                         f"associativity fails on ({da},{ia}) ({db},{ib}) ({dc},{ic})")
 
 
-def _shuffle_sign(S, T) -> int:
-    inv = 0
-    for s in S:
-        for t in T:
-            if t < s:
-                inv += 1
-    return -1 if inv % 2 else 1
+def _add_product(acc: dict, i, f, g, sign: int):
+    """acc[i] += sign * f * g term by term, coefficients left unreduced."""
+    row = acc.setdefault(i, {})
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(map(add, m1, m2))
+            row[m] = row.get(m, 0) + sign * c1 * c2
+
+
+def _reduced(acc: dict, p: int) -> dict:
+    """acc with coefficients mod p, zero terms and empty positions dropped."""
+    out = {}
+    for i, row in acc.items():
+        row = {m: c % p for m, c in row.items() if c % p}
+        if row:
+            out[i] = row
+    return out
 
 
 class TaylorComplex(DgAlgebra):
@@ -147,26 +170,28 @@ class TaylorComplex(DgAlgebra):
         s = len(self.monomials)
         self.subsets = {n: sorted(combinations(range(s), n)) for n in range(s + 1)}
         self.position = {n: {S: t for t, S in enumerate(subs)} for n, subs in self.subsets.items()}
-        self._lcm = {}
-        for n, subs in self.subsets.items():
-            for S in subs:
-                acc = (0,) * ring.nvars
-                for k in S:
-                    acc = mono_lcm(acc, self.monomials[k])
-                self._lcm[S] = acc
+        # private tables keyed by the bitmask sum(1 << k for k in S)
+        self._masks = {n: [sum(1 << k for k in S) for S in subs]
+                       for n, subs in self.subsets.items()}
+        self._index = {m: t for masks in self._masks.values() for t, m in enumerate(masks)}
+        self._lcm = {0: (0,) * ring.nvars}
+        for n in range(1, s + 1):
+            for m in self._masks[n]:
+                low = m & -m
+                self._lcm[m] = mono_lcm(self._lcm[m ^ low], self.monomials[low.bit_length() - 1])
 
-        degrees = {n: [mono_deg(self._lcm[S]) for S in subs] for n, subs in self.subsets.items()}
+        degrees = {n: [mono_deg(self._lcm[m]) for m in masks] for n, masks in self._masks.items()}
         diffs = {}
         for n in range(1, s + 1):
-            m = PolyMatrix(ring, degrees[n - 1], degrees[n])
-            for j, S in enumerate(self.subsets[n]):
-                lc = self._lcm[S]
-                for k in range(n):
-                    rem = S[:k] + S[k + 1:]
+            mat = PolyMatrix(ring, degrees[n - 1], degrees[n])
+            for j, (S, m) in enumerate(zip(self.subsets[n], self._masks[n])):
+                lc = self._lcm[m]
+                for k, u in enumerate(S):
+                    rem = m ^ (1 << u)
                     coeff = mono_div(lc, self._lcm[rem])
                     f = ring.monomial(coeff, 1 if k % 2 == 0 else ring.p - 1)
-                    m.set_entry(self.position[n - 1][rem], j, f)
-            diffs[n] = m
+                    mat.set_entry(self._index[rem], j, f)
+            diffs[n] = mat
         self.complex = GradedFreeComplex(
             ring, degrees, diffs,
             labels={n: ["e" + "".join(str(k + 1) for k in S) if S else "1" for S in subs]
@@ -177,16 +202,38 @@ class TaylorComplex(DgAlgebra):
             self.check_unit()
             self.check_leibniz()
 
+    def leibniz_pairs(self, da, db):
+        """Only the pairs with |S n T| <= 1; every other pair holds by construction.
+
+        If |S n T| >= 2, then e_S * e_T = 0 (S, T not disjoint), so the left
+        side d(e_S * e_T) is 0.  Every term of d(e_S) * e_T and of
+        e_S * d(e_T) is a product e_(S\\u) * e_T or e_S * e_(T\\v); removing
+        one index leaves the two sets still meeting, so each such product is
+        0 by the same disjointness test, and the right side is 0 as well.
+        """
+        masks_b = self._masks.get(db, ())
+        for ia, mS in enumerate(self._masks.get(da, ())):
+            for ib, mT in enumerate(masks_b):
+                if (mS & mT).bit_count() <= 1:
+                    yield ia, ib
+
     def product_basis(self, da, ia, db, ib) -> FreeModuleElement:
-        S = self.subsets[da][ia]
-        T = self.subsets[db][ib]
-        if set(S) & set(T):
-            return FreeModuleElement(self.ring, {})
-        U = tuple(sorted(S + T))
-        coeff = mono_div(mono_mul(self._lcm[S], self._lcm[T]), self._lcm[U])
-        sign = _shuffle_sign(S, T)
-        f = self.ring.monomial(coeff, 1 if sign > 0 else self.ring.p - 1)
-        return FreeModuleElement(self.ring, {self.position[da + db][U]: f})
+        ring = self.ringref
+        mS = self._masks[da][ia]
+        mT = self._masks[db][ib]
+        if mS & mT:
+            return FreeModuleElement(ring, {})
+        mU = mS | mT
+        coeff = tuple([a + b - c for a, b, c in zip(self._lcm[mS], self._lcm[mT], self._lcm[mU])])
+        # shuffle sign: (-1)^#{(s, t) in S x T : t < s}
+        inv = 0
+        rest = mS
+        while rest:
+            low = rest & -rest
+            inv += (mT & (low - 1)).bit_count()
+            rest ^= low
+        f = Polynomial(ring, {coeff: ring.p - 1 if inv % 2 else 1})
+        return FreeModuleElement(ring, {self._index[mU]: f})
 
 
 def koszul_complex(ring: PolyRing, elements) -> TaylorComplex:

@@ -88,7 +88,7 @@ def oracle_tables(m2_ideal, m23_ideal, modules_for_theorem_a):
                 for name, pres in modules_for_theorem_a[I.ring.nvars]:
                     golod = name == "k"  # k is Golod over these rings
                     cache[(I.ring.nvars, name)] = theorem_verdicts(
-                        I, pres, 9, burch_idx=b, mu=mu, golod=golod)
+                        I, resolve_over_R(pres, 10), 9, burch_idx=b, mu=mu, golod=golod)
         return cache
 
     return get
@@ -123,7 +123,7 @@ def test_criterion_2_negative_control_syzygies(bione_ideal):
     t0 = time.time()
     R = bione_ideal.ring
     M = ModulePresentation.cyclic(bione_ideal, [R.parse("x^2"), R.parse("y")])
-    rep = theorem_verdicts(bione_ideal, M, 8, burch_idx=1, mu=3, golod=False)
+    rep = theorem_verdicts(bione_ideal, resolve_over_R(M, 9), 8, burch_idx=1, mu=3, golod=False)
     assert [r.krank for r in rep.rows] == [0] * 8
     report(2, t0, 30.0)
 
@@ -372,8 +372,8 @@ def test_criterion_9_exponential_growth_onset(m2_ideal, m23_ideal, jn_ideal,
     cases = []
     cases.append((onset(oracle_tables()[(2, "k")]), min(9, 2 + 4)))
     cases.append((onset(oracle_tables()[(3, "k")]), min(9, 3 + 4)))
-    jn_table = theorem_verdicts(jn_ideal, ModulePresentation.residue_field(jn_ideal),
-                                8, burch_idx=2, mu=3, golod=True)
+    jn_res = resolve_over_R(ModulePresentation.residue_field(jn_ideal), 9)
+    jn_table = theorem_verdicts(jn_ideal, jn_res, 8, burch_idx=2, mu=3, golod=True)
     assert jn_table.all_ok()
     cases.append((onset(jn_table), min(9, 2 + 4)))
     for got, bound in cases:

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burchlab.ainfty import AInfAlgebra, AInfModule
 from burchlab.contraction import minimalize
@@ -166,3 +167,115 @@ def test_cli_resource_cap_exit_code(tmp_path):
     path.write_text(json.dumps(job))
     r = run_cli("bar", "--job", str(path), "--regime", "dg")
     assert r.returncode == 3
+
+
+# -- caps validation, internal errors, corpus error records --------------------
+
+
+def m2_job(**overrides):
+    job = json.loads((CORPUS / "ex_m2_2vars.json").read_text())
+    job.update(overrides)
+    return job
+
+
+@pytest.mark.parametrize("caps", [
+    {"homDegree": "abc"}, {"arity": None}, {"generalQs": 5}, {"generalQs": [4, "x"]},
+    {"degree": 2.5}, {"bruteForceDim": True}, {"generalQs": []}, {"generalQs": [3]}, 5,
+])
+def test_cli_bad_caps_exit_code(tmp_path, capsys, caps):
+    from burchlab.cli import main
+
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(m2_job(caps=caps)))
+    assert main(["burch", "--job", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: caps") and err.count("\n") == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(caps=st.dictionaries(
+    st.sampled_from(["homDegree", "arity", "degree", "bruteForceDim", "generalQs"]), json_values)
+    | json_values)
+def test_parse_job_caps_fuzz(caps):
+    # any JSON value for caps (or for one of its fields) parses or is an InputError
+    job = {"p": 32003, "vars": ["x"], "ideal": ["x^2"], "module": {"cyclic": ["x"]}, "caps": caps}
+    try:
+        spec = parse_job(job)
+    except InputError:
+        return
+    assert isinstance(spec.caps.hom_degree, int) and 2 <= spec.caps.hom_degree <= 12
+    assert spec.caps.general_qs and all(q >= 4 for q in spec.caps.general_qs)
+
+
+def test_cli_internal_error_exit_code(monkeypatch, capsys):
+    from burchlab.cli import main
+    from burchlab.errors import InternalCheckError
+    from burchlab.taylor import DgAlgebra
+
+    def broken(self, through=None):
+        raise InternalCheckError("planted Leibniz failure")
+
+    monkeypatch.setattr(DgAlgebra, "check_leibniz", broken)
+    assert main(["verify-golod", "--job", str(CORPUS / "ex_m2_2vars.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error") and "planted" in err and err.count("\n") == 1
+
+
+def test_corpus_records_failing_jobs_and_carries_on(monkeypatch, tmp_path, capsys):
+    from burchlab import cli
+    from burchlab.errors import InternalCheckError
+
+    bad = tmp_path / "bad_caps.json"
+    bad.write_text(json.dumps(m2_job(caps={"arity": None})))
+    monkeypatch.setattr(cli, "corpus_entries", lambda: [
+        ("bad_caps.json", bad),
+        ("ex_m2_2vars.json", CORPUS / "ex_m2_2vars.json"),
+        ("ex_structure.json", CORPUS / "ex_structure.json"),
+    ])
+    real = cli.run_command
+
+    def run_command(command, spec):
+        if spec.name == "square-of-max-ideal-2vars":
+            raise InternalCheckError("planted")
+        return real(command, spec)
+
+    monkeypatch.setattr(cli, "run_command", run_command)
+    out = tmp_path / "corpus.json"
+    assert cli.run_corpus(str(out)) == 4  # the worst exit code wins
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("bad_caps.json: exit 2") and "caps.arity" in lines[0]
+    assert lines[1].startswith("ex_m2_2vars.json: exit 4") and "planted" in lines[1]
+    assert lines[2].startswith("ex_structure.json: exit 0") and lines[2].endswith("golden ok")
+    results = json.loads(out.read_text())["results"]
+    assert "caps.arity" in results["bad_caps.json"]["error"]
+    assert results["ex_m2_2vars.json"] == {"error": "planted"}
+    assert results["ex_structure.json"]["goldenMatch"] is True
+
+
+def test_resolve_job_resolves_once(monkeypatch):
+    from burchlab import resolve
+    from burchlab.cli import run_command
+
+    real = resolve.resolve_over_R
+    guards = []
+
+    def counting(*args, **kwargs):
+        guards.append(kwargs.get("rank_guard"))
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("burchlab") and getattr(mod, "resolve_over_R", None) is real:
+            monkeypatch.setattr(mod, "resolve_over_R", counting)
+    spec = parse_job({"p": 32003, "vars": ["x", "y", "z"],
+                      "ideal": ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"],
+                      "module": {"cyclic": ["x", "y", "z"]}, "caps": {"homDegree": 6},
+                      "command": "resolve"})
+    body, code = run_command("resolve", spec)
+    assert code == 0 and body["betti"] == [3 ** n for n in range(7)]
+    assert guards == [spec.caps.rank_guard]

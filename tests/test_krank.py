@@ -103,7 +103,7 @@ def test_krank_additivity_under_direct_sum(m2_ideal):
 def test_negative_control_verdicts(bione_ideal):
     R = bione_ideal.ring
     M = ModulePresentation.cyclic(bione_ideal, [R.parse("x^2"), R.parse("y")])
-    rep = theorem_verdicts(bione_ideal, M, 8, burch_idx=1, mu=3, golod=False)
+    rep = theorem_verdicts(bione_ideal, resolve_over_R(M, 9), 8, burch_idx=1, mu=3, golod=False)
     assert all(r.krank == 0 for r in rep.rows)
     assert all(r.bound_general is None and r.bound_golod is None for r in rep.rows)
     assert rep.all_ok()
@@ -111,7 +111,7 @@ def test_negative_control_verdicts(bione_ideal):
 
 def test_verdict_bounds_m2(m2_ideal):
     k = ModulePresentation.residue_field(m2_ideal)
-    rep = theorem_verdicts(m2_ideal, k, 8, burch_idx=2, mu=3, golod=True)
+    rep = theorem_verdicts(m2_ideal, resolve_over_R(k, 9), 8, burch_idx=2, mu=3, golod=True)
     for row in rep.rows:
         assert row.krank == 2 ** row.index
         if row.index >= 5:

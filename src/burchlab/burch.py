@@ -16,7 +16,7 @@ from .errors import InputError, InternalCheckError
 from .groebner import Ideal, Strand, maximal_ideal
 from .linalg import SparseEchelon
 from .matrices import FreeModuleElement
-from .ring import Polynomial, PolyRing, mono_deg, poly_sort_key
+from .ring import Polynomial, PolyRing, mono_deg, monomials_of_degree, poly_sort_key
 
 
 class DegreeSpan:
@@ -114,10 +114,27 @@ def burch_ideal(I: Ideal) -> Ideal:
     return BI
 
 
-def burch_index(I: Ideal) -> int:
-    """dim_k n/BI, read off from linear parts since n^2 <= BI."""
-    BI = burch_ideal(I)
+def burch_index(I: Ideal, BI: Ideal | None = None) -> int:
+    """dim_k n/BI, read off from linear parts since n^2 <= BI.
+
+    BI is the Burch ideal of I when the caller already has it.
+    """
+    if BI is None:
+        BI = burch_ideal(I)
     return I.ring.nvars - _linear_part_echelon(BI).rank
+
+
+def _linear_colon_dim(nI: Ideal, soc_gens) -> int:
+    """dim_k of the linear forms l with l * s in nI for every s in soc_gens."""
+    ring = nI.ring
+    ech = SparseEchelon(ring.p)
+    for i in range(ring.nvars):
+        vec = {}
+        for j, s in enumerate(soc_gens):
+            for m, c in nI.normal_form(ring.var(i) * s).terms.items():
+                vec[j, m] = c
+        ech.insert(vec)
+    return ring.nvars - ech.rank
 
 
 @dataclass
@@ -129,6 +146,9 @@ class BurchData:
     xs: linear forms spanning n/n^2; the first b are independent mod BI.
     socle_lifts: s_1..s_b in (I : n) with gens[j_indices[i]] = xs[i]*s_i.
     nI: the product n*I, kept so its R-table is built once per ideal.
+    socle_gens: minimal generators of (I : n), in the order
+      minimal_generators returns them (splitting_check takes the first
+      witness in this order).
     """
 
     ideal: Ideal
@@ -140,16 +160,31 @@ class BurchData:
     j_indices: list
     b: int
     nI: Ideal
+    socle_gens: list
 
     def verify(self):
-        """Re-check every invariant by membership tests only."""
+        """Re-check every invariant by membership tests and linear algebra.
+
+        The Burch ideal is checked without computing the colon nI : soc
+        again.  The colon and the stored BI both contain n^2 (n soc <= I
+        gives n^2 soc <= nI) and lie in n (soc is not inside nI, as soc
+        contains I != 0), so they are equal iff their linear parts are: BI_1 * soc <= nI and
+        dim BI_1 equals the dimension of all linear forms l with
+        l * soc <= nI.
+        """
         I, ring = self.ideal, self.ideal.ring
         n = maximal_ideal(ring)
-        BI = burch_ideal(I)
+        BI = self.burch_ideal
         soc = I.colon(n)
         nI = n.product(I)
-        if not (BI == self.burch_ideal and soc == self.socle and nI == self.nI):
-            raise InternalCheckError("stored Burch/socle/nI ideals disagree with recomputation")
+        if not (soc == self.socle and nI == self.nI and Ideal(ring, self.socle_gens) == soc):
+            raise InternalCheckError("stored socle/nI ideals disagree with recomputation")
+        lin_bi = [g for g in BI.groebner() if g.degree() == 1]
+        if not (BI.is_proper()
+                and all(BI.contains(ring.monomial(m)) for m in monomials_of_degree(ring.nvars, 2))
+                and all(nI.contains(g * s) for g in lin_bi for s in self.socle_gens)
+                and len(lin_bi) == _linear_colon_dim(nI, self.socle_gens)):
+            raise InternalCheckError("stored Burch ideal is not nI : (I : n)")
         # gens generate I minimally
         if not (Ideal(ring, self.gens) == I):
             raise InternalCheckError("stored generators do not generate I")
@@ -191,8 +226,10 @@ class BurchData:
         return True
 
 
-def burch_data(I: Ideal) -> BurchData:
+def burch_data(I: Ideal, BI: Ideal | None = None) -> BurchData:
     """Deterministic certified Burch data; requires burch_index(I) >= 1.
+
+    BI is the Burch ideal of I when the caller already has it.
 
     The x candidates are scanned in variable order; socle lifts in ascending
     grevlex order over the minimal generators of (I : n); the first valid
@@ -203,9 +240,10 @@ def burch_data(I: Ideal) -> BurchData:
     """
     ring = I.ring
     n = maximal_ideal(ring)
-    BI = burch_ideal(I)
+    if BI is None:
+        BI = burch_ideal(I)
     soc = I.colon(n)
-    b = ring.nvars - _linear_part_echelon(BI).rank
+    b = burch_index(I, BI)
     if b < 1:
         raise InputError("burch_data requires Burch index >= 1")
 
@@ -226,8 +264,8 @@ def burch_data(I: Ideal) -> BurchData:
     assert len(burch_vars) == b, "variables must span n/BI since they span n/n^2"
     xs = [ring.var(i) for i in burch_vars + other_vars]
 
-    soc_min = minimal_generators(soc.gens if soc.gens else [], ring)
-    soc_min.sort(key=poly_sort_key)
+    socle_gens = minimal_generators(soc.gens, ring)
+    soc_min = sorted(socle_gens, key=poly_sort_key)
     nI = n.product(I)
 
     socle_lifts, j_indices = [], []
@@ -289,6 +327,7 @@ def burch_data(I: Ideal) -> BurchData:
         j_indices=j_indices,
         b=b,
         nI=nI,
+        socle_gens=socle_gens,
     )
     data.verify()
     return data

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .bar import BarComplex, BarWord
-from .burch import BurchData, minimal_generators
+from .burch import BurchData
 from .complexes import ChainMap, GradedFreeComplex
 from .errors import InputError, InternalCheckError
 from .groebner import Ideal, Strand, lift_through, syzygies_of
@@ -284,7 +284,6 @@ def splitting_check(rho: FreeModuleElement, diff: PolyMatrix, bd: BurchData) -> 
     s d(rho) in I G but not in n I G.  Both formulations are evaluated and
     must agree.
     """
-    ring = rho.ring
     if not rho.is_reduced_nonzero_mod_max_ideal():
         raise InputError("rho lies in m F; it is not part of a basis")
     w = diff.apply(rho)
@@ -296,7 +295,7 @@ def splitting_check(rho: FreeModuleElement, diff: PolyMatrix, bd: BurchData) -> 
     BI = bd.burch_ideal
     outside_BI = any(not BI.contains(c) for c in w.coords.values())
     witness = None
-    for s in minimal_generators(bd.socle.gens, ring):
+    for s in bd.socle_gens:
         if any(bd.nI.normal_form(s * c) for c in w.coords.values()):
             witness = s
             break

@@ -21,9 +21,8 @@ from .errors import InternalCheckError, ResourceCapError
 from .groebner import Ideal
 from .matrices import FreeModuleElement, PolyMatrix
 from .resolve import ModulePresentation
-from .ring import mono_deg, mono_divides
 from .taylor import DgAlgebra, TaylorComplex
-from .tate import homology_cycle_generators
+from .tate import CycleSpace, homology_cycle_generators
 
 
 class DgModule:
@@ -121,6 +120,8 @@ class SemifreeDgModule(DgModule):
         self._basis = None              # n -> list of (t, i) with i in X_{n - gdeg_t}
         self._pos = None
         self._complex = None
+        self._columns = {}              # (t, i, n) -> coordinates of d(b_i (x) g_t)
+        self._columns_of = None         # the algebra complex those columns were read from
 
     def add_generator(self, hom_degree: int, int_degree: int, diff: FreeModuleElement | None):
         self.gen_hom_degrees.append(hom_degree)
@@ -130,6 +131,14 @@ class SemifreeDgModule(DgModule):
         return len(self.gen_hom_degrees) - 1
 
     def _refresh(self):
+        """Re-list the basis and assemble the differentials.
+
+        A column, once computed, is kept: positions never move.  Pairs are
+        sorted by (t, i) and a new generator gets the next t, so adjoining
+        only appends pairs at the end of each degree; d(b (x) g_t) lies in
+        the pairs of g_t and of the generators before it, whose positions
+        are unchanged.  Only a new algebra complex invalidates the columns.
+        """
         if not self._stale:
             return
         X = self.algebra.complex
@@ -159,15 +168,20 @@ class SemifreeDgModule(DgModule):
                 d = n - self.gen_hom_degrees[t]
                 degs.append(X.basis_degrees(d)[i] + self.gen_int_degrees[t])
             degrees[n] = degs
+        if self._columns_of is not X:
+            self._columns, self._columns_of = {}, X
+        columns = self._columns
         diffs = {}
         for n in sorted(self._basis):
             if n == 0:
                 continue
             mat = PolyMatrix(ring, degrees.get(n - 1, []), degrees[n])
             for a, (t, i) in enumerate(self._basis[n]):
-                img = self._diff_pair(t, i, n)
-                for b, f in img.coords.items():
-                    mat.set_entry(b, a, f)
+                col = columns.get((t, i, n))
+                if col is None:
+                    col = columns[t, i, n] = self._diff_pair(t, i, n).coords
+                if col:
+                    mat.columns[a] = dict(col)
             diffs[n] = mat
         self._complex = GradedFreeComplex(ring, degrees, diffs)
 
@@ -234,6 +248,10 @@ def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra,
     homology is killed degree by degree with fresh generators whose
     boundaries are the deterministic minimal homology generators.  The
     basis is only enumerated through degree_cap (default up_to + 1).
+
+    After each round the check that H_n is now 0 reuses Z_n: generators of
+    degree n+1 only add pairs of degree >= n+1, so Y_n, Y_(n-1) and d_n are
+    the same before and after (compared exactly before the reuse).
     """
     Y = SemifreeDgModule(algebra, degree_cap=up_to + 1 if degree_cap is None else degree_cap)
     for r, gdeg in enumerate(pres.gen_degrees):
@@ -248,10 +266,11 @@ def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra,
         cx = Y.complex
         if sum(cx.rank(t) for t in range(cx.top() + 1)) > rank_guard:
             raise ResourceCapError(f"semifree module rank guard {rank_guard} exceeded")
-        gens = homology_cycle_generators(cx, n)
+        cycles = CycleSpace(cx, n)
+        gens = homology_cycle_generators(cx, n, cycles)
         for g in gens:
             Y.add_generator(n + 1, g.degree(cx.basis_degrees(n)), g)
-        if gens and homology_cycle_generators(Y.complex, n):
+        if gens and homology_cycle_generators(Y.complex, n, cycles):
             raise InternalCheckError(f"module homology at degree {n} survived adjunction")
     Y._refresh()
     psi = psi_inclusion(Y, coordinate=0)

@@ -16,13 +16,14 @@ R-module is a Strand over that table.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 from .errors import InternalCheckError
 from .linalg import SparseEchelon
 from .ring import (
     Polynomial,
     PolyRing,
     grevlex_key,
-    mono_deg,
     mono_div,
     mono_divides,
     mono_gcd,
@@ -40,41 +41,116 @@ def lead_term(v: FreeModuleElement):
     return pos, v.coords[pos].lead_monomial()
 
 
-def lead_coeff(v: FreeModuleElement) -> int:
-    pos, mono = lead_term(v)
-    return v.coords[pos].terms[mono]
-
-
 def _term_key(t):
     pos, mono = t
     return (-pos, grevlex_key(mono))  # bigger key = bigger term
 
 
-def reduce_element(v: FreeModuleElement, basis, full: bool = True) -> FreeModuleElement:
-    """Normal form of v against basis (list of (lead, elt) with monic elts)."""
-    ring = v.ring
-    rem = FreeModuleElement(ring, {})
-    cur = FreeModuleElement(ring, dict(v.coords))
-    while cur.coords:
-        pos, mono = lead_term(cur)
-        c = cur.coords[pos].terms[mono]
-        hit = None
-        for (bpos, bmono), g in basis:
-            if bpos == pos and mono_divides(bmono, mono):
-                hit = (bmono, g)
+# ---------------------------------------------------------------------------
+# the flat-term kernel
+#
+# Inside the engine a module element is one dict {(pos, mono): coeff}.  The
+# heap key (pos, -deg, reversed mono) is smallest for the biggest term, so a
+# heap of an element's terms pops its lead first.  Reducers are found by
+# lead position: index[pos] lists (lead mono, tail terms) of monic elements.
+# ---------------------------------------------------------------------------
+
+
+def _heap_key(pos, mono):
+    return (pos, -sum(mono), mono[::-1], mono)
+
+
+def _flat(v: FreeModuleElement) -> dict:
+    return {(pos, m): c for pos, f in v.coords.items() for m, c in f.terms.items()}
+
+
+def _unflat(ring: PolyRing, terms: dict) -> FreeModuleElement:
+    coords = {}
+    for (pos, m), c in terms.items():
+        coords.setdefault(pos, {})[m] = c
+    return FreeModuleElement(ring, {pos: Polynomial(ring, t) for pos, t in coords.items()})
+
+
+def _lead(terms: dict):
+    """The (pos, mono) lead of a nonzero flat element."""
+    return min(terms, key=lambda t: _heap_key(*t))
+
+
+def _index_add(index: dict, lead, terms: dict):
+    """File the monic flat element terms with the given lead as a reducer."""
+    pos, mono = lead
+    tail = [(tp, tm, c) for (tp, tm), c in terms.items() if tm != mono or tp != pos]
+    index.setdefault(pos, []).append((mono, tail))
+
+
+def _reduce(terms: dict, index: dict, p: int, full: bool) -> dict:
+    """Reduce the flat element terms in place against index.
+
+    Terms are popped largest first.  A term with a reducer (the first in
+    index order whose lead divides it) is cancelled, which only adds smaller
+    terms, so a popped term never comes back.  With full, irreducible terms
+    move to the returned remainder and terms ends empty; otherwise the first
+    irreducible term stops the loop, terms holds the top-reduced element and
+    the remainder is empty.
+    """
+    heap = [_heap_key(pos, m) for pos, m in terms]
+    heapify(heap)
+    rem = {}
+    while heap:
+        pos, _, _, mono = heappop(heap)
+        c = terms.pop((pos, mono), None)
+        if c is None:
+            continue    # cancelled after it was pushed, or a duplicate entry
+        for lm, tail in index.get(pos, ()):
+            if all(a <= b for a, b in zip(lm, mono)):
                 break
-        if hit is not None:
-            bmono, g = hit
-            cur = cur - g.mul_term(mono_div(mono, bmono), c)
         else:
             if not full:
+                terms[pos, mono] = c
                 break
-            lead_piece = FreeModuleElement(ring, {pos: ring.monomial(mono, c)})
-            rem = rem + lead_piece
-            cur = cur - lead_piece
-    if not full and cur.coords:
-        return cur
+            rem[pos, mono] = c
+            continue
+        q = tuple(a - b for a, b in zip(mono, lm))
+        for tp, tm, tc in tail:
+            m = tuple(a + b for a, b in zip(tm, q))
+            old = terms.get((tp, m))
+            if old is None:
+                terms[tp, m] = -c * tc % p
+                heappush(heap, _heap_key(tp, m))
+            else:
+                v = (old - c * tc) % p
+                if v:
+                    terms[tp, m] = v
+                else:
+                    del terms[tp, m]
     return rem
+
+
+def _lead_index(basis) -> dict:
+    """Reducer index of a list of monic elements, in order."""
+    index = {}
+    for g in basis:
+        terms = _flat(g)
+        _index_add(index, _lead(terms), terms)
+    return index
+
+
+def _normal_form(v: FreeModuleElement, index: dict) -> FreeModuleElement:
+    return _unflat(v.ring, _reduce(_flat(v), index, v.ring.p, full=True))
+
+
+def reduce_element(v: FreeModuleElement, basis, full: bool = True) -> FreeModuleElement:
+    """Normal form of v against basis (list of (lead, elt) with monic elts).
+
+    With full = False only the lead is reduced: the result is v minus
+    multiples of basis elements, with a lead no basis lead divides (or 0).
+    """
+    index = _lead_index([g for _, g in basis])
+    if full:
+        return _normal_form(v, index)
+    terms = _flat(v)
+    _reduce(terms, index, v.ring.p, full=False)
+    return _unflat(v.ring, terms)
 
 
 def module_groebner(gens, ring: PolyRing):
@@ -83,87 +159,81 @@ def module_groebner(gens, ring: PolyRing):
     Returns monic FreeModuleElements, fully inter-reduced, sorted by
     ascending lead term.
     """
-    basis = []  # (lead, element), monic, distinct leads
+    p = ring.p
+    basis = []      # (lead, flat monic element), distinct leads, insertion order
+    confined = []   # element lives in its lead position only
+    by_pos = {}     # position -> basis indices with a lead there
+    index = {}      # reducer index of basis
+    pairs = []      # heap of (deg lcm, grevlex lcm, i, j)
     done_pairs = set()
 
-    def insert(elt):
-        r = reduce_element(elt, basis, full=False)
-        if not r.coords:
-            return None
-        r = r.scale(ring.inv(lead_coeff(r)))
-        basis.append((lead_term(r), r))
-        return len(basis) - 1
+    def insert(terms):
+        _reduce(terms, index, p, full=False)
+        if not terms:
+            return
+        lead = _lead(terms)
+        c = terms[lead]
+        if c != 1:
+            inv = ring.inv(c)
+            terms = {t: v * inv % p for t, v in terms.items()}
+        k = len(basis)
+        pos, mono = lead
+        for t in by_pos.get(pos, ()):
+            lc = mono_lcm(basis[t][0][1], mono)
+            heappush(pairs, (sum(lc), grevlex_key(lc), t, k))
+        basis.append((lead, terms))
+        confined.append(all(tp == pos for tp, _ in terms))
+        by_pos.setdefault(pos, []).append(k)
+        _index_add(index, lead, terms)
 
-    work = sorted((g for g in gens if g.coords), key=lambda g: _term_key(lead_term(g)))
-    pairs = []
-    for g in work:
-        k = insert(g)
-        if k is None:
-            continue
-        (pk, mk), _ = basis[k]
-        for t in range(k):
-            (pt, mt), _ = basis[t]
-            if pt == pk:
-                lc = mono_lcm(mt, mk)
-                pairs.append((mono_deg(lc), grevlex_key(lc), t, k))
-    pairs.sort()
+    for g in sorted((g for g in gens if g.coords), key=lambda g: _term_key(lead_term(g))):
+        insert(_flat(g))
 
     while pairs:
-        _, _, i, j = pairs.pop(0)
+        _, _, i, j = heappop(pairs)
         done_pairs.add((i, j))
         (pi, mi), gi = basis[i]
-        (pj, mj), gj = basis[j]
+        (_, mj), gj = basis[j]
         lcm = mono_lcm(mi, mj)
         # coprime-lead criterion; only valid when both elements are confined
         # to their common lead position (it fails for genuine module elements)
-        if (
-            lcm == mono_mul(mi, mj)
-            and set(gi.coords) == {pi}
-            and set(gj.coords) == {pj}
-        ):
+        if lcm == mono_mul(mi, mj) and confined[i] and confined[j]:
             continue
         # chain criterion: some k with lead dividing the lcm and both pairs done
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            (pk, mk), _ = basis[k]
-            if pk == pi and mono_divides(mk, lcm):
-                if (min(i, k), max(i, k)) in done_pairs and (min(j, k), max(j, k)) in done_pairs:
-                    skip = True
-                    break
-        if skip:
+        if any(k != i and k != j and mono_divides(basis[k][0][1], lcm)
+               and (min(i, k), max(i, k)) in done_pairs
+               and (min(j, k), max(j, k)) in done_pairs
+               for k in by_pos[pi]):
             continue
-        s = gi.mul_term(mono_div(lcm, mi), 1) - gj.mul_term(mono_div(lcm, mj), 1)
-        k = insert(s)
-        if k is not None:
-            (pk, mk), _ = basis[k]
-            for t in range(k):
-                (pt, mt), _ = basis[t]
-                if pt == pk:
-                    lc = mono_lcm(mt, mk)
-                    pairs.append((mono_deg(lc), grevlex_key(lc), t, k))
-            pairs.sort()
+        # S-element: the leads cancel, so only the tails contribute
+        s = {}
+        for g, lead, sign in ((gi, mi, 1), (gj, mj, -1)):
+            q = mono_div(lcm, lead)
+            for (tp, tm), c in g.items():
+                m = mono_mul(tm, q)
+                v = (s.get((tp, m), 0) + sign * c) % p
+                if v:
+                    s[tp, m] = v
+                else:
+                    s.pop((tp, m), None)
+        insert(s)
 
-    # minimal basis: drop leads divisible by another kept lead (leads are distinct)
-    leads = [lead for lead, _ in basis]
-    kept = []
-    for idx, (lead, g) in enumerate(basis):
-        pos, mono = lead
-        if not any(
-            o != idx and leads[o][0] == pos and mono_divides(leads[o][1], mono)
-            for o in range(len(basis))
-        ):
-            kept.append((lead, g))
-    # full tail reduction gives the unique reduced basis
+    # minimal basis: drop leads divisible by another lead at the same position
+    # (leads are distinct), then reduce each kept tail against all kept leads;
+    # no lead divides a term of its own tail, so the index may hold itself
+    kept = [(lead, g) for k, (lead, g) in enumerate(basis)
+            if not any(o != k and mono_divides(basis[o][0][1], lead[1]) for o in by_pos[lead[0]])]
+    kept_index = {}
+    for lead, g in kept:
+        _index_add(kept_index, lead, g)
     reduced = []
-    for idx in range(len(kept)):
-        others = [kept[t] for t in range(len(kept)) if t != idx]
-        r = reduce_element(kept[idx][1], others, full=True)
-        if r.coords:
-            reduced.append(r.scale(ring.inv(lead_coeff(r))))
-    reduced.sort(key=lambda g: _term_key(lead_term(g)))
-    return reduced
+    for lead, g in kept:
+        tail = {t: c for t, c in g.items() if t != lead}
+        rem = _reduce(tail, kept_index, p, full=True)
+        rem[lead] = 1
+        reduced.append((lead, rem))
+    reduced.sort(key=lambda e: _term_key(e[0]))
+    return [_unflat(ring, terms) for _, terms in reduced]
 
 
 def _augment(columns, ambient_rank, ring):
@@ -188,8 +258,7 @@ def syzygies_of(columns, ambient_rank: int, ring: PolyRing):
 def lift_through(columns, ambient_rank: int, target: FreeModuleElement, ring: PolyRing):
     """Coefficients w with sum w_i * columns[i] = target, or None."""
     gb = module_groebner(_augment(columns, ambient_rank, ring), ring)
-    leads = [(lead_term(g), g) for g in gb]
-    r = reduce_element(target, leads, full=True)
+    r = _normal_form(target, _lead_index(gb))
     if any(pos < ambient_rank for pos in r.coords):
         return None
     return FreeModuleElement(ring, {pos - ambient_rank: -f for pos, f in r.coords.items()})
@@ -198,26 +267,26 @@ def lift_through(columns, ambient_rank: int, target: FreeModuleElement, ring: Po
 class SubmoduleBasis:
     """Cached Groebner data for a submodule of Q^ambient, for repeated queries."""
 
-    __slots__ = ("ring", "ambient", "columns", "_gb", "_leads", "_aug_gb", "_aug_leads")
+    __slots__ = ("ring", "ambient", "columns", "_gb", "_index", "_aug_gb", "_aug_index")
 
     def __init__(self, ring, ambient_rank, columns):
         self.ring = ring
         self.ambient = ambient_rank
         self.columns = [c for c in columns if c.coords]
         self._gb = None
-        self._leads = None
+        self._index = None
         self._aug_gb = None
-        self._aug_leads = None
+        self._aug_index = None
 
     def groebner(self):
         if self._gb is None:
             self._gb = module_groebner(self.columns, self.ring)
-            self._leads = [(lead_term(g), g) for g in self._gb]
+            self._index = _lead_index(self._gb)
         return self._gb
 
     def normal_form(self, v: FreeModuleElement) -> FreeModuleElement:
         self.groebner()
-        return reduce_element(v, self._leads, full=True)
+        return _normal_form(v, self._index)
 
     def contains(self, v: FreeModuleElement) -> bool:
         return not self.normal_form(v).coords
@@ -225,13 +294,13 @@ class SubmoduleBasis:
     def _aug(self):
         if self._aug_gb is None:
             self._aug_gb = module_groebner(_augment(self.columns, self.ambient, self.ring), self.ring)
-            self._aug_leads = [(lead_term(g), g) for g in self._aug_gb]
+            self._aug_index = _lead_index(self._aug_gb)
         return self._aug_gb
 
     def lift(self, target: FreeModuleElement):
         """w with sum w_i columns[i] = target, or None."""
         self._aug()
-        r = reduce_element(target, self._aug_leads, full=True)
+        r = _normal_form(target, self._aug_index)
         if any(pos < self.ambient for pos in r.coords):
             return None
         return FreeModuleElement(self.ring, {pos - self.ambient: -f for pos, f in r.coords.items()})
@@ -425,7 +494,7 @@ class RTable:
         self.leads = ideal.lead_monomials()
         self.forms = {}     # monomial -> tuple of (standard monomial, coefficient)
         self._monomial_gb = all(len(g.terms) == 1 for g in gb)
-        self._reducers = [(lead_term(_wrap(g)), _wrap(g)) for g in gb]
+        self._reducers = _lead_index([_wrap(g) for g in gb])
         self._bases = {}    # degree -> standard monomials
         self._indexes = {}  # degree -> {standard monomial: position}
         self.top = None     # basis() cuts off above top, once it is known
@@ -474,7 +543,7 @@ class RTable:
             elif self._monomial_gb:
                 form = ()
             else:
-                r = reduce_element(_wrap(self.ring.monomial(m)), self._reducers, full=True)
+                r = _normal_form(_wrap(self.ring.monomial(m)), self._reducers)
                 form = tuple(_unwrap(r).terms.items())
             self.forms[m] = form
         return form

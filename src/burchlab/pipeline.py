@@ -9,7 +9,7 @@ and the k-rank verdict tables, returning plain dict reports.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 from .ainfty import AInfAlgebra, AInfModule
@@ -46,13 +46,15 @@ class RingContext:
     index: int
     burch: BurchData | None
     mu: int
+    burch_ideal: Ideal
 
     @classmethod
     def build(cls, ring: PolyRing, ideal: Ideal) -> "RingContext":
-        b = burch_index(ideal)
-        bd = burch_data(ideal) if b >= 1 else None
+        BI = burch_ideal(ideal)
+        b = burch_index(ideal, BI)
+        bd = burch_data(ideal, BI) if b >= 1 else None
         mu = len(minimal_generators(ideal.gens, ring)) if ideal.gens else 0
-        return cls(ring=ring, ideal=ideal, index=b, burch=bd, mu=mu)
+        return cls(ring=ring, ideal=ideal, index=b, burch=bd, mu=mu, burch_ideal=BI)
 
     def minimal_gens(self):
         if self.burch is not None:
@@ -63,8 +65,9 @@ class RingContext:
         bd = self.burch
         out = {
             "burchIndex": self.index,
-            "burchIdeal": [str(g) for g in burch_ideal(self.ideal).groebner()],
-            "socle": [str(g) for g in self.ideal.colon(maximal_ideal(self.ring)).groebner()],
+            "burchIdeal": [str(g) for g in self.burch_ideal.groebner()],
+            "socle": [str(g) for g in (bd.socle if bd is not None
+                                       else self.ideal.colon(maximal_ideal(self.ring))).groebner()],
             "minimalGenerators": [str(g) for g in self.minimal_gens()],
         }
         if bd is not None:

@@ -280,6 +280,20 @@ class ParseError(ValueError):
     pass
 
 
+def _ascii_int(s: str) -> int | None:
+    """s as an int if it is a nonempty run of ASCII digits, else None.
+
+    str.isdigit and int() also take other Unicode digits ("٣", "¹"), and
+    int() takes "_" separators and signs; none of those is a number here.
+    """
+    if not s or not all("0" <= ch <= "9" for ch in s):
+        return None
+    try:
+        return int(s)
+    except ValueError:   # beyond the interpreter's limit on int digits
+        raise ParseError(f"number with {len(s)} digits is too long") from None
+
+
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     """Parse 'c*x^2*y - 3*z + 1' style polynomial strings.
 
@@ -314,16 +328,16 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 raise ParseError(f"empty factor in term {term!r} of {text!r}")
             if "^" in factor:
                 base, _, power = factor.partition("^")
-                try:
-                    e = int(power)
-                except ValueError:
-                    raise ParseError(f"bad exponent {power!r} in {text!r}") from None
-                if e < 0:
+                if power.startswith("-") and _ascii_int(power[1:]) is not None:
                     raise ParseError(f"negative exponent in {text!r}")
+                e = _ascii_int(power)
+                if e is None:
+                    raise ParseError(f"bad exponent {power!r} in {text!r}")
             else:
                 base, e = factor, 1
-            if base.lstrip("-").isdigit():
-                coeff = coeff * pow(int(base), e, ring.p) % ring.p
+            c = _ascii_int(base)
+            if c is not None:
+                coeff = coeff * pow(c, e, ring.p) % ring.p
             elif base in ring.variables:
                 exps[ring.variables.index(base)] += e
             else:

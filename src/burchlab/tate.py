@@ -23,7 +23,7 @@ from .errors import InternalCheckError, ResourceCapError
 from .groebner import Ideal, syzygies_of
 from .matrices import FreeModuleElement, PolyMatrix
 from .resolve import minimal_module_generators
-from .ring import PolyRing, mono_deg
+from .ring import PolyRing
 from .taylor import DgAlgebra
 
 
@@ -276,17 +276,44 @@ class TateAlgebra(DgAlgebra):
         return FreeModuleElement(self.ring, {self._pos[da + db][key]: self.ring.const(c)})
 
 
-def homology_cycle_generators(cx: GradedFreeComplex, d: int):
-    """Minimal Q-module generators of H_d(cx), as cycle elements of C_d."""
+class CycleSpace:
+    """Generators of Z_d = ker(d_d) of a complex over Q, with a copy of the
+    d_d they were computed from, so that a later complex with the same d_d
+    can reuse them (see homology_cycle_generators)."""
+
+    __slots__ = ("d", "shape", "columns", "gens")
+
+    def __init__(self, cx: GradedFreeComplex, d: int):
+        diff = cx.diff(d)
+        self.d = d
+        self.shape = (diff.rows, diff.cols)
+        self.columns = {j: dict(col) for j, col in diff.columns.items()}
+        self.gens = syzygies_of([diff.column(j) for j in range(diff.cols)], diff.rows, cx.ring)
+
+    def check_same_differential(self, cx: GradedFreeComplex, d: int):
+        """Raise InternalCheckError unless d_d of cx equals the stored one exactly."""
+        diff = cx.diff(d)
+        if d != self.d or (diff.rows, diff.cols) != self.shape or diff.columns != self.columns:
+            raise InternalCheckError(f"d_{d} changed since its cycles were computed")
+
+
+def homology_cycle_generators(cx: GradedFreeComplex, d: int, cycles: CycleSpace | None = None):
+    """Minimal Q-module generators of H_d(cx), as cycle elements of C_d.
+
+    cycles, when given, must have been computed from a d_d equal to that of
+    cx, which is checked exactly; otherwise Z_d is computed here.
+    """
     ring = cx.ring
-    cols = [cx.diff(d).column(j) for j in range(cx.rank(d))]
-    cycles = syzygies_of(cols, cx.rank(d - 1), ring)
-    if not cycles:
+    if cycles is None:
+        cycles = CycleSpace(cx, d)
+    else:
+        cycles.check_same_differential(cx, d)
+    if not cycles.gens:
         return []
     boundaries = [cx.diff(d + 1).column(j) for j in range(cx.rank(d + 1))]
     zero_ideal = Ideal(ring, [])
     return minimal_module_generators(
-        cycles, cx.basis_degrees(d), zero_ideal, extra_span=boundaries
+        cycles.gens, cx.basis_degrees(d), zero_ideal, extra_span=boundaries
     )
 
 
@@ -295,7 +322,11 @@ def acyclic_closure(I: Ideal, through: int, basis_guard: int = 4000) -> TateAlge
 
     Degree-1 exterior variables kill the minimal generators of I; each
     round then adjoins degree-(d+1) variables killing minimal generators
-    of H_d.  All choices are the deterministic minimal-generator picks.
+    of H_d, and checks that H_d is now 0.  The check reuses Z_d: a variable
+    of degree d+1 occurs in no basis monomial of degree <= d, so X_d,
+    X_(d-1) and d_d are the same before and after the round (compared
+    exactly before the reuse).  All choices are the deterministic
+    minimal-generator picks.
     """
     from .burch import minimal_generators
 
@@ -305,7 +336,8 @@ def acyclic_closure(I: Ideal, through: int, basis_guard: int = 4000) -> TateAlge
         alg.adjoin(1, {(): a}, name=f"e{t + 1}")
     counter = {}
     for d in range(1, through):
-        gens = homology_cycle_generators(alg.complex, d)
+        cycles = CycleSpace(alg.complex, d)
+        gens = homology_cycle_generators(alg.complex, d, cycles)
         if not gens:
             continue
         keys = alg.basis_keys(d)
@@ -313,7 +345,7 @@ def acyclic_closure(I: Ideal, through: int, basis_guard: int = 4000) -> TateAlge
             mk = {keys[i]: f for i, f in g.coords.items()}
             counter[d + 1] = counter.get(d + 1, 0) + 1
             alg.adjoin(d + 1, mk, name=f"t{d + 1}_{counter[d + 1]}")
-        if homology_cycle_generators(alg.complex, d):
+        if homology_cycle_generators(alg.complex, d, cycles):
             raise InternalCheckError(f"homology at degree {d} survived adjunction")
     alg.complex.check_dd_zero()
     return alg

@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from burchlab.burch import burch_data, burch_ideal, burch_index, minimal_generators
-from burchlab.errors import InputError
+from burchlab.errors import InputError, InternalCheckError
 from burchlab.groebner import Ideal, maximal_ideal
 from burchlab.ring import PolyRing
 
@@ -117,3 +119,54 @@ def test_burch_data_verifies_when_positive(gens):
     I = Ideal(R, [R.monomial(m) for m in gens])
     if burch_index(I) >= 1:
         assert burch_data(I).verify()
+
+
+def test_verify_checks_the_burch_ideal_without_the_colon(R):
+    # I = (x^4, x^2 y, y^2) has BI = (x^2, y); plant a larger, a smaller and
+    # an unrelated ideal in its place, and drop a socle generator
+    I = Ideal(R, [R.parse("x^4"), R.parse("x^2*y"), R.parse("y^2")])
+    bd = burch_data(I)
+    assert bd.verify()
+    n = maximal_ideal(R)
+    for wrong in (n, n.product(n), Ideal(R, [R.parse("x^2"), R.parse("x")])):
+        with pytest.raises(InternalCheckError, match="Burch ideal"):
+            dataclasses.replace(bd, burch_ideal=wrong).verify()
+    with pytest.raises(InternalCheckError, match="socle"):
+        dataclasses.replace(bd, socle_gens=bd.socle_gens[1:]).verify()
+
+
+def test_burch_results_are_computed_once_per_job(monkeypatch):
+    from pathlib import Path
+
+    from burchlab import burch, cycles, pipeline
+    from burchlab.cli import run_command
+    from burchlab.jobs import parse_job
+
+    spec = parse_job((Path(burch.__file__).parent / "corpus" / "ex_jn.json").read_text())
+    calls = {"burch_ideal": 0, "socle": 0}
+    real_bi, real_min, real_colon = burch.burch_ideal, burch.minimal_generators, Ideal.colon
+    socles = []
+
+    def counted_bi(I):
+        calls["burch_ideal"] += 1
+        return real_bi(I)
+
+    def counted_colon(self, other):
+        J = real_colon(self, other)
+        if other.gens == maximal_ideal(self.ring).gens:
+            socles.append(J.gens)
+        return J
+
+    def counted_min(gens, ring):
+        calls["socle"] += any(gens is s for s in socles)
+        return real_min(gens, ring)
+
+    for mod in (burch, pipeline):
+        monkeypatch.setattr(mod, "burch_ideal", counted_bi)
+    for mod in (burch, cycles, pipeline):
+        if hasattr(mod, "minimal_generators"):
+            monkeypatch.setattr(mod, "minimal_generators", counted_min)
+    monkeypatch.setattr(Ideal, "colon", counted_colon)
+    _, code = run_command("verify-golod", spec)   # 17 splitting checks on this job
+    assert code == 0
+    assert calls == {"burch_ideal": 1, "socle": 1}

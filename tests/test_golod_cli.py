@@ -192,6 +192,16 @@ def test_cli_bad_caps_exit_code(tmp_path, capsys, caps):
     assert err.startswith("input error: caps") and err.count("\n") == 1
 
 
+def test_cli_non_ascii_digit_exit_code(tmp_path, capsys):
+    from burchlab.cli import main
+
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(m2_job(ideal=["x^2", "x*y", "y^2+\u00b9"])))
+    assert main(["burch", "--job", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ideal generator") and err.count("\n") == 1
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 20) | st.floats(allow_nan=False) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),

@@ -1,11 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from burchlab.linalg import SparseEchelon, kernel_basis
 from burchlab.matrices import FreeModuleElement, PolyMatrix
-from burchlab.groebner import (Ideal, SubmoduleBasis, lift_through, maximal_ideal,
-                               syzygies_of, syzygy_matrix)
-from burchlab.ring import PolyRing, monomials_of_degree
+from burchlab.groebner import (Ideal, SubmoduleBasis, _augment, _term_key, lift_through,
+                               maximal_ideal, module_groebner, syzygies_of, syzygy_matrix)
+from burchlab.ring import PolyRing, Polynomial, grevlex_key, mono_divides, monomials_of_degree
 
 P = 32003
 
@@ -108,6 +108,91 @@ def test_lift_through(R):
         total = total + f * [R.parse("x^2"), R.parse("y^2")][i]
     assert total == R.parse("x^2*y^2")
     assert lift_through(cols, 1, FreeModuleElement(R, {0: R.parse("x")}), R) is None
+
+
+# -- module_groebner against Buchberger's criterion ---------------------------
+#
+# The oracle below divides by plain term-by-term arithmetic on
+# FreeModuleElements, sharing no code with the engine's reduction kernel.
+
+
+def naive_lead(v):
+    pos = min(v.coords)
+    return pos, max(v.coords[pos].terms, key=grevlex_key)
+
+
+def naive_normal_form(v, basis):
+    """Remainder of v on division by basis (any reducer with a dividing lead)."""
+    ring = v.ring
+    rem = FreeModuleElement(ring, {})
+    while v.coords:
+        pos, m = naive_lead(v)
+        c = v.coords[pos].terms[m]
+        for g in basis:
+            gpos, gm = naive_lead(g)
+            if gpos == pos and mono_divides(gm, m):
+                q = tuple(a - b for a, b in zip(m, gm))
+                v = v - g.mul_term(q, c * ring.inv(g.coords[gpos].terms[gm]))
+                break
+        else:
+            piece = FreeModuleElement(ring, {pos: ring.monomial(m, c)})
+            rem, v = rem + piece, v - piece
+    return rem
+
+
+@st.composite
+def homogeneous_submodules(draw):
+    """(ring, rank a, columns): homogeneous, not all monomial, in Q^a."""
+    R = PolyRing(P, ("x", "y", "z")[:draw(st.integers(2, 3))])
+    a = draw(st.integers(1, 3))
+    shifts = draw(st.lists(st.integers(0, 1), min_size=a, max_size=a))
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        d = draw(st.integers(1, 3))
+        coords = {}
+        for pos in range(a):
+            monos = monomials_of_degree(R.nvars, d - shifts[pos]) if d >= shifts[pos] else []
+            chosen = draw(st.lists(st.sampled_from(monos), max_size=3, unique=True)) if monos else []
+            terms = {m: draw(st.integers(1, P - 1)) for m in chosen}
+            if terms:
+                coords[pos] = Polynomial(R, terms)
+        if coords:
+            cols.append(FreeModuleElement(R, coords))
+    assume(cols and any(sum(len(f.terms) for f in v.coords.values()) > 1 for v in cols))
+    return R, a, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(sub=homogeneous_submodules(), augmented=st.booleans())
+def test_module_groebner_meets_buchberger_criterion(sub, augmented):
+    R, a, cols = sub
+    gens = _augment(cols, a, R) if augmented else cols
+    gb = module_groebner(gens, R)
+    leads = [naive_lead(g) for g in gb]
+    # monic, sorted ascending by lead (leads distinct), inter-reduced
+    assert all(g.coords[pos].terms[m] == 1 for g, (pos, m) in zip(gb, leads))
+    keys = [_term_key(t) for t in leads]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for k, g in enumerate(gb):
+        for o, (lpos, lm) in enumerate(leads):
+            if o != k and lpos in g.coords:
+                assert not any(mono_divides(lm, m) for m in g.coords[lpos].terms)
+    # the inputs lie in the span, and every S-pair reduces to 0
+    assert all(not naive_normal_form(v, gb).coords for v in gens)
+    for i in range(len(gb)):
+        for j in range(i + 1, len(gb)):
+            (pi, mi), (pj, mj) = leads[i], leads[j]
+            if pi == pj:
+                lcm = tuple(max(u, w) for u, w in zip(mi, mj))
+                s = (gb[i].mul_term(tuple(u - w for u, w in zip(lcm, mi)), 1)
+                     - gb[j].mul_term(tuple(u - w for u, w in zip(lcm, mj)), 1))
+                assert not naive_normal_form(s, gb).coords
+    # syzygies annihilate the columns
+    for w in syzygies_of(cols, a, R):
+        total = FreeModuleElement(R, {})
+        for t, f in w.coords.items():
+            total = total + cols[t].mul_poly(f)
+        assert not total.coords
 
 
 # -- matrices ---------------------------------------------------------------

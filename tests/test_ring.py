@@ -118,6 +118,37 @@ def test_parser_rejects_garbage(R):
         R.parse("")
 
 
+@pytest.mark.parametrize("text", [
+    "y^2+\u00b9",      # superscript one: isdigit() is true, int() raises
+    "\u0663*x",        # Arabic-Indic three: int() reads it as 3
+    "x^\u0663", "x^1_0", "1_0*x", "x^+3", "x^-2", "9" * 5000 + "*x", "x^" + "9" * 5000,
+])
+def test_parser_accepts_only_ascii_numbers(R, text):
+    with pytest.raises(ParseError):
+        R.parse(text)
+
+
+def test_parser_ascii_numbers(R):
+    assert R.parse("3^2*x") == R.parse("9*x")
+    assert R.parse("x^10") == R.monomial((10, 0))
+    assert R.parse("32003*x + y") == R.parse("y")
+
+
+grammar_text = st.text(alphabet=st.sampled_from(
+    list("xyz0123456789+-*^ _") + ["\u00b9", "\u00b2", "\u0663", "\uff13", "\u2168"]), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=grammar_text | st.text(max_size=12))
+def test_parser_fuzz_polynomial_or_parse_error(R, text):
+    try:
+        f = R.parse(text)
+    except ParseError:
+        return
+    assert isinstance(f, Polynomial)
+    assert all(0 < c < P for c in f.terms.values())
+
+
 def test_parser_roundtrip(R):
     for s in ["x^2 + 2*x*y", "x^4-x^2*y+3", "31*x*y^3"]:
         f = R.parse(s)

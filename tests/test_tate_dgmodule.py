@@ -1,9 +1,12 @@
 import pytest
 
-from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
+from burchlab import dgmodule, tate
+from burchlab.complexes import GradedFreeComplex
+from burchlab.dgmodule import SemifreeDgModule, build_semifree_resolution, taylor_module_fast_path
+from burchlab.errors import InternalCheckError
 from burchlab.matrices import FreeModuleElement
 from burchlab.resolve import ModulePresentation
-from burchlab.tate import TateAlgebra, acyclic_closure
+from burchlab.tate import CycleSpace, acyclic_closure, homology_cycle_generators
 from burchlab.taylor import TaylorComplex
 
 P = 32003
@@ -89,3 +92,98 @@ def test_semifree_generators_count_betti(m2_ideal):
     counts = Counter(Y.gen_hom_degrees)
     assert [counts[n] for n in range(5)] == [1, 2, 4, 8, 16]
     psi.check_chain_map()
+
+
+# -- reuse across adjunction: append-only columns and the cycles of d_n ------
+
+
+def rebuilt_in_one_refresh(Y):
+    """A semifree module with Y's generators, all added before one refresh."""
+    fresh = SemifreeDgModule(Y.algebra, degree_cap=Y.degree_cap)
+    for args in zip(Y.gen_hom_degrees, Y.gen_int_degrees, Y.gen_diffs):
+        fresh.add_generator(*args)
+    return fresh
+
+
+@pytest.mark.parametrize("case", ["m2_taylor", "m2_tate", "hyper_taylor"])
+def test_append_only_columns_match_a_fresh_build(case, m2_ideal, hyper_ideal):
+    ideal = hyper_ideal if case.startswith("hyper") else m2_ideal
+    if case.endswith("tate"):
+        X = acyclic_closure(ideal, through=4, basis_guard=100000)
+    else:
+        X = TaylorComplex(ideal.ring, ideal.gens)
+    Y, _ = build_semifree_resolution(ModulePresentation.residue_field(ideal), X, up_to=5)
+    built, fresh = Y.complex, rebuilt_in_one_refresh(Y).complex
+    assert built.degrees == fresh.degrees
+    for n in range(1, built.top() + 1):
+        assert built.diff(n).columns == fresh.diff(n).columns
+    assert len(Y.gen_hom_degrees) > 5
+
+
+def drop_last_generator_once(monkeypatch, module):
+    """Make the first adjunction of two or more generators leave out its last one."""
+    real = module.homology_cycle_generators
+    dropped = []
+
+    def patched(cx, d, cycles=None):
+        gens = real(cx, d, cycles)
+        if not dropped and len(gens) >= 2:
+            dropped.append(d)
+            return gens[:-1]
+        return gens
+
+    monkeypatch.setattr(module, "homology_cycle_generators", patched)
+    return dropped
+
+
+def test_semifree_check_catches_a_missing_generator(monkeypatch, m2_ideal):
+    dropped = drop_last_generator_once(monkeypatch, dgmodule)
+    X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
+    with pytest.raises(InternalCheckError, match="survived adjunction"):
+        build_semifree_resolution(ModulePresentation.residue_field(m2_ideal), X, up_to=4)
+    assert dropped == [1]
+
+
+def test_tate_check_catches_a_missing_variable(monkeypatch, m2_ideal):
+    dropped = drop_last_generator_once(monkeypatch, tate)
+    with pytest.raises(InternalCheckError, match="survived adjunction"):
+        acyclic_closure(m2_ideal, through=4, basis_guard=100000)
+    assert dropped == [1]
+
+
+def test_cycles_are_not_reused_for_a_changed_differential(monkeypatch, m2_ideal):
+    real = dgmodule.homology_cycle_generators
+    calls = []
+
+    def patched(cx, d, cycles=None):
+        calls.append(d)
+        if len(calls) == 2:
+            # the check after the first adjunction: plant a change of d_1
+            col = next(iter(cx.diff(d).columns.values()))
+            i = next(iter(col))
+            col[i] = col[i].scale(2)
+        return real(cx, d, cycles)
+
+    monkeypatch.setattr(dgmodule, "homology_cycle_generators", patched)
+    X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
+    with pytest.raises(InternalCheckError, match="changed since its cycles were computed"):
+        build_semifree_resolution(ModulePresentation.residue_field(m2_ideal), X, up_to=3)
+    assert calls == [1, 1]
+
+
+def test_cycle_space_reuse_checks_d_n_exactly(m2_ideal):
+    X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
+    Y, _ = build_semifree_resolution(ModulePresentation.residue_field(m2_ideal), X, up_to=3)
+    cx = Y.complex          # H_3 is not killed yet
+    cycles = CycleSpace(cx, 3)
+    gens = homology_cycle_generators(cx, 3)
+    assert len(gens) == 16   # beta_4 of k over R, see test_semifree_generators_count_betti
+    other = GradedFreeComplex(cx.ring, cx.degrees, {n: m.copy() for n, m in cx.diffs.items()})
+    assert homology_cycle_generators(other, 3, cycles) == gens
+    col = next(iter(other.diff(3).columns.values()))
+    i = next(iter(col))
+    col[i] = col[i].scale(2)
+    with pytest.raises(InternalCheckError, match="changed since"):
+        homology_cycle_generators(other, 3, cycles)
+    with pytest.raises(InternalCheckError, match="changed since"):
+        homology_cycle_generators(cx, 2, cycles)

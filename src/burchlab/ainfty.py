@@ -25,12 +25,9 @@ from .matrices import FreeModuleElement
 from .ring import PolyRing
 
 
-def _sigma_alg(n: int, s: int) -> int:
-    # validated mechanically; sigma(2,1) = +1 so m_2 = p o m2 o (i,i)
-    return -1 if (s + 1) % 2 else 1
-
-
-def _sigma_mod(n: int, s: int) -> int:
+def _sigma(n: int, s: int) -> int:
+    # one convention for both branches, validated mechanically;
+    # sigma(2,1) = +1 so m_2 = p o m2 o (i,i)
     return -1 if (s + 1) % 2 else 1
 
 
@@ -86,7 +83,7 @@ class AInfAlgebra:
                 right, dr = H(lo + s, hi)
                 if not left.coords or not right.coords:
                     continue
-                sign = _sigma_alg(k, s)
+                sign = _sigma(k, s)
                 # Koszul: right branch operator degree is (k - s) - 1
                 if ((k - s - 1) * sum(degs[lo:lo + s])) % 2:
                     sign = -sign
@@ -202,7 +199,7 @@ class AInfModule:
                 right, dr = HY(lo + s)
                 if not left.coords or not right.coords:
                     continue
-                sign = _sigma_mod(k, s)
+                sign = _sigma(k, s)
                 if ((k - s - 1) * sum(xdegs[lo:lo + s])) % 2:
                     sign = -sign
                 term = self.big.action_elements(dl, left, dr, right)

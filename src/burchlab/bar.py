@@ -31,6 +31,22 @@ from .matrices import FreeModuleElement, PolyMatrix
 from .ring import Polynomial
 
 
+def poincare_bound_series(px, py, cap):
+    """Coefficients of P_Y(t) / (1 - t(P_X(t) - 1)) through degree cap, from
+    the rank lists px of X and py of Y."""
+    g = [0] * (cap + 1)
+    for d, r in enumerate(px):
+        if 1 <= d and d + 1 <= cap:
+            g[d + 1] = r
+    out = [0] * (cap + 1)
+    for n in range(cap + 1):
+        acc = py[n] if n < len(py) else 0
+        for k in range(2, n + 1):
+            acc += g[k] * out[n - k]
+        out[n] = acc
+    return out
+
+
 class BarWord:
     """Immutable word (xs, y): xs a tuple of (degree, index) into X, y into Y."""
 
@@ -120,7 +136,7 @@ class AInfBarOps:
 class BarComplex:
     """B(R, X, Y) to a homological cap, with differential matrices over R."""
 
-    def __init__(self, ops, quotient: Ideal, cap: int, check: bool = True):
+    def __init__(self, ops, quotient: Ideal, cap: int):
         self.ops = ops
         self.quotient = quotient
         self.ring = ops.x_complex.ring
@@ -130,8 +146,7 @@ class BarComplex:
         self.pos = {}        # n -> {word: index}
         self._enumerate()
         self.complex = self._assemble()
-        if check:
-            self.complex.check_dd_zero()
+        self.complex.check_dd_zero()
 
     # -- basis ------------------------------------------------------------
 
@@ -264,17 +279,8 @@ class BarComplex:
         """Ranks must match the generating-function expansion
         P_Y(t) / (1 - t (P_X(t) - 1)) coefficientwise."""
         X, Y = self.ops.x_complex, self.ops.y_complex
-        g = [0] * (self.cap + 1)
-        for d in range(1, X.top() + 1):
-            if d + 1 <= self.cap:
-                g[d + 1] = X.rank(d)
-        py = [Y.rank(n) for n in range(self.cap + 1)]
-        series = [0] * (self.cap + 1)
-        for n in range(self.cap + 1):
-            acc = py[n]
-            for k in range(2, n + 1):
-                acc += g[k] * series[n - k]
-            series[n] = acc
+        series = poincare_bound_series([X.rank(d) for d in range(X.top() + 1)],
+                                       [Y.rank(n) for n in range(Y.top() + 1)], self.cap)
         actual = [self.rank(n) for n in range(self.cap + 1)]
         if series != actual:
             raise InternalCheckError(f"bar rank formula mismatch: {actual} vs {series}")

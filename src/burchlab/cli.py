@@ -20,7 +20,7 @@ import sys
 import time
 from importlib import resources
 
-from .errors import BoundViolation, InputError, InternalCheckError, ResourceCapError
+from .errors import InputError, InternalCheckError, ResourceCapError
 from .jobs import COMMANDS, JobSpec, load_job, parse_job
 from .pipeline import (bar_report, cycles_report, resolve_report,
                        verify_general, verify_golod)
@@ -36,7 +36,6 @@ EXIT_INTERNAL = 4
 FAILURES = (
     (InputError, EXIT_INPUT, "input error"),
     (ResourceCapError, EXIT_RESOURCE, "resource cap"),
-    (BoundViolation, EXIT_BOUND, "BOUND VIOLATION (would falsify a verified statement)"),
     (InternalCheckError, EXIT_INTERNAL, "internal error (a self-check failed)"),
 )
 FAILURE_TYPES = tuple(t for t, _, _ in FAILURES)
@@ -152,7 +151,7 @@ def main(argv=None) -> int:
             spec.caps.hom_degree = args.cap
         if args.prime is not None:
             spec.prime = args.prime
-            spec.context()  # revalidate under the new prime
+            spec.ideal()  # revalidate under the new prime
         if args.regime is not None:
             spec.regime = args.regime
         body, code = run_command(args.command, spec)

@@ -22,14 +22,13 @@ from .ring import PolyRing
 class GradedFreeComplex:
     """Nonnegatively graded complex of free modules with homogeneous differentials."""
 
-    __slots__ = ("ring", "degrees", "diffs", "quotient", "labels")
+    __slots__ = ("ring", "degrees", "diffs", "quotient")
 
-    def __init__(self, ring: PolyRing, degrees: dict, diffs: dict, quotient: Ideal | None = None, labels: dict | None = None):
+    def __init__(self, ring: PolyRing, degrees: dict, diffs: dict, quotient: Ideal | None = None):
         self.ring = ring
         self.degrees = {n: list(ds) for n, ds in degrees.items() if ds}
         self.diffs = diffs  # n -> PolyMatrix: C_n -> C_{n-1}
         self.quotient = quotient
-        self.labels = labels or {}  # optional n -> list of printable basis labels
 
     def top(self) -> int:
         return max(self.degrees, default=-1)
@@ -108,7 +107,7 @@ class GradedFreeComplex:
             syz = syzygies_of(cols, self.rank(n - 1), self.ring)
             if not syz:
                 return True
-            up = SubmoduleBasis(self.ring, self.rank(n),
+            up = SubmoduleBasis(self.ring,
                                 [self.diff(n + 1).column(j) for j in range(self.rank(n + 1))])
             return all(up.contains(w) for w in syz)
         return not self.homology_dims(n)

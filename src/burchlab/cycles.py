@@ -165,8 +165,7 @@ class RhoCycle:
     q: int
 
 
-def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, psi: ChainMap, q: int,
-                       e_index: int = 0):
+def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, psi: ChainMap, q: int):
     """Theorem-A cycles in the dg bar resolution, all pairs i < j, i < b."""
     if B.regime != "dg":
         raise InputError("general-case cycles require the dg regime")
@@ -174,7 +173,7 @@ def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, psi: ChainMap, q: int,
         raise InputError("general-case cycles need q >= 4 (odd: q >= 5)")
     ring = B.ring
     X = B.ops.algebra
-    e_elt = FreeModuleElement.basis(ring, e_index)
+    e_elt = FreeModuleElement.basis(ring, 0)
     psi_e = psi.apply(1, e_elt)
     psi_1 = psi.apply(0, FreeModuleElement.basis(ring, 0))
     out = []
@@ -204,7 +203,7 @@ def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, psi: ChainMap, q: int,
     return out
 
 
-def rho_cycles_golod(bcs: BurchCycleSet, B: BarComplex, q: int, y_ref=None):
+def rho_cycles_golod(bcs: BurchCycleSet, B: BarComplex, q: int):
     """Theorem-B cycles s_i [f_{x_j,x_i} | e_{i_1} | ... | e_{i_d}] y in the
     minimal A-infinity bar, for 1 <= i < j <= b; exactly C(b,2) m^d of them."""
     if B.regime != "ainf":
@@ -215,10 +214,8 @@ def rho_cycles_golod(bcs: BurchCycleSet, B: BarComplex, q: int, y_ref=None):
         raise InputError("Golod cycles need minimal X and Y")
     ring = B.ring
     d, r = divmod(q - 3, 2)
-    if y_ref is None:
-        if B.ops.y_complex.rank(r) == 0:
-            raise InputError(f"Y has no basis in degree {r}")
-        y_ref = (r, 0)
+    if B.ops.y_complex.rank(r) == 0:
+        raise InputError(f"Y has no basis in degree {r}")
     m = B.ops.x_complex.rank(1)
     out = []
     for (i, j) in bcs.pairs(within_b=True):
@@ -227,7 +224,7 @@ def rho_cycles_golod(bcs: BurchCycleSet, B: BarComplex, q: int, y_ref=None):
         s = bcs.data.socle_lifts[i]
         for tup in _index_tuples(m, d):
             slots = [(2, f)] + [(1, FreeModuleElement.basis(ring, t)) for t in tup]
-            words = _expand_word(B, slots, (y_ref[0], FreeModuleElement.basis(ring, y_ref[1])))
+            words = _expand_word(B, slots, (r, FreeModuleElement.basis(ring, 0)))
             rho = _word_combo_element(B, q, [words])
             alpha = rho.map_coords(lambda c: B.quotient.normal_form(c * s))
             boundary = B.complex.diff(q).apply(alpha).map_coords(B.quotient.normal_form)

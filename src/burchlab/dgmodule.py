@@ -128,7 +128,6 @@ class SemifreeDgModule(DgModule):
         self.gen_int_degrees.append(int_degree)
         self.gen_diffs.append(diff)
         self._stale = True
-        return len(self.gen_hom_degrees) - 1
 
     def _refresh(self):
         """Re-list the basis and assemble the differentials.
@@ -218,10 +217,6 @@ class SemifreeDgModule(DgModule):
         self._refresh()
         return self._complex
 
-    def basis_pairs(self, n: int):
-        self._refresh()
-        return self._basis.get(n, [])
-
     def position(self, n: int, pair) -> int:
         self._refresh()
         return self._pos[n][pair]
@@ -238,8 +233,7 @@ class SemifreeDgModule(DgModule):
 
 
 def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra,
-                              up_to: int, rank_guard: int = 6000,
-                              degree_cap: int | None = None):
+                              up_to: int, rank_guard: int = 6000):
     """Semifree dg X-module resolution of M to homological degree up_to,
     with the split dg-module map psi: X -> first-coordinate component.
 
@@ -247,13 +241,13 @@ def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra,
     columns are adjoined (the ideal I is hit by X_1 acting on Y_0); higher
     homology is killed degree by degree with fresh generators whose
     boundaries are the deterministic minimal homology generators.  The
-    basis is only enumerated through degree_cap (default up_to + 1).
+    basis is only enumerated through degree up_to + 1.
 
     After each round the check that H_n is now 0 reuses Z_n: generators of
     degree n+1 only add pairs of degree >= n+1, so Y_n, Y_(n-1) and d_n are
     the same before and after (compared exactly before the reuse).
     """
-    Y = SemifreeDgModule(algebra, degree_cap=up_to + 1 if degree_cap is None else degree_cap)
+    Y = SemifreeDgModule(algebra, degree_cap=up_to + 1)
     for r, gdeg in enumerate(pres.gen_degrees):
         Y.add_generator(0, gdeg, None)
     # relation killers in homological degree 1
@@ -273,23 +267,23 @@ def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra,
         if gens and homology_cycle_generators(Y.complex, n, cycles):
             raise InternalCheckError(f"module homology at degree {n} survived adjunction")
     Y._refresh()
-    psi = psi_inclusion(Y, coordinate=0)
+    psi = psi_inclusion(Y)
     return Y, psi
 
 
-def psi_inclusion(Y: SemifreeDgModule, coordinate: int = 0) -> ChainMap:
-    """The split inclusion X -> Y onto the X-span of one ambient generator."""
+def psi_inclusion(Y: SemifreeDgModule) -> ChainMap:
+    """The split inclusion X -> Y onto the X-span of the first ambient generator."""
     X = Y.algebra.complex
     maps = {}
     for d in range(X.top() + 1):
         if X.rank(d) == 0:
             continue
-        n = d + Y.gen_hom_degrees[coordinate]
+        n = d + Y.gen_hom_degrees[0]
         if Y.degree_cap is not None and n > Y.degree_cap:
             continue
         m = PolyMatrix(Y.ring, Y.complex.basis_degrees(n), X.basis_degrees(d))
         for i in range(X.rank(d)):
-            m.set_entry(Y.position(n, (coordinate, i)), i, Y.ring.one())
+            m.set_entry(Y.position(n, (0, i)), i, Y.ring.one())
         maps[d] = m
     return ChainMap(X, Y.complex, maps)
 

@@ -267,16 +267,13 @@ def lift_through(columns, ambient_rank: int, target: FreeModuleElement, ring: Po
 class SubmoduleBasis:
     """Cached Groebner data for a submodule of Q^ambient, for repeated queries."""
 
-    __slots__ = ("ring", "ambient", "columns", "_gb", "_index", "_aug_gb", "_aug_index")
+    __slots__ = ("ring", "columns", "_gb", "_index")
 
-    def __init__(self, ring, ambient_rank, columns):
+    def __init__(self, ring, columns):
         self.ring = ring
-        self.ambient = ambient_rank
         self.columns = [c for c in columns if c.coords]
         self._gb = None
         self._index = None
-        self._aug_gb = None
-        self._aug_index = None
 
     def groebner(self):
         if self._gb is None:
@@ -290,28 +287,6 @@ class SubmoduleBasis:
 
     def contains(self, v: FreeModuleElement) -> bool:
         return not self.normal_form(v).coords
-
-    def _aug(self):
-        if self._aug_gb is None:
-            self._aug_gb = module_groebner(_augment(self.columns, self.ambient, self.ring), self.ring)
-            self._aug_index = _lead_index(self._aug_gb)
-        return self._aug_gb
-
-    def lift(self, target: FreeModuleElement):
-        """w with sum w_i columns[i] = target, or None."""
-        self._aug()
-        r = _normal_form(target, self._aug_index)
-        if any(pos < self.ambient for pos in r.coords):
-            return None
-        return FreeModuleElement(self.ring, {pos - self.ambient: -f for pos, f in r.coords.items()})
-
-    def syzygies(self):
-        self._aug()
-        out = []
-        for g in self._aug_gb:
-            if all(pos >= self.ambient for pos in g.coords):
-                out.append(FreeModuleElement(self.ring, {pos - self.ambient: f for pos, f in g.coords.items()}))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +381,6 @@ class Ideal:
 
     def is_proper(self) -> bool:
         return not self.contains(self.ring.one())
-
-    def sum(self, other: "Ideal") -> "Ideal":
-        return Ideal(self.ring, self.gens + other.gens)
 
     def product(self, other: "Ideal") -> "Ideal":
         if self.is_zero() or other.is_zero():

@@ -5,6 +5,11 @@ homogeneous and inside the square of the maximal ideal), the module (a
 cyclic quotient or an explicit presentation), caps, and the regime.
 Parsing is strict: every polynomial uses explicit * and ^, and failures
 carry the offending field.
+
+parse_job only validates: syntax, types, and I inside n^2.  The ring data
+(Burch ideal, Burch data, minimal generators) is built once, by
+JobSpec.context(), when the job runs; the module is parsed against it by
+JobSpec.presentation().
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .burch import check_in_square
 from .errors import InputError
 from .groebner import Ideal
 from .matrices import FreeModuleElement
@@ -63,53 +69,63 @@ class JobSpec:
         except ValueError as e:   # e.g. a --prime override that is not prime
             raise InputError(str(e)) from None
 
-    def ideal(self, ring: PolyRing) -> Ideal:
-        gens = []
-        for s in self.ideal_strings:
-            try:
-                gens.append(ring.parse(s))
-            except ParseError as e:
-                raise InputError(f"ideal generator {s!r}: {e}") from None
-        return Ideal(ring, gens)
+    def ideal(self) -> Ideal:
+        """The ideal I, parsed and checked to lie inside n^2; no ring data built."""
+        ring = self.ring()
+        ideal = Ideal(ring, [_parse(ring, s, "ideal generator") for s in self.ideal_strings])
+        check_in_square(ideal)
+        return ideal
 
     def context(self) -> RingContext:
-        ring = self.ring()
-        ideal = self.ideal(ring)
-        from .burch import check_in_square
-
-        check_in_square(ideal)
-        return RingContext.build(ring, ideal)
+        ideal = self.ideal()
+        return RingContext.build(ideal.ring, ideal)
 
     def presentation(self, ctx: RingContext) -> ModulePresentation:
+        pres = self._module(ctx)
+        if pres.is_zero():
+            raise InputError("the module is zero")
+        return pres
+
+    def _module(self, ctx: RingContext) -> ModulePresentation:
         ring = ctx.ring
         if "cyclic" in self.module:
-            gens = []
-            for s in self.module["cyclic"]:
-                try:
-                    gens.append(ring.parse(s))
-                except ParseError as e:
-                    raise InputError(f"module generator {s!r}: {e}") from None
-            return ModulePresentation.cyclic(ctx.ideal, gens)
-        if "presentation" in self.module:
-            spec = self.module["presentation"]
-            degrees = spec.get("generatorDegrees")
-            if not isinstance(degrees, list) or not all(isinstance(d, int) for d in degrees):
-                raise InputError("presentation.generatorDegrees must be a list of integers")
-            rels = []
-            for col in spec.get("relations", []):
-                if len(col) != len(degrees):
-                    raise InputError("each relation column needs one entry per generator")
-                coords = {}
-                for i, s in enumerate(col):
-                    try:
-                        f = ring.parse(s) if s not in ("0", "") else ring.zero()
-                    except ParseError as e:
-                        raise InputError(f"relation entry {s!r}: {e}") from None
-                    if f:
-                        coords[i] = f
-                rels.append(FreeModuleElement(ring, coords))
-            return ModulePresentation(ring, ctx.ideal, degrees, rels)
-        raise InputError("module must have a 'cyclic' or 'presentation' key")
+            gens = self.module["cyclic"]
+            if not _strings(gens):
+                raise InputError("module.cyclic must be a list of polynomial strings")
+            return ModulePresentation.cyclic(
+                ctx.ideal, [_parse(ring, s, "module generator") for s in gens])
+        spec = self.module.get("presentation")
+        if not isinstance(spec, dict):
+            raise InputError("module.presentation must be a JSON object")
+        degrees = spec.get("generatorDegrees")
+        if not isinstance(degrees, list) or not all(
+                isinstance(d, int) and not isinstance(d, bool) for d in degrees):
+            raise InputError("presentation.generatorDegrees must be a list of integers")
+        columns = spec.get("relations", [])
+        if not isinstance(columns, list) or not all(_strings(col) for col in columns):
+            raise InputError("presentation.relations must be a list of lists of polynomial strings")
+        rels = []
+        for col in columns:
+            if len(col) != len(degrees):
+                raise InputError("each relation column needs one entry per generator")
+            coords = {}
+            for i, s in enumerate(col):
+                f = _parse(ring, s, "relation entry") if s not in ("0", "") else None
+                if f:
+                    coords[i] = f
+            rels.append(FreeModuleElement(ring, coords))
+        return ModulePresentation(ring, ctx.ideal, degrees, rels)
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+def _parse(ring: PolyRing, s: str, what: str):
+    try:
+        return ring.parse(s)
+    except ParseError as e:
+        raise InputError(f"{what} {s!r}: {e}") from None
 
 
 def _int_field(caps_doc: dict, key: str, default: int) -> int:
@@ -161,7 +177,7 @@ def parse_job(doc) -> JobSpec:
     if len(set(variables)) != len(variables):
         raise InputError("duplicate variable names")
     ideal = doc["ideal"]
-    if not isinstance(ideal, list) or not all(isinstance(s, str) for s in ideal):
+    if not _strings(ideal):
         raise InputError("ideal must be a list of polynomial strings")
     module = doc["module"]
     if not isinstance(module, dict) or not ({"cyclic", "presentation"} & set(module)):
@@ -183,8 +199,7 @@ def parse_job(doc) -> JobSpec:
         command=command,
         name=doc.get("name"),
     )
-    # fail fast on unparseable input and the minimality requirement
-    spec.context()
+    spec.ideal()   # fail fast on unparseable input and on I not inside n^2
     return spec
 
 

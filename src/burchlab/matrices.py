@@ -21,10 +21,6 @@ class FreeModuleElement:
         self.coords = coords
 
     @classmethod
-    def zero(cls, ring):
-        return cls(ring, {})
-
-    @classmethod
     def basis(cls, ring, i, coeff=None):
         return cls(ring, {i: coeff if coeff is not None else ring.one()})
 
@@ -266,22 +262,6 @@ class PolyMatrix:
                         raise ValueError(
                             f"entry ({i},{j}) has a term of degree {mono_deg(m)}, expected {want}"
                         )
-
-    def submatrix(self, keep_rows, keep_cols) -> "PolyMatrix":
-        rmap = {i: a for a, i in enumerate(keep_rows)}
-        out = PolyMatrix(
-            self.ring,
-            [self.row_degrees[i] for i in keep_rows],
-            [self.col_degrees[j] for j in keep_cols],
-        )
-        for a, j in enumerate(keep_cols):
-            col = self.columns.get(j)
-            if not col:
-                continue
-            newcol = {rmap[i]: f for i, f in col.items() if i in rmap}
-            if newcol:
-                out.columns[a] = newcol
-        return out
 
     def copy(self) -> "PolyMatrix":
         out = PolyMatrix(self.ring, self.row_degrees, self.col_degrees)

@@ -41,25 +41,28 @@ class Caps:
 
 @dataclass
 class RingContext:
+    """The ring data of one job, built once: the Burch ideal and index, the
+    certified Burch data when the index is >= 1, and minimal generators of I
+    (the Burch data's generators when there are any)."""
+
     ring: PolyRing
     ideal: Ideal
     index: int
     burch: BurchData | None
-    mu: int
     burch_ideal: Ideal
+    minimal_gens: list
 
     @classmethod
     def build(cls, ring: PolyRing, ideal: Ideal) -> "RingContext":
         BI = burch_ideal(ideal)
         b = burch_index(ideal, BI)
         bd = burch_data(ideal, BI) if b >= 1 else None
-        mu = len(minimal_generators(ideal.gens, ring)) if ideal.gens else 0
-        return cls(ring=ring, ideal=ideal, index=b, burch=bd, mu=mu, burch_ideal=BI)
+        gens = bd.gens if bd is not None else minimal_generators(ideal.gens, ring)
+        return cls(ring=ring, ideal=ideal, index=b, burch=bd, burch_ideal=BI, minimal_gens=gens)
 
-    def minimal_gens(self):
-        if self.burch is not None:
-            return self.burch.gens
-        return minimal_generators(self.ideal.gens, self.ring)
+    @property
+    def mu(self) -> int:
+        return len(self.minimal_gens)
 
     def burch_summary(self) -> dict:
         bd = self.burch
@@ -68,7 +71,7 @@ class RingContext:
             "burchIdeal": [str(g) for g in self.burch_ideal.groebner()],
             "socle": [str(g) for g in (bd.socle if bd is not None
                                        else self.ideal.colon(maximal_ideal(self.ring))).groebner()],
-            "minimalGenerators": [str(g) for g in self.minimal_gens()],
+            "minimalGenerators": [str(g) for g in self.minimal_gens],
         }
         if bd is not None:
             out["witness"] = {
@@ -81,7 +84,9 @@ class RingContext:
 
 
 def taylor_generators(ctx: RingContext) -> list:
-    gens = ctx.minimal_gens()
+    gens = ctx.minimal_gens
+    if not gens:
+        raise InputError("Taylor resolutions need a nonzero ideal")
     if not all(len(g.terms) == 1 for g in gens):
         raise InputError("Taylor resolutions need a monomial ideal")
     return gens

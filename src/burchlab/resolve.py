@@ -39,7 +39,10 @@ class ModulePresentation:
         for v in self.relations:
             w = v.map_coords(red)
             if w.coords:
-                w.degree(self.gen_degrees)  # raises if inhomogeneous
+                try:
+                    w.degree(self.gen_degrees)
+                except ValueError as e:
+                    raise InputError(f"relation {v}: {e}") from None
                 cleaned.append(w)
         self.relations = cleaned
 
@@ -64,10 +67,17 @@ class ModulePresentation:
 
     def dims(self, through: int) -> list:
         """k-dimensions of the module's graded pieces M_d for d = 0..through."""
+        return self._dims(range(through + 1))
+
+    def is_zero(self) -> bool:
+        """M is generated in its generator degrees, so M = 0 iff M_d = 0 in each."""
+        return not any(self._dims(set(self.gen_degrees)))
+
+    def _dims(self, degrees) -> list:
         table = self.quotient.table()
         rels = [(v, v.degree(self.gen_degrees)) for v in self.relations]
         out = []
-        for d in range(through + 1):
+        for d in degrees:
             strand = Strand(table, self.gen_degrees, d)
             out.append(len(strand) - strand.span(rels).rank)
         return out

@@ -164,9 +164,6 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max((mono_deg(m) for m in self.terms), default=-1)
 
-    def is_constant(self) -> bool:
-        return all(mono_deg(m) == 0 for m in self.terms)
-
     def constant_coeff(self) -> int:
         return self.terms.get((0,) * self.ring.nvars, 0)
 
@@ -177,17 +174,6 @@ class Polynomial:
 
     def lead_monomial(self) -> Mono:
         return max(self.terms, key=grevlex_key)
-
-    def lead_coeff(self) -> int:
-        return self.terms[self.lead_monomial()]
-
-    def monic(self) -> "Polynomial":
-        if not self.terms:
-            return self
-        c = self.lead_coeff()
-        if c == 1:
-            return self
-        return self.scale(self.ring.inv(c))
 
     # -- arithmetic ----------------------------------------------------------
 

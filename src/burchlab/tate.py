@@ -36,7 +36,6 @@ class TateAlgebra(DgAlgebra):
         self.basis_guard = basis_guard
         self.var_degrees = []          # degree of each adjoined variable
         self.var_diffs = []            # mono-keyed elements {mono: Polynomial}
-        self.var_names = []
         self._stale = True
         self._basis = None             # d -> sorted list of monomial keys
         self._pos = None               # d -> {key: position}
@@ -51,16 +50,13 @@ class TateAlgebra(DgAlgebra):
     def key_degree(self, key) -> int:
         return sum(self.var_degrees[v] * e for v, e in key)
 
-    def adjoin(self, degree: int, diff_elt: dict, name: str | None = None) -> int:
+    def adjoin(self, degree: int, diff_elt: dict):
         """Add a variable of the given degree with d(var) = diff_elt (mono-keyed)."""
         if degree < 1:
             raise ValueError("variables must have positive degree")
-        idx = len(self.var_degrees)
         self.var_degrees.append(degree)
         self.var_diffs.append(dict(diff_elt))
-        self.var_names.append(name or f"T{degree}_{idx}")
         self._stale = True
-        return idx
 
     def _enumerate_basis(self):
         cap = self.degree_cap
@@ -110,10 +106,7 @@ class TateAlgebra(DgAlgebra):
                 for k2, f in img.items():
                     mat.set_entry(self._pos[d - 1][k2], j, f)
             diffs[d] = mat
-        self._complex = GradedFreeComplex(
-            ring, degrees, diffs,
-            labels={d: [self.key_name(k) for k in keys] for d, keys in self._basis.items()},
-        )
+        self._complex = GradedFreeComplex(ring, degrees, diffs)
         self._stale = False
 
     def _internal_degree(self, key) -> int:
@@ -138,15 +131,6 @@ class TateAlgebra(DgAlgebra):
         val = f.degree() + self._internal_degree(key)
         cache[v] = val
         return val
-
-    def key_name(self, key) -> str:
-        if not key:
-            return "1"
-        parts = []
-        for v, e in key:
-            nm = self.var_names[v]
-            parts.append(nm if e == 1 else f"g{e}({nm})")
-        return "*".join(parts)
 
     @property
     def complex(self) -> GradedFreeComplex:
@@ -249,19 +233,6 @@ class TateAlgebra(DgAlgebra):
 
     # -- positional interface (DgAlgebra) -----------------------------------
 
-    def to_element(self, d: int, mk: dict) -> FreeModuleElement:
-        self._refresh()
-        pos = self._pos.get(d, {})
-        coords = {}
-        for k, f in mk.items():
-            coords[pos[k]] = f
-        return FreeModuleElement(self.ring, coords)
-
-    def from_element(self, d: int, v: FreeModuleElement) -> dict:
-        self._refresh()
-        keys = self._basis.get(d, [])
-        return {keys[i]: f for i, f in v.coords.items()}
-
     def product_basis(self, da, ia, db, ib) -> FreeModuleElement:
         self._refresh()
         k1 = self._basis[da][ia]
@@ -332,9 +303,8 @@ def acyclic_closure(I: Ideal, through: int, basis_guard: int = 4000) -> TateAlge
 
     ring = I.ring
     alg = TateAlgebra(ring, degree_cap=through, basis_guard=basis_guard)
-    for t, a in enumerate(minimal_generators(I.gens, ring)):
-        alg.adjoin(1, {(): a}, name=f"e{t + 1}")
-    counter = {}
+    for a in minimal_generators(I.gens, ring):
+        alg.adjoin(1, {(): a})
     for d in range(1, through):
         cycles = CycleSpace(alg.complex, d)
         gens = homology_cycle_generators(alg.complex, d, cycles)
@@ -342,9 +312,7 @@ def acyclic_closure(I: Ideal, through: int, basis_guard: int = 4000) -> TateAlge
             continue
         keys = alg.basis_keys(d)
         for g in gens:
-            mk = {keys[i]: f for i, f in g.coords.items()}
-            counter[d + 1] = counter.get(d + 1, 0) + 1
-            alg.adjoin(d + 1, mk, name=f"t{d + 1}_{counter[d + 1]}")
+            alg.adjoin(d + 1, {keys[i]: f for i, f in g.coords.items()})
         if homology_cycle_generators(alg.complex, d, cycles):
             raise InternalCheckError(f"homology at degree {d} survived adjunction")
     alg.complex.check_dd_zero()

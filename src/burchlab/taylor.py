@@ -36,9 +36,6 @@ class DgAlgebra:
     def ring(self) -> PolyRing:
         return self.complex.ring
 
-    def unit_element(self) -> FreeModuleElement:
-        return FreeModuleElement.basis(self.ring, 0)
-
     def product_basis(self, da, ia, db, ib) -> FreeModuleElement:
         raise NotImplementedError
 
@@ -192,11 +189,7 @@ class TaylorComplex(DgAlgebra):
                     f = ring.monomial(coeff, 1 if k % 2 == 0 else ring.p - 1)
                     mat.set_entry(self._index[rem], j, f)
             diffs[n] = mat
-        self.complex = GradedFreeComplex(
-            ring, degrees, diffs,
-            labels={n: ["e" + "".join(str(k + 1) for k in S) if S else "1" for S in subs]
-                    for n, subs in self.subsets.items()},
-        )
+        self.complex = GradedFreeComplex(ring, degrees, diffs)
         if verify:
             self.complex.check_dd_zero()
             self.check_unit()
@@ -234,8 +227,3 @@ class TaylorComplex(DgAlgebra):
             rest ^= low
         f = Polynomial(ring, {coeff: ring.p - 1 if inv % 2 else 1})
         return FreeModuleElement(ring, {self._index[mU]: f})
-
-
-def koszul_complex(ring: PolyRing, elements) -> TaylorComplex:
-    """Koszul complex on monomials as the Taylor complex of the list."""
-    return TaylorComplex(ring, elements)

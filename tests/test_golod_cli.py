@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burchlab.ainfty import AInfAlgebra, AInfModule
+from burchlab.bar import poincare_bound_series
 from burchlab.contraction import minimalize
 from burchlab.dgmodule import taylor_module_fast_path
 from burchlab.errors import InputError
-from burchlab.golod import golod_check, poincare_bound_series
+from burchlab.golod import golod_check
 from burchlab.jobs import parse_job
 from burchlab.report import reports_equal, strip_timing
 
@@ -289,3 +290,108 @@ def test_resolve_job_resolves_once(monkeypatch):
     body, code = run_command("resolve", spec)
     assert code == 0 and body["betti"] == [3 ** n for n in range(7)]
     assert guards == [spec.caps.rank_guard]
+
+
+# -- one RingContext per job, input errors in the module and the ideal --------
+
+
+def write_job(tmp_path, job) -> str:
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["bar", "verify-golod"])
+def test_cli_empty_ideal_exit_code(tmp_path, capsys, command):
+    from burchlab.cli import main
+
+    path = write_job(tmp_path, m2_job(ideal=[], caps={"homDegree": 4}))
+    assert main([command, "--job", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: Taylor") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("module", [
+    {"presentation": {"generatorDegrees": [0, 1], "relations": [["x", "x"]]}},
+    {"presentation": {"generatorDegrees": [0], "relations": [[5]]}},
+    {"cyclic": "x"},
+    {"presentation": {"generatorDegrees": [0], "relations": "x"}},
+    {"presentation": {"generatorDegrees": [], "relations": []}},   # M = 0
+    {"cyclic": ["1"]},                                              # M = R/R = 0
+])
+def test_cli_bad_module_exit_code(tmp_path, capsys, module):
+    from burchlab.cli import main
+
+    path = write_job(tmp_path, m2_job(module=module, caps={"homDegree": 4}))
+    assert main(["resolve", "--job", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_each_job_builds_its_context_once(monkeypatch):
+    from burchlab import burch
+    from burchlab.cli import main
+
+    real = burch.burch_ideal
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("burchlab") and getattr(mod, "burch_ideal", None) is real:
+            monkeypatch.setattr(mod, "burch_ideal", counting)
+    parse_job((CORPUS / "ex_jn.json").read_text())
+    assert calls == []
+    for command, job in (("burch", "ex_jn.json"), ("verify-golod", "ex_m2_2vars.json")):
+        calls.clear()
+        assert main([command, "--job", str(CORPUS / job)]) == 0
+        assert len(calls) == 1, command
+
+
+poly_strings = (st.sampled_from(["x^2", "x*y", "y^2", "x", "y", "0", "", "1", "x^2+y^2",
+                                 "x+y^2", "2*x*y", "x^3", "z^2", "x**2", "y^2-x^2"])
+                | st.text(alphabet="xy^*+-0123 ", max_size=6))
+module_docs = (
+    st.fixed_dictionaries({"cyclic": st.lists(poly_strings, max_size=3) | json_values})
+    | st.fixed_dictionaries({"presentation": st.fixed_dictionaries({}, optional={
+        "generatorDegrees": st.lists(st.integers(-1, 3), max_size=3) | json_values,
+        "relations": st.lists(st.lists(poly_strings | json_values, max_size=3), max_size=3)
+        | json_values,
+    }) | json_values})
+)
+job_docs = st.fixed_dictionaries({}, optional={
+    "p": st.sampled_from([32003, 2, 3, 4, 21]) | json_values,
+    "vars": st.sampled_from([["x", "y"], ["x"], ["x", "x"], [], ["1a"]]) | json_values,
+    "ideal": st.lists(poly_strings, max_size=4) | json_values,
+    "module": module_docs | json_values,
+    "caps": st.fixed_dictionaries({}, optional={"homDegree": st.integers(0, 14)}) | json_values,
+    "regime": st.sampled_from(["dg", "ainf", "auto", "cyclic"]) | json_values,
+    "command": st.sampled_from(["burch", "resolve", "bar", "nope"]) | json_values,
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=job_docs)
+def test_parse_job_fuzz(doc):
+    # any document parses to a JobSpec or is an InputError, nothing else
+    from burchlab.jobs import JobSpec
+
+    try:
+        spec = parse_job(doc)
+    except InputError:
+        return
+    assert isinstance(spec, JobSpec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(module=module_docs)
+def test_presentation_fuzz(module):
+    # over k[x,y]/(x,y)^2, any module document presents a module or is an InputError
+    spec = parse_job({"p": 32003, "vars": ["x", "y"], "ideal": ["x^2", "x*y", "y^2"],
+                      "module": module})
+    try:
+        spec.presentation(spec.context())
+    except InputError:
+        pass

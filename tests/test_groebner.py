@@ -94,7 +94,7 @@ def test_syzygy_matrix_composition_is_zero(R):
     assert s.cols == 2
     assert m.compose(s).is_zero()
     # a random kernel element reduces to zero against the syzygy basis
-    sb = SubmoduleBasis(R, 3, [s.column(j) for j in range(s.cols)])
+    sb = SubmoduleBasis(R, [s.column(j) for j in range(s.cols)])
     k = FreeModuleElement(R, {0: R.parse("y^2"), 2: R.parse("-x^2")})
     assert sb.contains(k)
 

@@ -1,4 +1,4 @@
-"""The relative bar resolution B(R, X, Y) of M over R, in two regimes.
+"""The relative bar resolution B(R, X, Y) of M over R.
 
 Words r[x_1|...|x_p]y index the basis: x_t runs over basis elements of
 X_(>=1) (shifted degrees |x_t| + 1), y over basis elements of Y; the
@@ -6,16 +6,19 @@ homological degree is sum(|x_t| + 1) + |y|.  Coefficients live in R, so
 every polynomial that migrates out of a slot is reduced modulo I; in
 particular interior differentials of degree-1 slots land in I and vanish.
 
-dg regime -- differential with explicit signs, epsilon_t = sum of shifted
-degrees before slot t:
+X and Y are read through one interface, alg.op(i, refs) and
+mod.op(i, xrefs, yref): a dg pair (DgAlgebra, DgModule) gives the
+differential at arity 1, the product or action at arity 2 and 0 above; a
+transferred A-infinity pair (AInfAlgebra, AInfModule) gives all its
+operations.  The differential applies every operation to every block of
+consecutive slots, the sign of an arity-i operation on the block after
+slot j being (-1)^eps_j, eps_j the sum of shifted degrees before it, times
+the suspension sign (-1)^(sum_{u<i} (i-u) |a_u|) of removing i shifts.  On
+a dg pair this is
 
   sum_t (-1)^eps_{t-1} r[..|dx_t|..]y  +  (-1)^eps_p r[..]dy
   + sum_t (-1)^eps_{t-1} r[..|x_t x_{t+1}|..]y
-  + (-1)^eps_{p-1} r[x_1|..|x_{p-1}] (x_p y)
-
-A-infinity regime -- all operations on all substrings, the sign of an
-arity-i operation on the block after slot j being (-1)^eps_j times the
-suspension sign (-1)^(sum_{u<i} (i-u) |a_u|) of removing i shifts.
+  + (-1)^eps_{p-1} r[x_1|..|x_{p-1}] (x_p y).
 
 d^2 = 0, exactness below the cap and the composition rank formula are all
 checked mechanically after assembly.
@@ -79,69 +82,15 @@ class BarWord:
         return f"[{inner}]y({self.y[0]},{self.y[1]})"
 
 
-class DgBarOps:
-    """Operation tables of a dg pair (X a DgAlgebra, Y a DgModule over it)."""
-
-    regime = "dg"
-
-    def __init__(self, algebra, module):
-        self.algebra = algebra
-        self.module = module
-        self.x_complex = algebra.complex
-        self.y_complex = module.complex
-
-    def max_arity(self):
-        return 2
-
-    def m(self, arity, refs):
-        if arity == 1:
-            d, i = refs[0]
-            return self.x_complex.diff(d).column(i)
-        if arity == 2:
-            (da, ia), (db, ib) = refs
-            return self.algebra.product_basis(da, ia, db, ib)
-        return FreeModuleElement(self.x_complex.ring, {})
-
-    def mu(self, arity, xrefs, yref):
-        if arity == 1:
-            d, i = yref
-            return self.y_complex.diff(d).column(i)
-        if arity == 2:
-            (dx, ix) = xrefs[0]
-            return self.module.action_basis(dx, ix, yref[0], yref[1])
-        return FreeModuleElement(self.y_complex.ring, {})
-
-
-class AInfBarOps:
-    """Operation tables of a transferred A-infinity pair."""
-
-    regime = "ainf"
-
-    def __init__(self, alg, mod):
-        self.alg = alg
-        self.mod = mod
-        self.x_complex = alg.complex
-        self.y_complex = mod.complex
-
-    def max_arity(self):
-        return max(self.alg.arity_cap, self.mod.arity_cap)
-
-    def m(self, arity, refs):
-        return self.alg.op(arity, refs)
-
-    def mu(self, arity, xrefs, yref):
-        return self.mod.op(arity, xrefs, yref)
-
-
 class BarComplex:
     """B(R, X, Y) to a homological cap, with differential matrices over R."""
 
-    def __init__(self, ops, quotient: Ideal, cap: int):
-        self.ops = ops
+    def __init__(self, alg, mod, quotient: Ideal, cap: int):
+        self.alg = alg
+        self.mod = mod
         self.quotient = quotient
-        self.ring = ops.x_complex.ring
+        self.ring = alg.complex.ring
         self.cap = cap
-        self.regime = ops.regime
         self.words = {}      # n -> list of BarWord
         self.pos = {}        # n -> {word: index}
         self._enumerate()
@@ -151,7 +100,7 @@ class BarComplex:
     # -- basis ------------------------------------------------------------
 
     def _enumerate(self):
-        X, Y = self.ops.x_complex, self.ops.y_complex
+        X, Y = self.alg.complex, self.mod.complex
         xrefs_by_deg = {d: [(d, i) for i in range(X.rank(d))]
                         for d in range(1, X.top() + 1)}
         yrefs = [(d, i) for d in range(Y.top() + 1) for i in range(Y.rank(d))]
@@ -178,7 +127,7 @@ class BarComplex:
         return len(self.words.get(n, []))
 
     def word_internal_degree(self, w: BarWord) -> int:
-        X, Y = self.ops.x_complex, self.ops.y_complex
+        X, Y = self.alg.complex, self.mod.complex
         total = Y.basis_degrees(w.y[0])[w.y[1]]
         for d, i in w.xs:
             total += X.basis_degrees(d)[i]
@@ -205,18 +154,15 @@ class BarComplex:
         xs = w.xs
         p = len(xs)
         shifted = [d + 1 for d, _ in xs]
-        max_arity = self.ops.max_arity()
 
-        # interior operations on blocks xs[j:j+i]; dg structures only have
-        # arity <= 2, so the loops coincide there
+        # interior operations m_i on blocks xs[j:j+i]
         for j in range(p):
             eps = sum(shifted[:j]) % 2
-            upper = p - j if self.regime == "ainf" else min(2, p - j)
-            for i in range(1, upper + 1):
+            for i in range(1, p - j + 1):
                 block = xs[j:j + i]
                 if i == 1 and block[0][0] == 1:
                     continue  # boundary lands in I R = 0
-                val = self.ops.m(i, block)
+                val = self.alg.op(i, block)
                 if not val.coords:
                     continue
                 sign = -1 if eps else 1
@@ -232,16 +178,13 @@ class BarComplex:
                     add(BarWord(new_xs, w.y), f if sign > 0 else -f)
 
         # tail operations mu_i on (xs[p-i+1:], y)
-        tail_max = p + 1 if self.regime == "ainf" else min(2, p + 1)
-        for i in range(1, tail_max + 1):
+        for i in range(1, p + 2):
             take = i - 1
-            if take > p:
-                continue
             if i == 1 and w.y[0] == 0:
                 continue
             xblock = xs[p - take:]
             eps = sum(shifted[:p - take]) % 2
-            val = self.ops.mu(i, xblock, w.y)
+            val = self.mod.op(i, xblock, w.y)
             if not val.coords:
                 continue
             sign = -1 if eps else 1
@@ -278,7 +221,7 @@ class BarComplex:
     def rank_formula_check(self):
         """Ranks must match the generating-function expansion
         P_Y(t) / (1 - t (P_X(t) - 1)) coefficientwise."""
-        X, Y = self.ops.x_complex, self.ops.y_complex
+        X, Y = self.alg.complex, self.mod.complex
         series = poincare_bound_series([X.rank(d) for d in range(X.top() + 1)],
                                        [Y.rank(n) for n in range(Y.top() + 1)], self.cap)
         actual = [self.rank(n) for n in range(self.cap + 1)]

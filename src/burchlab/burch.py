@@ -252,7 +252,6 @@ def burch_data(I: Ideal, BI: Ideal | None = None) -> BurchData:
     # choose xs: variables independent mod BI first (b of them), then extend
     # by the remaining variables to a basis of n/n^2
     ech_bi = _linear_part_echelon(BI)
-    ech_lin = SparseEchelon(ring.p)
     burch_vars, other_vars = [], []
     for i in range(ring.nvars):
         vec = {i: 1}

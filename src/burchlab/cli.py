@@ -21,7 +21,7 @@ import time
 from importlib import resources
 
 from .errors import InputError, InternalCheckError, ResourceCapError
-from .jobs import COMMANDS, JobSpec, load_job, parse_job
+from .jobs import COMMANDS, JobSpec, check_hom_degree, load_job, parse_job
 from .pipeline import (bar_report, cycles_report, resolve_report,
                        verify_general, verify_golod)
 from .report import SCHEMA_VERSION, assemble, reports_equal, serialize, strip_timing
@@ -148,7 +148,7 @@ def main(argv=None) -> int:
             raise InputError(f"command {args.command!r} needs --job")
         spec = load_job(args.job)
         if args.cap is not None:
-            spec.caps.hom_degree = args.cap
+            spec.caps.hom_degree = check_hom_degree(args.cap)
         if args.prime is not None:
             spec.prime = args.prime
             spec.ideal()  # revalidate under the new prime

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
+from .ainfty import AInfAlgebra, _expand
 from .bar import BarComplex, BarWord
 from .burch import BurchData
 from .complexes import ChainMap, GradedFreeComplex
@@ -33,6 +34,7 @@ from .linalg import SparseEchelon
 from .matrices import FreeModuleElement, PolyMatrix
 from .resolve import kernel_gens_over_R
 from .ring import Polynomial
+from .taylor import DgAlgebra, bilinear
 
 
 @dataclass
@@ -117,42 +119,20 @@ def burch_cycles(bd: BurchData, X: GradedFreeComplex) -> BurchCycleSet:
     return out
 
 
-def _word_combo_element(B: BarComplex, q: int, combos) -> FreeModuleElement:
-    """combos: list of ({word: coeff}) to sum into an element of B_q."""
+def _bar_element(B: BarComplex, q: int, *terms) -> FreeModuleElement:
+    """Element of B_q from signed tensors (sign, slots): slots = [(deg, element)]
+    with the elements in X except the last, which is in Y."""
     total = {}
     red = B.quotient.normal_form
-    for combo in combos:
-        for w, c in combo.items():
-            cur = total.get(w, B.ring.zero()) + c
-            cur = red(cur)
+    for sign, slots in terms:
+        for refs, c in _expand(slots, B.ring):
+            w = BarWord(refs[:-1], refs[-1])
+            cur = red(total.get(w, B.ring.zero()) + (c if sign > 0 else -c))
             if cur:
                 total[w] = cur
             else:
                 total.pop(w, None)
     return B.element_from_words(q, total)
-
-
-def _expand_word(B, slots, yslot) -> dict:
-    """Words from slot elements: slots = [(deg, element in X)], y = (deg, element)."""
-    combos = [((), B.ring.one())]
-    for d, v in slots:
-        nxt = []
-        for xs, c in combos:
-            for i, f in v.coords.items():
-                nxt.append((xs + ((d, i),), c * f))
-        combos = nxt
-    yd, yv = yslot
-    out = {}
-    red = B.quotient.normal_form
-    for xs, c in combos:
-        for iy, fy in yv.coords.items():
-            w = BarWord(xs, (yd, iy))
-            val = red(out.get(w, B.ring.zero()) + c * fy)
-            if val:
-                out[w] = val
-            else:
-                out.pop(w, None)
-    return out
 
 
 @dataclass
@@ -167,12 +147,12 @@ class RhoCycle:
 
 def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, psi: ChainMap, q: int):
     """Theorem-A cycles in the dg bar resolution, all pairs i < j, i < b."""
-    if B.regime != "dg":
+    if not isinstance(B.alg, DgAlgebra):
         raise InputError("general-case cycles require the dg regime")
     if q < 4:
         raise InputError("general-case cycles need q >= 4 (odd: q >= 5)")
     ring = B.ring
-    X = B.ops.algebra
+    X = B.alg
     e_elt = FreeModuleElement.basis(ring, 0)
     psi_e = psi.apply(1, e_elt)
     psi_1 = psi.apply(0, FreeModuleElement.basis(ring, 0))
@@ -180,19 +160,17 @@ def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, psi: ChainMap, q: int)
     for (i, j) in bcs.pairs():
         cyc = bcs.cycles[(i, j)]
         f = cyc.preimage
-        ef = X.product_elements(1, e_elt, 2, f)
+        ef = bilinear(X.product_basis, 1, e_elt, 2, f)
         if q % 2 == 0:
             k = (q - 4) // 2
-            w1 = _expand_word(B, [(2, f)] + [(1, e_elt)] * k, (1, psi_e))
-            w2 = _expand_word(B, [(3, ef)] + [(1, e_elt)] * k, (0, psi_1))
-            rho = _word_combo_element(B, q, [w1, {w: -c for w, c in w2.items()}])
+            rho = _bar_element(B, q, (1, [(2, f)] + [(1, e_elt)] * k + [(1, psi_e)]),
+                               (-1, [(3, ef)] + [(1, e_elt)] * k + [(0, psi_1)]))
         else:
             k = (q - 5) // 2
             if not ef.coords:
                 raise InternalCheckError(
                     "e*f vanishes; the odd case needs a free-algebra resolution of R")
-            w1 = _expand_word(B, [(3, ef)] + [(1, e_elt)] * k, (1, psi_e))
-            rho = _word_combo_element(B, q, [w1])
+            rho = _bar_element(B, q, (1, [(3, ef)] + [(1, e_elt)] * k + [(1, psi_e)]))
         s = bcs.data.socle_lifts[i]
         alpha = rho.map_coords(lambda c: B.quotient.normal_form(c * s))
         boundary = B.complex.diff(q).apply(alpha).map_coords(B.quotient.normal_form)
@@ -206,26 +184,26 @@ def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, psi: ChainMap, q: int)
 def rho_cycles_golod(bcs: BurchCycleSet, B: BarComplex, q: int):
     """Theorem-B cycles s_i [f_{x_j,x_i} | e_{i_1} | ... | e_{i_d}] y in the
     minimal A-infinity bar, for 1 <= i < j <= b; exactly C(b,2) m^d of them."""
-    if B.regime != "ainf":
+    if not isinstance(B.alg, AInfAlgebra):
         raise InputError("Golod cycles require the A-infinity regime")
     if q < 3:
         raise InputError("Golod cycles need q >= 3")
-    if not B.ops.x_complex.is_minimal() or not B.ops.y_complex.is_minimal():
+    if not B.alg.complex.is_minimal() or not B.mod.complex.is_minimal():
         raise InputError("Golod cycles need minimal X and Y")
     ring = B.ring
     d, r = divmod(q - 3, 2)
-    if B.ops.y_complex.rank(r) == 0:
+    if B.mod.complex.rank(r) == 0:
         raise InputError(f"Y has no basis in degree {r}")
-    m = B.ops.x_complex.rank(1)
+    m = B.alg.complex.rank(1)
     out = []
     for (i, j) in bcs.pairs(within_b=True):
         cyc = bcs.cycles[(i, j)]
         f = cyc.preimage
         s = bcs.data.socle_lifts[i]
         for tup in _index_tuples(m, d):
-            slots = [(2, f)] + [(1, FreeModuleElement.basis(ring, t)) for t in tup]
-            words = _expand_word(B, slots, (r, FreeModuleElement.basis(ring, 0)))
-            rho = _word_combo_element(B, q, [words])
+            slots = ([(2, f)] + [(1, FreeModuleElement.basis(ring, t)) for t in tup]
+                     + [(r, FreeModuleElement.basis(ring, 0))])
+            rho = _bar_element(B, q, (1, slots))
             alpha = rho.map_coords(lambda c: B.quotient.normal_form(c * s))
             boundary = B.complex.diff(q).apply(alpha).map_coords(B.quotient.normal_form)
             if boundary.coords:

@@ -16,17 +16,22 @@ Two constructions:
 
 from __future__ import annotations
 
+from itertools import product
+
 from .complexes import ChainMap, GradedFreeComplex
 from .errors import InternalCheckError, ResourceCapError
 from .groebner import Ideal
 from .matrices import FreeModuleElement, PolyMatrix
 from .resolve import ModulePresentation
-from .taylor import DgAlgebra, TaylorComplex
+from .taylor import DgAlgebra, TaylorComplex, bilinear
 from .tate import CycleSpace, homology_cycle_generators
 
 
 class DgModule:
-    """Interface: a complex with a dg action of a DgAlgebra on basis elements."""
+    """Interface: a complex with a dg action of a DgAlgebra on basis elements.
+
+    Its checks are the algebra's engines with the right-hand factor in Y.
+    """
 
     algebra: DgAlgebra
     complex: GradedFreeComplex
@@ -38,69 +43,32 @@ class DgModule:
     def action_basis(self, dx, ix, ny, iy) -> FreeModuleElement:
         raise NotImplementedError
 
-    def action_elements(self, dx, vx: FreeModuleElement, ny, vy: FreeModuleElement) -> FreeModuleElement:
-        out = FreeModuleElement(self.ring, {})
-        for ix, fx in vx.coords.items():
-            for iy, fy in vy.coords.items():
-                base = self.action_basis(dx, ix, ny, iy)
-                if base.coords:
-                    out = out + base.mul_poly(fx * fy)
-        return out
+    def op(self, n: int, xrefs, yref) -> FreeModuleElement:
+        """The A-infinity signature: mu_1 = d, mu_2 = action, mu_n = 0 for n >= 3."""
+        if n == 1:
+            d, i = yref
+            return self.complex.diff(d).column(i)
+        if n == 2:
+            (dx, ix), = xrefs
+            return self.action_basis(dx, ix, yref[0], yref[1])
+        return FreeModuleElement(self.ring, {})
 
     # -- mechanical dg-module checks ----------------------------------------
 
     def check_unit(self, through: int | None = None):
         top = self.complex.top() if through is None else through
-        for ny in range(top + 1):
-            for iy in range(self.complex.rank(ny)):
-                got = self.action_basis(0, 0, ny, iy)
-                if got != FreeModuleElement.basis(self.ring, iy):
-                    raise InternalCheckError(f"unit does not act as identity on ({ny},{iy})")
+        self.algebra._unit_law(self.complex, self.action_basis, top, "module ", False)
 
     def check_leibniz(self, through: int | None = None):
-        top = self.complex.top() if through is None else through
-        X = self.algebra.complex
-        for dx in range(top + 1):
-            for ny in range(top + 1 - dx):
-                for ix in range(X.rank(dx)):
-                    for iy in range(self.complex.rank(ny)):
-                        prod = self.action_basis(dx, ix, ny, iy)
-                        lhs = (self.complex.diff(dx + ny).apply(prod)
-                               if dx + ny >= 1 else FreeModuleElement(self.ring, {}))
-                        rhs = FreeModuleElement(self.ring, {})
-                        if dx >= 1:
-                            rhs = rhs + self.action_elements(
-                                dx - 1, self.algebra.diff_basis(dx, ix),
-                                ny, FreeModuleElement.basis(self.ring, iy))
-                        if ny >= 1:
-                            term = self.action_elements(
-                                dx, FreeModuleElement.basis(self.ring, ix),
-                                ny - 1, self.complex.diff(ny).column(iy))
-                            rhs = rhs + (term if dx % 2 == 0 else -term)
-                        if lhs != rhs:
-                            raise InternalCheckError(
-                                f"module Leibniz fails on ({dx},{ix}) acting on ({ny},{iy})")
+        X, Y = self.algebra.complex, self.complex
+
+        def pairs(dx, ny):
+            return product(range(X.rank(dx)), range(Y.rank(ny)))
+
+        self.algebra._leibniz_law(Y, self.action_basis, pairs, through, "module ")
 
     def check_associative(self, degree_cap: int):
-        X = self.algebra.complex
-        top = self.complex.top()
-        for da in range(degree_cap + 1):
-            for db in range(degree_cap + 1 - da):
-                for ny in range(degree_cap + 1 - da - db):
-                    if da + db + ny > top:
-                        continue
-                    for ia in range(X.rank(da)):
-                        va = FreeModuleElement.basis(self.ring, ia)
-                        for ib in range(X.rank(db)):
-                            ab = self.algebra.product_basis(da, ia, db, ib)
-                            for iy in range(self.complex.rank(ny)):
-                                vy = FreeModuleElement.basis(self.ring, iy)
-                                left = self.action_elements(da + db, ab, ny, vy)
-                                by = self.action_basis(db, ib, ny, iy)
-                                right = self.action_elements(da, va, db + ny, by)
-                                if left != right:
-                                    raise InternalCheckError(
-                                        f"action associativity fails on ({da},{ia}) ({db},{ib}) ({ny},{iy})")
+        self.algebra._associative_law(self.complex, self.action_basis, degree_cap, "action ")
 
 
 class SemifreeDgModule(DgModule):
@@ -201,7 +169,7 @@ class SemifreeDgModule(DgModule):
         gd = self.gen_diffs[t]
         if gd is not None and gd.coords:
             gdeg = self.gen_hom_degrees[t]
-            term = self.action_elements(d, FreeModuleElement.basis(ring, i), gdeg - 1, gd)
+            term = bilinear(self.action_basis, d, FreeModuleElement.basis(ring, i), gdeg - 1, gd)
             if d % 2 == 1:
                 term = -term
             for b, f in term.coords.items():

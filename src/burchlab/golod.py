@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bar import AInfBarOps, BarComplex
+from .bar import BarComplex
 from .errors import InternalCheckError
 from .groebner import Ideal
 
@@ -49,7 +49,7 @@ def golod_check(alg, mod, quotient: Ideal, cap: int) -> tuple:
     """
     if not alg.complex.is_minimal() or not mod.complex.is_minimal():
         raise InternalCheckError("golod check needs minimal X and Y")
-    bar = BarComplex(AInfBarOps(alg, mod), quotient, cap=cap)
+    bar = BarComplex(alg, mod, quotient, cap=cap)
     ranks = bar.rank_formula_check()
     bad = bar.minimality_report()
     report = GolodReport(

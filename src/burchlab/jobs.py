@@ -81,9 +81,20 @@ class JobSpec:
         return RingContext.build(ideal.ring, ideal)
 
     def presentation(self, ctx: RingContext) -> ModulePresentation:
+        """The module, which must be nonzero and minimally presented.
+
+        A relation with a unit entry is never in m*N (N the relation
+        module), so resolve_over_R keeps it and its resolution would not be
+        minimal; the presentation is minimal iff no entry has a nonzero
+        constant term.
+        """
         pres = self._module(ctx)
         if pres.is_zero():
             raise InputError("the module is zero")
+        for v in pres.relations:
+            if v.is_reduced_nonzero_mod_max_ideal():
+                raise InputError(f"relation {v} has an entry with a nonzero constant term; "
+                                 "presentations must be minimal")
         return pres
 
     def _module(self, ctx: RingContext) -> ModulePresentation:
@@ -135,6 +146,13 @@ def _int_field(caps_doc: dict, key: str, default: int) -> int:
     return v
 
 
+def check_hom_degree(n: int) -> int:
+    """The homological cap of a job or of --cap, checked to lie in 2..12."""
+    if not 2 <= n <= 12:
+        raise InputError(f"caps.homDegree must be between 2 and 12, got {n}")
+    return n
+
+
 def _parse_caps(caps_doc) -> Caps:
     """Validate the optional caps object of a job; defaults as in Caps."""
     if not isinstance(caps_doc, dict):
@@ -150,8 +168,7 @@ def _parse_caps(caps_doc) -> Caps:
         brute_force_dim=_int_field(caps_doc, "bruteForceDim", 400),
         general_qs=tuple(qs),
     )
-    if caps.hom_degree < 2 or caps.hom_degree > 12:
-        raise InputError("caps.homDegree must be between 2 and 12")
+    check_hom_degree(caps.hom_degree)
     return caps
 
 

@@ -171,7 +171,7 @@ def krank_brute_force(pres: ModulePresentation, dim_cap: int = 400) -> int:
         per_degree = []
         for di in range(len(degrees) - 1):
             idx, pos, ech, free = bases[di]
-            idx2, pos2, ech2, free2 = bases[di + 1]
+            _, pos2, ech2, free2 = bases[di + 1]
             free2_pos = {t: a for a, t in enumerate(free2)}
             mat = {}
             for a, t in enumerate(free):

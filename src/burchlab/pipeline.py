@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .ainfty import AInfAlgebra, AInfModule
-from .bar import AInfBarOps, BarComplex, DgBarOps
+from .bar import BarComplex
 from .burch import BurchData, burch_data, burch_ideal, burch_index, minimal_generators
 from .contraction import minimalize
 from .cycles import (burch_cycles, project_to_minimal, rho_cycles_general,
@@ -213,7 +213,6 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
 
     qs = sorted(set(caps.general_qs))
     need_tate = any(q % 2 == 1 for q in qs)
-    cap = max(qs) + 1
     cycles_out = []
     for algebra in (["taylor"] if not need_tate else ["taylor", "tate"]):
         use_qs = [q for q in qs if (q % 2 == 0) == (algebra == "taylor")]
@@ -221,7 +220,7 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
             continue
         X, Y, psi = dg_pair(ctx, pres, cap=max(use_qs) + 1, algebra=algebra,
                             rank_guard=caps.rank_guard)
-        bar = BarComplex(DgBarOps(X, Y), ctx.ideal, cap=max(use_qs) + 1)
+        bar = BarComplex(X, Y, ctx.ideal, cap=max(use_qs) + 1)
         bar.rank_formula_check()
         bcs = burch_cycles(ctx.burch, X.complex)
         ctr = minimalize(bar.complex, through=max(use_qs) + 1)
@@ -267,13 +266,12 @@ def bar_report(ctx: RingContext, pres: ModulePresentation, caps: Caps, regime: s
     t0 = time.perf_counter()
     cap = caps.hom_degree
     if regime == "dg":
-        X, Y, _psi = dg_pair(ctx, pres, cap=cap, rank_guard=caps.rank_guard)
-        bar = BarComplex(DgBarOps(X, Y), ctx.ideal, cap=cap)
+        alg, mod, _psi = dg_pair(ctx, pres, cap=cap, rank_guard=caps.rank_guard)
     elif regime == "ainf":
         alg, mod = ainf_pair(ctx, pres, caps)
-        bar = BarComplex(AInfBarOps(alg, mod), ctx.ideal, cap=cap)
     else:
         raise InputError(f"unknown regime {regime!r}")
+    bar = BarComplex(alg, mod, ctx.ideal, cap=cap)
     ranks = bar.rank_formula_check()
     bar.exactness_check(cap - 1)
     return {

@@ -26,8 +26,10 @@ class DgAlgebra:
     """A complex with unit and associative graded-commutative product.
 
     Subclasses implement product_basis(da, ia, db, ib) returning an element
-    of degree da+db; element-level products extend bilinearly (polynomial
-    coefficients are central, so no Koszul signs enter here).
+    of degree da+db; element-level products extend it by bilinear().  The
+    unit, Leibniz and associativity engines below take the right-hand
+    factor's complex and basis operation as arguments, so that DgModule
+    checks its action on them as well.
     """
 
     complex: GradedFreeComplex
@@ -39,64 +41,28 @@ class DgAlgebra:
     def product_basis(self, da, ia, db, ib) -> FreeModuleElement:
         raise NotImplementedError
 
-    def diff_basis(self, d, i) -> FreeModuleElement:
-        return self.complex.diff(d).column(i)
-
-    def product_elements(self, da, va: FreeModuleElement, db, vb: FreeModuleElement) -> FreeModuleElement:
-        out = FreeModuleElement(self.ring, {})
-        for ia, fa in va.coords.items():
-            for ib, fb in vb.coords.items():
-                base = self.product_basis(da, ia, db, ib)
-                if base.coords:
-                    out = out + base.mul_poly(fa * fb)
-        return out
+    def op(self, n: int, refs) -> FreeModuleElement:
+        """The A-infinity signature: m_1 = d, m_2 = product, m_n = 0 for n >= 3."""
+        if n == 1:
+            d, i = refs[0]
+            return self.complex.diff(d).column(i)
+        if n == 2:
+            (da, ia), (db, ib) = refs
+            return self.product_basis(da, ia, db, ib)
+        return FreeModuleElement(self.ring, {})
 
     # -- mechanical dg checks -------------------------------------------------
 
     def check_unit(self):
-        for d in range(self.complex.top() + 1):
-            for i in range(self.complex.rank(d)):
-                left = self.product_basis(0, 0, d, i)
-                right = self.product_basis(d, i, 0, 0)
-                want = FreeModuleElement.basis(self.ring, i)
-                if left != want or right != want:
-                    raise InternalCheckError(f"unit law fails on basis ({d},{i})")
+        self._unit_law(self.complex, self.product_basis, self.complex.top(), "", True)
 
     def leibniz_pairs(self, da, db):
         """Basis index pairs (ia, ib) of degrees da, db that check_leibniz compares."""
         return product(range(self.complex.rank(da)), range(self.complex.rank(db)))
 
     def check_leibniz(self, through: int | None = None):
-        """d(a*b) = d(a)*b + (-1)^|a| a*d(b) on every pair from leibniz_pairs.
-
-        Each side is accumulated as {position: {monomial: coeff}} straight
-        from the differential columns and compared exactly mod p.
-        """
-        cx = self.complex
-        p = self.ring.p
-        top = cx.top() if through is None else through
-        cols = {n: cx.diff(n).columns for n in range(1, top + 1)}
-        for da in range(top + 1):
-            for db in range(top + 1 - da):
-                sign_b = 1 if da % 2 == 0 else -1
-                for ia, ib in self.leibniz_pairs(da, db):
-                    lhs, rhs = {}, {}
-                    if da + db >= 1:
-                        dcols = cols[da + db]
-                        for k, f in self.product_basis(da, ia, db, ib).coords.items():
-                            for i, g in dcols.get(k, {}).items():
-                                _add_product(lhs, i, g, f, 1)
-                    if da >= 1:
-                        for k, f in cols[da].get(ia, {}).items():
-                            for i, g in self.product_basis(da - 1, k, db, ib).coords.items():
-                                _add_product(rhs, i, f, g, 1)
-                    if db >= 1:
-                        for k, f in cols[db].get(ib, {}).items():
-                            for i, g in self.product_basis(da, ia, db - 1, k).coords.items():
-                                _add_product(rhs, i, f, g, sign_b)
-                    if _reduced(lhs, p) != _reduced(rhs, p):
-                        raise InternalCheckError(
-                            f"Leibniz fails on basis pair ({da},{ia}) ({db},{ib})")
+        """d(a*b) = d(a)*b + (-1)^|a| a*d(b) on every pair from leibniz_pairs."""
+        self._leibniz_law(self.complex, self.product_basis, self.leibniz_pairs, through, "")
 
     def check_commutative(self, through: int | None = None):
         top = self.complex.top() if through is None else through
@@ -113,25 +79,98 @@ class DgAlgebra:
                                 f"graded commutativity fails on ({da},{ia}) ({db},{ib})")
 
     def check_associative(self, degree_cap: int):
-        top = self.complex.top()
+        self._associative_law(self.complex, self.product_basis, degree_cap, "")
+
+    # -- engines: a, b in this algebra, c in `right` with basis op `times` ----
+
+    def _unit_law(self, right, times, top, label, two_sided):
+        """1 * c = c on every basis element of `right` through degree top
+        (and c * 1 = c when two_sided)."""
+        for d in range(top + 1):
+            for i in range(right.rank(d)):
+                want = FreeModuleElement.basis(self.ring, i)
+                if times(0, 0, d, i) != want or (two_sided and times(d, i, 0, 0) != want):
+                    raise InternalCheckError(f"{label}unit law fails on basis ({d},{i})")
+
+    def _leibniz_law(self, right, times, pairs, through, label):
+        """d(a*c) = d(a)*c + (-1)^|a| a*d(c) on every pair from pairs(da, dc).
+
+        Each side is accumulated as {position: {monomial: coeff}} straight
+        from the differential columns and compared exactly mod p.
+        """
+        p = self.ring.p
+        top = right.top() if through is None else through
+        lcols = {n: self.complex.diff(n).columns for n in range(1, top + 1)}
+        rcols = {n: right.diff(n).columns for n in range(1, top + 1)}
+        for da in range(top + 1):
+            for db in range(top + 1 - da):
+                sign_b = 1 if da % 2 == 0 else -1
+                for ia, ib in pairs(da, db):
+                    lhs, rhs = {}, {}
+                    if da + db >= 1:
+                        dcols = rcols[da + db]
+                        for k, f in times(da, ia, db, ib).coords.items():
+                            for i, g in dcols.get(k, {}).items():
+                                _add_product(lhs, i, g, f, 1)
+                    if da >= 1:
+                        for k, f in lcols[da].get(ia, {}).items():
+                            for i, g in times(da - 1, k, db, ib).coords.items():
+                                _add_product(rhs, i, f, g, 1)
+                    if db >= 1:
+                        for k, f in rcols[db].get(ib, {}).items():
+                            for i, g in times(da, ia, db - 1, k).coords.items():
+                                _add_product(rhs, i, f, g, sign_b)
+                    if _reduced(lhs, p) != _reduced(rhs, p):
+                        raise InternalCheckError(
+                            f"{label}Leibniz fails on basis pair ({da},{ia}) ({db},{ib})")
+
+    def _associative_law(self, right, times, degree_cap, label):
+        """(a*b)*c = a*(b*c) for total degree within the cap and right's top."""
+        X = self.complex
+        top = right.top()
         for da in range(degree_cap + 1):
             for db in range(degree_cap + 1 - da):
                 for dc in range(degree_cap + 1 - da - db):
                     if da + db + dc > top:
                         continue  # both sides land in zero modules
-                    for ia in range(self.complex.rank(da)):
+                    for ia in range(X.rank(da)):
                         va = FreeModuleElement.basis(self.ring, ia)
-                        for ib in range(self.complex.rank(db)):
+                        for ib in range(X.rank(db)):
                             ab = self.product_basis(da, ia, db, ib)
-                            vb = FreeModuleElement.basis(self.ring, ib)
-                            for ic in range(self.complex.rank(dc)):
+                            for ic in range(right.rank(dc)):
                                 vc = FreeModuleElement.basis(self.ring, ic)
-                                left = self.product_elements(da + db, ab, dc, vc)
-                                bc = self.product_basis(db, ib, dc, ic)
-                                right = self.product_elements(da, va, db + dc, bc)
-                                if left != right:
+                                left = bilinear(times, da + db, ab, dc, vc)
+                                bc = times(db, ib, dc, ic)
+                                if left != bilinear(times, da, va, db + dc, bc):
                                     raise InternalCheckError(
-                                        f"associativity fails on ({da},{ia}) ({db},{ib}) ({dc},{ic})")
+                                        f"{label}associativity fails on "
+                                        f"({da},{ia}) ({db},{ib}) ({dc},{ic})")
+
+
+def bilinear(times, da, va: FreeModuleElement, db, vb: FreeModuleElement) -> FreeModuleElement:
+    """The basis operation times(da, ia, db, ib) extended bilinearly to va, vb.
+
+    Polynomial coefficients are central, so no Koszul signs enter; the sum
+    is accumulated in place, term by term in the order of va and vb.
+    """
+    out = {}
+    for ia, fa in va.coords.items():
+        for ib, fb in vb.coords.items():
+            base = times(da, ia, db, ib).coords
+            if not base:
+                continue
+            c = fa * fb
+            for k, g in base.items():
+                h = g * c
+                if not h:
+                    continue
+                cur = out.get(k)
+                s = h if cur is None else cur + h
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+    return FreeModuleElement(va.ring, out)
 
 
 def _add_product(acc: dict, i, f, g, sign: int):

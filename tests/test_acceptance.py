@@ -14,10 +14,8 @@ import time
 
 import pytest
 
-from burchlab.ainfty import (AInfAlgebra, AInfModule, check_minimality,
-                             check_module_minimality, stasheff_check_algebra,
-                             stasheff_check_module)
-from burchlab.bar import AInfBarOps, BarComplex, DgBarOps
+from burchlab.ainfty import AInfAlgebra, AInfModule, check_minimality, stasheff_check
+from burchlab.bar import BarComplex
 from burchlab.burch import burch_data, burch_ideal, burch_index
 from burchlab.contraction import minimalize
 from burchlab.cycles import (burch_cycles, project_to_minimal, rho_cycles_general,
@@ -149,7 +147,7 @@ def test_criterion_3_cycles_split_and_oracle(m2_ideal, m23_ideal,
             for algebra, qs in plan.items():
                 X, Y, psi = dg_pair(ctx, pres, cap=max(qs) + 1, algebra=algebra,
                                     rank_guard=100000)
-                bar = BarComplex(DgBarOps(X, Y), I, cap=max(qs) + 1)
+                bar = BarComplex(X, Y, I, cap=max(qs) + 1)
                 bcs = burch_cycles(bd, X.complex)
                 for q in qs:
                     recs = rho_cycles_general(bcs, bar, psi, q)
@@ -180,7 +178,7 @@ def test_criterion_3_projection_survival(m2_ideal):
     X = TaylorComplex(m2_ideal.ring, bd.gens)
     k = ModulePresentation.residue_field(m2_ideal)
     Y, psi = build_semifree_resolution(k, X, up_to=6)
-    bar = BarComplex(DgBarOps(X, Y), m2_ideal, cap=5)
+    bar = BarComplex(X, Y, m2_ideal, cap=5)
     bcs = burch_cycles(bd, X.complex)
     recs = rho_cycles_general(bcs, bar, psi, 4)
     ctr = minimalize(bar.complex, through=5)
@@ -245,7 +243,7 @@ def test_criterion_5_bar_correctness_both_regimes(hyper_ideal, m2_ideal, m23_ide
         # dg regime over the Taylor algebra with a semifree module
         X = TaylorComplex(R, burch_data(I).gens if burch_index(I) else I.gens)
         Y, _psi = build_semifree_resolution(pres, X, up_to=dg_cap + 1, rank_guard=100000)
-        Bdg = BarComplex(DgBarOps(X, Y), I, cap=dg_cap)  # checks d^2 = 0
+        Bdg = BarComplex(X, Y, I, cap=dg_cap)  # checks d^2 = 0
         Bdg.rank_formula_check()
         Bdg.exactness_check(dg_cap - 1)
         assert Bdg.h0_dims(3) == pres.dims(3)
@@ -253,7 +251,7 @@ def test_criterion_5_bar_correctness_both_regimes(hyper_ideal, m2_ideal, m23_ide
         X2, Ymod, _ = taylor_module_fast_path(I, [R.parse(s) for s in mod_gens])
         alg = AInfAlgebra(minimalize(X2.complex), X2)
         mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
-        Bainf = BarComplex(AInfBarOps(alg, mod), I, cap=ainf_cap)
+        Bainf = BarComplex(alg, mod, I, cap=ainf_cap)
         Bainf.rank_formula_check()
         Bainf.exactness_check(ainf_cap - 1)
         assert Bainf.h0_dims(3) == pres.dims(3)
@@ -274,10 +272,10 @@ def test_criterion_6_transfer_correctness(hyper_ideal, m2_ideal, m23_ideal,
         alg = AInfAlgebra(minimalize(X.complex), X, degree_cap=6)
         mod = AInfModule(alg, minimalize(Ymod.complex), Ymod, degree_cap=6)
         for n in range(1, 5):
-            stasheff_check_algebra(alg, n)
-            stasheff_check_module(mod, n)
+            stasheff_check(alg, n)
+            stasheff_check(mod, n)
         check_minimality(alg)
-        check_module_minimality(mod)
+        check_minimality(mod)
     # the hypersurface module: nontrivial transferred action
     R1 = hyper_ideal.ring
     X1 = TaylorComplex(R1, [R1.parse("x^2")])
@@ -286,7 +284,7 @@ def test_criterion_6_transfer_correctness(hyper_ideal, m2_ideal, m23_ideal,
     alg1 = AInfAlgebra(minimalize(X1.complex), X1, arity_cap=5)
     mod1 = AInfModule(alg1, minimalize(Y1.complex).truncated(7), Y1, arity_cap=5)
     for n in range(1, 5):
-        stasheff_check_module(mod1, n)
+        stasheff_check(mod1, n)
     assert str(mod1.op(2, ((1, 0),), (0, 0)).coords[0]) == "x"
     # identity contraction reproduces the dg product with m_{>=3} = 0
     K = TaylorComplex(R1, [R1.parse("x^2")])

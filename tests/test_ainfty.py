@@ -1,12 +1,10 @@
 import pytest
 from itertools import combinations_with_replacement
 
-from burchlab.ainfty import (AInfAlgebra, AInfModule, check_minimality,
-                             check_module_minimality, stasheff_check_algebra,
-                             stasheff_check_module)
+from burchlab.ainfty import AInfAlgebra, AInfModule, check_minimality, stasheff_check
 from burchlab.contraction import minimalize
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
-from burchlab.errors import ArityCapError
+from burchlab.errors import ArityCapError, InternalCheckError
 from burchlab.resolve import ModulePresentation
 from burchlab.ring import PolyRing
 from burchlab.taylor import TaylorComplex
@@ -18,7 +16,7 @@ def test_identity_contraction_reproduces_dg(m2_ideal):
     T = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     alg = AInfAlgebra(minimalize(T.complex), T, arity_cap=4, degree_cap=8)
     for n in range(1, 5):
-        stasheff_check_algebra(alg, n)
+        stasheff_check(alg, n)
     # honest identity-contraction case: a minimal dg input has h = 0, the
     # transferred m_2 is the dg product, and all higher operations vanish
     K = TaylorComplex(m2_ideal.ring, [m2_ideal.ring.parse("x^2")])
@@ -36,7 +34,7 @@ def test_transfer_on_bione_ring(bione_ideal):
     assert ctr.small.poincare_coeffs() == [1, 3, 2]
     alg = AInfAlgebra(ctr, T, arity_cap=4, degree_cap=8)
     for n in range(1, 5):
-        stasheff_check_algebra(alg, n)
+        stasheff_check(alg, n)
     check_minimality(alg)
 
 
@@ -66,8 +64,8 @@ def test_module_transfer_hypersurface(hyper_ideal):
     v = mod.op(2, ((1, 0),), (0, 0))
     assert str(v.coords[0]) == "x"
     for n in range(1, 5):
-        stasheff_check_module(mod, n)
-    check_module_minimality(mod)
+        stasheff_check(mod, n)
+    check_minimality(mod)
 
 
 def test_module_transfer_m2(ctx_m2, m2_ideal):
@@ -76,10 +74,10 @@ def test_module_transfer_m2(ctx_m2, m2_ideal):
     alg = AInfAlgebra(minimalize(X.complex), X, arity_cap=4, degree_cap=10)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod, arity_cap=4, degree_cap=10)
     for n in range(1, 5):
-        stasheff_check_algebra(alg, n)
-        stasheff_check_module(mod, n)
+        stasheff_check(alg, n)
+        stasheff_check(mod, n)
     check_minimality(alg)
-    check_module_minimality(mod)
+    check_minimality(mod)
 
 
 def test_four_variable_transfer():
@@ -96,7 +94,7 @@ def test_four_variable_transfer():
     ctr = minimalize(T.complex)
     assert ctr.small.poincare_coeffs() == [1, 10, 20, 15, 4]
     alg = AInfAlgebra(ctr, T, arity_cap=4, degree_cap=4)
-    stasheff_check_algebra(alg, 3, degree_cap=3)
+    stasheff_check(alg, 3, degree_cap=3)
 
 
 def test_arity_cap_error():
@@ -114,3 +112,33 @@ def test_arity_cap_error():
     with pytest.raises(ArityCapError) as exc:
         alg.op(3, ((1, 0), (1, 1), (1, 2)))
     assert exc.value.needed == 3
+
+
+def plant_negated_value(structure, n, refs):
+    """Replace the cached m_n / mu_n value on the slot tuple refs (the y slot
+    last for a module) by its negative; refs must be a tuple that reaches
+    the cache (no unit input, not zero by degree)."""
+    honest = structure._op(n, refs)
+    assert honest.coords
+    structure._cache[(n, refs)] = -honest
+
+
+def test_planted_wrong_m2_is_caught(m2_ideal):
+    T = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
+    alg = AInfAlgebra(minimalize(T.complex), T, arity_cap=4, degree_cap=8)
+    plant_negated_value(alg, 2, ((1, 0), (1, 1)))
+    with pytest.raises(InternalCheckError, match="Stasheff identity"):
+        for n in range(1, 5):
+            stasheff_check(alg, n)
+
+
+def test_planted_wrong_mu3_is_caught(m23_ideal):
+    # mu_3 of the m23 module is nonzero on three tuples within degree 6
+    R = m23_ideal.ring
+    X, Ymod, _ = taylor_module_fast_path(m23_ideal, [R.var(i) for i in range(3)])
+    alg = AInfAlgebra(minimalize(X.complex), X, degree_cap=6)
+    mod = AInfModule(alg, minimalize(Ymod.complex), Ymod, degree_cap=6)
+    plant_negated_value(mod, 3, ((1, 3), (1, 2), (0, 0)))
+    with pytest.raises(InternalCheckError, match="Stasheff identity"):
+        for n in range(1, 5):
+            stasheff_check(mod, n)

@@ -1,7 +1,7 @@
 import pytest
 
 from burchlab.ainfty import AInfAlgebra, AInfModule
-from burchlab.bar import AInfBarOps, BarComplex, DgBarOps
+from burchlab.bar import BarComplex
 from burchlab.contraction import minimalize
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.groebner import Ideal
@@ -26,7 +26,7 @@ def test_bar_of_ring_over_itself(hyper_ideal):
     X = TaylorComplex(R, [R.parse("x^2")])
     rm = ModulePresentation.cyclic(hyper_ideal, [])
     Y, _psi = build_semifree_resolution(rm, X, up_to=8)
-    B = BarComplex(DgBarOps(X, Y), hyper_ideal, cap=8)
+    B = BarComplex(X, Y, hyper_ideal, cap=8)
     assert B.rank_formula_check() == [1] * 9
     B.exactness_check()
     assert B.h0_dims(2) == [1, 1, 0]  # H_0 = R = k[x]/(x^2)
@@ -37,7 +37,7 @@ def test_ainf_bar_periodicity_matches_resolution_oracle(hyper_ideal, hyper_pair)
     algX = AInfAlgebra(minimalize(X.complex), X, arity_cap=4, degree_cap=10)
     ctrY = minimalize(Y.complex).truncated(8)
     mod = AInfModule(algX, ctrY, Y, arity_cap=4, degree_cap=10)
-    B = BarComplex(AInfBarOps(algX, mod), hyper_ideal, cap=8)
+    B = BarComplex(algX, mod, hyper_ideal, cap=8)
     ranks = B.rank_formula_check()
     # independent oracle: the minimal R-free resolution of k
     k = ModulePresentation.residue_field(hyper_ideal)
@@ -54,11 +54,11 @@ def test_bar_on_sign_sensitive_ring(bione_ideal, regime):
     R = bione_ideal.ring
     X, Ymod, _psi = taylor_module_fast_path(bione_ideal, [R.parse("x^2"), R.parse("y")])
     if regime == "dg":
-        B = BarComplex(DgBarOps(X, Ymod), bione_ideal, cap=6)
+        B = BarComplex(X, Ymod, bione_ideal, cap=6)
     else:
         alg = AInfAlgebra(minimalize(X.complex), X, arity_cap=4, degree_cap=10)
         mod = AInfModule(alg, minimalize(Ymod.complex), Ymod, arity_cap=4, degree_cap=10)
-        B = BarComplex(AInfBarOps(alg, mod), bione_ideal, cap=6)
+        B = BarComplex(alg, mod, bione_ideal, cap=6)
     B.rank_formula_check()
     B.exactness_check(5)
     M = ModulePresentation.cyclic(bione_ideal, [R.parse("x^2"), R.parse("y")])
@@ -70,7 +70,7 @@ def test_dg_bar_rank_formula_mixed_shape(m2_ideal):
     # the generating function expansion exactly
     R = m2_ideal.ring
     X, Ymod, _psi = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
-    B = BarComplex(DgBarOps(X, Ymod), m2_ideal, cap=6)
+    B = BarComplex(X, Ymod, m2_ideal, cap=6)
     ranks = B.rank_formula_check()
     # hand expansion of (1+t)^5 / (1 - t((1+t)^3 - 1)) through degree 4
     assert ranks[:5] == [1, 5, 13, 28, 60]
@@ -81,7 +81,7 @@ def test_ainf_bar_golod_ranks(m2_ideal, m23_ideal):
     X, Ymod, _ = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
-    B = BarComplex(AInfBarOps(alg, mod), m2_ideal, cap=8)
+    B = BarComplex(alg, mod, m2_ideal, cap=8)
     assert B.rank_formula_check() == [2 ** i for i in range(9)]
     assert B.minimality_report() == []
     B.exactness_check(7)
@@ -90,7 +90,23 @@ def test_ainf_bar_golod_ranks(m2_ideal, m23_ideal):
     X3, Y3, _ = taylor_module_fast_path(m23_ideal, [R3.var(i) for i in range(3)])
     alg3 = AInfAlgebra(minimalize(X3.complex), X3)
     mod3 = AInfModule(alg3, minimalize(Y3.complex), Y3)
-    B3 = BarComplex(AInfBarOps(alg3, mod3), m23_ideal, cap=6)
+    B3 = BarComplex(alg3, mod3, m23_ideal, cap=6)
     assert B3.rank_formula_check() == [3 ** i for i in range(7)]
     assert B3.minimality_report() == []
     B3.exactness_check(5)
+
+
+def test_dg_and_ainf_bars_agree_on_identity_contractions():
+    # X = Y = Taylor(x^2, y^2) are minimal, so both contractions are
+    # identities and the transferred pair is the dg pair itself
+    R = PolyRing(P, ("x", "y"))
+    I = Ideal(R, [R.parse("x^2"), R.parse("y^2")])
+    X, Ymod, _psi = taylor_module_fast_path(I, [])
+    Bdg = BarComplex(X, Ymod, I, cap=6)
+    alg = AInfAlgebra(minimalize(X.complex), X)
+    mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
+    Bainf = BarComplex(alg, mod, I, cap=6)
+    assert [Bdg.rank(n) for n in range(7)] == [1, 2, 3, 5, 8, 13, 21]
+    for n in range(7):
+        assert Bdg.complex.basis_degrees(n) == Bainf.complex.basis_degrees(n)
+        assert Bdg.complex.diff(n).columns == Bainf.complex.diff(n).columns

@@ -1,7 +1,7 @@
 import pytest
 
 from burchlab.ainfty import AInfAlgebra, AInfModule
-from burchlab.bar import AInfBarOps, BarComplex, DgBarOps
+from burchlab.bar import BarComplex
 from burchlab.burch import burch_data
 from burchlab.contraction import minimalize
 from burchlab.cycles import (burch_cycles, project_to_minimal, rho_cycles_general,
@@ -94,7 +94,7 @@ def m2_dg_bar(m2_ideal):
     X = TaylorComplex(m2_ideal.ring, bd.gens)
     k = ModulePresentation.residue_field(m2_ideal)
     Y, psi = build_semifree_resolution(k, X, up_to=8)
-    B = BarComplex(DgBarOps(X, Y), m2_ideal, cap=7)
+    B = BarComplex(X, Y, m2_ideal, cap=7)
     bcs = burch_cycles(bd, X.complex)
     return bd, B, psi, bcs
 
@@ -141,7 +141,7 @@ def m2_golod_bar(m2_ideal):
     X, Ymod, _psi = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
-    B = BarComplex(AInfBarOps(alg, mod), m2_ideal, cap=8)
+    B = BarComplex(alg, mod, m2_ideal, cap=8)
     bcs = burch_cycles(bd, alg.complex)
     return bd, B, bcs
 

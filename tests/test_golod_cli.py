@@ -193,6 +193,17 @@ def test_cli_bad_caps_exit_code(tmp_path, capsys, caps):
     assert err.startswith("input error: caps") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["bar", "verify-golod"])
+@pytest.mark.parametrize("cap", ["-3", "0", "13"])
+def test_cli_cap_override_out_of_range_exit_code(capsys, command, cap):
+    # --cap gets the same 2..12 range check as a job's caps.homDegree
+    from burchlab.cli import main
+
+    assert main([command, "--job", str(CORPUS / "ex_m2_2vars.json"), "--cap", cap]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: caps.homDegree") and err.count("\n") == 1
+
+
 def test_cli_non_ascii_digit_exit_code(tmp_path, capsys):
     from burchlab.cli import main
 
@@ -326,6 +337,20 @@ def test_cli_bad_module_exit_code(tmp_path, capsys, module):
     assert main(["resolve", "--job", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["resolve", "verify-general", "verify-golod"])
+def test_cli_non_minimal_presentation_exit_code(tmp_path, capsys, command):
+    # a relation with a unit entry (here M = R, presented on two generators)
+    # is an input error, not a non-minimal resolution (exit 4)
+    from burchlab.cli import main
+
+    module = {"presentation": {"generatorDegrees": [0, 0], "relations": [["1", "0"]]}}
+    path = write_job(tmp_path, m2_job(module=module, caps={"homDegree": 4}))
+    assert main([command, "--job", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: relation") and "minimal" in err
+    assert err.count("\n") == 1
 
 
 def test_each_job_builds_its_context_once(monkeypatch):

@@ -1,4 +1,5 @@
-"""Every definition in the package has a caller or a reader.
+"""Every definition in the package has a caller or a reader, and every
+local a function assigns is read.
 
 Walks src/burchlab with ast and collects each top-level function and class
 and each non-dunder method of a top-level class.  A name counts as used if
@@ -6,6 +7,11 @@ it occurs as a whole word (an identifier token, so docstrings and comments
 count too) anywhere in src/, tests/, scripts/ or perfbench/ outside the
 lines of its own definition.  A re-export in burchlab/__init__.py counts as
 a use.  The scan reads each file once and runs well under a second.
+
+The second check walks every function body: a name it stores (assignment,
+unpacking, loop or with target) must be loaded somewhere in the function
+or in a function nested in it.  Names starting with _ are exempt, so an
+unpacking can discard a value as _.
 """
 
 from __future__ import annotations
@@ -59,3 +65,36 @@ def test_every_definition_is_referenced_outside_itself():
         if not any(p != path or not first <= line <= last for p, line in seen[name]):
             unused.append(f"{path.name}: {qualified}")
     assert not unused, "defined but never referenced:\n" + "\n".join(unused)
+
+
+def _dead_locals(fn) -> list:
+    """Locals of fn, outside nested functions, stored but never read in fn
+    or in a closure of it; names starting with _ are exempt."""
+    stored, loaded = {}, set()
+
+    def visit(node, own):
+        for child in ast.iter_child_nodes(node):
+            nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                        ast.ClassDef))
+            if isinstance(child, (ast.Global, ast.Nonlocal)) and own:
+                loaded.update(child.names)
+            if isinstance(child, ast.Name):
+                if isinstance(child.ctx, ast.Load):
+                    loaded.add(child.id)
+                elif own and not child.id.startswith("_"):
+                    stored.setdefault(child.id, child.lineno)
+            if isinstance(child, ast.AugAssign) and isinstance(child.target, ast.Name):
+                loaded.add(child.target.id)
+            visit(child, own and not nested)
+
+    visit(fn, True)
+    return [name for name in stored if name not in loaded]
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                dead += [f"{path.name}: {node.name}: {name}" for name in _dead_locals(node)]
+    assert not dead, "locals assigned but never read:\n" + "\n".join(dead)

@@ -7,7 +7,7 @@ from burchlab.errors import InternalCheckError
 from burchlab.matrices import FreeModuleElement
 from burchlab.resolve import ModulePresentation
 from burchlab.tate import CycleSpace, acyclic_closure, homology_cycle_generators
-from burchlab.taylor import TaylorComplex
+from burchlab.taylor import TaylorComplex, bilinear
 
 P = 32003
 
@@ -57,8 +57,8 @@ def test_fast_path_module(m2_ideal):
             for ia in range(X.complex.rank(da)):
                 for ib in range(X.complex.rank(db)):
                     left = psi.apply(da + db, X.product_basis(da, ia, db, ib))
-                    right = Y.full.product_elements(
-                        da, psi.apply(da, FreeModuleElement.basis(R, ia)),
+                    right = bilinear(
+                        Y.full.product_basis, da, psi.apply(da, FreeModuleElement.basis(R, ia)),
                         db, psi.apply(db, FreeModuleElement.basis(R, ib)))
                     assert left == right
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import InternalCheckError
 from .groebner import Ideal, SubmoduleBasis, syzygies_of
-from .linalg import kernel_basis, rank_of
+from .linalg import rank_of
 from .matrices import FreeModuleElement, PolyMatrix
 from .ring import PolyRing
 
@@ -85,20 +85,36 @@ class GradedFreeComplex:
             return range(lo, max(degs) + top + 1)
         return None  # unbounded over Q
 
-    def homology_dims(self, n: int) -> dict:
-        """Strand dimensions of H_n, for complexes over an Artinian quotient."""
+    def homology_dims(self, n: int, ranks: dict | None = None) -> dict:
+        """Strand dimensions of H_n, for complexes over an Artinian quotient:
+        dim C_(n,d) - rank d_(n,d) - rank d_(n+1,d) in each internal degree d.
+
+        ranks, when given, holds (dim, rank) per strand (n, d) and is filled
+        as strands are ranked; a caller that walks n upward with one dict
+        ranks each strand once.
+        """
         rng = self.internal_degree_range(n)
         if rng is None:
             raise InternalCheckError("homology_dims is for complexes over Artinian R")
+        if ranks is None:
+            ranks = {}
         out = {}
         for d in rng:
-            _, kern = kernel_basis(self.strand_columns(n, d), self.ring.p)
-            h = len(kern) - rank_of(self.strand_columns(n + 1, d), self.ring.p)
+            dim, rank_n = self._strand_rank(n, d, ranks)
+            h = dim - rank_n - self._strand_rank(n + 1, d, ranks)[1]
             if h < 0:
                 raise InternalCheckError("image larger than kernel; not a complex?")
             if h:
                 out[d] = h
         return out
+
+    def _strand_rank(self, n: int, d: int, ranks: dict):
+        """(dim C_(n,d), rank d_(n,d)), looked up in or added to ranks."""
+        got = ranks.get((n, d))
+        if got is None:
+            cols = self.strand_columns(n, d)
+            got = ranks[n, d] = (len(cols), rank_of(cols, self.ring.p))
+        return got
 
     def homology_is_zero(self, n: int) -> bool:
         """Exactness at position n (1 <= n), valid over Q and over Artinian R."""

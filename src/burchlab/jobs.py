@@ -169,6 +169,9 @@ def _parse_caps(caps_doc) -> Caps:
         general_qs=tuple(qs),
     )
     check_hom_degree(caps.hom_degree)
+    if caps.arity < 2:
+        # the bar differential needs m_2 and mu_2 in every regime
+        raise InputError(f"caps.arity must be at least 2, got {caps.arity}")
     return caps
 
 

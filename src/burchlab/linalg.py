@@ -4,6 +4,16 @@ Vectors are dicts {index: nonzero residue}.  The pivot of a vector is its
 minimal index; pivot vectors are kept monic.  An optional representation
 track records each pivot as a combination of the originally inserted
 vectors, which yields kernels, lifts and membership certificates.
+
+Insertion order.  The rank of a family does not depend on the order its
+vectors go in, but the fill-in does: a long vector inserted early becomes a
+pivot row that every later vector with that leading index must absorb.
+rank_of, the one rank-only entry point, therefore inserts the shortest
+columns first (a stable sort, in the spirit of Markowitz pivot choice).
+Only consumers of a rank or a dimension may reorder.  kernel_basis, span
+selections and every consumer of pivot or kernel vectors insert in index
+order, because their greedy choices of kernel vectors and spanning columns
+reach the reports.
 """
 
 from __future__ import annotations
@@ -122,7 +132,7 @@ def kernel_basis(columns, p: int):
     ech = SparseEchelon(p, track_reps=True)
     kernel = []
     for j, col in enumerate(columns):
-        piv, rrep = ech.insert(dict(col), {j: 1})
+        piv, rrep = ech.insert(col, {j: 1})
         if piv is None:
             # rrep is exactly the dependence: sum(rrep * cols) = 0
             kernel.append(rrep)
@@ -130,7 +140,8 @@ def kernel_basis(columns, p: int):
 
 
 def rank_of(columns, p: int) -> int:
+    """Rank of a family of sparse vectors, shortest inserted first."""
     ech = SparseEchelon(p)
-    for col in columns:
-        ech.insert(dict(col))
+    for col in sorted(columns, key=len):
+        ech.insert(col)
     return ech.rank

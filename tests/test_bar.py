@@ -1,9 +1,13 @@
+from collections import Counter
+
 import pytest
 
 from burchlab.ainfty import AInfAlgebra, AInfModule
 from burchlab.bar import BarComplex
 from burchlab.contraction import minimalize
+from burchlab.complexes import GradedFreeComplex
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
+from burchlab.errors import InternalCheckError
 from burchlab.groebner import Ideal
 from burchlab.resolve import ModulePresentation, resolve_over_R
 from burchlab.ring import PolyRing
@@ -110,3 +114,48 @@ def test_dg_and_ainf_bars_agree_on_identity_contractions():
     for n in range(7):
         assert Bdg.complex.basis_degrees(n) == Bainf.complex.basis_degrees(n)
         assert Bdg.complex.diff(n).columns == Bainf.complex.diff(n).columns
+
+
+def ainf_bar_of_k(m2_ideal, cap):
+    """The minimal A-infinity bar of k over k[x,y]/(x,y)^2; ranks 2^i, exact."""
+    R = m2_ideal.ring
+    X, Ymod, _ = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+    alg = AInfAlgebra(minimalize(X.complex), X)
+    mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
+    return BarComplex(alg, mod, m2_ideal, cap=cap)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exactness_check_catches_a_zeroed_column(m2_ideal, n):
+    # zeroing a column of d_(n+1) keeps d_n o d_(n+1) = 0, but the column is a
+    # minimal generator of the boundaries, so H_n(B) != 0
+    B = ainf_bar_of_k(m2_ideal, cap=5)
+    assert B.exactness_check()
+    del B.complex.diff(n + 1).columns[0]
+    with pytest.raises(InternalCheckError, match=f"bar homology at degree {n}:"):
+        B.exactness_check()
+
+
+def test_exactness_check_ranks_each_strand_once(m2_ideal, monkeypatch):
+    B = ainf_bar_of_k(m2_ideal, cap=5)
+    built = Counter()
+    real = GradedFreeComplex.strand_columns
+
+    def counted(self, n, d):
+        built[n, d] += 1
+        return real(self, n, d)
+
+    monkeypatch.setattr(GradedFreeComplex, "strand_columns", counted)
+    B.exactness_check()
+    assert set(built.values()) == {1}
+    needed = {(m, d) for n in range(1, 5) for d in B.complex.internal_degree_range(n)
+              for m in (n, n + 1)}
+    assert set(built) == needed
+
+
+@pytest.mark.parametrize("through", [5, 6])
+def test_exactness_check_at_or_above_the_cap_is_a_value_error(m2_ideal, through):
+    # B_(cap+1) is not built, so homology at the cap would be an artefact
+    B = ainf_bar_of_k(m2_ideal, cap=5)
+    with pytest.raises(ValueError, match="cap 5"):
+        B.exactness_check(through)

@@ -182,6 +182,7 @@ def m2_job(**overrides):
 @pytest.mark.parametrize("caps", [
     {"homDegree": "abc"}, {"arity": None}, {"generalQs": 5}, {"generalQs": [4, "x"]},
     {"degree": 2.5}, {"bruteForceDim": True}, {"generalQs": []}, {"generalQs": [3]}, 5,
+    {"arity": 1}, {"arity": 0}, {"arity": -3},
 ])
 def test_cli_bad_caps_exit_code(tmp_path, capsys, caps):
     from burchlab.cli import main
@@ -232,6 +233,7 @@ def test_parse_job_caps_fuzz(caps):
     except InputError:
         return
     assert isinstance(spec.caps.hom_degree, int) and 2 <= spec.caps.hom_degree <= 12
+    assert spec.caps.arity >= 2
     assert spec.caps.general_qs and all(q >= 4 for q in spec.caps.general_qs)
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from burchlab.linalg import SparseEchelon, kernel_basis
+from burchlab.linalg import SparseEchelon, kernel_basis, rank_of
 from burchlab.matrices import FreeModuleElement, PolyMatrix
 from burchlab.groebner import (Ideal, SubmoduleBasis, _augment, _term_key, lift_through,
                                maximal_ideal, module_groebner, syzygies_of, syzygy_matrix)
@@ -249,6 +249,20 @@ def test_kernel_basis_annihilates(cols):
             for r, v in cols[j].items():
                 acc[r] = (acc.get(r, 0) + c * v) % P
         assert all(v == 0 for v in acc.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       cols=st.lists(st.dictionaries(st.integers(0, 7), st.integers(1, P - 1), max_size=5),
+                     min_size=1, max_size=8))
+def test_rank_of_is_independent_of_column_order(data, cols):
+    # rank_of inserts shortest first; any order must give the index-order rank
+    perm = data.draw(st.permutations(range(len(cols))))
+    ech = SparseEchelon(P)
+    for col in cols:
+        ech.insert(col)
+    _, kern = kernel_basis(cols, P)
+    assert rank_of([cols[j] for j in perm], P) == ech.rank == len(cols) - len(kern)
 
 
 def test_echelon_solve():

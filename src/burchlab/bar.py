@@ -144,7 +144,7 @@ class BarComplex:
             if not coeff:
                 return
             cur = out.get(word)
-            s = coeff if cur is None else red(cur + coeff)
+            s = coeff if cur is None else cur + coeff   # a sum of normal forms is one
             if s:
                 out[word] = s
             else:

@@ -14,6 +14,7 @@ output deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .complexes import GradedFreeComplex
@@ -64,57 +65,50 @@ class Contraction:
 
     def verify(self, through: int | None = None):
         """Check every contraction identity mechanically."""
-        red = self.big.reduce_poly
+        table = self.big.rtable()
         top = self.big.top() if through is None else through
         ring = self.big.ring
 
-        def is_zero(mat):
-            return mat.map_entries(red).is_zero()
+        def differ(a, b):
+            return not a.add(b.negate()).is_zero()
 
         for n in range(top + 1):
             i_n, p_n, h_n = self.incl_at(n), self.proj_at(n), self.htpy_at(n)
             # p i = id
-            pi = p_n.compose(i_n).map_entries(red)
             ident = PolyMatrix.identity(ring, self.small.basis_degrees(n))
-            if not pi.add(ident.negate()).map_entries(red).is_zero():
+            if differ(p_n.compose(i_n, table), ident):
                 raise InternalCheckError(f"p i != id at degree {n}")
             # id - i p = d h + h d
-            ip = i_n.compose(p_n)
-            dh = self.big.diff(n + 1).compose(h_n)
-            hd = self.htpy_at(n - 1).compose(self.big.diff(n))
+            ip = i_n.compose(p_n, table)
+            dh = self.big.diff(n + 1).compose(h_n, table)
+            hd = self.htpy_at(n - 1).compose(self.big.diff(n), table)
             lhs = PolyMatrix.identity(ring, self.big.basis_degrees(n)).add(ip.negate())
-            rhs = dh.add(hd)
-            if not lhs.add(rhs.negate()).map_entries(red).is_zero():
+            if differ(lhs, dh.add(hd)):
                 raise InternalCheckError(f"id - ip != dh + hd at degree {n}")
             # side conditions
-            if not is_zero(h_n.compose(i_n)):
+            if not h_n.compose(i_n, table).is_zero():
                 raise InternalCheckError(f"h i != 0 at degree {n}")
-            if not is_zero(self.proj_at(n + 1).compose(h_n)):
+            if not self.proj_at(n + 1).compose(h_n, table).is_zero():
                 raise InternalCheckError(f"p h != 0 at degree {n}")
-            if not is_zero(self.htpy_at(n + 1).compose(h_n)):
+            if not self.htpy_at(n + 1).compose(h_n, table).is_zero():
                 raise InternalCheckError(f"h h != 0 at degree {n}")
             # chain maps
             if n >= 1:
-                left = self.big.diff(n).compose(i_n)
-                right = self.incl_at(n - 1).compose(self.small.diff(n))
-                if not left.add(right.negate()).map_entries(red).is_zero():
+                if differ(self.big.diff(n).compose(i_n, table),
+                          self.incl_at(n - 1).compose(self.small.diff(n), table)):
                     raise InternalCheckError(f"i is not a chain map at degree {n}")
-                left = self.small.diff(n).compose(p_n)
-                right = self.proj_at(n - 1).compose(self.big.diff(n))
-                if not left.add(right.negate()).map_entries(red).is_zero():
+                if differ(self.small.diff(n).compose(p_n, table),
+                          self.proj_at(n - 1).compose(self.big.diff(n), table)):
                     raise InternalCheckError(f"p is not a chain map at degree {n}")
         if not self.small.is_minimal(through=top):
             raise InternalCheckError("small complex is not minimal")
         return True
 
 
-def _unit_value(f, reduce):
-    """Nonzero scalar of a degree-zero entry, else None."""
-    g = reduce(f)
-    if not g:
-        return None
-    c = g.constant_coeff()
-    if c and len(g.terms) == 1:
+def _unit_value(f):
+    """Nonzero scalar of a degree-zero entry, else None; f is in normal form."""
+    c = f.constant_coeff()
+    if c and len(f.terms) == 1:
         return c
     return None
 
@@ -122,12 +116,17 @@ def _unit_value(f, reduce):
 def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contraction:
     """Contract a complex onto a minimal one (all differential entries in n).
 
-    Works over Q or over R; over R entries are normal-formed after each
-    update.  Only degrees <= through are processed, which yields contraction
-    data valid in degrees < through even when the complex is a truncation.
+    Works over Q or over R.  Over R the entries are normal-formed once on
+    entry and every update adds a reduced product `RTable.mul`, so they stay
+    in normal form (a sum of normal forms is one) and a unit is read off the
+    stored entry.  Only degrees <= through are processed, which yields
+    contraction data valid in degrees < through even when the complex is a
+    truncation.
     """
     ring = complex_.ring
     red = complex_.reduce_poly
+    table = complex_.rtable()
+    times = operator.mul if table is None else table.mul
     top = complex_.top() if through is None else min(through, complex_.top())
 
     # mutable copies: D[n][col][row], with row index rows_of[n][row] = set of cols
@@ -156,7 +155,7 @@ def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contr
         for j in sorted(D.get(n, {})):
             col = D[n][j]
             for i in sorted(col):
-                u = _unit_value(col[i], red)
+                u = _unit_value(col[i])
                 if u is not None:
                     return j, i, u
         return None
@@ -183,7 +182,7 @@ def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contr
             for v, pv in pr.items():
                 dest = hc.setdefault(v, {})
                 for w, iw in ic.items():
-                    val = red(dest.get(w, ring.zero()) + (pv * iw).scale(inv))
+                    val = dest.get(w, ring.zero()) + times(pv, iw).scale(inv)
                     if val:
                         dest[w] = val
                     else:
@@ -196,7 +195,7 @@ def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contr
             target = i_cols[n][j]
             coeff = dj.scale(inv)
             for w, iw in ic.items():
-                val = red(target.get(w, ring.zero()) - coeff * iw)
+                val = target.get(w, ring.zero()) - times(coeff, iw)
                 if val:
                     target[w] = val
                 else:
@@ -207,7 +206,7 @@ def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contr
             target = p_rows[n - 1][i2]
             coeff = gi.scale(inv)
             for v, pv in pr.items():
-                val = red(target.get(v, ring.zero()) - coeff * pv)
+                val = target.get(v, ring.zero()) - times(coeff, pv)
                 if val:
                     target[v] = val
                 else:
@@ -222,7 +221,7 @@ def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contr
             coeff = dj.scale(inv)
             colj = D[n].setdefault(j, {})
             for i2, gi in gamma.items():
-                val = red(colj.get(i2, ring.zero()) - gi * coeff)
+                val = colj.get(i2, ring.zero()) - times(gi, coeff)
                 if val:
                     colj[i2] = val
                     rows_of[n].setdefault(i2, set()).add(j)
@@ -290,8 +289,7 @@ def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contr
     for n in range(top + 1, complex_.top() + 1):
         if n not in alive_sorted or (n - 1) not in alive_sorted:
             continue
-        m = proj[n - 1].compose(complex_.diff(n)).compose(incl[n]).map_entries(red)
-        small_diffs[n] = m
+        small_diffs[n] = proj[n - 1].compose(complex_.diff(n), table).compose(incl[n], table)
     small = GradedFreeComplex(ring, small_degrees, small_diffs, quotient=complex_.quotient)
     for n, hc in h_cols.items():
         if not hc:

@@ -17,6 +17,7 @@ R-module is a Strand over that table.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from math import inf
 
 from .errors import InternalCheckError
 from .linalg import SparseEchelon
@@ -455,9 +456,19 @@ class RTable:
     basis is monomial and otherwise costs one reduction against it.  Normal
     forms against a Groebner basis are linear, so the normal form of a
     polynomial is the combination of the forms of its monomials.
+
+    Products over R skip what is 0 by degree.  When the Groebner basis is
+    homogeneous (as it is for every homogeneous I), reduction keeps degrees,
+    so the normal form of a monomial of degree e lies in R_e; when R is
+    Artinian, R_e = 0 for e > top.  A monomial of degree above top therefore
+    has normal form 0, and dropping it from a sum changes no normal form,
+    whether or not the factors are homogeneous.  `cap` is top in exactly that
+    case and None otherwise (an inhomogeneous basis can reduce a high-degree
+    monomial to a nonzero one of low degree), and `mul` and `Strand.vector`
+    skip a monomial pair only when its degree sum exceeds cap.
     """
 
-    __slots__ = ("ring", "leads", "forms", "top", "_monomial_gb", "_reducers",
+    __slots__ = ("ring", "leads", "forms", "top", "cap", "_monomial_gb", "_reducers",
                  "_bases", "_indexes")
 
     def __init__(self, ideal: Ideal):
@@ -471,6 +482,8 @@ class RTable:
         self._indexes = {}  # degree -> {standard monomial: position}
         self.top = None     # basis() cuts off above top, once it is known
         self.top = self._top_degree()
+        homogeneous = all(g.is_homogeneous() for g in gb)
+        self.cap = self.top if homogeneous else None
 
     def _top_degree(self):
         """Largest d with R_d != 0, or None if R is not Artinian within degree 200."""
@@ -480,11 +493,11 @@ class RTable:
             if not any(all(e == 0 for t, e in enumerate(lm) if t != i) and lm[i] > 0 for lm in leads):
                 return None
         top = -1
-        d = 0
-        while d <= 200 and self.basis(d):
+        for d in range(201):
+            if not self.basis(d):
+                return top
             top = d
-            d += 1
-        return top
+        return None
 
     def basis(self, d: int) -> list:
         """Standard monomials of degree d, ascending grevlex; shared, do not mutate."""
@@ -519,6 +532,37 @@ class RTable:
                 form = tuple(_unwrap(r).terms.items())
             self.forms[m] = form
         return form
+
+    def mul(self, f: Polynomial, g: Polynomial) -> Polynomial:
+        """Normal form of f * g, never forming a monomial of degree above cap."""
+        cap = self.cap
+        if cap is None:
+            if not self.leads:
+                return f * g
+            cap = inf
+        forms = self.forms
+        p = self.ring.p
+        gterms = g.terms.items()
+        res = {}
+        for m1, c1 in f.terms.items():
+            room = cap - sum(m1)
+            if room < 0:
+                continue
+            for m2, c2 in gterms:
+                if sum(m2) > room:
+                    continue
+                m = mono_mul(m1, m2)
+                form = forms.get(m)
+                if form is None:
+                    form = self.form(m)
+                c = c1 * c2
+                for mm, cc in form:
+                    v = (res.get(mm, 0) + c * cc) % p
+                    if v:
+                        res[mm] = v
+                    else:
+                        res.pop(mm, None)
+        return Polynomial(self.ring, res)
 
     def matrix_strand(self, matrix: PolyMatrix, d: int):
         """(source strand, columns) of a homogeneous matrix at internal degree d.
@@ -567,12 +611,17 @@ class Strand:
         table = self.table
         forms = table.forms
         p = table.ring.p
+        room = None
+        if mono is not None and table.cap is not None:
+            room = table.cap - sum(mono)  # a term of higher degree has form 0
         vec = {}
         for i, f in coords.items():
             off = self._offsets[i]
             index = self._indexes[i]
             for m, c in f.terms.items():
                 if mono is not None:
+                    if room is not None and sum(m) > room:
+                        continue
                     m = mono_mul(m, mono)
                 form = forms.get(m)
                 if form is None:

@@ -55,6 +55,8 @@ class JobSpec:
             },
             "regime": self.regime,
         }
+        if self.caps.rank_guard != Caps.rank_guard:
+            out["caps"]["rankGuard"] = self.caps.rank_guard
         if self.command:
             out["command"] = self.command
         if self.name:
@@ -153,10 +155,17 @@ def check_hom_degree(n: int) -> int:
     return n
 
 
+CAPS_KEYS = ("homDegree", "arity", "degree", "bruteForceDim", "generalQs", "rankGuard")
+
+
 def _parse_caps(caps_doc) -> Caps:
     """Validate the optional caps object of a job; defaults as in Caps."""
     if not isinstance(caps_doc, dict):
         raise InputError("caps must be a JSON object")
+    for key in caps_doc:
+        if key not in CAPS_KEYS:
+            raise InputError(f"caps has an unknown key {key!r}; "
+                             f"the keys are {', '.join(CAPS_KEYS)}")
     qs = caps_doc.get("generalQs", [4, 5])
     if (not isinstance(qs, list) or not qs
             or not all(isinstance(q, int) and not isinstance(q, bool) and q >= 4 for q in qs)):
@@ -166,9 +175,12 @@ def _parse_caps(caps_doc) -> Caps:
         arity=_int_field(caps_doc, "arity", 4),
         degree=_int_field(caps_doc, "degree", 10),
         brute_force_dim=_int_field(caps_doc, "bruteForceDim", 400),
+        rank_guard=_int_field(caps_doc, "rankGuard", Caps.rank_guard),
         general_qs=tuple(qs),
     )
     check_hom_degree(caps.hom_degree)
+    if caps.rank_guard < 1:
+        raise InputError(f"caps.rankGuard must be at least 1, got {caps.rank_guard}")
     if caps.arity < 2:
         # the bar differential needs m_2 and mu_2 in every regime
         raise InputError(f"caps.arity must be at least 2, got {caps.arity}")

@@ -8,7 +8,13 @@ deg(entry[i][j]) = col_degrees[j] - row_degrees[i] on nonzero entries.
 
 from __future__ import annotations
 
+from math import inf
+
 from .ring import Polynomial, PolyRing, mono_deg
+
+
+def _lowest_degree(f: Polynomial) -> int:
+    return min(map(sum, f.terms), default=0)
 
 
 class FreeModuleElement:
@@ -193,20 +199,34 @@ class PolyMatrix:
                     res.pop(i, None)
         return FreeModuleElement(self.ring, res)
 
-    def compose(self, other: "PolyMatrix") -> "PolyMatrix":
-        """self o other (self applied after other)."""
+    def compose(self, other: "PolyMatrix", table=None) -> "PolyMatrix":
+        """self o other (self applied after other).
+
+        With table (the RTable of R = Q/I) the entries are multiplied in R:
+        table.mul(g, f) replaces g * f, so the result is already in normal
+        form (a sum of normal forms is one).  When table.cap is set, every
+        monomial of degree above it is 0 in R, and an entry pair whose
+        lowest degrees sum above cap is skipped unmultiplied.
+        """
         if self.cols != other.rows:
             raise ValueError(f"rank mismatch: {self.cols} vs {other.rows}")
+        mul = None if table is None else table.mul
+        cap = inf if table is None or table.cap is None else table.cap
+        mine = {}   # k -> [(i, entry, lowest degree)] of column k of self
         out = PolyMatrix(self.ring, self.row_degrees, other.col_degrees)
         for j, col in other.columns.items():
             acc = {}
             for k, f in col.items():
-                mycol = self.columns.get(k)
+                mycol = mine.get(k)
                 if mycol is None:
-                    continue
-                for i, g in mycol.items():
-                    prod = g * f
-                    if not prod:
+                    mycol = mine[k] = [(i, g, _lowest_degree(g))
+                                       for i, g in self.columns.get(k, {}).items()]
+                room = cap - _lowest_degree(f)
+                for i, g, low in mycol:
+                    if low > room:
+                        continue
+                    prod = g * f if mul is None else mul(g, f)
+                    if not prod.terms:
                         continue
                     cur = acc.get(i)
                     s = prod if cur is None else cur + prod
@@ -239,18 +259,6 @@ class PolyMatrix:
         out = PolyMatrix(self.ring, self.row_degrees, self.col_degrees)
         for j, col in self.columns.items():
             out.columns[j] = {i: -f for i, f in col.items()}
-        return out
-
-    def map_entries(self, fn) -> "PolyMatrix":
-        out = PolyMatrix(self.ring, self.row_degrees, self.col_degrees)
-        for j, col in self.columns.items():
-            newcol = {}
-            for i, f in col.items():
-                g = fn(f)
-                if g:
-                    newcol[i] = g
-            if newcol:
-                out.columns[j] = newcol
         return out
 
     def check_homogeneous(self):

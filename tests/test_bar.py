@@ -159,3 +159,39 @@ def test_exactness_check_at_or_above_the_cap_is_a_value_error(m2_ideal, through)
     B = ainf_bar_of_k(m2_ideal, cap=5)
     with pytest.raises(ValueError, match="cap 5"):
         B.exactness_check(through)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dd_zero_catches_a_planted_unit_at_the_top_degree(m2_ideal, n):
+    # adding 1 to entry (i, 0) of d_n adds column i of d_(n-1), whose entries
+    # are linear, to column 0 of d_(n-1) o d_n: a nonzero product in degree
+    # 0 + 1 = top, the highest degree the reduced product must still form
+    B = ainf_bar_of_k(m2_ideal, cap=5)
+    B.complex.check_dd_zero()
+    R = m2_ideal.ring
+    dn = B.complex.diff(n)
+    i = next(iter(dn.columns[0]))
+    assert B.complex.diff(n - 1).columns.get(i)
+    dn.set_entry(i, 0, dn.entry(i, 0) + R.one())
+    with pytest.raises(InternalCheckError, match=f"d_{n-1} o d_{n} != 0"):
+        B.complex.check_dd_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dd_zero_passes_a_planted_change_whose_products_lie_above_top(m2_ideal, n):
+    # adding x to every entry of column 0 of d_n changes d_(n-1) o d_n and
+    # d_n o d_(n+1) over Q only by products of two linear forms, all in I
+    B = ainf_bar_of_k(m2_ideal, cap=5)
+    R = m2_ideal.ring
+    x = R.parse("x")
+    dn = B.complex.diff(n)
+    before = dn.copy()
+    for i in list(dn.columns[0]):
+        dn.set_entry(i, 0, dn.entry(i, 0) + x)
+    delta = dn.add(before.negate())
+    assert not B.complex.diff(n - 1).compose(delta).is_zero()   # nonzero over Q
+    for m in (n, n + 1):
+        full = B.complex.diff(m - 1).compose(B.complex.diff(m))   # products over Q
+        assert not any(m2_ideal.normal_form(f) for col in full.columns.values()
+                       for f in col.values())
+    B.complex.check_dd_zero()

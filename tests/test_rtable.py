@@ -123,3 +123,79 @@ def test_tables_of_dropped_ideals_never_leak_into_new_ones():
         assert J.quotient_top_degree() == top
         assert J.normal_form(ring.monomial((top - 1, 0))) == ring.monomial((top - 1, 0))
         del I, J
+
+
+# -- the reduced product -------------------------------------------------------
+
+
+def polynomials(ring, max_degree=4, max_terms=5):
+    """Random polynomials, homogeneous or not."""
+    monos = [m for d in range(max_degree + 1) for m in monomials_of_degree(ring.nvars, d)]
+    return st.lists(st.tuples(st.sampled_from(monos), coeffs), max_size=max_terms).map(
+        lambda terms: Polynomial(ring, dict(terms)))
+
+
+@st.composite
+def homogeneous_artinian_ideals(draw):
+    """Pure powers plus random forms or monomials: monomial and non-monomial bases."""
+    ring = RINGS[draw(st.sampled_from((2, 3)))]
+    gens = [ring.monomial(tuple(draw(st.integers(2, 4)) if t == i else 0
+                                for t in range(ring.nvars)))
+            for i in range(ring.nvars)]
+    for _ in range(draw(st.integers(0, 3))):
+        gens.append(draw(homogeneous(ring, draw(st.integers(2, 3)), max_terms=3)))
+    return Ideal(ring, gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), I=homogeneous_artinian_ideals())
+def test_reduced_product_is_the_normal_form_of_the_product(data, I):
+    table = I.table()
+    assert table.cap == table.top == I.quotient_top_degree()
+    for _ in range(4):
+        f = data.draw(polynomials(I.ring, max_degree=table.top + 1))
+        g = data.draw(polynomials(I.ring, max_degree=table.top + 1))
+        assert table.mul(f, g) == I.normal_form(f * g) == gb_normal_form(I, f * g)
+
+
+def test_reduced_product_over_an_inhomogeneous_ideal_skips_nothing():
+    # x^2 = y and y^2 = 0: R has basis 1, x, y, xy (top 2), yet the degree-3
+    # monomial x^3 = x*y is not 0, so no product may be skipped by degree
+    ring = RINGS[2]
+    I = Ideal(ring, [ring.parse("x^2 - y"), ring.parse("y^2")])
+    table = I.table()
+    assert table.top == 2 and table.cap is None
+    x, x2 = ring.parse("x"), ring.parse("x^2")
+    assert table.mul(x, x2) == ring.parse("x*y") == gb_normal_form(I, x * x2)
+    f, g = ring.parse("x^2 + 3*x*y + y"), ring.parse("x + 2*x^3 + 1")
+    assert table.mul(f, g) == I.normal_form(f * g) == gb_normal_form(I, f * g)
+
+
+def unskipped_vector(strand, coords, mono):
+    """Strand coordinates of mono * v with every product formed."""
+    index = {pair: t for t, pair in enumerate(strand.pairs)}
+    vec = {}
+    for i, f in coords.items():
+        for m, c in f.terms.items():
+            for mm, cc in strand.table.form(tuple(a + b for a, b in zip(m, mono))):
+                t = index[i, mm]
+                vec[t] = (vec.get(t, 0) + c * cc) % P
+    return {t: c for t, c in vec.items() if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), I=homogeneous_artinian_ideals())
+def test_strand_vector_equals_the_unskipped_computation(data, I):
+    ring = I.ring
+    top = I.quotient_top_degree()
+    degrees = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    d = data.draw(st.integers(0, top + 3))
+    mono = data.draw(st.sampled_from(monomials_of_degree(ring.nvars, data.draw(st.integers(0, 2)))))
+    coords = {}
+    for i, b in enumerate(degrees):
+        if d - b - sum(mono) >= 0 and data.draw(st.booleans()):
+            f = data.draw(homogeneous(ring, d - b - sum(mono), max_terms=5))
+            if f:
+                coords[i] = f
+    strand = Strand(I.table(), degrees, d)
+    assert strand.vector(coords, mono) == unskipped_vector(strand, coords, mono)

@@ -343,20 +343,7 @@ class Ideal:
         table = self._table or self.table()
         if not table.leads:
             return f
-        forms = table.forms
-        p = self.ring.p
-        res = {}
-        for m, c in f.terms.items():
-            form = forms.get(m)
-            if form is None:
-                form = table.form(m)
-            for mm, cc in form:
-                v = (res.get(mm, 0) + c * cc) % p
-                if v:
-                    res[mm] = v
-                else:
-                    res.pop(mm, None)
-        return Polynomial(self.ring, res)
+        return Polynomial(self.ring, table._combine(f.terms.items()))
 
     def contains(self, f: Polynomial) -> bool:
         return not self.normal_form(f)
@@ -464,8 +451,8 @@ class RTable:
     has normal form 0, and dropping it from a sum changes no normal form,
     whether or not the factors are homogeneous.  `cap` is top in exactly that
     case and None otherwise (an inhomogeneous basis can reduce a high-degree
-    monomial to a nonzero one of low degree), and `mul` and `Strand.vector`
-    skip a monomial pair only when its degree sum exceeds cap.
+    monomial to a nonzero one of low degree), and `mul` skips a monomial
+    pair only when its degree sum exceeds cap.
     """
 
     __slots__ = ("ring", "leads", "forms", "top", "cap", "_monomial_gb", "_reducers",
@@ -535,34 +522,38 @@ class RTable:
 
     def mul(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """Normal form of f * g, never forming a monomial of degree above cap."""
-        cap = self.cap
-        if cap is None:
-            if not self.leads:
-                return f * g
-            cap = inf
-        forms = self.forms
-        p = self.ring.p
-        gterms = g.terms.items()
-        res = {}
-        for m1, c1 in f.terms.items():
+        if not self.leads:
+            return f * g
+        products = self._products(f.terms.items(), g.terms.items())
+        return Polynomial(self.ring, self._combine(products))
+
+    def _products(self, fterms, gterms):
+        """(m1 * m2, c1 * c2) over the term pairs whose degree sum is at most cap."""
+        cap = inf if self.cap is None else self.cap
+        for m1, c1 in fterms:
             room = cap - sum(m1)
             if room < 0:
                 continue
             for m2, c2 in gterms:
-                if sum(m2) > room:
-                    continue
-                m = mono_mul(m1, m2)
-                form = forms.get(m)
-                if form is None:
-                    form = self.form(m)
-                c = c1 * c2
-                for mm, cc in form:
-                    v = (res.get(mm, 0) + c * cc) % p
-                    if v:
-                        res[mm] = v
-                    else:
-                        res.pop(mm, None)
-        return Polynomial(self.ring, res)
+                if sum(m2) <= room:
+                    yield mono_mul(m1, m2), c1 * c2
+
+    def _combine(self, terms) -> dict:
+        """{standard monomial: coefficient} of the sum of c * NF(m) over (m, c) in terms."""
+        forms = self.forms
+        p = self.ring.p
+        res = {}
+        for m, c in terms:
+            form = forms.get(m)
+            if form is None:
+                form = self.form(m)
+            for mm, cc in form:
+                v = (res.get(mm, 0) + c * cc) % p
+                if v:
+                    res[mm] = v
+                else:
+                    res.pop(mm, None)
+        return res
 
     def matrix_strand(self, matrix: PolyMatrix, d: int):
         """(source strand, columns) of a homogeneous matrix at internal degree d.
@@ -611,17 +602,12 @@ class Strand:
         table = self.table
         forms = table.forms
         p = table.ring.p
-        room = None
-        if mono is not None and table.cap is not None:
-            room = table.cap - sum(mono)  # a term of higher degree has form 0
         vec = {}
         for i, f in coords.items():
             off = self._offsets[i]
             index = self._indexes[i]
             for m, c in f.terms.items():
                 if mono is not None:
-                    if room is not None and sum(m) > room:
-                        continue
                     m = mono_mul(m, mono)
                 form = forms.get(m)
                 if form is None:

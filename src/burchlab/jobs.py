@@ -55,8 +55,6 @@ class JobSpec:
             },
             "regime": self.regime,
         }
-        if self.caps.rank_guard != Caps.rank_guard:
-            out["caps"]["rankGuard"] = self.caps.rank_guard
         if self.command:
             out["command"] = self.command
         if self.name:
@@ -155,7 +153,7 @@ def check_hom_degree(n: int) -> int:
     return n
 
 
-CAPS_KEYS = ("homDegree", "arity", "degree", "bruteForceDim", "generalQs", "rankGuard")
+CAPS_KEYS = ("homDegree", "arity", "degree", "bruteForceDim", "generalQs")
 
 
 def _parse_caps(caps_doc) -> Caps:
@@ -175,12 +173,9 @@ def _parse_caps(caps_doc) -> Caps:
         arity=_int_field(caps_doc, "arity", 4),
         degree=_int_field(caps_doc, "degree", 10),
         brute_force_dim=_int_field(caps_doc, "bruteForceDim", 400),
-        rank_guard=_int_field(caps_doc, "rankGuard", Caps.rank_guard),
         general_qs=tuple(qs),
     )
     check_hom_degree(caps.hom_degree)
-    if caps.rank_guard < 1:
-        raise InputError(f"caps.rankGuard must be at least 1, got {caps.rank_guard}")
     if caps.arity < 2:
         # the bar differential needs m_2 and mu_2 in every regime
         raise InputError(f"caps.arity must be at least 2, got {caps.arity}")

@@ -8,7 +8,7 @@ deg(entry[i][j]) = col_degrees[j] - row_degrees[i] on nonzero entries.
 
 from __future__ import annotations
 
-from math import inf
+import operator
 
 from .ring import Polynomial, PolyRing, mono_deg
 
@@ -210,23 +210,26 @@ class PolyMatrix:
         """
         if self.cols != other.rows:
             raise ValueError(f"rank mismatch: {self.cols} vs {other.rows}")
-        mul = None if table is None else table.mul
-        cap = inf if table is None or table.cap is None else table.cap
-        mine = {}   # k -> [(i, entry, lowest degree)] of column k of self
+        mul = operator.mul if table is None else table.mul
+        cap = None if table is None else table.cap
+        lows = {}   # k -> {i: lowest degree of entry (i, k) of self}, used with a cap
         out = PolyMatrix(self.ring, self.row_degrees, other.col_degrees)
         for j, col in other.columns.items():
             acc = {}
             for k, f in col.items():
-                mycol = mine.get(k)
+                mycol = self.columns.get(k)
                 if mycol is None:
-                    mycol = mine[k] = [(i, g, _lowest_degree(g))
-                                       for i, g in self.columns.get(k, {}).items()]
-                room = cap - _lowest_degree(f)
-                for i, g, low in mycol:
-                    if low > room:
+                    continue
+                if cap is not None:
+                    room = cap - _lowest_degree(f)
+                    low = lows.get(k)
+                    if low is None:
+                        low = lows[k] = {i: _lowest_degree(g) for i, g in mycol.items()}
+                for i, g in mycol.items():
+                    if cap is not None and low[i] > room:
                         continue
-                    prod = g * f if mul is None else mul(g, f)
-                    if not prod.terms:
+                    prod = mul(g, f)
+                    if not prod:
                         continue
                     cur = acc.get(i)
                     s = prod if cur is None else cur + prod

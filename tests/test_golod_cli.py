@@ -183,7 +183,7 @@ def m2_job(**overrides):
     {"homDegree": "abc"}, {"arity": None}, {"generalQs": 5}, {"generalQs": [4, "x"]},
     {"degree": 2.5}, {"bruteForceDim": True}, {"generalQs": []}, {"generalQs": [3]}, 5,
     {"arity": 1}, {"arity": 0}, {"arity": -3},
-    {"rankGuard": 0}, {"rankGuard": True}, {"homdegree": 3},
+    {"homdegree": 3},
 ])
 def test_cli_bad_caps_exit_code(tmp_path, capsys, caps):
     from burchlab.cli import main
@@ -204,25 +204,6 @@ def test_cli_unknown_caps_key_names_the_key(tmp_path, capsys):
     assert main(["burch", "--job", str(path)]) == 2
     err = capsys.readouterr().err
     assert "'homdegree'" in err and err.count("\n") == 1
-
-
-def test_rank_guard_is_echoed_only_when_set():
-    # the goldens predate rankGuard, so a job that leaves it out echoes none
-    assert "rankGuard" not in parse_job(m2_job()).to_dict()["caps"]
-    spec = parse_job(m2_job(caps={"homDegree": 4, "rankGuard": 50}))
-    assert spec.caps.rank_guard == 50 and spec.to_dict()["caps"]["rankGuard"] == 50
-    assert parse_job(spec.to_dict()).caps == spec.caps
-
-
-def test_cli_bar_tiny_rank_guard_exit_code(tmp_path, capsys):
-    # the dg bar builds a semifree resolution, which the guard bounds
-    from burchlab.cli import main
-
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps(m2_job(caps={"homDegree": 4, "rankGuard": 3}, regime="dg")))
-    assert main(["bar", "--job", str(path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("resource cap") and "rank guard 3" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["bar", "verify-golod"])
@@ -254,8 +235,7 @@ json_values = st.recursive(
 
 @settings(max_examples=60, deadline=None)
 @given(caps=st.dictionaries(
-    st.sampled_from(["homDegree", "arity", "degree", "bruteForceDim", "generalQs", "rankGuard"]),
-    json_values)
+    st.sampled_from(["homDegree", "arity", "degree", "bruteForceDim", "generalQs"]), json_values)
     | json_values)
 def test_parse_job_caps_fuzz(caps):
     # any JSON value for caps (or for one of its fields) parses or is an InputError
@@ -267,7 +247,6 @@ def test_parse_job_caps_fuzz(caps):
     assert isinstance(spec.caps.hom_degree, int) and 2 <= spec.caps.hom_degree <= 12
     assert spec.caps.arity >= 2
     assert spec.caps.general_qs and all(q >= 4 for q in spec.caps.general_qs)
-    assert isinstance(spec.caps.rank_guard, int) and spec.caps.rank_guard >= 1
 
 
 def test_cli_internal_error_exit_code(monkeypatch, capsys):

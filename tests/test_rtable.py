@@ -169,33 +169,3 @@ def test_reduced_product_over_an_inhomogeneous_ideal_skips_nothing():
     assert table.mul(x, x2) == ring.parse("x*y") == gb_normal_form(I, x * x2)
     f, g = ring.parse("x^2 + 3*x*y + y"), ring.parse("x + 2*x^3 + 1")
     assert table.mul(f, g) == I.normal_form(f * g) == gb_normal_form(I, f * g)
-
-
-def unskipped_vector(strand, coords, mono):
-    """Strand coordinates of mono * v with every product formed."""
-    index = {pair: t for t, pair in enumerate(strand.pairs)}
-    vec = {}
-    for i, f in coords.items():
-        for m, c in f.terms.items():
-            for mm, cc in strand.table.form(tuple(a + b for a, b in zip(m, mono))):
-                t = index[i, mm]
-                vec[t] = (vec.get(t, 0) + c * cc) % P
-    return {t: c for t, c in vec.items() if c}
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), I=homogeneous_artinian_ideals())
-def test_strand_vector_equals_the_unskipped_computation(data, I):
-    ring = I.ring
-    top = I.quotient_top_degree()
-    degrees = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
-    d = data.draw(st.integers(0, top + 3))
-    mono = data.draw(st.sampled_from(monomials_of_degree(ring.nvars, data.draw(st.integers(0, 2)))))
-    coords = {}
-    for i, b in enumerate(degrees):
-        if d - b - sum(mono) >= 0 and data.draw(st.booleans()):
-            f = data.draw(homogeneous(ring, d - b - sum(mono), max_terms=5))
-            if f:
-                coords[i] = f
-    strand = Strand(I.table(), degrees, d)
-    assert strand.vector(coords, mono) == unskipped_vector(strand, coords, mono)

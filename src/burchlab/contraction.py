@@ -9,11 +9,13 @@ h i = 0, p h = 0, h h = 0 hold on the nose.
 
 Eliminations run lowest homological degree first; inside a degree the
 first unit in column-major (column, then row) order wins, which makes the
-output deterministic.
+output deterministic.  A heap of the unit entries per degree finds that
+unit without rescanning the matrix after each elimination (_UnitQueue).
 """
 
 from __future__ import annotations
 
+import heapq
 import operator
 from dataclasses import dataclass
 
@@ -113,6 +115,41 @@ def _unit_value(f):
     return None
 
 
+class _UnitQueue:
+    """The unit entries of one differential D = {column: {row: entry}},
+    least (column, row) first.
+
+    Every entry that is a unit when the queue is built, or becomes one in
+    an update (push), is in the heap; an entry that has changed or gone
+    since is dropped when it comes to the top, because pop reads it again
+    from D.  So pop returns the least (column, row) among the current
+    units: the pair that a scan of the sorted columns and their sorted rows
+    would find first.
+    """
+
+    __slots__ = ("D", "heap")
+
+    def __init__(self, D: dict):
+        self.D = D
+        self.heap = [(j, i) for j, col in D.items() for i, f in col.items()
+                     if _unit_value(f) is not None]
+        heapq.heapify(self.heap)
+
+    def push(self, j, i):
+        heapq.heappush(self.heap, (j, i))
+
+    def pop(self):
+        """(column, row, unit) of the least current unit entry, or None."""
+        heap, D = self.heap, self.D
+        while heap:
+            j, i = heapq.heappop(heap)
+            f = D.get(j, {}).get(i)
+            u = None if f is None else _unit_value(f)
+            if u is not None:
+                return j, i, u
+        return None
+
+
 def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contraction:
     """Contract a complex onto a minimal one (all differential entries in n).
 
@@ -151,16 +188,7 @@ def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contr
     p_rows = {n: {i: {i: ring.one()} for i in alive[n]} for n in alive}
     h_cols = {n: {} for n in alive}  # degree n -> {col (deg n): {row (deg n+1): poly}}
 
-    def find_unit(n):
-        for j in sorted(D.get(n, {})):
-            col = D[n][j]
-            for i in sorted(col):
-                u = _unit_value(col[i])
-                if u is not None:
-                    return j, i, u
-        return None
-
-    def eliminate(n, c, r, u):
+    def eliminate(n, c, r, u, units):
         inv = ring.inv(u)
         col_c = D[n].pop(c)
         col_c.pop(r)
@@ -225,6 +253,8 @@ def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contr
                 if val:
                     colj[i2] = val
                     rows_of[n].setdefault(i2, set()).add(j)
+                    if _unit_value(val) is not None:
+                        units.push(j, i2)
                 else:
                     if i2 in colj:
                         del colj[i2]
@@ -249,12 +279,9 @@ def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contr
         alive[n - 1].discard(r)
 
     for n in range(1, top + 1):
-        while True:
-            hit = find_unit(n)
-            if hit is None:
-                break
-            c, r, u = hit
-            eliminate(n, c, r, u)
+        units = _UnitQueue(D[n])
+        while (hit := units.pop()) is not None:
+            eliminate(n, *hit, units)
 
     # assemble the small complex and the contraction matrices
     alive_sorted = {n: sorted(alive.get(n, ())) for n in complex_.degrees if alive.get(n)}

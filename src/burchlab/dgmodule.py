@@ -201,7 +201,7 @@ class SemifreeDgModule(DgModule):
 
 
 def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra,
-                              up_to: int, rank_guard: int = 6000):
+                              up_to: int, *, rank_guard: int):
     """Semifree dg X-module resolution of M to homological degree up_to,
     with the split dg-module map psi: X -> first-coordinate component.
 
@@ -211,9 +211,12 @@ def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra,
     boundaries are the deterministic minimal homology generators.  The
     basis is only enumerated through degree up_to + 1.
 
-    After each round the check that H_n is now 0 reuses Z_n: generators of
-    degree n+1 only add pairs of degree >= n+1, so Y_n, Y_(n-1) and d_n are
-    the same before and after (compared exactly before the reuse).
+    After each round the check that H_n is now 0
+    (CycleSpace.check_adjunction) reuses Z_n and the echelons of the picks:
+    generators of degree n+1 only add pairs of degree >= n+1, so Y_n,
+    Y_(n-1) and d_n are the same before and after, and d_(n+1) only gains
+    columns at the end (both compared exactly).  rank_guard bounds the
+    total rank of Y before each round.
     """
     Y = SemifreeDgModule(algebra, degree_cap=up_to + 1)
     for r, gdeg in enumerate(pres.gen_degrees):
@@ -232,8 +235,8 @@ def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra,
         gens = homology_cycle_generators(cx, n, cycles)
         for g in gens:
             Y.add_generator(n + 1, g.degree(cx.basis_degrees(n)), g)
-        if gens and homology_cycle_generators(Y.complex, n, cycles):
-            raise InternalCheckError(f"module homology at degree {n} survived adjunction")
+        if gens:
+            cycles.check_adjunction(Y.complex, "module homology")
     Y._refresh()
     psi = psi_inclusion(Y)
     return Y, psi

@@ -105,6 +105,16 @@ class SparseEchelon:
             self.reps[m] = rrep
         return m, rrep
 
+    def copy(self) -> "SparseEchelon":
+        """An echelon with the same pivots; inserting into either leaves the
+        other as it is.  Pivot vectors are never changed in place, so the
+        copy shares them."""
+        out = SparseEchelon(self.p, self.track)
+        out.pivots = dict(self.pivots)
+        if self.track:
+            out.reps = dict(self.reps)
+        return out
+
     def contains(self, vec: dict) -> bool:
         res, _ = self.reduce(vec)
         return not res

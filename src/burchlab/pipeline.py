@@ -97,7 +97,7 @@ def taylor_algebra(ctx: RingContext) -> TaylorComplex:
 
 
 def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str = "taylor",
-            rank_guard: int = 20000):
+            *, rank_guard: int):
     """Dg algebra resolution X of R and semifree dg X-module Y of M with psi.
 
     algebra = "taylor" uses the Taylor complex (monomial ideals; products of
@@ -124,12 +124,15 @@ def ainf_pair(ctx: RingContext, pres: ModulePresentation, caps: Caps):
                 for v in pres.relations)
     )
     if cyclic_monomial:
+        # no rank guard: the Taylor complex of s generators has 2^s basis
+        # elements, and TaylorComplex refuses s > TAYLOR_GENERATOR_CAP
         X, big_module, _psi = taylor_module_fast_path(
             ctx.ideal, [v.coords[0] for v in pres.relations])
         ctr_y = minimalize(big_module.complex)
     else:
         X = TaylorComplex(ctx.ring, gens, verify=False)
-        Y, _psi = build_semifree_resolution(pres, X, up_to=caps.hom_degree + 2)
+        Y, _psi = build_semifree_resolution(pres, X, up_to=caps.hom_degree + 2,
+                                            rank_guard=caps.rank_guard)
         big_module = Y
         ctr_y = minimalize(Y.complex).truncated(caps.hom_degree + 1)
     ctr_x = minimalize(X.complex)

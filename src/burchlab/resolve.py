@@ -88,13 +88,20 @@ class ModulePresentation:
 # ---------------------------------------------------------------------------
 
 
-def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span=None):
+def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span=None,
+                              spans: dict | None = None):
     """Greedy minimal generating subset over R, degree by degree.
 
     Elements must be homogeneous columns in R^ambient (normal form).  The
     selection order is (degree, insertion order), so results are stable.
     extra_span elements are quotiented out in every degree (all multiples),
     so with extra_span = boundaries this picks homology generators.
+
+    spans, when given, receives for each degree d of an element the triple
+    (strand, echelon, vectors): the strand of degree d, the echelon of
+    m * elements + extra_span in it as it stood before the greedy picks, and
+    the strand vectors of the elements of degree d.  The picks go into a
+    copy, so no chosen element is in the kept echelon.
     """
     table = quotient.table()
 
@@ -114,8 +121,12 @@ def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span
     for d in sorted({dg for _, dg in elems}):
         strand = Strand(table, gen_degrees, d)
         ech = strand.span(extra, 0, strand.span(elems, 1))
-        for w, dg in elems:
-            if dg == d and ech.insert(strand.vector(w.coords))[0] is not None:
+        here = [(w, strand.vector(w.coords)) for w, dg in elems if dg == d]
+        if spans is not None:
+            spans[d] = (strand, ech, [vec for _, vec in here])
+            ech = ech.copy()
+        for w, vec in here:
+            if ech.insert(vec)[0] is not None:
                 chosen.append(w)
     return chosen
 

@@ -249,30 +249,78 @@ class TateAlgebra(DgAlgebra):
 
 class CycleSpace:
     """Generators of Z_d = ker(d_d) of a complex over Q, with a copy of the
-    d_d they were computed from, so that a later complex with the same d_d
-    can reuse them (see homology_cycle_generators)."""
+    d_d and of the grading of C_d and C_(d-1) they were computed from, so
+    that a later complex with the same d_d can reuse them (see
+    homology_cycle_generators).
 
-    __slots__ = ("d", "shape", "columns", "gens")
+    homology_cycle_generators also keeps here a copy of the d_(d+1) it read
+    and, per degree of a cycle generator, the echelon of m * Z_d + B_d
+    before its picks; check_adjunction extends those with the boundaries
+    adjoined since, instead of building them again.
+    """
+
+    __slots__ = ("d", "shape", "columns", "grading", "gens", "boundaries", "spans")
 
     def __init__(self, cx: GradedFreeComplex, d: int):
         diff = cx.diff(d)
         self.d = d
         self.shape = (diff.rows, diff.cols)
         self.columns = {j: dict(col) for j, col in diff.columns.items()}
+        self.grading = _grading(cx, d)
         self.gens = syzygies_of([diff.column(j) for j in range(diff.cols)], diff.rows, cx.ring)
+        self.boundaries = None   # (shape, columns) of d_(d+1) at the generator picks
+        self.spans = None        # degree -> (strand, echelon, cycle vectors)
 
     def check_same_differential(self, cx: GradedFreeComplex, d: int):
-        """Raise InternalCheckError unless d_d of cx equals the stored one exactly."""
+        """Raise InternalCheckError unless d_d of cx and the grading of its
+        source and target equal the stored ones exactly."""
         diff = cx.diff(d)
-        if d != self.d or (diff.rows, diff.cols) != self.shape or diff.columns != self.columns:
+        if (d != self.d or (diff.rows, diff.cols) != self.shape or diff.columns != self.columns
+                or _grading(cx, d) != self.grading):
             raise InternalCheckError(f"d_{d} changed since its cycles were computed")
+
+    def check_adjunction(self, cx: GradedFreeComplex, what: str = "homology"):
+        """Raise InternalCheckError unless H_d(cx) = 0, where cx is the complex
+        of the last homology_cycle_generators call on this space with new
+        columns appended to d_(d+1).
+
+        d_d and its grading are compared exactly (so Z_d is unchanged), and so
+        are the first old-width columns of d_(d+1) (so B_d is contained in
+        the new boundaries).  The new columns are read from cx and all their
+        multiples go into each kept echelon, which then spans m * Z_d + B'_d
+        in its degree, B'_d the boundaries of cx: the span the first call
+        would build from scratch for cx.  Every cycle generator must reduce
+        to 0 in it.  The kept echelons are dropped once the check passes.
+        """
+        d = self.d
+        self.check_same_differential(cx, d)
+        (rows, cols), old = self.boundaries
+        diff = cx.diff(d + 1)
+        if (diff.rows != rows or diff.cols < cols
+                or {j: col for j, col in diff.columns.items() if j < cols} != old):
+            raise InternalCheckError(f"d_{d + 1} changed in its first {cols} columns "
+                                     "since its cycles were computed")
+        degrees = cx.basis_degrees(d)
+        new = [(v, v.degree(degrees)) for v in map(diff.column, range(cols, diff.cols))
+               if v.coords]
+        for strand, ech, vectors in self.spans.values():
+            strand.span(new, 0, ech)
+            if any(ech.reduce(vec)[0] for vec in vectors):
+                raise InternalCheckError(f"{what} at degree {d} survived adjunction")
+        self.boundaries = self.spans = None
+
+
+def _grading(cx: GradedFreeComplex, d: int):
+    return list(cx.basis_degrees(d)), list(cx.basis_degrees(d - 1))
 
 
 def homology_cycle_generators(cx: GradedFreeComplex, d: int, cycles: CycleSpace | None = None):
     """Minimal Q-module generators of H_d(cx), as cycle elements of C_d.
 
     cycles, when given, must have been computed from a d_d equal to that of
-    cx, which is checked exactly; otherwise Z_d is computed here.
+    cx, which is checked exactly; otherwise Z_d is computed here.  The
+    boundaries and echelons of the picks are kept in cycles for
+    CycleSpace.check_adjunction.
     """
     ring = cx.ring
     if cycles is None:
@@ -281,10 +329,14 @@ def homology_cycle_generators(cx: GradedFreeComplex, d: int, cycles: CycleSpace 
         cycles.check_same_differential(cx, d)
     if not cycles.gens:
         return []
-    boundaries = [cx.diff(d + 1).column(j) for j in range(cx.rank(d + 1))]
+    diff = cx.diff(d + 1)
+    cycles.boundaries = ((diff.rows, diff.cols),
+                         {j: dict(col) for j, col in diff.columns.items()})
+    cycles.spans = {}
     zero_ideal = Ideal(ring, [])
     return minimal_module_generators(
-        cycles.gens, cx.basis_degrees(d), zero_ideal, extra_span=boundaries
+        cycles.gens, cx.basis_degrees(d), zero_ideal,
+        extra_span=[diff.column(j) for j in range(diff.cols)], spans=cycles.spans,
     )
 
 
@@ -293,11 +345,13 @@ def acyclic_closure(I: Ideal, through: int, basis_guard: int = 4000) -> TateAlge
 
     Degree-1 exterior variables kill the minimal generators of I; each
     round then adjoins degree-(d+1) variables killing minimal generators
-    of H_d, and checks that H_d is now 0.  The check reuses Z_d: a variable
-    of degree d+1 occurs in no basis monomial of degree <= d, so X_d,
-    X_(d-1) and d_d are the same before and after the round (compared
-    exactly before the reuse).  All choices are the deterministic
-    minimal-generator picks.
+    of H_d, and checks that H_d is now 0 (CycleSpace.check_adjunction).  The
+    check reuses Z_d and the echelons of the picks: a variable of degree d+1
+    occurs in no basis monomial of degree <= d, so X_d, X_(d-1) and d_d are
+    the same before and after the round, and its one new basis monomial of
+    degree d+1 sorts after the old ones, so d_(d+1) only gains columns (both
+    compared exactly).  All choices are the deterministic minimal-generator
+    picks.
     """
     from .burch import minimal_generators
 
@@ -313,7 +367,6 @@ def acyclic_closure(I: Ideal, through: int, basis_guard: int = 4000) -> TateAlge
         keys = alg.basis_keys(d)
         for g in gens:
             alg.adjoin(d + 1, {keys[i]: f for i, f in g.coords.items()})
-        if homology_cycle_generators(alg.complex, d, cycles):
-            raise InternalCheckError(f"homology at degree {d} survived adjunction")
+        cycles.check_adjunction(alg.complex)
     alg.complex.check_dd_zero()
     return alg

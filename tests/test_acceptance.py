@@ -177,7 +177,7 @@ def test_criterion_3_projection_survival(m2_ideal):
     bd = burch_data(m2_ideal)
     X = TaylorComplex(m2_ideal.ring, bd.gens)
     k = ModulePresentation.residue_field(m2_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=6)
+    Y, psi = build_semifree_resolution(k, X, up_to=6, rank_guard=Caps.rank_guard)
     bar = BarComplex(X, Y, m2_ideal, cap=5)
     bcs = burch_cycles(bd, X.complex)
     recs = rho_cycles_general(bcs, bar, psi, 4)
@@ -280,7 +280,7 @@ def test_criterion_6_transfer_correctness(hyper_ideal, m2_ideal, m23_ideal,
     R1 = hyper_ideal.ring
     X1 = TaylorComplex(R1, [R1.parse("x^2")])
     k1 = ModulePresentation.residue_field(hyper_ideal)
-    Y1, _ = build_semifree_resolution(k1, X1, up_to=9)
+    Y1, _ = build_semifree_resolution(k1, X1, up_to=9, rank_guard=Caps.rank_guard)
     alg1 = AInfAlgebra(minimalize(X1.complex), X1, arity_cap=5)
     mod1 = AInfModule(alg1, minimalize(Y1.complex).truncated(7), Y1, arity_cap=5)
     for n in range(1, 5):

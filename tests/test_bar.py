@@ -9,6 +9,7 @@ from burchlab.complexes import GradedFreeComplex
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.errors import InternalCheckError
 from burchlab.groebner import Ideal
+from burchlab.pipeline import Caps
 from burchlab.resolve import ModulePresentation, resolve_over_R
 from burchlab.ring import PolyRing
 from burchlab.taylor import TaylorComplex
@@ -21,7 +22,7 @@ def hyper_pair(hyper_ideal):
     R = hyper_ideal.ring
     X = TaylorComplex(R, [R.parse("x^2")])
     k = ModulePresentation.residue_field(hyper_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=10)
+    Y, psi = build_semifree_resolution(k, X, up_to=10, rank_guard=Caps.rank_guard)
     return X, Y, psi
 
 
@@ -29,7 +30,7 @@ def test_bar_of_ring_over_itself(hyper_ideal):
     R = hyper_ideal.ring
     X = TaylorComplex(R, [R.parse("x^2")])
     rm = ModulePresentation.cyclic(hyper_ideal, [])
-    Y, _psi = build_semifree_resolution(rm, X, up_to=8)
+    Y, _psi = build_semifree_resolution(rm, X, up_to=8, rank_guard=Caps.rank_guard)
     B = BarComplex(X, Y, hyper_ideal, cap=8)
     assert B.rank_formula_check() == [1] * 9
     B.exactness_check()

@@ -1,7 +1,14 @@
 import pytest
 
+from burchlab import contraction
+from burchlab.bar import BarComplex
+from burchlab.complexes import GradedFreeComplex
 from burchlab.contraction import minimalize
+from burchlab.dgmodule import build_semifree_resolution
 from burchlab.errors import ResourceCapError
+from burchlab.matrices import PolyMatrix
+from burchlab.pipeline import Caps
+from burchlab.resolve import ModulePresentation
 from burchlab.ring import PolyRing
 from burchlab.taylor import TaylorComplex
 
@@ -99,3 +106,86 @@ def test_minimalize_three_vars():
     ctr = minimalize(T.complex)
     assert ctr.small.poincare_coeffs() == [1, 6, 8, 3]
     ctr.verify()
+
+
+# -- the unit queue of minimalize keeps the elimination order ---------------
+
+
+class ScanUnits:
+    """The unit search minimalize made before its unit queue: after every
+    elimination, scan the sorted columns of D and their sorted rows."""
+
+    def __init__(self, D):
+        self.D = D
+
+    def push(self, j, i):
+        pass
+
+    def pop(self):
+        for j in sorted(self.D):
+            col = self.D[j]
+            for i in sorted(col):
+                u = contraction._unit_value(col[i])
+                if u is not None:
+                    return j, i, u
+        return None
+
+
+def eliminations(monkeypatch, search, cx, through=None):
+    """minimalize(cx, through) with the unit search `search`: the contraction
+    and the eliminated (n, column, row) in order."""
+    per_degree = []
+
+    class Recording(search):
+        def __init__(self, D):
+            super().__init__(D)
+            per_degree.append([])
+
+        def pop(self):
+            hit = super().pop()
+            if hit is not None:
+                per_degree[-1].append(hit[:2])
+            return hit
+
+    with monkeypatch.context() as m:
+        m.setattr(contraction, "_UnitQueue", Recording)
+        ctr = minimalize(cx, through=through)
+    return ctr, [(n, j, i) for n, pops in enumerate(per_degree, 1) for j, i in pops]
+
+
+def matrices(ctr):
+    return [{n: (m.row_degrees, m.col_degrees, m.columns) for n, m in maps.items()}
+            for maps in (ctr.incl, ctr.proj, ctr.htpy, ctr.small.diffs)]
+
+
+@pytest.mark.parametrize("case", ["Y of k", "Y of R/(x)", "dg bar of k"])
+def test_unit_queue_eliminates_in_the_scan_order(monkeypatch, m2_ideal, case):
+    X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
+    R = m2_ideal.ring
+    if case == "Y of R/(x)":
+        pres = ModulePresentation.cyclic(m2_ideal, [R.parse("x")])
+    else:
+        pres = ModulePresentation.residue_field(m2_ideal)
+    Y, _ = build_semifree_resolution(pres, X, up_to=6, rank_guard=Caps.rank_guard)
+    cx, through = Y.complex, None
+    if case == "dg bar of k":
+        cx, through = BarComplex(X, Y, m2_ideal, cap=5).complex, 5
+    queued, order = eliminations(monkeypatch, contraction._UnitQueue, cx, through)
+    scanned, scan_order = eliminations(monkeypatch, ScanUnits, cx, through)
+    assert order == scan_order and len(order) > 50
+    assert matrices(queued) == matrices(scanned) and queued.alive == scanned.alive
+
+
+def test_unit_queue_finds_a_unit_made_by_an_update(monkeypatch, R):
+    # d_1 = [[1, 1, 0], [1, 0, 1]]: eliminating (0, 0) turns the empty entry
+    # (1, 1) into -1, which comes before the unit (2, 1) that was there
+    one = R.one()
+    d1 = PolyMatrix(R, [0, 0], [0, 0, 0])
+    for j, i in [(0, 0), (0, 1), (1, 0), (2, 1)]:
+        d1.set_entry(i, j, one)
+    cx = GradedFreeComplex(R, {0: [0, 0], 1: [0, 0, 0]}, {1: d1})
+    queued, order = eliminations(monkeypatch, contraction._UnitQueue, cx)
+    scanned, scan_order = eliminations(monkeypatch, ScanUnits, cx)
+    assert order == scan_order == [(1, 0, 0), (1, 1, 1)]
+    assert matrices(queued) == matrices(scanned)
+    queued.verify()

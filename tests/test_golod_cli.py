@@ -40,10 +40,12 @@ def test_golod_check_free_module_is_not_golod(m2_ideal):
     # the bar resolution cannot be minimal and the verdict is negative
     from burchlab.resolve import ModulePresentation
     from burchlab.dgmodule import build_semifree_resolution
+    from burchlab.pipeline import Caps
     from burchlab.taylor import TaylorComplex
 
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
-    Y, _ = build_semifree_resolution(ModulePresentation.cyclic(m2_ideal, []), X, up_to=6)
+    Y, _ = build_semifree_resolution(ModulePresentation.cyclic(m2_ideal, []), X, up_to=6,
+                                     rank_guard=Caps.rank_guard)
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Y.complex).truncated(5), Y)
     rep, bar = golod_check(alg, mod, m2_ideal, 5)
@@ -315,6 +317,34 @@ def test_resolve_job_resolves_once(monkeypatch):
     body, code = run_command("resolve", spec)
     assert code == 0 and body["betti"] == [3 ** n for n in range(7)]
     assert guards == [spec.caps.rank_guard]
+
+
+def test_ainf_bar_hands_the_rank_guard_to_the_semifree_resolution(monkeypatch):
+    # ex_m2_2vars's module k is cyclic monomial and takes the Taylor fast
+    # path; R/(x+y) over the same ring is resolved semifree
+    from burchlab import dgmodule
+    from burchlab.cli import run_command
+    from burchlab.errors import ResourceCapError
+
+    real = dgmodule.build_semifree_resolution
+    guards = []
+
+    def counting(*args, **kwargs):
+        guards.append(kwargs.get("rank_guard"))
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("burchlab") and getattr(mod, "build_semifree_resolution", None) is real:
+            monkeypatch.setattr(mod, "build_semifree_resolution", counting)
+    spec = parse_job({"p": 32003, "vars": ["x", "y"], "ideal": ["x^2", "x*y", "y^2"],
+                      "module": {"cyclic": ["x+y"]}, "caps": {"homDegree": 4},
+                      "regime": "ainf", "command": "bar"})
+    body, code = run_command("bar", spec)
+    assert code == 0 and guards == [spec.caps.rank_guard]
+    spec.caps.rank_guard = 3
+    with pytest.raises(ResourceCapError, match="rank guard 3"):
+        run_command("bar", spec)
+    assert guards[1:] == [3]
 
 
 # -- one RingContext per job, input errors in the module and the ideal --------

@@ -4,12 +4,20 @@ from burchlab import dgmodule, tate
 from burchlab.complexes import GradedFreeComplex
 from burchlab.dgmodule import SemifreeDgModule, build_semifree_resolution, taylor_module_fast_path
 from burchlab.errors import InternalCheckError
-from burchlab.matrices import FreeModuleElement
+from burchlab.matrices import FreeModuleElement, PolyMatrix
+from burchlab.pipeline import Caps
 from burchlab.resolve import ModulePresentation
 from burchlab.tate import CycleSpace, acyclic_closure, homology_cycle_generators
 from burchlab.taylor import TaylorComplex, bilinear
 
 P = 32003
+GUARD = Caps.rank_guard
+
+
+def resolve_k(ideal, X, up_to):
+    """The semifree resolution of the residue field over X."""
+    return build_semifree_resolution(ModulePresentation.residue_field(ideal), X, up_to=up_to,
+                                     rank_guard=GUARD)[0]
 
 
 def test_hypersurface_closure_is_koszul(hyper_ideal):
@@ -66,7 +74,7 @@ def test_fast_path_module(m2_ideal):
 def test_semifree_resolution_over_koszul(hyper_ideal):
     X = TaylorComplex(hyper_ideal.ring, [hyper_ideal.ring.parse("x^2")])
     k = ModulePresentation.residue_field(hyper_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=7)
+    Y, psi = build_semifree_resolution(k, X, up_to=7, rank_guard=GUARD)
     assert Y.complex.poincare_coeffs()[:7] == [1, 2, 2, 2, 2, 2, 2]
     Y.check_unit()
     Y.check_leibniz()
@@ -79,7 +87,7 @@ def test_semifree_resolution_over_koszul(hyper_ideal):
 def test_semifree_trivial_module_is_the_algebra(m2_ideal):
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     rm = ModulePresentation.cyclic(m2_ideal, [])
-    Y, psi = build_semifree_resolution(rm, X, up_to=4)
+    Y, psi = build_semifree_resolution(rm, X, up_to=4, rank_guard=GUARD)
     assert Y.complex.poincare_coeffs() == X.complex.poincare_coeffs()
 
 
@@ -87,7 +95,7 @@ def test_semifree_generators_count_betti(m2_ideal):
     # generators adjoined in degree n match beta_n^R(k) = 2^n
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     k = ModulePresentation.residue_field(m2_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=6)
+    Y, psi = build_semifree_resolution(k, X, up_to=6, rank_guard=GUARD)
     from collections import Counter
     counts = Counter(Y.gen_hom_degrees)
     assert [counts[n] for n in range(5)] == [1, 2, 4, 8, 16]
@@ -112,7 +120,7 @@ def test_append_only_columns_match_a_fresh_build(case, m2_ideal, hyper_ideal):
         X = acyclic_closure(ideal, through=4, basis_guard=100000)
     else:
         X = TaylorComplex(ideal.ring, ideal.gens)
-    Y, _ = build_semifree_resolution(ModulePresentation.residue_field(ideal), X, up_to=5)
+    Y = resolve_k(ideal, X, up_to=5)
     built, fresh = Y.complex, rebuilt_in_one_refresh(Y).complex
     assert built.degrees == fresh.degrees
     for n in range(1, built.top() + 1):
@@ -140,7 +148,7 @@ def test_semifree_check_catches_a_missing_generator(monkeypatch, m2_ideal):
     dropped = drop_last_generator_once(monkeypatch, dgmodule)
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     with pytest.raises(InternalCheckError, match="survived adjunction"):
-        build_semifree_resolution(ModulePresentation.residue_field(m2_ideal), X, up_to=4)
+        resolve_k(m2_ideal, X, up_to=4)
     assert dropped == [1]
 
 
@@ -152,32 +160,111 @@ def test_tate_check_catches_a_missing_variable(monkeypatch, m2_ideal):
 
 
 def test_cycles_are_not_reused_for_a_changed_differential(monkeypatch, m2_ideal):
-    real = dgmodule.homology_cycle_generators
+    real = CycleSpace.check_adjunction
     calls = []
 
-    def patched(cx, d, cycles=None):
-        calls.append(d)
-        if len(calls) == 2:
-            # the check after the first adjunction: plant a change of d_1
-            col = next(iter(cx.diff(d).columns.values()))
-            i = next(iter(col))
-            col[i] = col[i].scale(2)
-        return real(cx, d, cycles)
+    def patched(self, cx, what="homology"):
+        calls.append(self.d)
+        # the check after the first adjunction: plant a change of d_1
+        col = next(iter(cx.diff(self.d).columns.values()))
+        i = next(iter(col))
+        col[i] = col[i].scale(2)
+        return real(self, cx, what)
 
-    monkeypatch.setattr(dgmodule, "homology_cycle_generators", patched)
+    monkeypatch.setattr(CycleSpace, "check_adjunction", patched)
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     with pytest.raises(InternalCheckError, match="changed since its cycles were computed"):
-        build_semifree_resolution(ModulePresentation.residue_field(m2_ideal), X, up_to=3)
-    assert calls == [1, 1]
+        resolve_k(m2_ideal, X, up_to=3)
+    assert calls == [1]
+
+
+def test_each_round_picks_once_and_checks_once(monkeypatch, m2_ideal):
+    picks, checks = [], []
+    real_pick, real_check = tate.minimal_module_generators, CycleSpace.check_adjunction
+
+    def pick(*args, **kwargs):
+        picks.append(1)
+        return real_pick(*args, **kwargs)
+
+    def check(self, cx, what="homology"):
+        checks.append(self.d)
+        return real_check(self, cx, what)
+
+    monkeypatch.setattr(tate, "minimal_module_generators", pick)
+    monkeypatch.setattr(CycleSpace, "check_adjunction", check)
+    resolve_k(m2_ideal, TaylorComplex(m2_ideal.ring, m2_ideal.gens), up_to=4)
+    assert len(picks) == 3 and checks == [1, 2, 3]
+    picks.clear()
+    checks.clear()
+    acyclic_closure(m2_ideal, through=4, basis_guard=100000)
+    assert len(picks) == 3 and checks == [1, 2, 3]
+
+
+# -- the adjunction check, on one round of k over k[x,y]/(x,y)^2 at n = 3 ----
+
+
+def round_at_3(m2_ideal):
+    """Y with H_3 not yet killed, its cycle space at 3 after the generator
+    picks, the picked generators and their degrees."""
+    X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
+    cx = resolve_k(m2_ideal, X, up_to=3).complex
+    cycles = CycleSpace(cx, 3)
+    gens = homology_cycle_generators(cx, 3, cycles)
+    assert len(gens) == 16   # beta_4 of k over R, see test_semifree_generators_count_betti
+    return cx, cycles, gens, [g.degree(cx.basis_degrees(3)) for g in gens]
+
+
+def adjoined(cx, n, columns, col_degrees):
+    """A copy of cx with the columns appended to d_(n+1), as one round of
+    adjunction appends its generators."""
+    old = cx.diff(n + 1)
+    diffs = {t: m.copy() for t, m in cx.diffs.items()}
+    diffs[n + 1] = PolyMatrix.from_columns(
+        cx.ring, old.row_degrees, [old.column(j) for j in range(old.cols)] + columns,
+        old.col_degrees + col_degrees)
+    degrees = dict(cx.degrees)
+    degrees[n + 1] = cx.basis_degrees(n + 1) + col_degrees
+    return GradedFreeComplex(cx.ring, degrees, diffs)
+
+
+def test_adjunction_check_passes_on_the_true_round(m2_ideal):
+    cx, cycles, gens, degs = round_at_3(m2_ideal)
+    new = adjoined(cx, 3, gens, degs)
+    cycles.check_adjunction(new)
+    assert cycles.spans is None and cycles.boundaries is None
+    assert homology_cycle_generators(new, 3) == []   # the full recomputation agrees
+
+
+def test_adjunction_check_refuses_a_changed_old_boundary(m2_ideal):
+    cx, cycles, gens, degs = round_at_3(m2_ideal)
+    new = adjoined(cx, 3, gens, degs)
+    col = next(iter(new.diff(4).columns.values()))
+    i = next(iter(col))
+    col[i] = col[i].scale(2)   # same span, so only the exact comparison sees it
+    with pytest.raises(InternalCheckError, match="d_4 changed in its first"):
+        cycles.check_adjunction(new)
+
+
+@pytest.mark.parametrize("plant", ["zero", "old boundary"])
+def test_adjunction_check_reads_the_new_columns_from_the_complex(m2_ideal, plant):
+    cx, cycles, gens, degs = round_at_3(m2_ideal)
+    old = cx.diff(4)
+    columns, degs = list(gens), list(degs)
+    if plant == "zero":
+        columns[-1] = FreeModuleElement(cx.ring, {})
+    else:
+        j = min(old.columns)
+        columns[-1], degs[-1] = old.column(j), old.col_degrees[j]
+    with pytest.raises(InternalCheckError, match="survived adjunction"):
+        cycles.check_adjunction(adjoined(cx, 3, columns, degs))
 
 
 def test_cycle_space_reuse_checks_d_n_exactly(m2_ideal):
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
-    Y, _ = build_semifree_resolution(ModulePresentation.residue_field(m2_ideal), X, up_to=3)
-    cx = Y.complex          # H_3 is not killed yet
+    cx = resolve_k(m2_ideal, X, up_to=3).complex   # H_3 is not killed yet
     cycles = CycleSpace(cx, 3)
     gens = homology_cycle_generators(cx, 3)
-    assert len(gens) == 16   # beta_4 of k over R, see test_semifree_generators_count_betti
+    assert len(gens) == 16
     other = GradedFreeComplex(cx.ring, cx.degrees, {n: m.copy() for n, m in cx.diffs.items()})
     assert homology_cycle_generators(other, 3, cycles) == gens
     col = next(iter(other.diff(3).columns.values()))
@@ -187,3 +274,15 @@ def test_cycle_space_reuse_checks_d_n_exactly(m2_ideal):
         homology_cycle_generators(other, 3, cycles)
     with pytest.raises(InternalCheckError, match="changed since"):
         homology_cycle_generators(cx, 2, cycles)
+
+
+@pytest.mark.parametrize("n", [3, 2])
+def test_cycle_space_reuse_checks_the_grading(m2_ideal, n):
+    X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
+    cx = resolve_k(m2_ideal, X, up_to=3).complex
+    cycles = CycleSpace(cx, 3)
+    degrees = dict(cx.degrees)
+    degrees[n] = [degrees[n][0] + 1] + degrees[n][1:]   # same d_3, one element regraded
+    regraded = GradedFreeComplex(cx.ring, degrees, cx.diffs)
+    with pytest.raises(InternalCheckError, match="changed since"):
+        homology_cycle_generators(regraded, 3, cycles)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from .contraction import Contraction
 from .errors import ArityCapError, InternalCheckError
-from .matrices import FreeModuleElement
+from .matrices import FreeModuleElement, add_into
 from .ring import PolyRing
 from .taylor import bilinear
 
@@ -113,7 +113,7 @@ class _Transferred:
                 return memo[key]
             k = hi - lo
             times = owner(hi)._times
-            total = FreeModuleElement(self.ring, {})
+            total = {}
             for s in range(1, k):
                 left, dl = H(lo, lo + s)
                 right, dr = H(lo + s, hi)
@@ -123,10 +123,9 @@ class _Transferred:
                 # Koszul: right branch operator degree is (k - s) - 1
                 if ((k - s - 1) * sum(degs[lo:lo + s])) % 2:
                     sign = -sign
-                term = bilinear(times, dl, left, dr, right)
-                if term.coords:
-                    total = total + (term if sign > 0 else -term)
-            memo[key] = (total, sum(degs[lo:hi]) + k - 2)
+                for i, f in bilinear(times, dl, left, dr, right).coords.items():
+                    add_into(total, i, f if sign > 0 else -f)
+            memo[key] = (FreeModuleElement(self.ring, total), sum(degs[lo:hi]) + k - 2)
             return memo[key]
 
         return lam(0, n)
@@ -136,14 +135,16 @@ class _Transferred:
 
         The last slot's coefficient is multiplied in only where the
         operation is nonzero."""
-        out = FreeModuleElement(self.ring, {})
+        out = {}
         *head, (d, v) = slots
         for refs, coeff in _expand(head, self.ring):
             for i, f in v.coords.items():
-                val = self._op(n, refs + ((d, i),))
-                if val.coords:
-                    out = out + val.mul_poly(coeff * f)
-        return out
+                val = self._op(n, refs + ((d, i),)).coords
+                if val:
+                    c = coeff * f
+                    for k, g in val.items():
+                        add_into(out, k, g * c)
+        return FreeModuleElement(self.ring, out)
 
 
 class AInfAlgebra(_Transferred):
@@ -235,7 +236,7 @@ def _stasheff_identity(structure, n: int, refs) -> FreeModuleElement:
     holds the y slot (t = 0) and the algebra's m otherwise.
     """
     ring = structure.ring
-    total = FreeModuleElement(ring, {})
+    total = {}
     for s in range(1, n + 1):
         for r in range(0, n - s + 1):
             t = n - s - r
@@ -250,10 +251,9 @@ def _stasheff_identity(structure, n: int, refs) -> FreeModuleElement:
             slots = ([(d, FreeModuleElement.basis(ring, i)) for d, i in refs[:r]]
                      + [(inner_deg, inner)]
                      + [(d, FreeModuleElement.basis(ring, i)) for d, i in refs[r + s:]])
-            term = structure.op_on_elements(r + 1 + t, slots)
-            if term.coords:
-                total = total + (term if sign > 0 else -term)
-    return total
+            for i, f in structure.op_on_elements(r + 1 + t, slots).coords.items():
+                add_into(total, i, f if sign > 0 else -f)
+    return FreeModuleElement(ring, total)
 
 
 def stasheff_check(structure, n: int, degree_cap: int | None = None):

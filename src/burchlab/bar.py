@@ -29,8 +29,7 @@ from __future__ import annotations
 from .complexes import GradedFreeComplex
 from .errors import InternalCheckError
 from .groebner import Ideal
-from .matrices import FreeModuleElement, PolyMatrix
-from .ring import Polynomial
+from .matrices import PolyMatrix, add_into
 
 
 def poincare_bound_series(px, py, cap):
@@ -100,19 +99,22 @@ class BarComplex:
 
     def _enumerate(self):
         X, Y = self.alg.complex, self.mod.complex
+        # both in ascending degree, so each loop stops at the first overflow;
+        # the words are sorted by BarWord.sort_key afterwards
         xrefs_by_deg = {d: [(d, i) for i in range(X.rank(d))]
                         for d in range(1, X.top() + 1)}
-        yrefs = [(d, i) for d in range(Y.top() + 1) for i in range(Y.rank(d))]
+        yranks = [(d, Y.rank(d)) for d in range(Y.top() + 1)]
         words_by_degree = {n: [] for n in range(self.cap + 1)}
 
         def extend(xs, used):
-            for (yd, yi) in yrefs:
+            for yd, rank in yranks:
                 n = used + yd
-                if n <= self.cap:
-                    words_by_degree[n].append(BarWord(xs, (yd, yi)))
+                if n > self.cap:
+                    break
+                words_by_degree[n].extend(BarWord(xs, (yd, yi)) for yi in range(rank))
             for d, refs in xrefs_by_deg.items():
                 if used + d + 1 > self.cap:
-                    continue
+                    break
                 for ref in refs:
                     extend(xs + [ref], used + d + 1)
 
@@ -137,18 +139,7 @@ class BarComplex:
     def differential_of_word(self, w: BarWord) -> dict:
         """Boundary of a word: dict BarWord -> Polynomial (reduced mod I)."""
         red = self.quotient.normal_form
-        out = {}
-
-        def add(word, coeff: Polynomial):
-            coeff = red(coeff)
-            if not coeff:
-                return
-            cur = out.get(word)
-            s = coeff if cur is None else cur + coeff   # a sum of normal forms is one
-            if s:
-                out[word] = s
-            else:
-                out.pop(word, None)
+        out = {}   # a sum of normal forms is one
 
         xs = w.xs
         p = len(xs)
@@ -174,7 +165,7 @@ class BarComplex:
                     continue
                 for idx, f in val.coords.items():
                     new_xs = xs[:j] + ((out_deg, idx),) + xs[j + i:]
-                    add(BarWord(new_xs, w.y), f if sign > 0 else -f)
+                    add_into(out, BarWord(new_xs, w.y), red(f if sign > 0 else -f))
 
         # tail operations mu_i on (xs[p-i+1:], y)
         for i in range(1, p + 2):
@@ -193,7 +184,7 @@ class BarComplex:
                 sign = -sign
             out_deg = sum(d for d, _ in xblock) + w.y[0] + i - 2
             for idx, f in val.coords.items():
-                add(BarWord(xs[:p - take], (out_deg, idx)), f if sign > 0 else -f)
+                add_into(out, BarWord(xs[:p - take], (out_deg, idx)), red(f if sign > 0 else -f))
 
         return out
 
@@ -259,12 +250,3 @@ class BarComplex:
                         bad.append((n, i, j))
         return bad
 
-    def element_from_words(self, n: int, combo: dict) -> FreeModuleElement:
-        """Element of B_n from a {BarWord: Polynomial} combination."""
-        coords = {}
-        red = self.quotient.normal_form
-        for w, c in combo.items():
-            c = red(c)
-            if c:
-                coords[self.pos[n][w]] = c
-        return FreeModuleElement(self.ring, coords)

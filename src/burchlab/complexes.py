@@ -178,5 +178,5 @@ class ChainMap:
         for n in range(1, top + 1):
             left = self.target.diff(n).compose(self.component(n), table)
             right = self.component(n - 1).compose(self.source.diff(n), table)
-            if not left.add(right.negate()).is_zero():
+            if left != right:
                 raise InternalCheckError(f"chain map fails to commute at degree {n}")

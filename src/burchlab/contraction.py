@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .complexes import GradedFreeComplex
 from .errors import InternalCheckError
-from .matrices import PolyMatrix
+from .matrices import PolyMatrix, add_into
 
 
 @dataclass
@@ -70,22 +70,18 @@ class Contraction:
         table = self.big.rtable()
         top = self.big.top() if through is None else through
         ring = self.big.ring
-
-        def differ(a, b):
-            return not a.add(b.negate()).is_zero()
-
+        # compose(..., table) multiplies in R and add keeps normal forms, so
+        # the two sides of each identity compare entry by entry
         for n in range(top + 1):
             i_n, p_n, h_n = self.incl_at(n), self.proj_at(n), self.htpy_at(n)
             # p i = id
-            ident = PolyMatrix.identity(ring, self.small.basis_degrees(n))
-            if differ(p_n.compose(i_n, table), ident):
+            if p_n.compose(i_n, table) != PolyMatrix.identity(ring, self.small.basis_degrees(n)):
                 raise InternalCheckError(f"p i != id at degree {n}")
-            # id - i p = d h + h d
+            # id - i p = d h + h d, checked as i p + d h + h d = id
             ip = i_n.compose(p_n, table)
             dh = self.big.diff(n + 1).compose(h_n, table)
             hd = self.htpy_at(n - 1).compose(self.big.diff(n), table)
-            lhs = PolyMatrix.identity(ring, self.big.basis_degrees(n)).add(ip.negate())
-            if differ(lhs, dh.add(hd)):
+            if ip.add(dh).add(hd) != PolyMatrix.identity(ring, self.big.basis_degrees(n)):
                 raise InternalCheckError(f"id - ip != dh + hd at degree {n}")
             # side conditions
             if not h_n.compose(i_n, table).is_zero():
@@ -96,11 +92,11 @@ class Contraction:
                 raise InternalCheckError(f"h h != 0 at degree {n}")
             # chain maps
             if n >= 1:
-                if differ(self.big.diff(n).compose(i_n, table),
-                          self.incl_at(n - 1).compose(self.small.diff(n), table)):
+                if (self.big.diff(n).compose(i_n, table)
+                        != self.incl_at(n - 1).compose(self.small.diff(n), table)):
                     raise InternalCheckError(f"i is not a chain map at degree {n}")
-                if differ(self.small.diff(n).compose(p_n, table),
-                          self.proj_at(n - 1).compose(self.big.diff(n), table)):
+                if (self.small.diff(n).compose(p_n, table)
+                        != self.proj_at(n - 1).compose(self.big.diff(n), table)):
                     raise InternalCheckError(f"p is not a chain map at degree {n}")
         if not self.small.is_minimal(through=top):
             raise InternalCheckError("small complex is not minimal")
@@ -210,35 +206,23 @@ def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contr
             for v, pv in pr.items():
                 dest = hc.setdefault(v, {})
                 for w, iw in ic.items():
-                    val = dest.get(w, ring.zero()) + times(pv, iw).scale(inv)
-                    if val:
-                        dest[w] = val
-                    else:
-                        dest.pop(w, None)
+                    add_into(dest, w, times(pv, iw).scale(inv))
                 if not dest:
                     hc.pop(v, None)
 
         # i update at degree n: col(c') -= inv*delta[c'] * col(c); drop c
         for j, dj in delta.items():
             target = i_cols[n][j]
-            coeff = dj.scale(inv)
+            coeff = dj.scale(-inv)
             for w, iw in ic.items():
-                val = target.get(w, ring.zero()) - times(coeff, iw)
-                if val:
-                    target[w] = val
-                else:
-                    target.pop(w, None)
+                add_into(target, w, times(coeff, iw))
         del i_cols[n][c]
         # p update at degree n-1: row(r') -= inv*gamma[r'] * row(r); drop r
         for i2, gi in gamma.items():
             target = p_rows[n - 1][i2]
-            coeff = gi.scale(inv)
+            coeff = gi.scale(-inv)
             for v, pv in pr.items():
-                val = target.get(v, ring.zero()) - times(coeff, pv)
-                if val:
-                    target[v] = val
-                else:
-                    target.pop(v, None)
+                add_into(target, v, times(coeff, pv))
         del p_rows[n - 1][r]
         # i at degree n-1 drops column r; p at degree n drops row c
         del i_cols[n - 1][r]

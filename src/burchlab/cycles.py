@@ -31,7 +31,7 @@ from .complexes import ChainMap, GradedFreeComplex
 from .errors import InputError, InternalCheckError
 from .groebner import Ideal, Strand, lift_through, syzygies_of
 from .linalg import SparseEchelon
-from .matrices import FreeModuleElement, PolyMatrix
+from .matrices import FreeModuleElement, PolyMatrix, add_into
 from .resolve import kernel_gens_over_R
 from .ring import Polynomial
 from .taylor import DgAlgebra, bilinear
@@ -122,17 +122,12 @@ def burch_cycles(bd: BurchData, X: GradedFreeComplex) -> BurchCycleSet:
 def _bar_element(B: BarComplex, q: int, *terms) -> FreeModuleElement:
     """Element of B_q from signed tensors (sign, slots): slots = [(deg, element)]
     with the elements in X except the last, which is in Y."""
-    total = {}
+    total = {}   # BarWord -> normal form mod I; a sum of normal forms is one
     red = B.quotient.normal_form
     for sign, slots in terms:
         for refs, c in _expand(slots, B.ring):
-            w = BarWord(refs[:-1], refs[-1])
-            cur = red(total.get(w, B.ring.zero()) + (c if sign > 0 else -c))
-            if cur:
-                total[w] = cur
-            else:
-                total.pop(w, None)
-    return B.element_from_words(q, total)
+            add_into(total, BarWord(refs[:-1], refs[-1]), red(c if sign > 0 else -c))
+    return FreeModuleElement(B.ring, {B.pos[q][w]: f for w, f in total.items()})
 
 
 @dataclass

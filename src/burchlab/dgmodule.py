@@ -21,7 +21,7 @@ from itertools import product
 from .complexes import ChainMap, GradedFreeComplex
 from .errors import InternalCheckError, ResourceCapError
 from .groebner import Ideal
-from .matrices import FreeModuleElement, PolyMatrix
+from .matrices import FreeModuleElement, PolyMatrix, add_into
 from .resolve import ModulePresentation
 from .taylor import DgAlgebra, TaylorComplex, bilinear
 from .tate import CycleSpace, homology_cycle_generators
@@ -160,24 +160,13 @@ class SemifreeDgModule(DgModule):
         out = {}
         if d >= 1:
             for i2, f in X.diff(d).columns.get(i, {}).items():
-                b = self._pos[n - 1][(t, i2)]
-                g = out.get(b, ring.zero()) + f
-                if g:
-                    out[b] = g
-                else:
-                    out.pop(b, None)
+                add_into(out, self._pos[n - 1][(t, i2)], f)
         gd = self.gen_diffs[t]
         if gd is not None and gd.coords:
             gdeg = self.gen_hom_degrees[t]
             term = bilinear(self.action_basis, d, FreeModuleElement.basis(ring, i), gdeg - 1, gd)
-            if d % 2 == 1:
-                term = -term
             for b, f in term.coords.items():
-                g = out.get(b, ring.zero()) + f
-                if g:
-                    out[b] = g
-                else:
-                    out.pop(b, None)
+                add_into(out, b, -f if d % 2 == 1 else f)
         return FreeModuleElement(ring, out)
 
     @property

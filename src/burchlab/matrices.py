@@ -13,6 +13,20 @@ import operator
 from .ring import Polynomial, PolyRing, mono_deg
 
 
+def add_into(acc: dict, key, f: Polynomial) -> None:
+    """acc[key] += f, with key dropped when the sum cancels.
+
+    A dropped key that comes back is appended at the end of acc, like a new
+    one; callers' positions and pivots follow this insertion order.
+    """
+    cur = acc.get(key)
+    s = f if cur is None else cur + f
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
 def _lowest_degree(f: Polynomial) -> int:
     return min(map(sum, f.terms), default=0)
 
@@ -39,24 +53,11 @@ class FreeModuleElement:
     def __add__(self, other):
         res = dict(self.coords)
         for i, f in other.coords.items():
-            g = res.get(i)
-            s = f if g is None else g + f
-            if s:
-                res[i] = s
-            else:
-                res.pop(i, None)
+            add_into(res, i, f)
         return FreeModuleElement(self.ring, res)
 
     def __sub__(self, other):
-        res = dict(self.coords)
-        for i, f in other.coords.items():
-            g = res.get(i)
-            s = -f if g is None else g - f
-            if s:
-                res[i] = s
-            else:
-                res.pop(i, None)
-        return FreeModuleElement(self.ring, res)
+        return self + (-other)
 
     def __neg__(self):
         return FreeModuleElement(self.ring, {i: -f for i, f in self.coords.items()})
@@ -188,15 +189,7 @@ class PolyMatrix:
             if col is None:
                 continue
             for i, g in col.items():
-                prod = g * f
-                if not prod:
-                    continue
-                cur = res.get(i)
-                s = prod if cur is None else cur + prod
-                if s:
-                    res[i] = s
-                else:
-                    res.pop(i, None)
+                add_into(res, i, g * f)
         return FreeModuleElement(self.ring, res)
 
     def compose(self, other: "PolyMatrix", table=None) -> "PolyMatrix":
@@ -228,41 +221,26 @@ class PolyMatrix:
                 for i, g in mycol.items():
                     if cap is not None and low[i] > room:
                         continue
-                    prod = mul(g, f)
-                    if not prod:
-                        continue
-                    cur = acc.get(i)
-                    s = prod if cur is None else cur + prod
-                    if s:
-                        acc[i] = s
-                    else:
-                        acc.pop(i, None)
+                    add_into(acc, i, mul(g, f))
             if acc:
                 out.columns[j] = acc
         return out
 
     def add(self, other: "PolyMatrix") -> "PolyMatrix":
-        out = PolyMatrix(self.ring, self.row_degrees, self.col_degrees)
-        for j, col in self.columns.items():
-            out.columns[j] = dict(col)
+        out = self.copy()
         for j, col in other.columns.items():
             mine = out.columns.setdefault(j, {})
             for i, f in col.items():
-                cur = mine.get(i)
-                s = f if cur is None else cur + f
-                if s:
-                    mine[i] = s
-                else:
-                    mine.pop(i, None)
+                add_into(mine, i, f)
             if not mine:
                 del out.columns[j]
         return out
 
-    def negate(self) -> "PolyMatrix":
-        out = PolyMatrix(self.ring, self.row_degrees, self.col_degrees)
-        for j, col in self.columns.items():
-            out.columns[j] = {i: -f for i, f in col.items()}
-        return out
+    def __eq__(self, other):
+        """Same degree labels and the same nonzero entries; entries are
+        compared as stored, so both sides must be in the same normal form."""
+        return (isinstance(other, PolyMatrix) and self.row_degrees == other.row_degrees
+                and self.col_degrees == other.col_degrees and self.columns == other.columns)
 
     def check_homogeneous(self):
         for j, col in self.columns.items():

@@ -21,7 +21,7 @@ from math import comb
 from .complexes import GradedFreeComplex
 from .errors import InternalCheckError, ResourceCapError
 from .groebner import Ideal, syzygies_of
-from .matrices import FreeModuleElement, PolyMatrix
+from .matrices import FreeModuleElement, PolyMatrix, add_into
 from .resolve import minimal_module_generators
 from .ring import PolyRing
 from .taylor import DgAlgebra
@@ -36,6 +36,7 @@ class TateAlgebra(DgAlgebra):
         self.basis_guard = basis_guard
         self.var_degrees = []          # degree of each adjoined variable
         self.var_diffs = []            # mono-keyed elements {mono: Polynomial}
+        self.var_internal = []         # internal (polynomial) degree of each variable
         self._stale = True
         self._basis = None             # d -> sorted list of monomial keys
         self._pos = None               # d -> {key: position}
@@ -54,8 +55,15 @@ class TateAlgebra(DgAlgebra):
         """Add a variable of the given degree with d(var) = diff_elt (mono-keyed)."""
         if degree < 1:
             raise ValueError("variables must have positive degree")
+        # the internal degree is read off one term of d(var), which lives in
+        # the earlier variables; a variable with d(var) = 0 gets degree 0
+        internal = 0
+        if diff_elt:
+            key, f = next(iter(diff_elt.items()))
+            internal = f.degree() + self._internal_degree(key)
         self.var_degrees.append(degree)
         self.var_diffs.append(dict(diff_elt))
+        self.var_internal.append(internal)
         self._stale = True
 
     def _enumerate_basis(self):
@@ -90,13 +98,8 @@ class TateAlgebra(DgAlgebra):
             return
         self._enumerate_basis()
         ring = self.ring
-        degrees, diffs = {}, {}
-        internal = {}
-        for d, keys in self._basis.items():
-            internal[d] = []
-            for k in keys:
-                internal[d].append(self._internal_degree(k))
-            degrees[d] = internal[d]
+        degrees = {d: [self._internal_degree(k) for k in keys] for d, keys in self._basis.items()}
+        diffs = {}
         for d in sorted(self._basis):
             if d == 0:
                 continue
@@ -111,26 +114,8 @@ class TateAlgebra(DgAlgebra):
 
     def _internal_degree(self, key) -> int:
         """Internal (polynomial) degree of a basis monomial: sum over factors of
-        the internal degree of the variable, inferred from its differential."""
-        total = 0
-        for v, e in key:
-            total += e * self._var_internal(v)
-        return total
-
-    def _var_internal(self, v) -> int:
-        cache = getattr(self, "_var_internal_cache", None)
-        if cache is None:
-            cache = self._var_internal_cache = {}
-        if v in cache:
-            return cache[v]
-        diff = self.var_diffs[v]
-        if not diff:
-            cache[v] = 0
-            return 0
-        key, f = next(iter(diff.items()))
-        val = f.degree() + self._internal_degree(key)
-        cache[v] = val
-        return val
+        the internal degree of the variable."""
+        return sum(e * self.var_internal[v] for v, e in key)
 
     @property
     def complex(self) -> GradedFreeComplex:
@@ -178,25 +163,15 @@ class TateAlgebra(DgAlgebra):
                 continue
             sign, coeff, key = hit
             c = (sign * coeff) % self.ring.p
-            if not c:
-                continue
-            g = out.get(key, self.ring.zero()) + f.scale(c)
-            if g:
-                out[key] = g
-            else:
-                out.pop(key, None)
+            if c:
+                add_into(out, key, f.scale(c))
         return out
 
     def mul_elt_elt(self, e1: dict, e2: dict) -> dict:
         out = {}
         for k1, f1 in e1.items():
-            part = self.mul_key_elt(k1, e2)
-            for k, f in part.items():
-                g = out.get(k, self.ring.zero()) + f * f1
-                if g:
-                    out[k] = g
-                else:
-                    out.pop(k, None)
+            for k, f in self.mul_key_elt(k1, e2).items():
+                add_into(out, k, f * f1)
         return out
 
     def diff_key(self, key) -> dict:
@@ -218,15 +193,8 @@ class TateAlgebra(DgAlgebra):
                 rhs.append((v, e - 1))
             rhs.extend(key[t + 1:])
             inner = self.mul_elt_elt(self.var_diffs[v], {tuple(rhs): ring.one()})
-            term = self.mul_key_elt(tuple(prefix), inner)
-            if prefix_deg % 2:
-                term = {k: -f for k, f in term.items()}
-            for k, f in term.items():
-                g = out.get(k, ring.zero()) + f
-                if g:
-                    out[k] = g
-                else:
-                    out.pop(k, None)
+            for k, f in self.mul_key_elt(tuple(prefix), inner).items():
+                add_into(out, k, -f if prefix_deg % 2 else f)
             prefix.append((v, e))
             prefix_deg += vdeg * e
         return out

@@ -16,7 +16,7 @@ from operator import add
 
 from .complexes import GradedFreeComplex
 from .errors import InternalCheckError, ResourceCapError
-from .matrices import FreeModuleElement, PolyMatrix
+from .matrices import FreeModuleElement, PolyMatrix, add_into
 from .ring import Polynomial, PolyRing, mono_deg, mono_div, mono_lcm
 
 TAYLOR_GENERATOR_CAP = 12
@@ -161,15 +161,7 @@ def bilinear(times, da, va: FreeModuleElement, db, vb: FreeModuleElement) -> Fre
                 continue
             c = fa * fb
             for k, g in base.items():
-                h = g * c
-                if not h:
-                    continue
-                cur = out.get(k)
-                s = h if cur is None else cur + h
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                add_into(out, k, g * c)
     return FreeModuleElement(va.ring, out)
 
 

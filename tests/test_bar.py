@@ -9,6 +9,7 @@ from burchlab.complexes import GradedFreeComplex
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.errors import InternalCheckError
 from burchlab.groebner import Ideal
+from burchlab.matrices import PolyMatrix
 from burchlab.pipeline import Caps
 from burchlab.resolve import ModulePresentation, resolve_over_R
 from burchlab.ring import PolyRing
@@ -186,10 +187,10 @@ def test_dd_zero_passes_a_planted_change_whose_products_lie_above_top(m2_ideal, 
     R = m2_ideal.ring
     x = R.parse("x")
     dn = B.complex.diff(n)
-    before = dn.copy()
+    delta = PolyMatrix(R, dn.row_degrees, dn.col_degrees)
     for i in list(dn.columns[0]):
         dn.set_entry(i, 0, dn.entry(i, 0) + x)
-    delta = dn.add(before.negate())
+        delta.set_entry(i, 0, x)
     assert not B.complex.diff(n - 1).compose(delta).is_zero()   # nonzero over Q
     for m in (n, n + 1):
         full = B.complex.diff(m - 1).compose(B.complex.diff(m))   # products over Q

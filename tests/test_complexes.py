@@ -5,7 +5,7 @@ from burchlab.bar import BarComplex
 from burchlab.complexes import GradedFreeComplex
 from burchlab.contraction import minimalize
 from burchlab.dgmodule import build_semifree_resolution
-from burchlab.errors import ResourceCapError
+from burchlab.errors import InternalCheckError, ResourceCapError
 from burchlab.matrices import PolyMatrix
 from burchlab.pipeline import Caps
 from burchlab.resolve import ModulePresentation
@@ -82,6 +82,18 @@ def test_minimalize_redundant_generator_hand_case(R):
     assert ctr.small.poincare_coeffs() == [1, 1]
     assert str(ctr.small.diff(1).entry(0, 0)) == "x^2"
     ctr.verify()
+
+
+def test_contraction_verify_catches_a_planted_homotopy_entry(R):
+    # a new entry y in h_1 changes d h at degree 1 by y times a column of d_2
+    T = TaylorComplex(R, [R.parse("x^2"), R.parse("x^2*y")])
+    ctr = minimalize(T.complex)
+    ctr.verify()
+    h = ctr.htpy[1]
+    assert not h.entry(0, 0) and T.complex.diff(2).columns.get(0)
+    h.set_entry(0, 0, R.parse("y"))
+    with pytest.raises(InternalCheckError, match=r"id - ip != dh \+ hd at degree 1"):
+        ctr.verify()
 
 
 @pytest.mark.parametrize("gens,minimal", [

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burchlab.matrices import add_into
 from burchlab.ring import (ParseError, PolyRing, Polynomial, grevlex_key, is_prime,
                            mono_deg, monomials_of_degree)
 
@@ -95,6 +96,36 @@ def test_homogeneous_product_degree(data):
     if prod:
         assert prod.is_homogeneous()
         assert prod.degree() == d1 + d2
+
+
+def small_polys(ring):
+    """Polynomials of degree <= 1 with few terms, so that sums often cancel mod 3."""
+    monos = [(0, 0), (1, 0), (0, 1)]
+    return st.lists(st.tuples(st.sampled_from(monos), st.integers(1, ring.p - 1)),
+                    max_size=3).map(lambda terms: Polynomial(ring, dict(terms)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_add_into_folds_to_the_polynomial_sum(data):
+    F3 = PolyRing(3, ("x", "y"))
+    items = data.draw(st.lists(st.tuples(st.integers(0, 3), small_polys(F3)), max_size=12))
+    acc, want = {}, {}
+    for key, f in items:
+        add_into(acc, key, f)
+        want[key] = want.get(key, F3.zero()) + f
+    assert acc == {key: f for key, f in want.items() if f}
+
+
+def test_add_into_drops_a_cancelled_key_and_readds_it_last(R):
+    f, g = R.parse("x+y"), R.parse("x^2")
+    acc = {}
+    add_into(acc, "a", f)
+    add_into(acc, "b", g)
+    add_into(acc, "a", -f)
+    assert "a" not in acc
+    add_into(acc, "a", f)
+    assert list(acc) == ["b", "a"] and acc["a"] == f
 
 
 def test_grevlex_order_two_vars(R):

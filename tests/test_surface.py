@@ -12,6 +12,10 @@ The second check walks every function body: a name it stores (assignment,
 unpacking, loop or with target) must be loaded somewhere in the function
 or in a function nested in it.  Names starting with _ are exempt, so an
 unpacking can discard a value as _.
+
+The third check keeps keyed sums in one place: outside an allowlist of
+scalar kernels, no function writes the cancel-and-drop loop that
+matrices.add_into holds.
 """
 
 from __future__ import annotations
@@ -98,3 +102,71 @@ def test_no_function_assigns_a_local_it_never_reads():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 dead += [f"{path.name}: {node.name}: {name}" for name in _dead_locals(node)]
     assert not dead, "locals assigned but never read:\n" + "\n".join(dead)
+
+
+# -- keyed sums go through matrices.add_into ----------------------------------
+
+# Functions that may keep their own cancel-and-drop loop, each with its reason.
+# Every other function adds a Polynomial into a keyed dict with add_into.
+CANCEL_AND_DROP_ALLOWED = {
+    "matrices.py: add_into": "the one accumulator of Polynomial-valued keyed sums",
+    "ring.py: Polynomial.__add__": "scalar coefficients per monomial, the ring's own kernel",
+    "ring.py: Polynomial.__sub__": "scalar coefficients per monomial, the ring's own kernel",
+    "ring.py: Polynomial.__mul__": "scalar coefficients per monomial, the ring's own kernel",
+    "groebner.py: module_groebner": "scalar coefficients of flat (position, monomial) terms",
+    "groebner.py: RTable._combine": "scalar coefficients per standard monomial, a hot loop",
+    "groebner.py: Strand.vector": "scalar strand coordinates; a shared helper cost 9% on bar-deep",
+    "linalg.py: vec_axpy": "scalar vector coordinates, the echelon's inner loop",
+}
+
+
+def _is_cancel_and_drop(node) -> bool:
+    """An `if` whose body stores acc[key] = s and whose else calls acc.pop(key, None)."""
+    if not isinstance(node, ast.If):
+        return False
+    stores = {(ast.dump(t.value), ast.dump(t.slice))
+              for stmt in node.body if isinstance(stmt, ast.Assign)
+              for t in stmt.targets if isinstance(t, ast.Subscript)}
+    for stmt in node.orelse:
+        call = stmt.value if isinstance(stmt, ast.Expr) else None
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "pop" and len(call.args) == 2
+                and isinstance(call.args[1], ast.Constant) and call.args[1].value is None
+                and (ast.dump(call.func.value), ast.dump(call.args[0])) in stores):
+            return True
+    return False
+
+
+def _cancel_and_drop_functions() -> set:
+    """'file: Qualified.name' of each function with the idiom in its own body
+    (a nested function reports under its own name)."""
+    found = set()
+
+    def visit(node, path, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, qual + [child.name])
+                continue
+            if _is_cancel_and_drop(child) and qual:
+                found.add(f"{path.name}: {'.'.join(qual)}")
+            visit(child, path, qual)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, [])
+    return found
+
+
+def test_keyed_sums_go_through_add_into():
+    found = _cancel_and_drop_functions()
+    stray = sorted(found - set(CANCEL_AND_DROP_ALLOWED))
+    assert not stray, ("a hand-written cancel-and-drop loop; use matrices.add_into:\n"
+                       + "\n".join(stray))
+    stale = sorted(set(CANCEL_AND_DROP_ALLOWED) - found)
+    assert not stale, "allowed but no longer holds the loop:\n" + "\n".join(stale)
+
+
+def test_the_idiom_check_sees_a_hand_loop():
+    tree = ast.parse("if s:\n    acc[i] = s\nelse:\n    acc.pop(i, None)\n")
+    assert _is_cancel_and_drop(tree.body[0])
+    tree = ast.parse("if s:\n    acc[i] = s\nelse:\n    other.pop(i, None)\n")
+    assert not _is_cancel_and_drop(tree.body[0])

@@ -102,6 +102,18 @@ def test_semifree_generators_count_betti(m2_ideal):
     psi.check_chain_map()
 
 
+def test_chain_map_check_catches_a_planted_psi_entry(m2_ideal):
+    X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
+    Y, psi = build_semifree_resolution(ModulePresentation.residue_field(m2_ideal), X,
+                                       up_to=4, rank_guard=GUARD)
+    psi.check_chain_map()
+    psi1 = psi.component(1)
+    assert psi1.entry(0, 0) and Y.complex.diff(1).columns.get(0)
+    psi1.set_entry(0, 0, psi1.entry(0, 0) + m2_ideal.ring.parse("x"))
+    with pytest.raises(InternalCheckError, match="chain map fails to commute at degree 1"):
+        psi.check_chain_map()
+
+
 # -- reuse across adjunction: append-only columns and the cycles of d_n ------
 
 

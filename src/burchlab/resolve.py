@@ -104,11 +104,12 @@ def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span
     copy, so no chosen element is in the kept echelon.
     """
     table = quotient.table()
+    reduce = not quotient.is_zero()   # over the zero ideal the normal form is the identity
 
     def graded(vectors):
         out = []
         for v in vectors:
-            w = v.map_coords(quotient.normal_form)
+            w = v.map_coords(quotient.normal_form) if reduce else v
             if w.coords:
                 out.append((w, w.degree(gen_degrees)))
         return out

@@ -165,6 +165,14 @@ def bilinear(times, da, va: FreeModuleElement, db, vb: FreeModuleElement) -> Fre
     return FreeModuleElement(va.ring, out)
 
 
+def pairs_meeting_at_most_once(masks_a, masks_b):
+    """Index pairs (ia, ib) of the subset bitmasks that share at most one index."""
+    for ia, mS in enumerate(masks_a):
+        for ib, mT in enumerate(masks_b):
+            if (mS & mT).bit_count() <= 1:
+                yield ia, ib
+
+
 def _add_product(acc: dict, i, f, g, sign: int):
     """acc[i] += sign * f * g term by term, coefficients left unreduced."""
     row = acc.setdefault(i, {})
@@ -235,11 +243,7 @@ class TaylorComplex(DgAlgebra):
         one index leaves the two sets still meeting, so each such product is
         0 by the same disjointness test, and the right side is 0 as well.
         """
-        masks_b = self._masks.get(db, ())
-        for ia, mS in enumerate(self._masks.get(da, ())):
-            for ib, mT in enumerate(masks_b):
-                if (mS & mT).bit_count() <= 1:
-                    yield ia, ib
+        return pairs_meeting_at_most_once(self._masks.get(da, ()), self._masks.get(db, ()))
 
     def product_basis(self, da, ia, db, ib) -> FreeModuleElement:
         ring = self.ringref

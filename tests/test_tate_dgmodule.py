@@ -1,12 +1,18 @@
+from pathlib import Path
+
 import pytest
 
 from burchlab import dgmodule, tate
+from burchlab.cli import run_command
 from burchlab.complexes import GradedFreeComplex
-from burchlab.dgmodule import SemifreeDgModule, build_semifree_resolution, taylor_module_fast_path
+from burchlab.dgmodule import (SemifreeDgModule, TaylorDgModule, build_semifree_resolution,
+                               taylor_module_fast_path)
 from burchlab.errors import InternalCheckError
+from burchlab.groebner import Ideal
+from burchlab.jobs import load_job
 from burchlab.matrices import FreeModuleElement, PolyMatrix
 from burchlab.pipeline import Caps
-from burchlab.resolve import ModulePresentation
+from burchlab.resolve import ModulePresentation, minimal_module_generators
 from burchlab.tate import CycleSpace, acyclic_closure, homology_cycle_generators
 from burchlab.taylor import TaylorComplex, bilinear
 
@@ -69,6 +75,92 @@ def test_fast_path_module(m2_ideal):
                         Y.full.product_basis, da, psi.apply(da, FreeModuleElement.basis(R, ia)),
                         db, psi.apply(db, FreeModuleElement.basis(R, ib)))
                     assert left == right
+
+
+# -- the fast path checks the module structure it uses ------------------------
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "src" / "burchlab" / "corpus"
+
+
+def test_fast_path_reads_products_of_y_only_with_the_left_factor_in_the_base(monkeypatch):
+    # a whole verify-golod run, construction included: every product of the
+    # fast path's Y that anything reads has its left subset in the base
+    fulls, left, right = [], {}, {}   # left and right bitmasks read, per Taylor complex
+    real_init, real_product = TaylorDgModule.__init__, TaylorComplex.product_basis
+
+    def init(self, sub, full, prefix_len):
+        fulls.append((full, prefix_len))
+        real_init(self, sub, full, prefix_len)
+
+    def product_basis(self, da, ia, db, ib):
+        left.setdefault(self, set()).add(self._masks[da][ia])
+        right.setdefault(self, set()).add(self._masks[db][ib])
+        return real_product(self, da, ia, db, ib)
+
+    monkeypatch.setattr(TaylorDgModule, "__init__", init)
+    monkeypatch.setattr(TaylorComplex, "product_basis", product_basis)
+    spec = load_job(CORPUS / "ex_m2_2vars.json")
+    assert run_command(spec.command, spec)[1] == 0
+    (full, prefix_len), = fulls
+    base = (1 << prefix_len) - 1
+    assert len(full.monomials) > prefix_len   # Y has generators beyond the base
+    assert left[full] and all(mS & ~base == 0 for mS in left[full])
+    assert any(mT & ~base for mT in right[full])   # the right factor ranges over all of Y
+
+
+def test_taylor_module_leibniz_pairs_are_exactly_the_pairs_meeting_in_at_most_one_index(m2_ideal):
+    R = m2_ideal.ring
+    X, mod, _ = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+    Y = mod.full
+    for dx in range(X.complex.top() + 1):
+        for S in X.subsets[dx]:   # X's bitmasks are Y's on the prefix
+            assert X._masks[dx][X.position[dx][S]] == Y._masks[dx][Y.position[dx][S]]
+        for ny in range(Y.complex.top() + 1 - dx):
+            got = list(mod.leibniz_pairs(dx, ny))
+            want = [(ix, iy) for ix, S in enumerate(X.subsets[dx])
+                    for iy, U in enumerate(Y.subsets[ny]) if len(set(S) & set(U)) <= 1]
+            assert got == want
+
+
+def flip_one_product_of_y(monkeypatch, base_len, S, U):
+    """Make TaylorComplex.product_basis return -(e_S * e_U) on that one pair,
+    on any Taylor complex with more than base_len generators."""
+    real = TaylorComplex.product_basis
+    mS, mU = (sum(1 << k for k in V) for V in (S, U))
+
+    def planted(self, da, ia, db, ib):
+        out = real(self, da, ia, db, ib)
+        hit = (self._masks[da][ia], self._masks[db][ib]) == (mS, mU)
+        return -out if hit and len(self.monomials) > base_len else out
+
+    monkeypatch.setattr(TaylorComplex, "product_basis", planted)
+
+
+def test_fast_path_catches_a_planted_sign_on_a_disjoint_action_pair(monkeypatch, m2_ideal):
+    # e_0 * e_(1,3): index 3 is the extra generator x
+    R = m2_ideal.ring
+    flip_one_product_of_y(monkeypatch, 3, (0,), (1, 3))
+    with pytest.raises(InternalCheckError, match="module Leibniz fails"):
+        taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+
+
+def test_module_check_catches_a_planted_sign_in_a_pair_meeting_in_one_index(monkeypatch, m2_ideal):
+    # S = {0,1}, U = {1,3} meet in 1: e_S * e_U = 0, and of the right-hand
+    # terms only d(e_S) * e_U ~ e_0 * e_13 and e_S * d(e_U) ~ e_01 * e_3 are
+    # nonzero; they must cancel.  Flip the sign of e_0 * e_13 only.
+    R = m2_ideal.ring
+    X, mod, _ = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+    ix, iy = X.position[2][(0, 1)], mod.full.position[2][(1, 3)]
+    mod.leibniz_pairs = lambda dx, ny: [(ix, iy)] if (dx, ny) == (2, 2) else []
+    mod.check_leibniz()   # the honest action passes on this pair
+    flip_one_product_of_y(monkeypatch, 3, (0,), (1, 3))
+    pair = rf"module Leibniz fails on basis pair \(2,{ix}\) \(2,{iy}\)"
+    with pytest.raises(InternalCheckError, match=pair):
+        mod.check_leibniz()
+    del mod.leibniz_pairs   # the restricted pairs of the full check catch it as well
+    with pytest.raises(InternalCheckError, match="module Leibniz fails"):
+        mod.check_leibniz()
 
 
 def test_semifree_resolution_over_koszul(hyper_ideal):
@@ -298,3 +390,34 @@ def test_cycle_space_reuse_checks_the_grading(m2_ideal, n):
     regraded = GradedFreeComplex(cx.ring, degrees, cx.diffs)
     with pytest.raises(InternalCheckError, match="changed since"):
         homology_cycle_generators(regraded, 3, cycles)
+
+
+def test_generator_picks_over_the_zero_ideal_skip_the_normal_form(monkeypatch, m2_ideal):
+    # the boundary columns and cycles of a semifree complex, over Q
+    X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
+    cx = resolve_k(m2_ideal, X, up_to=3).complex
+    cycles = CycleSpace(cx, 3)
+    diff = cx.diff(4)
+    boundaries = [diff.column(j) for j in range(diff.cols)]
+    normal_forms = []
+    real = Ideal.normal_form
+
+    def counted(self, f):
+        normal_forms.append(1)
+        return real(self, f)
+
+    monkeypatch.setattr(Ideal, "normal_form", counted)
+
+    def picks():
+        spans = {}
+        chosen = minimal_module_generators(cycles.gens, cx.basis_degrees(3), Ideal(cx.ring, []),
+                                           extra_span=boundaries, spans=spans)
+        return chosen, {d: (strand.pairs, list(ech.pivots.items()), vectors)
+                        for d, (strand, ech, vectors) in spans.items()}
+
+    skipped = picks()
+    assert not normal_forms
+    monkeypatch.setattr(Ideal, "is_zero", lambda self: False)   # apply the normal form
+    applied = picks()
+    assert normal_forms
+    assert skipped == applied and len(skipped[0]) == 16

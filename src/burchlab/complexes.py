@@ -12,7 +12,7 @@ with k-linear algebra.
 
 from __future__ import annotations
 
-from .errors import InternalCheckError
+from .errors import InputError, InternalCheckError
 from .groebner import Ideal, SubmoduleBasis, syzygies_of
 from .linalg import rank_of
 from .matrices import FreeModuleElement, PolyMatrix
@@ -85,7 +85,8 @@ class GradedFreeComplex:
         if self.quotient is not None:
             top = self.quotient.quotient_top_degree()
             if top is None:
-                raise InternalCheckError("strand ranges need an Artinian quotient")
+                # the ring came in with the job: a bad input, not a failed check
+                raise InputError("strand ranges need an Artinian quotient")
             return range(lo, max(degs) + top + 1)
         return None  # unbounded over Q
 

@@ -20,7 +20,7 @@ from heapq import heapify, heappop, heappush
 from math import inf
 
 from .errors import InternalCheckError
-from .linalg import SparseEchelon
+from .linalg import SparseEchelon, kernel_basis
 from .ring import (
     Polynomial,
     PolyRing,
@@ -456,7 +456,7 @@ class RTable:
     """
 
     __slots__ = ("ring", "leads", "forms", "top", "cap", "_monomial_gb", "_reducers",
-                 "_bases", "_indexes")
+                 "_bases", "_indexes", "_socles")
 
     def __init__(self, ideal: Ideal):
         gb = ideal.groebner()
@@ -467,6 +467,7 @@ class RTable:
         self._reducers = _lead_index([_wrap(g) for g in gb])
         self._bases = {}    # degree -> standard monomials
         self._indexes = {}  # degree -> {standard monomial: position}
+        self._socles = {}   # degree -> k-basis of soc(R) in that degree
         self.top = None     # basis() cuts off above top, once it is known
         self.top = self._top_degree()
         homogeneous = all(g.is_homogeneous() for g in gb)
@@ -505,6 +506,22 @@ class RTable:
         if d not in self._indexes:
             self.basis(d)
         return self._indexes[d]
+
+    def socle(self, e: int) -> list:
+        """A k-basis of soc(R)_e = {r in R_e : x_j r = 0 for every j}, as
+        vectors over the positions of basis(e); shared, do not mutate.
+
+        It is the kernel of R_e -> (R_(e+1))^n, r -> (x_1 r, ..., x_n r),
+        found by linear algebra, so non-monomial I needs nothing special.
+        """
+        soc = self._socles.get(e)
+        if soc is None:
+            nvars = self.ring.nvars
+            up = Strand(self, [0] * nvars, e + 1)
+            xs = {j: self.ring.var(j) for j in range(nvars)}
+            soc = self._socles[e] = kernel_basis([up.vector(xs, m) for m in self.basis(e)],
+                                                 self.ring.p)[1]
+        return soc
 
     def form(self, m) -> tuple:
         """Normal form of the monomial m modulo I, as (monomial, coefficient) terms."""
@@ -575,7 +592,7 @@ class Strand:
     Vectors are sparse dicts {position: nonzero residue mod p}.
     """
 
-    __slots__ = ("table", "d", "pairs", "_offsets", "_indexes")
+    __slots__ = ("table", "d", "pairs", "_offsets", "_indexes", "_shifts")
 
     def __init__(self, table: RTable, degrees, d: int):
         self.table = table
@@ -583,10 +600,11 @@ class Strand:
         self.pairs = []
         self._offsets = []
         self._indexes = []
-        for i, bdeg in enumerate(degrees):
+        self._shifts = [d - bdeg for bdeg in degrees]  # degree of R in each summand
+        for i, e in enumerate(self._shifts):
             self._offsets.append(len(self.pairs))
-            self._indexes.append(table.index(d - bdeg))
-            self.pairs.extend((i, m) for m in table.basis(d - bdeg))
+            self._indexes.append(table.index(e))
+            self.pairs.extend((i, m) for m in table.basis(e))
 
     def __len__(self):
         return len(self.pairs)
@@ -638,6 +656,11 @@ class Strand:
                 for m in self.table.basis(need):
                     ech.insert(self.vector(v.coords, m))
         return ech
+
+    def socle(self) -> list:
+        """Vectors of a k-basis of (soc(R) F)_d, F the free module of this strand."""
+        return [{off + t: c for t, c in vec.items()}
+                for off, e in zip(self._offsets, self._shifts) for vec in self.table.socle(e)]
 
     def element(self, vec: dict) -> FreeModuleElement:
         """The module element with coordinates vec."""

@@ -1,10 +1,12 @@
 """k-rank of graded modules over R and the syzygy verdict tables.
 
 k-rank(M) is the maximal d with k^d a direct summand; it is computed as
-dim_k((soc M + mM)/mM).  krank_strand finds the socle strand by strand with
-k-linear algebra, which scales to the large graded Artinian modules the
-verdict tables need; it is the only route the pipelines use.  The Groebner
-module-colon route and the Groebner-free brute force it is checked against
+dim_k((soc M + mM)/mM).  The verdict tables need it for the syzygies
+syz_i = im(d_i) of a minimal resolution, and krank_image computes it for
+the image of a matrix from ranks alone, degree by degree: it takes no
+kernel and never builds d_(i+1).  It is the only route the pipelines use.
+The presentation routes it is checked against (strand kernels on coker of
+a presentation, a Groebner module colon and a Groebner-free brute force)
 live in oracle.py.
 """
 
@@ -16,55 +18,36 @@ from math import comb
 from .complexes import GradedFreeComplex
 from .errors import InputError
 from .groebner import Ideal, Strand
-from .linalg import kernel_basis
-from .resolve import ModulePresentation
-from .ring import mono_deg
+from .matrices import PolyMatrix
 
 
-def krank_strand(pres: ModulePresentation) -> int:
-    """Socle strand by strand; needs an Artinian quotient."""
-    ring = pres.ring
-    table = pres.quotient.table()
+def krank_image(matrix: PolyMatrix, quotient: Ideal) -> int:
+    """k-rank of the submodule N = im(matrix) of the free module F it maps into.
+
+    Over Artinian R, soc N = N n soc(R)F.  In internal degree d let
+    A = N_d, B = (mN)_d and S = (soc(R)F)_d; then
+    dim((soc N + mN)/mN)_d = dim(A n S) - dim(B n S)
+                           = rank A - rank(A+S) - rank B + rank(B+S).
+    Away from the column degrees A = B, so only those degrees are visited.
+    """
+    table = quotient.table()
     if table.top is None:
-        raise InputError("strand k-rank needs an Artinian quotient")
-    degrees = pres.gen_degrees
-    rels = [(v, v.degree(degrees)) for v in pres.relations]
-    xs = ring.maximal_ideal_gens()
+        raise InputError("k-ranks need an Artinian quotient")
+    cols = [(matrix.column(j), deg) for j, deg in enumerate(matrix.col_degrees)]
     total = 0
-    # the degree-(d+1) strand and relation echelon of one step are the
-    # degree-d ones of the next
-    carried = None
-    for d in range(min(degrees, default=0), max(degrees, default=0) + table.top + 1):
-        src, ech = carried if carried is not None else (Strand(table, degrees, d), None)
-        carried = None
-        if not src:
-            continue
-        tgt = Strand(table, degrees, d + 1)
-        ech_up = tgt.span(rels)
-        carried = (tgt, ech_up)
-        # columns of u -> (x_j * u mod N) stacked over j
-        cols = []
-        block = len(tgt)
-        for i, m in src:
-            col = {}
-            for j, x in enumerate(xs):
-                res, _ = ech_up.reduce(tgt.vector({i: x}, m))
-                for t, c in res.items():
-                    col[j * block + t] = c
-            cols.append(col)
-        _, kern = kernel_basis(cols, ring.p)
-        if not kern:
-            continue
-        # quotient by mM: relation span at degree d plus positive-degree coords
-        if ech is None:
-            ech = src.span(rels)
-        for t, (i, m) in enumerate(src):
-            if mono_deg(m) > 0:
-                ech.insert({t: 1})
-        for kv in kern:
-            piv, _ = ech.insert(dict(kv))
-            if piv is not None:
-                total += 1
+    for d in sorted(set(matrix.col_degrees)):
+        strand = Strand(table, matrix.row_degrees, d)
+        b = strand.span(cols, 1)
+        bs = b.copy()
+        for vec in strand.socle():
+            bs.insert(vec)
+        a, a_s = b.copy(), bs.copy()
+        for v, deg in cols:
+            if deg == d:
+                vec = strand.vector(v.coords)
+                a.insert(vec)
+                a_s.insert(vec)
+        total += a.rank - a_s.rank - b.rank + bs.rank
     return total
 
 
@@ -113,22 +96,13 @@ class KRankReport:
         }
 
 
-def syzygy_presentation(res, i: int, quotient: Ideal) -> ModulePresentation:
-    """syz_i as coker(d_{i+1}: F_{i+1} -> F_i); needs the resolution to i+1."""
-    ring = res.ring
-    gen_degrees = res.basis_degrees(i)
-    mat = res.diff(i + 1)
-    rels = [mat.column(j) for j in range(mat.cols)]
-    return ModulePresentation(ring, quotient, list(gen_degrees), rels)
-
-
 def theorem_verdicts(I: Ideal, res: GradedFreeComplex, up_to: int,
                      burch_idx: int, mu: int, golod: bool) -> KRankReport:
     """k-ranks of syz_1..syz_up_to against the two syzygy lower bounds.
 
     res is the minimal resolution of the module over R through degree
-    up_to + 1, as resolve_over_R(pres, up_to + 1) returns it (the caller
-    builds it, with its own rank guard, and may reuse it).
+    up_to, as resolve_over_R(pres, up_to) returns it (the caller builds it,
+    with its own rank guard, and may reuse it); syz_i is the image of d_i.
     With Burch index b >= 2: krank(syz_i) >= 1 for i >= 5; and for Golod
     modules krank(syz_i) >= C(b,2) * mu^floor((i-4)/2) for i >= 4.
     """
@@ -139,8 +113,7 @@ def theorem_verdicts(I: Ideal, res: GradedFreeComplex, up_to: int,
             # resolution terminated: syzygy is zero (module had finite pd)
             kr, betti = 0, 0
         else:
-            sp = syzygy_presentation(res, i, I)
-            kr = krank_strand(sp)
+            kr = krank_image(res.diff(i), I)
             betti = res.rank(i)
         # zero syzygies (free modules) carry no claim
         claims = betti > 0

@@ -2,6 +2,11 @@
 
 Nothing in the production pipelines imports this module; the tests do.
 
+* krank_strand(): k-rank of coker(relations) by strand kernels: the socle
+  in each degree as the kernel of multiplication by every variable modulo
+  the relations one degree up, the route krank.krank_image replaced;
+* syzygy_presentation(): syz_i of a resolution as coker(d_(i+1)), the
+  presentation krank_strand and the two routes below read;
 * krank_gb(): k-rank through the socle as a module colon over Q (one
   Groebner syzygy computation per variable, then intersections);
 * krank_brute_force(): fully Groebner-free; enumerates the module as a
@@ -11,19 +16,19 @@ Nothing in the production pipelines imports this module; the tests do.
   the I-columns;
 * resolve_over_Q(): minimal Q-free resolution of a module presented over R.
 
-Each of them sees the R-module coker(relations) as the Q-module
-coker(relations + I times the basis), built by _with_ideal_columns.
+Each route from krank_gb on sees the R-module coker(relations) as the
+Q-module coker(relations + I times the basis), built by _with_ideal_columns.
 """
 
 from __future__ import annotations
 
 from .complexes import GradedFreeComplex
 from .errors import InputError, InternalCheckError, ResourceCapError
-from .groebner import Ideal, syzygies_of
+from .groebner import Ideal, Strand, syzygies_of
 from .linalg import SparseEchelon, kernel_basis
 from .matrices import FreeModuleElement, PolyMatrix
 from .resolve import ModulePresentation, minimal_module_generators
-from .ring import mono_mul, monomials_of_degree
+from .ring import mono_deg, mono_mul, monomials_of_degree
 
 
 def _with_ideal_columns(columns, rank: int, quotient: Ideal):
@@ -39,6 +44,67 @@ def total_dim_bound(pres: ModulePresentation) -> int:
     if top is None:
         raise InputError("module is not finite dimensional (quotient not Artinian)")
     return sum(pres.dims(max(pres.gen_degrees) + top))
+
+
+# ---------------------------------------------------------------------------
+# k-rank by strand kernels on a presentation
+# ---------------------------------------------------------------------------
+
+
+def krank_strand(pres: ModulePresentation) -> int:
+    """Socle strand by strand; needs an Artinian quotient."""
+    ring = pres.ring
+    table = pres.quotient.table()
+    if table.top is None:
+        raise InputError("strand k-rank needs an Artinian quotient")
+    degrees = pres.gen_degrees
+    rels = [(v, v.degree(degrees)) for v in pres.relations]
+    xs = ring.maximal_ideal_gens()
+    total = 0
+    # the degree-(d+1) strand and relation echelon of one step are the
+    # degree-d ones of the next
+    carried = None
+    for d in range(min(degrees, default=0), max(degrees, default=0) + table.top + 1):
+        src, ech = carried if carried is not None else (Strand(table, degrees, d), None)
+        carried = None
+        if not src:
+            continue
+        tgt = Strand(table, degrees, d + 1)
+        ech_up = tgt.span(rels)
+        carried = (tgt, ech_up)
+        # columns of u -> (x_j * u mod N) stacked over j
+        cols = []
+        block = len(tgt)
+        for i, m in src:
+            col = {}
+            for j, x in enumerate(xs):
+                res, _ = ech_up.reduce(tgt.vector({i: x}, m))
+                for t, c in res.items():
+                    col[j * block + t] = c
+            cols.append(col)
+        _, kern = kernel_basis(cols, ring.p)
+        if not kern:
+            continue
+        # quotient by mM: relation span at degree d plus positive-degree coords
+        if ech is None:
+            ech = src.span(rels)
+        for t, (i, m) in enumerate(src):
+            if mono_deg(m) > 0:
+                ech.insert({t: 1})
+        for kv in kern:
+            piv, _ = ech.insert(dict(kv))
+            if piv is not None:
+                total += 1
+    return total
+
+
+def syzygy_presentation(res, i: int, quotient: Ideal) -> ModulePresentation:
+    """syz_i as coker(d_{i+1}: F_{i+1} -> F_i); needs the resolution to i+1."""
+    ring = res.ring
+    gen_degrees = res.basis_degrees(i)
+    mat = res.diff(i + 1)
+    rels = [mat.column(j) for j in range(mat.cols)]
+    return ModulePresentation(ring, quotient, list(gen_degrees), rels)
 
 
 # ---------------------------------------------------------------------------

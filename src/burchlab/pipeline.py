@@ -181,7 +181,7 @@ def verify_golod(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict
             cycles_out.append(row)
     report["cycles"] = cycles_out
 
-    res = resolve_over_R(pres, cap + 2, rank_guard=caps.rank_guard)
+    res = resolve_over_R(pres, cap + 1, rank_guard=caps.rank_guard)
     verdicts = theorem_verdicts(ctx.ideal, res, cap + 1, ctx.index, ctx.mu, golod=golod.golod)
     report["krank"] = verdicts.to_dict()
     report["bounds"] = {
@@ -204,7 +204,7 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
     t0 = time.perf_counter()
     report: dict = {"burch": ctx.burch_summary()}
     if ctx.index < 2:
-        res = resolve_over_R(pres, oracle_through + 1, rank_guard=caps.rank_guard)
+        res = resolve_over_R(pres, oracle_through, rank_guard=caps.rank_guard)
         verdicts = theorem_verdicts(ctx.ideal, res, oracle_through, ctx.index, ctx.mu,
                                     golod=False)
         report["krank"] = verdicts.to_dict()
@@ -242,7 +242,7 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
             })
     report["cycles"] = cycles_out
 
-    res = resolve_over_R(pres, oracle_through + 1, rank_guard=caps.rank_guard)
+    res = resolve_over_R(pres, oracle_through, rank_guard=caps.rank_guard)
     verdicts = theorem_verdicts(ctx.ideal, res, oracle_through, ctx.index, ctx.mu, golod=False)
     report["krank"] = verdicts.to_dict()
     report["bounds"] = {

@@ -22,9 +22,10 @@ from burchlab.cycles import (burch_cycles, project_to_minimal, rho_cycles_genera
                              rho_cycles_golod, splitting_check)
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.groebner import Ideal, maximal_ideal
-from burchlab.krank import krank_strand, syzygy_presentation, theorem_verdicts
+from burchlab.krank import theorem_verdicts
 from burchlab.matrices import FreeModuleElement
-from burchlab.oracle import krank_brute_force, krank_gb, total_dim_bound
+from burchlab.oracle import (krank_brute_force, krank_gb, krank_strand, syzygy_presentation,
+                             total_dim_bound)
 from burchlab.pipeline import Caps, dg_pair, verify_general
 from burchlab.resolve import ModulePresentation, resolve_over_R
 from burchlab.ring import PolyRing, monomials_of_degree
@@ -86,7 +87,7 @@ def oracle_tables(m2_ideal, m23_ideal, modules_for_theorem_a):
                 for name, pres in modules_for_theorem_a[I.ring.nvars]:
                     golod = name == "k"  # k is Golod over these rings
                     cache[(I.ring.nvars, name)] = theorem_verdicts(
-                        I, resolve_over_R(pres, 10), 9, burch_idx=b, mu=mu, golod=golod)
+                        I, resolve_over_R(pres, 9), 9, burch_idx=b, mu=mu, golod=golod)
         return cache
 
     return get

@@ -319,6 +319,35 @@ def test_resolve_job_resolves_once(monkeypatch):
     assert guards == [spec.caps.rank_guard]
 
 
+@pytest.mark.parametrize("command, job, depth", [
+    ("verify-golod", {"caps": {"homDegree": 4}}, 5),                       # cap + 1
+    ("verify-general", {"caps": {"homDegree": 4, "generalQs": [4]}}, 9),   # oracle_through
+    ("verify-general", {"ideal": ["x^4", "x^2*y", "y^2"], "module": {"cyclic": ["x^2", "y"]},
+                        "caps": {"homDegree": 4}}, 9),                     # Burch index < 2
+])
+def test_verdict_pipelines_resolve_only_as_deep_as_the_table(monkeypatch, command, job, depth):
+    # syz_i is read as the image of d_i, so the verdicts through i = up_to
+    # need the resolution through up_to and no further
+    from burchlab import resolve
+    from burchlab.cli import run_command
+
+    real = resolve.resolve_over_R
+    depths = []
+
+    def recording(pres, up_to, **kwargs):
+        depths.append(up_to)
+        return real(pres, up_to, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("burchlab") and getattr(mod, "resolve_over_R", None) is real:
+            monkeypatch.setattr(mod, "resolve_over_R", recording)
+    spec = parse_job(m2_job(command=command, **job))
+    body, code = run_command(command, spec)
+    assert code == 0
+    assert depths == [depth]
+    assert [row["i"] for row in body["krank"]["rows"]] == list(range(1, depth + 1))
+
+
 def test_ainf_bar_hands_the_rank_guard_to_the_semifree_resolution(monkeypatch):
     # ex_m2_2vars's module k is cyclic monomial and takes the Taylor fast
     # path; R/(x+y) over the same ring is resolved semifree
@@ -364,6 +393,19 @@ def test_cli_empty_ideal_exit_code(tmp_path, capsys, command):
     assert main([command, "--job", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: Taylor") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["resolve", "bar", "cycles", "verify-general",
+                                     "verify-golod"])
+def test_cli_non_artinian_quotient_exit_code(tmp_path, capsys, command):
+    # k[x,y]/(x^2, xy) is not Artinian; every command that reads strands of R
+    # rejects it as an input error (bar, cycles and verify-golod exited 4)
+    from burchlab.cli import main
+
+    path = write_job(tmp_path, m2_job(ideal=["x^2", "x*y"], caps={"homDegree": 4}))
+    assert main([command, "--job", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Artinian" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("module", [

@@ -1,11 +1,15 @@
+import gc
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from burchlab.groebner import Ideal
-from burchlab.krank import krank_strand, syzygy_presentation, theorem_verdicts
-from burchlab.matrices import FreeModuleElement
-from burchlab.oracle import krank_brute_force, krank_gb, total_dim_bound
+from burchlab.errors import InputError
+from burchlab.groebner import Ideal, RTable
+from burchlab.krank import krank_image, theorem_verdicts
+from burchlab.matrices import FreeModuleElement, PolyMatrix
+from burchlab.oracle import (krank_brute_force, krank_gb, krank_strand, syzygy_presentation,
+                             total_dim_bound)
 from burchlab.resolve import ModulePresentation, resolve_over_R
 from burchlab.ring import PolyRing, monomials_of_degree
 
@@ -119,3 +123,117 @@ def test_verdict_bounds_m2(m2_ideal):
         if row.index >= 4:
             assert row.bound_golod == 3 ** ((row.index - 4) // 2)
     assert rep.all_ok()
+
+
+# -- the image route: k-ranks of syz_i = im(d_i) from ranks alone --------------
+
+R2 = PolyRing(P, ("x", "y"))
+R3 = PolyRing(P, ("x", "y", "z"))
+# (ring, generators of I, Gorenstein).  Over the Gorenstein quotients here the
+# syzygies of the cyclic modules tested below have their socles inside mN and
+# k-rank 0; every other quotient gives some nonzero k-rank there.
+QUOTIENTS = [
+    (R2, ["x^2", "x*y", "y^2"], False),
+    (R2, ["x^4", "x^2*y", "y^2"], False),
+    (R2, ["x^4", "x^3 + x^2*y", "x^2 + 2*x*y + y^2"], False),   # the last one, y -> x + y
+    (R2, ["x^2 + x*y", "x*y^2", "y^3"], False),
+    (R2, ["x^2 - y^2", "x*y"], True),
+    (R2, ["x^2 + 3*x*y", "y^3"], True),
+    # (x^2 - yz, y^2 - xz, z^2 - xy) is not Artinian, since (1,1,1) lies on
+    # it; it is the non-Artinian case below
+    (R3, ["x^2 - y*z", "y^2 - x*z", "z^2"], True),               # Hilbert function 1,3,3,1
+    (R3, ["x^2 - y^2", "y^2 - z^2", "x*y", "x*z", "y*z"], True),  # Hilbert function 1,3,1
+]
+
+
+@st.composite
+def minimal_presentations(draw):
+    """A presentation over a monomial or non-monomial Artinian quotient whose
+    relation entries all lie in m: no constant entry is drawn, so the
+    resolution is minimal and the CLI would accept it."""
+    ring, gens, _ = draw(st.sampled_from(QUOTIENTS))
+    I = Ideal(ring, [ring.parse(g) for g in gens])
+    degs = draw(st.lists(st.integers(0, 1), min_size=1, max_size=2))
+    rels = []
+    for _ in range(draw(st.integers(0, 3))):
+        d = max(degs) + draw(st.integers(1, 2))
+        coords = {}
+        for i, gd in enumerate(degs):
+            monos = monomials_of_degree(ring.nvars, d - gd)   # degree >= 1
+            terms = draw(st.lists(st.tuples(st.sampled_from(monos), st.integers(0, P - 1)),
+                                  max_size=2))
+            f = ring.zero()
+            for m, c in terms:
+                f = f + ring.monomial(m, c)
+            if f:
+                coords[i] = f
+        if coords:
+            rels.append(FreeModuleElement(ring, coords))
+    return ModulePresentation(ring, I, degs, rels)
+
+
+def check_image_route(pres, through=3) -> list:
+    """k-ranks of syz_1..syz_through by the image route, each checked
+    against krank_strand and, when small enough, krank_brute_force."""
+    I = pres.quotient
+    res = resolve_over_R(pres, through + 1)
+    out = []
+    for i in range(1, min(through, res.top()) + 1):
+        sp = syzygy_presentation(res, i, I)
+        got = krank_image(res.diff(i), I)
+        assert got == krank_strand(sp), (i, got)
+        if total_dim_bound(sp) <= 150:
+            assert got == krank_brute_force(sp, dim_cap=150), (i, got)
+        out.append(got)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(pres=minimal_presentations())
+def test_image_route_agrees_with_the_presentation_routes(pres):
+    check_image_route(pres)
+
+
+@pytest.mark.parametrize("ring, gens, gorenstein", QUOTIENTS)
+def test_image_route_on_cyclic_modules(ring, gens, gorenstein):
+    I = Ideal(ring, [ring.parse(g) for g in gens])
+    kranks = [check_image_route(ModulePresentation.cyclic(I, [ring.parse(t) for t in extra]))
+              for extra in (["x", "y", "z"][:ring.nvars], ["x"], ["x + y"])]
+    assert any(any(row) for row in kranks) != gorenstein
+
+
+def test_image_route_on_a_planted_wrong_socle(monkeypatch):
+    # k over (x,y)^2: syz_1 = m = k(-1)^2, every vector of R_1 is a socle vector
+    I = Ideal(R2, [R2.parse(g) for g in ("x^2", "x*y", "y^2")])
+    res = resolve_over_R(ModulePresentation.residue_field(I), 1)
+    assert krank_image(res.diff(1), I) == 2
+    real = RTable.socle
+    monkeypatch.setattr(RTable, "socle", lambda table, e: real(table, e)[:-1])
+    assert krank_image(res.diff(1), I) == 1
+
+
+def test_socle_cache_lives_on_the_table():
+    # a cache keyed by id(table) handed (x,y)^2's socle to the next table
+    # allocated at the same address: krank(syz_1) of k over (x,y,z)^2 read 2
+    def syz1_krank(ring):
+        I = Ideal(ring, [a * b for a in ring.maximal_ideal_gens()
+                         for b in ring.maximal_ideal_gens()])
+        return krank_image(resolve_over_R(ModulePresentation.residue_field(I), 1).diff(1), I)
+
+    assert syz1_krank(PolyRing(P, ("x", "y"))) == 2
+    gc.collect()
+    assert syz1_krank(PolyRing(P, ("x", "y", "z"))) == 3
+
+
+def test_socle_of_a_non_monomial_quotient():
+    # (x^2 - y^2, xy) is Gorenstein with socle x^2 = y^2 in degree 2
+    I = Ideal(R2, [R2.parse("x^2 - y^2"), R2.parse("x*y")])
+    table = I.table()
+    assert [len(table.socle(e)) for e in range(4)] == [0, 0, 1, 0]
+
+
+def test_image_route_needs_an_artinian_quotient():
+    I = Ideal(R3, [R3.parse(g) for g in ("x^2 - y*z", "y^2 - x*z", "z^2 - x*y")])
+    d1 = PolyMatrix.from_columns(R3, [0], [{0: R3.parse("x")}], [1])
+    with pytest.raises(InputError, match="Artinian"):
+        krank_image(d1, I)

@@ -173,9 +173,9 @@ class AInfModule(_Transferred):
         super().__init__(ctr_y, big_module.action_basis, arity_cap, degree_cap)
         self.alg = alg
 
-    def op(self, n: int, xrefs, yref) -> FreeModuleElement:
-        """mu_n(x_1,...,x_{n-1}, y) on small basis refs."""
-        return self._op(n, tuple(xrefs) + (yref,))
+    def op(self, n: int, refs) -> FreeModuleElement:
+        """mu_n(x_1,...,x_{n-1}, y) on small basis refs, the y slot last."""
+        return self._op(n, tuple(refs))
 
 
 def _expand(slots, ring):

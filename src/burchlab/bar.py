@@ -2,23 +2,28 @@
 
 Words r[x_1|...|x_p]y index the basis: x_t runs over basis elements of
 X_(>=1) (shifted degrees |x_t| + 1), y over basis elements of Y; the
-homological degree is sum(|x_t| + 1) + |y|.  Coefficients live in R, so
-every polynomial that migrates out of a slot is reduced modulo I; in
-particular interior differentials of degree-1 slots land in I and vanish.
+homological degree is sum(|x_t| + 1) + |y|.  A word is the plain tuple
+((|x_1|, i_1), ..., (|x_p|, i_p), (|y|, j)) of basis refs, y last.
+Coefficients live in R, so every polynomial that migrates out of a slot is
+reduced modulo I; in particular differentials of degree-1 x slots land in
+I and vanish.
 
-X and Y are read through one interface, alg.op(i, refs) and
-mod.op(i, xrefs, yref): a dg pair (DgAlgebra, DgModule) gives the
-differential at arity 1, the product or action at arity 2 and 0 above; a
-transferred A-infinity pair (AInfAlgebra, AInfModule) gives all its
-operations.  The differential applies every operation to every block of
-consecutive slots, the sign of an arity-i operation on the block after
-slot j being (-1)^eps_j, eps_j the sum of shifted degrees before it, times
-the suspension sign (-1)^(sum_{u<i} (i-u) |a_u|) of removing i shifts.  On
-a dg pair this is
+X and Y are read through one interface, op(i, refs) with a module's y slot
+last: a dg pair (DgAlgebra, DgModule) gives the differential at arity 1,
+the product or action at arity 2 and 0 above; a transferred A-infinity pair
+(AInfAlgebra, AInfModule) gives all its operations.  The differential
+applies every operation to every block w[j:j+i] of consecutive slots, Y's
+on a block that ends in the y slot and X's on any other, with the sign
+(-1)^eps_j, eps_j the sum of shifted degrees before the block, times the
+suspension sign (-1)^(sum_{u<i-1} (i-1-u) |a_u|) of removing the shifts.
+The block becomes one slot of degree sum |a_u| + i - 2.  On a dg pair,
+with eps_t = sum_{s<=t} (|x_s| + 1), this is
 
   sum_t (-1)^eps_{t-1} r[..|dx_t|..]y  +  (-1)^eps_p r[..]dy
-  + sum_t (-1)^eps_{t-1} r[..|x_t x_{t+1}|..]y
-  + (-1)^eps_{p-1} r[x_1|..|x_{p-1}] (x_p y).
+  - sum_t (-1)^eps_t r[..|x_t x_{t+1}|..]y
+  - (-1)^eps_p r[x_1|..|x_{p-1}] (x_p y),
+
+the arity-2 suspension sign (-1)^|x_t| turning eps_{t-1} into eps_t - 1.
 
 d^2 = 0, exactness below the cap and the composition rank formula are all
 checked mechanically after assembly.
@@ -48,36 +53,11 @@ def poincare_bound_series(px, py, cap):
     return out
 
 
-class BarWord:
-    """Immutable word (xs, y): xs a tuple of (degree, index) into X, y into Y."""
-
-    __slots__ = ("xs", "y")
-
-    def __init__(self, xs, y):
-        self.xs = tuple(xs)
-        self.y = y
-
-    def degree(self) -> int:
-        return sum(d + 1 for d, _ in self.xs) + self.y[0]
-
-    def sort_key(self):
-        return (
-            len(self.xs),
-            tuple(d for d, _ in self.xs),
-            self.y[0],
-            tuple(i for _, i in self.xs),
-            self.y[1],
-        )
-
-    def __eq__(self, other):
-        return self.xs == other.xs and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.xs, self.y))
-
-    def __repr__(self):
-        inner = "|".join(f"x({d},{i})" for d, i in self.xs)
-        return f"[{inner}]y({self.y[0]},{self.y[1]})"
+def _word_key(w):
+    """Order of the words in each degree: (length, x degrees, y degree,
+    x indices, y index), w a tuple of (degree, index) refs ending in y."""
+    xs, (yd, yi) = w[:-1], w[-1]
+    return (len(w), tuple(d for d, _ in xs), yd, tuple(i for _, i in xs), yi)
 
 
 class BarComplex:
@@ -89,7 +69,7 @@ class BarComplex:
         self.quotient = quotient
         self.ring = alg.complex.ring
         self.cap = cap
-        self.words = {}      # n -> list of BarWord
+        self.words = {}      # n -> list of words, tuples of (degree, index) refs ending in y
         self.pos = {}        # n -> {word: index}
         self._enumerate()
         self.complex = self._assemble()
@@ -100,7 +80,7 @@ class BarComplex:
     def _enumerate(self):
         X, Y = self.alg.complex, self.mod.complex
         # both in ascending degree, so each loop stops at the first overflow;
-        # the words are sorted by BarWord.sort_key afterwards
+        # the words are sorted by _word_key afterwards
         xrefs_by_deg = {d: [(d, i) for i in range(X.rank(d))]
                         for d in range(1, X.top() + 1)}
         yranks = [(d, Y.rank(d)) for d in range(Y.top() + 1)]
@@ -111,81 +91,54 @@ class BarComplex:
                 n = used + yd
                 if n > self.cap:
                     break
-                words_by_degree[n].extend(BarWord(xs, (yd, yi)) for yi in range(rank))
+                words_by_degree[n].extend(xs + ((yd, yi),) for yi in range(rank))
             for d, refs in xrefs_by_deg.items():
                 if used + d + 1 > self.cap:
                     break
                 for ref in refs:
-                    extend(xs + [ref], used + d + 1)
+                    extend(xs + (ref,), used + d + 1)
 
-        extend([], 0)
+        extend((), 0)
         for n, ws in words_by_degree.items():
-            ws.sort(key=BarWord.sort_key)
+            ws.sort(key=_word_key)
             self.words[n] = ws
             self.pos[n] = {w: t for t, w in enumerate(ws)}
 
     def rank(self, n) -> int:
         return len(self.words.get(n, []))
 
-    def word_internal_degree(self, w: BarWord) -> int:
+    def word_internal_degree(self, w: tuple) -> int:
         X, Y = self.alg.complex, self.mod.complex
-        total = Y.basis_degrees(w.y[0])[w.y[1]]
-        for d, i in w.xs:
-            total += X.basis_degrees(d)[i]
-        return total
+        yd, yi = w[-1]
+        return Y.basis_degrees(yd)[yi] + sum(X.basis_degrees(d)[i] for d, i in w[:-1])
 
     # -- differential -------------------------------------------------------
 
-    def differential_of_word(self, w: BarWord) -> dict:
-        """Boundary of a word: dict BarWord -> Polynomial (reduced mod I)."""
+    def differential_of_word(self, w: tuple) -> dict:
+        """Boundary of a word: dict word -> Polynomial (reduced mod I).
+
+        Every operation acts on every block w[j:j+i] of consecutive slots:
+        mod.op on a block that ends in the y slot, alg.op on any other."""
         red = self.quotient.normal_form
         out = {}   # a sum of normal forms is one
-
-        xs = w.xs
-        p = len(xs)
-        shifted = [d + 1 for d, _ in xs]
-
-        # interior operations m_i on blocks xs[j:j+i]
-        for j in range(p):
-            eps = sum(shifted[:j]) % 2
-            for i in range(1, p - j + 1):
-                block = xs[j:j + i]
-                if i == 1 and block[0][0] == 1:
-                    continue  # boundary lands in I R = 0
-                val = self.alg.op(i, block)
+        last = len(w)
+        eps = 0    # shifted degrees of the x slots before j
+        for j in range(last):
+            for i in range(1, last - j + 1):
+                block = w[j:j + i]
+                on_y = j + i == last
+                out_deg = sum(d for d, _ in block) + i - 2
+                if out_deg < (0 if on_y else 1):
+                    continue  # d of a degree-1 x slot lies in I X_0 = 0; d of y in Y_0 is 0
+                val = (self.mod if on_y else self.alg).op(i, block)
                 if not val.coords:
                     continue
-                sign = -1 if eps else 1
                 # de-suspension Koszul sign of the consumed block
-                susp = sum((i - 1 - u) * block[u][0] for u in range(i - 1)) % 2
-                if susp:
-                    sign = -sign
-                out_deg = sum(d for d, _ in block) + i - 2
-                if out_deg < 1:
-                    continue
+                susp = sum((i - 1 - u) * block[u][0] for u in range(i - 1))
+                neg = (eps + susp) % 2
                 for idx, f in val.coords.items():
-                    new_xs = xs[:j] + ((out_deg, idx),) + xs[j + i:]
-                    add_into(out, BarWord(new_xs, w.y), red(f if sign > 0 else -f))
-
-        # tail operations mu_i on (xs[p-i+1:], y)
-        for i in range(1, p + 2):
-            take = i - 1
-            if i == 1 and w.y[0] == 0:
-                continue
-            xblock = xs[p - take:]
-            eps = sum(shifted[:p - take]) % 2
-            val = self.mod.op(i, xblock, w.y)
-            if not val.coords:
-                continue
-            sign = -1 if eps else 1
-            # same de-suspension rule, with the y slot as the last factor
-            susp = sum((take - u) * xblock[u][0] for u in range(take)) % 2
-            if susp:
-                sign = -sign
-            out_deg = sum(d for d, _ in xblock) + w.y[0] + i - 2
-            for idx, f in val.coords.items():
-                add_into(out, BarWord(xs[:p - take], (out_deg, idx)), red(f if sign > 0 else -f))
-
+                    add_into(out, w[:j] + ((out_deg, idx),) + w[j + i:], red(-f if neg else f))
+            eps += w[j][0] + 1
         return out
 
     def _assemble(self) -> GradedFreeComplex:
@@ -238,15 +191,3 @@ class BarComplex:
         """Graded dimensions of H_0(B) = coker(d_1), to compare against M."""
         dims = self.complex.homology_dims(0)
         return [dims.get(d, 0) for d in range(through + 1)]
-
-    def minimality_report(self):
-        """Degrees of differential entries with unit parts (empty iff minimal)."""
-        bad = []
-        for n in range(1, self.cap + 1):
-            mat = self.complex.diff(n)
-            for j, col in mat.columns.items():
-                for i, f in col.items():
-                    if f.constant_coeff():
-                        bad.append((n, i, j))
-        return bad
-

@@ -50,9 +50,6 @@ class DegreeSpan:
         sol = self.ech.solve(self.vec(f))
         return sol
 
-    def contains(self, f: Polynomial) -> bool:
-        return self.ech.contains(self.vec(f))
-
 
 def minimal_generators(gens, ring: PolyRing):
     """Greedy subset of gens whose images form a basis of I/nI.

@@ -74,8 +74,7 @@ class GradedFreeComplex:
     def strand_columns(self, n: int, d: int):
         """Columns of the strand of d_n at internal degree d, as F_p vectors,
         one per basis element of the source strand."""
-        quotient = self.quotient if self.quotient is not None else Ideal(self.ring, [])
-        return quotient.table().matrix_strand(self.diff(n), d)[1]
+        return self.quotient.table().matrix_strand(self.diff(n), d)[1]
 
     def internal_degree_range(self, n: int):
         degs = self.basis_degrees(n)
@@ -133,14 +132,19 @@ class GradedFreeComplex:
             return all(up.contains(w) for w in syz)
         return not self.homology_dims(n)
 
-    def is_minimal(self, through: int | None = None) -> bool:
+    def unit_entries(self, through: int | None = None):
+        """Differential entries with a unit part, as (n, row, column), in the
+        order of (n, column, row) whatever the order the entries were set in;
+        none iff the complex is minimal.  Reduction modulo I, an ideal
+        inside n, keeps the constant term, so entries are read as stored."""
         top = self.top() if through is None else through
         for n in range(1, top + 1):
-            for col in self.diff(n).columns.values():
-                for f in col.values():
-                    if self.reduce_poly(f).constant_coeff():
-                        return False
-        return True
+            yield from sorted(((n, i, j) for j, col in self.diff(n).columns.items()
+                               for i, f in col.items() if f.constant_coeff()),
+                              key=lambda e: (e[2], e[1]))
+
+    def is_minimal(self, through: int | None = None) -> bool:
+        return next(self.unit_entries(through), None) is None
 
     def poincare_coeffs(self, through: int | None = None):
         top = self.top() if through is None else through

@@ -25,14 +25,14 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .ainfty import AInfAlgebra, _expand
-from .bar import BarComplex, BarWord
+from .bar import BarComplex
 from .burch import BurchData
 from .complexes import ChainMap, GradedFreeComplex
 from .errors import InputError, InternalCheckError
 from .groebner import Ideal, Strand, lift_through, syzygies_of
 from .linalg import SparseEchelon
 from .matrices import FreeModuleElement, PolyMatrix, add_into
-from .resolve import kernel_gens_over_R
+from .resolve import kernel_gens_over_R, minimal_module_generators
 from .ring import Polynomial
 from .taylor import DgAlgebra, bilinear
 
@@ -107,8 +107,6 @@ def burch_cycles(bd: BurchData, X: GradedFreeComplex) -> BurchCycleSet:
     # independence of the omegas in Z_1 / n Z_1
     z1 = syzygies_of([d1.column(t) for t in range(d1.cols)], 1, ring)
     degrees = X.basis_degrees(1)
-    from .resolve import minimal_module_generators
-
     zero_ideal = Ideal(ring, [])
     omegas = [cyc.omega for cyc in out.cycles.values()]
     kept = minimal_module_generators(omegas, degrees, zero_ideal,
@@ -122,11 +120,11 @@ def burch_cycles(bd: BurchData, X: GradedFreeComplex) -> BurchCycleSet:
 def _bar_element(B: BarComplex, q: int, *terms) -> FreeModuleElement:
     """Element of B_q from signed tensors (sign, slots): slots = [(deg, element)]
     with the elements in X except the last, which is in Y."""
-    total = {}   # BarWord -> normal form mod I; a sum of normal forms is one
+    total = {}   # word -> normal form mod I; a sum of normal forms is one
     red = B.quotient.normal_form
     for sign, slots in terms:
         for refs, c in _expand(slots, B.ring):
-            add_into(total, BarWord(refs[:-1], refs[-1]), red(c if sign > 0 else -c))
+            add_into(total, refs, red(c if sign > 0 else -c))
     return FreeModuleElement(B.ring, {B.pos[q][w]: f for w, f in total.items()})
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from .burch import minimal_generators
 from .complexes import ChainMap, GradedFreeComplex
 from .errors import InternalCheckError, ResourceCapError
 from .groebner import Ideal
@@ -45,15 +46,9 @@ class DgModule:
     def action_basis(self, dx, ix, ny, iy) -> FreeModuleElement:
         raise NotImplementedError
 
-    def op(self, n: int, xrefs, yref) -> FreeModuleElement:
-        """The A-infinity signature: mu_1 = d, mu_2 = action, mu_n = 0 for n >= 3."""
-        if n == 1:
-            d, i = yref
-            return self.complex.diff(d).column(i)
-        if n == 2:
-            (dx, ix), = xrefs
-            return self.action_basis(dx, ix, yref[0], yref[1])
-        return FreeModuleElement(self.ring, {})
+    def op(self, n: int, refs) -> FreeModuleElement:
+        """The A-infinity signature, y last: mu_1 = d, mu_2 = action, mu_n = 0 for n >= 3."""
+        return self.algebra._dg_op(self.complex, self.action_basis, n, refs)
 
     # -- mechanical dg-module checks ----------------------------------------
 
@@ -289,8 +284,6 @@ def taylor_module_fast_path(I: Ideal, extra_gens):
     action_basis, whose left factor lies in X, so products e_S * e_T of Y
     with S not in the base are not checked.
     """
-    from .burch import minimal_generators
-
     ring = I.ring
     if not I.is_monomial():
         raise InternalCheckError("fast path needs a monomial ideal")

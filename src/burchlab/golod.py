@@ -51,14 +51,14 @@ def golod_check(alg, mod, quotient: Ideal, cap: int) -> tuple:
         raise InternalCheckError("golod check needs minimal X and Y")
     bar = BarComplex(alg, mod, quotient, cap=cap)
     ranks = bar.rank_formula_check()
-    bad = bar.minimality_report()
+    first = next(bar.complex.unit_entries(), None)
     report = GolodReport(
-        golod=not bad,
+        golod=first is None,
         bar_ranks=ranks,
         series=ranks,
         px=[alg.complex.rank(n) for n in range(alg.complex.top() + 1)],
         py=[mod.complex.rank(n) for n in range(mod.complex.top() + 1)],
-        minimal=not bad,
-        first_unit_entry=bad[0] if bad else None,
+        minimal=first is None,
+        first_unit_entry=first,
     )
     return report, bar

@@ -115,10 +115,6 @@ class SparseEchelon:
             out.reps = dict(self.reps)
         return out
 
-    def contains(self, vec: dict) -> bool:
-        res, _ = self.reduce(vec)
-        return not res
-
     def solve(self, vec: dict):
         """Express vec as a combination of the inserted vectors, or None.
 

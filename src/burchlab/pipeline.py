@@ -282,7 +282,7 @@ def bar_report(ctx: RingContext, pres: ModulePresentation, caps: Caps, regime: s
         "ranks": ranks,
         "ddZero": True,
         "exactBelowCap": True,
-        "minimal": not bar.minimality_report(),
+        "minimal": bar.complex.is_minimal(),
         "h0Dims": bar.h0_dims(max(2, max(pres.gen_degrees, default=0) + 2)),
         "moduleDims": pres.dims(max(2, max(pres.gen_degrees, default=0) + 2)),
         "timingSeconds": round(time.perf_counter() - t0, 3),

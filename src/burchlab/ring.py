@@ -168,9 +168,6 @@ class Polynomial:
     def constant_coeff(self) -> int:
         return self.terms.get((0,) * self.ring.nvars, 0)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1 and next(iter(self.terms.values())) == 1
-
     # -- grevlex leading data ----------------------------------------------
 
     def lead_monomial(self) -> Mono:

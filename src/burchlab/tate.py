@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from math import comb
 
+from .burch import minimal_generators
 from .complexes import GradedFreeComplex
 from .errors import InternalCheckError, ResourceCapError
 from .groebner import Ideal, syzygies_of
@@ -321,8 +322,6 @@ def acyclic_closure(I: Ideal, through: int, basis_guard: int = 4000) -> TateAlge
     compared exactly).  All choices are the deterministic minimal-generator
     picks.
     """
-    from .burch import minimal_generators
-
     ring = I.ring
     alg = TateAlgebra(ring, degree_cap=through, basis_guard=basis_guard)
     for a in minimal_generators(I.gens, ring):

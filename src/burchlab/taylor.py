@@ -43,13 +43,7 @@ class DgAlgebra:
 
     def op(self, n: int, refs) -> FreeModuleElement:
         """The A-infinity signature: m_1 = d, m_2 = product, m_n = 0 for n >= 3."""
-        if n == 1:
-            d, i = refs[0]
-            return self.complex.diff(d).column(i)
-        if n == 2:
-            (da, ia), (db, ib) = refs
-            return self.product_basis(da, ia, db, ib)
-        return FreeModuleElement(self.ring, {})
+        return self._dg_op(self.complex, self.product_basis, n, refs)
 
     # -- mechanical dg checks -------------------------------------------------
 
@@ -82,6 +76,17 @@ class DgAlgebra:
         self._associative_law(self.complex, self.product_basis, degree_cap, "")
 
     # -- engines: a, b in this algebra, c in `right` with basis op `times` ----
+
+    def _dg_op(self, right, times, n, refs):
+        """op(n, refs) of a dg structure, the last ref in `right`: its
+        differential at n = 1, times at n = 2 and 0 above."""
+        if n == 1:
+            d, i = refs[-1]
+            return right.diff(d).column(i)
+        if n == 2:
+            (da, ia), (db, ib) = refs
+            return times(da, ia, db, ib)
+        return FreeModuleElement(self.ring, {})
 
     def _unit_law(self, right, times, top, label, two_sided):
         """1 * c = c on every basis element of `right` through degree top

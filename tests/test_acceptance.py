@@ -286,7 +286,7 @@ def test_criterion_6_transfer_correctness(hyper_ideal, m2_ideal, m23_ideal,
     mod1 = AInfModule(alg1, minimalize(Y1.complex).truncated(7), Y1, arity_cap=5)
     for n in range(1, 5):
         stasheff_check(mod1, n)
-    assert str(mod1.op(2, ((1, 0),), (0, 0)).coords[0]) == "x"
+    assert str(mod1.op(2, ((1, 0), (0, 0))).coords[0]) == "x"
     # identity contraction reproduces the dg product with m_{>=3} = 0
     K = TaylorComplex(R1, [R1.parse("x^2")])
     ctrK = minimalize(K.complex)

@@ -62,7 +62,7 @@ def test_module_transfer_hypersurface(hyper_ideal):
     ctrY = minimalize(Y.complex).truncated(7)
     mod = AInfModule(algX, ctrY, Y, arity_cap=5, degree_cap=10)
     assert mod.complex.poincare_coeffs() == [1, 1]
-    v = mod.op(2, ((1, 0),), (0, 0))
+    v = mod.op(2, ((1, 0), (0, 0)))
     assert str(v.coords[0]) == "x"
     for n in range(1, 5):
         stasheff_check(mod, n)

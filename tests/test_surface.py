@@ -16,6 +16,9 @@ unpacking can discard a value as _.
 The third check keeps keyed sums in one place: outside an allowlist of
 scalar kernels, no function writes the cancel-and-drop loop that
 matrices.add_into holds.
+
+The fourth check keeps the package's own imports at module top: no
+function body imports from burchlab.
 """
 
 from __future__ import annotations
@@ -170,3 +173,33 @@ def test_the_idiom_check_sees_a_hand_loop():
     assert _is_cancel_and_drop(tree.body[0])
     tree = ast.parse("if s:\n    acc[i] = s\nelse:\n    other.pop(i, None)\n")
     assert not _is_cancel_and_drop(tree.body[0])
+
+
+# -- package imports at module top ----------------------------------------------
+
+
+def _local_package_imports(source: str, filename: str) -> list:
+    """'file: function: from module' for each import from the package
+    (relative, or absolute from burchlab) inside a function body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for imp in ast.walk(node):
+                if isinstance(imp, ast.ImportFrom) and (
+                        imp.level or (imp.module or "").split(".")[0] == "burchlab"):
+                    found.append(f"{filename}: {node.name}: from "
+                                 f"{'.' * imp.level}{imp.module or ''}")
+    return found
+
+
+def test_no_function_imports_from_the_package():
+    local = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        local += _local_package_imports(path.read_text(encoding="utf-8"), path.name)
+    assert not local, "a function-local package import; move it to module top:\n" + "\n".join(local)
+
+
+def test_the_import_check_sees_a_local_import():
+    assert _local_package_imports("def f():\n    from .burch import g\n    return g\n", "m.py") \
+        == ["m.py: f: from .burch"]
+    assert _local_package_imports("from .burch import g\n\ndef f():\n    return g\n", "m.py") == []

@@ -6,6 +6,11 @@ is dim_k n/BI.  Since n^2 <= BI always, the index is computed on linear
 parts alone.  burch_data produces the witness tuple behind the index: a
 minimal generating set a_1..a_m of I, linear forms x_1..x_b independent
 mod BI, and socle lifts s_i with a_{j_i} = x_i * s_i exactly.
+
+minimal_generators is the one choice of minimal generators of an ideal,
+resolve.minimal_module_generators over Q.  burch_data starts from its list
+and may adapt a generator to x_i * s_i; the pipelines build every
+resolution of R on the list it returns, so d(e_t) = a_t in X_1.
 """
 
 from __future__ import annotations
@@ -16,63 +21,24 @@ from .errors import InputError, InternalCheckError
 from .groebner import Ideal, Strand, maximal_ideal
 from .linalg import SparseEchelon
 from .matrices import FreeModuleElement
-from .ring import Polynomial, PolyRing, mono_deg, monomials_of_degree, poly_sort_key
-
-
-class DegreeSpan:
-    """Echelonized degree-d piece of a span of polynomial multiples in Q.
-
-    Supports congruence solving: targets are expressed modulo the untagged
-    span in terms of tagged basis polynomials.
-    """
-
-    def __init__(self, ring: PolyRing, d: int):
-        self.ring = ring
-        self.strand = Strand(Ideal(ring, []).table(), [0], d)   # Q_d, by monomials
-        self.ech = SparseEchelon(ring.p, track_reps=True)
-
-    def vec(self, f: Polynomial) -> dict:
-        return self.strand.vector({0: f})
-
-    def add_multiples(self, gens, min_mult_degree=0):
-        """Insert m*g for every monomial m with deg(m*g) = d, deg(m) >= min_mult_degree."""
-        elements = [(FreeModuleElement(self.ring, {0: g}), g.degree())
-                    for g in sorted(gens, key=poly_sort_key) if g]
-        self.strand.span(elements, min_mult_degree, self.ech)
-
-    def add_tagged(self, tag, f: Polynomial):
-        """Insert f carrying a tag; returns True if f was independent."""
-        piv, _ = self.ech.insert(self.vec(f), {tag: 1})
-        return piv is not None
-
-    def coefficients_mod_untagged(self, f: Polynomial):
-        """Solve f = sum c_tag * tagged + (untagged span); None if unsolvable."""
-        sol = self.ech.solve(self.vec(f))
-        return sol
+from .resolve import minimal_module_generators
+from .ring import PolyRing, mono_deg, monomials_of_degree, poly_sort_key
 
 
 def minimal_generators(gens, ring: PolyRing):
     """Greedy subset of gens whose images form a basis of I/nI.
 
-    Input generators must be homogeneous; selection is degree by degree in
-    ascending grevlex order, so the result is deterministic.
+    Input generators must be homogeneous.  The selection is
+    resolve.minimal_module_generators over Q on the gens as elements of Q^1
+    in ascending grevlex order, so it runs degree by degree and the result
+    is deterministic.
     """
     gens = [g for g in gens if g]
     for g in gens:
         if not g.is_homogeneous():
             raise InputError(f"inhomogeneous generator {g}")
-    if not gens:
-        return []
-    chosen = []
-    degrees = sorted({g.degree() for g in gens})
-    for d in degrees:
-        span = DegreeSpan(ring, d)
-        # nI part: multiples of every generator by monomials of degree >= 1
-        span.add_multiples(gens, min_mult_degree=1)
-        for g in sorted((g for g in gens if g.degree() == d), key=poly_sort_key):
-            if span.add_tagged(id(g), g):
-                chosen.append(g)
-    return chosen
+    elements = [FreeModuleElement(ring, {0: g}) for g in sorted(gens, key=poly_sort_key)]
+    return [v.coords[0] for v in minimal_module_generators(elements, [0], Ideal(ring, []))]
 
 
 def _linear_part_echelon(I: Ideal):
@@ -182,17 +148,9 @@ class BurchData:
                 and all(nI.contains(g * s) for g in lin_bi for s in self.socle_gens)
                 and len(lin_bi) == _linear_colon_dim(nI, self.socle_gens)):
             raise InternalCheckError("stored Burch ideal is not nI : (I : n)")
-        # gens generate I minimally
-        if not (Ideal(ring, self.gens) == I):
-            raise InternalCheckError("stored generators do not generate I")
-        d_span = {}
-        for j, a in enumerate(self.gens):
-            d = a.degree()
-            if d not in d_span:
-                d_span[d] = DegreeSpan(ring, d)
-                d_span[d].add_multiples(self.gens, min_mult_degree=1)
-            if not d_span[d].add_tagged(("a", j), a):
-                raise InternalCheckError(f"generator {a} is redundant")
+        if (Ideal(ring, self.gens) != I
+                or len(minimal_generators(self.gens, ring)) != len(self.gens)):
+            raise InternalCheckError("stored generators do not generate I minimally")
         # xs: first b independent mod BI, all n independent mod n^2
         ech_bi = _linear_part_echelon(BI)
         ech_lin = SparseEchelon(ring.p)
@@ -215,11 +173,7 @@ class BurchData:
             if not soc.contains(s):
                 raise InternalCheckError(f"socle lift {s} not in (I : n)")
             if self.xs[i] * s != self.gens[j]:
-                raise InternalCheckError(
-                    f"factorization a[{j}] = x_{i} * s_{i} is not exact"
-                )
-            if nI.contains(self.gens[j]):
-                raise InternalCheckError(f"a[{j}] is not a minimal generator")
+                raise InternalCheckError(f"factorization a[{j}] = x_{i} * s_{i} is not exact")
         return True
 
 
@@ -263,6 +217,7 @@ def burch_data(I: Ideal, BI: Ideal | None = None) -> BurchData:
     socle_gens = minimal_generators(soc.gens, ring)
     soc_min = sorted(socle_gens, key=poly_sort_key)
     nI = n.product(I)
+    q_table = Ideal(ring, []).table()
 
     socle_lifts, j_indices = [], []
     assigned = {}
@@ -274,12 +229,14 @@ def burch_data(I: Ideal, BI: Ideal | None = None) -> BurchData:
             if not prod:
                 continue
             d = prod.degree()
-            span = DegreeSpan(ring, d)
-            span.add_multiples(gens, min_mult_degree=1)
+            # solve x*s = sum c_j a_j modulo (nI)_d, over Q_d by monomials
+            strand = Strand(q_table, [0], d)
+            ech = strand.span([(FreeModuleElement(ring, {0: a}), a.degree()) for a in gens], 1,
+                              SparseEchelon(ring.p, track_reps=True))
             for j, a in enumerate(gens):
                 if a.degree() == d:
-                    span.add_tagged(j, a)
-            coeffs = span.coefficients_mod_untagged(prod)
+                    ech.insert(strand.vector({0: a}), {j: 1})
+            coeffs = ech.solve(strand.vector({0: prod}))
             if coeffs is None:
                 raise InternalCheckError("x*s not expressible over the generators")
             coeffs = {j: c for j, c in coeffs.items() if c}

@@ -7,9 +7,10 @@ Commands: burch, resolve, bar, cycles, verify-general, verify-golod, and
 corpus (runs every bundled example, one after another, and compares each
 against its golden report).
 
-Exit codes: 0 all assertions hold or are vacuous, 1 a verified bound
-failed, 2 input error, 3 resource cap exceeded, 4 internal error (a
-self-check of the program failed: a bug, not a falsified bound).
+Exit codes: 0 every asserted bound holds (a vacuous bound holds), 1 a
+verified bound failed (the report's bounds.allHold is false), 2 input
+error, 3 resource cap exceeded, 4 internal error (a self-check of the
+program failed: a bug, not a falsified bound).
 """
 
 from __future__ import annotations
@@ -47,37 +48,32 @@ def failure_exit(e: Exception) -> tuple:
 
 
 def run_command(command: str, spec: JobSpec) -> tuple:
-    """Dispatch one job; returns (body dict, exit code)."""
+    """Dispatch one job; returns (body dict, exit code).
+
+    The exit code is EXIT_BOUND iff the body has bounds and bounds.allHold
+    is false; a body without bounds asserts no bound.
+    """
     ctx = spec.context()
     if command == "burch":
-        body = {"burch": ctx.burch_summary()}
-        return body, EXIT_OK
+        return {"burch": ctx.burch_summary()}, EXIT_OK
     pres = spec.presentation(ctx)
     if command == "resolve":
         body = resolve_report(ctx, pres, spec.caps)
-        return body, EXIT_OK
-    if command == "bar":
-        regime = spec.regime
-        if regime == "auto":
-            regime = "ainf"
+    elif command == "bar":
+        regime = "ainf" if spec.regime == "auto" else spec.regime
         body = bar_report(ctx, pres, spec.caps, regime)
-        return body, EXIT_OK
-    if command == "cycles":
+    elif command == "cycles":
         regime = spec.regime
         if regime == "auto":
             regime = "ainf" if ctx.index >= 2 else "dg"
         body = cycles_report(ctx, pres, spec.caps, regime)
-        code = EXIT_OK if body.get("bounds", {}).get("allHold", True) else EXIT_BOUND
-        return body, code
-    if command == "verify-general":
+    elif command == "verify-general":
         body = verify_general(ctx, pres, spec.caps)
-        code = EXIT_OK if body["bounds"]["allHold"] or body["bounds"]["vacuous"] else EXIT_BOUND
-        return body, code
-    if command == "verify-golod":
+    elif command == "verify-golod":
         body = verify_golod(ctx, pres, spec.caps)
-        code = EXIT_OK if body["bounds"]["allHold"] or body["bounds"]["vacuous"] else EXIT_BOUND
-        return body, code
-    raise InputError(f"unknown command {command!r}")
+    else:
+        raise InputError(f"unknown command {command!r}")
+    return body, EXIT_BOUND if "bounds" in body and not body["bounds"]["allHold"] else EXIT_OK
 
 
 def corpus_entries():

@@ -22,6 +22,7 @@ element s has s*d(rho) in I*G but outside n*I*G.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import comb
 
 from .ainfty import AInfAlgebra, _expand
@@ -66,14 +67,10 @@ def burch_cycles(bd: BurchData, X: GradedFreeComplex) -> BurchCycleSet:
     """
     ring = bd.ideal.ring
     d1 = X.diff(1)
-    if d1.cols != len(bd.gens):
-        raise InputError("X_1 rank does not match the generator count")
-    for t, a in enumerate(bd.gens):
-        col = d1.column(t)
-        if col.coords.get(0, ring.zero()) != a or len(col.coords) > 1:
-            raise InputError("X_1 basis is not aligned with the Burch generators")
-
     gens_cols = [FreeModuleElement(ring, {0: g}) for g in bd.gens]
+    if [d1.column(t) for t in range(d1.cols)] != gens_cols:
+        raise InternalCheckError("X_1 basis is not aligned with the Burch generators")
+
     d2_cols = [X.diff(2).column(j) for j in range(X.rank(2))]
     out = BurchCycleSet(data=bd, complex=X)
     n_lin = len(bd.xs)
@@ -193,7 +190,7 @@ def rho_cycles_golod(bcs: BurchCycleSet, B: BarComplex, q: int):
         cyc = bcs.cycles[(i, j)]
         f = cyc.preimage
         s = bcs.data.socle_lifts[i]
-        for tup in _index_tuples(m, d):
+        for tup in product(range(m), repeat=d):
             slots = ([(2, f)] + [(1, FreeModuleElement.basis(ring, t)) for t in tup]
                      + [(r, FreeModuleElement.basis(ring, 0))])
             rho = _bar_element(B, q, (1, slots))
@@ -215,21 +212,6 @@ def rho_cycles_golod(bcs: BurchCycleSet, B: BarComplex, q: int):
         if piv is None:
             raise InternalCheckError("Golod cycles are dependent modulo m B_q")
     return out
-
-
-def _index_tuples(m, d):
-    if d == 0:
-        yield ()
-        return
-    def rec(prefix):
-        if len(prefix) == d:
-            yield tuple(prefix)
-            return
-        for t in range(m):
-            prefix.append(t)
-            yield from rec(prefix)
-            prefix.pop()
-    yield from rec([])
 
 
 @dataclass

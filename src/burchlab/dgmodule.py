@@ -9,23 +9,24 @@ Two constructions:
   the inclusion of the first ambient coordinate.
 
 * taylor_module_fast_path(): when M = R/J is cyclic with monomial J whose
-  generator list starts with the generators of I, the Taylor complex of
-  the J-list is itself a dg algebra containing the Taylor complex of I as
-  a subalgebra; psi is the basis inclusion.  Y's product is read only as
-  the action of X, so the checks are X's full dg-algebra checks, d^2 = 0
-  on Y, and the module unit and Leibniz laws on X x Y.
+  generator list starts with the minimal generating list of I that the
+  caller passes (the pipelines pass the job's list, so X_1 is aligned
+  with the Burch generators), the Taylor complex of the J-list is itself a
+  dg algebra containing the Taylor complex of I as a subalgebra; psi is
+  the basis inclusion.  Y's product is read only as the action of X, so
+  the checks are X's full dg-algebra checks, d^2 = 0 on Y, and the module
+  unit and Leibniz laws on X x Y.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .burch import minimal_generators
 from .complexes import ChainMap, GradedFreeComplex
 from .errors import InternalCheckError, ResourceCapError
-from .groebner import Ideal
 from .matrices import FreeModuleElement, PolyMatrix, add_into
 from .resolve import ModulePresentation
+from .ring import PolyRing
 from .taylor import DgAlgebra, TaylorComplex, bilinear, pairs_meeting_at_most_once
 from .tate import CycleSpace, homology_cycle_generators
 
@@ -271,11 +272,12 @@ class TaylorDgModule(DgModule):
                                           self.full._masks.get(ny, ()))
 
 
-def taylor_module_fast_path(I: Ideal, extra_gens):
-    """Y = Taylor(I-gens + extra monomial gens) over X = Taylor(I-gens).
+def taylor_module_fast_path(ring: PolyRing, gens, extra_gens):
+    """Y = Taylor(gens + extra monomial gens) over X = Taylor(gens).
 
-    Requires monomial data; resolves R/(extra)R = Q/(I + extra).  Returns
-    (X, Y, psi) with psi the basis inclusion.
+    gens is the minimal generating list of a monomial ideal I, in order, as
+    for TaylorComplex(ring, gens); resolves R/(extra)R = Q/(I + extra).
+    Returns (X, Y, psi) with psi the basis inclusion.
 
     Checks run: X's d^2 = 0, two-sided unit and Leibniz laws (AInfAlgebra
     reads X's product); Y's d^2 = 0 (minimalize reads Y's differential);
@@ -284,21 +286,18 @@ def taylor_module_fast_path(I: Ideal, extra_gens):
     action_basis, whose left factor lies in X, so products e_S * e_T of Y
     with S not in the base are not checked.
     """
-    ring = I.ring
-    if not I.is_monomial():
-        raise InternalCheckError("fast path needs a monomial ideal")
-    base = [g.lead_monomial() for g in minimal_generators(I.gens, ring)]
-    extra = []
+    if not all(len(g.terms) == 1 for g in [*gens, *extra_gens]):
+        raise InternalCheckError("fast path needs monomial generators")
+    base = [g.lead_monomial() for g in gens]
+    extra = []   # monic: M = R/(extra) whatever their coefficients
     for g in extra_gens:
-        if len(g.terms) != 1:
-            raise InternalCheckError("fast path needs monomial module generators")
         m = g.lead_monomial()
         if m not in base and m not in extra:
             extra.append(m)
-    X = TaylorComplex(ring, [ring.monomial(m) for m in base])
-    Y = TaylorComplex(ring, [ring.monomial(m) for m in base + extra], verify=False)
+    X = TaylorComplex(ring, gens)
+    Y = TaylorComplex(ring, [*gens, *extra], verify=False)
     Y.complex.check_dd_zero()
-    mod = TaylorDgModule(X, Y, len(base))
+    mod = TaylorDgModule(X, Y, len(gens))
     mod.check_unit()
     mod.check_leibniz()
     maps = {}

@@ -7,18 +7,19 @@ d(gamma_k(v)) = d(v) gamma_{k-1}(v)).  Basis monomials are tuples of
 (variable, exponent) pairs; products carry the Koszul sign of interleaving
 the odd variables.
 
-acyclic_closure() builds a resolution of Q/I of this shape by adjoining,
-degree by degree, variables that kill a minimal generating set of the
-homology.  Freeness of the underlying algebra is what the general-case
-syzygy cycles need: products like e * f of basis variables stay basis
-monomials instead of degenerating.
+acyclic_closure() builds a resolution of Q/I of this shape.  Its degree-1
+variables kill a minimal generating list of I that the caller passes, in
+order (the pipelines pass the job's list, the Burch data's generators), so
+X_1 is aligned with that list; it then adjoins, degree by degree, variables
+that kill a minimal generating set of the homology.  Freeness of the
+underlying algebra is what the general-case syzygy cycles need: products
+like e * f of basis variables stay basis monomials instead of degenerating.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .burch import minimal_generators
 from .complexes import GradedFreeComplex
 from .errors import InternalCheckError, ResourceCapError
 from .groebner import Ideal, syzygies_of
@@ -309,30 +310,30 @@ def homology_cycle_generators(cx: GradedFreeComplex, d: int, cycles: CycleSpace 
     )
 
 
-def acyclic_closure(I: Ideal, through: int, basis_guard: int = 4000) -> TateAlgebra:
+def acyclic_closure(ring: PolyRing, gens, through: int, basis_guard: int = 4000) -> TateAlgebra:
     """Tate-style dg algebra resolution of Q/I, exact in degrees 1..through-1.
 
-    Degree-1 exterior variables kill the minimal generators of I; each
+    gens is a minimal generating list of I; degree-1 exterior variable t
+    kills gens[t], so X_1 is aligned with the list as given.  Each
     round then adjoins degree-(d+1) variables killing minimal generators
     of H_d, and checks that H_d is now 0 (CycleSpace.check_adjunction).  The
     check reuses Z_d and the echelons of the picks: a variable of degree d+1
     occurs in no basis monomial of degree <= d, so X_d, X_(d-1) and d_d are
     the same before and after the round, and its one new basis monomial of
     degree d+1 sorts after the old ones, so d_(d+1) only gains columns (both
-    compared exactly).  All choices are the deterministic minimal-generator
-    picks.
+    compared exactly).  Every choice after degree 1 is a deterministic
+    minimal-generator pick.
     """
-    ring = I.ring
     alg = TateAlgebra(ring, degree_cap=through, basis_guard=basis_guard)
-    for a in minimal_generators(I.gens, ring):
+    for a in gens:
         alg.adjoin(1, {(): a})
     for d in range(1, through):
         cycles = CycleSpace(alg.complex, d)
-        gens = homology_cycle_generators(alg.complex, d, cycles)
-        if not gens:
+        new = homology_cycle_generators(alg.complex, d, cycles)
+        if not new:
             continue
         keys = alg.basis_keys(d)
-        for g in gens:
+        for g in new:
             alg.adjoin(d + 1, {keys[i]: f for i, f in g.coords.items()})
         cycles.check_adjunction(alg.complex)
     alg.complex.check_dd_zero()

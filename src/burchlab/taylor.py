@@ -2,11 +2,14 @@
 
 A DgAlgebra bundles a complex with a basis-level product table and a unit.
 The Taylor complex of monomials m_1..m_s has basis e_S indexed by subsets,
-differential d(e_S) = sum_k (-1)^k (lcm S / lcm S\\u_k) e_(S\\u_k), and
+differential d(e_S) = sum_k (-1)^k c_(u_k) (lcm S / lcm S\\u_k) e_(S\\u_k), and
 product e_S * e_T = sign * (lcm S * lcm T / lcm(S u T)) e_(S u T) for
 disjoint S, T (zero otherwise), the sign being the shuffle sign of the
-index merge.  It resolves Q/(m_1..m_s) for any monomial generating set and
-is the workhorse dg resolution for monomial quotients.
+index merge.  A generator given with a coefficient, c_u m_u, scales every
+entry that drops u by c_u, so that d(e_u) is the generator itself; the
+product is the same, as it is that of the basis e_S rescaled by prod_(u in
+S) c_u.  It resolves Q/(m_1..m_s) for any monomial generating set and is
+the workhorse dg resolution for monomial quotients.
 """
 
 from __future__ import annotations
@@ -207,6 +210,9 @@ class TaylorComplex(DgAlgebra):
             raise ResourceCapError(
                 f"{len(monomials)} generators exceed the Taylor cap {TAYLOR_GENERATOR_CAP}")
         self.monomials = [m if isinstance(m, tuple) else m.lead_monomial() for m in monomials]
+        # d(e_u) = c_u m_u for a generator c_u m_u: every d entry that drops u carries c_u
+        units = [1 if isinstance(m, tuple) else m.terms[u]
+                 for m, u in zip(monomials, self.monomials)]
         self.ringref = ring
         s = len(self.monomials)
         self.subsets = {n: sorted(combinations(range(s), n)) for n in range(s + 1)}
@@ -230,7 +236,7 @@ class TaylorComplex(DgAlgebra):
                 for k, u in enumerate(S):
                     rem = m ^ (1 << u)
                     coeff = mono_div(lc, self._lcm[rem])
-                    f = ring.monomial(coeff, 1 if k % 2 == 0 else ring.p - 1)
+                    f = ring.monomial(coeff, units[u] if k % 2 == 0 else -units[u])
                     mat.set_entry(self._index[rem], j, f)
             diffs[n] = mat
         self.complex = GradedFreeComplex(ring, degrees, diffs)

@@ -16,7 +16,7 @@ import pytest
 
 from burchlab.ainfty import AInfAlgebra, AInfModule, check_minimality, stasheff_check
 from burchlab.bar import BarComplex
-from burchlab.burch import burch_data, burch_ideal, burch_index
+from burchlab.burch import burch_data, burch_ideal, burch_index, minimal_generators
 from burchlab.contraction import minimalize
 from burchlab.cycles import (burch_cycles, project_to_minimal, rho_cycles_general,
                              rho_cycles_golod, splitting_check)
@@ -194,7 +194,8 @@ def test_criterion_4_golod_pipeline(m2_ideal):
     t0 = time.time()
     R = m2_ideal.ring
     bd = burch_data(m2_ideal)
-    X, Ymod, _psi = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+    X, Ymod, _psi = taylor_module_fast_path(
+        R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
     from burchlab.golod import golod_check
@@ -249,7 +250,8 @@ def test_criterion_5_bar_correctness_both_regimes(hyper_ideal, m2_ideal, m23_ide
         Bdg.exactness_check(dg_cap - 1)
         assert Bdg.h0_dims(3) == pres.dims(3)
         # A-infinity regime over the minimal structures
-        X2, Ymod, _ = taylor_module_fast_path(I, [R.parse(s) for s in mod_gens])
+        X2, Ymod, _ = taylor_module_fast_path(
+            R, minimal_generators(I.gens, R), [R.parse(s) for s in mod_gens])
         alg = AInfAlgebra(minimalize(X2.complex), X2)
         mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
         Bainf = BarComplex(alg, mod, I, cap=ainf_cap)
@@ -269,7 +271,8 @@ def test_criterion_6_transfer_correctness(hyper_ideal, m2_ideal, m23_ideal,
     for I, mod_gens in ((m2_ideal, ["x", "y"]), (bione_ideal, ["x^2", "y"]),
                         (jn_ideal, ["x", "y"]), (m23_ideal, ["x", "y", "z"])):
         R = I.ring
-        X, Ymod, _ = taylor_module_fast_path(I, [R.parse(s) for s in mod_gens])
+        X, Ymod, _ = taylor_module_fast_path(
+            R, minimal_generators(I.gens, R), [R.parse(s) for s in mod_gens])
         alg = AInfAlgebra(minimalize(X.complex), X, degree_cap=6)
         mod = AInfModule(alg, minimalize(Ymod.complex), Ymod, degree_cap=6)
         for n in range(1, 5):

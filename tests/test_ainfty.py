@@ -2,6 +2,7 @@ import pytest
 from itertools import combinations_with_replacement
 
 from burchlab.ainfty import AInfAlgebra, AInfModule, check_minimality, stasheff_check
+from burchlab.burch import minimal_generators
 from burchlab.contraction import minimalize
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.errors import ArityCapError, InternalCheckError
@@ -71,7 +72,8 @@ def test_module_transfer_hypersurface(hyper_ideal):
 
 def test_module_transfer_m2(ctx_m2, m2_ideal):
     R = m2_ideal.ring
-    X, Ymod, _psi = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+    X, Ymod, _psi = taylor_module_fast_path(
+        R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X, arity_cap=4, degree_cap=10)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod, arity_cap=4, degree_cap=10)
     for n in range(1, 5):
@@ -136,7 +138,8 @@ def test_planted_wrong_m2_is_caught(m2_ideal):
 def test_planted_wrong_mu3_is_caught(m23_ideal):
     # mu_3 of the m23 module is nonzero on three tuples within degree 6
     R = m23_ideal.ring
-    X, Ymod, _ = taylor_module_fast_path(m23_ideal, [R.var(i) for i in range(3)])
+    X, Ymod, _ = taylor_module_fast_path(
+        R, minimal_generators(m23_ideal.gens, R), [R.var(i) for i in range(3)])
     alg = AInfAlgebra(minimalize(X.complex), X, degree_cap=6)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod, degree_cap=6)
     plant_negated_value(mod, 3, ((1, 3), (1, 2), (0, 0)))

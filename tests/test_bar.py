@@ -4,6 +4,7 @@ import pytest
 
 from burchlab.ainfty import AInfAlgebra, AInfModule
 from burchlab.bar import BarComplex
+from burchlab.burch import minimal_generators
 from burchlab.contraction import minimalize
 from burchlab.complexes import GradedFreeComplex
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
@@ -58,7 +59,8 @@ def test_ainf_bar_periodicity_matches_resolution_oracle(hyper_ideal, hyper_pair)
 def test_bar_on_sign_sensitive_ring(bione_ideal, regime):
     # n^2 is not inside I here, so wrong bar signs cannot hide modulo I
     R = bione_ideal.ring
-    X, Ymod, _psi = taylor_module_fast_path(bione_ideal, [R.parse("x^2"), R.parse("y")])
+    X, Ymod, _psi = taylor_module_fast_path(
+        R, minimal_generators(bione_ideal.gens, R), [R.parse("x^2"), R.parse("y")])
     if regime == "dg":
         B = BarComplex(X, Ymod, bione_ideal, cap=6)
     else:
@@ -75,7 +77,8 @@ def test_dg_bar_rank_formula_mixed_shape(m2_ideal):
     # ranks (1,3,3,1) x (1,2,1)-shaped Y: the composition count must match
     # the generating function expansion exactly
     R = m2_ideal.ring
-    X, Ymod, _psi = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+    X, Ymod, _psi = taylor_module_fast_path(
+        R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     B = BarComplex(X, Ymod, m2_ideal, cap=6)
     ranks = B.rank_formula_check()
     # hand expansion of (1+t)^5 / (1 - t((1+t)^3 - 1)) through degree 4
@@ -84,7 +87,8 @@ def test_dg_bar_rank_formula_mixed_shape(m2_ideal):
 
 def test_ainf_bar_golod_ranks(m2_ideal, m23_ideal):
     R = m2_ideal.ring
-    X, Ymod, _ = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+    X, Ymod, _ = taylor_module_fast_path(
+        R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
     B = BarComplex(alg, mod, m2_ideal, cap=8)
@@ -93,7 +97,8 @@ def test_ainf_bar_golod_ranks(m2_ideal, m23_ideal):
     B.exactness_check(7)
 
     R3 = m23_ideal.ring
-    X3, Y3, _ = taylor_module_fast_path(m23_ideal, [R3.var(i) for i in range(3)])
+    X3, Y3, _ = taylor_module_fast_path(
+        R3, minimal_generators(m23_ideal.gens, R3), [R3.var(i) for i in range(3)])
     alg3 = AInfAlgebra(minimalize(X3.complex), X3)
     mod3 = AInfModule(alg3, minimalize(Y3.complex), Y3)
     B3 = BarComplex(alg3, mod3, m23_ideal, cap=6)
@@ -107,7 +112,7 @@ def test_dg_and_ainf_bars_agree_on_identity_contractions():
     # identities and the transferred pair is the dg pair itself
     R = PolyRing(P, ("x", "y"))
     I = Ideal(R, [R.parse("x^2"), R.parse("y^2")])
-    X, Ymod, _psi = taylor_module_fast_path(I, [])
+    X, Ymod, _psi = taylor_module_fast_path(R, minimal_generators(I.gens, R), [])
     Bdg = BarComplex(X, Ymod, I, cap=6)
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
@@ -121,7 +126,8 @@ def test_dg_and_ainf_bars_agree_on_identity_contractions():
 def ainf_bar_of_k(m2_ideal, cap):
     """The minimal A-infinity bar of k over k[x,y]/(x,y)^2; ranks 2^i, exact."""
     R = m2_ideal.ring
-    X, Ymod, _ = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+    X, Ymod, _ = taylor_module_fast_path(
+        R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
     return BarComplex(alg, mod, m2_ideal, cap=cap)

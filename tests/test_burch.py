@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from burchlab.burch import burch_data, burch_ideal, burch_index, minimal_generators
 from burchlab.errors import InputError, InternalCheckError
 from burchlab.groebner import Ideal, maximal_ideal
-from burchlab.ring import PolyRing
+from burchlab.ring import PolyRing, monomials_of_degree
 
 P = 32003
 
@@ -85,6 +85,45 @@ def test_minimal_generators_duplicates_and_redundant(R):
     got = minimal_generators(
         [R.parse("x^2"), R.parse("x*y"), R.parse("y^2"), R.parse("x^3")], R)
     assert {str(g) for g in got} == {"x^2", "x*y", "y^2"}
+
+
+@st.composite
+def generator_lists(draw):
+    """A ring in 2 or 3 variables and a list of homogeneous monomials and
+    binomials of degree 2 or 3, sometimes with a redundant multiple."""
+    nvars = draw(st.sampled_from([2, 3]))
+    R = PolyRing(P, ("x", "y", "z")[:nvars])
+    gens = []
+    for _ in range(draw(st.integers(1, 5))):
+        monos = monomials_of_degree(nvars, draw(st.integers(2, 3)))
+        picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=2, unique=True))
+        gens.append(sum((R.monomial(m, draw(st.integers(1, P - 1))) for m in picked), R.zero()))
+    if draw(st.booleans()):
+        gens.append(R.var(draw(st.integers(0, nvars - 1))) * gens[0])
+    return R, gens
+
+
+def mu(I: Ideal) -> int:
+    """dim I/nI = sum_d (dim (Q/nI)_d - dim (Q/I)_d), read from the two R-tables."""
+    nI = maximal_ideal(I.ring).product(I)
+    top = max(g.degree() for g in I.gens)
+    return sum(len(nI.table().basis(d)) - len(I.table().basis(d)) for d in range(top + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=generator_lists())
+def test_minimal_generators_is_a_minimal_generating_list(data):
+    R, gens = data
+    I = Ideal(R, gens)
+    got = minimal_generators(gens, R)
+    assert Ideal(R, got) == I
+    assert len(got) == mu(I)
+
+
+def test_verify_catches_a_redundant_generator(R):
+    bd = burch_data(Ideal(R, [R.parse("x^4"), R.parse("x^2*y"), R.parse("y^2")]))
+    with pytest.raises(InternalCheckError, match="minimally"):
+        dataclasses.replace(bd, gens=bd.gens + [R.parse("x") * bd.gens[0]]).verify()
 
 
 monomial_sets = st.lists(

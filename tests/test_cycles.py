@@ -2,12 +2,12 @@ import pytest
 
 from burchlab.ainfty import AInfAlgebra, AInfModule
 from burchlab.bar import BarComplex
-from burchlab.burch import burch_data
+from burchlab.burch import burch_data, minimal_generators
 from burchlab.contraction import minimalize
 from burchlab.cycles import (burch_cycles, project_to_minimal, rho_cycles_general,
                              rho_cycles_golod, splitting_check)
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
-from burchlab.errors import InputError
+from burchlab.errors import InputError, InternalCheckError
 from burchlab.groebner import Ideal
 from burchlab.matrices import FreeModuleElement
 from burchlab.pipeline import Caps
@@ -53,6 +53,15 @@ def test_m2_burch_cycles(m2_ideal):
     R = m2_ideal.ring
     cyc = bcs.cycles[(0, 1)]
     assert X.complex.diff(1).apply(cyc.omega) == FreeModuleElement(R, {})
+
+
+def test_misaligned_x1_is_an_internal_error(m2_ideal):
+    # every pipeline builds X_1 on the Burch generators, so a misaligned X_1
+    # is a program fault, not bad input
+    bd = burch_data(m2_ideal)
+    for gens in (bd.gens[::-1], bd.gens[:2]):
+        with pytest.raises(InternalCheckError, match="X_1"):
+            burch_cycles(bd, TaylorComplex(m2_ideal.ring, gens).complex)
 
 
 def test_splitting_check_reuses_the_stored_nI(m2_ideal, monkeypatch):
@@ -139,7 +148,8 @@ def test_odd_q_requires_free_algebra(m2_dg_bar):
 def m2_golod_bar(m2_ideal):
     R = m2_ideal.ring
     bd = burch_data(m2_ideal)
-    X, Ymod, _psi = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+    X, Ymod, _psi = taylor_module_fast_path(
+        R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
     B = BarComplex(alg, mod, m2_ideal, cap=8)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from burchlab.ainfty import AInfAlgebra, AInfModule
 from burchlab.bar import poincare_bound_series
+from burchlab.burch import minimal_generators
 from burchlab.contraction import minimalize
 from burchlab.dgmodule import taylor_module_fast_path
 from burchlab.errors import InputError
@@ -26,7 +27,8 @@ def test_poincare_bound_series_m2():
 
 def test_golod_check_m2(m2_ideal):
     R = m2_ideal.ring
-    X, Ymod, _ = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+    X, Ymod, _ = taylor_module_fast_path(
+        R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
     rep, bar = golod_check(alg, mod, m2_ideal, 8)
@@ -137,6 +139,49 @@ def test_cli_vacuous_general_bounds_exit_zero():
     rep = json.loads(r.stdout)
     assert rep["bounds"]["vacuous"] is True
     assert all(row["krank"] == 0 for row in rep["krank"]["rows"])
+
+
+def test_adapted_burch_generators_are_the_tate_x1():
+    # burch_data adapts a_1 := x*s here, so a Tate algebra that chose its own
+    # minimal generators of I would miss the Burch generators
+    from burchlab.cli import run_command
+
+    spec = parse_job(json.dumps({
+        "name": "adapted", "p": 32003, "vars": ["x", "y"],
+        "ideal": ["x*y", "5*x*y+4*y^2", "x^2+y^2"], "module": {"cyclic": ["x", "y"]},
+        "caps": {"homDegree": 6, "generalQs": [5]}}))
+    body, code = run_command("verify-general", spec)
+    assert code == 0 and body["bounds"]["allHold"] is True
+    assert [(row["q"], row["algebra"], row["cycles"]) for row in body["cycles"]] == [(5, "tate", 1)]
+
+
+@pytest.mark.parametrize("command", ["verify-golod", "verify-general", "bar"])
+def test_non_monic_monomial_generators_give_the_monic_report(command):
+    # the Taylor complex of 3x^2, xy, 5y^2 has d(e_t) equal to the generator,
+    # so its X_1 is aligned with the Burch generators
+    from burchlab.cli import run_command
+
+    bodies = []
+    for ideal in (["x^2", "x*y", "y^2"], ["3*x^2", "x*y", "5*y^2"]):
+        spec = parse_job(json.dumps(m2_job(ideal=ideal, caps={"homDegree": 5})))
+        body, code = run_command(command, spec)
+        assert code == 0
+        body.pop("burch", None)
+        bodies.append(strip_timing(body))
+    assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("command", ["cycles", "verify-golod", "verify-general"])
+def test_exit_code_reads_all_hold_only(monkeypatch, command):
+    from burchlab import cli
+
+    planted = {"bounds": {"vacuous": True, "allHold": False}}
+    for name in ("cycles_report", "verify_golod", "verify_general"):
+        monkeypatch.setattr(cli, name, lambda *args: planted)
+    spec = parse_job(json.dumps(m2_job()))
+    assert cli.run_command(command, spec) == (planted, 1)
+    planted["bounds"]["allHold"] = True
+    assert cli.run_command(command, spec) == (planted, 0)
 
 
 def test_cli_corpus_matches_goldens():

@@ -19,6 +19,10 @@ matrices.add_into holds.
 
 The fourth check keeps the package's own imports at module top: no
 function body imports from burchlab.
+
+The fifth check keeps the choice of minimal generators of I in one place:
+only burch.py (burch_data) and pipeline.py (RingContext.build) name
+minimal_generators; every resolution of R takes the job's list.
 """
 
 from __future__ import annotations
@@ -203,3 +207,9 @@ def test_the_import_check_sees_a_local_import():
     assert _local_package_imports("def f():\n    from .burch import g\n    return g\n", "m.py") \
         == ["m.py: f: from .burch"]
     assert _local_package_imports("from .burch import g\n\ndef f():\n    return g\n", "m.py") == []
+
+
+def test_only_burch_and_pipeline_choose_minimal_generators_of_i():
+    naming = sorted(path.name for path in PACKAGE.glob("*.py")
+                    if re.search(r"\bminimal_generators\b", path.read_text(encoding="utf-8")))
+    assert naming == ["burch.py", "pipeline.py"]

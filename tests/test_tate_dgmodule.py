@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from burchlab import dgmodule, tate
+from burchlab.burch import minimal_generators
 from burchlab.cli import run_command
 from burchlab.complexes import GradedFreeComplex
 from burchlab.dgmodule import (SemifreeDgModule, TaylorDgModule, build_semifree_resolution,
@@ -26,15 +27,21 @@ def resolve_k(ideal, X, up_to):
                                      rank_guard=GUARD)[0]
 
 
+def closure(ideal, through, **guard):
+    """The acyclic closure of Q/ideal on the minimal generating list of ideal."""
+    return acyclic_closure(ideal.ring, minimal_generators(ideal.gens, ideal.ring), through,
+                           **guard)
+
+
 def test_hypersurface_closure_is_koszul(hyper_ideal):
-    A = acyclic_closure(hyper_ideal, through=6)
+    A = closure(hyper_ideal, through=6)
     assert A.complex.poincare_coeffs() == [1, 1]
     A.check_unit()
     A.check_leibniz()
 
 
 def test_m2_acyclic_closure_ranks(m2_ideal):
-    A = acyclic_closure(m2_ideal, through=6, basis_guard=100000)
+    A = closure(m2_ideal, through=6, basis_guard=100000)
     assert A.complex.poincare_coeffs() == [1, 3, 5, 10, 24, 55, 118]
     A.check_unit()
     A.check_leibniz(4)
@@ -46,7 +53,7 @@ def test_m2_acyclic_closure_ranks(m2_ideal):
 
 
 def test_divided_power_arithmetic(m2_ideal):
-    A = acyclic_closure(m2_ideal, through=6, basis_guard=100000)
+    A = closure(m2_ideal, through=6, basis_guard=100000)
     # gamma_a(v) * gamma_b(v) = binom(a+b, a) gamma_{a+b}(v) for a degree-2 variable
     v = next(i for i, d in enumerate(A.var_degrees) if d == 2)
     hit = A.mul_keys(((v, 1),), ((v, 1),))
@@ -57,7 +64,8 @@ def test_divided_power_arithmetic(m2_ideal):
 
 def test_fast_path_module(m2_ideal):
     R = m2_ideal.ring
-    X, Y, psi = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+    X, Y, psi = taylor_module_fast_path(
+        R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     assert X.complex.poincare_coeffs() == [1, 3, 3, 1]
     assert Y.complex.poincare_coeffs() == [1, 5, 10, 10, 5, 1]
     Y.check_unit()
@@ -111,7 +119,8 @@ def test_fast_path_reads_products_of_y_only_with_the_left_factor_in_the_base(mon
 
 def test_taylor_module_leibniz_pairs_are_exactly_the_pairs_meeting_in_at_most_one_index(m2_ideal):
     R = m2_ideal.ring
-    X, mod, _ = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+    X, mod, _ = taylor_module_fast_path(
+        R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     Y = mod.full
     for dx in range(X.complex.top() + 1):
         for S in X.subsets[dx]:   # X's bitmasks are Y's on the prefix
@@ -142,7 +151,8 @@ def test_fast_path_catches_a_planted_sign_on_a_disjoint_action_pair(monkeypatch,
     R = m2_ideal.ring
     flip_one_product_of_y(monkeypatch, 3, (0,), (1, 3))
     with pytest.raises(InternalCheckError, match="module Leibniz fails"):
-        taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+        taylor_module_fast_path(
+            R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
 
 
 def test_module_check_catches_a_planted_sign_in_a_pair_meeting_in_one_index(monkeypatch, m2_ideal):
@@ -150,7 +160,8 @@ def test_module_check_catches_a_planted_sign_in_a_pair_meeting_in_one_index(monk
     # terms only d(e_S) * e_U ~ e_0 * e_13 and e_S * d(e_U) ~ e_01 * e_3 are
     # nonzero; they must cancel.  Flip the sign of e_0 * e_13 only.
     R = m2_ideal.ring
-    X, mod, _ = taylor_module_fast_path(m2_ideal, [R.parse("x"), R.parse("y")])
+    X, mod, _ = taylor_module_fast_path(
+        R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     ix, iy = X.position[2][(0, 1)], mod.full.position[2][(1, 3)]
     mod.leibniz_pairs = lambda dx, ny: [(ix, iy)] if (dx, ny) == (2, 2) else []
     mod.check_leibniz()   # the honest action passes on this pair
@@ -221,7 +232,7 @@ def rebuilt_in_one_refresh(Y):
 def test_append_only_columns_match_a_fresh_build(case, m2_ideal, hyper_ideal):
     ideal = hyper_ideal if case.startswith("hyper") else m2_ideal
     if case.endswith("tate"):
-        X = acyclic_closure(ideal, through=4, basis_guard=100000)
+        X = closure(ideal, through=4, basis_guard=100000)
     else:
         X = TaylorComplex(ideal.ring, ideal.gens)
     Y = resolve_k(ideal, X, up_to=5)
@@ -259,7 +270,7 @@ def test_semifree_check_catches_a_missing_generator(monkeypatch, m2_ideal):
 def test_tate_check_catches_a_missing_variable(monkeypatch, m2_ideal):
     dropped = drop_last_generator_once(monkeypatch, tate)
     with pytest.raises(InternalCheckError, match="survived adjunction"):
-        acyclic_closure(m2_ideal, through=4, basis_guard=100000)
+        closure(m2_ideal, through=4, basis_guard=100000)
     assert dropped == [1]
 
 
@@ -300,7 +311,7 @@ def test_each_round_picks_once_and_checks_once(monkeypatch, m2_ideal):
     assert len(picks) == 3 and checks == [1, 2, 3]
     picks.clear()
     checks.clear()
-    acyclic_closure(m2_ideal, through=4, basis_guard=100000)
+    closure(m2_ideal, through=4, basis_guard=100000)
     assert len(picks) == 3 and checks == [1, 2, 3]
 
 

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burchlab.burch import minimal_generators
 from burchlab.errors import InternalCheckError
 from burchlab.ring import PolyRing, mono_div, mono_lcm, mono_mul
 from burchlab.taylor import DgAlgebra, TaylorComplex
@@ -78,7 +79,8 @@ def test_leibniz_pairs_are_exactly_the_pairs_meeting_in_at_most_one_index():
 def test_generic_dg_algebras_check_every_pair(hyper_ideal):
     from burchlab.tate import acyclic_closure
 
-    A = acyclic_closure(hyper_ideal, through=4)
+    A = acyclic_closure(
+        hyper_ideal.ring, minimal_generators(hyper_ideal.gens, hyper_ideal.ring), through=4)
     for da, db in product(range(4), repeat=2):
         pairs = list(A.leibniz_pairs(da, db))
         assert len(pairs) == A.complex.rank(da) * A.complex.rank(db)

@@ -44,16 +44,16 @@ class _Transferred:
 
     self.alg is the algebra whose operations act on the x slots (the
     structure itself for an algebra); self.ctr and self._times are the
-    contraction and the big dg structure's basis product (or action) of
-    the slot intervals that end in the last slot.
+    contraction and the big dg structure's basis action (an algebra's is
+    its product) of the slot intervals that end in the last slot.
     """
 
     name = "m"
     has_y_slot = False
 
-    def __init__(self, ctr: Contraction, times, arity_cap: int, degree_cap: int):
+    def __init__(self, ctr: Contraction, big, arity_cap: int, degree_cap: int):
         self.ctr = ctr
-        self._times = times
+        self._times = big.action_basis
         self.complex = ctr.small
         self.arity_cap = arity_cap
         self.degree_cap = degree_cap
@@ -130,28 +130,12 @@ class _Transferred:
 
         return lam(0, n)
 
-    def op_on_elements(self, n: int, slots) -> FreeModuleElement:
-        """Multilinear extension: slots = list of (deg, FreeModuleElement).
-
-        The last slot's coefficient is multiplied in only where the
-        operation is nonzero."""
-        out = {}
-        *head, (d, v) = slots
-        for refs, coeff in _expand(head, self.ring):
-            for i, f in v.coords.items():
-                val = self._op(n, refs + ((d, i),)).coords
-                if val:
-                    c = coeff * f
-                    for k, g in val.items():
-                        add_into(out, k, g * c)
-        return FreeModuleElement(self.ring, out)
-
 
 class AInfAlgebra(_Transferred):
     """A-infinity operations on the minimal complex of a contraction onto a dg algebra."""
 
     def __init__(self, ctr: Contraction, big_algebra, arity_cap: int = 4, degree_cap: int = 10):
-        super().__init__(ctr, big_algebra.product_basis, arity_cap, degree_cap)
+        super().__init__(ctr, big_algebra, arity_cap, degree_cap)
         self.alg = self
 
     def unit_ref(self):
@@ -170,24 +154,12 @@ class AInfModule(_Transferred):
 
     def __init__(self, alg: AInfAlgebra, ctr_y: Contraction, big_module,
                  arity_cap: int = 4, degree_cap: int = 10):
-        super().__init__(ctr_y, big_module.action_basis, arity_cap, degree_cap)
+        super().__init__(ctr_y, big_module, arity_cap, degree_cap)
         self.alg = alg
 
     def op(self, n: int, refs) -> FreeModuleElement:
         """mu_n(x_1,...,x_{n-1}, y) on small basis refs, the y slot last."""
         return self._op(n, tuple(refs))
-
-
-def _expand(slots, ring):
-    """Tensor expansion of (deg, element) slots into (basis refs, coefficient)."""
-    combos = [((), ring.one())]
-    for d, v in slots:
-        nxt = []
-        for refs, coeff in combos:
-            for i, f in v.coords.items():
-                nxt.append((refs + ((d, i),), coeff * f))
-        combos = nxt
-    return [(refs, c) for refs, c in combos if c]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +205,10 @@ def _stasheff_identity(structure, n: int, refs) -> FreeModuleElement:
     sum over r+s+t = n of (-1)^(r+st) m_(r+1+t)(1^r (x) m_s (x) 1^t), with
     the Koszul application sign (-1)^(|m_s| * deg(first r args)).  In a
     module the outer operation is mu; the inner one is mu when its block
-    holds the y slot (t = 0) and the algebra's m otherwise.
+    holds the y slot (t = 0) and the algebra's m otherwise.  The outer
+    operation is applied to basis refs, the inner result's coordinate k in
+    place of the block, times its coefficient c: polynomial coefficients
+    are central and every other slot is a basis ref with coefficient 1.
     """
     ring = structure.ring
     total = {}
@@ -248,11 +223,10 @@ def _stasheff_identity(structure, n: int, refs) -> FreeModuleElement:
             sign = -1 if (r + s * t) % 2 else 1
             if (s * sum(d for d, _ in refs[:r])) % 2:
                 sign = -sign
-            slots = ([(d, FreeModuleElement.basis(ring, i)) for d, i in refs[:r]]
-                     + [(inner_deg, inner)]
-                     + [(d, FreeModuleElement.basis(ring, i)) for d, i in refs[r + s:]])
-            for i, f in structure.op_on_elements(r + 1 + t, slots).coords.items():
-                add_into(total, i, f if sign > 0 else -f)
+            for k, c in (inner if sign > 0 else -inner).coords.items():
+                outer = refs[:r] + ((inner_deg, k),) + refs[r + s:]
+                for i, f in structure._op(r + 1 + t, outer).coords.items():
+                    add_into(total, i, f * c)
     return FreeModuleElement(ring, total)
 
 

@@ -13,8 +13,9 @@ with a preimage f in X_2.  In the dg bar resolution the elements
     rho = 1[e f|e|...|e]psi(e)                           (q >= 5 odd)
 
 are cycles after multiplication by the socle lift s_i; in the minimal
-A-infinity bar of a Golod module the simpler family s_i[f|e_{i_1}|..]y
-works in every degree q >= 3.  Splitting is certified by the boundary
+A-infinity bar of a Golod module the simpler family s_j[f|e_{i_1}|..]y,
+multiplied by the socle lift of the pair's larger index, works in every
+degree q >= 3.  Splitting is certified by the boundary
 criterion: d(rho) lies in n*G but not in BI*G, equivalently some socle
 element s has s*d(rho) in I*G but outside n*I*G.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import comb
 
-from .ainfty import AInfAlgebra, _expand
+from .ainfty import AInfAlgebra
 from .bar import BarComplex
 from .burch import BurchData
 from .complexes import ChainMap, GradedFreeComplex
@@ -114,6 +115,18 @@ def burch_cycles(bd: BurchData, X: GradedFreeComplex) -> BurchCycleSet:
     return out
 
 
+def _expand(slots, ring):
+    """Tensor expansion of (deg, element) slots into (basis refs, coefficient)."""
+    combos = [((), ring.one())]
+    for d, v in slots:
+        nxt = []
+        for refs, coeff in combos:
+            for i, f in v.coords.items():
+                nxt.append((refs + ((d, i),), coeff * f))
+        combos = nxt
+    return [(refs, c) for refs, c in combos if c]
+
+
 def _bar_element(B: BarComplex, q: int, *terms) -> FreeModuleElement:
     """Element of B_q from signed tensors (sign, slots): slots = [(deg, element)]
     with the elements in X except the last, which is in Y."""
@@ -135,6 +148,14 @@ class RhoCycle:
     q: int
 
 
+def _rho_cycle(B: BarComplex, q: int, pair, label: str, rho, s) -> RhoCycle:
+    """The RhoCycle with alpha = s * rho over R; raises unless d(alpha) = 0."""
+    alpha = rho.map_coords(lambda c: B.quotient.normal_form(c * s))
+    if B.complex.diff(q).apply(alpha).map_coords(B.quotient.normal_form).coords:
+        raise InternalCheckError(f"alpha of {label} is not a cycle")
+    return RhoCycle(pair=pair, label=label, rho=rho, alpha=alpha, socle=s, q=q)
+
+
 def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, psi: ChainMap, q: int):
     """Theorem-A cycles in the dg bar resolution, all pairs i < j, i < b."""
     if not isinstance(B.alg, DgAlgebra):
@@ -148,8 +169,7 @@ def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, psi: ChainMap, q: int)
     psi_1 = psi.apply(0, FreeModuleElement.basis(ring, 0))
     out = []
     for (i, j) in bcs.pairs():
-        cyc = bcs.cycles[(i, j)]
-        f = cyc.preimage
+        f = bcs.cycles[(i, j)].preimage
         ef = bilinear(X.product_basis, 1, e_elt, 2, f)
         if q % 2 == 0:
             k = (q - 4) // 2
@@ -161,19 +181,18 @@ def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, psi: ChainMap, q: int)
                 raise InternalCheckError(
                     "e*f vanishes; the odd case needs a free-algebra resolution of R")
             rho = _bar_element(B, q, (1, [(3, ef)] + [(1, e_elt)] * k + [(1, psi_e)]))
-        s = bcs.data.socle_lifts[i]
-        alpha = rho.map_coords(lambda c: B.quotient.normal_form(c * s))
-        boundary = B.complex.diff(q).apply(alpha).map_coords(B.quotient.normal_form)
-        if boundary.coords:
-            raise InternalCheckError(f"alpha for pair {(i, j)} at q={q} is not a cycle")
-        out.append(RhoCycle(pair=(i, j), label=f"general q={q} pair={(i+1,j+1)}",
-                            rho=rho, alpha=alpha, socle=s, q=q))
+        out.append(_rho_cycle(B, q, (i, j), f"general q={q} pair={(i+1,j+1)}", rho,
+                              bcs.data.socle_lifts[i]))
     return out
 
 
 def rho_cycles_golod(bcs: BurchCycleSet, B: BarComplex, q: int):
-    """Theorem-B cycles s_i [f_{x_j,x_i} | e_{i_1} | ... | e_{i_d}] y in the
-    minimal A-infinity bar, for 1 <= i < j <= b; exactly C(b,2) m^d of them."""
+    """Theorem-B cycles s_j [f_{x_j,x_i} | e_{i_1} | ... | e_{i_d}] y in the
+    minimal A-infinity bar, for 1 <= i < j <= b; exactly C(b,2) m^d of them.
+
+    The socle lift is s_j, that of the pair's larger index: with s_i, when
+    the two lifts differ (I = (x^3, y^3, xy)), the cycles at q = 3 and 5
+    do not survive the projection to the minimal bar."""
     if not isinstance(B.alg, AInfAlgebra):
         raise InputError("Golod cycles require the A-infinity regime")
     if q < 3:
@@ -187,20 +206,12 @@ def rho_cycles_golod(bcs: BurchCycleSet, B: BarComplex, q: int):
     m = B.alg.complex.rank(1)
     out = []
     for (i, j) in bcs.pairs(within_b=True):
-        cyc = bcs.cycles[(i, j)]
-        f = cyc.preimage
-        s = bcs.data.socle_lifts[i]
+        f = bcs.cycles[(i, j)].preimage
         for tup in product(range(m), repeat=d):
             slots = ([(2, f)] + [(1, FreeModuleElement.basis(ring, t)) for t in tup]
                      + [(r, FreeModuleElement.basis(ring, 0))])
-            rho = _bar_element(B, q, (1, slots))
-            alpha = rho.map_coords(lambda c: B.quotient.normal_form(c * s))
-            boundary = B.complex.diff(q).apply(alpha).map_coords(B.quotient.normal_form)
-            if boundary.coords:
-                raise InternalCheckError(
-                    f"Golod cycle {(i, j)} {tup} at q={q} is not a cycle")
-            out.append(RhoCycle(pair=(i, j), label=f"golod q={q} pair={(i+1,j+1)} e={tup}",
-                                rho=rho, alpha=alpha, socle=s, q=q))
+            out.append(_rho_cycle(B, q, (i, j), f"golod q={q} pair={(i+1,j+1)} e={tup}",
+                                  _bar_element(B, q, (1, slots)), bcs.data.socle_lifts[j]))
     expected = comb(bcs.data.b, 2) * (m ** d)
     if len(out) != expected:
         raise InternalCheckError(f"emitted {len(out)} cycles, expected {expected}")

@@ -20,54 +20,13 @@ Two constructions:
 
 from __future__ import annotations
 
-from itertools import product
-
 from .complexes import ChainMap, GradedFreeComplex
 from .errors import InternalCheckError, ResourceCapError
 from .matrices import FreeModuleElement, PolyMatrix, add_into
 from .resolve import ModulePresentation
 from .ring import PolyRing
-from .taylor import DgAlgebra, TaylorComplex, bilinear, pairs_meeting_at_most_once
+from .taylor import DgAlgebra, DgModule, TaylorComplex, bilinear, pairs_meeting_at_most_once
 from .tate import CycleSpace, homology_cycle_generators
-
-
-class DgModule:
-    """Interface: a complex with a dg action of a DgAlgebra on basis elements.
-
-    Its checks are the algebra's engines with the right-hand factor in Y.
-    """
-
-    algebra: DgAlgebra
-    complex: GradedFreeComplex
-
-    @property
-    def ring(self):
-        return self.complex.ring
-
-    def action_basis(self, dx, ix, ny, iy) -> FreeModuleElement:
-        raise NotImplementedError
-
-    def op(self, n: int, refs) -> FreeModuleElement:
-        """The A-infinity signature, y last: mu_1 = d, mu_2 = action, mu_n = 0 for n >= 3."""
-        return self.algebra._dg_op(self.complex, self.action_basis, n, refs)
-
-    # -- mechanical dg-module checks ----------------------------------------
-
-    def check_unit(self, through: int | None = None):
-        top = self.complex.top() if through is None else through
-        self.algebra._unit_law(self.complex, self.action_basis, top, "module ", False)
-
-    def leibniz_pairs(self, dx, ny):
-        """Basis index pairs (ix, iy) of degrees dx, ny that check_leibniz compares."""
-        return product(range(self.algebra.complex.rank(dx)), range(self.complex.rank(ny)))
-
-    def check_leibniz(self, through: int | None = None):
-        """d(a*c) = d(a)*c + (-1)^|a| a*d(c) on every pair from leibniz_pairs."""
-        self.algebra._leibniz_law(self.complex, self.action_basis, self.leibniz_pairs,
-                                  through, "module ")
-
-    def check_associative(self, degree_cap: int):
-        self.algebra._associative_law(self.complex, self.action_basis, degree_cap, "action ")
 
 
 class SemifreeDgModule(DgModule):

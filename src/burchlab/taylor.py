@@ -1,6 +1,9 @@
-"""Dg algebra structures on free complexes; the Taylor complex in particular.
+"""Dg modules and dg algebras on free complexes; the Taylor complex in particular.
 
-A DgAlgebra bundles a complex with a basis-level product table and a unit.
+A DgModule bundles a complex with a basis-level action of a dg algebra; a
+DgAlgebra, a complex with a basis-level product table and a unit, is a dg
+module over itself, so one set of unit, Leibniz and associativity checks
+serves both.
 The Taylor complex of monomials m_1..m_s has basis e_S indexed by subsets,
 differential d(e_S) = sum_k (-1)^k c_(u_k) (lcm S / lcm S\\u_k) e_(S\\u_k), and
 product e_S * e_T = sign * (lcm S * lcm T / lcm(S u T)) e_(S u T) for
@@ -25,95 +28,67 @@ from .ring import Polynomial, PolyRing, mono_deg, mono_div, mono_lcm
 TAYLOR_GENERATOR_CAP = 12
 
 
-class DgAlgebra:
-    """A complex with unit and associative graded-commutative product.
+class DgModule:
+    """A complex Y with a dg action of a DgAlgebra on its basis.
 
-    Subclasses implement product_basis(da, ia, db, ib) returning an element
-    of degree da+db; element-level products extend it by bilinear().  The
-    unit, Leibniz and associativity engines below take the right-hand
-    factor's complex and basis operation as arguments, so that DgModule
-    checks its action on them as well.
+    Subclasses implement action_basis(dx, ix, ny, iy) returning an element
+    of Y in degree dx+ny; element-level products extend it by bilinear().
     """
 
+    algebra: DgAlgebra
     complex: GradedFreeComplex
+    label = "module "
 
     @property
     def ring(self) -> PolyRing:
         return self.complex.ring
 
-    def product_basis(self, da, ia, db, ib) -> FreeModuleElement:
+    def action_basis(self, dx, ix, ny, iy) -> FreeModuleElement:
         raise NotImplementedError
 
     def op(self, n: int, refs) -> FreeModuleElement:
-        """The A-infinity signature: m_1 = d, m_2 = product, m_n = 0 for n >= 3."""
-        return self._dg_op(self.complex, self.product_basis, n, refs)
+        """The A-infinity signature, y last: d at n = 1, the action at n = 2, 0 above."""
+        if n == 1:
+            d, i = refs[-1]
+            return self.complex.diff(d).column(i)
+        if n == 2:
+            (da, ia), (db, ib) = refs
+            return self.action_basis(da, ia, db, ib)
+        return FreeModuleElement(self.ring, {})
 
     # -- mechanical dg checks -------------------------------------------------
 
-    def check_unit(self):
-        self._unit_law(self.complex, self.product_basis, self.complex.top(), "", True)
+    def check_unit(self, through: int | None = None):
+        """1 * c = c on every basis element c of degree <= through (and
+        c * 1 = c in an algebra, which acts on itself)."""
+        top = self.complex.top() if through is None else through
+        times = self.action_basis
+        two_sided = self.algebra is self
+        for d in range(top + 1):
+            for i in range(self.complex.rank(d)):
+                want = FreeModuleElement.basis(self.ring, i)
+                if times(0, 0, d, i) != want or (two_sided and times(d, i, 0, 0) != want):
+                    raise InternalCheckError(f"{self.label}unit law fails on basis ({d},{i})")
 
     def leibniz_pairs(self, da, db):
         """Basis index pairs (ia, ib) of degrees da, db that check_leibniz compares."""
-        return product(range(self.complex.rank(da)), range(self.complex.rank(db)))
+        return product(range(self.algebra.complex.rank(da)), range(self.complex.rank(db)))
 
     def check_leibniz(self, through: int | None = None):
-        """d(a*b) = d(a)*b + (-1)^|a| a*d(b) on every pair from leibniz_pairs."""
-        self._leibniz_law(self.complex, self.product_basis, self.leibniz_pairs, through, "")
-
-    def check_commutative(self, through: int | None = None):
-        top = self.complex.top() if through is None else through
-        for da in range(top + 1):
-            for db in range(da, top + 1 - da):
-                for ia in range(self.complex.rank(da)):
-                    for ib in range(self.complex.rank(db)):
-                        ab = self.product_basis(da, ia, db, ib)
-                        ba = self.product_basis(db, ib, da, ia)
-                        if (da * db) % 2 == 1:
-                            ba = -ba
-                        if ab != ba:
-                            raise InternalCheckError(
-                                f"graded commutativity fails on ({da},{ia}) ({db},{ib})")
-
-    def check_associative(self, degree_cap: int):
-        self._associative_law(self.complex, self.product_basis, degree_cap, "")
-
-    # -- engines: a, b in this algebra, c in `right` with basis op `times` ----
-
-    def _dg_op(self, right, times, n, refs):
-        """op(n, refs) of a dg structure, the last ref in `right`: its
-        differential at n = 1, times at n = 2 and 0 above."""
-        if n == 1:
-            d, i = refs[-1]
-            return right.diff(d).column(i)
-        if n == 2:
-            (da, ia), (db, ib) = refs
-            return times(da, ia, db, ib)
-        return FreeModuleElement(self.ring, {})
-
-    def _unit_law(self, right, times, top, label, two_sided):
-        """1 * c = c on every basis element of `right` through degree top
-        (and c * 1 = c when two_sided)."""
-        for d in range(top + 1):
-            for i in range(right.rank(d)):
-                want = FreeModuleElement.basis(self.ring, i)
-                if times(0, 0, d, i) != want or (two_sided and times(d, i, 0, 0) != want):
-                    raise InternalCheckError(f"{label}unit law fails on basis ({d},{i})")
-
-    def _leibniz_law(self, right, times, pairs, through, label):
-        """d(a*c) = d(a)*c + (-1)^|a| a*d(c) on every pair from pairs(da, dc).
+        """d(a*c) = d(a)*c + (-1)^|a| a*d(c) on every pair from leibniz_pairs.
 
         Each side is accumulated as {position: {monomial: coeff}} straight
         from the differential columns and compared exactly mod p.
         """
         p = self.ring.p
-        top = right.top() if through is None else through
-        lcols = {n: self.complex.diff(n).columns for n in range(1, top + 1)}
-        rcols = {n: right.diff(n).columns for n in range(1, top + 1)}
+        times = self.action_basis
+        top = self.complex.top() if through is None else through
+        lcols = {n: self.algebra.complex.diff(n).columns for n in range(1, top + 1)}
+        rcols = {n: self.complex.diff(n).columns for n in range(1, top + 1)}
         for da in range(top + 1):
             for db in range(top + 1 - da):
                 sign_b = 1 if da % 2 == 0 else -1
-                for ia, ib in pairs(da, db):
+                for ia, ib in self.leibniz_pairs(da, db):
                     lhs, rhs = {}, {}
                     if da + db >= 1:
                         dcols = rcols[da + db]
@@ -130,29 +105,67 @@ class DgAlgebra:
                                 _add_product(rhs, i, f, g, sign_b)
                     if _reduced(lhs, p) != _reduced(rhs, p):
                         raise InternalCheckError(
-                            f"{label}Leibniz fails on basis pair ({da},{ia}) ({db},{ib})")
+                            f"{self.label}Leibniz fails on basis pair ({da},{ia}) ({db},{ib})")
 
-    def _associative_law(self, right, times, degree_cap, label):
-        """(a*b)*c = a*(b*c) for total degree within the cap and right's top."""
-        X = self.complex
-        top = right.top()
+    def check_associative(self, degree_cap: int):
+        """(a*b)*c = a*(b*c) for total degree within the cap and Y's top."""
+        X = self.algebra
+        times = self.action_basis
+        top = self.complex.top()
         for da in range(degree_cap + 1):
             for db in range(degree_cap + 1 - da):
                 for dc in range(degree_cap + 1 - da - db):
                     if da + db + dc > top:
                         continue  # both sides land in zero modules
-                    for ia in range(X.rank(da)):
+                    for ia in range(X.complex.rank(da)):
                         va = FreeModuleElement.basis(self.ring, ia)
-                        for ib in range(X.rank(db)):
-                            ab = self.product_basis(da, ia, db, ib)
-                            for ic in range(right.rank(dc)):
+                        for ib in range(X.complex.rank(db)):
+                            ab = X.product_basis(da, ia, db, ib)
+                            for ic in range(self.complex.rank(dc)):
                                 vc = FreeModuleElement.basis(self.ring, ic)
                                 left = bilinear(times, da + db, ab, dc, vc)
                                 bc = times(db, ib, dc, ic)
                                 if left != bilinear(times, da, va, db + dc, bc):
                                     raise InternalCheckError(
-                                        f"{label}associativity fails on "
+                                        f"{self.label}associativity fails on "
                                         f"({da},{ia}) ({db},{ib}) ({dc},{ic})")
+
+
+class DgAlgebra(DgModule):
+    """A complex with unit and associative graded-commutative product: a dg
+    module over itself, acting by its product.
+
+    Subclasses implement product_basis(da, ia, db, ib) returning an element
+    of degree da+db.
+    """
+
+    label = ""
+
+    @property
+    def algebra(self) -> DgAlgebra:
+        return self
+
+    @property
+    def action_basis(self):
+        # looked up on each read, so a patched product_basis takes effect
+        return self.product_basis
+
+    def product_basis(self, da, ia, db, ib) -> FreeModuleElement:
+        raise NotImplementedError
+
+    def check_commutative(self, through: int | None = None):
+        top = self.complex.top() if through is None else through
+        for da in range(top + 1):
+            for db in range(da, top + 1 - da):
+                for ia in range(self.complex.rank(da)):
+                    for ib in range(self.complex.rank(db)):
+                        ab = self.product_basis(da, ia, db, ib)
+                        ba = self.product_basis(db, ib, da, ia)
+                        if (da * db) % 2 == 1:
+                            ba = -ba
+                        if ab != ba:
+                            raise InternalCheckError(
+                                f"graded commutativity fails on ({da},{ia}) ({db},{ib})")
 
 
 def bilinear(times, da, va: FreeModuleElement, db, vb: FreeModuleElement) -> FreeModuleElement:
@@ -206,6 +219,8 @@ class TaylorComplex(DgAlgebra):
     def __init__(self, ring: PolyRing, monomials, verify: bool = True):
         if not monomials:
             raise ValueError("need at least one monomial")
+        if any(not isinstance(m, tuple) and len(m.terms) != 1 for m in monomials):
+            raise ValueError("Taylor generators must be monomials")
         if len(monomials) > TAYLOR_GENERATOR_CAP:
             raise ResourceCapError(
                 f"{len(monomials)} generators exceed the Taylor cap {TAYLOR_GENERATOR_CAP}")

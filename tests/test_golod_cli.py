@@ -155,6 +155,19 @@ def test_adapted_burch_generators_are_the_tate_x1():
     assert [(row["q"], row["algebra"], row["cycles"]) for row in body["cycles"]] == [(5, "tate", 1)]
 
 
+def test_golod_cycles_take_the_socle_lift_of_the_larger_index():
+    # the lifts of x and y are x^2 and y^2; with the lift of the smaller
+    # index the q = 3 cycle did not survive and the job exited 1
+    from burchlab.cli import run_command
+
+    spec = parse_job(json.dumps(m2_job(ideal=["x^3", "y^3", "x*y"], caps={"homDegree": 5})))
+    body, code = run_command("verify-golod", spec)
+    assert code == 0 and body["bounds"]["allHold"] is True
+    assert body["burch"]["witness"]["socleLifts"] == ["x^2", "y^2"]
+    assert [(row["q"], row["survivors"], row["expected"]) for row in body["cycles"]] \
+        == [(3, 1, 1), (4, 1, 1)]
+
+
 @pytest.mark.parametrize("command", ["verify-golod", "verify-general", "bar"])
 def test_non_monic_monomial_generators_give_the_monic_report(command):
     # the Taylor complex of 3x^2, xy, 5y^2 has d(e_t) equal to the generator,

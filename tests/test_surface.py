@@ -23,6 +23,10 @@ function body imports from burchlab.
 The fifth check keeps the choice of minimal generators of I in one place:
 only burch.py (burch_data) and pipeline.py (RingContext.build) name
 minimal_generators; every resolution of R takes the job's list.
+
+The sixth check keeps the dg checks in one place: a dg algebra is a dg
+module over itself, so only taylor.DgModule defines check_unit,
+check_leibniz and check_associative.
 """
 
 from __future__ import annotations
@@ -213,3 +217,31 @@ def test_only_burch_and_pipeline_choose_minimal_generators_of_i():
     naming = sorted(path.name for path in PACKAGE.glob("*.py")
                     if re.search(r"\bminimal_generators\b", path.read_text(encoding="utf-8")))
     assert naming == ["burch.py", "pipeline.py"]
+
+
+# -- one set of dg checks -------------------------------------------------------
+
+DG_CHECKS = ("check_unit", "check_leibniz", "check_associative")
+
+
+def _dg_check_definitions(source: str, filename: str) -> list:
+    """'file: Class.method' for each class in source that defines a dg check."""
+    return [f"{filename}: {node.name}.{item.name}"
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and item.name in DG_CHECKS]
+
+
+def test_only_dg_module_defines_the_dg_checks():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _dg_check_definitions(path.read_text(encoding="utf-8"), path.name)
+    assert sorted(found) == sorted(f"taylor.py: DgModule.{name}" for name in DG_CHECKS)
+
+
+def test_the_dg_check_scan_sees_a_duplicate():
+    planted = ("class DgModule:\n    def check_unit(self):\n        pass\n"
+               "class DgAlgebra(DgModule):\n    def check_unit(self):\n        pass\n")
+    assert _dg_check_definitions(planted, "m.py") == ["m.py: DgModule.check_unit",
+                                                       "m.py: DgAlgebra.check_unit"]

@@ -1,4 +1,5 @@
-"""The Taylor product and the Leibniz self-check restricted to |S n T| <= 1."""
+"""The Taylor product, the Leibniz self-check restricted to |S n T| <= 1, and a
+dg algebra as a dg module over itself."""
 
 from itertools import product
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from burchlab.burch import minimal_generators
 from burchlab.errors import InternalCheckError
 from burchlab.ring import PolyRing, mono_div, mono_lcm, mono_mul
-from burchlab.taylor import DgAlgebra, TaylorComplex
+from burchlab.taylor import DgAlgebra, DgModule, TaylorComplex
 
 P = 32003
 
@@ -135,3 +136,18 @@ def test_planted_sign_in_a_cancelling_pair_meeting_in_one_index_is_caught():
     del T.leibniz_pairs  # the full check catches it as well
     with pytest.raises(InternalCheckError):
         T.check_leibniz()
+
+
+def test_a_generator_with_more_than_one_term_is_refused():
+    R = PolyRing(P, ("x", "y"))
+    with pytest.raises(ValueError, match="monomials"):
+        TaylorComplex(R, [R.parse("x^2+y^2"), R.parse("x*y")])
+
+
+def test_a_dg_algebra_is_a_dg_module_over_itself():
+    T = taylor_m2_3vars()
+    assert isinstance(T, DgModule) and T.algebra is T
+    honest = T.product_basis(1, 0, 1, 1)
+    assert T.op(2, ((1, 0), (1, 1))) == honest
+    plant_sign_flip(T, 1, (0,), 1, (1,))   # the action reads the patched product
+    assert T.action_basis(1, 0, 1, 1) == -honest

@@ -22,7 +22,8 @@ from .groebner import Ideal, Strand, maximal_ideal
 from .linalg import SparseEchelon
 from .matrices import FreeModuleElement
 from .resolve import minimal_module_generators
-from .ring import PolyRing, mono_deg, monomials_of_degree, poly_sort_key
+from .ring import (PolyRing, Polynomial, mono_deg, mono_div, mono_divides,
+                   monomials_of_degree, poly_sort_key)
 
 
 def minimal_generators(gens, ring: PolyRing):
@@ -177,17 +178,90 @@ class BurchData:
         return True
 
 
+def _coordinates(prod, gens, q_table) -> dict:
+    """Nonzero c_j with prod = sum c_j a_j modulo nI, solved over Q_d by
+    monomials in the degree d of prod."""
+    ring = prod.ring
+    d = prod.degree()
+    strand = Strand(q_table, [0], d)
+    ech = strand.span([(FreeModuleElement(ring, {0: a}), a.degree()) for a in gens], 1,
+                      SparseEchelon(ring.p, track_reps=True))
+    for j, a in enumerate(gens):
+        if a.degree() == d:
+            ech.insert(strand.vector({0: a}), {j: 1})
+    coeffs = ech.solve(strand.vector({0: prod}))
+    if coeffs is None:
+        raise InternalCheckError("x*s not expressible over the generators")
+    return {j: c for j, c in coeffs.items() if c}
+
+
+def _exact_lifts(x, gens, soc) -> list:
+    """The pairs (s, j) with x * s == gens[j] exactly and s in soc = (I : n),
+    s = gens[j] / x, in ascending grevlex order of s."""
+    (xm, _), = x.terms.items()
+    lifts = []
+    for j, a in enumerate(gens):
+        if all(mono_divides(xm, m) for m in a.terms):
+            s = Polynomial(a.ring, {mono_div(m, xm): c for m, c in a.terms.items()})
+            if soc.contains(s):
+                lifts.append((s, j))
+    return sorted(lifts, key=lambda lift: poly_sort_key(lift[0]))
+
+
+def _distinct_choice(options: list, taken: tuple = ()):
+    """The first choice of one (s, j) from each list of options, the j
+    pairwise distinct and not in taken (the first list's pick first); None
+    when there is none."""
+    if not options:
+        return []
+    for s, j in options[0]:
+        if j not in taken:
+            rest = _distinct_choice(options[1:], taken + (j,))
+            if rest is not None:
+                return [(s, j)] + rest
+    return None
+
+
+def _adapt_or_share(x, soc_min, gens, soc, taken, q_table):
+    """(s, j) for x when the x's have no exact factorizations onto distinct
+    generators, s scaled so that x * s is to become gens[j]:
+    * an exact factorization onto a generator not in taken;
+    * else the first socle generator s whose product x * s carries, over
+      gens modulo nI, a generator not in taken, and the smallest such j
+      (gens[j] := x * s is an invertible change);
+    * else the first exact factorization, onto a taken generator (shared)."""
+    exact = _exact_lifts(x, gens, soc)
+    for s, j in exact:
+        if j not in taken:
+            return s, j
+    for s in soc_min:
+        prod = x * s
+        coords = _coordinates(prod, gens, q_table) if prod else {}
+        j = min((jj for jj in coords if jj not in taken), default=None)
+        if j is not None:
+            return s.scale(x.ring.inv(coords[j])), j
+    if exact:
+        return exact[0]
+    raise InternalCheckError(f"no exact factorization for {x}; adaptation conflict or bug")
+
+
 def burch_data(I: Ideal, BI: Ideal | None = None) -> BurchData:
     """Deterministic certified Burch data; requires burch_index(I) >= 1.
 
     BI is the Burch ideal of I when the caller already has it.
 
-    The x candidates are scanned in variable order; socle lifts in ascending
-    grevlex order over the minimal generators of (I : n); the first valid
-    factorization wins.  When x*s only agrees with a combination of the
-    canonical generators modulo nI, the generating set is adapted by
-    replacing one generator with x*s (an invertible change), keeping the
-    factorization an exact equality.
+    The x candidates are scanned in variable order.  An exact factorization
+    x*s = a_j is s = a_j / x with s in (I : n); the x's take exact
+    factorizations onto pairwise distinct generators, the first such choice
+    in ascending grevlex order of the lifts (x_1's pick first).  When there
+    is none, each x in turn takes an exact factorization onto a generator no
+    earlier x has taken; failing that, it adapts the generating set by
+    replacing an untaken generator that x*s carries modulo nI with x*s, s
+    the first minimal generator of (I : n) in ascending grevlex order with
+    such a product (an invertible change, keeping the factorization an exact
+    equality); failing that, it shares the generator of an exact
+    factorization with an earlier x, as when n * (I : n) reaches fewer than
+    b generators of I modulo nI.
     """
     ring = I.ring
     n = maximal_ideal(ring)
@@ -198,7 +272,7 @@ def burch_data(I: Ideal, BI: Ideal | None = None) -> BurchData:
     if b < 1:
         raise InputError("burch_data requires Burch index >= 1")
 
-    gens = minimal_generators(I.gens, ring)
+    gens = list(minimal_generators(I.gens, ring))
 
     # choose xs: variables independent mod BI first (b of them), then extend
     # by the remaining variables to a basis of n/n^2
@@ -219,56 +293,15 @@ def burch_data(I: Ideal, BI: Ideal | None = None) -> BurchData:
     nI = n.product(I)
     q_table = Ideal(ring, []).table()
 
-    socle_lifts, j_indices = [], []
-    assigned = {}
-    for i in range(b):
-        x = xs[i]
-        found = None
-        for s in soc_min:
-            prod = x * s
-            if not prod:
-                continue
-            d = prod.degree()
-            # solve x*s = sum c_j a_j modulo (nI)_d, over Q_d by monomials
-            strand = Strand(q_table, [0], d)
-            ech = strand.span([(FreeModuleElement(ring, {0: a}), a.degree()) for a in gens], 1,
-                              SparseEchelon(ring.p, track_reps=True))
-            for j, a in enumerate(gens):
-                if a.degree() == d:
-                    ech.insert(strand.vector({0: a}), {j: 1})
-            coeffs = ech.solve(strand.vector({0: prod}))
-            if coeffs is None:
-                raise InternalCheckError("x*s not expressible over the generators")
-            coeffs = {j: c for j, c in coeffs.items() if c}
-            if not coeffs:
-                continue  # x*s in nI: not a minimal generator, try next s
-            if len(coeffs) == 1:
-                j, c = next(iter(coeffs.items()))
-                s_scaled = s.scale(ring.inv(c))
-                if x * s_scaled == gens[j]:
-                    found = (s_scaled, j, None)
-                    break
-                if j not in assigned:
-                    found = (s_scaled, j, x * s_scaled)  # adapt a_j := x*s
-                    break
-            else:
-                # pick the smallest unassigned index carried by the combination
-                j = min((jj for jj in coeffs if jj not in assigned), default=None)
-                if j is not None:
-                    s_scaled = s.scale(ring.inv(coeffs[j]))
-                    found = (s_scaled, j, x * s_scaled)
-                    break
-        if found is None:
-            raise InternalCheckError(
-                f"no exact factorization for {x}; adaptation conflict or bug"
-            )
-        s_scaled, j, replacement = found
-        if replacement is not None:
-            gens = list(gens)
-            gens[j] = replacement
-        assigned[j] = i
-        socle_lifts.append(s_scaled)
-        j_indices.append(j)
+    picks = _distinct_choice([_exact_lifts(x, gens, soc) for x in xs[:b]])
+    if picks is None:
+        picks = []
+        for x in xs[:b]:
+            s, j = _adapt_or_share(x, soc_min, gens, soc, [j for _, j in picks], q_table)
+            gens[j] = x * s
+            picks.append((s, j))
+    socle_lifts = [s for s, _ in picks]
+    j_indices = [j for _, j in picks]
 
     data = BurchData(
         ideal=I,

@@ -155,8 +155,13 @@ def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra,
     Y(0) = X^a already has H_0 = M once generators killing the relation
     columns are adjoined (the ideal I is hit by X_1 acting on Y_0); higher
     homology is killed degree by degree with fresh generators whose
-    boundaries are the deterministic minimal homology generators.  The
-    basis is only enumerated through degree up_to + 1.
+    boundaries are the deterministic minimal homology generators.
+
+    What up_to gives: every generator of degree <= up_to (rounds n =
+    1..up_to-1 adjoin those of degree n+1), H_n(Y) = 0 checked for
+    1 <= n <= up_to-1, and a basis enumerated through degree up_to + 1.
+    That top degree holds pairs of the lower generators only, none of its
+    own: Y_(up_to+1) and H_up_to(Y) are not those of a resolution.
 
     After each round the check that H_n is now 0
     (CycleSpace.check_adjunction) reuses Z_n and the echelons of the picks:

@@ -106,6 +106,13 @@ def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str =
     coprime generators are unit multiples of basis elements).  "tate" uses
     the acyclic closure, whose free underlying algebra the odd-degree
     general-case cycles require.
+
+    Y has every generator of degree <= cap and is checked exact in degrees
+    1..cap-1; H_cap(Y) is not killed.  That is all its readers use:
+    BarComplex(X, Y, cap) takes y of degree <= cap only, psi is read at
+    degrees 0 and 1, and minimalize runs through cap.  A generator of degree
+    cap + 1 would only add basis pairs of degree >= cap + 1, and pairs are
+    append-only, so Y_(<=cap) and d_1..d_cap are the same without that round.
     """
     if algebra == "taylor":
         X = taylor_algebra(ctx)
@@ -113,7 +120,7 @@ def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str =
         X = acyclic_closure(ctx.ring, ctx.minimal_gens, through=cap, basis_guard=rank_guard)
     else:
         raise ValueError(f"unknown algebra {algebra!r}")
-    Y, psi = build_semifree_resolution(pres, X, up_to=cap + 1, rank_guard=rank_guard)
+    Y, psi = build_semifree_resolution(pres, X, up_to=cap, rank_guard=rank_guard)
     return X, Y, psi
 
 

@@ -43,6 +43,7 @@ class TateAlgebra(DgAlgebra):
         self._basis = None             # d -> sorted list of monomial keys
         self._pos = None               # d -> {key: position}
         self._complex = None
+        self._diff_images = {}         # key -> diff_key(key), kept across adjoins
 
     @property
     def ring(self):
@@ -96,18 +97,28 @@ class TateAlgebra(DgAlgebra):
         self._pos = {d: {k: t for t, k in enumerate(keys)} for d, keys in self._basis.items()}
 
     def _refresh(self):
+        """Re-list the basis and assemble the differentials.
+
+        The mono-keyed image of a key, once computed, is kept: it depends
+        only on the key, degree_cap and the degrees and differentials of
+        the variables in it, and adjoining never changes those.  Positions
+        do move, so the images are mapped to positions here, every time.
+        """
         if not self._stale:
             return
         self._enumerate_basis()
         ring = self.ring
         degrees = {d: [self._internal_degree(k) for k in keys] for d, keys in self._basis.items()}
+        images = self._diff_images
         diffs = {}
         for d in sorted(self._basis):
             if d == 0:
                 continue
             mat = PolyMatrix(ring, degrees.get(d - 1, []), degrees[d])
             for j, key in enumerate(self._basis[d]):
-                img = self.diff_key(key)
+                img = images.get(key)
+                if img is None:
+                    img = images[key] = self.diff_key(key)
                 for k2, f in img.items():
                     mat.set_entry(self._pos[d - 1][k2], j, f)
             diffs[d] = mat

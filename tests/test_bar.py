@@ -258,3 +258,33 @@ def test_dg_bar_differential_is_the_docstring_formula(ctx_m2, m2_ideal, module, 
             assert B.differential_of_word(w) == dg_formula_boundary(B, w), w
             checked += 1
     assert checked == sum(B.rank(n) for n in range(6)) > 100
+
+
+# -- dg_pair builds Y as deep as B(R, X, Y) reads it ---------------------------
+
+
+@pytest.mark.parametrize("algebra", ["taylor", "tate"])
+def test_dg_pair_builds_y_through_the_bar_cap_only(ctx_m2, m2_ideal, algebra):
+    # a generator of degree cap + 1 only adds pairs of degree >= cap + 1, so
+    # the round that adjoins it changes nothing the bar complex reads
+    cap = 5
+    k = ModulePresentation.residue_field(m2_ideal)
+    X, Y, _psi = dg_pair(ctx_m2, k, cap=cap, algebra=algebra, rank_guard=Caps.rank_guard)
+    assert max(Y.gen_hom_degrees) == cap
+    deep, _ = build_semifree_resolution(k, X, up_to=cap + 1, rank_guard=Caps.rank_guard)
+    assert max(deep.gen_hom_degrees) == cap + 1
+    for n in range(cap + 1):
+        assert Y.complex.basis_degrees(n) == deep.complex.basis_degrees(n)
+    for n in range(1, cap + 1):
+        ours, theirs = Y.complex.diff(n), deep.complex.diff(n)
+        assert (ours.rows, ours.cols, ours.columns) == (theirs.rows, theirs.cols, theirs.columns)
+    B, B_deep = BarComplex(X, Y, m2_ideal, cap=cap), BarComplex(X, deep, m2_ideal, cap=cap)
+    assert B.words == B_deep.words
+    for n in range(1, cap + 1):
+        assert B.complex.diff(n).columns == B_deep.complex.diff(n).columns
+    assert B.exactness_check(cap - 1)
+
+    # one round short, H_(cap-1)(Y) is not killed and the bar complex sees it
+    short, _ = build_semifree_resolution(k, X, up_to=cap - 1, rank_guard=Caps.rank_guard)
+    with pytest.raises(InternalCheckError, match=f"bar homology at degree {cap - 1}:"):
+        BarComplex(X, short, m2_ideal, cap=cap).exactness_check(cap - 1)

@@ -209,3 +209,65 @@ def test_burch_results_are_computed_once_per_job(monkeypatch):
     _, code = run_command("verify-golod", spec)   # 17 splitting checks on this job
     assert code == 0
     assert calls == {"burch_ideal": 1, "socle": 1}
+
+
+# -- the witness search: products x_i * s_i independent modulo nI -----------
+
+
+def test_binomial_ideal_takes_exact_lifts_on_distinct_generators(R):
+    # the first socle generator that works for x is a multiple of y^3, which
+    # used to adapt y^4 := x * s and leave no generator for y (exit 4)
+    import json
+
+    from burchlab.cli import run_command
+    from burchlab.jobs import parse_job
+
+    I = Ideal(R, [R.parse("x^4"), R.parse("y^4"), R.parse("y^2+6*x*y")])
+    bd = burch_data(I)
+    assert [str(s) for s in bd.socle_lifts] == ["x^3", "y^3"]
+    assert [str(bd.gens[j]) for j in bd.j_indices] == ["x^4", "y^4"]
+    spec = parse_job(json.dumps({"name": "binomial", "p": P, "vars": ["x", "y"],
+                                 "ideal": ["x^4", "y^4", "y^2+6*x*y"],
+                                 "module": {"cyclic": ["x", "y"]}}))
+    body, code = run_command("burch", spec)
+    assert code == 0 and body["burch"]["witness"]["socleLifts"] == ["x^3", "y^3"]
+
+
+@pytest.mark.parametrize("ideal, lifts, gens", [
+    # x * (x*y) = x^2*y was taken first, and y * x^2 = x^2*y shared it
+    (["x^3", "y^2", "x^2*y"], ["x^2", "x^2"], ["x^3", "x^2*y"]),
+    # x^2*y + x*y^2 is y * (x^2 + x*y) with x^2 + x*y in (I : n), though no
+    # socle generator is a multiple of x^2 + x*y (exit 4 before)
+    (["x^3", "y^2", "x*y^2+x^2*y"], ["x^2", "x^2 + x*y"], ["x^3", "x^2*y + x*y^2"]),
+])
+def test_xs_take_distinct_generators_when_they_can(R, ideal, lifts, gens):
+    bd = burch_data(Ideal(R, [R.parse(g) for g in ideal]))
+    assert [str(s) for s in bd.socle_lifts] == lifts
+    assert [str(bd.gens[j]) for j in bd.j_indices] == gens
+    assert bd.verify()
+
+
+def test_xs_share_a_generator_when_n_soc_reaches_fewer_than_b(R):
+    # n * (I : n) is x^2*y^2 + nI here, yet the index is 2
+    I = Ideal(R, [R.parse("x^3"), R.parse("x^2*y^2"), R.parse("y^3")])
+    bd = burch_data(I)
+    assert bd.b == 2 and [str(bd.gens[j]) for j in bd.j_indices] == ["x^2*y^2"] * 2
+
+
+def test_xs_share_a_binomial_generator_both_divide(R):
+    # I = (x^3, y^3, x^2*y^2) written with a binomial g = x*y^3 + 6*x^2*y^2:
+    # g = x * (y^3 + 6*x*y^2) = y * (x*y^2 + 6*x^2*y), both lifts in (I : n),
+    # while y * s for a socle generator s only reaches g modulo nI (exit 4 before)
+    import json
+
+    from burchlab.cli import run_command
+    from burchlab.jobs import parse_job
+
+    ideal = ["x^3", "y^3", "x*y^3+6*x^2*y^2"]
+    bd = burch_data(Ideal(R, [R.parse(g) for g in ideal]))
+    assert [str(s) for s in bd.socle_lifts] == ["6*x*y^2 + y^3", "6*x^2*y + x*y^2"]
+    assert [str(bd.gens[j]) for j in bd.j_indices] == ["6*x^2*y^2 + x*y^3"] * 2
+    spec = parse_job(json.dumps({"name": "shared", "p": P, "vars": ["x", "y"],
+                                 "ideal": ideal, "module": {"cyclic": ["x", "y"]}}))
+    _, code = run_command("burch", spec)
+    assert code == 0

@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from burchlab.jobs import load_job
 from burchlab.matrices import FreeModuleElement, PolyMatrix
 from burchlab.pipeline import Caps
 from burchlab.resolve import ModulePresentation, minimal_module_generators
-from burchlab.tate import CycleSpace, acyclic_closure, homology_cycle_generators
+from burchlab.tate import CycleSpace, TateAlgebra, acyclic_closure, homology_cycle_generators
 from burchlab.taylor import TaylorComplex, bilinear
 
 P = 32003
@@ -241,6 +242,40 @@ def test_append_only_columns_match_a_fresh_build(case, m2_ideal, hyper_ideal):
     for n in range(1, built.top() + 1):
         assert built.diff(n).columns == fresh.diff(n).columns
     assert len(Y.gen_hom_degrees) > 5
+
+
+@pytest.mark.parametrize("case", ["m2", "bione"])
+def test_kept_tate_images_match_a_fresh_build(case, m2_ideal, bione_ideal):
+    # the closure rebuilds once per round and keeps each key's image; a fresh
+    # algebra with the same variables computes every image at one refresh
+    ideal = bione_ideal if case == "bione" else m2_ideal
+    A = closure(ideal, through=5, basis_guard=100000)
+    fresh = TateAlgebra(A.ring, A.degree_cap, A.basis_guard)
+    for degree, diff in zip(A.var_degrees, A.var_diffs):
+        fresh.adjoin(degree, diff)
+    built, new = A.complex, fresh.complex
+    assert built.degrees == new.degrees
+    for n in range(1, built.top() + 1):
+        assert built.diff(n).columns == new.diff(n).columns
+    assert len(A.var_degrees) > 2
+
+
+def test_tate_images_are_computed_once_and_a_planted_one_is_seen(monkeypatch, m2_ideal):
+    real = TateAlgebra.diff_key
+    calls = Counter()
+
+    def planted(self, key):
+        calls[key] += 1
+        img = real(self, key)
+        if key == ((0, 1), (1, 1)):     # d(e_0 e_1): negate one of its two terms
+            k = next(iter(img))
+            img[k] = -img[k]
+        return img
+
+    monkeypatch.setattr(TateAlgebra, "diff_key", planted)
+    with pytest.raises(InternalCheckError, match="d_1 o d_2 != 0"):
+        closure(m2_ideal, through=4, basis_guard=100000)
+    assert calls and set(calls.values()) == {1}
 
 
 def drop_last_generator_once(monkeypatch, module):

@@ -3,7 +3,7 @@ with a degreewise split dg-module map psi: X -> Y.
 
 Two constructions:
 
-* SemifreeDgModule.build(): start from Y(0) = X tensor Q^a lifting a
+* build_semifree_resolution(): start from Y(0) = X tensor Q^a lifting a
   presentation Q^a ->> M, adjoin generators killing the relations, then
   keep adjoining generators that kill homology degree by degree.  psi is
   the inclusion of the first ambient coordinate.
@@ -20,121 +20,67 @@ Two constructions:
 
 from __future__ import annotations
 
-from .complexes import ChainMap, GradedFreeComplex
-from .errors import InternalCheckError, ResourceCapError
+from .complexes import ChainMap
+from .errors import InternalCheckError
 from .matrices import FreeModuleElement, PolyMatrix, add_into
 from .resolve import ModulePresentation
 from .ring import PolyRing
-from .taylor import DgAlgebra, DgModule, TaylorComplex, bilinear, pairs_meeting_at_most_once
-from .tate import CycleSpace, homology_cycle_generators
+from .taylor import DgAlgebra, DgModule, TaylorComplex, pairs_meeting_at_most_once
+from .tate import AdjunctionEngine
 
 
-class SemifreeDgModule(DgModule):
+class SemifreeDgModule(AdjunctionEngine, DgModule):
     """X-semifree module with generator basis (t, i) = (generator, algebra basis)."""
 
-    @property
-    def ring(self):
-        return self.algebra.ring
-
-    def __init__(self, algebra: DgAlgebra, degree_cap: int | None = None):
+    def __init__(self, algebra: DgAlgebra, degree_cap: int):
+        super().__init__(algebra.ring, degree_cap)  # no basis above degree_cap
         self.algebra = algebra
-        self.degree_cap = degree_cap    # drop basis above this homological degree
         self.gen_hom_degrees = []       # homological degree of each generator
         self.gen_int_degrees = []       # internal degree label
-        self.gen_diffs = []             # FreeModuleElement in Y_{deg-1}, or None
-        self._stale = True
-        self._basis = None              # n -> list of (t, i) with i in X_{n - gdeg_t}
-        self._pos = None
-        self._complex = None
-        self._columns = {}              # (t, i, n) -> coordinates of d(b_i (x) g_t)
-        self._columns_of = None         # the algebra complex those columns were read from
+        self.gen_diffs = []             # d(g_t) in basis pairs (t', i') of Y, or None
 
-    def add_generator(self, hom_degree: int, int_degree: int, diff: FreeModuleElement | None):
+    def add_generator(self, hom_degree: int, int_degree: int, diff: dict | None):
         self.gen_hom_degrees.append(hom_degree)
         self.gen_int_degrees.append(int_degree)
         self.gen_diffs.append(diff)
         self._stale = True
 
-    def _refresh(self):
-        """Re-list the basis and assemble the differentials.
-
-        A column, once computed, is kept: positions never move.  Pairs are
-        sorted by (t, i) and a new generator gets the next t, so adjoining
-        only appends pairs at the end of each degree; d(b (x) g_t) lies in
-        the pairs of g_t and of the generators before it, whose positions
-        are unchanged.  Only a new algebra complex invalidates the columns.
-        """
-        if not self._stale:
-            return
+    def _keys_by_degree(self):
+        # pairs sort by (t, i), and a new generator gets the next t, so
+        # adjoining appends pairs at the end of each degree
         X = self.algebra.complex
-        ring = self.ring
-        top = X.top() + max(self.gen_hom_degrees, default=0)
-        if self.degree_cap is not None:
-            top = min(top, self.degree_cap)
         basis = {}
         for t, gdeg in enumerate(self.gen_hom_degrees):
-            for d in range(X.top() + 1):
-                n = d + gdeg
-                if n > top:
-                    continue
-                for i in range(X.rank(d)):
-                    basis.setdefault(n, []).append((t, i))
-        # (t, i) with t ascending keeps earlier positions stable across adjoins
-        self._basis = {n: sorted(pairs) for n, pairs in basis.items()}
-        self._pos = {n: {pair: a for a, pair in enumerate(pairs)}
-                     for n, pairs in self._basis.items()}
-        # basis tables are ready; differential assembly below may re-enter
-        # through action_basis, which only needs those tables
-        self._stale = False
-        degrees = {}
-        for n, pairs in self._basis.items():
-            degs = []
-            for (t, i) in pairs:
-                d = n - self.gen_hom_degrees[t]
-                degs.append(X.basis_degrees(d)[i] + self.gen_int_degrees[t])
-            degrees[n] = degs
-        if self._columns_of is not X:
-            self._columns, self._columns_of = {}, X
-        columns = self._columns
-        diffs = {}
-        for n in sorted(self._basis):
-            if n == 0:
-                continue
-            mat = PolyMatrix(ring, degrees.get(n - 1, []), degrees[n])
-            for a, (t, i) in enumerate(self._basis[n]):
-                col = columns.get((t, i, n))
-                if col is None:
-                    col = columns[t, i, n] = self._diff_pair(t, i, n).coords
-                if col:
-                    mat.columns[a] = dict(col)
-            diffs[n] = mat
-        self._complex = GradedFreeComplex(ring, degrees, diffs)
+            for d in range(min(X.top(), self.degree_cap - gdeg) + 1):
+                basis.setdefault(d + gdeg, []).extend((t, i) for i in range(X.rank(d)))
+        return basis
 
-    def _diff_pair(self, t, i, n) -> FreeModuleElement:
-        """d(b (x) g_t) = d(b) (x) g_t + (-1)^|b| b * d(g_t), in Y_(n-1) coords."""
+    def _image_source(self):
+        # images read X's differential and product: a new X complex drops them
+        return self.algebra.complex
+
+    def _key_internal_degree(self, n, key) -> int:
+        t, i = key
+        return self.algebra.complex.basis_degrees(n - self.gen_hom_degrees[t])[i] \
+            + self.gen_int_degrees[t]
+
+    def _key_image(self, n, key) -> dict:
+        """d(b_i (x) g_t) = d(b_i) (x) g_t + (-1)^|b_i| b_i * d(g_t), in pairs."""
+        t, i = key
         X = self.algebra.complex
-        ring = self.ring
         d = n - self.gen_hom_degrees[t]
         out = {}
         if d >= 1:
             for i2, f in X.diff(d).columns.get(i, {}).items():
-                add_into(out, self._pos[n - 1][(t, i2)], f)
-        gd = self.gen_diffs[t]
-        if gd is not None and gd.coords:
-            gdeg = self.gen_hom_degrees[t]
-            term = bilinear(self.action_basis, d, FreeModuleElement.basis(ring, i), gdeg - 1, gd)
-            for b, f in term.coords.items():
-                add_into(out, b, -f if d % 2 == 1 else f)
-        return FreeModuleElement(ring, out)
-
-    @property
-    def complex(self) -> GradedFreeComplex:
-        self._refresh()
-        return self._complex
-
-    def position(self, n: int, pair) -> int:
-        self._refresh()
-        return self._pos[n][pair]
+                add_into(out, (t, i2), f)
+        action = {}     # b_i * d(g_t), summed term by term as bilinear() would
+        for (t2, i2), g in (self.gen_diffs[t] or {}).items():
+            d2 = self.gen_hom_degrees[t] - 1 - self.gen_hom_degrees[t2]
+            for i3, h in self.algebra.product_basis(d, i, d2, i2).coords.items():
+                add_into(action, (t2, i3), h * g)
+        for pair, f in action.items():
+            add_into(out, pair, -f if d % 2 == 1 else f)
+        return out
 
     def action_basis(self, dx, ix, ny, iy) -> FreeModuleElement:
         self._refresh()
@@ -147,51 +93,30 @@ class SemifreeDgModule(DgModule):
         return FreeModuleElement(self.ring, out)
 
 
-def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra,
-                              up_to: int, *, rank_guard: int):
+def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra, up_to: int):
     """Semifree dg X-module resolution of M to homological degree up_to,
     with the split dg-module map psi: X -> first-coordinate component.
 
     Y(0) = X^a already has H_0 = M once generators killing the relation
     columns are adjoined (the ideal I is hit by X_1 acting on Y_0); higher
     homology is killed degree by degree with fresh generators whose
-    boundaries are the deterministic minimal homology generators.
+    boundaries are the deterministic minimal homology generators
+    (AdjunctionEngine.kill_homology).
 
     What up_to gives: every generator of degree <= up_to (rounds n =
     1..up_to-1 adjoin those of degree n+1), H_n(Y) = 0 checked for
     1 <= n <= up_to-1, and a basis enumerated through degree up_to + 1.
     That top degree holds pairs of the lower generators only, none of its
     own: Y_(up_to+1) and H_up_to(Y) are not those of a resolution.
-
-    After each round the check that H_n is now 0
-    (CycleSpace.check_adjunction) reuses Z_n and the echelons of the picks:
-    generators of degree n+1 only add pairs of degree >= n+1, so Y_n,
-    Y_(n-1) and d_n are the same before and after, and d_(n+1) only gains
-    columns at the end (both compared exactly).  rank_guard bounds the
-    total rank of Y before each round.
     """
     Y = SemifreeDgModule(algebra, degree_cap=up_to + 1)
-    for r, gdeg in enumerate(pres.gen_degrees):
+    for gdeg in pres.gen_degrees:
         Y.add_generator(0, gdeg, None)
-    # relation killers in homological degree 1
+    # relation killers in homological degree 1, on the pairs (r, unit of X)
     for v in pres.relations:
-        Y._refresh()
-        coords = {Y.position(0, (r, 0)): f for r, f in v.coords.items()}
-        target = FreeModuleElement(Y.ring, coords)
-        Y.add_generator(1, v.degree(pres.gen_degrees), target)
-    for n in range(1, up_to):
-        cx = Y.complex
-        if sum(cx.rank(t) for t in range(cx.top() + 1)) > rank_guard:
-            raise ResourceCapError(f"semifree module rank guard {rank_guard} exceeded")
-        cycles = CycleSpace(cx, n)
-        gens = homology_cycle_generators(cx, n, cycles)
-        for g in gens:
-            Y.add_generator(n + 1, g.degree(cx.basis_degrees(n)), g)
-        if gens:
-            cycles.check_adjunction(Y.complex, "module homology")
-    Y._refresh()
-    psi = psi_inclusion(Y)
-    return Y, psi
+        Y.add_generator(1, v.degree(pres.gen_degrees), {(r, 0): f for r, f in v.coords.items()})
+    Y.kill_homology(up_to, Y.add_generator)
+    return Y, psi_inclusion(Y)
 
 
 def psi_inclusion(Y: SemifreeDgModule) -> ChainMap:
@@ -202,7 +127,7 @@ def psi_inclusion(Y: SemifreeDgModule) -> ChainMap:
         if X.rank(d) == 0:
             continue
         n = d + Y.gen_hom_degrees[0]
-        if Y.degree_cap is not None and n > Y.degree_cap:
+        if n > Y.degree_cap:
             continue
         m = PolyMatrix(Y.ring, Y.complex.basis_degrees(n), X.basis_degrees(d))
         for i in range(X.rank(d)):

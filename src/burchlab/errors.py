@@ -21,6 +21,17 @@ class ResourceCapError(BurchlabError):
     """A configured size or degree guard was exceeded."""
 
 
+# the total rank any complex the package builds may reach: the Tate closure,
+# the semifree module and the minimal resolution over R (check_rank)
+RANK_GUARD = 200000
+
+
+def check_rank(total: int, what: str):
+    """Raise ResourceCapError if the total rank of what exceeds RANK_GUARD."""
+    if total > RANK_GUARD:
+        raise ResourceCapError(f"{what} rank {total} exceeds the rank guard {RANK_GUARD}")
+
+
 class ArityCapError(ResourceCapError):
     """The bar differential needs operations beyond the transferred arity cap."""
 

@@ -101,8 +101,8 @@ def theorem_verdicts(I: Ideal, res: GradedFreeComplex, up_to: int,
     """k-ranks of syz_1..syz_up_to against the two syzygy lower bounds.
 
     res is the minimal resolution of the module over R through degree
-    up_to, as resolve_over_R(pres, up_to) returns it (the caller builds it,
-    with its own rank guard, and may reuse it); syz_i is the image of d_i.
+    up_to, as resolve_over_R(pres, up_to) returns it (the caller builds it
+    and may reuse it); syz_i is the image of d_i.
     With Burch index b >= 2: krank(syz_i) >= 1 for i >= 5; and for Golod
     modules krank(syz_i) >= C(b,2) * mu^floor((i-4)/2) for i >= 4.
     """

@@ -35,7 +35,6 @@ class Caps:
     arity: int = 4
     degree: int = 10
     brute_force_dim: int = 400
-    rank_guard: int = 200000
     general_qs: tuple = (4, 5)
 
 
@@ -98,8 +97,7 @@ def taylor_algebra(ctx: RingContext) -> TaylorComplex:
     return TaylorComplex(ctx.ring, taylor_generators(ctx), verify=False)
 
 
-def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str = "taylor",
-            *, rank_guard: int):
+def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str = "taylor"):
     """Dg algebra resolution X of R and semifree dg X-module Y of M with psi.
 
     algebra = "taylor" uses the Taylor complex (monomial ideals; products of
@@ -117,10 +115,10 @@ def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str =
     if algebra == "taylor":
         X = taylor_algebra(ctx)
     elif algebra == "tate":
-        X = acyclic_closure(ctx.ring, ctx.minimal_gens, through=cap, basis_guard=rank_guard)
+        X = acyclic_closure(ctx.ring, ctx.minimal_gens, through=cap)
     else:
         raise ValueError(f"unknown algebra {algebra!r}")
-    Y, psi = build_semifree_resolution(pres, X, up_to=cap, rank_guard=rank_guard)
+    Y, psi = build_semifree_resolution(pres, X, up_to=cap)
     return X, Y, psi
 
 
@@ -139,8 +137,7 @@ def ainf_pair(ctx: RingContext, pres: ModulePresentation, caps: Caps):
         ctr_y = minimalize(big_module.complex)
     else:
         X = taylor_algebra(ctx)
-        Y, _psi = build_semifree_resolution(pres, X, up_to=caps.hom_degree + 2,
-                                            rank_guard=caps.rank_guard)
+        Y, _psi = build_semifree_resolution(pres, X, up_to=caps.hom_degree + 2)
         big_module = Y
         ctr_y = minimalize(Y.complex).truncated(caps.hom_degree + 1)
     ctr_x = minimalize(X.complex)
@@ -193,7 +190,7 @@ def verify_golod(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict
             cycles_out.append(row)
     report["cycles"] = cycles_out
 
-    res = resolve_over_R(pres, cap + 1, rank_guard=caps.rank_guard)
+    res = resolve_over_R(pres, cap + 1)
     verdicts = theorem_verdicts(ctx.ideal, res, cap + 1, ctx.index, ctx.mu, golod=golod.golod)
     report["krank"] = verdicts.to_dict()
     report["bounds"] = {
@@ -219,7 +216,7 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
     t0 = time.perf_counter()
     report: dict = {"burch": ctx.burch_summary()}
     if ctx.index < 2:
-        res = resolve_over_R(pres, oracle_through, rank_guard=caps.rank_guard)
+        res = resolve_over_R(pres, oracle_through)
         verdicts = theorem_verdicts(ctx.ideal, res, oracle_through, ctx.index, ctx.mu,
                                     golod=False)
         report["krank"] = verdicts.to_dict()
@@ -236,8 +233,7 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
         use_qs = [q for q in qs if (q % 2 == 0) == (algebra == "taylor")]
         if not use_qs:
             continue
-        X, Y, psi = dg_pair(ctx, pres, cap=max(use_qs) + 1, algebra=algebra,
-                            rank_guard=caps.rank_guard)
+        X, Y, psi = dg_pair(ctx, pres, cap=max(use_qs) + 1, algebra=algebra)
         bar = BarComplex(X, Y, ctx.ideal, cap=max(use_qs) + 1)
         bar.rank_formula_check()
         bcs = burch_cycles(ctx.burch, X.complex)
@@ -257,7 +253,7 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
             })
     report["cycles"] = cycles_out
 
-    res = resolve_over_R(pres, oracle_through, rank_guard=caps.rank_guard)
+    res = resolve_over_R(pres, oracle_through)
     verdicts = theorem_verdicts(ctx.ideal, res, oracle_through, ctx.index, ctx.mu, golod=False)
     report["krank"] = verdicts.to_dict()
     report["bounds"] = {
@@ -270,7 +266,7 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
 
 def resolve_report(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict:
     t0 = time.perf_counter()
-    res = resolve_over_R(pres, caps.hom_degree, rank_guard=caps.rank_guard)
+    res = resolve_over_R(pres, caps.hom_degree)
     verdicts = theorem_verdicts(ctx.ideal, res, caps.hom_degree - 1, ctx.index, ctx.mu,
                                 golod=False)
     return {
@@ -284,7 +280,7 @@ def bar_report(ctx: RingContext, pres: ModulePresentation, caps: Caps, regime: s
     t0 = time.perf_counter()
     cap = caps.hom_degree
     if regime == "dg":
-        alg, mod, _psi = dg_pair(ctx, pres, cap=cap, rank_guard=caps.rank_guard)
+        alg, mod, _psi = dg_pair(ctx, pres, cap=cap)
     elif regime == "ainf":
         alg, mod = ainf_pair(ctx, pres, caps)
     else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import GradedFreeComplex
-from .errors import InputError, InternalCheckError, ResourceCapError
+from .errors import InputError, InternalCheckError, check_rank
 from .groebner import Ideal, Strand
 from .linalg import kernel_basis
 from .matrices import FreeModuleElement, PolyMatrix
@@ -158,8 +158,7 @@ def kernel_gens_over_R(matrix: PolyMatrix, quotient: Ideal):
     return [g for g, _ in gens]
 
 
-def resolve_over_R(pres: ModulePresentation, up_to: int,
-                   rank_guard: int = 200000) -> GradedFreeComplex:
+def resolve_over_R(pres: ModulePresentation, up_to: int) -> GradedFreeComplex:
     """Minimal free resolution of the presented module over R, to degree up_to."""
     quotient = pres.quotient
     ring = pres.ring
@@ -177,8 +176,7 @@ def resolve_over_R(pres: ModulePresentation, up_to: int,
             degrees[n] = col_degs
             diffs[n] = mat
         total += len(col_degs)
-        if total > rank_guard:
-            raise ResourceCapError(f"resolution rank guard {rank_guard} exceeded at degree {n}")
+        check_rank(total, f"resolution over R through degree {n}")
         if not current:
             break
         if n == up_to:

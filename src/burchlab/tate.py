@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import comb
 
 from .complexes import GradedFreeComplex
-from .errors import InternalCheckError, ResourceCapError
+from .errors import InternalCheckError, check_rank
 from .groebner import Ideal, syzygies_of
 from .matrices import FreeModuleElement, PolyMatrix, add_into
 from .resolve import minimal_module_generators
@@ -29,25 +29,114 @@ from .ring import PolyRing
 from .taylor import DgAlgebra
 
 
-class TateAlgebra(DgAlgebra):
+class AdjunctionEngine:
+    """A complex free on basis keys, grown by adjoining generators that kill
+    its homology degree by degree.
+
+    TateAlgebra (keys: monomials in its variables) and SemifreeDgModule
+    (keys: pairs (t, i), generator t times basis element i of X) extend it.
+    A subclass lists its keys through degree_cap (_keys_by_degree) and gives
+    each key of degree d its internal degree (_key_internal_degree) and its
+    differential in keys of degree d - 1 (_key_image).  The engine sorts
+    each degree's keys into the basis, checks the total rank against the
+    rank guard, and assembles the differentials.  The image of a key is
+    computed once and kept while _image_source() is the same object: it
+    depends only on the key and the generators in it, which adjoining never
+    changes.  Positions do move, so images are mapped to them at every
+    assembly.
+    """
+
+    def __init__(self, ring: PolyRing, degree_cap: int):
+        self._ring = ring
+        self.degree_cap = degree_cap
+        self._stale = True
+        self._basis = None         # d -> sorted list of keys
+        self._pos = None           # d -> {key: position}
+        self._complex = None
+        self._images = {}          # (d, key) -> image in keys of degree d - 1
+        self._images_of = None     # the _image_source() the images were computed from
+
+    @property
+    def ring(self) -> PolyRing:
+        return self._ring
+
+    def _image_source(self):
+        return None
+
+    def _refresh(self):
+        """Re-list the basis and assemble the differentials."""
+        if not self._stale:
+            return
+        listing = self._keys_by_degree()
+        check_rank(sum(map(len, listing.values())), type(self).__name__)
+        self._basis = {d: sorted(keys) for d, keys in sorted(listing.items()) if keys}
+        self._pos = {d: {k: t for t, k in enumerate(keys)} for d, keys in self._basis.items()}
+        degrees = {d: [self._key_internal_degree(d, k) for k in keys]
+                   for d, keys in self._basis.items()}
+        source = self._image_source()
+        if self._images_of is not source:
+            self._images, self._images_of = {}, source
+        images = self._images
+        diffs = {}
+        for d, keys in self._basis.items():
+            if d == 0:
+                continue
+            pos = self._pos.get(d - 1)
+            mat = PolyMatrix(self.ring, degrees.get(d - 1, []), degrees[d])
+            for j, key in enumerate(keys):
+                img = images.get((d, key))
+                if img is None:
+                    img = images[d, key] = self._key_image(d, key)
+                if img:
+                    mat.columns[j] = {pos[k]: f for k, f in img.items()}
+            diffs[d] = mat
+        self._complex = GradedFreeComplex(self.ring, degrees, diffs)
+        self._stale = False
+
+    @property
+    def complex(self) -> GradedFreeComplex:
+        self._refresh()
+        return self._complex
+
+    def position(self, d: int, key) -> int:
+        self._refresh()
+        return self._pos[d][key]
+
+    def kill_homology(self, through: int, adjoin):
+        """For d = 1..through-1: adjoin generators of degree d+1 whose
+        differentials are minimal generators of H_d, by calls
+        adjoin(d + 1, internal degree, differential in basis keys), then
+        check that H_d is now 0 (CycleSpace.check_adjunction).
+
+        The check reuses Z_d and the echelons of the picks: a generator of
+        degree d+1 occurs in no basis key of degree <= d, so the basis in
+        degrees d and d-1 and d_d are the same before and after the round,
+        and its keys of degree d+1 sort after the old ones, so d_(d+1) only
+        gains columns (both compared exactly).  Every pick is a
+        deterministic minimal-generator pick.  A failed check names the
+        homology by the DgModule label: "homology" for X, "module
+        homology" for Y.
+        """
+        for d in range(1, through):
+            cx = self.complex
+            cycles = CycleSpace(cx, d)
+            new = homology_cycle_generators(cx, d, cycles)
+            if not new:
+                continue
+            keys, degrees = self._basis[d], cx.basis_degrees(d)
+            for g in new:
+                adjoin(d + 1, g.degree(degrees), {keys[i]: f for i, f in g.coords.items()})
+            cycles.check_adjunction(self.complex, f"{self.label}homology")
+
+
+class TateAlgebra(AdjunctionEngine, DgAlgebra):
     """Free graded-commutative divided-power dg algebra over Q, degree-capped."""
 
-    def __init__(self, ring: PolyRing, degree_cap: int, basis_guard: int = 4000):
-        self.ringref = ring
-        self.degree_cap = degree_cap
-        self.basis_guard = basis_guard
+    def __init__(self, ring: PolyRing, degree_cap: int):
+        super().__init__(ring, degree_cap)
         self.var_degrees = []          # degree of each adjoined variable
         self.var_diffs = []            # mono-keyed elements {mono: Polynomial}
         self.var_internal = []         # internal (polynomial) degree of each variable
-        self._stale = True
-        self._basis = None             # d -> sorted list of monomial keys
-        self._pos = None               # d -> {key: position}
-        self._complex = None
-        self._diff_images = {}         # key -> diff_key(key), kept across adjoins
-
-    @property
-    def ring(self):
-        return self.ringref
 
     # -- monomial bookkeeping ---------------------------------------------
 
@@ -63,13 +152,13 @@ class TateAlgebra(DgAlgebra):
         internal = 0
         if diff_elt:
             key, f = next(iter(diff_elt.items()))
-            internal = f.degree() + self._internal_degree(key)
+            internal = f.degree() + self._key_internal_degree(degree - 1, key)
         self.var_degrees.append(degree)
         self.var_diffs.append(dict(diff_elt))
         self.var_internal.append(internal)
         self._stale = True
 
-    def _enumerate_basis(self):
+    def _keys_by_degree(self):
         cap = self.degree_cap
         by_degree = {d: [] for d in range(cap + 1)}
 
@@ -90,58 +179,12 @@ class TateAlgebra(DgAlgebra):
                 e += 1
 
         rec(0, [], 0)
-        total = sum(len(v) for v in by_degree.values())
-        if total > self.basis_guard:
-            raise ResourceCapError(f"Tate basis size {total} exceeds guard {self.basis_guard}")
-        self._basis = {d: sorted(keys) for d, keys in by_degree.items() if keys}
-        self._pos = {d: {k: t for t, k in enumerate(keys)} for d, keys in self._basis.items()}
+        return by_degree
 
-    def _refresh(self):
-        """Re-list the basis and assemble the differentials.
-
-        The mono-keyed image of a key, once computed, is kept: it depends
-        only on the key, degree_cap and the degrees and differentials of
-        the variables in it, and adjoining never changes those.  Positions
-        do move, so the images are mapped to positions here, every time.
-        """
-        if not self._stale:
-            return
-        self._enumerate_basis()
-        ring = self.ring
-        degrees = {d: [self._internal_degree(k) for k in keys] for d, keys in self._basis.items()}
-        images = self._diff_images
-        diffs = {}
-        for d in sorted(self._basis):
-            if d == 0:
-                continue
-            mat = PolyMatrix(ring, degrees.get(d - 1, []), degrees[d])
-            for j, key in enumerate(self._basis[d]):
-                img = images.get(key)
-                if img is None:
-                    img = images[key] = self.diff_key(key)
-                for k2, f in img.items():
-                    mat.set_entry(self._pos[d - 1][k2], j, f)
-            diffs[d] = mat
-        self._complex = GradedFreeComplex(ring, degrees, diffs)
-        self._stale = False
-
-    def _internal_degree(self, key) -> int:
+    def _key_internal_degree(self, _d, key) -> int:
         """Internal (polynomial) degree of a basis monomial: sum over factors of
         the internal degree of the variable."""
         return sum(e * self.var_internal[v] for v, e in key)
-
-    @property
-    def complex(self) -> GradedFreeComplex:
-        self._refresh()
-        return self._complex
-
-    def basis_keys(self, d: int):
-        self._refresh()
-        return self._basis.get(d, [])
-
-    def position(self, d: int, key) -> int:
-        self._refresh()
-        return self._pos[d][key]
 
     # -- algebra operations on monomial keys -------------------------------
 
@@ -187,7 +230,7 @@ class TateAlgebra(DgAlgebra):
                 add_into(out, k, f * f1)
         return out
 
-    def diff_key(self, key) -> dict:
+    def _key_image(self, _d, key) -> dict:
         """Differential of a basis monomial, mono-keyed.
 
         Leibniz: d(f1...fk) = sum_i (-1)^deg(prefix) f1..f_{i-1} d(f_i) f_{i+1}..fk
@@ -321,31 +364,17 @@ def homology_cycle_generators(cx: GradedFreeComplex, d: int, cycles: CycleSpace 
     )
 
 
-def acyclic_closure(ring: PolyRing, gens, through: int, basis_guard: int = 4000) -> TateAlgebra:
+def acyclic_closure(ring: PolyRing, gens, through: int) -> TateAlgebra:
     """Tate-style dg algebra resolution of Q/I, exact in degrees 1..through-1.
 
     gens is a minimal generating list of I; degree-1 exterior variable t
-    kills gens[t], so X_1 is aligned with the list as given.  Each
-    round then adjoins degree-(d+1) variables killing minimal generators
-    of H_d, and checks that H_d is now 0 (CycleSpace.check_adjunction).  The
-    check reuses Z_d and the echelons of the picks: a variable of degree d+1
-    occurs in no basis monomial of degree <= d, so X_d, X_(d-1) and d_d are
-    the same before and after the round, and its one new basis monomial of
-    degree d+1 sorts after the old ones, so d_(d+1) only gains columns (both
-    compared exactly).  Every choice after degree 1 is a deterministic
-    minimal-generator pick.
+    kills gens[t], so X_1 is aligned with the list as given.  Each round
+    then adjoins degree-(d+1) variables killing minimal generators of H_d
+    and checks that H_d is now 0 (AdjunctionEngine.kill_homology).
     """
-    alg = TateAlgebra(ring, degree_cap=through, basis_guard=basis_guard)
+    alg = TateAlgebra(ring, degree_cap=through)
     for a in gens:
         alg.adjoin(1, {(): a})
-    for d in range(1, through):
-        cycles = CycleSpace(alg.complex, d)
-        new = homology_cycle_generators(alg.complex, d, cycles)
-        if not new:
-            continue
-        keys = alg.basis_keys(d)
-        for g in new:
-            alg.adjoin(d + 1, {keys[i]: f for i, f in g.coords.items()})
-        cycles.check_adjunction(alg.complex)
+    alg.kill_homology(through, lambda degree, _internal, diff: alg.adjoin(degree, diff))
     alg.complex.check_dd_zero()
     return alg

@@ -146,8 +146,7 @@ def test_criterion_3_cycles_split_and_oracle(m2_ideal, m23_ideal,
         ctx = RingContext.build(I.ring, I)
         for name, pres in modules_for_theorem_a[I.ring.nvars]:
             for algebra, qs in plan.items():
-                X, Y, psi = dg_pair(ctx, pres, cap=max(qs) + 1, algebra=algebra,
-                                    rank_guard=100000)
+                X, Y, psi = dg_pair(ctx, pres, cap=max(qs) + 1, algebra=algebra)
                 bar = BarComplex(X, Y, I, cap=max(qs) + 1)
                 bcs = burch_cycles(bd, X.complex)
                 for q in qs:
@@ -178,7 +177,7 @@ def test_criterion_3_projection_survival(m2_ideal):
     bd = burch_data(m2_ideal)
     X = TaylorComplex(m2_ideal.ring, bd.gens)
     k = ModulePresentation.residue_field(m2_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=6, rank_guard=Caps.rank_guard)
+    Y, psi = build_semifree_resolution(k, X, up_to=6)
     bar = BarComplex(X, Y, m2_ideal, cap=5)
     bcs = burch_cycles(bd, X.complex)
     recs = rho_cycles_general(bcs, bar, psi, 4)
@@ -244,7 +243,7 @@ def test_criterion_5_bar_correctness_both_regimes(hyper_ideal, m2_ideal, m23_ide
         pres = ModulePresentation.cyclic(I, [R.parse(s) for s in mod_gens])
         # dg regime over the Taylor algebra with a semifree module
         X = TaylorComplex(R, burch_data(I).gens if burch_index(I) else I.gens)
-        Y, _psi = build_semifree_resolution(pres, X, up_to=dg_cap + 1, rank_guard=100000)
+        Y, _psi = build_semifree_resolution(pres, X, up_to=dg_cap + 1)
         Bdg = BarComplex(X, Y, I, cap=dg_cap)  # checks d^2 = 0
         Bdg.rank_formula_check()
         Bdg.exactness_check(dg_cap - 1)
@@ -284,7 +283,7 @@ def test_criterion_6_transfer_correctness(hyper_ideal, m2_ideal, m23_ideal,
     R1 = hyper_ideal.ring
     X1 = TaylorComplex(R1, [R1.parse("x^2")])
     k1 = ModulePresentation.residue_field(hyper_ideal)
-    Y1, _ = build_semifree_resolution(k1, X1, up_to=9, rank_guard=Caps.rank_guard)
+    Y1, _ = build_semifree_resolution(k1, X1, up_to=9)
     alg1 = AInfAlgebra(minimalize(X1.complex), X1, arity_cap=5)
     mod1 = AInfModule(alg1, minimalize(Y1.complex).truncated(7), Y1, arity_cap=5)
     for n in range(1, 5):

@@ -6,7 +6,6 @@ from burchlab.burch import minimal_generators
 from burchlab.contraction import minimalize
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.errors import ArityCapError, InternalCheckError
-from burchlab.pipeline import Caps
 from burchlab.resolve import ModulePresentation
 from burchlab.ring import PolyRing
 from burchlab.taylor import TaylorComplex
@@ -58,7 +57,7 @@ def test_module_transfer_hypersurface(hyper_ideal):
     R = hyper_ideal.ring
     X = TaylorComplex(R, [R.parse("x^2")])
     k = ModulePresentation.residue_field(hyper_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=9, rank_guard=Caps.rank_guard)
+    Y, psi = build_semifree_resolution(k, X, up_to=9)
     algX = AInfAlgebra(minimalize(X.complex), X, arity_cap=5, degree_cap=10)
     ctrY = minimalize(Y.complex).truncated(7)
     mod = AInfModule(algX, ctrY, Y, arity_cap=5, degree_cap=10)

@@ -11,7 +11,7 @@ from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.errors import InternalCheckError
 from burchlab.groebner import Ideal
 from burchlab.matrices import PolyMatrix, add_into
-from burchlab.pipeline import Caps, dg_pair
+from burchlab.pipeline import dg_pair
 from burchlab.resolve import ModulePresentation, resolve_over_R
 from burchlab.ring import PolyRing
 from burchlab.taylor import TaylorComplex
@@ -24,7 +24,7 @@ def hyper_pair(hyper_ideal):
     R = hyper_ideal.ring
     X = TaylorComplex(R, [R.parse("x^2")])
     k = ModulePresentation.residue_field(hyper_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=10, rank_guard=Caps.rank_guard)
+    Y, psi = build_semifree_resolution(k, X, up_to=10)
     return X, Y, psi
 
 
@@ -32,7 +32,7 @@ def test_bar_of_ring_over_itself(hyper_ideal):
     R = hyper_ideal.ring
     X = TaylorComplex(R, [R.parse("x^2")])
     rm = ModulePresentation.cyclic(hyper_ideal, [])
-    Y, _psi = build_semifree_resolution(rm, X, up_to=8, rank_guard=Caps.rank_guard)
+    Y, _psi = build_semifree_resolution(rm, X, up_to=8)
     B = BarComplex(X, Y, hyper_ideal, cap=8)
     assert B.rank_formula_check() == [1] * 9
     B.exactness_check()
@@ -250,7 +250,7 @@ def test_dg_bar_differential_is_the_docstring_formula(ctx_m2, m2_ideal, module, 
     R = m2_ideal.ring
     pres = (ModulePresentation.residue_field(m2_ideal) if module == "k"
             else ModulePresentation.cyclic(m2_ideal, [R.parse("x")]))
-    X, Y, _psi = dg_pair(ctx_m2, pres, cap=5, algebra=algebra, rank_guard=Caps.rank_guard)
+    X, Y, _psi = dg_pair(ctx_m2, pres, cap=5, algebra=algebra)
     B = BarComplex(X, Y, m2_ideal, cap=5)
     checked = 0
     for n in range(6):
@@ -269,9 +269,9 @@ def test_dg_pair_builds_y_through_the_bar_cap_only(ctx_m2, m2_ideal, algebra):
     # the round that adjoins it changes nothing the bar complex reads
     cap = 5
     k = ModulePresentation.residue_field(m2_ideal)
-    X, Y, _psi = dg_pair(ctx_m2, k, cap=cap, algebra=algebra, rank_guard=Caps.rank_guard)
+    X, Y, _psi = dg_pair(ctx_m2, k, cap=cap, algebra=algebra)
     assert max(Y.gen_hom_degrees) == cap
-    deep, _ = build_semifree_resolution(k, X, up_to=cap + 1, rank_guard=Caps.rank_guard)
+    deep, _ = build_semifree_resolution(k, X, up_to=cap + 1)
     assert max(deep.gen_hom_degrees) == cap + 1
     for n in range(cap + 1):
         assert Y.complex.basis_degrees(n) == deep.complex.basis_degrees(n)
@@ -285,6 +285,6 @@ def test_dg_pair_builds_y_through_the_bar_cap_only(ctx_m2, m2_ideal, algebra):
     assert B.exactness_check(cap - 1)
 
     # one round short, H_(cap-1)(Y) is not killed and the bar complex sees it
-    short, _ = build_semifree_resolution(k, X, up_to=cap - 1, rank_guard=Caps.rank_guard)
+    short, _ = build_semifree_resolution(k, X, up_to=cap - 1)
     with pytest.raises(InternalCheckError, match=f"bar homology at degree {cap - 1}:"):
         BarComplex(X, short, m2_ideal, cap=cap).exactness_check(cap - 1)

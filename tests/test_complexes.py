@@ -7,7 +7,6 @@ from burchlab.contraction import minimalize
 from burchlab.dgmodule import build_semifree_resolution
 from burchlab.errors import InternalCheckError, ResourceCapError
 from burchlab.matrices import PolyMatrix
-from burchlab.pipeline import Caps
 from burchlab.resolve import ModulePresentation
 from burchlab.ring import PolyRing
 from burchlab.taylor import TaylorComplex
@@ -178,7 +177,7 @@ def test_unit_queue_eliminates_in_the_scan_order(monkeypatch, m2_ideal, case):
         pres = ModulePresentation.cyclic(m2_ideal, [R.parse("x")])
     else:
         pres = ModulePresentation.residue_field(m2_ideal)
-    Y, _ = build_semifree_resolution(pres, X, up_to=6, rank_guard=Caps.rank_guard)
+    Y, _ = build_semifree_resolution(pres, X, up_to=6)
     cx, through = Y.complex, None
     if case == "dg bar of k":
         cx, through = BarComplex(X, Y, m2_ideal, cap=5).complex, 5

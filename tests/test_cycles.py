@@ -10,7 +10,6 @@ from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.errors import InputError, InternalCheckError
 from burchlab.groebner import Ideal
 from burchlab.matrices import FreeModuleElement
-from burchlab.pipeline import Caps
 from burchlab.resolve import ModulePresentation
 from burchlab.taylor import TaylorComplex
 
@@ -103,7 +102,7 @@ def m2_dg_bar(m2_ideal):
     bd = burch_data(m2_ideal)
     X = TaylorComplex(m2_ideal.ring, bd.gens)
     k = ModulePresentation.residue_field(m2_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=8, rank_guard=Caps.rank_guard)
+    Y, psi = build_semifree_resolution(k, X, up_to=8)
     B = BarComplex(X, Y, m2_ideal, cap=7)
     bcs = burch_cycles(bd, X.complex)
     return bd, B, psi, bcs

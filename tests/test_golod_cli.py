@@ -42,12 +42,10 @@ def test_golod_check_free_module_is_not_golod(m2_ideal):
     # the bar resolution cannot be minimal and the verdict is negative
     from burchlab.resolve import ModulePresentation
     from burchlab.dgmodule import build_semifree_resolution
-    from burchlab.pipeline import Caps
     from burchlab.taylor import TaylorComplex
 
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
-    Y, _ = build_semifree_resolution(ModulePresentation.cyclic(m2_ideal, []), X, up_to=6,
-                                     rank_guard=Caps.rank_guard)
+    Y, _ = build_semifree_resolution(ModulePresentation.cyclic(m2_ideal, []), X, up_to=6)
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Y.complex).truncated(5), Y)
     rep, bar = golod_check(alg, mod, m2_ideal, 5)
@@ -360,10 +358,10 @@ def test_resolve_job_resolves_once(monkeypatch):
     from burchlab.cli import run_command
 
     real = resolve.resolve_over_R
-    guards = []
+    calls = []
 
     def counting(*args, **kwargs):
-        guards.append(kwargs.get("rank_guard"))
+        calls.append(1)
         return real(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -375,7 +373,7 @@ def test_resolve_job_resolves_once(monkeypatch):
                       "command": "resolve"})
     body, code = run_command("resolve", spec)
     assert code == 0 and body["betti"] == [3 ** n for n in range(7)]
-    assert guards == [spec.caps.rank_guard]
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("command, job, depth", [
@@ -407,32 +405,33 @@ def test_verdict_pipelines_resolve_only_as_deep_as_the_table(monkeypatch, comman
     assert [row["i"] for row in body["krank"]["rows"]] == list(range(1, depth + 1))
 
 
-def test_ainf_bar_hands_the_rank_guard_to_the_semifree_resolution(monkeypatch):
-    # ex_m2_2vars's module k is cyclic monomial and takes the Taylor fast
-    # path; R/(x+y) over the same ring is resolved semifree
-    from burchlab import dgmodule
-    from burchlab.cli import run_command
-    from burchlab.errors import ResourceCapError
+# one rank guard, errors.RANK_GUARD, read where each construction checks it;
+# (job, guard, what the message names): ex_m2_2vars's module k is cyclic
+# monomial and takes the Taylor fast path, R/(x+y) is resolved semifree; an
+# odd q alone builds the acyclic closure first
+GUARDED = {
+    "semifree": ({"module": {"cyclic": ["x+y"]}, "caps": {"homDegree": 4}, "regime": "ainf",
+                  "command": "bar"}, 3, "SemifreeDgModule rank"),
+    "tate": ({"caps": {"homDegree": 4, "generalQs": [5]}, "command": "verify-general"}, 5,
+             "TateAlgebra rank"),
+    "resolve": ({"caps": {"homDegree": 4}, "command": "resolve"}, 5,
+                "resolution over R through degree"),
+}
 
-    real = dgmodule.build_semifree_resolution
-    guards = []
 
-    def counting(*args, **kwargs):
-        guards.append(kwargs.get("rank_guard"))
-        return real(*args, **kwargs)
+@pytest.mark.parametrize("where", sorted(GUARDED))
+def test_the_rank_guard_stops_each_construction(monkeypatch, where):
+    from burchlab import errors
+    from burchlab.cli import EXIT_RESOURCE, failure_exit, run_command
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("burchlab") and getattr(mod, "build_semifree_resolution", None) is real:
-            monkeypatch.setattr(mod, "build_semifree_resolution", counting)
-    spec = parse_job({"p": 32003, "vars": ["x", "y"], "ideal": ["x^2", "x*y", "y^2"],
-                      "module": {"cyclic": ["x+y"]}, "caps": {"homDegree": 4},
-                      "regime": "ainf", "command": "bar"})
-    body, code = run_command("bar", spec)
-    assert code == 0 and guards == [spec.caps.rank_guard]
-    spec.caps.rank_guard = 3
-    with pytest.raises(ResourceCapError, match="rank guard 3"):
-        run_command("bar", spec)
-    assert guards[1:] == [3]
+    job, guard, what = GUARDED[where]
+    spec = parse_job(m2_job(**job))
+    assert run_command(spec.command, spec)[1] == 0
+    monkeypatch.setattr(errors, "RANK_GUARD", guard)
+    with pytest.raises(errors.ResourceCapError, match=f"{what} .* exceeds the rank guard {guard}"
+                       ) as info:
+        run_command(spec.command, spec)
+    assert failure_exit(info.value)[0] == EXIT_RESOURCE
 
 
 # -- one RingContext per job, input errors in the module and the ideal --------

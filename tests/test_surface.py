@@ -27,6 +27,10 @@ minimal_generators; every resolution of R takes the job's list.
 The sixth check keeps the dg checks in one place: a dg algebra is a dg
 module over itself, so only taylor.DgModule defines check_unit,
 check_leibniz and check_associative.
+
+The seventh check keeps adjunction in one place: the Tate closure and the
+semifree module both extend tate.AdjunctionEngine, so only it defines
+_refresh, and only its kill_homology loop calls check_adjunction.
 """
 
 from __future__ import annotations
@@ -245,3 +249,46 @@ def test_the_dg_check_scan_sees_a_duplicate():
                "class DgAlgebra(DgModule):\n    def check_unit(self):\n        pass\n")
     assert _dg_check_definitions(planted, "m.py") == ["m.py: DgModule.check_unit",
                                                        "m.py: DgAlgebra.check_unit"]
+
+
+# -- one adjunction engine -------------------------------------------------------
+
+
+def _adjunction_sites(source: str, filename: str) -> tuple:
+    """('file: Class._refresh' per class defining _refresh, 'file: Qual.name'
+    per function calling .check_adjunction)."""
+    refreshes, callers = [], []
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = ".".join(qual + [child.name])
+                if isinstance(child, ast.ClassDef):
+                    refreshes.extend(f"{filename}: {name}._refresh" for item in child.body
+                                     if isinstance(item, ast.FunctionDef)
+                                     and item.name == "_refresh")
+                elif any(isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                         and c.func.attr == "check_adjunction" for c in ast.walk(child)):
+                    callers.append(f"{filename}: {name}")
+                visit(child, qual + [child.name])
+
+    visit(ast.parse(source), [])
+    return refreshes, callers
+
+
+def test_one_engine_refreshes_and_checks_adjunction():
+    refreshes, callers = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = _adjunction_sites(path.read_text(encoding="utf-8"), path.name)
+        refreshes += found[0]
+        callers += found[1]
+    assert refreshes == ["tate.py: AdjunctionEngine._refresh"]
+    assert callers == ["tate.py: AdjunctionEngine.kill_homology"]
+
+
+def test_the_adjunction_scan_sees_a_duplicate():
+    planted = ("class Engine:\n    def _refresh(self):\n        pass\n"
+               "class Module(Engine):\n    def _refresh(self):\n        pass\n"
+               "def build(Y, cycles):\n    cycles.check_adjunction(Y.complex)\n")
+    assert _adjunction_sites(planted, "m.py") == (
+        ["m.py: Engine._refresh", "m.py: Module._refresh"], ["m.py: build"])

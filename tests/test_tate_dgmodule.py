@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from burchlab import dgmodule, tate
+from burchlab import tate
 from burchlab.burch import minimal_generators
 from burchlab.cli import run_command
 from burchlab.complexes import GradedFreeComplex
@@ -13,25 +13,21 @@ from burchlab.errors import InternalCheckError
 from burchlab.groebner import Ideal
 from burchlab.jobs import load_job
 from burchlab.matrices import FreeModuleElement, PolyMatrix
-from burchlab.pipeline import Caps
 from burchlab.resolve import ModulePresentation, minimal_module_generators
 from burchlab.tate import CycleSpace, TateAlgebra, acyclic_closure, homology_cycle_generators
 from burchlab.taylor import TaylorComplex, bilinear
 
 P = 32003
-GUARD = Caps.rank_guard
 
 
 def resolve_k(ideal, X, up_to):
     """The semifree resolution of the residue field over X."""
-    return build_semifree_resolution(ModulePresentation.residue_field(ideal), X, up_to=up_to,
-                                     rank_guard=GUARD)[0]
+    return build_semifree_resolution(ModulePresentation.residue_field(ideal), X, up_to=up_to)[0]
 
 
-def closure(ideal, through, **guard):
+def closure(ideal, through):
     """The acyclic closure of Q/ideal on the minimal generating list of ideal."""
-    return acyclic_closure(ideal.ring, minimal_generators(ideal.gens, ideal.ring), through,
-                           **guard)
+    return acyclic_closure(ideal.ring, minimal_generators(ideal.gens, ideal.ring), through)
 
 
 def test_hypersurface_closure_is_koszul(hyper_ideal):
@@ -42,7 +38,7 @@ def test_hypersurface_closure_is_koszul(hyper_ideal):
 
 
 def test_m2_acyclic_closure_ranks(m2_ideal):
-    A = closure(m2_ideal, through=6, basis_guard=100000)
+    A = closure(m2_ideal, through=6)
     assert A.complex.poincare_coeffs() == [1, 3, 5, 10, 24, 55, 118]
     A.check_unit()
     A.check_leibniz(4)
@@ -54,7 +50,7 @@ def test_m2_acyclic_closure_ranks(m2_ideal):
 
 
 def test_divided_power_arithmetic(m2_ideal):
-    A = closure(m2_ideal, through=6, basis_guard=100000)
+    A = closure(m2_ideal, through=6)
     # gamma_a(v) * gamma_b(v) = binom(a+b, a) gamma_{a+b}(v) for a degree-2 variable
     v = next(i for i, d in enumerate(A.var_degrees) if d == 2)
     hit = A.mul_keys(((v, 1),), ((v, 1),))
@@ -178,7 +174,7 @@ def test_module_check_catches_a_planted_sign_in_a_pair_meeting_in_one_index(monk
 def test_semifree_resolution_over_koszul(hyper_ideal):
     X = TaylorComplex(hyper_ideal.ring, [hyper_ideal.ring.parse("x^2")])
     k = ModulePresentation.residue_field(hyper_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=7, rank_guard=GUARD)
+    Y, psi = build_semifree_resolution(k, X, up_to=7)
     assert Y.complex.poincare_coeffs()[:7] == [1, 2, 2, 2, 2, 2, 2]
     Y.check_unit()
     Y.check_leibniz()
@@ -191,7 +187,7 @@ def test_semifree_resolution_over_koszul(hyper_ideal):
 def test_semifree_trivial_module_is_the_algebra(m2_ideal):
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     rm = ModulePresentation.cyclic(m2_ideal, [])
-    Y, psi = build_semifree_resolution(rm, X, up_to=4, rank_guard=GUARD)
+    Y, psi = build_semifree_resolution(rm, X, up_to=4)
     assert Y.complex.poincare_coeffs() == X.complex.poincare_coeffs()
 
 
@@ -199,7 +195,7 @@ def test_semifree_generators_count_betti(m2_ideal):
     # generators adjoined in degree n match beta_n^R(k) = 2^n
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     k = ModulePresentation.residue_field(m2_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=6, rank_guard=GUARD)
+    Y, psi = build_semifree_resolution(k, X, up_to=6)
     from collections import Counter
     counts = Counter(Y.gen_hom_degrees)
     assert [counts[n] for n in range(5)] == [1, 2, 4, 8, 16]
@@ -209,7 +205,7 @@ def test_semifree_generators_count_betti(m2_ideal):
 def test_chain_map_check_catches_a_planted_psi_entry(m2_ideal):
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     Y, psi = build_semifree_resolution(ModulePresentation.residue_field(m2_ideal), X,
-                                       up_to=4, rank_guard=GUARD)
+                                       up_to=4)
     psi.check_chain_map()
     psi1 = psi.component(1)
     assert psi1.entry(0, 0) and Y.complex.diff(1).columns.get(0)
@@ -233,7 +229,7 @@ def rebuilt_in_one_refresh(Y):
 def test_append_only_columns_match_a_fresh_build(case, m2_ideal, hyper_ideal):
     ideal = hyper_ideal if case.startswith("hyper") else m2_ideal
     if case.endswith("tate"):
-        X = closure(ideal, through=4, basis_guard=100000)
+        X = closure(ideal, through=4)
     else:
         X = TaylorComplex(ideal.ring, ideal.gens)
     Y = resolve_k(ideal, X, up_to=5)
@@ -244,13 +240,27 @@ def test_append_only_columns_match_a_fresh_build(case, m2_ideal, hyper_ideal):
     assert len(Y.gen_hom_degrees) > 5
 
 
+def test_semifree_images_are_dropped_when_the_algebra_complex_changes(m2_ideal):
+    X = closure(m2_ideal, through=4)
+    Y = resolve_k(m2_ideal, X, up_to=3)
+    kept = Y._images
+    assert kept and Y._images_of is X.complex
+    X.adjoin(4, {})     # a new complex of X, with one more basis element in degree 4
+    Y._stale = True     # as the next generator of Y would
+    built, fresh = Y.complex, rebuilt_in_one_refresh(Y).complex
+    assert Y._images is not kept and Y._images_of is X.complex
+    assert built.degrees == fresh.degrees and built.rank(4) > 0
+    for n in range(1, built.top() + 1):
+        assert built.diff(n).columns == fresh.diff(n).columns
+
+
 @pytest.mark.parametrize("case", ["m2", "bione"])
 def test_kept_tate_images_match_a_fresh_build(case, m2_ideal, bione_ideal):
     # the closure rebuilds once per round and keeps each key's image; a fresh
     # algebra with the same variables computes every image at one refresh
     ideal = bione_ideal if case == "bione" else m2_ideal
-    A = closure(ideal, through=5, basis_guard=100000)
-    fresh = TateAlgebra(A.ring, A.degree_cap, A.basis_guard)
+    A = closure(ideal, through=5)
+    fresh = TateAlgebra(A.ring, A.degree_cap)
     for degree, diff in zip(A.var_degrees, A.var_diffs):
         fresh.adjoin(degree, diff)
     built, new = A.complex, fresh.complex
@@ -261,20 +271,20 @@ def test_kept_tate_images_match_a_fresh_build(case, m2_ideal, bione_ideal):
 
 
 def test_tate_images_are_computed_once_and_a_planted_one_is_seen(monkeypatch, m2_ideal):
-    real = TateAlgebra.diff_key
+    real = TateAlgebra._key_image
     calls = Counter()
 
-    def planted(self, key):
+    def planted(self, d, key):
         calls[key] += 1
-        img = real(self, key)
+        img = real(self, d, key)
         if key == ((0, 1), (1, 1)):     # d(e_0 e_1): negate one of its two terms
             k = next(iter(img))
             img[k] = -img[k]
         return img
 
-    monkeypatch.setattr(TateAlgebra, "diff_key", planted)
+    monkeypatch.setattr(TateAlgebra, "_key_image", planted)
     with pytest.raises(InternalCheckError, match="d_1 o d_2 != 0"):
-        closure(m2_ideal, through=4, basis_guard=100000)
+        closure(m2_ideal, through=4)
     assert calls and set(calls.values()) == {1}
 
 
@@ -295,7 +305,7 @@ def drop_last_generator_once(monkeypatch, module):
 
 
 def test_semifree_check_catches_a_missing_generator(monkeypatch, m2_ideal):
-    dropped = drop_last_generator_once(monkeypatch, dgmodule)
+    dropped = drop_last_generator_once(monkeypatch, tate)
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     with pytest.raises(InternalCheckError, match="survived adjunction"):
         resolve_k(m2_ideal, X, up_to=4)
@@ -305,7 +315,7 @@ def test_semifree_check_catches_a_missing_generator(monkeypatch, m2_ideal):
 def test_tate_check_catches_a_missing_variable(monkeypatch, m2_ideal):
     dropped = drop_last_generator_once(monkeypatch, tate)
     with pytest.raises(InternalCheckError, match="survived adjunction"):
-        closure(m2_ideal, through=4, basis_guard=100000)
+        closure(m2_ideal, through=4)
     assert dropped == [1]
 
 
@@ -346,7 +356,7 @@ def test_each_round_picks_once_and_checks_once(monkeypatch, m2_ideal):
     assert len(picks) == 3 and checks == [1, 2, 3]
     picks.clear()
     checks.clear()
-    closure(m2_ideal, through=4, basis_guard=100000)
+    closure(m2_ideal, through=4)
     assert len(picks) == 3 and checks == [1, 2, 3]
 
 

@@ -25,6 +25,17 @@ with eps_t = sum_{s<=t} (|x_s| + 1), this is
 
 the arity-2 suspension sign (-1)^|x_t| turning eps_{t-1} into eps_t - 1.
 
+Assembly evaluates each distinct block once (_block_image) and reuses its
+image in every word that contains it.  This is exact: during assembly op is
+a pure function of the block (a transferred op memoizes arity >= 2 and
+reads fixed contraction matrices, a dg op reads fixed matrices); the sign
+factors as (-1)^susp(block) (-1)^eps(prefix), so the image stores the
+suspension sign and the word picks it or its negation by the parity of
+eps; and normal forms are linear, so red(-f) = -red(f).  Entries of
+different words may share one image polynomial, as no Polynomial is changed
+in place.  The images are dropped when assembly returns, so a
+differential_of_word call made later reads op afresh.
+
 d^2 = 0, exactness below the cap and the composition rank formula are all
 checked mechanically after assembly.
 """
@@ -71,8 +82,10 @@ class BarComplex:
         self.cap = cap
         self.words = {}      # n -> list of words, tuples of (degree, index) refs ending in y
         self.pos = {}        # n -> {word: index}
+        self._images = {}    # (on_y, block) -> _block_image
         self._enumerate()
         self.complex = self._assemble()
+        self._images = {}
         self.complex.check_dd_zero()
 
     # -- basis ------------------------------------------------------------
@@ -114,30 +127,44 @@ class BarComplex:
 
     # -- differential -------------------------------------------------------
 
+    def _block_image(self, on_y: bool, block: tuple) -> tuple:
+        """((out_deg, idx), pos, neg) per term of the operation on a block:
+        pos is the normal form of the coefficient times the block's
+        suspension sign, neg = -pos; () when the out-degree filter drops the
+        block.  Kept in self._images, which is cleared once assembly returns."""
+        image = self._images.get((on_y, block))
+        if image is not None:
+            return image
+        i = len(block)
+        out_deg = sum(d for d, _ in block) + i - 2
+        image = ()
+        # d of a degree-1 x slot lies in I X_0 = 0; d of y in Y_0 is 0
+        if out_deg >= (0 if on_y else 1):
+            red = self.quotient.normal_form
+            val = (self.mod if on_y else self.alg).op(i, block)
+            # de-suspension Koszul sign of the consumed block
+            flip = sum((i - 1 - u) * block[u][0] for u in range(i - 1)) % 2
+            terms = []
+            for idx, g in val.coords.items():
+                f = red(-g if flip else g)
+                if f:
+                    terms.append(((out_deg, idx), f, -f))
+            image = tuple(terms)
+        self._images[on_y, block] = image
+        return image
+
     def differential_of_word(self, w: tuple) -> dict:
         """Boundary of a word: dict word -> Polynomial (reduced mod I).
 
         Every operation acts on every block w[j:j+i] of consecutive slots:
         mod.op on a block that ends in the y slot, alg.op on any other."""
-        red = self.quotient.normal_form
         out = {}   # a sum of normal forms is one
         last = len(w)
         eps = 0    # shifted degrees of the x slots before j
         for j in range(last):
             for i in range(1, last - j + 1):
-                block = w[j:j + i]
-                on_y = j + i == last
-                out_deg = sum(d for d, _ in block) + i - 2
-                if out_deg < (0 if on_y else 1):
-                    continue  # d of a degree-1 x slot lies in I X_0 = 0; d of y in Y_0 is 0
-                val = (self.mod if on_y else self.alg).op(i, block)
-                if not val.coords:
-                    continue
-                # de-suspension Koszul sign of the consumed block
-                susp = sum((i - 1 - u) * block[u][0] for u in range(i - 1))
-                neg = (eps + susp) % 2
-                for idx, f in val.coords.items():
-                    add_into(out, w[:j] + ((out_deg, idx),) + w[j + i:], red(-f if neg else f))
+                for ref, pos, neg in self._block_image(j + i == last, w[j:j + i]):
+                    add_into(out, w[:j] + (ref,) + w[j + i:], neg if eps % 2 else pos)
             eps += w[j][0] + 1
         return out
 

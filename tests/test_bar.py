@@ -55,18 +55,22 @@ def test_ainf_bar_periodicity_matches_resolution_oracle(hyper_ideal, hyper_pair)
     assert B.h0_dims(2) == [1, 0, 0]
 
 
-@pytest.mark.parametrize("regime", ["dg", "ainf"])
-def test_bar_on_sign_sensitive_ring(bione_ideal, regime):
-    # n^2 is not inside I here, so wrong bar signs cannot hide modulo I
+def bione_structures(bione_ideal, regime):
+    """(X, Y) of the Taylor fast path for R/(x^2, y), or their transferred pair."""
     R = bione_ideal.ring
     X, Ymod, _psi = taylor_module_fast_path(
         R, minimal_generators(bione_ideal.gens, R), [R.parse("x^2"), R.parse("y")])
     if regime == "dg":
-        B = BarComplex(X, Ymod, bione_ideal, cap=6)
-    else:
-        alg = AInfAlgebra(minimalize(X.complex), X, arity_cap=4, degree_cap=10)
-        mod = AInfModule(alg, minimalize(Ymod.complex), Ymod, arity_cap=4, degree_cap=10)
-        B = BarComplex(alg, mod, bione_ideal, cap=6)
+        return X, Ymod
+    alg = AInfAlgebra(minimalize(X.complex), X, arity_cap=4, degree_cap=10)
+    return alg, AInfModule(alg, minimalize(Ymod.complex), Ymod, arity_cap=4, degree_cap=10)
+
+
+@pytest.mark.parametrize("regime", ["dg", "ainf"])
+def test_bar_on_sign_sensitive_ring(bione_ideal, regime):
+    # n^2 is not inside I here, so wrong bar signs cannot hide modulo I
+    R = bione_ideal.ring
+    B = BarComplex(*bione_structures(bione_ideal, regime), bione_ideal, cap=6)
     B.rank_formula_check()
     B.exactness_check(5)
     M = ModulePresentation.cyclic(bione_ideal, [R.parse("x^2"), R.parse("y")])
@@ -254,10 +258,99 @@ def test_dg_bar_differential_is_the_docstring_formula(ctx_m2, m2_ideal, module, 
     B = BarComplex(X, Y, m2_ideal, cap=5)
     checked = 0
     for n in range(6):
-        for w in B.words[n]:
-            assert B.differential_of_word(w) == dg_formula_boundary(B, w), w
+        for a, w in enumerate(B.words[n]):
+            want = dg_formula_boundary(B, w)
+            assert B.differential_of_word(w) == want, w
+            if n:
+                assert dict(assembled_boundary(B, n, a)) == want, w
             checked += 1
     assert checked == sum(B.rank(n) for n in range(6)) > 100
+
+
+# -- each block's image is computed once per assembly --------------------------
+
+
+def assembled_boundary(B, n, a):
+    """Column a of the assembled d_n as a list of (word, Polynomial), in the
+    column's entry order."""
+    return [(B.words[n - 1][r], f) for r, f in B.complex.diff(n).columns.get(a, {}).items()]
+
+
+def per_word_boundary(B, w):
+    """d(w) with op called on every block of w and nothing reused: each
+    coefficient times (-1)^(eps + susp), then its normal form."""
+    red = B.quotient.normal_form
+    out = {}
+    eps = 0
+    for j in range(len(w)):
+        for i in range(1, len(w) - j + 1):
+            block = w[j:j + i]
+            on_y = j + i == len(w)
+            out_deg = sum(d for d, _ in block) + i - 2
+            if out_deg < (0 if on_y else 1):
+                continue
+            susp = sum((i - 1 - u) * block[u][0] for u in range(i - 1))
+            for idx, f in (B.mod if on_y else B.alg).op(i, block).coords.items():
+                add_into(out, w[:j] + ((out_deg, idx),) + w[j + i:],
+                         red(-f if (eps + susp) % 2 else f))
+        eps += w[j][0] + 1
+    return out
+
+
+def test_ainf_bar_matrices_are_the_per_word_evaluation(m2_ideal):
+    # entry order and each polynomial's term order included
+    B = ainf_bar_of_k(m2_ideal, cap=6)
+    for n in range(1, 7):
+        for a, w in enumerate(B.words[n]):
+            want = [(word, list(f.terms.items())) for word, f in per_word_boundary(B, w).items()]
+            got = [(word, list(f.terms.items())) for word, f in assembled_boundary(B, n, a)]
+            assert got == want, w
+    assert B.rank(6) == 64
+
+
+@pytest.mark.parametrize("regime", ["dg", "ainf"])
+def test_assembly_calls_op_once_per_distinct_block(bione_ideal, regime, monkeypatch):
+    alg, mod = bione_structures(bione_ideal, regime)
+    calls = Counter()
+    for on_y, structure in ((False, alg), (True, mod)):
+        def counted(n, refs, _on_y=on_y, _real=structure.op):
+            calls[_on_y, tuple(refs)] += 1
+            return _real(n, refs)
+
+        monkeypatch.setattr(structure, "op", counted)
+    B = BarComplex(alg, mod, bione_ideal, cap=6)
+    assert calls and set(calls.values()) == {1}
+    # without reuse, every block that passes the degree filter is one call
+    blocks = sum(1 for n in range(7) for w in B.words[n] for j in range(len(w))
+                 for i in range(1, len(w) - j + 1)
+                 if sum(d for d, _ in w[j:j + i]) + i - 2 >= (0 if j + i == len(w) else 1))
+    assert blocks > 2 * len(calls)
+    # the images are dropped with assembly: a later call reads op afresh
+    calls.clear()
+    top = B.words[6][-1]
+    got = B.differential_of_word(top)
+    assert calls
+    assert got == per_word_boundary(B, top)
+
+
+@pytest.mark.parametrize("pair", [(1, 0, 0, 0), (1, 1, 1, 0)])
+def test_a_sign_planted_in_the_action_is_caught_at_construction(bione_ideal, pair):
+    # the planted product is read once and reused in every word holding it
+    X, Y = bione_structures(bione_ideal, "dg")
+    real = Y.action_basis
+    read = []
+
+    def planted(dx, ix, ny, iy):
+        v = real(dx, ix, ny, iy)
+        if (dx, ix, ny, iy) == pair:
+            read.append(pair)
+            return -v
+        return v
+
+    Y.action_basis = planted
+    with pytest.raises(InternalCheckError, match=r"d_\d o d_\d != 0"):
+        BarComplex(X, Y, bione_ideal, cap=5)
+    assert read == [pair]
 
 
 # -- dg_pair builds Y as deep as B(R, X, Y) reads it ---------------------------

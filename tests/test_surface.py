@@ -31,6 +31,10 @@ check_leibniz and check_associative.
 The seventh check keeps adjunction in one place: the Tate closure and the
 semifree module both extend tate.AdjunctionEngine, so only it defines
 _refresh, and only its kill_homology loop calls check_adjunction.
+
+The eighth check keeps the bar's operations in one place: in bar.py only
+BarComplex._block_image calls .op(, so every block's image is computed
+once per assembly and no second path calls op on a block again.
 """
 
 from __future__ import annotations
@@ -292,3 +296,40 @@ def test_the_adjunction_scan_sees_a_duplicate():
                "def build(Y, cycles):\n    cycles.check_adjunction(Y.complex)\n")
     assert _adjunction_sites(planted, "m.py") == (
         ["m.py: Engine._refresh", "m.py: Module._refresh"], ["m.py: build"])
+
+
+# -- one op path in the bar complex ----------------------------------------------
+
+
+def _op_callers(source: str, filename: str) -> list:
+    """'file: Qual.name' per function whose body (nested functions included)
+    calls an attribute named op."""
+    callers = []
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = ".".join(qual + [child.name])
+                if not isinstance(child, ast.ClassDef) and any(
+                        isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                        and c.func.attr == "op" for c in ast.walk(child)):
+                    callers.append(f"{filename}: {name}")
+                visit(child, qual + [child.name])
+
+    visit(ast.parse(source), [])
+    return callers
+
+
+def test_only_the_block_image_calls_op_in_the_bar():
+    path = PACKAGE / "bar.py"
+    assert _op_callers(path.read_text(encoding="utf-8"), path.name) == [
+        "bar.py: BarComplex._block_image"]
+
+
+def test_the_op_scan_sees_a_duplicate():
+    planted = ("class Bar:\n    def _block_image(self, on_y, block):\n"
+               "        return self.mod.op(len(block), block)\n"
+               "    def differential_of_word(self, w):\n"
+               "        return (self.alg if len(w) > 1 else self.mod).op(1, w[-1:])\n")
+    assert _op_callers(planted, "m.py") == ["m.py: Bar._block_image",
+                                            "m.py: Bar.differential_of_word"]

@@ -10,7 +10,8 @@ against its golden report).
 Exit codes: 0 every asserted bound holds (a vacuous bound holds), 1 a
 verified bound failed (the report's bounds.allHold is false), 2 input
 error, 3 resource cap exceeded, 4 internal error (a self-check of the
-program failed: a bug, not a falsified bound).
+program failed, or any other exception escaped: a bug, not a falsified
+bound).  A failure is one stderr line, never a traceback.
 """
 
 from __future__ import annotations
@@ -43,8 +44,10 @@ FAILURE_TYPES = tuple(t for t, _, _ in FAILURES)
 
 
 def failure_exit(e: Exception) -> tuple:
-    """(exit code, stderr prefix) for one of the FAILURE_TYPES."""
-    return next((code, prefix) for t, code, prefix in FAILURES if isinstance(e, t))
+    """(exit code, stderr prefix) for an exception a job ended with.  One
+    outside the FAILURE_TYPES is a bug too: exit 4, named by its type."""
+    return next(((code, prefix) for t, code, prefix in FAILURES if isinstance(e, t)),
+                (EXIT_INTERNAL, f"internal error ({type(e).__name__})"))
 
 
 def run_command(command: str, spec: JobSpec) -> tuple:
@@ -93,9 +96,9 @@ def run_corpus(out_path: str | None) -> int:
             spec = parse_job(path.read_text(encoding="utf-8"))
             command = spec.command or "burch"
             body, code = run_command(command, spec)
-        except FAILURE_TYPES as e:
-            code, _ = failure_exit(e)
-            report = {"error": str(e)}
+        except Exception as e:
+            code, prefix = failure_exit(e)
+            report = {"error": str(e) if isinstance(e, FAILURE_TYPES) else f"{prefix}: {e}"}
         else:
             report = assemble(command, spec.to_dict(), body, code)
             golden = golden_base.joinpath(name)
@@ -151,7 +154,7 @@ def main(argv=None) -> int:
         if args.regime is not None:
             spec.regime = args.regime
         body, code = run_command(args.command, spec)
-    except FAILURE_TYPES as e:
+    except Exception as e:
         code, prefix = failure_exit(e)
         print(f"{prefix}: {e}", file=sys.stderr)
         return code

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .errors import InputError, InternalCheckError
 from .groebner import Ideal, SubmoduleBasis, syzygies_of
 from .linalg import rank_of
-from .matrices import FreeModuleElement, PolyMatrix
+from .matrices import PolyMatrix
 from .ring import PolyRing
 
 
@@ -155,33 +155,3 @@ class GradedFreeComplex:
         over = "R" if self.quotient is not None else "Q"
         return f"GradedFreeComplex over {over} with ranks ({ranks})"
 
-
-class ChainMap:
-    """Degreewise map between complexes, stored as PolyMatrices."""
-
-    __slots__ = ("source", "target", "maps")
-
-    def __init__(self, source: GradedFreeComplex, target: GradedFreeComplex, maps: dict):
-        self.source = source
-        self.target = target
-        self.maps = maps
-
-    def component(self, n: int) -> PolyMatrix:
-        m = self.maps.get(n)
-        if m is None:
-            return PolyMatrix(
-                self.source.ring, self.target.basis_degrees(n), self.source.basis_degrees(n)
-            )
-        return m
-
-    def apply(self, n: int, v: FreeModuleElement) -> FreeModuleElement:
-        return self.component(n).apply(v)
-
-    def check_chain_map(self, through: int | None = None):
-        top = self.source.top() if through is None else through
-        table = self.target.rtable()
-        for n in range(1, top + 1):
-            left = self.target.diff(n).compose(self.component(n), table)
-            right = self.component(n - 1).compose(self.source.diff(n), table)
-            if left != right:
-                raise InternalCheckError(f"chain map fails to commute at degree {n}")

@@ -146,21 +146,19 @@ class _UnitQueue:
         return None
 
 
-def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contraction:
+def minimalize(complex_: GradedFreeComplex) -> Contraction:
     """Contract a complex onto a minimal one (all differential entries in n).
 
     Works over Q or over R.  Over R the entries are normal-formed once on
     entry and every update adds a reduced product `RTable.mul`, so they stay
     in normal form (a sum of normal forms is one) and a unit is read off the
-    stored entry.  Only degrees <= through are processed, which yields
-    contraction data valid in degrees < through even when the complex is a
-    truncation.
+    stored entry.
     """
     ring = complex_.ring
     red = complex_.reduce_poly
     table = complex_.rtable()
     times = operator.mul if table is None else table.mul
-    top = complex_.top() if through is None else min(through, complex_.top())
+    top = complex_.top()
 
     # mutable copies: D[n][col][row], with row index rows_of[n][row] = set of cols
     D, rows_of = {}, {}
@@ -296,11 +294,6 @@ def minimalize(complex_: GradedFreeComplex, through: int | None = None) -> Contr
             for i, f in col.items():
                 m.set_entry(pos[n - 1][i], pos[n][j], f)
         small_diffs[n] = m
-    # degrees above the processed range need the projection correction
-    for n in range(top + 1, complex_.top() + 1):
-        if n not in alive_sorted or (n - 1) not in alive_sorted:
-            continue
-        small_diffs[n] = proj[n - 1].compose(complex_.diff(n), table).compose(incl[n], table)
     small = GradedFreeComplex(ring, small_degrees, small_diffs, quotient=complex_.quotient)
     for n, hc in h_cols.items():
         if not hc:

@@ -9,10 +9,11 @@ resolution X of R aligned so that d(e_t) = a_t, the cycle for a pair
 
 with a preimage f in X_2.  In the dg bar resolution the elements
 
-    rho = 1[f|e|...|e]psi(e) - 1[e f|e|...|e]psi(1)      (q >= 4 even)
+    rho = 1[f|e|...|e]psi(e) + 1[e f|e|...|e]psi(1)      (q >= 4 even)
     rho = 1[e f|e|...|e]psi(e)                           (q >= 5 odd)
 
-are cycles after multiplication by the socle lift s_i; in the minimal
+for i < j < b, with psi(x) = x * y_0, are cycles after multiplication by
+the socle lift s_i; in the minimal
 A-infinity bar of a Golod module the simpler family s_j[f|e_{i_1}|..]y,
 multiplied by the socle lift of the pair's larger index, works in every
 degree q >= 3.  Splitting is certified by the boundary
@@ -29,7 +30,7 @@ from math import comb
 from .ainfty import AInfAlgebra
 from .bar import BarComplex
 from .burch import BurchData
-from .complexes import ChainMap, GradedFreeComplex
+from .complexes import GradedFreeComplex
 from .errors import InputError, InternalCheckError
 from .groebner import Ideal, Strand, lift_through, syzygies_of
 from .linalg import SparseEchelon
@@ -156,8 +157,14 @@ def _rho_cycle(B: BarComplex, q: int, pair, label: str, rho, s) -> RhoCycle:
     return RhoCycle(pair=pair, label=label, rho=rho, alpha=alpha, socle=s, q=q)
 
 
-def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, psi: ChainMap, q: int):
-    """Theorem-A cycles in the dg bar resolution, all pairs i < j, i < b."""
+def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, q: int):
+    """Theorem-A cycles in the dg bar resolution, for the pairs i < j < b.
+
+    psi(e) = e * y_0 is B.mod.action_basis(1, 0, 0, 0), psi(1) = y_0 is
+    basis element 0 of Y_0.  In even q the action terms s (f * psi(e)) and
+    s ((e f) * psi(1)) of d(rho) carry the suspension signs (-1)^|f| = 1
+    and (-1)^|ef| = -1, so both words enter with +1.
+    """
     if not isinstance(B.alg, DgAlgebra):
         raise InputError("general-case cycles require the dg regime")
     if q < 4:
@@ -165,16 +172,16 @@ def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, psi: ChainMap, q: int)
     ring = B.ring
     X = B.alg
     e_elt = FreeModuleElement.basis(ring, 0)
-    psi_e = psi.apply(1, e_elt)
-    psi_1 = psi.apply(0, FreeModuleElement.basis(ring, 0))
+    psi_e = B.mod.action_basis(1, 0, 0, 0)
+    psi_1 = FreeModuleElement.basis(ring, 0)
     out = []
-    for (i, j) in bcs.pairs():
+    for (i, j) in bcs.pairs(within_b=True):
         f = bcs.cycles[(i, j)].preimage
         ef = bilinear(X.product_basis, 1, e_elt, 2, f)
         if q % 2 == 0:
             k = (q - 4) // 2
             rho = _bar_element(B, q, (1, [(2, f)] + [(1, e_elt)] * k + [(1, psi_e)]),
-                               (-1, [(3, ef)] + [(1, e_elt)] * k + [(0, psi_1)]))
+                               (1, [(3, ef)] + [(1, e_elt)] * k + [(0, psi_1)]))
         else:
             k = (q - 5) // 2
             if not ef.coords:

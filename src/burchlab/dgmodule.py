@@ -1,28 +1,31 @@
-"""Dg module resolutions Y of an R-module M over a dg algebra resolution X,
-with a degreewise split dg-module map psi: X -> Y.
+"""Dg module resolutions Y of an R-module M over a dg algebra resolution X.
+
+The split map psi: X -> Y of the Theorem-A cycles is the action on Y's
+first generator y_0, psi(x) = x * y_0, read through action_basis.  As
+d(y_0) = 0, psi is a chain map wherever the module Leibniz law holds on
+the pairs (x, y_0): the fast path checks them, and the semifree
+differential (SemifreeDgModule._key_image) is that law by construction.
 
 Two constructions:
 
 * build_semifree_resolution(): start from Y(0) = X tensor Q^a lifting a
   presentation Q^a ->> M, adjoin generators killing the relations, then
-  keep adjoining generators that kill homology degree by degree.  psi is
-  the inclusion of the first ambient coordinate.
+  keep adjoining generators that kill homology degree by degree.
 
 * taylor_module_fast_path(): when M = R/J is cyclic with monomial J whose
   generator list starts with the minimal generating list of I that the
   caller passes (the pipelines pass the job's list, so X_1 is aligned
   with the Burch generators), the Taylor complex of the J-list is itself a
-  dg algebra containing the Taylor complex of I as a subalgebra; psi is
-  the basis inclusion.  Y's product is read only as the action of X, so
-  the checks are X's full dg-algebra checks, d^2 = 0 on Y, and the module
-  unit and Leibniz laws on X x Y.
+  dg algebra containing the Taylor complex of I as a subalgebra.  Y's
+  product is read only as the action of X, so the checks are X's full
+  dg-algebra checks, d^2 = 0 on Y, and the module unit and Leibniz laws
+  on X x Y.
 """
 
 from __future__ import annotations
 
-from .complexes import ChainMap
 from .errors import InternalCheckError
-from .matrices import FreeModuleElement, PolyMatrix, add_into
+from .matrices import FreeModuleElement, add_into
 from .resolve import ModulePresentation
 from .ring import PolyRing
 from .taylor import DgAlgebra, DgModule, TaylorComplex, pairs_meeting_at_most_once
@@ -94,8 +97,7 @@ class SemifreeDgModule(AdjunctionEngine, DgModule):
 
 
 def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra, up_to: int):
-    """Semifree dg X-module resolution of M to homological degree up_to,
-    with the split dg-module map psi: X -> first-coordinate component.
+    """Semifree dg X-module resolution Y of M to homological degree up_to.
 
     Y(0) = X^a already has H_0 = M once generators killing the relation
     columns are adjoined (the ideal I is hit by X_1 acting on Y_0); higher
@@ -116,34 +118,16 @@ def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra, up_t
     for v in pres.relations:
         Y.add_generator(1, v.degree(pres.gen_degrees), {(r, 0): f for r, f in v.coords.items()})
     Y.kill_homology(up_to, Y.add_generator)
-    return Y, psi_inclusion(Y)
-
-
-def psi_inclusion(Y: SemifreeDgModule) -> ChainMap:
-    """The split inclusion X -> Y onto the X-span of the first ambient generator."""
-    X = Y.algebra.complex
-    maps = {}
-    for d in range(X.top() + 1):
-        if X.rank(d) == 0:
-            continue
-        n = d + Y.gen_hom_degrees[0]
-        if n > Y.degree_cap:
-            continue
-        m = PolyMatrix(Y.ring, Y.complex.basis_degrees(n), X.basis_degrees(d))
-        for i in range(X.rank(d)):
-            m.set_entry(Y.position(n, (0, i)), i, Y.ring.one())
-        maps[d] = m
-    return ChainMap(X, Y.complex, maps)
+    return Y
 
 
 class TaylorDgModule(DgModule):
     """Taylor complex of a monomial list as a dg module over the Taylor
-    complex of a prefix sublist (psi = subset inclusion of bases)."""
+    complex of a prefix sublist."""
 
-    def __init__(self, sub: TaylorComplex, full: TaylorComplex, prefix_len: int):
+    def __init__(self, sub: TaylorComplex, full: TaylorComplex):
         self.algebra = sub
         self.full = full
-        self.prefix_len = prefix_len
         self.complex = full.complex
 
     def action_basis(self, dx, ix, ny, iy) -> FreeModuleElement:
@@ -166,14 +150,14 @@ def taylor_module_fast_path(ring: PolyRing, gens, extra_gens):
 
     gens is the minimal generating list of a monomial ideal I, in order, as
     for TaylorComplex(ring, gens); resolves R/(extra)R = Q/(I + extra).
-    Returns (X, Y, psi) with psi the basis inclusion.
+    Returns (X, Y) with Y the TaylorDgModule.
 
     Checks run: X's d^2 = 0, two-sided unit and Leibniz laws (AInfAlgebra
     reads X's product); Y's d^2 = 0 (minimalize reads Y's differential);
     the module laws 1*c = c and Leibniz on the pairs of X x Y meeting in at
-    most one index; psi a chain map.  Y's own product is read only through
-    action_basis, whose left factor lies in X, so products e_S * e_T of Y
-    with S not in the base are not checked.
+    most one index, the pairs (x, y_0 = e_(empty set)) among them.  Y's own
+    product is read only through action_basis, whose left factor lies in X,
+    so products e_S * e_T of Y with S not in the base are not checked.
     """
     if not all(len(g.terms) == 1 for g in [*gens, *extra_gens]):
         raise InternalCheckError("fast path needs monomial generators")
@@ -186,15 +170,7 @@ def taylor_module_fast_path(ring: PolyRing, gens, extra_gens):
     X = TaylorComplex(ring, gens)
     Y = TaylorComplex(ring, [*gens, *extra], verify=False)
     Y.complex.check_dd_zero()
-    mod = TaylorDgModule(X, Y, len(gens))
+    mod = TaylorDgModule(X, Y)
     mod.check_unit()
     mod.check_leibniz()
-    maps = {}
-    for d in range(X.complex.top() + 1):
-        m = PolyMatrix(ring, Y.complex.basis_degrees(d), X.complex.basis_degrees(d))
-        for i, S in enumerate(X.subsets[d]):
-            m.set_entry(Y.position[d][S], i, ring.one())
-        maps[d] = m
-    psi = ChainMap(X.complex, Y.complex, maps)
-    psi.check_chain_map()
-    return X, mod, psi
+    return X, mod

@@ -1,11 +1,12 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping in the CLI: InputError -> 2, ResourceCapError -> 3,
-InternalCheckError -> 4; exit 1 (a verified bound failed) comes from the
-report's bounds, never from an exception.  InternalCheckError signals
-a broken invariant of the program itself, i.e. a bug; it gets its own code
-so that a bug never reads as a falsified bound.  `corpus` records any of
-them as the job's error and goes on to the next job.
+InternalCheckError and any other exception -> 4; exit 1 (a verified bound
+failed) comes from the report's bounds, never from an exception.
+InternalCheckError signals a broken invariant of the program itself, i.e.
+a bug; it gets its own code so that a bug never reads as a falsified
+bound.  `corpus` records any exception as the job's error and goes on to
+the next job.
 """
 
 

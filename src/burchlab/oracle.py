@@ -78,7 +78,8 @@ def krank_strand(pres: ModulePresentation) -> int:
         for i, m in src:
             col = {}
             for j, x in enumerate(xs):
-                res, _ = ech_up.reduce(tgt.vector({i: x}, m))
+                # fully reduced, so equal classes mod N get equal columns
+                res, _ = ech_up._full_reduce(tgt.vector({i: x}, m), {})
                 for t, c in res.items():
                     col[j * block + t] = c
             cols.append(col)

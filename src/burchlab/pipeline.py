@@ -1,7 +1,7 @@
 """End-to-end pipelines shared by the CLI and the verification suite.
 
 A RingContext packages the ring data (ideal, Burch data, socle); builders
-assemble the dg pair (X, Y, psi) or the transferred A-infinity pair for a
+assemble the dg pair (X, Y) or the transferred A-infinity pair for a
 presented module, and the verify_* functions run the two theorem pipelines
 and the k-rank verdict tables, returning plain dict reports.
 """
@@ -98,7 +98,7 @@ def taylor_algebra(ctx: RingContext) -> TaylorComplex:
 
 
 def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str = "taylor"):
-    """Dg algebra resolution X of R and semifree dg X-module Y of M with psi.
+    """Dg algebra resolution X of R and semifree dg X-module Y of M.
 
     algebra = "taylor" uses the Taylor complex (monomial ideals; products of
     coprime generators are unit multiples of basis elements).  "tate" uses
@@ -107,8 +107,8 @@ def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str =
 
     Y has every generator of degree <= cap and is checked exact in degrees
     1..cap-1; H_cap(Y) is not killed.  That is all its readers use:
-    BarComplex(X, Y, cap) takes y of degree <= cap only, psi is read at
-    degrees 0 and 1, and minimalize runs through cap.  A generator of degree
+    BarComplex(X, Y, cap) takes y of degree <= cap only, and the cycles read
+    psi(x) = x * y_0 at x = 1 and x = e only.  A generator of degree
     cap + 1 would only add basis pairs of degree >= cap + 1, and pairs are
     append-only, so Y_(<=cap) and d_1..d_cap are the same without that round.
     """
@@ -118,8 +118,7 @@ def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str =
         X = acyclic_closure(ctx.ring, ctx.minimal_gens, through=cap)
     else:
         raise ValueError(f"unknown algebra {algebra!r}")
-    Y, psi = build_semifree_resolution(pres, X, up_to=cap)
-    return X, Y, psi
+    return X, build_semifree_resolution(pres, X, up_to=cap)
 
 
 def ainf_pair(ctx: RingContext, pres: ModulePresentation, caps: Caps):
@@ -132,14 +131,13 @@ def ainf_pair(ctx: RingContext, pres: ModulePresentation, caps: Caps):
     if cyclic_monomial:
         # no rank guard: the Taylor complex of s generators has 2^s basis
         # elements, and TaylorComplex refuses s > TAYLOR_GENERATOR_CAP
-        X, big_module, _psi = taylor_module_fast_path(
+        X, big_module = taylor_module_fast_path(
             ctx.ring, taylor_generators(ctx), [v.coords[0] for v in pres.relations])
         ctr_y = minimalize(big_module.complex)
     else:
         X = taylor_algebra(ctx)
-        Y, _psi = build_semifree_resolution(pres, X, up_to=caps.hom_degree + 2)
-        big_module = Y
-        ctr_y = minimalize(Y.complex).truncated(caps.hom_degree + 1)
+        big_module = build_semifree_resolution(pres, X, up_to=caps.hom_degree + 2)
+        ctr_y = minimalize(big_module.complex).truncated(caps.hom_degree + 1)
     ctr_x = minimalize(X.complex)
     alg = AInfAlgebra(ctr_x, X, arity_cap=caps.arity, degree_cap=caps.degree)
     mod = AInfModule(alg, ctr_y, big_module, arity_cap=caps.arity, degree_cap=caps.degree)
@@ -170,7 +168,7 @@ def verify_golod(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict
     all_pass = True
     if ctx.index >= 2 and golod.golod:
         bcs = burch_cycles(ctx.burch, alg.complex)
-        ctr = minimalize(bar.complex, through=cap)
+        ctr = minimalize(bar.complex)
         for q in range(3, cap):
             recs = rho_cycles_golod(bcs, bar, q)
             split = [splitting_check(r.rho, bar.complex.diff(q), ctx.burch) for r in recs]
@@ -233,13 +231,13 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
         use_qs = [q for q in qs if (q % 2 == 0) == (algebra == "taylor")]
         if not use_qs:
             continue
-        X, Y, psi = dg_pair(ctx, pres, cap=max(use_qs) + 1, algebra=algebra)
+        X, Y = dg_pair(ctx, pres, cap=max(use_qs) + 1, algebra=algebra)
         bar = BarComplex(X, Y, ctx.ideal, cap=max(use_qs) + 1)
         bar.rank_formula_check()
         bcs = burch_cycles(ctx.burch, X.complex)
-        ctr = minimalize(bar.complex, through=max(use_qs) + 1)
+        ctr = minimalize(bar.complex)
         for q in use_qs:
-            recs = rho_cycles_general(bcs, bar, psi, q)
+            recs = rho_cycles_general(bcs, bar, q)
             split = [splitting_check(r.rho, bar.complex.diff(q), ctx.burch) for r in recs]
             _, survivors = project_to_minimal(ctr, recs, ctx.ideal, q)
             cycles_out.append({
@@ -280,7 +278,7 @@ def bar_report(ctx: RingContext, pres: ModulePresentation, caps: Caps, regime: s
     t0 = time.perf_counter()
     cap = caps.hom_degree
     if regime == "dg":
-        alg, mod, _psi = dg_pair(ctx, pres, cap=cap)
+        alg, mod = dg_pair(ctx, pres, cap=cap)
     elif regime == "ainf":
         alg, mod = ainf_pair(ctx, pres, caps)
     else:

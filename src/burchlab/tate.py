@@ -159,26 +159,17 @@ class TateAlgebra(AdjunctionEngine, DgAlgebra):
         self._stale = True
 
     def _keys_by_degree(self):
+        # one variable at a time, with no recursion (a closure can have
+        # thousands of them); _refresh sorts each degree
         cap = self.degree_cap
         by_degree = {d: [] for d in range(cap + 1)}
-
-        def rec(var_idx, key, deg):
-            if var_idx == len(self.var_degrees):
-                by_degree[deg].append(tuple(key))
-                return
-            vdeg = self.var_degrees[var_idx]
-            max_e = 1 if vdeg % 2 == 1 else (cap - deg) // vdeg
-            e = 0
-            while e <= max_e and deg + e * vdeg <= cap:
-                if e:
-                    key.append((var_idx, e))
-                    rec(var_idx + 1, key, deg + e * vdeg)
-                    key.pop()
-                else:
-                    rec(var_idx + 1, key, deg)
-                e += 1
-
-        rec(0, [], 0)
+        by_degree[0].append(())
+        for v, vdeg in enumerate(self.var_degrees):
+            max_e = 1 if vdeg % 2 == 1 else cap   # exterior or divided powers
+            # downward, so no key takes v twice: new keys land above d
+            for d in range(cap - vdeg, -1, -1):
+                for e in range(1, min(max_e, (cap - d) // vdeg) + 1):
+                    by_degree[d + e * vdeg] += [key + ((v, e),) for key in by_degree[d]]
         return by_degree
 
     def _key_internal_degree(self, _d, key) -> int:

@@ -146,11 +146,11 @@ def test_criterion_3_cycles_split_and_oracle(m2_ideal, m23_ideal,
         ctx = RingContext.build(I.ring, I)
         for name, pres in modules_for_theorem_a[I.ring.nvars]:
             for algebra, qs in plan.items():
-                X, Y, psi = dg_pair(ctx, pres, cap=max(qs) + 1, algebra=algebra)
+                X, Y = dg_pair(ctx, pres, cap=max(qs) + 1, algebra=algebra)
                 bar = BarComplex(X, Y, I, cap=max(qs) + 1)
                 bcs = burch_cycles(bd, X.complex)
                 for q in qs:
-                    recs = rho_cycles_general(bcs, bar, psi, q)
+                    recs = rho_cycles_general(bcs, bar, q)
                     assert recs, (name, q)
                     for rec in recs:
                         boundary = bar.complex.diff(q).apply(rec.alpha).map_coords(
@@ -177,11 +177,11 @@ def test_criterion_3_projection_survival(m2_ideal):
     bd = burch_data(m2_ideal)
     X = TaylorComplex(m2_ideal.ring, bd.gens)
     k = ModulePresentation.residue_field(m2_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=6)
+    Y = build_semifree_resolution(k, X, up_to=6)
     bar = BarComplex(X, Y, m2_ideal, cap=5)
     bcs = burch_cycles(bd, X.complex)
-    recs = rho_cycles_general(bcs, bar, psi, 4)
-    ctr = minimalize(bar.complex, through=5)
+    recs = rho_cycles_general(bcs, bar, 4)
+    ctr = minimalize(bar.complex)
     certs, survivors = project_to_minimal(ctr, recs, m2_ideal, 4)
     assert survivors >= 1
 
@@ -193,7 +193,7 @@ def test_criterion_4_golod_pipeline(m2_ideal):
     t0 = time.time()
     R = m2_ideal.ring
     bd = burch_data(m2_ideal)
-    X, Ymod, _psi = taylor_module_fast_path(
+    X, Ymod = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
@@ -203,7 +203,7 @@ def test_criterion_4_golod_pipeline(m2_ideal):
     assert golod.golod
     assert golod.bar_ranks == [2 ** i for i in range(9)]
     bcs = burch_cycles(bd, alg.complex)
-    ctr = minimalize(bar.complex, through=8)
+    ctr = minimalize(bar.complex)
     counts = {}
     for q in range(3, 9):
         recs = rho_cycles_golod(bcs, bar, q)
@@ -243,13 +243,13 @@ def test_criterion_5_bar_correctness_both_regimes(hyper_ideal, m2_ideal, m23_ide
         pres = ModulePresentation.cyclic(I, [R.parse(s) for s in mod_gens])
         # dg regime over the Taylor algebra with a semifree module
         X = TaylorComplex(R, burch_data(I).gens if burch_index(I) else I.gens)
-        Y, _psi = build_semifree_resolution(pres, X, up_to=dg_cap + 1)
+        Y = build_semifree_resolution(pres, X, up_to=dg_cap + 1)
         Bdg = BarComplex(X, Y, I, cap=dg_cap)  # checks d^2 = 0
         Bdg.rank_formula_check()
         Bdg.exactness_check(dg_cap - 1)
         assert Bdg.h0_dims(3) == pres.dims(3)
         # A-infinity regime over the minimal structures
-        X2, Ymod, _ = taylor_module_fast_path(
+        X2, Ymod = taylor_module_fast_path(
             R, minimal_generators(I.gens, R), [R.parse(s) for s in mod_gens])
         alg = AInfAlgebra(minimalize(X2.complex), X2)
         mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
@@ -270,7 +270,7 @@ def test_criterion_6_transfer_correctness(hyper_ideal, m2_ideal, m23_ideal,
     for I, mod_gens in ((m2_ideal, ["x", "y"]), (bione_ideal, ["x^2", "y"]),
                         (jn_ideal, ["x", "y"]), (m23_ideal, ["x", "y", "z"])):
         R = I.ring
-        X, Ymod, _ = taylor_module_fast_path(
+        X, Ymod = taylor_module_fast_path(
             R, minimal_generators(I.gens, R), [R.parse(s) for s in mod_gens])
         alg = AInfAlgebra(minimalize(X.complex), X, degree_cap=6)
         mod = AInfModule(alg, minimalize(Ymod.complex), Ymod, degree_cap=6)
@@ -283,7 +283,7 @@ def test_criterion_6_transfer_correctness(hyper_ideal, m2_ideal, m23_ideal,
     R1 = hyper_ideal.ring
     X1 = TaylorComplex(R1, [R1.parse("x^2")])
     k1 = ModulePresentation.residue_field(hyper_ideal)
-    Y1, _ = build_semifree_resolution(k1, X1, up_to=9)
+    Y1 = build_semifree_resolution(k1, X1, up_to=9)
     alg1 = AInfAlgebra(minimalize(X1.complex), X1, arity_cap=5)
     mod1 = AInfModule(alg1, minimalize(Y1.complex).truncated(7), Y1, arity_cap=5)
     for n in range(1, 5):

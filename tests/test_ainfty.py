@@ -57,7 +57,7 @@ def test_module_transfer_hypersurface(hyper_ideal):
     R = hyper_ideal.ring
     X = TaylorComplex(R, [R.parse("x^2")])
     k = ModulePresentation.residue_field(hyper_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=9)
+    Y = build_semifree_resolution(k, X, up_to=9)
     algX = AInfAlgebra(minimalize(X.complex), X, arity_cap=5, degree_cap=10)
     ctrY = minimalize(Y.complex).truncated(7)
     mod = AInfModule(algX, ctrY, Y, arity_cap=5, degree_cap=10)
@@ -71,7 +71,7 @@ def test_module_transfer_hypersurface(hyper_ideal):
 
 def test_module_transfer_m2(ctx_m2, m2_ideal):
     R = m2_ideal.ring
-    X, Ymod, _psi = taylor_module_fast_path(
+    X, Ymod = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X, arity_cap=4, degree_cap=10)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod, arity_cap=4, degree_cap=10)
@@ -137,7 +137,7 @@ def test_planted_wrong_m2_is_caught(m2_ideal):
 def test_planted_wrong_mu3_is_caught(m23_ideal):
     # mu_3 of the m23 module is nonzero on three tuples within degree 6
     R = m23_ideal.ring
-    X, Ymod, _ = taylor_module_fast_path(
+    X, Ymod = taylor_module_fast_path(
         R, minimal_generators(m23_ideal.gens, R), [R.var(i) for i in range(3)])
     alg = AInfAlgebra(minimalize(X.complex), X, degree_cap=6)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod, degree_cap=6)

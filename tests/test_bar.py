@@ -24,15 +24,14 @@ def hyper_pair(hyper_ideal):
     R = hyper_ideal.ring
     X = TaylorComplex(R, [R.parse("x^2")])
     k = ModulePresentation.residue_field(hyper_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=10)
-    return X, Y, psi
+    return X, build_semifree_resolution(k, X, up_to=10)
 
 
 def test_bar_of_ring_over_itself(hyper_ideal):
     R = hyper_ideal.ring
     X = TaylorComplex(R, [R.parse("x^2")])
     rm = ModulePresentation.cyclic(hyper_ideal, [])
-    Y, _psi = build_semifree_resolution(rm, X, up_to=8)
+    Y = build_semifree_resolution(rm, X, up_to=8)
     B = BarComplex(X, Y, hyper_ideal, cap=8)
     assert B.rank_formula_check() == [1] * 9
     B.exactness_check()
@@ -40,7 +39,7 @@ def test_bar_of_ring_over_itself(hyper_ideal):
 
 
 def test_ainf_bar_periodicity_matches_resolution_oracle(hyper_ideal, hyper_pair):
-    X, Y, _ = hyper_pair
+    X, Y = hyper_pair
     algX = AInfAlgebra(minimalize(X.complex), X, arity_cap=4, degree_cap=10)
     ctrY = minimalize(Y.complex).truncated(8)
     mod = AInfModule(algX, ctrY, Y, arity_cap=4, degree_cap=10)
@@ -58,7 +57,7 @@ def test_ainf_bar_periodicity_matches_resolution_oracle(hyper_ideal, hyper_pair)
 def bione_structures(bione_ideal, regime):
     """(X, Y) of the Taylor fast path for R/(x^2, y), or their transferred pair."""
     R = bione_ideal.ring
-    X, Ymod, _psi = taylor_module_fast_path(
+    X, Ymod = taylor_module_fast_path(
         R, minimal_generators(bione_ideal.gens, R), [R.parse("x^2"), R.parse("y")])
     if regime == "dg":
         return X, Ymod
@@ -81,7 +80,7 @@ def test_dg_bar_rank_formula_mixed_shape(m2_ideal):
     # ranks (1,3,3,1) x (1,2,1)-shaped Y: the composition count must match
     # the generating function expansion exactly
     R = m2_ideal.ring
-    X, Ymod, _psi = taylor_module_fast_path(
+    X, Ymod = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     B = BarComplex(X, Ymod, m2_ideal, cap=6)
     ranks = B.rank_formula_check()
@@ -91,7 +90,7 @@ def test_dg_bar_rank_formula_mixed_shape(m2_ideal):
 
 def test_ainf_bar_golod_ranks(m2_ideal, m23_ideal):
     R = m2_ideal.ring
-    X, Ymod, _ = taylor_module_fast_path(
+    X, Ymod = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
@@ -101,7 +100,7 @@ def test_ainf_bar_golod_ranks(m2_ideal, m23_ideal):
     B.exactness_check(7)
 
     R3 = m23_ideal.ring
-    X3, Y3, _ = taylor_module_fast_path(
+    X3, Y3 = taylor_module_fast_path(
         R3, minimal_generators(m23_ideal.gens, R3), [R3.var(i) for i in range(3)])
     alg3 = AInfAlgebra(minimalize(X3.complex), X3)
     mod3 = AInfModule(alg3, minimalize(Y3.complex), Y3)
@@ -116,7 +115,7 @@ def test_dg_and_ainf_bars_agree_on_identity_contractions():
     # identities and the transferred pair is the dg pair itself
     R = PolyRing(P, ("x", "y"))
     I = Ideal(R, [R.parse("x^2"), R.parse("y^2")])
-    X, Ymod, _psi = taylor_module_fast_path(R, minimal_generators(I.gens, R), [])
+    X, Ymod = taylor_module_fast_path(R, minimal_generators(I.gens, R), [])
     Bdg = BarComplex(X, Ymod, I, cap=6)
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
@@ -130,7 +129,7 @@ def test_dg_and_ainf_bars_agree_on_identity_contractions():
 def ainf_bar_of_k(m2_ideal, cap):
     """The minimal A-infinity bar of k over k[x,y]/(x,y)^2; ranks 2^i, exact."""
     R = m2_ideal.ring
-    X, Ymod, _ = taylor_module_fast_path(
+    X, Ymod = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
@@ -254,7 +253,7 @@ def test_dg_bar_differential_is_the_docstring_formula(ctx_m2, m2_ideal, module, 
     R = m2_ideal.ring
     pres = (ModulePresentation.residue_field(m2_ideal) if module == "k"
             else ModulePresentation.cyclic(m2_ideal, [R.parse("x")]))
-    X, Y, _psi = dg_pair(ctx_m2, pres, cap=5, algebra=algebra)
+    X, Y = dg_pair(ctx_m2, pres, cap=5, algebra=algebra)
     B = BarComplex(X, Y, m2_ideal, cap=5)
     checked = 0
     for n in range(6):
@@ -362,9 +361,9 @@ def test_dg_pair_builds_y_through_the_bar_cap_only(ctx_m2, m2_ideal, algebra):
     # the round that adjoins it changes nothing the bar complex reads
     cap = 5
     k = ModulePresentation.residue_field(m2_ideal)
-    X, Y, _psi = dg_pair(ctx_m2, k, cap=cap, algebra=algebra)
+    X, Y = dg_pair(ctx_m2, k, cap=cap, algebra=algebra)
     assert max(Y.gen_hom_degrees) == cap
-    deep, _ = build_semifree_resolution(k, X, up_to=cap + 1)
+    deep = build_semifree_resolution(k, X, up_to=cap + 1)
     assert max(deep.gen_hom_degrees) == cap + 1
     for n in range(cap + 1):
         assert Y.complex.basis_degrees(n) == deep.complex.basis_degrees(n)
@@ -378,6 +377,6 @@ def test_dg_pair_builds_y_through_the_bar_cap_only(ctx_m2, m2_ideal, algebra):
     assert B.exactness_check(cap - 1)
 
     # one round short, H_(cap-1)(Y) is not killed and the bar complex sees it
-    short, _ = build_semifree_resolution(k, X, up_to=cap - 1)
+    short = build_semifree_resolution(k, X, up_to=cap - 1)
     with pytest.raises(InternalCheckError, match=f"bar homology at degree {cap - 1}:"):
         BarComplex(X, short, m2_ideal, cap=cap).exactness_check(cap - 1)

@@ -142,8 +142,8 @@ class ScanUnits:
         return None
 
 
-def eliminations(monkeypatch, search, cx, through=None):
-    """minimalize(cx, through) with the unit search `search`: the contraction
+def eliminations(monkeypatch, search, cx):
+    """minimalize(cx) with the unit search `search`: the contraction
     and the eliminated (n, column, row) in order."""
     per_degree = []
 
@@ -160,7 +160,7 @@ def eliminations(monkeypatch, search, cx, through=None):
 
     with monkeypatch.context() as m:
         m.setattr(contraction, "_UnitQueue", Recording)
-        ctr = minimalize(cx, through=through)
+        ctr = minimalize(cx)
     return ctr, [(n, j, i) for n, pops in enumerate(per_degree, 1) for j, i in pops]
 
 
@@ -177,12 +177,12 @@ def test_unit_queue_eliminates_in_the_scan_order(monkeypatch, m2_ideal, case):
         pres = ModulePresentation.cyclic(m2_ideal, [R.parse("x")])
     else:
         pres = ModulePresentation.residue_field(m2_ideal)
-    Y, _ = build_semifree_resolution(pres, X, up_to=6)
-    cx, through = Y.complex, None
+    Y = build_semifree_resolution(pres, X, up_to=6)
+    cx = Y.complex
     if case == "dg bar of k":
-        cx, through = BarComplex(X, Y, m2_ideal, cap=5).complex, 5
-    queued, order = eliminations(monkeypatch, contraction._UnitQueue, cx, through)
-    scanned, scan_order = eliminations(monkeypatch, ScanUnits, cx, through)
+        cx = BarComplex(X, Y, m2_ideal, cap=5).complex
+    queued, order = eliminations(monkeypatch, contraction._UnitQueue, cx)
+    scanned, scan_order = eliminations(monkeypatch, ScanUnits, cx)
     assert order == scan_order and len(order) > 50
     assert matrices(queued) == matrices(scanned) and queued.alive == scanned.alive
 

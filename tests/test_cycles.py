@@ -102,16 +102,16 @@ def m2_dg_bar(m2_ideal):
     bd = burch_data(m2_ideal)
     X = TaylorComplex(m2_ideal.ring, bd.gens)
     k = ModulePresentation.residue_field(m2_ideal)
-    Y, psi = build_semifree_resolution(k, X, up_to=8)
+    Y = build_semifree_resolution(k, X, up_to=8)
     B = BarComplex(X, Y, m2_ideal, cap=7)
     bcs = burch_cycles(bd, X.complex)
-    return bd, B, psi, bcs
+    return bd, B, bcs
 
 
 def test_general_cycles_even_q(m2_dg_bar):
-    bd, B, psi, bcs = m2_dg_bar
+    bd, B, bcs = m2_dg_bar
     for q in (4, 6):
-        recs = rho_cycles_general(bcs, B, psi, q)
+        recs = rho_cycles_general(bcs, B, q)
         assert len(recs) == 1
         for rec in recs:
             # cycle property is verified inside the constructor; re-check here
@@ -126,10 +126,10 @@ def test_general_cycle_projection_measured(m2_dg_bar):
     # measured survivor counts are reported; on this ring the nonminimal-bar
     # classes happen to land in the contractible part (see the ledger), so the
     # projection test certifies the mechanism rather than a positive count
-    bd, B, psi, bcs = m2_dg_bar
-    ctr = minimalize(B.complex, through=7)
+    bd, B, bcs = m2_dg_bar
+    ctr = minimalize(B.complex)
     assert ctr.small.poincare_coeffs()[:7] == [2 ** i for i in range(7)]
-    recs = rho_cycles_general(bcs, B, psi, 4)
+    recs = rho_cycles_general(bcs, B, 4)
     certs, survivors = project_to_minimal(ctr, recs, B.quotient, 4)
     assert len(certs) == len(recs)
     assert all(c.killed_by_m for c in certs)
@@ -137,17 +137,17 @@ def test_general_cycle_projection_measured(m2_dg_bar):
 
 
 def test_odd_q_requires_free_algebra(m2_dg_bar):
-    bd, B, psi, bcs = m2_dg_bar
+    bd, B, bcs = m2_dg_bar
     from burchlab.errors import InternalCheckError
     with pytest.raises(InternalCheckError):
-        rho_cycles_general(bcs, B, psi, 5)
+        rho_cycles_general(bcs, B, 5)
 
 
 @pytest.fixture(scope="module")
 def m2_golod_bar(m2_ideal):
     R = m2_ideal.ring
     bd = burch_data(m2_ideal)
-    X, Ymod, _psi = taylor_module_fast_path(
+    X, Ymod = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
@@ -168,7 +168,7 @@ def test_golod_cycle_counts_and_splitting(m2_golod_bar):
 
 def test_golod_cycles_survive_in_minimal_bar(m2_golod_bar):
     bd, B, bcs = m2_golod_bar
-    ctr = minimalize(B.complex, through=8)
+    ctr = minimalize(B.complex)
     assert not ctr.htpy  # the bar is already minimal here
     for q in (3, 5, 7):
         recs = rho_cycles_golod(bcs, B, q)
@@ -178,6 +178,6 @@ def test_golod_cycles_survive_in_minimal_bar(m2_golod_bar):
 
 
 def test_golod_regime_guard(m2_dg_bar):
-    bd, B, psi, bcs = m2_dg_bar
+    bd, B, bcs = m2_dg_bar
     with pytest.raises(InputError):
         rho_cycles_golod(bcs, B, 4)  # dg regime rejected

@@ -27,7 +27,7 @@ def test_poincare_bound_series_m2():
 
 def test_golod_check_m2(m2_ideal):
     R = m2_ideal.ring
-    X, Ymod, _ = taylor_module_fast_path(
+    X, Ymod = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
@@ -45,7 +45,7 @@ def test_golod_check_free_module_is_not_golod(m2_ideal):
     from burchlab.taylor import TaylorComplex
 
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
-    Y, _ = build_semifree_resolution(ModulePresentation.cyclic(m2_ideal, []), X, up_to=6)
+    Y = build_semifree_resolution(ModulePresentation.cyclic(m2_ideal, []), X, up_to=6)
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Y.complex).truncated(5), Y)
     rep, bar = golod_check(alg, mod, m2_ideal, 5)
@@ -164,6 +164,38 @@ def test_golod_cycles_take_the_socle_lift_of_the_larger_index():
     assert body["burch"]["witness"]["socleLifts"] == ["x^2", "y^2"]
     assert [(row["q"], row["survivors"], row["expected"]) for row in body["cycles"]] \
         == [(3, 1, 1), (4, 1, 1)]
+
+
+def three_variable_job(ideal, cyclic):
+    return json.dumps({"p": 32003, "vars": ["x", "y", "z"], "ideal": ideal,
+                       "module": {"cyclic": cyclic},
+                       "caps": {"homDegree": 4, "generalQs": [4]}})
+
+
+def test_even_general_cycles_are_cycles_when_e_f_is_not_in_n():
+    # the socle lifts are all x, and e*f has a coefficient outside n: the
+    # two action terms of d(alpha) added up to 2x*[]y_(3,3) with the old
+    # sign of the second word, and the job exited 4
+    from burchlab.cli import run_command
+
+    spec = parse_job(three_variable_job(["x^2", "y^3", "z^2", "x*z", "x*y"], ["x", "y"]))
+    body, code = run_command("verify-general", spec)
+    assert code == 0 and body["bounds"]["allHold"] is True
+    assert [(row["q"], row["cycles"], row["allCyclesExact"], row["allSplit"])
+            for row in body["cycles"]] == [(4, 3, True, True)]
+
+
+def test_general_splitting_is_asserted_on_burch_pairs_only():
+    # Burch index 2 and a third linear form from xExtension: pairs (1,3) and
+    # (2,3) are no Burch pairs and do not split; they used to fail allHold
+    from burchlab.cli import run_command
+
+    spec = parse_job(three_variable_job(["x^2", "y^2", "z^3", "x*z^2", "y*z"], ["y", "z"]))
+    body, code = run_command("verify-general", spec)
+    assert body["burch"]["burchIndex"] == 2 and len(body["burch"]["witness"]["xExtension"]) == 1
+    assert code == 0 and body["bounds"]["allHold"] is True
+    assert [(row["q"], row["cycles"], row["allSplit"]) for row in body["cycles"]] \
+        == [(4, 1, True)]
 
 
 @pytest.mark.parametrize("command", ["verify-golod", "verify-general", "bar"])
@@ -322,6 +354,18 @@ def test_cli_internal_error_exit_code(monkeypatch, capsys):
     assert err.startswith("internal error") and "planted" in err and err.count("\n") == 1
 
 
+def test_cli_uncaught_exception_is_an_internal_error_in_one_line(monkeypatch, capsys):
+    from burchlab import cli
+
+    def run_command(command, spec):
+        raise KeyError("planted")
+
+    monkeypatch.setattr(cli, "run_command", run_command)
+    assert cli.main(["verify-golod", "--job", str(CORPUS / "ex_m2_2vars.json")]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error (KeyError): 'planted'\n"
+
+
 def test_corpus_records_failing_jobs_and_carries_on(monkeypatch, tmp_path, capsys):
     from burchlab import cli
     from burchlab.errors import InternalCheckError
@@ -351,6 +395,30 @@ def test_corpus_records_failing_jobs_and_carries_on(monkeypatch, tmp_path, capsy
     assert "caps.arity" in results["bad_caps.json"]["error"]
     assert results["ex_m2_2vars.json"] == {"error": "planted"}
     assert results["ex_structure.json"]["goldenMatch"] is True
+
+
+def test_corpus_records_an_uncaught_exception_and_carries_on(monkeypatch, tmp_path, capsys):
+    from burchlab import cli
+
+    monkeypatch.setattr(cli, "corpus_entries", lambda: [
+        ("ex_m2_2vars.json", CORPUS / "ex_m2_2vars.json"),
+        ("ex_structure.json", CORPUS / "ex_structure.json"),
+    ])
+    real = cli.run_command
+
+    def run_command(command, spec):
+        if spec.name == "square-of-max-ideal-2vars":
+            raise KeyError("planted")
+        return real(command, spec)
+
+    monkeypatch.setattr(cli, "run_command", run_command)
+    out = tmp_path / "corpus.json"
+    assert cli.run_corpus(str(out)) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ex_m2_2vars.json: exit 4") and "KeyError" in lines[0]
+    assert lines[1].startswith("ex_structure.json: exit 0") and lines[1].endswith("golden ok")
+    results = json.loads(out.read_text())["results"]
+    assert results["ex_m2_2vars.json"] == {"error": "internal error (KeyError): 'planted'"}
 
 
 def test_resolve_job_resolves_once(monkeypatch):

@@ -2,7 +2,7 @@ import gc
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from burchlab.errors import InputError
 from burchlab.groebner import Ideal, RTable
@@ -188,8 +188,20 @@ def check_image_route(pres, through=3) -> list:
     return out
 
 
+def stuck_strand_example():
+    """syz_1 has k-rank 1; krank_strand read 0 while it reduced x_j * u
+    modulo N only down to the first non-pivot index (representatives that
+    are not canonical, so a kernel that is too small)."""
+    I = Ideal(R2, [R2.parse(g) for g in ("x^4", "x^3 + x^2*y", "x^2 + 2*x*y + y^2")])
+    y, xy, y2 = (R2.parse(g) for g in ("y", "x*y", "y^2"))
+    return ModulePresentation(R2, I, [0, 0], [FreeModuleElement(R2, {0: y, 1: y}),
+                                              FreeModuleElement(R2, {1: y2}),
+                                              FreeModuleElement(R2, {0: xy})])
+
+
 @settings(max_examples=60, deadline=None)
 @given(pres=minimal_presentations())
+@example(pres=stuck_strand_example())
 def test_image_route_agrees_with_the_presentation_routes(pres):
     check_image_route(pres)
 

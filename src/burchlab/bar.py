@@ -36,8 +36,9 @@ different words may share one image polynomial, as no Polynomial is changed
 in place.  The images are dropped when assembly returns, so a
 differential_of_word call made later reads op afresh.
 
-d^2 = 0, exactness below the cap and the composition rank formula are all
-checked mechanically after assembly.
+d^2 = 0 and the composition rank formula are checked at construction, and
+the bar keeps its ranks; exactness below the cap is checked on request
+(exactness_check).
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ class BarComplex:
         self.complex = self._assemble()
         self._images = {}
         self.complex.check_dd_zero()
+        self.ranks = self.rank_formula_check()   # n -> rank of B_n, n = 0..cap
 
     # -- basis ------------------------------------------------------------
 

@@ -24,8 +24,7 @@ from importlib import resources
 
 from .errors import InputError, InternalCheckError, ResourceCapError
 from .jobs import COMMANDS, JobSpec, check_hom_degree, load_job, parse_job
-from .pipeline import (bar_report, cycles_report, resolve_report,
-                       verify_general, verify_golod)
+from .pipeline import bar_report, resolve_report, verify_general, verify_golod
 from .report import SCHEMA_VERSION, assemble, reports_equal, serialize, strip_timing
 
 EXIT_OK = 0
@@ -54,8 +53,11 @@ def run_command(command: str, spec: JobSpec) -> tuple:
     """Dispatch one job; returns (body dict, exit code).
 
     The exit code is EXIT_BOUND iff the body has bounds and bounds.allHold
-    is false; a body without bounds asserts no bound.
+    is false; a body without bounds asserts no bound.  Every body but
+    burch's ends with timingSeconds, the wall time of the whole job from
+    building the ring data on.
     """
+    t0 = time.perf_counter()
     ctx = spec.context()
     if command == "burch":
         return {"burch": ctx.burch_summary()}, EXIT_OK
@@ -63,19 +65,19 @@ def run_command(command: str, spec: JobSpec) -> tuple:
     if command == "resolve":
         body = resolve_report(ctx, pres, spec.caps)
     elif command == "bar":
-        regime = "ainf" if spec.regime == "auto" else spec.regime
-        body = bar_report(ctx, pres, spec.caps, regime)
+        body = bar_report(ctx, pres, spec.caps, "ainf" if spec.regime == "auto" else spec.regime)
     elif command == "cycles":
-        regime = spec.regime
-        if regime == "auto":
-            regime = "ainf" if ctx.index >= 2 else "dg"
-        body = cycles_report(ctx, pres, spec.caps, regime)
+        if ctx.index < 1:
+            raise InputError("cycle construction needs Burch index >= 1")
+        golod = spec.regime == "ainf" or (spec.regime == "auto" and ctx.index >= 2)
+        body = (verify_golod if golod else verify_general)(ctx, pres, spec.caps)
     elif command == "verify-general":
         body = verify_general(ctx, pres, spec.caps)
     elif command == "verify-golod":
         body = verify_golod(ctx, pres, spec.caps)
     else:
         raise InputError(f"unknown command {command!r}")
+    body["timingSeconds"] = round(time.perf_counter() - t0, 3)
     return body, EXIT_BOUND if "bounds" in body and not body["bounds"]["allHold"] else EXIT_OK
 
 

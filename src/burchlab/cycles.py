@@ -42,22 +42,19 @@ from .taylor import DgAlgebra, bilinear
 
 @dataclass
 class BurchCycle:
-    pair: tuple           # (i, j), 0-based, i < j, i < b
     omega: FreeModuleElement   # cycle in X_1
     preimage: FreeModuleElement  # f in X_2 with d(f) = omega
-    r_coeffs: FreeModuleElement  # expansion of x_j s_i over the generators
 
 
 @dataclass
 class BurchCycleSet:
     data: BurchData
     complex: GradedFreeComplex
-    cycles: dict = field(default_factory=dict)  # (i, j) -> BurchCycle
+    cycles: dict = field(default_factory=dict)  # (i, j) -> BurchCycle, 0-based, i < j, i < b
 
-    def pairs(self, within_b: bool = False):
-        b = self.data.b
-        out = [p for p in sorted(self.cycles) if (p[1] < b if within_b else True)]
-        return out
+    def pairs(self):
+        """The Burch pairs i < j < b, the ones the theorems' cycles are built on."""
+        return [p for p in sorted(self.cycles) if p[1] < self.data.b]
 
 
 def burch_cycles(bd: BurchData, X: GradedFreeComplex) -> BurchCycleSet:
@@ -94,7 +91,7 @@ def burch_cycles(bd: BurchData, X: GradedFreeComplex) -> BurchCycleSet:
                 raise InternalCheckError("omega is not a boundary; X is not a resolution")
             if not f.is_reduced_nonzero_mod_max_ideal():
                 raise InternalCheckError("preimage f lies in n X_2")
-            out.cycles[(i, j)] = BurchCycle(pair=(i, j), omega=omega, preimage=f, r_coeffs=r)
+            out.cycles[(i, j)] = BurchCycle(omega=omega, preimage=f)
 
     # d(f) = omega avoids BI X_1 for the theorem pairs (both indices < b)
     BI = bd.burch_ideal
@@ -141,20 +138,16 @@ def _bar_element(B: BarComplex, q: int, *terms) -> FreeModuleElement:
 
 @dataclass
 class RhoCycle:
-    pair: tuple
-    label: str
     rho: FreeModuleElement     # basis-part element of B_q
     alpha: FreeModuleElement   # s_i * rho, a cycle
-    socle: Polynomial
-    q: int
 
 
-def _rho_cycle(B: BarComplex, q: int, pair, label: str, rho, s) -> RhoCycle:
+def _rho_cycle(B: BarComplex, q: int, label: str, rho, s) -> RhoCycle:
     """The RhoCycle with alpha = s * rho over R; raises unless d(alpha) = 0."""
     alpha = rho.map_coords(lambda c: B.quotient.normal_form(c * s))
     if B.complex.diff(q).apply(alpha).map_coords(B.quotient.normal_form).coords:
         raise InternalCheckError(f"alpha of {label} is not a cycle")
-    return RhoCycle(pair=pair, label=label, rho=rho, alpha=alpha, socle=s, q=q)
+    return RhoCycle(rho=rho, alpha=alpha)
 
 
 def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, q: int):
@@ -175,7 +168,7 @@ def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, q: int):
     psi_e = B.mod.action_basis(1, 0, 0, 0)
     psi_1 = FreeModuleElement.basis(ring, 0)
     out = []
-    for (i, j) in bcs.pairs(within_b=True):
+    for (i, j) in bcs.pairs():
         f = bcs.cycles[(i, j)].preimage
         ef = bilinear(X.product_basis, 1, e_elt, 2, f)
         if q % 2 == 0:
@@ -188,7 +181,7 @@ def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, q: int):
                 raise InternalCheckError(
                     "e*f vanishes; the odd case needs a free-algebra resolution of R")
             rho = _bar_element(B, q, (1, [(3, ef)] + [(1, e_elt)] * k + [(1, psi_e)]))
-        out.append(_rho_cycle(B, q, (i, j), f"general q={q} pair={(i+1,j+1)}", rho,
+        out.append(_rho_cycle(B, q, f"general q={q} pair={(i+1,j+1)}", rho,
                               bcs.data.socle_lifts[i]))
     return out
 
@@ -212,12 +205,12 @@ def rho_cycles_golod(bcs: BurchCycleSet, B: BarComplex, q: int):
         raise InputError(f"Y has no basis in degree {r}")
     m = B.alg.complex.rank(1)
     out = []
-    for (i, j) in bcs.pairs(within_b=True):
+    for (i, j) in bcs.pairs():
         f = bcs.cycles[(i, j)].preimage
         for tup in product(range(m), repeat=d):
             slots = ([(2, f)] + [(1, FreeModuleElement.basis(ring, t)) for t in tup]
                      + [(r, FreeModuleElement.basis(ring, 0))])
-            out.append(_rho_cycle(B, q, (i, j), f"golod q={q} pair={(i+1,j+1)} e={tup}",
+            out.append(_rho_cycle(B, q, f"golod q={q} pair={(i+1,j+1)} e={tup}",
                                   _bar_element(B, q, (1, slots)), bcs.data.socle_lifts[j]))
     expected = comb(bcs.data.b, 2) * (m ** d)
     if len(out) != expected:
@@ -277,7 +270,6 @@ def splitting_check(rho: FreeModuleElement, diff: PolyMatrix, bd: BurchData) -> 
 
 @dataclass
 class ProjectionCertificate:
-    label: str
     nonzero: bool
     killed_by_m: bool
     outside_m_kernel: bool
@@ -331,6 +323,5 @@ def project_to_minimal(ctr, cycles, quotient: Ideal, q: int):
                 # survivor count = rank of the projected span modulo m K
                 residual_rank.insert({(dsum, t): c for t, c in res.items()})
         certs.append(ProjectionCertificate(
-            label=rec.label, nonzero=nonzero, killed_by_m=killed,
-            outside_m_kernel=outside))
+            nonzero=nonzero, killed_by_m=killed, outside_m_kernel=outside))
     return certs, residual_rank.rank

@@ -28,6 +28,10 @@ from .ring import ParseError, PolyRing, is_prime
 
 COMMANDS = ("burch", "resolve", "bar", "cycles", "verify-general", "verify-golod", "corpus")
 
+# the JSON name of each Caps field, in the order a job's caps are echoed
+CAPS_FIELDS = {"homDegree": "hom_degree", "arity": "arity", "degree": "degree",
+               "bruteForceDim": "brute_force_dim", "generalQs": "general_qs"}
+
 
 @dataclass
 class JobSpec:
@@ -41,18 +45,14 @@ class JobSpec:
     name: str | None = None
 
     def to_dict(self) -> dict:
+        caps = {key: getattr(self.caps, name) for key, name in CAPS_FIELDS.items()}
+        caps["generalQs"] = list(caps["generalQs"])
         out = {
             "p": self.prime,
             "vars": list(self.variables),
             "ideal": list(self.ideal_strings),
             "module": self.module,
-            "caps": {
-                "homDegree": self.caps.hom_degree,
-                "arity": self.caps.arity,
-                "degree": self.caps.degree,
-                "bruteForceDim": self.caps.brute_force_dim,
-                "generalQs": list(self.caps.general_qs),
-            },
+            "caps": caps,
             "regime": self.regime,
         }
         if self.command:
@@ -109,8 +109,7 @@ class JobSpec:
         if not isinstance(spec, dict):
             raise InputError("module.presentation must be a JSON object")
         degrees = spec.get("generatorDegrees")
-        if not isinstance(degrees, list) or not all(
-                isinstance(d, int) and not isinstance(d, bool) for d in degrees):
+        if not isinstance(degrees, list) or not all(_is_int(d) for d in degrees):
             raise InputError("presentation.generatorDegrees must be a list of integers")
         columns = spec.get("relations", [])
         if not isinstance(columns, list) or not all(_strings(col) for col in columns):
@@ -139,13 +138,6 @@ def _parse(ring: PolyRing, s: str, what: str):
         raise InputError(f"{what} {s!r}: {e}") from None
 
 
-def _int_field(caps_doc: dict, key: str, default: int) -> int:
-    v = caps_doc.get(key, default)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise InputError(f"caps.{key} must be an integer, got {v!r}")
-    return v
-
-
 def check_hom_degree(n: int) -> int:
     """The homological cap of a job or of --cap, checked to lie in 2..12."""
     if not 2 <= n <= 12:
@@ -153,28 +145,32 @@ def check_hom_degree(n: int) -> int:
     return n
 
 
-CAPS_KEYS = ("homDegree", "arity", "degree", "bruteForceDim", "generalQs")
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _parse_caps(caps_doc) -> Caps:
-    """Validate the optional caps object of a job; defaults as in Caps."""
+    """Validate the optional caps object of a job; a key left out keeps the
+    default that Caps declares."""
     if not isinstance(caps_doc, dict):
         raise InputError("caps must be a JSON object")
     for key in caps_doc:
-        if key not in CAPS_KEYS:
+        if key not in CAPS_FIELDS:
             raise InputError(f"caps has an unknown key {key!r}; "
-                             f"the keys are {', '.join(CAPS_KEYS)}")
-    qs = caps_doc.get("generalQs", [4, 5])
-    if (not isinstance(qs, list) or not qs
-            or not all(isinstance(q, int) and not isinstance(q, bool) and q >= 4 for q in qs)):
-        raise InputError(f"caps.generalQs must be a nonempty list of integers >= 4, got {qs!r}")
-    caps = Caps(
-        hom_degree=_int_field(caps_doc, "homDegree", 10),
-        arity=_int_field(caps_doc, "arity", 4),
-        degree=_int_field(caps_doc, "degree", 10),
-        brute_force_dim=_int_field(caps_doc, "bruteForceDim", 400),
-        general_qs=tuple(qs),
-    )
+                             f"the keys are {', '.join(CAPS_FIELDS)}")
+    caps = Caps()
+    for key, name in CAPS_FIELDS.items():
+        if key not in caps_doc:
+            continue
+        v = caps_doc[key]
+        if key == "generalQs":
+            if not isinstance(v, list) or not v or not all(_is_int(q) and q >= 4 for q in v):
+                raise InputError(f"caps.generalQs must be a nonempty list of integers >= 4, "
+                                 f"got {v!r}")
+            v = tuple(v)
+        elif not _is_int(v):
+            raise InputError(f"caps.{key} must be an integer, got {v!r}")
+        setattr(caps, name, v)
     check_hom_degree(caps.hom_degree)
     if caps.arity < 2:
         # the bar differential needs m_2 and mu_2 in every regime

@@ -3,13 +3,16 @@
 A RingContext packages the ring data (ideal, Burch data, socle); builders
 assemble the dg pair (X, Y) or the transferred A-infinity pair for a
 presented module, and the verify_* functions run the two theorem pipelines
-and the k-rank verdict tables, returning plain dict reports.
+and the k-rank verdict tables, returning plain dict reports.  The two
+pipelines differ only in the pair, the cycle family, the row shape and the
+bound: both certify their cycles in _certified_cycles and end in
+_verdict_tail.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 from .ainfty import AInfAlgebra, AInfModule
@@ -40,30 +43,36 @@ class Caps:
 
 @dataclass
 class RingContext:
-    """The ring data of one job, built once: the Burch ideal and index, the
-    certified Burch data when the index is >= 1, and minimal generators of I
-    (the Burch data's generators when there are any).  Every resolution X
-    of R the pipelines build has X_1 on minimal_gens, in order: d(e_t) is
+    """The ring data of one job: the Burch ideal and index, built once, and
+    the certified Burch data when the index is >= 1, built on first read
+    (resolve reads only the index and mu).  minimal_gens are the Burch
+    data's generators when there are any.  Every resolution X of R the
+    pipelines build has X_1 on minimal_gens, in order: d(e_t) is
     minimal_gens[t], which is what burch_cycles requires."""
 
     ring: PolyRing
     ideal: Ideal
     index: int
-    burch: BurchData | None
     burch_ideal: Ideal
-    minimal_gens: list
 
     @classmethod
     def build(cls, ring: PolyRing, ideal: Ideal) -> "RingContext":
         BI = burch_ideal(ideal)
-        b = burch_index(ideal, BI)
-        bd = burch_data(ideal, BI) if b >= 1 else None
-        gens = bd.gens if bd is not None else minimal_generators(ideal.gens, ring)
-        return cls(ring=ring, ideal=ideal, index=b, burch=bd, burch_ideal=BI, minimal_gens=gens)
+        return cls(ring=ring, ideal=ideal, index=burch_index(ideal, BI), burch_ideal=BI)
 
-    @property
+    @cached_property
+    def burch(self) -> BurchData | None:
+        return burch_data(self.ideal, self.burch_ideal) if self.index >= 1 else None
+
+    @cached_property
+    def minimal_gens(self) -> list:
+        bd = self.burch
+        return bd.gens if bd is not None else minimal_generators(self.ideal.gens, self.ring)
+
+    @cached_property
     def mu(self) -> int:
-        return len(self.minimal_gens)
+        """Every minimal generating set of I has this size, so no witness is read."""
+        return len(minimal_generators(self.ideal.gens, self.ring))
 
     def burch_summary(self) -> dict:
         bd = self.burch
@@ -149,54 +158,58 @@ def ainf_pair(ctx: RingContext, pres: ModulePresentation, caps: Caps):
 # ---------------------------------------------------------------------------
 
 
-def verify_golod(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict:
-    """Theorem-B pipeline: golod check, cycle families, splitting, survival,
-    and the k-rank verdict table.
+def _certified_cycles(ctx: RingContext, bar: BarComplex, qs, family) -> list:
+    """The certified-cycle loop of both theorems: the Burch cycles on the
+    bar's X, then per q the family's cycles in B_q, the splitting verdict
+    of each, and the survivor count of their projection to the minimal bar.
+    One (q, cycle count, verdicts, survivors) per q; with no q nothing is
+    built."""
+    if not qs:
+        return []
+    bcs = burch_cycles(ctx.burch, bar.alg.complex)
+    ctr = minimalize(bar.complex)
+    out = []
+    for q in qs:
+        recs = family(bcs, bar, q)
+        split = [splitting_check(r.rho, bar.complex.diff(q), ctx.burch) for r in recs]
+        _, survivors = project_to_minimal(ctr, recs, ctx.ideal, q)
+        out.append((q, len(recs), split, survivors))
+    return out
+
+
+def _verdict_tail(report: dict, ctx: RingContext, pres: ModulePresentation, rows: list,
+                  holds: bool, through: int, golod: bool) -> dict:
+    """The tail of both theorem reports: the cycle rows, the k-rank verdict
+    table of syz_1..syz_through, and the bounds, which hold when every
+    verdict row is ok and the cycles do (holds).
 
     bounds.vacuous implies bounds.allHold: with Burch index < 2 every bound
     row of the verdict table is None and no cycle is built.
     """
-    t0 = time.perf_counter()
+    report["cycles"] = rows
+    res = resolve_over_R(pres, through)
+    verdicts = theorem_verdicts(ctx.ideal, res, through, ctx.index, ctx.mu, golod=golod)
+    report["krank"] = verdicts.to_dict()
+    report["bounds"] = {"vacuous": ctx.index < 2, "allHold": verdicts.all_ok() and holds}
+    return report
+
+
+def verify_golod(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict:
+    """Theorem-B pipeline: golod check, cycle families in every degree
+    3 <= q < cap, splitting, survival, and the k-rank verdict table."""
     report: dict = {"burch": ctx.burch_summary()}
     alg, mod = ainf_pair(ctx, pres, caps)
     cap = caps.hom_degree
-    golod, bar = golod_check(alg, mod, ctx.ideal, cap)
-    report["golod"] = golod.to_dict()
+    report["golod"], bar = golod_check(alg, mod, ctx.ideal, cap)
     bar.exactness_check(cap - 1)
-
-    cycles_out = []
-    all_pass = True
-    if ctx.index >= 2 and golod.golod:
-        bcs = burch_cycles(ctx.burch, alg.complex)
-        ctr = minimalize(bar.complex)
-        for q in range(3, cap):
-            recs = rho_cycles_golod(bcs, bar, q)
-            split = [splitting_check(r.rho, bar.complex.diff(q), ctx.burch) for r in recs]
-            all_split = all(s.ok for s in split)
-            _, survivors = project_to_minimal(ctr, recs, ctx.ideal, q)
-            expected = comb(ctx.burch.b, 2) * ctx.mu ** ((q - 3) // 2)
-            row = {
-                "q": q,
-                "cycles": len(recs),
-                "expected": expected,
-                "allSplit": all_split,
-                "survivors": survivors,
-                "witnesses": [str(s.witness) for s in split[:3]],
-            }
-            all_pass = all_pass and (len(recs) == expected) and all_split \
-                and survivors == len(recs)
-            cycles_out.append(row)
-    report["cycles"] = cycles_out
-
-    res = resolve_over_R(pres, cap + 1)
-    verdicts = theorem_verdicts(ctx.ideal, res, cap + 1, ctx.index, ctx.mu, golod=golod.golod)
-    report["krank"] = verdicts.to_dict()
-    report["bounds"] = {
-        "vacuous": ctx.index < 2,
-        "allHold": verdicts.all_ok() and all_pass,
-    }
-    report["timingSeconds"] = round(time.perf_counter() - t0, 3)
-    return report
+    golod = report["golod"]["golod"]
+    qs = range(3, cap) if ctx.index >= 2 and golod else ()
+    rows = [{"q": q, "cycles": n, "expected": comb(ctx.index, 2) * ctx.mu ** ((q - 3) // 2),
+             "allSplit": all(s.ok for s in split), "survivors": survivors,
+             "witnesses": [str(s.witness) for s in split[:3]]}
+            for q, n, split, survivors in _certified_cycles(ctx, bar, qs, rho_cycles_golod)]
+    holds = all(r["cycles"] == r["expected"] == r["survivors"] and r["allSplit"] for r in rows)
+    return _verdict_tail(report, ctx, pres, rows, holds, cap + 1, golod)
 
 
 def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
@@ -206,76 +219,42 @@ def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
 
     Even q uses the Taylor dg algebra; odd q needs the acyclic closure.
     Survivor counts are measured and reported; the asserted bound is the
-    oracle one (see the ledger on the non-minimal splitting gap).
-
-    bounds.vacuous implies bounds.allHold: with Burch index < 2 every bound
-    row of the verdict table is None and no cycle is built.
+    oracle one (see the ledger on the non-minimal splitting gap).  With
+    Burch index < 2 no q runs and no bound is claimed.
     """
-    t0 = time.perf_counter()
     report: dict = {"burch": ctx.burch_summary()}
-    if ctx.index < 2:
-        res = resolve_over_R(pres, oracle_through)
-        verdicts = theorem_verdicts(ctx.ideal, res, oracle_through, ctx.index, ctx.mu,
-                                    golod=False)
-        report["krank"] = verdicts.to_dict()
-        report["bounds"] = {"vacuous": True, "allHold": True,
-                            "note": "Burch index < 2: no bound claimed"}
-        report["cycles"] = []
-        report["timingSeconds"] = round(time.perf_counter() - t0, 3)
-        return report
-
-    qs = sorted(set(caps.general_qs))
-    need_tate = any(q % 2 == 1 for q in qs)
-    cycles_out = []
-    for algebra in (["taylor"] if not need_tate else ["taylor", "tate"]):
-        use_qs = [q for q in qs if (q % 2 == 0) == (algebra == "taylor")]
+    qs = sorted(set(caps.general_qs)) if ctx.index >= 2 else []
+    rows = []
+    for algebra, parity in (("taylor", 0), ("tate", 1)):
+        use_qs = [q for q in qs if q % 2 == parity]
         if not use_qs:
             continue
         X, Y = dg_pair(ctx, pres, cap=max(use_qs) + 1, algebra=algebra)
         bar = BarComplex(X, Y, ctx.ideal, cap=max(use_qs) + 1)
-        bar.rank_formula_check()
-        bcs = burch_cycles(ctx.burch, X.complex)
-        ctr = minimalize(bar.complex)
-        for q in use_qs:
-            recs = rho_cycles_general(bcs, bar, q)
-            split = [splitting_check(r.rho, bar.complex.diff(q), ctx.burch) for r in recs]
-            _, survivors = project_to_minimal(ctr, recs, ctx.ideal, q)
-            cycles_out.append({
-                "q": q,
-                "algebra": algebra,
-                "cycles": len(recs),
-                "allCyclesExact": True,  # rho_cycles_general verifies d(alpha) = 0
-                "allSplit": all(s.ok for s in split),
-                "witnesses": [str(s.witness) for s in split],
-                "survivors": survivors,
-            })
-    report["cycles"] = cycles_out
-
-    res = resolve_over_R(pres, oracle_through)
-    verdicts = theorem_verdicts(ctx.ideal, res, oracle_through, ctx.index, ctx.mu, golod=False)
-    report["krank"] = verdicts.to_dict()
-    report["bounds"] = {
-        "vacuous": False,
-        "allHold": verdicts.all_ok() and all(c["allSplit"] for c in cycles_out),
-    }
-    report["timingSeconds"] = round(time.perf_counter() - t0, 3)
+        rows += [{"q": q, "algebra": algebra, "cycles": n,
+                  "allCyclesExact": True,  # rho_cycles_general verifies d(alpha) = 0
+                  "allSplit": all(s.ok for s in split),
+                  "witnesses": [str(s.witness) for s in split], "survivors": survivors}
+                 for q, n, split, survivors in _certified_cycles(ctx, bar, use_qs,
+                                                                  rho_cycles_general)]
+    _verdict_tail(report, ctx, pres, rows, all(r["allSplit"] for r in rows), oracle_through,
+                  golod=False)
+    if ctx.index < 2:
+        report["bounds"]["note"] = "Burch index < 2: no bound claimed"
+        report["cycles"] = report.pop("cycles")   # the vacuous report lists its cycles last
     return report
 
 
 def resolve_report(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict:
-    t0 = time.perf_counter()
+    """Betti numbers through caps.hom_degree and the verdict table through
+    one degree less; no bound is asserted."""
     res = resolve_over_R(pres, caps.hom_degree)
     verdicts = theorem_verdicts(ctx.ideal, res, caps.hom_degree - 1, ctx.index, ctx.mu,
                                 golod=False)
-    return {
-        "betti": [res.rank(n) for n in range(res.top() + 1)],
-        "krank": verdicts.to_dict(),
-        "timingSeconds": round(time.perf_counter() - t0, 3),
-    }
+    return {"betti": [res.rank(n) for n in range(res.top() + 1)], "krank": verdicts.to_dict()}
 
 
 def bar_report(ctx: RingContext, pres: ModulePresentation, caps: Caps, regime: str) -> dict:
-    t0 = time.perf_counter()
     cap = caps.hom_degree
     if regime == "dg":
         alg, mod = dg_pair(ctx, pres, cap=cap)
@@ -284,23 +263,13 @@ def bar_report(ctx: RingContext, pres: ModulePresentation, caps: Caps, regime: s
     else:
         raise InputError(f"unknown regime {regime!r}")
     bar = BarComplex(alg, mod, ctx.ideal, cap=cap)
-    ranks = bar.rank_formula_check()
     bar.exactness_check(cap - 1)
     return {
         "regime": regime,
-        "ranks": ranks,
+        "ranks": bar.ranks,
         "ddZero": True,
         "exactBelowCap": True,
         "minimal": bar.complex.is_minimal(),
         "h0Dims": bar.h0_dims(max(2, max(pres.gen_degrees, default=0) + 2)),
         "moduleDims": pres.dims(max(2, max(pres.gen_degrees, default=0) + 2)),
-        "timingSeconds": round(time.perf_counter() - t0, 3),
     }
-
-
-def cycles_report(ctx: RingContext, pres: ModulePresentation, caps: Caps, regime: str) -> dict:
-    if ctx.index < 1:
-        raise InputError("cycle construction needs Burch index >= 1")
-    if regime == "ainf":
-        return verify_golod(ctx, pres, caps)
-    return verify_general(ctx, pres, caps)

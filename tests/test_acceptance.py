@@ -200,8 +200,8 @@ def test_criterion_4_golod_pipeline(m2_ideal):
     from burchlab.golod import golod_check
 
     golod, bar = golod_check(alg, mod, m2_ideal, 8)
-    assert golod.golod
-    assert golod.bar_ranks == [2 ** i for i in range(9)]
+    assert golod["golod"]
+    assert golod["barRanks"] == [2 ** i for i in range(9)]
     bcs = burch_cycles(bd, alg.complex)
     ctr = minimalize(bar.complex)
     counts = {}

@@ -38,6 +38,20 @@ def test_bar_of_ring_over_itself(hyper_ideal):
     assert B.h0_dims(2) == [1, 1, 0]  # H_0 = R = k[x]/(x^2)
 
 
+def test_bar_checks_its_rank_formula_at_construction(monkeypatch, hyper_ideal):
+    from burchlab import bar
+
+    R = hyper_ideal.ring
+    X = TaylorComplex(R, [R.parse("x^2")])
+    Y = build_semifree_resolution(ModulePresentation.cyclic(hyper_ideal, []), X, up_to=4)
+    assert BarComplex(X, Y, hyper_ideal, cap=4).ranks == [1] * 5
+    real = bar.poincare_bound_series
+    monkeypatch.setattr(bar, "poincare_bound_series",
+                        lambda px, py, cap: real(px, py, cap)[:-1] + [2])
+    with pytest.raises(InternalCheckError, match="bar rank formula mismatch"):
+        BarComplex(X, Y, hyper_ideal, cap=4)
+
+
 def test_ainf_bar_periodicity_matches_resolution_oracle(hyper_ideal, hyper_pair):
     X, Y = hyper_pair
     algX = AInfAlgebra(minimalize(X.complex), X, arity_cap=4, degree_cap=10)

@@ -27,8 +27,10 @@ def test_bione_burch_cycle_formula(bione_data):
     bd, X, bcs = bione_data
     R = X.ring
     # the single pair extends x by the independent linear form y; the cycle
-    # is y e_2 - x^2 e_1 over the generators (y^2, x^2 y, x^4)
-    assert bcs.pairs() == [(0, 1)]
+    # is y e_2 - x^2 e_1 over the generators (y^2, x^2 y, x^4); with b = 1
+    # it is an extension pair, not a Burch pair i < j < b
+    assert list(bcs.cycles) == [(0, 1)]
+    assert bcs.pairs() == []
     cyc = bcs.cycles[(0, 1)]
     assert cyc.omega == FreeModuleElement(R, {1: R.parse("y"), 0: R.parse("-x^2")})
     assert X.complex.diff(2).apply(cyc.preimage) == cyc.omega
@@ -48,7 +50,6 @@ def test_m2_burch_cycles(m2_ideal):
     X = TaylorComplex(m2_ideal.ring, bd.gens)
     bcs = burch_cycles(bd, X.complex)
     assert bcs.pairs() == [(0, 1)]
-    assert bcs.pairs(within_b=True) == [(0, 1)]
     R = m2_ideal.ring
     cyc = bcs.cycles[(0, 1)]
     assert X.complex.diff(1).apply(cyc.omega) == FreeModuleElement(R, {})

@@ -35,6 +35,13 @@ _refresh, and only its kill_homology loop calls check_adjunction.
 The eighth check keeps the bar's operations in one place: in bar.py only
 BarComplex._block_image calls .op(, so every block's image is computed
 once per assembly and no second path calls op on a block again.
+
+The ninth check keeps the certified-cycle loop in one place: in the
+package only pipeline._certified_cycles calls splitting_check and
+project_to_minimal, so both theorems certify their cycles the same way.
+
+The tenth check keeps the report timing in one place: only
+cli.run_command writes "timingSeconds" (as a dict key or an item store).
 """
 
 from __future__ import annotations
@@ -301,28 +308,36 @@ def test_the_adjunction_scan_sees_a_duplicate():
 # -- one op path in the bar complex ----------------------------------------------
 
 
-def _op_callers(source: str, filename: str) -> list:
-    """'file: Qual.name' per function whose body (nested functions included)
-    calls an attribute named op."""
-    callers = []
+def _functions_with(source: str, filename: str, hit) -> list:
+    """'file: Qual.name' per function with a node of its body (nested
+    functions included) for which hit(node) holds."""
+    found = []
 
     def visit(node, qual):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = ".".join(qual + [child.name])
-                if not isinstance(child, ast.ClassDef) and any(
-                        isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
-                        and c.func.attr == "op" for c in ast.walk(child)):
-                    callers.append(f"{filename}: {name}")
+                if not isinstance(child, ast.ClassDef) and any(map(hit, ast.walk(child))):
+                    found.append(f"{filename}: {name}")
                 visit(child, qual + [child.name])
 
     visit(ast.parse(source), [])
-    return callers
+    return found
+
+
+def _callers(source: str, filename: str, names) -> list:
+    """'file: Qual.name' per function calling a function or an attribute
+    whose name is in names."""
+    def hit(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in names
+
+    return _functions_with(source, filename, hit)
 
 
 def test_only_the_block_image_calls_op_in_the_bar():
     path = PACKAGE / "bar.py"
-    assert _op_callers(path.read_text(encoding="utf-8"), path.name) == [
+    assert _callers(path.read_text(encoding="utf-8"), path.name, {"op"}) == [
         "bar.py: BarComplex._block_image"]
 
 
@@ -331,5 +346,64 @@ def test_the_op_scan_sees_a_duplicate():
                "        return self.mod.op(len(block), block)\n"
                "    def differential_of_word(self, w):\n"
                "        return (self.alg if len(w) > 1 else self.mod).op(1, w[-1:])\n")
-    assert _op_callers(planted, "m.py") == ["m.py: Bar._block_image",
-                                            "m.py: Bar.differential_of_word"]
+    assert _callers(planted, "m.py", {"op"}) == ["m.py: Bar._block_image",
+                                                 "m.py: Bar.differential_of_word"]
+
+
+# -- one certified-cycle loop ------------------------------------------------------
+
+CYCLE_CERTIFICATES = {"splitting_check", "project_to_minimal"}
+
+
+def test_only_the_shared_cycle_loop_certifies_cycles():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _callers(path.read_text(encoding="utf-8"), path.name, CYCLE_CERTIFICATES)
+    assert found == ["pipeline.py: _certified_cycles"]
+
+
+def test_the_certificate_scan_sees_a_duplicate():
+    planted = ("def _certified_cycles(ctx, bar, qs, family):\n"
+               "    return [splitting_check(r.rho, d, bd) for r in family()]\n"
+               "def verify_golod(ctx):\n"
+               "    return cycles.project_to_minimal(ctr, recs, I, q)\n"
+               "def bar_report(ctx):\n"
+               "    return bar.ranks\n")
+    assert _callers(planted, "m.py", CYCLE_CERTIFICATES) == [
+        "m.py: _certified_cycles", "m.py: verify_golod"]
+
+
+# -- one report timer ----------------------------------------------------------------
+
+
+def _timing_writers(source: str, filename: str) -> list:
+    """'file: Qual.name' per function that writes "timingSeconds", as a key
+    of a dict display or as the item of a subscript store."""
+    def is_timing(node):
+        return isinstance(node, ast.Constant) and node.value == "timingSeconds"
+
+    def hit(node):
+        if isinstance(node, ast.Dict):
+            return any(k is not None and is_timing(k) for k in node.keys)
+        return (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and is_timing(node.slice))
+
+    return _functions_with(source, filename, hit)
+
+
+def test_only_run_command_writes_the_timing():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _timing_writers(path.read_text(encoding="utf-8"), path.name)
+    assert found == ["cli.py: run_command"]
+
+
+def test_the_timing_scan_sees_a_duplicate():
+    planted = ("TIMING_KEYS = {'timingSeconds'}\n"
+               "def run_command(command, spec):\n"
+               "    body['timingSeconds'] = 0.0\n"
+               "def bar_report(ctx):\n"
+               "    return {'ranks': [], 'timingSeconds': 0.0}\n"
+               "def strip_timing(obj):\n"
+               "    return {k: v for k, v in obj.items() if k not in TIMING_KEYS}\n")
+    assert _timing_writers(planted, "m.py") == ["m.py: run_command", "m.py: bar_report"]

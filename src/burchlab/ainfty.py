@@ -44,8 +44,8 @@ class _Transferred:
 
     self.alg is the algebra whose operations act on the x slots (the
     structure itself for an algebra); self.ctr and self._times are the
-    contraction and the big dg structure's basis action (an algebra's is
-    its product) of the slot intervals that end in the last slot.
+    contraction and the big dg structure's action rule (an algebra's is
+    its product rule) of the slot intervals that end in the last slot.
     """
 
     name = "m"
@@ -53,7 +53,7 @@ class _Transferred:
 
     def __init__(self, ctr: Contraction, big, arity_cap: int, degree_cap: int):
         self.ctr = ctr
-        self._times = big.action_basis
+        self._times = big.action_terms
         self.complex = ctr.small
         self.arity_cap = arity_cap
         self.degree_cap = degree_cap

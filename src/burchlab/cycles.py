@@ -170,7 +170,7 @@ def rho_cycles_general(bcs: BurchCycleSet, B: BarComplex, q: int):
     out = []
     for (i, j) in bcs.pairs():
         f = bcs.cycles[(i, j)].preimage
-        ef = bilinear(X.product_basis, 1, e_elt, 2, f)
+        ef = bilinear(X.product_terms, 1, e_elt, 2, f)
         if q % 2 == 0:
             k = (q - 4) // 2
             rho = _bar_element(B, q, (1, [(2, f)] + [(1, e_elt)] * k + [(1, psi_e)]),

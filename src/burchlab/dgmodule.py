@@ -1,7 +1,7 @@
 """Dg module resolutions Y of an R-module M over a dg algebra resolution X.
 
 The split map psi: X -> Y of the Theorem-A cycles is the action on Y's
-first generator y_0, psi(x) = x * y_0, read through action_basis.  As
+first generator y_0, psi(x) = x * y_0, read through the action rule.  As
 d(y_0) = 0, psi is a chain map wherever the module Leibniz law holds on
 the pairs (x, y_0): the fast path checks them, and the semifree
 differential (SemifreeDgModule._key_image) is that law by construction.
@@ -25,7 +25,7 @@ Two constructions:
 from __future__ import annotations
 
 from .errors import InternalCheckError
-from .matrices import FreeModuleElement, add_into
+from .matrices import add_into
 from .resolve import ModulePresentation
 from .ring import PolyRing
 from .taylor import DgAlgebra, DgModule, TaylorComplex, pairs_meeting_at_most_once
@@ -76,24 +76,21 @@ class SemifreeDgModule(AdjunctionEngine, DgModule):
         if d >= 1:
             for i2, f in X.diff(d).columns.get(i, {}).items():
                 add_into(out, (t, i2), f)
-        action = {}     # b_i * d(g_t), summed term by term as bilinear() would
+        sign = -1 if d % 2 else 1
         for (t2, i2), g in (self.gen_diffs[t] or {}).items():
             d2 = self.gen_hom_degrees[t] - 1 - self.gen_hom_degrees[t2]
-            for i3, h in self.algebra.product_basis(d, i, d2, i2).coords.items():
-                add_into(action, (t2, i3), h * g)
-        for pair, f in action.items():
-            add_into(out, pair, -f if d % 2 == 1 else f)
+            for i3, m, c in self.algebra.product_terms(d, i, d2, i2):
+                add_into(out, (t2, i3), g.mul_term(m, sign * c))
         return out
 
-    def action_basis(self, dx, ix, ny, iy) -> FreeModuleElement:
+    def action_terms(self, dx, ix, ny, iy) -> tuple:
         self._refresh()
         t, i = self._basis[ny][iy]
-        d = ny - self.gen_hom_degrees[t]
-        prod = self.algebra.product_basis(dx, ix, d, i)
-        out = {}
-        for i2, f in prod.coords.items():
-            out[self._pos[dx + ny][(t, i2)]] = f
-        return FreeModuleElement(self.ring, out)
+        terms = self.algebra.product_terms(dx, ix, ny - self.gen_hom_degrees[t], i)
+        if not terms:
+            return ()
+        pos = self._pos[dx + ny]
+        return tuple((pos[t, i2], m, c) for i2, m, c in terms)
 
 
 def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra, up_to: int):
@@ -130,10 +127,10 @@ class TaylorDgModule(DgModule):
         self.full = full
         self.complex = full.complex
 
-    def action_basis(self, dx, ix, ny, iy) -> FreeModuleElement:
-        # prefix indices embed identically into the full Taylor basis
-        S = self.algebra.subsets[dx][ix]
-        return self.full.product_basis(dx, self.full.position[dx][S], ny, iy)
+    def action_terms(self, dx, ix, ny, iy) -> tuple:
+        # X's bitmasks are Y's on the prefix: e_S of X is Y's e_S of the same mask
+        full = self.full
+        return full.product_terms(dx, full._index[self.algebra._masks[dx][ix]], ny, iy)
 
     def leibniz_pairs(self, dx, ny):
         """Only the pairs with |S n T| <= 1, by TaylorComplex.leibniz_pairs's
@@ -156,7 +153,7 @@ def taylor_module_fast_path(ring: PolyRing, gens, extra_gens):
     reads X's product); Y's d^2 = 0 (minimalize reads Y's differential);
     the module laws 1*c = c and Leibniz on the pairs of X x Y meeting in at
     most one index, the pairs (x, y_0 = e_(empty set)) among them.  Y's own
-    product is read only through action_basis, whose left factor lies in X,
+    product is read only through action_terms, whose left factor lies in X,
     so products e_S * e_T of Y with S not in the base are not checked.
     """
     if not all(len(g.terms) == 1 for g in [*gens, *extra_gens]):

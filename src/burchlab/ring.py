@@ -112,10 +112,6 @@ class PolyRing:
     def one(self) -> "Polynomial":
         return Polynomial(self, {(0,) * self.nvars: 1})
 
-    def const(self, c: int) -> "Polynomial":
-        c %= self.p
-        return Polynomial(self, {(0,) * self.nvars: c} if c else {})
-
     def var(self, i) -> "Polynomial":
         if isinstance(i, str):
             i = self.variables.index(i)

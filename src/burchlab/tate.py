@@ -23,7 +23,7 @@ from math import comb
 from .complexes import GradedFreeComplex
 from .errors import InternalCheckError, check_rank
 from .groebner import Ideal, syzygies_of
-from .matrices import FreeModuleElement, PolyMatrix, add_into
+from .matrices import PolyMatrix, add_into
 from .resolve import minimal_module_generators
 from .ring import PolyRing
 from .taylor import DgAlgebra
@@ -248,18 +248,16 @@ class TateAlgebra(AdjunctionEngine, DgAlgebra):
 
     # -- positional interface (DgAlgebra) -----------------------------------
 
-    def product_basis(self, da, ia, db, ib) -> FreeModuleElement:
+    def product_terms(self, da, ia, db, ib) -> tuple:
         self._refresh()
-        k1 = self._basis[da][ia]
-        k2 = self._basis[db][ib]
-        hit = self.mul_keys(k1, k2)
+        hit = self.mul_keys(self._basis[da][ia], self._basis[db][ib])
         if hit is None:
-            return FreeModuleElement(self.ring, {})
+            return ()
         sign, coeff, key = hit
         c = (sign * coeff) % self.ring.p
         if not c:
-            return FreeModuleElement(self.ring, {})
-        return FreeModuleElement(self.ring, {self._pos[da + db][key]: self.ring.const(c)})
+            return ()
+        return ((self._pos[da + db][key], (0,) * self.ring.nvars, c),)
 
 
 class CycleSpace:

@@ -3,7 +3,9 @@
 A DgModule bundles a complex with a basis-level action of a dg algebra; a
 DgAlgebra, a complex with a basis-level product table and a unit, is a dg
 module over itself, so one set of unit, Leibniz and associativity checks
-serves both.
+serves both.  Each structure has one product rule on basis keys, returning
+plain (position, monomial, coeff) triples; the checks sum those as integers,
+and product_basis/action_basis box the same terms as a FreeModuleElement.
 The Taylor complex of monomials m_1..m_s has basis e_S indexed by subsets,
 differential d(e_S) = sum_k (-1)^k c_(u_k) (lcm S / lcm S\\u_k) e_(S\\u_k), and
 product e_S * e_T = sign * (lcm S * lcm T / lcm(S u T)) e_(S u T) for
@@ -18,7 +20,7 @@ the workhorse dg resolution for monomial quotients.
 from __future__ import annotations
 
 from itertools import combinations, product
-from operator import add
+from operator import add, sub
 
 from .complexes import GradedFreeComplex
 from .errors import InternalCheckError, ResourceCapError
@@ -31,8 +33,11 @@ TAYLOR_GENERATOR_CAP = 12
 class DgModule:
     """A complex Y with a dg action of a DgAlgebra on its basis.
 
-    Subclasses implement action_basis(dx, ix, ny, iy) returning an element
-    of Y in degree dx+ny; element-level products extend it by bilinear().
+    Subclasses implement the rule action_terms(dx, ix, ny, iy): the action
+    of basis element ix of X_dx on basis element iy of Y_ny, as a tuple of
+    (position in Y_(dx+ny), exponent tuple, coeff) triples with distinct
+    (position, exponent tuple) and coeff in 1..p-1.  action_basis boxes it;
+    element-level products extend it by bilinear().
     """
 
     algebra: DgAlgebra
@@ -43,8 +48,11 @@ class DgModule:
     def ring(self) -> PolyRing:
         return self.complex.ring
 
-    def action_basis(self, dx, ix, ny, iy) -> FreeModuleElement:
+    def action_terms(self, dx, ix, ny, iy) -> tuple:
         raise NotImplementedError
+
+    def action_basis(self, dx, ix, ny, iy) -> FreeModuleElement:
+        return _boxed(self.ring, self.action_terms(dx, ix, ny, iy))
 
     def op(self, n: int, refs) -> FreeModuleElement:
         """The A-infinity signature, y last: d at n = 1, the action at n = 2, 0 above."""
@@ -62,12 +70,15 @@ class DgModule:
         """1 * c = c on every basis element c of degree <= through (and
         c * 1 = c in an algebra, which acts on itself)."""
         top = self.complex.top() if through is None else through
-        times = self.action_basis
+        p = self.ring.p
+        one = (0,) * self.ring.nvars
+        times = self.action_terms
         two_sided = self.algebra is self
         for d in range(top + 1):
             for i in range(self.complex.rank(d)):
-                want = FreeModuleElement.basis(self.ring, i)
-                if times(0, 0, d, i) != want or (two_sided and times(d, i, 0, 0) != want):
+                want = {(i, one): 1}
+                if (_term_sums(times(0, 0, d, i), p) != want
+                        or (two_sided and _term_sums(times(d, i, 0, 0), p) != want)):
                     raise InternalCheckError(f"{self.label}unit law fails on basis ({d},{i})")
 
     def leibniz_pairs(self, da, db):
@@ -77,40 +88,45 @@ class DgModule:
     def check_leibniz(self, through: int | None = None):
         """d(a*c) = d(a)*c + (-1)^|a| a*d(c) on every pair from leibniz_pairs.
 
-        Each side is accumulated as {position: {monomial: coeff}} straight
-        from the differential columns and compared exactly mod p.
+        Both sides are read from the rule and the differential columns as
+        integer terms, summed as {(position, monomial): lhs - rhs} and
+        compared exactly mod p.
         """
         p = self.ring.p
-        times = self.action_basis
+        times = self.action_terms
         top = self.complex.top() if through is None else through
-        lcols = {n: self.algebra.complex.diff(n).columns for n in range(1, top + 1)}
-        rcols = {n: self.complex.diff(n).columns for n in range(1, top + 1)}
+        lcols = {n: _column_terms(self.algebra.complex.diff(n)) for n in range(1, top + 1)}
+        rcols = {n: _column_terms(self.complex.diff(n)) for n in range(1, top + 1)}
         for da in range(top + 1):
             for db in range(top + 1 - da):
                 sign_b = 1 if da % 2 == 0 else -1
                 for ia, ib in self.leibniz_pairs(da, db):
-                    lhs, rhs = {}, {}
+                    acc = {}
                     if da + db >= 1:
                         dcols = rcols[da + db]
-                        for k, f in times(da, ia, db, ib).coords.items():
-                            for i, g in dcols.get(k, {}).items():
-                                _add_product(lhs, i, g, f, 1)
+                        for k, m1, c1 in times(da, ia, db, ib):
+                            for i, m2, c2 in dcols.get(k, ()):
+                                key = i, tuple(map(add, m1, m2))
+                                acc[key] = acc.get(key, 0) + c1 * c2
                     if da >= 1:
-                        for k, f in lcols[da].get(ia, {}).items():
-                            for i, g in times(da - 1, k, db, ib).coords.items():
-                                _add_product(rhs, i, f, g, 1)
+                        for k, m1, c1 in lcols[da].get(ia, ()):
+                            for i, m2, c2 in times(da - 1, k, db, ib):
+                                key = i, tuple(map(add, m1, m2))
+                                acc[key] = acc.get(key, 0) - c1 * c2
                     if db >= 1:
-                        for k, f in rcols[db].get(ib, {}).items():
-                            for i, g in times(da, ia, db - 1, k).coords.items():
-                                _add_product(rhs, i, f, g, sign_b)
-                    if _reduced(lhs, p) != _reduced(rhs, p):
+                        for k, m1, c1 in rcols[db].get(ib, ()):
+                            c1 *= sign_b
+                            for i, m2, c2 in times(da, ia, db - 1, k):
+                                key = i, tuple(map(add, m1, m2))
+                                acc[key] = acc.get(key, 0) - c1 * c2
+                    if any(c % p for c in acc.values()):
                         raise InternalCheckError(
                             f"{self.label}Leibniz fails on basis pair ({da},{ia}) ({db},{ib})")
 
     def check_associative(self, degree_cap: int):
         """(a*b)*c = a*(b*c) for total degree within the cap and Y's top."""
         X = self.algebra
-        times = self.action_basis
+        times = self.action_terms
         top = self.complex.top()
         for da in range(degree_cap + 1):
             for db in range(degree_cap + 1 - da):
@@ -124,7 +140,7 @@ class DgModule:
                             for ic in range(self.complex.rank(dc)):
                                 vc = FreeModuleElement.basis(self.ring, ic)
                                 left = bilinear(times, da + db, ab, dc, vc)
-                                bc = times(db, ib, dc, ic)
+                                bc = self.action_basis(db, ib, dc, ic)
                                 if left != bilinear(times, da, va, db + dc, bc):
                                     raise InternalCheckError(
                                         f"{self.label}associativity fails on "
@@ -135,8 +151,8 @@ class DgAlgebra(DgModule):
     """A complex with unit and associative graded-commutative product: a dg
     module over itself, acting by its product.
 
-    Subclasses implement product_basis(da, ia, db, ib) returning an element
-    of degree da+db.
+    Subclasses implement the rule product_terms(da, ia, db, ib), with the
+    triples of DgModule.action_terms in degree da+db; product_basis boxes it.
     """
 
     label = ""
@@ -146,12 +162,15 @@ class DgAlgebra(DgModule):
         return self
 
     @property
-    def action_basis(self):
-        # looked up on each read, so a patched product_basis takes effect
-        return self.product_basis
+    def action_terms(self):
+        # looked up on each read, so a patched product_terms takes effect
+        return self.product_terms
+
+    def product_terms(self, da, ia, db, ib) -> tuple:
+        raise NotImplementedError
 
     def product_basis(self, da, ia, db, ib) -> FreeModuleElement:
-        raise NotImplementedError
+        return _boxed(self.ring, self.product_terms(da, ia, db, ib))
 
     def check_commutative(self, through: int | None = None):
         top = self.complex.top() if through is None else through
@@ -168,8 +187,16 @@ class DgAlgebra(DgModule):
                                 f"graded commutativity fails on ({da},{ia}) ({db},{ib})")
 
 
-def bilinear(times, da, va: FreeModuleElement, db, vb: FreeModuleElement) -> FreeModuleElement:
-    """The basis operation times(da, ia, db, ib) extended bilinearly to va, vb.
+def _boxed(ring: PolyRing, terms) -> FreeModuleElement:
+    """A rule's (position, monomial, coeff) triples as a FreeModuleElement."""
+    coords = {}
+    for i, m, c in terms:
+        coords.setdefault(i, {})[m] = c
+    return FreeModuleElement(ring, {i: Polynomial(ring, t) for i, t in coords.items()})
+
+
+def bilinear(terms, da, va: FreeModuleElement, db, vb: FreeModuleElement) -> FreeModuleElement:
+    """The basis rule terms(da, ia, db, ib) extended bilinearly to va, vb.
 
     Polynomial coefficients are central, so no Koszul signs enter; the sum
     is accumulated in place, term by term in the order of va and vb.
@@ -177,12 +204,12 @@ def bilinear(times, da, va: FreeModuleElement, db, vb: FreeModuleElement) -> Fre
     out = {}
     for ia, fa in va.coords.items():
         for ib, fb in vb.coords.items():
-            base = times(da, ia, db, ib).coords
+            base = terms(da, ia, db, ib)
             if not base:
                 continue
-            c = fa * fb
-            for k, g in base.items():
-                add_into(out, k, g * c)
+            f = fa * fb
+            for k, m, c in base:
+                add_into(out, k, f.mul_term(m, c))
     return FreeModuleElement(va.ring, out)
 
 
@@ -194,23 +221,18 @@ def pairs_meeting_at_most_once(masks_a, masks_b):
                 yield ia, ib
 
 
-def _add_product(acc: dict, i, f, g, sign: int):
-    """acc[i] += sign * f * g term by term, coefficients left unreduced."""
-    row = acc.setdefault(i, {})
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
-            m = tuple(map(add, m1, m2))
-            row[m] = row.get(m, 0) + sign * c1 * c2
+def _column_terms(mat: PolyMatrix) -> dict:
+    """The columns of mat as {column: ((row, monomial, coeff), ...)}."""
+    return {j: tuple((i, m, c) for i, f in col.items() for m, c in f.terms.items())
+            for j, col in mat.columns.items()}
 
 
-def _reduced(acc: dict, p: int) -> dict:
-    """acc with coefficients mod p, zero terms and empty positions dropped."""
-    out = {}
-    for i, row in acc.items():
-        row = {m: c % p for m, c in row.items() if c % p}
-        if row:
-            out[i] = row
-    return out
+def _term_sums(terms, p: int) -> dict:
+    """A rule's terms as {(position, monomial): coeff mod p}, zero sums dropped."""
+    acc = {}
+    for i, m, c in terms:
+        acc[i, m] = acc.get((i, m), 0) + c
+    return {key: c % p for key, c in acc.items() if c % p}
 
 
 class TaylorComplex(DgAlgebra):
@@ -271,14 +293,14 @@ class TaylorComplex(DgAlgebra):
         """
         return pairs_meeting_at_most_once(self._masks.get(da, ()), self._masks.get(db, ()))
 
-    def product_basis(self, da, ia, db, ib) -> FreeModuleElement:
-        ring = self.ringref
+    def product_terms(self, da, ia, db, ib) -> tuple:
         mS = self._masks[da][ia]
         mT = self._masks[db][ib]
         if mS & mT:
-            return FreeModuleElement(ring, {})
+            return ()
         mU = mS | mT
-        coeff = tuple([a + b - c for a, b, c in zip(self._lcm[mS], self._lcm[mT], self._lcm[mU])])
+        lcm = self._lcm
+        coeff = tuple(map(sub, map(add, lcm[mS], lcm[mT]), lcm[mU]))
         # shuffle sign: (-1)^#{(s, t) in S x T : t < s}
         inv = 0
         rest = mS
@@ -286,5 +308,4 @@ class TaylorComplex(DgAlgebra):
             low = rest & -rest
             inv += (mT & (low - 1)).bit_count()
             rest ^= low
-        f = Polynomial(ring, {coeff: ring.p - 1 if inv % 2 else 1})
-        return FreeModuleElement(ring, {self._index[mU]: f})
+        return ((self._index[mU], coeff, self.ringref.p - 1 if inv % 2 else 1),)

@@ -26,7 +26,11 @@ minimal_generators; every resolution of R takes the job's list.
 
 The sixth check keeps the dg checks in one place: a dg algebra is a dg
 module over itself, so only taylor.DgModule defines check_unit,
-check_leibniz and check_associative.
+check_leibniz and check_associative.  It also keeps one product path per
+structure: each structure defines its rule on keys (product_terms,
+action_terms), and only taylor.DgModule.action_basis and
+taylor.DgAlgebra.product_basis box it, so no class keeps a second product
+beside the rule.
 
 The seventh check keeps adjunction in one place: the Tate closure and the
 semifree module both extend tate.AdjunctionEngine, so only it defines
@@ -239,13 +243,20 @@ def test_only_burch_and_pipeline_choose_minimal_generators_of_i():
 DG_CHECKS = ("check_unit", "check_leibniz", "check_associative")
 
 
-def _dg_check_definitions(source: str, filename: str) -> list:
-    """'file: Class.method' for each class in source that defines a dg check."""
-    return [f"{filename}: {node.name}.{item.name}"
+def _class_attribute_names(item) -> list:
+    """Names a class-body statement defines: a method, or assignment targets."""
+    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [item.name]
+    targets = item.targets if isinstance(item, ast.Assign) else \
+        [item.target] if isinstance(item, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _dg_check_definitions(source: str, filename: str, names=DG_CHECKS) -> list:
+    """'file: Class.name' for each class in source that defines one of names."""
+    return [f"{filename}: {node.name}.{name}"
             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
-            for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and item.name in DG_CHECKS]
+            for item in node.body for name in _class_attribute_names(item) if name in names]
 
 
 def test_only_dg_module_defines_the_dg_checks():
@@ -260,6 +271,27 @@ def test_the_dg_check_scan_sees_a_duplicate():
                "class DgAlgebra(DgModule):\n    def check_unit(self):\n        pass\n")
     assert _dg_check_definitions(planted, "m.py") == ["m.py: DgModule.check_unit",
                                                        "m.py: DgAlgebra.check_unit"]
+
+
+BOXED_PRODUCTS = ("product_basis", "action_basis")
+
+
+def test_only_dg_module_and_dg_algebra_box_the_rule():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _dg_check_definitions(path.read_text(encoding="utf-8"), path.name,
+                                       BOXED_PRODUCTS)
+    assert sorted(found) == ["taylor.py: DgAlgebra.product_basis",
+                             "taylor.py: DgModule.action_basis"]
+
+
+def test_the_boxed_product_scan_sees_a_duplicate():
+    planted = ("class DgAlgebra:\n    def product_basis(self):\n        pass\n"
+               "class TateAlgebra(DgAlgebra):\n    def product_basis(self):\n        pass\n"
+               "class SemifreeDgModule:\n    action_basis = None\n")
+    assert _dg_check_definitions(planted, "m.py", BOXED_PRODUCTS) == [
+        "m.py: DgAlgebra.product_basis", "m.py: TateAlgebra.product_basis",
+        "m.py: SemifreeDgModule.action_basis"]
 
 
 # -- one adjunction engine -------------------------------------------------------

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -86,11 +87,43 @@ def test_fast_path_module(m2_ideal):
         for db in range(X.complex.top() + 1 - da):
             for ia in range(X.complex.rank(da)):
                 for ib in range(X.complex.rank(db)):
-                    left = bilinear(Y.action_basis, da + db, X.product_basis(da, ia, db, ib),
+                    left = bilinear(Y.action_terms, da + db, X.product_basis(da, ia, db, ib),
                                     0, y0)
-                    right = bilinear(Y.action_basis, da, FreeModuleElement.basis(R, ia),
+                    right = bilinear(Y.action_terms, da, FreeModuleElement.basis(R, ia),
                                      db, Y.action_basis(db, ib, 0, 0))
                     assert left == right
+
+
+@pytest.mark.parametrize("case", ["taylor", "fast_path", "tate_hyper", "tate_m2", "semifree"])
+def test_the_boxed_products_are_the_rule(case, m2_ideal, hyper_ideal):
+    # product_basis/action_basis box the rule's triples, entry for entry, on
+    # every pair of basis elements within the degree caps
+    R = m2_ideal.ring
+    if case == "taylor":
+        Y = TaylorComplex(R, m2_ideal.gens)
+    elif case == "fast_path":
+        _, Y = taylor_module_fast_path(
+            R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
+    elif case.startswith("tate"):
+        Y = closure(hyper_ideal if case == "tate_hyper" else m2_ideal, through=4)
+    else:
+        Y = resolve_k(m2_ideal, TaylorComplex(R, m2_ideal.gens), up_to=3)
+    X, top = Y.algebra, Y.complex.top()
+    checked = 0
+    for dx in range(X.complex.top() + 1):
+        for ny in range(top + 1 - dx):
+            for ix, iy in product(range(X.complex.rank(dx)), range(Y.complex.rank(ny))):
+                terms = Y.action_terms(dx, ix, ny, iy)
+                assert isinstance(terms, tuple)
+                assert all(0 < c < P and i < Y.complex.rank(dx + ny) for i, _, c in terms)
+                want = [(i, [(m, c)]) for i, m, c in terms]
+                got = Y.action_basis(dx, ix, ny, iy)
+                assert [(i, list(f.terms.items())) for i, f in got.coords.items()] == want
+                if X is Y:
+                    assert Y.product_terms(dx, ix, ny, iy) == terms
+                    assert Y.product_basis(dx, ix, ny, iy) == got
+                checked += 1
+    assert checked >= 3   # 1 * 1, 1 * e and e * 1 on the hypersurface
 
 
 # -- the fast path checks the module structure it uses ------------------------
@@ -103,19 +136,19 @@ def test_fast_path_reads_products_of_y_only_with_the_left_factor_in_the_base(mon
     # a whole verify-golod run, construction included: every product of the
     # fast path's Y that anything reads has its left subset in the base
     fulls, left, right = [], {}, {}   # left and right bitmasks read, per Taylor complex
-    real_init, real_product = TaylorDgModule.__init__, TaylorComplex.product_basis
+    real_init, real_product = TaylorDgModule.__init__, TaylorComplex.product_terms
 
     def init(self, sub, full):
         fulls.append((full, len(sub.monomials)))
         real_init(self, sub, full)
 
-    def product_basis(self, da, ia, db, ib):
+    def product_terms(self, da, ia, db, ib):
         left.setdefault(self, set()).add(self._masks[da][ia])
         right.setdefault(self, set()).add(self._masks[db][ib])
         return real_product(self, da, ia, db, ib)
 
     monkeypatch.setattr(TaylorDgModule, "__init__", init)
-    monkeypatch.setattr(TaylorComplex, "product_basis", product_basis)
+    monkeypatch.setattr(TaylorComplex, "product_terms", product_terms)
     spec = load_job(CORPUS / "ex_m2_2vars.json")
     assert run_command(spec.command, spec)[1] == 0
     (full, prefix_len), = fulls
@@ -141,17 +174,19 @@ def test_taylor_module_leibniz_pairs_are_exactly_the_pairs_meeting_in_at_most_on
 
 
 def flip_one_product_of_y(monkeypatch, base_len, S, U):
-    """Make TaylorComplex.product_basis return -(e_S * e_U) on that one pair,
-    on any Taylor complex with more than base_len generators."""
-    real = TaylorComplex.product_basis
+    """Make the rule TaylorComplex.product_terms return -(e_S * e_U) on that
+    one pair, on any Taylor complex with more than base_len generators."""
+    real = TaylorComplex.product_terms
     mS, mU = (sum(1 << k for k in V) for V in (S, U))
 
     def planted(self, da, ia, db, ib):
         out = real(self, da, ia, db, ib)
         hit = (self._masks[da][ia], self._masks[db][ib]) == (mS, mU)
-        return -out if hit and len(self.monomials) > base_len else out
+        if hit and len(self.monomials) > base_len:
+            return tuple((i, m, P - c) for i, m, c in out)
+        return out
 
-    monkeypatch.setattr(TaylorComplex, "product_basis", planted)
+    monkeypatch.setattr(TaylorComplex, "product_terms", planted)
 
 
 def test_fast_path_catches_a_planted_sign_on_a_disjoint_action_pair(monkeypatch, m2_ideal):
@@ -216,13 +251,15 @@ def test_fast_path_catches_a_planted_coefficient_on_an_action_on_y0(monkeypatch,
     # psi(e_0) = e_0 * y_0 with coefficient 2: d(psi e_0) = 2 a_0 but
     # psi(d e_0) = a_0, the Leibniz defect of the pair (e_0, y_0)
     R = m2_ideal.ring
-    real = TaylorDgModule.action_basis
+    real = TaylorDgModule.action_terms
 
     def planted(self, dx, ix, ny, iy):
         out = real(self, dx, ix, ny, iy)
-        return out.map_coords(lambda f: f.scale(2)) if (dx, ix, ny, iy) == (1, 0, 0, 0) else out
+        if (dx, ix, ny, iy) == (1, 0, 0, 0):
+            return tuple((i, m, 2 * c % P) for i, m, c in out)
+        return out
 
-    monkeypatch.setattr(TaylorDgModule, "action_basis", planted)
+    monkeypatch.setattr(TaylorDgModule, "action_terms", planted)
     with pytest.raises(InternalCheckError,
                        match=r"module Leibniz fails on basis pair \(1,0\) \(0,0\)"):
         taylor_module_fast_path(

@@ -49,12 +49,14 @@ def test_product_basis_matches_the_docstring_formula(data):
     for da, db in product(range(s + 1), repeat=2):
         for (ia, S), (ib, Tset) in product(enumerate(T.subsets[da]), enumerate(T.subsets[db])):
             got = T.product_basis(da, ia, db, ib)
+            terms = T.product_terms(da, ia, db, ib)
             want = docstring_product(T, S, Tset)
             if want is None:
                 # the zero products the restricted Leibniz check relies on
-                assert not got.coords, (S, Tset)
+                assert not got.coords and terms == (), (S, Tset)
                 continue
             pos, mono, coeff = want
+            assert terms == (want,)
             assert list(got.coords) == [pos]
             assert got.coords[pos].terms == {mono: coeff}
 
@@ -88,16 +90,40 @@ def test_generic_dg_algebras_check_every_pair(hyper_ideal):
     assert type(A).check_leibniz is DgAlgebra.check_leibniz
 
 
+def test_a_planted_sign_in_the_generic_rule_is_caught_on_its_pair(m2_ideal):
+    # the Tate closure checks every pair; flip e_0 * e_1 of two degree-1 variables
+    from burchlab.tate import acyclic_closure
+
+    A = acyclic_closure(m2_ideal.ring, minimal_generators(m2_ideal.gens, m2_ideal.ring), 3)
+    A.check_leibniz()   # the honest closure passes
+    ia, ib = A.position(1, ((0, 1),)), A.position(1, ((1, 1),))
+    honest = A.product_terms
+    assert honest(1, ia, 1, ib)
+
+    def planted(da, ja, db, jb):
+        out = honest(da, ja, db, jb)
+        if (da, ja, db, jb) == (1, ia, 1, ib):
+            return tuple((i, m, P - c) for i, m, c in out)
+        return out
+
+    A.product_terms = planted
+    with pytest.raises(InternalCheckError,
+                       match=rf"^Leibniz fails on basis pair \(1,{ia}\) \(1,{ib}\)$"):
+        A.check_leibniz()
+
+
 def plant_sign_flip(T, da, S, db, U):
-    """Make T.product_basis return -(e_S * e_U) on that one pair."""
+    """Make the rule T.product_terms return -(e_S * e_U) on that one pair."""
     ia, ib = T.position[da][S], T.position[db][U]
-    honest = T.product_basis
+    honest = T.product_terms
 
     def planted(xa, ja, xb, jb):
         out = honest(xa, ja, xb, jb)
-        return -out if (xa, ja, xb, jb) == (da, ia, db, ib) else out
+        if (xa, ja, xb, jb) == (da, ia, db, ib):
+            return tuple((i, m, P - c) for i, m, c in out)
+        return out
 
-    T.product_basis = planted
+    T.product_terms = planted
 
 
 def taylor_m2_3vars():
@@ -138,6 +164,21 @@ def test_planted_sign_in_a_cancelling_pair_meeting_in_one_index_is_caught():
         T.check_leibniz()
 
 
+@pytest.mark.parametrize("pair", [(0, 0, 1, 2), (1, 2, 0, 0)])
+def test_a_planted_coefficient_on_either_unit_product_is_caught(pair):
+    T = taylor_m2_3vars()
+    T.check_unit()
+    honest = T.product_terms
+
+    def planted(*args):
+        out = honest(*args)
+        return tuple((i, m, 2 * c % P) for i, m, c in out) if args == pair else out
+
+    T.product_terms = planted
+    with pytest.raises(InternalCheckError, match=r"^unit law fails on basis \(1,2\)$"):
+        T.check_unit()
+
+
 def test_a_generator_with_more_than_one_term_is_refused():
     R = PolyRing(P, ("x", "y"))
     with pytest.raises(ValueError, match="monomials"):
@@ -149,5 +190,6 @@ def test_a_dg_algebra_is_a_dg_module_over_itself():
     assert isinstance(T, DgModule) and T.algebra is T
     honest = T.product_basis(1, 0, 1, 1)
     assert T.op(2, ((1, 0), (1, 1))) == honest
-    plant_sign_flip(T, 1, (0,), 1, (1,))   # the action reads the patched product
+    plant_sign_flip(T, 1, (0,), 1, (1,))   # the action reads the patched rule
     assert T.action_basis(1, 0, 1, 1) == -honest
+    assert T.product_basis(1, 0, 1, 1) == -honest

@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Print one hash per case of the complexes the pipelines build, to check
+that a refactor leaves them entry for entry the same.
+
+The grid is three rings (m2 = (x,y)^2, bione = (x^4, x^2y, y^2), jn =
+(x^3, x^2y, xy, y^2), all in k[x,y]) times three modules (k, R/(x), and
+the 2-generated coker of the relations x e_0 and y e_0 + x e_1).  Each
+case hashes:
+
+* the Taylor and the Tate dg pair (X, Y) and their bar at cap 4;
+* the A-infinity pair and its bar at cap 5;
+* minimalize(bar).small of each of the three bars.
+
+A complex hashes its degree labels and every d_n in column order, with the
+row order within each column and the term order of each entry; X and Y
+add their key listings and positions, a bar its words and positions.
+Run it on two checkouts and diff the output:
+
+    PYTHONPATH=src python scripts/complex_fingerprints.py > after.txt
+"""
+
+import hashlib
+
+from burchlab.bar import BarComplex
+from burchlab.contraction import minimalize
+from burchlab.groebner import Ideal
+from burchlab.matrices import FreeModuleElement
+from burchlab.pipeline import Caps, RingContext, ainf_pair, dg_pair
+from burchlab.resolve import ModulePresentation
+from burchlab.ring import PolyRing
+
+RINGS = {
+    "m2": ["x^2", "x*y", "y^2"],
+    "bione": ["x^4", "x^2*y", "y^2"],
+    "jn": ["x^3", "x^2*y", "x*y", "y^2"],
+}
+
+
+def modules(ideal):
+    ring = ideal.ring
+    x, y = ring.var(0), ring.var(1)
+    two = [FreeModuleElement(ring, {0: x}), FreeModuleElement(ring, {0: y, 1: x})]
+    return {
+        "k": ModulePresentation.residue_field(ideal),
+        "R/(x)": ModulePresentation.cyclic(ideal, [x]),
+        "two-gen": ModulePresentation(ring, ideal, [0, 0], two),
+    }
+
+
+def complex_record(cx):
+    out = []
+    for n in range(cx.top() + 1):
+        d = cx.diff(n)
+        cols = [(j, [(i, list(f.terms.items())) for i, f in d.columns[j].items()])
+                for j in range(d.cols) if j in d.columns]
+        out.append((n, cx.basis_degrees(n), d.row_degrees, d.col_degrees, cols))
+    return out
+
+
+def keys_record(structure):
+    """The key listing and positions of a Taylor complex or an adjunction engine."""
+    if hasattr(structure, "subsets"):
+        return structure.subsets, structure.position
+    if hasattr(structure, "_basis"):
+        structure.complex  # lists the basis
+        return structure._basis, {d: structure.position(d, k) for d, ks in
+                                  structure._basis.items() for k in ks}
+    return None
+
+
+def bar_record(bar):
+    return (bar.ranks, bar.words, {n: list(p.items()) for n, p in bar.pos.items()},
+            complex_record(bar.complex), complex_record(minimalize(bar.complex).small))
+
+
+def case_hash(ctx, pres) -> str:
+    parts = []
+    for algebra in ("taylor", "tate"):
+        X, Y = dg_pair(ctx, pres, cap=4, algebra=algebra)
+        parts.append((algebra, complex_record(X.complex), keys_record(X),
+                      complex_record(Y.complex), keys_record(Y),
+                      bar_record(BarComplex(X, Y, ctx.ideal, cap=4))))
+    alg, mod = ainf_pair(ctx, pres, Caps(hom_degree=5))
+    parts.append(("ainf", complex_record(alg.complex), complex_record(mod.complex),
+                  bar_record(BarComplex(alg, mod, ctx.ideal, cap=5))))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def main():
+    ring = PolyRing(32003, ("x", "y"))
+    for name, gens in RINGS.items():
+        ideal = Ideal(ring, [ring.parse(g) for g in gens])
+        ctx = RingContext.build(ring, ideal)
+        for label, pres in modules(ideal).items():
+            print(f"{name} {label} {case_hash(ctx, pres)}")
+
+
+if __name__ == "__main__":
+    main()

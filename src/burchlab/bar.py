@@ -36,17 +36,18 @@ different words may share one image polynomial, as no Polynomial is changed
 in place.  The images are dropped when assembly returns, so a
 differential_of_word call made later reads op afresh.
 
-d^2 = 0 and the composition rank formula are checked at construction, and
-the bar keeps its ranks; exactness below the cap is checked on request
-(exactness_check).
+Before any word is listed, the rank guard is checked on the bound series;
+keyed_complex then fills d_n from differential_of_word, words sorted by
+_word_key.  d^2 = 0 and the composition rank formula are checked at
+construction; exactness below the cap is checked on request.
 """
 
 from __future__ import annotations
 
-from .complexes import GradedFreeComplex
-from .errors import InternalCheckError
+from .complexes import keyed_complex
+from .errors import InternalCheckError, check_rank
 from .groebner import Ideal
-from .matrices import PolyMatrix, add_into
+from .matrices import add_into
 
 
 def poincare_bound_series(px, py, cap):
@@ -81,18 +82,19 @@ class BarComplex:
         self.quotient = quotient
         self.ring = alg.complex.ring
         self.cap = cap
-        self.words = {}      # n -> list of words, tuples of (degree, index) refs ending in y
-        self.pos = {}        # n -> {word: index}
+        check_rank(sum(self._bound_series()), "BarComplex")
+        self.words = self._enumerate()   # n -> words, tuples of (degree, index) refs ending in y
         self._images = {}    # (on_y, block) -> _block_image
-        self._enumerate()
-        self.complex = self._assemble()
+        self.complex, self.pos = keyed_complex(   # pos: n -> {word: index}
+            self.ring, self.words, lambda _n, w: self.word_internal_degree(w),
+            lambda _n, w: self.differential_of_word(w), self.quotient)
         self._images = {}
         self.complex.check_dd_zero()
         self.ranks = self.rank_formula_check()   # n -> rank of B_n, n = 0..cap
 
     # -- basis ------------------------------------------------------------
 
-    def _enumerate(self):
+    def _enumerate(self) -> dict:
         X, Y = self.alg.complex, self.mod.complex
         # both in ascending degree, so each loop stops at the first overflow;
         # the words are sorted by _word_key afterwards
@@ -114,10 +116,9 @@ class BarComplex:
                     extend(xs + (ref,), used + d + 1)
 
         extend((), 0)
-        for n, ws in words_by_degree.items():
+        for ws in words_by_degree.values():
             ws.sort(key=_word_key)
-            self.words[n] = ws
-            self.pos[n] = {w: t for t, w in enumerate(ws)}
+        return words_by_degree
 
     def rank(self, n) -> int:
         return len(self.words.get(n, []))
@@ -170,32 +171,17 @@ class BarComplex:
             eps += w[j][0] + 1
         return out
 
-    def _assemble(self) -> GradedFreeComplex:
-        degrees = {n: [self.word_internal_degree(w) for w in ws]
-                   for n, ws in self.words.items() if ws}
-        diffs = {}
-        for n in range(1, self.cap + 1):
-            if not self.words.get(n):
-                continue
-            mat = PolyMatrix(self.ring, degrees.get(n - 1, []), degrees[n])
-            tgt = self.pos.get(n - 1, {})
-            for a, w in enumerate(self.words[n]):
-                for word, coeff in self.differential_of_word(w).items():
-                    b = tgt.get(word)
-                    if b is None:
-                        raise InternalCheckError(f"boundary word {word} missing at degree {n-1}")
-                    mat.set_entry(b, a, coeff)
-            diffs[n] = mat
-        return GradedFreeComplex(self.ring, degrees, diffs, quotient=self.quotient)
-
     # -- structural checks ----------------------------------------------------
+
+    def _bound_series(self):
+        """The bar's ranks, P_Y(t) / (1 - t (P_X(t) - 1)) through the cap."""
+        return poincare_bound_series(self.alg.complex.poincare_coeffs(),
+                                     self.mod.complex.poincare_coeffs(), self.cap)
 
     def rank_formula_check(self):
         """Ranks must match the generating-function expansion
         P_Y(t) / (1 - t (P_X(t) - 1)) coefficientwise."""
-        X, Y = self.alg.complex, self.mod.complex
-        series = poincare_bound_series([X.rank(d) for d in range(X.top() + 1)],
-                                       [Y.rank(n) for n in range(Y.top() + 1)], self.cap)
+        series = self._bound_series()
         actual = [self.rank(n) for n in range(self.cap + 1)]
         if series != actual:
             raise InternalCheckError(f"bar rank formula mismatch: {actual} vs {series}")

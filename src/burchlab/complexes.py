@@ -5,6 +5,9 @@ and the differential as a PolyMatrix.  Complexes over R carry the quotient
 ideal; their entries are kept in normal form and their graded strands use
 the standard monomials of R as coefficient bases.
 
+A complex given by basis keys and the boundary of each key (Taylor, Tate,
+semifree, bar, minimalized) is assembled by keyed_complex.
+
 Exactness is checked two ways: over Q by a Groebner argument
 (ker(d_n) <= im(d_{n+1}) as submodules), over Artinian R strand by strand
 with k-linear algebra.
@@ -17,6 +20,38 @@ from .groebner import Ideal, SubmoduleBasis, syzygies_of
 from .linalg import rank_of
 from .matrices import PolyMatrix
 from .ring import PolyRing
+
+
+def keyed_complex(ring: PolyRing, basis: dict, internal_degree, image, quotient: Ideal | None = None):
+    """The free complex on basis keys, and the position of each key.
+
+    basis maps each degree n to its keys, in the order of their positions;
+    internal_degree(n, key) is a key's degree label and image(n, key) its
+    boundary, {key of degree n - 1: Polynomial}, with nonzero entries.
+    Returns (GradedFreeComplex, positions), positions[n] = {key: index}.
+    Column j of d_n lists the image of basis[n][j] in the image's own
+    order; a key of an image missing from basis[n - 1] raises
+    InternalCheckError.
+    """
+    positions = {n: {key: t for t, key in enumerate(keys)} for n, keys in basis.items()}
+    degrees = {n: [internal_degree(n, key) for key in keys] for n, keys in basis.items()}
+    diffs = {}
+    for n, keys in basis.items():
+        if n == 0 or not keys:
+            continue
+        target = positions.get(n - 1, {})
+        mat = PolyMatrix(ring, degrees.get(n - 1, []), degrees[n])
+        for j, key in enumerate(keys):
+            img = image(n, key)
+            try:
+                col = {target[k]: f for k, f in img.items()}
+            except KeyError as missing:
+                raise InternalCheckError(f"boundary key {missing.args[0]} of {key} is missing "
+                                         f"at degree {n - 1}") from None
+            if col:
+                mat.columns[j] = col
+        diffs[n] = mat
+    return GradedFreeComplex(ring, degrees, diffs, quotient), positions
 
 
 class GradedFreeComplex:
@@ -146,12 +181,12 @@ class GradedFreeComplex:
     def is_minimal(self, through: int | None = None) -> bool:
         return next(self.unit_entries(through), None) is None
 
-    def poincare_coeffs(self, through: int | None = None):
-        top = self.top() if through is None else through
-        return [self.rank(n) for n in range(top + 1)]
+    def poincare_coeffs(self):
+        """The ranks of C_0, ..., C_top."""
+        return [self.rank(n) for n in range(self.top() + 1)]
 
     def __repr__(self):
-        ranks = ", ".join(str(self.rank(n)) for n in range(self.top() + 1))
+        ranks = ", ".join(map(str, self.poincare_coeffs()))
         over = "R" if self.quotient is not None else "Q"
         return f"GradedFreeComplex over {over} with ranks ({ranks})"
 

@@ -19,7 +19,7 @@ import heapq
 import operator
 from dataclasses import dataclass
 
-from .complexes import GradedFreeComplex
+from .complexes import GradedFreeComplex, keyed_complex
 from .errors import InternalCheckError
 from .matrices import PolyMatrix, add_into
 
@@ -267,34 +267,22 @@ def minimalize(complex_: GradedFreeComplex) -> Contraction:
 
     # assemble the small complex and the contraction matrices
     alive_sorted = {n: sorted(alive.get(n, ())) for n in complex_.degrees if alive.get(n)}
-    small_degrees = {
-        n: [complex_.basis_degrees(n)[i] for i in idxs] for n, idxs in alive_sorted.items()
-    }
-    pos = {n: {orig: t for t, orig in enumerate(idxs)} for n, idxs in alive_sorted.items()}
+    small, _ = keyed_complex(ring, alive_sorted, lambda n, i: complex_.basis_degrees(n)[i],
+                             lambda n, j: D[n].get(j, {}), quotient=complex_.quotient)
 
     incl, proj, htpy = {}, {}, {}
     for n, idxs in alive_sorted.items():
-        im = PolyMatrix(ring, complex_.basis_degrees(n), small_degrees[n])
+        im = PolyMatrix(ring, complex_.basis_degrees(n), small.basis_degrees(n))
         for t, orig in enumerate(idxs):
             for w, f in i_cols[n][orig].items():
                 im.set_entry(w, t, f)
         incl[n] = im
-        pm = PolyMatrix(ring, small_degrees[n], complex_.basis_degrees(n))
+        pm = PolyMatrix(ring, small.basis_degrees(n), complex_.basis_degrees(n))
         for t, orig in enumerate(idxs):
             for v, f in p_rows[n][orig].items():
                 pm.set_entry(t, v, f)
         proj[n] = pm
 
-    small_diffs = {}
-    for n in range(1, top + 1):
-        if n not in alive_sorted or (n - 1) not in alive_sorted:
-            continue
-        m = PolyMatrix(ring, small_degrees[n - 1], small_degrees[n])
-        for j, col in D.get(n, {}).items():
-            for i, f in col.items():
-                m.set_entry(pos[n - 1][i], pos[n][j], f)
-        small_diffs[n] = m
-    small = GradedFreeComplex(ring, small_degrees, small_diffs, quotient=complex_.quotient)
     for n, hc in h_cols.items():
         if not hc:
             continue

@@ -31,8 +31,8 @@ def golod_check(alg, mod, quotient: Ideal, cap: int) -> tuple:
         "golod": first is None,
         "barRanks": bar.ranks,
         "poincareBound": bar.ranks,
-        "PRoverQ": [alg.complex.rank(n) for n in range(alg.complex.top() + 1)],
-        "PMoverQ": [mod.complex.rank(n) for n in range(mod.complex.top() + 1)],
+        "PRoverQ": alg.complex.poincare_coeffs(),
+        "PMoverQ": mod.complex.poincare_coeffs(),
         "barMinimal": first is None,
         "firstUnitEntry": list(first) if first else None,
     }, bar

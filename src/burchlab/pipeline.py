@@ -251,7 +251,7 @@ def resolve_report(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> di
     res = resolve_over_R(pres, caps.hom_degree)
     verdicts = theorem_verdicts(ctx.ideal, res, caps.hom_degree - 1, ctx.index, ctx.mu,
                                 golod=False)
-    return {"betti": [res.rank(n) for n in range(res.top() + 1)], "krank": verdicts.to_dict()}
+    return {"betti": res.poincare_coeffs(), "krank": verdicts.to_dict()}
 
 
 def bar_report(ctx: RingContext, pres: ModulePresentation, caps: Caps, regime: str) -> dict:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from math import comb
 
-from .complexes import GradedFreeComplex
+from .complexes import GradedFreeComplex, keyed_complex
 from .errors import InternalCheckError, check_rank
 from .groebner import Ideal, syzygies_of
-from .matrices import PolyMatrix, add_into
+from .matrices import add_into
 from .resolve import minimal_module_generators
 from .ring import PolyRing
 from .taylor import DgAlgebra
@@ -39,11 +39,11 @@ class AdjunctionEngine:
     each key of degree d its internal degree (_key_internal_degree) and its
     differential in keys of degree d - 1 (_key_image).  The engine sorts
     each degree's keys into the basis, checks the total rank against the
-    rank guard, and assembles the differentials.  The image of a key is
-    computed once and kept while _image_source() is the same object: it
-    depends only on the key and the generators in it, which adjoining never
-    changes.  Positions do move, so images are mapped to them at every
-    assembly.
+    rank guard, and assembles the differentials with keyed_complex.  The
+    image of a key is computed once and kept while _image_source() is the
+    same object: it depends only on the key and the generators in it, which
+    adjoining never changes.  Positions do move, so keyed_complex maps the
+    kept images to them at every assembly.
     """
 
     def __init__(self, ring: PolyRing, degree_cap: int):
@@ -51,7 +51,7 @@ class AdjunctionEngine:
         self.degree_cap = degree_cap
         self._stale = True
         self._basis = None         # d -> sorted list of keys
-        self._pos = None           # d -> {key: position}
+        self._pos = None           # d -> {key: position}, from keyed_complex
         self._complex = None
         self._images = {}          # (d, key) -> image in keys of degree d - 1
         self._images_of = None     # the _image_source() the images were computed from
@@ -64,33 +64,24 @@ class AdjunctionEngine:
         return None
 
     def _refresh(self):
-        """Re-list the basis and assemble the differentials."""
+        """Re-list the basis and assemble the differentials (keyed_complex)."""
         if not self._stale:
             return
         listing = self._keys_by_degree()
         check_rank(sum(map(len, listing.values())), type(self).__name__)
         self._basis = {d: sorted(keys) for d, keys in sorted(listing.items()) if keys}
-        self._pos = {d: {k: t for t, k in enumerate(keys)} for d, keys in self._basis.items()}
-        degrees = {d: [self._key_internal_degree(d, k) for k in keys]
-                   for d, keys in self._basis.items()}
         source = self._image_source()
         if self._images_of is not source:
             self._images, self._images_of = {}, source
-        images = self._images
-        diffs = {}
-        for d, keys in self._basis.items():
-            if d == 0:
-                continue
-            pos = self._pos.get(d - 1)
-            mat = PolyMatrix(self.ring, degrees.get(d - 1, []), degrees[d])
-            for j, key in enumerate(keys):
-                img = images.get((d, key))
-                if img is None:
-                    img = images[d, key] = self._key_image(d, key)
-                if img:
-                    mat.columns[j] = {pos[k]: f for k, f in img.items()}
-            diffs[d] = mat
-        self._complex = GradedFreeComplex(self.ring, degrees, diffs)
+
+        def image(d, key):
+            img = self._images.get((d, key))
+            if img is None:
+                img = self._images[d, key] = self._key_image(d, key)
+            return img
+
+        self._complex, self._pos = keyed_complex(self.ring, self._basis,
+                                                 self._key_internal_degree, image)
         self._stale = False
 
     @property

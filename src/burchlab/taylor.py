@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from operator import add, sub
 
-from .complexes import GradedFreeComplex
+from .complexes import GradedFreeComplex, keyed_complex
 from .errors import InternalCheckError, ResourceCapError
 from .matrices import FreeModuleElement, PolyMatrix, add_into
 from .ring import Polynomial, PolyRing, mono_deg, mono_div, mono_lcm
@@ -253,7 +253,6 @@ class TaylorComplex(DgAlgebra):
         self.ringref = ring
         s = len(self.monomials)
         self.subsets = {n: sorted(combinations(range(s), n)) for n in range(s + 1)}
-        self.position = {n: {S: t for t, S in enumerate(subs)} for n, subs in self.subsets.items()}
         # private tables keyed by the bitmask sum(1 << k for k in S)
         self._masks = {n: [sum(1 << k for k in S) for S in subs]
                        for n, subs in self.subsets.items()}
@@ -264,19 +263,15 @@ class TaylorComplex(DgAlgebra):
                 low = m & -m
                 self._lcm[m] = mono_lcm(self._lcm[m ^ low], self.monomials[low.bit_length() - 1])
 
-        degrees = {n: [mono_deg(self._lcm[m]) for m in masks] for n, masks in self._masks.items()}
-        diffs = {}
-        for n in range(1, s + 1):
-            mat = PolyMatrix(ring, degrees[n - 1], degrees[n])
-            for j, (S, m) in enumerate(zip(self.subsets[n], self._masks[n])):
-                lc = self._lcm[m]
-                for k, u in enumerate(S):
-                    rem = m ^ (1 << u)
-                    coeff = mono_div(lc, self._lcm[rem])
-                    f = ring.monomial(coeff, units[u] if k % 2 == 0 else -units[u])
-                    mat.set_entry(self._index[rem], j, f)
-            diffs[n] = mat
-        self.complex = GradedFreeComplex(ring, degrees, diffs)
+        def image(_n, S):
+            m = sum(1 << k for k in S)
+            lc = self._lcm[m]
+            return {S[:k] + S[k + 1:]: ring.monomial(mono_div(lc, self._lcm[m ^ (1 << u)]),
+                                                     units[u] if k % 2 == 0 else -units[u])
+                    for k, u in enumerate(S)}
+
+        self.complex, self.position = keyed_complex(
+            ring, self.subsets, lambda _n, S: mono_deg(self._lcm[sum(1 << k for k in S)]), image)
         if verify:
             self.complex.check_dd_zero()
             self.check_unit()

@@ -366,6 +366,25 @@ def test_a_sign_planted_in_the_action_is_caught_at_construction(bione_ideal, pai
     assert read == [pair]
 
 
+def test_a_boundary_word_outside_the_bar_is_an_internal_error(bione_ideal, monkeypatch):
+    # d of every y of degree 1 planted to also hit y index 999 of degree 0,
+    # so the word ((0, 999),) lies outside B_0
+    X, Y = bione_structures(bione_ideal, "dg")
+    real = BarComplex._block_image
+    one = bione_ideal.ring.one()
+
+    def planted(self, on_y, block):
+        image = real(self, on_y, block)
+        if on_y and block[0][0] == 1 and len(block) == 1:
+            image += (((0, 999), one, -one),)
+        return image
+
+    monkeypatch.setattr(BarComplex, "_block_image", planted)
+    with pytest.raises(InternalCheckError,
+                       match=r"boundary key \(\(0, 999\),\) of \(\(1, 0\),\) is missing at degree 0"):
+        BarComplex(X, Y, bione_ideal, cap=3)
+
+
 # -- dg_pair builds Y as deep as B(R, X, Y) reads it ---------------------------
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from burchlab import contraction
 from burchlab.bar import BarComplex
-from burchlab.complexes import GradedFreeComplex
+from burchlab.complexes import GradedFreeComplex, keyed_complex
 from burchlab.contraction import minimalize
 from burchlab.dgmodule import build_semifree_resolution
 from burchlab.errors import InternalCheckError, ResourceCapError
@@ -33,6 +33,18 @@ def test_taylor_m2_shape_and_boundary(R, ):
     coeffs = {i: str(f) for i, f in col.coords.items()}
     assert coeffs in ({0: "32002*y", 1: "x"}, {0: "y", 1: "32002*x"})
     T.complex.check_homogeneous()
+
+
+def test_keyed_complex_keeps_the_key_order_and_each_image_order(R):
+    # C_0 = <"b", "a">, C_1 = <"e">, d(e) = y*a + x*b with the image listing a first
+    x, y = R.parse("x"), R.parse("y")
+    basis = {0: ["b", "a"], 1: ["e"]}
+    cx, pos = keyed_complex(R, basis, lambda n, key: n, lambda n, key: {"a": y, "b": x})
+    assert pos == {0: {"b": 0, "a": 1}, 1: {"e": 0}}
+    assert cx.poincare_coeffs() == [2, 1] and cx.basis_degrees(1) == [1]
+    assert list(cx.diff(1).columns[0].items()) == [(1, y), (0, x)]
+    with pytest.raises(InternalCheckError, match="boundary key c of e is missing at degree 0$"):
+        keyed_complex(R, basis, lambda n, key: n, lambda n, key: {"a": y, "c": x})
 
 
 def test_taylor_squares_vanish(R):

@@ -484,6 +484,9 @@ GUARDED = {
              "TateAlgebra rank"),
     "resolve": ({"caps": {"homDegree": 4}, "command": "resolve"}, 5,
                 "resolution over R through degree"),
+    # ranks 1, 2, ..., 64: the bound series sums to 127 before any word is listed
+    "bar": ({"caps": {"homDegree": 6}, "regime": "ainf", "command": "bar"}, 100,
+            "BarComplex rank"),
 }
 
 

@@ -46,6 +46,12 @@ project_to_minimal, so both theorems certify their cycles the same way.
 
 The tenth check keeps the report timing in one place: only
 cli.run_command writes "timingSeconds" (as a dict key or an item store).
+
+The eleventh check keeps the assembly of keyed differentials in one place:
+only complexes.keyed_complex, Contraction.truncated (which cuts a complex
+it already has) and the two resolutions, over R and over Q (which grow
+their matrices degree by degree from kernels), construct a
+GradedFreeComplex.
 """
 
 from __future__ import annotations
@@ -439,3 +445,28 @@ def test_the_timing_scan_sees_a_duplicate():
                "def strip_timing(obj):\n"
                "    return {k: v for k, v in obj.items() if k not in TIMING_KEYS}\n")
     assert _timing_writers(planted, "m.py") == ["m.py: run_command", "m.py: bar_report"]
+
+
+# -- one keyed-complex builder -------------------------------------------------------
+
+COMPLEX_BUILDERS = ["complexes.py: keyed_complex", "contraction.py: Contraction.truncated",
+                    "oracle.py: resolve_over_Q", "resolve.py: resolve_over_R"]
+
+
+def test_only_the_keyed_builder_and_the_resolutions_construct_a_complex():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _callers(path.read_text(encoding="utf-8"), path.name, {"GradedFreeComplex"})
+    assert found == COMPLEX_BUILDERS
+
+
+def test_the_complex_scan_sees_a_duplicate():
+    planted = ("def keyed_complex(ring, basis, internal_degree, image):\n"
+               "    return GradedFreeComplex(ring, {}, {})\n"
+               "class BarComplex:\n"
+               "    def _assemble(self):\n"
+               "        return complexes.GradedFreeComplex(self.ring, {}, {})\n"
+               "def minimal_degrees(cx) -> GradedFreeComplex:\n"
+               "    return cx.degrees\n")
+    assert _callers(planted, "m.py", {"GradedFreeComplex"}) == [
+        "m.py: keyed_complex", "m.py: BarComplex._assemble"]

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -338,6 +339,29 @@ def test_tate_images_are_computed_once_and_a_planted_one_is_seen(monkeypatch, m2
     with pytest.raises(InternalCheckError, match="d_1 o d_2 != 0"):
         closure(m2_ideal, through=4)
     assert calls and set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("engine", ["tate", "semifree"])
+def test_an_image_key_missing_one_degree_down_is_an_internal_error(monkeypatch, m2_ideal,
+                                                                   engine):
+    # keyed_complex names the stray key and the degree it is missing from,
+    # where a bare KeyError would reach the CLI as exit 4 "internal error (KeyError)"
+    cls, stray = ((TateAlgebra, ((99, 1),)) if engine == "tate" else (SemifreeDgModule, (99, 0)))
+    real = cls._key_image
+
+    def planted(self, d, key):
+        img = real(self, d, key)
+        if d == 2:
+            img = {**img, stray: m2_ideal.ring.one()}
+        return img
+
+    monkeypatch.setattr(cls, "_key_image", planted)
+    with pytest.raises(InternalCheckError,
+                       match=re.escape(f"boundary key {stray} of ") + ".* is missing at degree 1$"):
+        if engine == "tate":
+            closure(m2_ideal, through=3)
+        else:
+            resolve_k(m2_ideal, TaylorComplex(m2_ideal.ring, m2_ideal.gens), up_to=3)
 
 
 def drop_last_generator_once(monkeypatch, module):

@@ -8,12 +8,16 @@ the 2-generated coker of the relations x e_0 and y e_0 + x e_1).  Each
 case hashes:
 
 * the Taylor and the Tate dg pair (X, Y) and their bar at cap 4;
-* the A-infinity pair and its bar at cap 5;
-* minimalize(bar).small of each of the three bars.
+* the A-infinity pair and its bar at cap 5, with the contractions the
+  pair is transferred along (alg.ctr and mod.ctr);
+* minimalize(bar) of each of the three bars.
 
 A complex hashes its degree labels and every d_n in column order, with the
 row order within each column and the term order of each entry; X and Y
-add their key listings and positions, a bar its words and positions.
+add their key listings and positions, a bar its words and positions.  A
+contraction hashes its small complex, its alive indices, and incl, proj
+and htpy at every degree: the degree labels, then each matrix's columns in
+their stored order, with row and term order.
 Run it on two checkouts and diff the output:
 
     PYTHONPATH=src python scripts/complex_fingerprints.py > after.txt
@@ -57,6 +61,18 @@ def complex_record(cx):
     return out
 
 
+def matrix_record(m):
+    return (m.row_degrees, m.col_degrees,
+            [(j, [(i, list(f.terms.items())) for i, f in col.items()])
+             for j, col in m.columns.items()])
+
+
+def contraction_record(ctr):
+    return (complex_record(ctr.small), ctr.alive,
+            [[(n, matrix_record(maps[n])) for n in sorted(maps)]
+             for maps in (ctr.incl, ctr.proj, ctr.htpy)])
+
+
 def keys_record(structure):
     """The key listing and positions of a Taylor complex or an adjunction engine."""
     if hasattr(structure, "subsets"):
@@ -70,7 +86,7 @@ def keys_record(structure):
 
 def bar_record(bar):
     return (bar.ranks, bar.words, {n: list(p.items()) for n, p in bar.pos.items()},
-            complex_record(bar.complex), complex_record(minimalize(bar.complex).small))
+            complex_record(bar.complex), contraction_record(minimalize(bar.complex)))
 
 
 def case_hash(ctx, pres) -> str:
@@ -82,7 +98,8 @@ def case_hash(ctx, pres) -> str:
                       bar_record(BarComplex(X, Y, ctx.ideal, cap=4))))
     alg, mod = ainf_pair(ctx, pres, Caps(hom_degree=5))
     parts.append(("ainf", complex_record(alg.complex), complex_record(mod.complex),
-                  bar_record(BarComplex(alg, mod, ctx.ideal, cap=5))))
+                  bar_record(BarComplex(alg, mod, ctx.ideal, cap=5)),
+                  contraction_record(alg.ctr), contraction_record(mod.ctr)))
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 

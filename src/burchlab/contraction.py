@@ -2,10 +2,13 @@
 
 minimalize() runs iterated Gaussian elimination on scalar (degree-zero)
 unit entries of the differentials.  Each elimination removes one basis pair
-(e_c in degree n, e_r in degree n-1) and performs a Schur update; the
-inclusion i, projection p and homotopy h onto the shrinking complex are
-accumulated so that p i = id, id - i p = dh + hd, and the side conditions
-h i = 0, p h = 0, h h = 0 hold on the nose.
+(e_c in degree n, e_r in degree n-1) and performs a Schur update.  The
+projection p onto the shrinking complex is updated at each elimination;
+the inclusion i and the homotopy h are not: each elimination is logged,
+and i_n and h_{n-1} are replayed from the log of degree n when first read
+(most readers want only the small complex and p).  Together they satisfy
+p i = id, id - i p = dh + hd, and the side conditions h i = 0, p h = 0,
+h h = 0 on the nose.
 
 Eliminations run lowest homological degree first; inside a degree the
 first unit in column-major (column, then row) order wins, which makes the
@@ -24,27 +27,108 @@ from .errors import InternalCheckError
 from .matrices import PolyMatrix, add_into
 
 
+class _Eliminations:
+    """The eliminations minimalize made, per degree, and the inclusion and
+    homotopy replayed from them on first read.
+
+    log[n] lists (c, inv, delta, pr) for each elimination at degree n in
+    order: the pivot column c, the inverse of the unit at (c, r), the rest
+    of row r of d_n as it was popped ({column: entry}) and row r of p_{n-1}
+    as it stood then ({column: entry}; dropped by that elimination, so never
+    changed after).  i_n and h_{n-1} change only at the eliminations of
+    degree n, so `at(n)` replays log[n] once, in elimination order, keeps
+    the two matrices and drops log[n].  The replay reads only the i columns
+    of the degree's pivots and survivors, so delta keeps only those columns:
+    an i column that an elimination one degree up drops is never read.
+    """
+
+    __slots__ = ("big", "small", "alive", "times", "log", "built")
+
+    def __init__(self, big, small, alive, times, log):
+        for n, entries in log.items():
+            reads = {c for c, *_ in entries}.union(alive.get(n, ()))
+            entries[:] = [(c, inv, {j: f for j, f in delta.items() if j in reads}, pr)
+                          for c, inv, delta, pr in entries]
+        self.big, self.small, self.alive, self.times, self.log = big, small, alive, times, log
+        self.built = {}  # n -> (i_n, h_{n-1} or None where it is zero)
+
+    def at(self, n):
+        if n not in self.built:
+            self.built[n] = self.replay(n)
+        return self.built[n]
+
+    def replay(self, n):
+        """(i_n, h_{n-1}) from the eliminations at degree n; drops log[n]."""
+        big, times = self.big, self.times
+        ring = big.ring
+        i_cols = {j: {j: ring.one()} for j in range(big.rank(n))}
+        h_cols = {}  # {col (deg n-1): {row (deg n): poly}}
+        for c, inv, delta, pr in self.log.pop(n, ()):
+            # h_{n-1} += inv * i_col(c) (x) p_row(r)   [old i, p]
+            ic = i_cols.pop(c)
+            if ic and pr:
+                for v, pv in pr.items():
+                    dest = h_cols.setdefault(v, {})
+                    for w, iw in ic.items():
+                        add_into(dest, w, times(pv, iw).scale(inv))
+                    if not dest:
+                        h_cols.pop(v, None)
+            # col(c') -= inv*delta[c'] * col(c)
+            for j, dj in delta.items():
+                target = i_cols[j]
+                coeff = dj.scale(-inv)
+                for w, iw in ic.items():
+                    add_into(target, w, times(coeff, iw))
+
+        im = PolyMatrix(ring, big.basis_degrees(n), self.small.basis_degrees(n))
+        for t, orig in enumerate(self.alive.get(n, ())):
+            for w, f in i_cols[orig].items():
+                im.set_entry(w, t, f)
+        hm = None
+        if h_cols:
+            hm = PolyMatrix(ring, big.basis_degrees(n), big.basis_degrees(n - 1))
+            for v, dest in h_cols.items():
+                for w, f in dest.items():
+                    hm.set_entry(w, v, f)
+        return im, hm
+
+
 @dataclass
 class Contraction:
-    """Deformation retract datum between a complex and its minimal summand."""
+    """Deformation retract datum between a complex and its minimal summand.
+
+    minimalize builds p; i and h are replayed per degree on first read from
+    its elimination log (`_Eliminations`), and kept.
+    """
 
     big: GradedFreeComplex
     small: GradedFreeComplex
-    incl: dict    # n -> PolyMatrix small_n -> big_n
     proj: dict    # n -> PolyMatrix big_n -> small_n
-    htpy: dict    # n -> PolyMatrix big_n -> big_{n+1}
     alive: dict   # n -> list of retained original basis indices
+    steps: _Eliminations
+
+    @property
+    def incl(self):
+        """n -> PolyMatrix small_n -> big_n, over the degrees of alive."""
+        return {n: self.steps.at(n)[0] for n in self.alive}
+
+    @property
+    def htpy(self):
+        """n -> PolyMatrix big_n -> big_{n+1}, over the degrees where h != 0."""
+        steps = self.steps
+        return {n - 1: h for n in sorted({*steps.log, *steps.built}) if (h := steps.at(n)[1])}
 
     def incl_at(self, n):
-        return self.incl.get(n) or PolyMatrix(
-            self.big.ring, self.big.basis_degrees(n), self.small.basis_degrees(n))
+        if n in self.alive:
+            return self.steps.at(n)[0]
+        return PolyMatrix(self.big.ring, self.big.basis_degrees(n), self.small.basis_degrees(n))
 
     def proj_at(self, n):
         return self.proj.get(n) or PolyMatrix(
             self.big.ring, self.small.basis_degrees(n), self.big.basis_degrees(n))
 
     def htpy_at(self, n):
-        return self.htpy.get(n) or PolyMatrix(
+        return self.steps.at(n + 1)[1] or PolyMatrix(
             self.big.ring, self.big.basis_degrees(n + 1), self.big.basis_degrees(n))
 
     def truncated(self, through: int) -> "Contraction":
@@ -59,10 +143,9 @@ class Contraction:
         return Contraction(
             big=self.big,
             small=small,
-            incl={n: m for n, m in self.incl.items() if n <= through},
             proj={n: m for n, m in self.proj.items() if n <= through},
-            htpy=self.htpy,
             alive={n: idxs for n, idxs in self.alive.items() if n <= through},
+            steps=self.steps,
         )
 
     def verify(self, through: int | None = None):
@@ -177,10 +260,9 @@ def minimalize(complex_: GradedFreeComplex) -> Contraction:
                 D[n][j] = newcol
 
     alive = {n: set(range(complex_.rank(n))) for n in complex_.degrees}
-    # contraction data over original indices
-    i_cols = {n: {j: {j: ring.one()} for j in alive[n]} for n in alive}
+    # p over original indices; i and h are replayed from log (_Eliminations)
     p_rows = {n: {i: {i: ring.one()} for i in alive[n]} for n in alive}
-    h_cols = {n: {} for n in alive}  # degree n -> {col (deg n): {row (deg n+1): poly}}
+    log = {}  # n -> [(c, inv, delta, pr)] in elimination order
 
     def eliminate(n, c, r, u, units):
         inv = ring.inv(u)
@@ -196,25 +278,8 @@ def minimalize(complex_: GradedFreeComplex) -> Contraction:
                 continue
             delta[j] = D[n][j].pop(r)
 
-        # h_{n-1} += inv * i_col(c) (x) p_row(r)   [old i, p]
-        ic = i_cols[n][c]
         pr = p_rows[n - 1][r]
-        if ic and pr:
-            hc = h_cols.setdefault(n - 1, {})
-            for v, pv in pr.items():
-                dest = hc.setdefault(v, {})
-                for w, iw in ic.items():
-                    add_into(dest, w, times(pv, iw).scale(inv))
-                if not dest:
-                    hc.pop(v, None)
-
-        # i update at degree n: col(c') -= inv*delta[c'] * col(c); drop c
-        for j, dj in delta.items():
-            target = i_cols[n][j]
-            coeff = dj.scale(-inv)
-            for w, iw in ic.items():
-                add_into(target, w, times(coeff, iw))
-        del i_cols[n][c]
+        log.setdefault(n, []).append((c, inv, delta, pr))
         # p update at degree n-1: row(r') -= inv*gamma[r'] * row(r); drop r
         for i2, gi in gamma.items():
             target = p_rows[n - 1][i2]
@@ -222,8 +287,7 @@ def minimalize(complex_: GradedFreeComplex) -> Contraction:
             for v, pv in pr.items():
                 add_into(target, v, times(coeff, pv))
         del p_rows[n - 1][r]
-        # i at degree n-1 drops column r; p at degree n drops row c
-        del i_cols[n - 1][r]
+        # p at degree n drops row c
         del p_rows[n][c]
 
         # Schur update on D[n]
@@ -265,31 +329,18 @@ def minimalize(complex_: GradedFreeComplex) -> Contraction:
         while (hit := units.pop()) is not None:
             eliminate(n, *hit, units)
 
-    # assemble the small complex and the contraction matrices
+    # assemble the small complex and the projection
     alive_sorted = {n: sorted(alive.get(n, ())) for n in complex_.degrees if alive.get(n)}
     small, _ = keyed_complex(ring, alive_sorted, lambda n, i: complex_.basis_degrees(n)[i],
                              lambda n, j: D[n].get(j, {}), quotient=complex_.quotient)
 
-    incl, proj, htpy = {}, {}, {}
+    proj = {}
     for n, idxs in alive_sorted.items():
-        im = PolyMatrix(ring, complex_.basis_degrees(n), small.basis_degrees(n))
-        for t, orig in enumerate(idxs):
-            for w, f in i_cols[n][orig].items():
-                im.set_entry(w, t, f)
-        incl[n] = im
         pm = PolyMatrix(ring, small.basis_degrees(n), complex_.basis_degrees(n))
         for t, orig in enumerate(idxs):
             for v, f in p_rows[n][orig].items():
                 pm.set_entry(t, v, f)
         proj[n] = pm
 
-    for n, hc in h_cols.items():
-        if not hc:
-            continue
-        hm = PolyMatrix(ring, complex_.basis_degrees(n + 1), complex_.basis_degrees(n))
-        for v, dest in hc.items():
-            for w, f in dest.items():
-                hm.set_entry(w, v, f)
-        htpy[n] = hm
-
-    return Contraction(big=complex_, small=small, incl=incl, proj=proj, htpy=htpy, alive=alive_sorted)
+    steps = _Eliminations(complex_, small, alive_sorted, times, log)
+    return Contraction(big=complex_, small=small, proj=proj, alive=alive_sorted, steps=steps)

@@ -1,12 +1,16 @@
+import operator
+
 import pytest
 
 from burchlab import contraction
 from burchlab.bar import BarComplex
 from burchlab.complexes import GradedFreeComplex, keyed_complex
 from burchlab.contraction import minimalize
+from burchlab.cycles import rho_cycles_general
 from burchlab.dgmodule import build_semifree_resolution
 from burchlab.errors import InternalCheckError, ResourceCapError
-from burchlab.matrices import PolyMatrix
+from burchlab.matrices import PolyMatrix, add_into
+from burchlab.pipeline import _certified_cycles, dg_pair
 from burchlab.resolve import ModulePresentation
 from burchlab.ring import PolyRing
 from burchlab.taylor import TaylorComplex
@@ -107,6 +111,18 @@ def test_contraction_verify_catches_a_planted_homotopy_entry(R):
         ctr.verify()
 
 
+def test_contraction_verify_catches_a_planted_inclusion_entry(R):
+    # p_1 = [1, y] on e_0, e_1 and i_1 = e_0: a new entry y at e_1 makes p i = 1 + y^2
+    T = TaylorComplex(R, [R.parse("x^2"), R.parse("x^2*y")])
+    ctr = minimalize(T.complex)
+    ctr.verify()
+    i = ctr.incl[1]
+    assert not i.entry(1, 0) and str(ctr.proj[1].entry(0, 1)) == "y"
+    i.set_entry(1, 0, R.parse("y"))
+    with pytest.raises(InternalCheckError, match=r"p i != id at degree 1"):
+        ctr.verify()
+
+
 @pytest.mark.parametrize("gens,minimal", [
     (["x^2", "x*y", "y^2"], [1, 3, 2]),
     (["x^4", "x^2*y", "y^2"], [1, 3, 2]),
@@ -181,18 +197,23 @@ def matrices(ctr):
             for maps in (ctr.incl, ctr.proj, ctr.htpy, ctr.small.diffs)]
 
 
-@pytest.mark.parametrize("case", ["Y of k", "Y of R/(x)", "dg bar of k"])
-def test_unit_queue_eliminates_in_the_scan_order(monkeypatch, m2_ideal, case):
-    X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
+def pair_complex(m2_ideal, case):
+    """Y of k, Y of R/(x) over (x, y)^2 through degree 6, or the dg bar of k at cap 5."""
     R = m2_ideal.ring
+    X = TaylorComplex(R, m2_ideal.gens)
     if case == "Y of R/(x)":
         pres = ModulePresentation.cyclic(m2_ideal, [R.parse("x")])
     else:
         pres = ModulePresentation.residue_field(m2_ideal)
     Y = build_semifree_resolution(pres, X, up_to=6)
-    cx = Y.complex
     if case == "dg bar of k":
-        cx = BarComplex(X, Y, m2_ideal, cap=5).complex
+        return BarComplex(X, Y, m2_ideal, cap=5).complex
+    return Y.complex
+
+
+@pytest.mark.parametrize("case", ["Y of k", "Y of R/(x)", "dg bar of k"])
+def test_unit_queue_eliminates_in_the_scan_order(monkeypatch, m2_ideal, case):
+    cx = pair_complex(m2_ideal, case)
     queued, order = eliminations(monkeypatch, contraction._UnitQueue, cx)
     scanned, scan_order = eliminations(monkeypatch, ScanUnits, cx)
     assert order == scan_order and len(order) > 50
@@ -212,3 +233,121 @@ def test_unit_queue_finds_a_unit_made_by_an_update(monkeypatch, R):
     assert order == scan_order == [(1, 0, 0), (1, 1, 1)]
     assert matrices(queued) == matrices(scanned)
     queued.verify()
+
+
+# -- i and h replayed from the elimination log ----------------------------
+
+
+def eager_incl_htpy(cx, alive, log):
+    """The inclusion and homotopy as minimalize accumulated them before its
+    elimination log: updated at every elimination, lowest degree first, and
+    assembled over the alive indices at the end.  log is a copy of
+    minimalize's log taken before any replay; its rows keep only the i
+    columns that are read, so the columns an elimination one degree up
+    drops are not updated here (their values are never read)."""
+    ring = cx.ring
+    table = cx.rtable()
+    times = operator.mul if table is None else table.mul
+    i_cols = {n: {j: {j: ring.one()} for j in range(cx.rank(n))} for n in cx.degrees}
+    h_cols = {n: {} for n in cx.degrees}
+    for n in sorted(log):
+        for c, inv, delta, pr in log[n]:
+            ic = i_cols[n][c]
+            if ic and pr:
+                hc = h_cols.setdefault(n - 1, {})
+                for v, pv in pr.items():
+                    dest = hc.setdefault(v, {})
+                    for w, iw in ic.items():
+                        add_into(dest, w, times(pv, iw).scale(inv))
+                    if not dest:
+                        hc.pop(v, None)
+            for j, dj in delta.items():
+                target = i_cols[n][j]
+                coeff = dj.scale(-inv)
+                for w, iw in ic.items():
+                    add_into(target, w, times(coeff, iw))
+            del i_cols[n][c]
+    incl, htpy = {}, {}
+    for n, idxs in alive.items():
+        im = PolyMatrix(ring, cx.basis_degrees(n), [cx.basis_degrees(n)[i] for i in idxs])
+        for t, orig in enumerate(idxs):
+            for w, f in i_cols[n][orig].items():
+                im.set_entry(w, t, f)
+        incl[n] = im
+    for n, hc in h_cols.items():
+        if hc:
+            hm = PolyMatrix(ring, cx.basis_degrees(n + 1), cx.basis_degrees(n))
+            for v, dest in hc.items():
+                for w, f in dest.items():
+                    hm.set_entry(w, v, f)
+            htpy[n] = hm
+    return incl, htpy
+
+
+def ordered(maps):
+    """Each matrix with its labels, column order, row order and term order."""
+    return [(n, maps[n].row_degrees, maps[n].col_degrees,
+             [(j, [(i, list(f.terms.items())) for i, f in col.items()])
+              for j, col in maps[n].columns.items()])
+            for n in sorted(maps)]
+
+
+@pytest.mark.parametrize("case", ["Y of k", "Y of R/(x)", "dg bar of k"])
+def test_replayed_incl_and_htpy_equal_the_eager_ones(m2_ideal, case):
+    cx = pair_complex(m2_ideal, case)
+    ctr = minimalize(cx)
+    log = {n: list(steps) for n, steps in ctr.steps.log.items()}
+    assert sum(map(len, log.values())) > 50
+    incl, htpy = eager_incl_htpy(cx, ctr.alive, log)
+    assert ordered(ctr.incl) == ordered(incl) and list(ctr.incl) == list(incl)
+    assert ordered(ctr.htpy) == ordered(htpy) and htpy
+    assert not ctr.steps.log  # every degree replayed, and its log dropped
+    ctr.verify()
+
+
+def test_truncated_contraction_replays_the_shared_log(m2_ideal):
+    cx = pair_complex(m2_ideal, "Y of k")
+    ctr = minimalize(cx)
+    log = {n: list(steps) for n, steps in ctr.steps.log.items()}
+    assert ctr.small.poincare_coeffs()[:4] == [1, 2, 1, 0]  # the Koszul complex on x, y
+    short = ctr.truncated(1)
+    incl, htpy = eager_incl_htpy(cx, ctr.alive, log)
+    assert ordered(short.incl) == ordered({n: m for n, m in incl.items() if n <= 1})
+    assert ordered(short.htpy) == ordered(htpy)
+    assert short.incl_at(1) is ctr.incl_at(1) and short.htpy_at(3) is ctr.htpy_at(3)
+    assert short.incl_at(2).cols == 0 and ctr.incl_at(2).cols == 1
+    short.verify(through=1)
+
+
+def counting_replays(monkeypatch):
+    """Patch _Eliminations.replay to record the degree of every replay."""
+    replayed = []
+    original = contraction._Eliminations.replay
+
+    def replay(self, n):
+        replayed.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(contraction._Eliminations, "replay", replay)
+    return replayed
+
+
+def test_theorem_a_path_replays_nothing(monkeypatch, ctx_m2):
+    replayed = counting_replays(monkeypatch)
+    pres = ModulePresentation.residue_field(ctx_m2.ideal)
+    X, Y = dg_pair(ctx_m2, pres, cap=5, algebra="taylor")
+    bar = BarComplex(X, Y, ctx_m2.ideal, cap=5)
+    rows = _certified_cycles(ctx_m2, bar, [4], rho_cycles_general)
+    assert rows[0][:2] == (4, 1)  # one cycle, projected through p
+    assert replayed == []
+
+
+def test_htpy_is_replayed_once_per_degree(monkeypatch, m2_ideal):
+    replayed = counting_replays(monkeypatch)
+    ctr = minimalize(pair_complex(m2_ideal, "Y of k"))
+    assert 2 in ctr.steps.log
+    h = ctr.htpy_at(1)
+    assert ctr.htpy_at(1) is h and replayed == [2]
+    i = ctr.incl_at(2)  # built by the same replay
+    assert replayed == [2] and 2 not in ctr.steps.log
+    assert ctr.htpy[1] is h and ctr.incl[2] is i and replayed.count(2) == 1

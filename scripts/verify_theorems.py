@@ -34,7 +34,7 @@ def main():
         t0 = time.perf_counter()
         caps_g = Caps(hom_degree=caps.hom_degree,
                       general_qs=(4, 5) if nvars == 2 else (4,))
-        body = verify_general(ctx, k, caps_g, oracle_through=9)
+        body = verify_general(ctx, k, caps_g)
         block(f"verify-general: k over the {nvars}-variable square ({time.perf_counter()-t0:.1f}s)", body)
 
 

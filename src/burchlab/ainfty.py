@@ -18,7 +18,8 @@ branch can) uses Y's inclusion, homotopy and action in place of X's
 inclusion, homotopy and product.  The Koszul sign of applying the right
 branch (an operator of degree (length - 1)) past the left arguments is
 computed explicitly; sigma is a fixed convention whose correctness is not
-trusted but enforced by the Stasheff checker on every structure built.
+trusted: no pipeline calls stasheff_check, and the tests run it (Tier-1
+criterion 6, tests/test_ainfty.py) on the structures the pipelines build.
 
 All operations are strictly unital and evaluated lazily with memoization
 keyed by small-complex basis tuples.

@@ -44,11 +44,10 @@ Construction checks d^2 = 0, the composition rank formula and, given
 exact_through = t, H_n(B) = 0 for 1 <= n <= t.  d^2 = 0 and exactness read
 one set of F_p strands (complexes.Strands): d_(n-1) d_n = 0 is tested on
 the columns of the words, each multiplied by d_(n-1)'s strand at the
-word's degree, and the ranks reuse those strands and build the missing
-(n, d) strands once each.  The strands are dropped when __init__ returns,
-so nothing built from the differentials outlives the checks;
-exactness_check rebuilds its strands afresh on every call, so a change made
-to a differential after construction is seen.
+word's degree, and Strands.homology reuses those strands' ranks and builds
+the missing (n, d) strands once each.  The strands are dropped when
+__init__ returns, so nothing built from the differentials outlives the
+checks; a check made after construction builds a new Strands.
 """
 
 from __future__ import annotations
@@ -94,8 +93,9 @@ class BarComplex:
         self.quotient = quotient
         self.ring = alg.complex.ring
         self.cap = cap
-        if exact_through is not None:
-            self._check_below_cap(exact_through)
+        if exact_through is not None and exact_through >= cap:
+            raise ValueError(f"exactness is checked below the cap {cap} only, got degree "
+                             f"{exact_through}: B_{exact_through + 1} is not built")
         check_rank(sum(self._bound_series()), "BarComplex")
         self.words = self._enumerate()   # n -> words, tuples of (degree, index) refs ending in y
         self._images = {}    # (on_y, block) -> _block_image
@@ -103,12 +103,13 @@ class BarComplex:
             self.ring, self.words, lambda _n, w: self.word_internal_degree(w),
             lambda _n, w: self.differential_of_word(w), self.quotient)
         self._images = {}
-        wanted = set() if exact_through is None else self._exactness_strands(exact_through)
-        strands = Strands(self.complex, wanted)
+        strands = Strands(self.complex, exact_through)
         strands.check_dd_zero()
         self.ranks = self.rank_formula_check()   # n -> rank of B_n, n = 0..cap
-        if exact_through is not None:
-            self._check_exact(exact_through, {key: strands.rank(*key) for key in wanted})
+        for n in range(1, (exact_through or 0) + 1):
+            dims = strands.homology(n)
+            if dims:
+                raise InternalCheckError(f"bar homology at degree {n}: {dims}")
 
     # -- basis ------------------------------------------------------------
 
@@ -205,36 +206,7 @@ class BarComplex:
             raise InternalCheckError(f"bar rank formula mismatch: {actual} vs {series}")
         return actual
 
-    def exactness_check(self, through: int | None = None):
-        """H_n(B) = 0 for 1 <= n <= through (default cap - 1), each strand
-        built and ranked once per call.  Nothing is cached on the complex,
-        so a change made to a differential after construction is seen."""
-        top = (self.cap - 1) if through is None else through
-        self._check_below_cap(top)
-        self._check_exact(top, {})
-        return True
-
-    def _check_below_cap(self, top: int):
-        if top >= self.cap:
-            raise ValueError(f"exactness is checked below the cap {self.cap} only, "
-                             f"got degree {top}: B_{top + 1} is not built")
-
-    def _exactness_strands(self, top: int) -> set:
-        """The (n, d) whose ranks H_1..H_top read: d_n and d_(n+1) at each
-        internal degree d of C_n's range."""
-        cx = self.complex
-        return {(m, d) for n in range(1, top + 1) for d in cx.internal_degree_range(n)
-                for m in (n, n + 1)}
-
-    def _check_exact(self, top: int, ranks: dict):
-        """H_n(B) = 0 for 1 <= n <= top; ranks holds (dim, rank) per strand
-        (n, d) and gains the strands it lacks, each ranked once."""
-        for n in range(1, top + 1):
-            dims = self.complex.homology_dims(n, ranks)
-            if dims:
-                raise InternalCheckError(f"bar homology at degree {n}: {dims}")
-
     def h0_dims(self, through: int):
         """Graded dimensions of H_0(B) = coker(d_1), to compare against M."""
-        dims = self.complex.homology_dims(0)
+        dims = Strands(self.complex).homology(0)
         return [dims.get(d, 0) for d in range(through + 1)]

@@ -13,9 +13,10 @@ the matrices (over Q, and over R multiplying in R), the only check for
 complexes over Q and the reference over R; Strands.check_dd_zero reads it
 off F_p strands over R, which is how the bar checks itself.
 
-Exactness is checked two ways: over Q by a Groebner argument
-(ker(d_n) <= im(d_{n+1}) as submodules), over Artinian R strand by strand
-with k-linear algebra.
+Strands is the one place that ranks F_p strands over R: the bar's checks
+and homology over Artinian R, H_(n,d) = dim C_(n,d) - rank d_(n,d) -
+rank d_(n+1,d), read its ranks.  Over Q, homology_is_zero decides
+exactness by a Groebner argument (ker(d_n) <= im(d_{n+1}) as submodules).
 """
 
 from __future__ import annotations
@@ -110,59 +111,10 @@ class GradedFreeComplex:
             if not comp.is_zero():
                 raise InternalCheckError(f"d_{n-1} o d_{n} != 0")
 
-    # -- strands ---------------------------------------------------------------
-
-    def strand_columns(self, n: int, d: int):
-        """Columns of the strand of d_n at internal degree d, as F_p vectors,
-        one per basis element of the source strand."""
-        return self.quotient.table().matrix_strand(self.diff(n), d)[1]
-
-    def internal_degree_range(self, n: int):
-        degs = self.basis_degrees(n)
-        if not degs:
-            return []
-        lo = min(degs)
-        if self.quotient is not None:
-            top = self.quotient.quotient_top_degree()
-            if top is None:
-                # the ring came in with the job: a bad input, not a failed check
-                raise InputError("strand ranges need an Artinian quotient")
-            return range(lo, max(degs) + top + 1)
-        return None  # unbounded over Q
-
-    def homology_dims(self, n: int, ranks: dict | None = None) -> dict:
-        """Strand dimensions of H_n, for complexes over an Artinian quotient:
-        dim C_(n,d) - rank d_(n,d) - rank d_(n+1,d) in each internal degree d.
-
-        ranks, when given, holds (dim, rank) per strand (n, d) and is filled
-        as strands are ranked; a caller that walks n upward with one dict
-        ranks each strand once.
-        """
-        rng = self.internal_degree_range(n)
-        if rng is None:
-            raise InternalCheckError("homology_dims is for complexes over Artinian R")
-        if ranks is None:
-            ranks = {}
-        out = {}
-        for d in rng:
-            dim, rank_n = self._strand_rank(n, d, ranks)
-            h = dim - rank_n - self._strand_rank(n + 1, d, ranks)[1]
-            if h < 0:
-                raise InternalCheckError("image larger than kernel; not a complex?")
-            if h:
-                out[d] = h
-        return out
-
-    def _strand_rank(self, n: int, d: int, ranks: dict):
-        """(dim C_(n,d), rank d_(n,d)), looked up in or added to ranks."""
-        got = ranks.get((n, d))
-        if got is None:
-            cols = self.strand_columns(n, d)
-            got = ranks[n, d] = (len(cols), rank_of(cols, self.ring.p))
-        return got
-
     def homology_is_zero(self, n: int) -> bool:
-        """Exactness at position n (1 <= n), valid over Q and over Artinian R."""
+        """Exactness at position n (1 <= n): over Q by a Groebner argument
+        (ker d_n inside im d_(n+1) as submodules), over Artinian R on F_p
+        strands."""
         if self.quotient is None:
             cols = [self.diff(n).column(j) for j in range(self.rank(n))]
             syz = syzygies_of(cols, self.rank(n - 1), self.ring)
@@ -171,7 +123,7 @@ class GradedFreeComplex:
             up = SubmoduleBasis(self.ring,
                                 [self.diff(n + 1).column(j) for j in range(self.rank(n + 1))])
             return all(up.contains(w) for w in syz)
-        return not self.homology_dims(n)
+        return not Strands(self).homology(n)
 
     def unit_entries(self, through: int | None = None):
         """Differential entries with a unit part, as (n, row, column), in the
@@ -198,14 +150,17 @@ class GradedFreeComplex:
 
 
 class Strands:
-    """The F_p strands of a complex over R = Q/I, each vectorized once.
+    """The F_p strands of a complex over R = Q/I, each vectorized once: the
+    one place that ranks strands over R.
 
     strand(n, d) is the Strand of C_n at internal degree d; one object
     serves as d_n's source and as d_(n+1)'s target.  columns(n, d) holds
     every column of d_n's strand at d.  generator_columns(n, d, js) holds
     only the columns of basis elements e_j of degree d (the columns of
-    (j, 1)), read out of columns(n, d) when that is built or in `wanted`,
-    the (n, d) whose ranks the caller reads; rank(n, d) keeps each rank.
+    (j, 1)), read out of columns(n, d) when that is built or wanted;
+    rank(n, d) keeps each rank and homology(n) reads H_n off the ranks.
+    Given exact_through = t, the wanted strands are those homology(1..t)
+    reads, and check_dd_zero ranks them while their columns are at hand.
 
     The strands read the differentials once and are not refreshed, so a
     Strands is for one pass of checks, dropped when the checks return.
@@ -213,13 +168,25 @@ class Strands:
 
     __slots__ = ("cx", "table", "wanted", "ranks", "_strands", "_columns")
 
-    def __init__(self, cx: GradedFreeComplex, wanted=()):
+    def __init__(self, cx: GradedFreeComplex, exact_through: int | None = None):
         self.cx = cx
         self.table = cx.quotient.table()
-        self.wanted = wanted
         self.ranks = {}      # (n, d) -> (dim C_(n,d), rank d_(n,d))
         self._strands = {}   # (n, d) -> Strand of C_n at d
         self._columns = {}   # (n, d) -> columns of d_n's strand at d
+        self.wanted = {(m, d) for n in range(1, (exact_through or 0) + 1)
+                       for d in self.degrees(n) for m in (n, n + 1)}
+
+    def degrees(self, n: int):
+        """The internal degrees d with C_(n,d) possibly nonzero: from the
+        least degree of C_n's basis to the largest plus the top of R."""
+        degs = self.cx.basis_degrees(n)
+        if not degs:
+            return range(0)
+        if self.table.top is None:
+            # the ring came in with the job: a bad input, not a failed check
+            raise InputError("strand ranges need an Artinian quotient")
+        return range(min(degs), max(degs) + self.table.top + 1)
 
     def strand(self, n: int, d: int) -> Strand:
         got = self._strands.get((n, d))
@@ -254,6 +221,19 @@ class Strands:
             del self._columns[n, d]
             got = self.ranks[n, d] = (len(cols), rank_of(cols, self.cx.ring.p))
         return got
+
+    def homology(self, n: int) -> dict:
+        """Strand dimensions of H_n: {d: dim C_(n,d) - rank d_(n,d) -
+        rank d_(n+1,d)} over degrees(n), nonzero ones only."""
+        out = {}
+        for d in self.degrees(n):
+            dim, rank_n = self.rank(n, d)
+            h = dim - rank_n - self.rank(n + 1, d)[1]
+            if h < 0:
+                raise InternalCheckError("image larger than kernel; not a complex?")
+            if h:
+                out[d] = h
+        return out
 
     def _done_with(self, n: int, d: int | None = None):
         """Rank the wanted strands of d_n and drop d_n's columns, at d only

@@ -32,6 +32,10 @@ from .tate import acyclic_closure
 from .taylor import TaylorComplex
 
 
+# depth of verify_general's k-rank verdict table: syz_1 .. syz_ORACLE_THROUGH
+ORACLE_THROUGH = 9
+
+
 @dataclass
 class Caps:
     hom_degree: int = 10
@@ -212,7 +216,7 @@ def verify_golod(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> dict
 
 
 def verify_general(ctx: RingContext, pres: ModulePresentation, caps: Caps,
-                   oracle_through: int = 9) -> dict:
+                   oracle_through: int = ORACLE_THROUGH) -> dict:
     """Theorem-A pipeline: dg bar cycles, splitting, measured survival, and
     the k-rank oracle for krank(syz_i) >= 1, i >= 5.
 

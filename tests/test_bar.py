@@ -6,7 +6,7 @@ from burchlab.ainfty import AInfAlgebra, AInfModule
 from burchlab.bar import BarComplex
 from burchlab.burch import minimal_generators
 from burchlab.contraction import minimalize
-from burchlab.complexes import GradedFreeComplex, Strands
+from burchlab.complexes import Strands
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.errors import InternalCheckError
 from burchlab.groebner import Ideal
@@ -32,9 +32,8 @@ def test_bar_of_ring_over_itself(hyper_ideal):
     X = TaylorComplex(R, [R.parse("x^2")])
     rm = ModulePresentation.cyclic(hyper_ideal, [])
     Y = build_semifree_resolution(rm, X, up_to=8)
-    B = BarComplex(X, Y, hyper_ideal, cap=8)
+    B = BarComplex(X, Y, hyper_ideal, cap=8, exact_through=7)
     assert B.rank_formula_check() == [1] * 9
-    B.exactness_check()
     assert B.h0_dims(2) == [1, 1, 0]  # H_0 = R = k[x]/(x^2)
 
 
@@ -57,13 +56,12 @@ def test_ainf_bar_periodicity_matches_resolution_oracle(hyper_ideal, hyper_pair)
     algX = AInfAlgebra(minimalize(X.complex), X, arity_cap=4, degree_cap=10)
     ctrY = minimalize(Y.complex).truncated(8)
     mod = AInfModule(algX, ctrY, Y, arity_cap=4, degree_cap=10)
-    B = BarComplex(algX, mod, hyper_ideal, cap=8)
+    B = BarComplex(algX, mod, hyper_ideal, cap=8, exact_through=7)
     ranks = B.rank_formula_check()
     # independent oracle: the minimal R-free resolution of k
     k = ModulePresentation.residue_field(hyper_ideal)
     res = resolve_over_R(k, 8)
     assert ranks == res.poincare_coeffs() == [1] * 9
-    B.exactness_check(7)
     assert B.complex.is_minimal()
     assert B.h0_dims(2) == [1, 0, 0]
 
@@ -83,9 +81,8 @@ def bione_structures(bione_ideal, regime):
 def test_bar_on_sign_sensitive_ring(bione_ideal, regime):
     # n^2 is not inside I here, so wrong bar signs cannot hide modulo I
     R = bione_ideal.ring
-    B = BarComplex(*bione_structures(bione_ideal, regime), bione_ideal, cap=6)
+    B = BarComplex(*bione_structures(bione_ideal, regime), bione_ideal, cap=6, exact_through=5)
     B.rank_formula_check()
-    B.exactness_check(5)
     M = ModulePresentation.cyclic(bione_ideal, [R.parse("x^2"), R.parse("y")])
     assert B.h0_dims(3) == M.dims(3)
 
@@ -108,20 +105,18 @@ def test_ainf_bar_golod_ranks(m2_ideal, m23_ideal):
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     alg = AInfAlgebra(minimalize(X.complex), X)
     mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
-    B = BarComplex(alg, mod, m2_ideal, cap=8)
+    B = BarComplex(alg, mod, m2_ideal, cap=8, exact_through=7)
     assert B.rank_formula_check() == [2 ** i for i in range(9)]
     assert B.complex.is_minimal()
-    B.exactness_check(7)
 
     R3 = m23_ideal.ring
     X3, Y3 = taylor_module_fast_path(
         R3, minimal_generators(m23_ideal.gens, R3), [R3.var(i) for i in range(3)])
     alg3 = AInfAlgebra(minimalize(X3.complex), X3)
     mod3 = AInfModule(alg3, minimalize(Y3.complex), Y3)
-    B3 = BarComplex(alg3, mod3, m23_ideal, cap=6)
+    B3 = BarComplex(alg3, mod3, m23_ideal, cap=6, exact_through=5)
     assert B3.rank_formula_check() == [3 ** i for i in range(7)]
     assert B3.complex.is_minimal()
-    B3.exactness_check(5)
 
 
 def test_dg_and_ainf_bars_agree_on_identity_contractions():
@@ -150,40 +145,46 @@ def ainf_bar_of_k(m2_ideal, cap, exact_through=None):
     return BarComplex(alg, mod, m2_ideal, cap=cap, exact_through=exact_through)
 
 
+def bar_homology(B) -> dict:
+    """{n: strand dimensions of H_n(B)} for the n in 1..cap - 1 with H_n != 0,
+    on strands built afresh, so a change made after construction is seen."""
+    strands = Strands(B.complex)
+    return {n: dims for n in range(1, B.cap) if (dims := strands.homology(n))}
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_exactness_check_catches_a_zeroed_column(m2_ideal, n):
     # zeroing a column of d_(n+1) keeps d_n o d_(n+1) = 0, but the column is a
     # minimal generator of the boundaries, so H_n(B) != 0
     B = ainf_bar_of_k(m2_ideal, cap=5)
-    assert B.exactness_check()
+    assert not bar_homology(B)
     del B.complex.diff(n + 1).columns[0]
-    with pytest.raises(InternalCheckError, match=f"bar homology at degree {n}:"):
-        B.exactness_check()
+    assert min(bar_homology(B)) == n
 
 
 def test_exactness_check_ranks_each_strand_once(m2_ideal, monkeypatch):
     B = ainf_bar_of_k(m2_ideal, cap=5)
     built = Counter()
-    real = GradedFreeComplex.strand_columns
+    real = Strands.columns
 
     def counted(self, n, d):
         built[n, d] += 1
         return real(self, n, d)
 
-    monkeypatch.setattr(GradedFreeComplex, "strand_columns", counted)
-    B.exactness_check()
+    monkeypatch.setattr(Strands, "columns", counted)
+    strands = Strands(B.complex)
+    for n in range(1, 5):
+        assert not strands.homology(n)
     assert set(built.values()) == {1}
-    needed = {(m, d) for n in range(1, 5) for d in B.complex.internal_degree_range(n)
-              for m in (n, n + 1)}
+    needed = {(m, d) for n in range(1, 5) for d in strands.degrees(n) for m in (n, n + 1)}
     assert set(built) == needed
 
 
 @pytest.mark.parametrize("through", [5, 6])
 def test_exactness_check_at_or_above_the_cap_is_a_value_error(m2_ideal, through):
     # B_(cap+1) is not built, so homology at the cap would be an artefact
-    B = ainf_bar_of_k(m2_ideal, cap=5)
     with pytest.raises(ValueError, match="cap 5"):
-        B.exactness_check(through)
+        ainf_bar_of_k(m2_ideal, cap=5, exact_through=through)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -403,16 +404,16 @@ def test_dg_pair_builds_y_through_the_bar_cap_only(ctx_m2, m2_ideal, algebra):
     for n in range(1, cap + 1):
         ours, theirs = Y.complex.diff(n), deep.complex.diff(n)
         assert (ours.rows, ours.cols, ours.columns) == (theirs.rows, theirs.cols, theirs.columns)
-    B, B_deep = BarComplex(X, Y, m2_ideal, cap=cap), BarComplex(X, deep, m2_ideal, cap=cap)
+    B = BarComplex(X, Y, m2_ideal, cap=cap, exact_through=cap - 1)
+    B_deep = BarComplex(X, deep, m2_ideal, cap=cap)
     assert B.words == B_deep.words
     for n in range(1, cap + 1):
         assert B.complex.diff(n).columns == B_deep.complex.diff(n).columns
-    assert B.exactness_check(cap - 1)
 
     # one round short, H_(cap-1)(Y) is not killed and the bar complex sees it
     short = build_semifree_resolution(k, X, up_to=cap - 1)
     with pytest.raises(InternalCheckError, match=f"bar homology at degree {cap - 1}:"):
-        BarComplex(X, short, m2_ideal, cap=cap).exactness_check(cap - 1)
+        BarComplex(X, short, m2_ideal, cap=cap, exact_through=cap - 1)
 
 
 # -- d o d = 0 and exactness on one set of F_p strands ------------------------
@@ -467,11 +468,6 @@ def test_construction_with_exact_through_catches_a_zeroed_boundary(m2_ideal, n, 
         ainf_bar_of_k(m2_ideal, cap=5, exact_through=4)
 
 
-def test_exact_through_at_or_above_the_cap_is_a_value_error(m2_ideal):
-    with pytest.raises(ValueError, match="cap 5"):
-        ainf_bar_of_k(m2_ideal, cap=5, exact_through=5)
-
-
 @pytest.mark.parametrize("exact_through", [None, 2, 4])
 def test_construction_vectorizes_each_strand_column_once(m2_ideal, monkeypatch, exact_through):
     from burchlab import complexes
@@ -499,8 +495,9 @@ def test_construction_vectorizes_each_strand_column_once(m2_ideal, monkeypatch, 
     if exact_through is not None:
         # the strands exactness ranks are among those built
         cx = B.complex
+        strands = Strands(cx)
         needed = {(tuple(cx.basis_degrees(m)), d) for n in range(1, exact_through + 1)
-                  for d in cx.internal_degree_range(n) for m in (n, n + 1)}
+                  for d in strands.degrees(n) for m in (n, n + 1)}
         assert needed <= set(built)
 
 
@@ -537,7 +534,6 @@ def test_the_strand_check_agrees_with_compose(hyper_ideal, bione_ideal, m2_ideal
     for name, B in bar_fixtures(hyper_ideal, bione_ideal, m2_ideal, ctx_m2):
         cx = B.complex
         table = cx.rtable()
-        wanted = frozenset(B._exactness_strands(B.cap - 1))
         assert not caught(cx.check_dd_zero)
         assert not caught(Strands(cx).check_dd_zero)
         for n in range(1, B.cap + 1):
@@ -550,7 +546,7 @@ def test_the_strand_check_agrees_with_compose(hyper_ideal, bione_ideal, m2_ideal
                     dn.set_entry(i, j, g)
                     want = caught(cx.check_dd_zero)
                     assert caught(Strands(cx).check_dd_zero) == want, (name, n, j)
-                    assert caught(Strands(cx, wanted).check_dd_zero) == want, (name, n, j)
+                    assert caught(Strands(cx, B.cap - 1).check_dd_zero) == want, (name, n, j)
                     verdicts[want] += 1
                 dn.set_entry(i, j, f)
         assert not caught(Strands(cx).check_dd_zero)
@@ -561,7 +557,7 @@ def test_the_strand_check_agrees_with_compose(hyper_ideal, bione_ideal, m2_ideal
 def test_the_commands_check_exactness_at_construction(ctx_m2, m2_ideal, command, monkeypatch):
     # bar_report and golod_check (verify-golod's bar) pass exact_through:
     # a boundary zeroed during assembly keeps d o d = 0 and ends in the
-    # homology error, with no exactness_check call left to make
+    # homology error that construction raises
     from burchlab import pipeline
 
     k = ModulePresentation.residue_field(m2_ideal)
@@ -569,7 +565,6 @@ def test_the_commands_check_exactness_at_construction(ctx_m2, m2_ideal, command,
     real = BarComplex.differential_of_word
     monkeypatch.setattr(BarComplex, "differential_of_word",
                         lambda self, w: {} if len(w) == 3 else real(self, w))
-    monkeypatch.setattr(BarComplex, "exactness_check", None)
     with pytest.raises(InternalCheckError, match="bar homology at degree"):
         if command == "verify-golod":
             pipeline.verify_golod(ctx_m2, k, caps)

@@ -446,7 +446,7 @@ def test_resolve_job_resolves_once(monkeypatch):
 
 @pytest.mark.parametrize("command, job, depth", [
     ("verify-golod", {"caps": {"homDegree": 4}}, 5),                       # cap + 1
-    ("verify-general", {"caps": {"homDegree": 4, "generalQs": [4]}}, 9),   # oracle_through
+    ("verify-general", {"caps": {"homDegree": 4, "generalQs": [4]}}, 9),   # ORACLE_THROUGH
     ("verify-general", {"ideal": ["x^4", "x^2*y", "y^2"], "module": {"cyclic": ["x^2", "y"]},
                         "caps": {"homDegree": 4}}, 9),                     # Burch index < 2
 ])

@@ -52,6 +52,15 @@ only complexes.keyed_complex, Contraction.truncated (which cuts a complex
 it already has) and the two resolutions, over R and over Q (which grow
 their matrices degree by degree from kernels), construct a
 GradedFreeComplex.
+
+The twelfth check keeps strand ranks over R in one place: only
+complexes.Strands.rank calls linalg.rank_of, so the bar's checks and
+homology over R read one rank cache.
+
+The thirteenth check keeps imports live: every name a module-level import
+binds in src/burchlab/*.py is read in that module, so a move leaves no
+import behind.  __init__.py is exempt; its imports are the package's
+re-exports.
 """
 
 from __future__ import annotations
@@ -470,3 +479,57 @@ def test_the_complex_scan_sees_a_duplicate():
                "    return cx.degrees\n")
     assert _callers(planted, "m.py", {"GradedFreeComplex"}) == [
         "m.py: keyed_complex", "m.py: BarComplex._assemble"]
+
+
+# -- one home for strand ranks over R ----------------------------------------------
+
+
+def test_only_strands_ranks_strands():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _callers(path.read_text(encoding="utf-8"), path.name, {"rank_of"})
+    assert found == ["complexes.py: Strands.rank"]
+
+
+def test_the_rank_scan_sees_a_duplicate():
+    planted = ("class GradedFreeComplex:\n"
+               "    def _strand_rank(self, n, d):\n"
+               "        return rank_of(self.strand_columns(n, d), self.ring.p)\n"
+               "class Strands:\n"
+               "    def rank(self, n, d):\n"
+               "        return linalg.rank_of(self.columns(n, d), self.cx.ring.p)\n")
+    assert _callers(planted, "m.py", {"rank_of"}) == [
+        "m.py: GradedFreeComplex._strand_rank", "m.py: Strands.rank"]
+
+
+# -- every import is read --------------------------------------------------------------
+
+
+def _unread_imports(source: str, filename: str) -> list:
+    """'file: name' per name a module-level import binds (from __future__
+    aside) that no expression of the module reads."""
+    tree = ast.parse(source)
+    bound = [(alias.asname or alias.name).split(".")[0]
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{filename}: {name}" for name in bound if name not in read]
+
+
+def test_every_module_import_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            unread += _unread_imports(path.read_text(encoding="utf-8"), path.name)
+    assert not unread, "imported but never read:\n" + "\n".join(unread)
+
+
+def test_the_import_scan_sees_a_stale_import():
+    planted = ("from __future__ import annotations\n"
+               "import os.path\n"
+               "from .linalg import rank_of\n"
+               "from .groebner import Ideal, Strand as S\n"
+               "def f(x: Ideal) -> S:\n"
+               "    return os.path.join(x)\n")
+    assert _unread_imports(planted, "m.py") == ["m.py: rank_of"]

@@ -468,6 +468,17 @@ def test_construction_with_exact_through_catches_a_zeroed_boundary(m2_ideal, n, 
         ainf_bar_of_k(m2_ideal, cap=5, exact_through=4)
 
 
+def test_exact_through_at_or_above_the_cap_is_a_value_error(m2_ideal, monkeypatch):
+    # the depth is refused before any bar word is assembled
+    assembled = []
+    real = BarComplex.differential_of_word
+    monkeypatch.setattr(BarComplex, "differential_of_word",
+                        lambda self, w: assembled.append(w) or real(self, w))
+    with pytest.raises(ValueError, match="cap 5"):
+        ainf_bar_of_k(m2_ideal, cap=5, exact_through=5)
+    assert not assembled
+
+
 @pytest.mark.parametrize("exact_through", [None, 2, 4])
 def test_construction_vectorizes_each_strand_column_once(m2_ideal, monkeypatch, exact_through):
     from burchlab import complexes

@@ -8,9 +8,11 @@ the 2-generated coker of the relations x e_0 and y e_0 + x e_1).  Each
 case hashes:
 
 * the Taylor and the Tate dg pair (X, Y) and their bar at cap 4;
+* the Tate pair and its bar at cap 6, the depth verify_general builds for
+  the odd q = 5 of the default Caps (perfbench's theorem-a workload);
 * the A-infinity pair and its bar at cap 5, with the contractions the
   pair is transferred along (alg.ctr and mod.ctr);
-* minimalize(bar) of each of the three bars.
+* minimalize(bar) of each of the four bars.
 
 A complex hashes its degree labels and every d_n in column order, with the
 row order within each column and the term order of each entry; X and Y
@@ -91,11 +93,11 @@ def bar_record(bar):
 
 def case_hash(ctx, pres) -> str:
     parts = []
-    for algebra in ("taylor", "tate"):
-        X, Y = dg_pair(ctx, pres, cap=4, algebra=algebra)
-        parts.append((algebra, complex_record(X.complex), keys_record(X),
+    for algebra, cap in (("taylor", 4), ("tate", 4), ("tate", 6)):
+        X, Y = dg_pair(ctx, pres, cap=cap, algebra=algebra)
+        parts.append((algebra, cap, complex_record(X.complex), keys_record(X),
                       complex_record(Y.complex), keys_record(Y),
-                      bar_record(BarComplex(X, Y, ctx.ideal, cap=4))))
+                      bar_record(BarComplex(X, Y, ctx.ideal, cap=cap))))
     alg, mod = ainf_pair(ctx, pres, Caps(hom_degree=5))
     parts.append(("ainf", complex_record(alg.complex), complex_record(mod.complex),
                   bar_record(BarComplex(alg, mod, ctx.ideal, cap=5)),

@@ -418,16 +418,6 @@ class Ideal:
             result = piece if result is None else result.intersect(piece)
         return result
 
-    # -- graded structure ----------------------------------------------------
-
-    def standard_monomials(self, d: int):
-        """Monomials of degree d outside the lead-term ideal: a k-basis of (Q/I)_d."""
-        return list(self.table().basis(d))
-
-    def quotient_top_degree(self):
-        """Largest d with (Q/I)_d != 0, or None if Q/I is not Artinian."""
-        return self.table().top
-
     def __repr__(self):
         return f"Ideal({', '.join(map(str, self.gens))})"
 

@@ -40,7 +40,7 @@ def _with_ideal_columns(columns, rank: int, quotient: Ideal):
 
 def total_dim_bound(pres: ModulePresentation) -> int:
     """dim_k M summed over every degree where M can be nonzero."""
-    top = pres.quotient.quotient_top_degree()
+    top = pres.quotient.table().top
     if top is None:
         raise InputError("module is not finite dimensional (quotient not Artinian)")
     return sum(pres.dims(max(pres.gen_degrees) + top))

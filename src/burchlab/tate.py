@@ -95,29 +95,29 @@ class AdjunctionEngine:
 
     def kill_homology(self, through: int, adjoin):
         """For d = 1..through-1: adjoin generators of degree d+1 whose
-        differentials are minimal generators of H_d, by calls
-        adjoin(d + 1, internal degree, differential in basis keys), then
-        check that H_d is now 0 (CycleSpace.check_adjunction).
+        differentials are minimal generators of H_d (homology_generators), by
+        calls adjoin(d + 1, internal degree, differential in basis keys),
+        then check that H_d is now 0 (check_adjunction).
 
-        The check reuses Z_d and the echelons of the picks: a generator of
-        degree d+1 occurs in no basis key of degree <= d, so the basis in
-        degrees d and d-1 and d_d are the same before and after the round,
-        and its keys of degree d+1 sort after the old ones, so d_(d+1) only
-        gains columns (both compared exactly).  Every pick is a
+        The check compares the complex the picks read with the one assembled
+        after the round, and reuses Z_d and the echelons of the picks: a
+        generator of degree d+1 occurs in no basis key of degree <= d, so the
+        basis in degrees d and d-1 and d_d are the same before and after the
+        round, and its keys of degree d+1 sort after the old ones, so d_(d+1)
+        only gains columns (both compared exactly).  Every pick is a
         deterministic minimal-generator pick.  A failed check names the
-        homology by the DgModule label: "homology" for X, "module
-        homology" for Y.
+        homology by the DgModule label: "homology" for X, "module homology"
+        for Y.
         """
         for d in range(1, through):
             cx = self.complex
-            cycles = CycleSpace(cx, d)
-            new = homology_cycle_generators(cx, d, cycles)
-            if not new:
+            picks, spans = homology_generators(cx, d)
+            if not picks:
                 continue
             keys, degrees = self._basis[d], cx.basis_degrees(d)
-            for g in new:
+            for g in picks:
                 adjoin(d + 1, g.degree(degrees), {keys[i]: f for i, f in g.coords.items()})
-            cycles.check_adjunction(self.complex, f"{self.label}homology")
+            check_adjunction(cx, self.complex, d, spans, f"{self.label}homology")
 
 
 class TateAlgebra(AdjunctionEngine, DgAlgebra):
@@ -251,97 +251,63 @@ class TateAlgebra(AdjunctionEngine, DgAlgebra):
         return ((self._pos[da + db][key], (0,) * self.ring.nvars, c),)
 
 
-class CycleSpace:
-    """Generators of Z_d = ker(d_d) of a complex over Q, with a copy of the
-    d_d and of the grading of C_d and C_(d-1) they were computed from, so
-    that a later complex with the same d_d can reuse them (see
-    homology_cycle_generators).
+def homology_generators(cx: GradedFreeComplex, d: int):
+    """Minimal Q-module generators of H_d(cx), as cycle elements of C_d, and
+    the spans of their picks: per degree of a cycle generator, the echelon of
+    m * Z_d + B_d before the picks and the cycle vectors
+    (minimal_module_generators), for check_adjunction."""
+    diff, spans = cx.diff(d), {}
+    gens = syzygies_of([diff.column(j) for j in range(diff.cols)], diff.rows, cx.ring)
+    if not gens:
+        return [], spans
+    up = cx.diff(d + 1)
+    picks = minimal_module_generators(gens, cx.basis_degrees(d), Ideal(cx.ring, []),
+                                      extra_span=[up.column(j) for j in range(up.cols)],
+                                      spans=spans)
+    return picks, spans
 
-    homology_cycle_generators also keeps here a copy of the d_(d+1) it read
-    and, per degree of a cycle generator, the echelon of m * Z_d + B_d
-    before its picks; check_adjunction extends those with the boundaries
-    adjoined since, instead of building them again.
+
+def check_adjunction(before: GradedFreeComplex, after: GradedFreeComplex, d: int, spans: dict,
+                     what: str = "homology"):
+    """Raise InternalCheckError unless H_d(after) = 0, where after is before
+    with new columns appended to d_(d+1) and spans are those of
+    homology_generators(before, d).
+
+    d_d and the grading of C_d and C_(d-1) are compared exactly (so Z_d is
+    unchanged), and so are the old columns of d_(d+1) (so B_d is contained
+    in the new boundaries).  The new columns are read from after and all
+    their multiples go into each kept echelon, which then spans m * Z_d +
+    B'_d in its degree, B'_d the boundaries of after: the span
+    homology_generators(after, d) would build from scratch.  Every cycle
+    generator must reduce to 0 in it.  The check uses spans up: their
+    echelons take the new columns, and are dropped once it passes.
+
+    before is the complex the picks read, not a copy of it: an assembled
+    complex is never changed (AdjunctionEngine._refresh builds new matrices
+    through keyed_complex), so before still holds the d_d and d_(d+1) the
+    picks read.  For the same reason no check runs at pick time: comparing
+    the d_d the picks read with the complex it was read from one line
+    earlier could fail only for a caller handing in cycles of another
+    complex, and homology_generators takes none.
     """
-
-    __slots__ = ("d", "shape", "columns", "grading", "gens", "boundaries", "spans")
-
-    def __init__(self, cx: GradedFreeComplex, d: int):
-        diff = cx.diff(d)
-        self.d = d
-        self.shape = (diff.rows, diff.cols)
-        self.columns = {j: dict(col) for j, col in diff.columns.items()}
-        self.grading = _grading(cx, d)
-        self.gens = syzygies_of([diff.column(j) for j in range(diff.cols)], diff.rows, cx.ring)
-        self.boundaries = None   # (shape, columns) of d_(d+1) at the generator picks
-        self.spans = None        # degree -> (strand, echelon, cycle vectors)
-
-    def check_same_differential(self, cx: GradedFreeComplex, d: int):
-        """Raise InternalCheckError unless d_d of cx and the grading of its
-        source and target equal the stored ones exactly."""
-        diff = cx.diff(d)
-        if (d != self.d or (diff.rows, diff.cols) != self.shape or diff.columns != self.columns
-                or _grading(cx, d) != self.grading):
-            raise InternalCheckError(f"d_{d} changed since its cycles were computed")
-
-    def check_adjunction(self, cx: GradedFreeComplex, what: str = "homology"):
-        """Raise InternalCheckError unless H_d(cx) = 0, where cx is the complex
-        of the last homology_cycle_generators call on this space with new
-        columns appended to d_(d+1).
-
-        d_d and its grading are compared exactly (so Z_d is unchanged), and so
-        are the first old-width columns of d_(d+1) (so B_d is contained in
-        the new boundaries).  The new columns are read from cx and all their
-        multiples go into each kept echelon, which then spans m * Z_d + B'_d
-        in its degree, B'_d the boundaries of cx: the span the first call
-        would build from scratch for cx.  Every cycle generator must reduce
-        to 0 in it.  The kept echelons are dropped once the check passes.
-        """
-        d = self.d
-        self.check_same_differential(cx, d)
-        (rows, cols), old = self.boundaries
-        diff = cx.diff(d + 1)
-        if (diff.rows != rows or diff.cols < cols
-                or {j: col for j, col in diff.columns.items() if j < cols} != old):
-            raise InternalCheckError(f"d_{d + 1} changed in its first {cols} columns "
-                                     "since its cycles were computed")
-        degrees = cx.basis_degrees(d)
-        new = [(v, v.degree(degrees)) for v in map(diff.column, range(cols, diff.cols))
-               if v.coords]
-        for strand, ech, vectors in self.spans.values():
-            strand.span(new, 0, ech)
-            if any(ech.reduce(vec)[0] for vec in vectors):
-                raise InternalCheckError(f"{what} at degree {d} survived adjunction")
-        self.boundaries = self.spans = None
-
-
-def _grading(cx: GradedFreeComplex, d: int):
-    return list(cx.basis_degrees(d)), list(cx.basis_degrees(d - 1))
-
-
-def homology_cycle_generators(cx: GradedFreeComplex, d: int, cycles: CycleSpace | None = None):
-    """Minimal Q-module generators of H_d(cx), as cycle elements of C_d.
-
-    cycles, when given, must have been computed from a d_d equal to that of
-    cx, which is checked exactly; otherwise Z_d is computed here.  The
-    boundaries and echelons of the picks are kept in cycles for
-    CycleSpace.check_adjunction.
-    """
-    ring = cx.ring
-    if cycles is None:
-        cycles = CycleSpace(cx, d)
-    else:
-        cycles.check_same_differential(cx, d)
-    if not cycles.gens:
-        return []
-    diff = cx.diff(d + 1)
-    cycles.boundaries = ((diff.rows, diff.cols),
-                         {j: dict(col) for j, col in diff.columns.items()})
-    cycles.spans = {}
-    zero_ideal = Ideal(ring, [])
-    return minimal_module_generators(
-        cycles.gens, cx.basis_degrees(d), zero_ideal,
-        extra_span=[diff.column(j) for j in range(diff.cols)], spans=cycles.spans,
-    )
+    diff, old = after.diff(d), before.diff(d)
+    if ((diff.rows, diff.cols) != (old.rows, old.cols) or diff.columns != old.columns
+            or after.basis_degrees(d) != before.basis_degrees(d)
+            or after.basis_degrees(d - 1) != before.basis_degrees(d - 1)):
+        raise InternalCheckError(f"d_{d} changed since its cycles were computed")
+    diff, old = after.diff(d + 1), before.diff(d + 1)
+    cols = old.cols
+    if (diff.rows != old.rows or diff.cols < cols
+            or {j: col for j, col in diff.columns.items() if j < cols} != old.columns):
+        raise InternalCheckError(f"d_{d + 1} changed in its first {cols} columns "
+                                 "since its cycles were computed")
+    degrees = after.basis_degrees(d)
+    new = [(v, v.degree(degrees)) for v in map(diff.column, range(cols, diff.cols)) if v.coords]
+    for strand, ech, vectors in spans.values():
+        strand.span(new, 0, ech)
+        if any(ech.reduce(vec)[0] for vec in vectors):
+            raise InternalCheckError(f"{what} at degree {d} survived adjunction")
+    spans.clear()
 
 
 def acyclic_closure(ring: PolyRing, gens, through: int) -> TateAlgebra:

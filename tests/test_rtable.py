@@ -71,13 +71,14 @@ def test_table_normal_forms_and_bases_match_oracles(data, I):
     for _ in range(3):
         f = data.draw(homogeneous(ring, data.draw(st.integers(0, 6)), max_terms=6))
         assert I.normal_form(f) == gb_normal_form(I, f)
-    top = I.quotient_top_degree()
+    table = I.table()
+    top = table.top
     assert top is not None
     for d in range(top + 2):
-        std = I.standard_monomials(d)
+        std = table.basis(d)
         assert std == filtered_standard_monomials(I, d)
         assert len(std) == quotient_dim(I, d)
-    assert not I.standard_monomials(top + 1) and I.standard_monomials(top)
+    assert not table.basis(top + 1) and table.basis(top)
 
 
 @settings(max_examples=25, deadline=None)
@@ -117,10 +118,10 @@ def test_tables_of_dropped_ideals_never_leak_into_new_ones():
         f = ring.parse("x^2 + x*y + 3*y^2")
         assert I.normal_form(f) == gb_normal_form(I, f)
         assert I.normal_form(x2) == ring.monomial((0, 2), k)
-        assert I.quotient_top_degree() == 2
-        assert I.standard_monomials(2) == filtered_standard_monomials(I, 2)
+        assert I.table().top == 2
+        assert I.table().basis(2) == filtered_standard_monomials(I, 2)
         J = Ideal(ring, [ring.monomial((top, 0)), xy, ring.monomial((0, top + 1))])
-        assert J.quotient_top_degree() == top
+        assert J.table().top == top
         assert J.normal_form(ring.monomial((top - 1, 0))) == ring.monomial((top - 1, 0))
         del I, J
 
@@ -151,7 +152,7 @@ def homogeneous_artinian_ideals(draw):
 @given(data=st.data(), I=homogeneous_artinian_ideals())
 def test_reduced_product_is_the_normal_form_of_the_product(data, I):
     table = I.table()
-    assert table.cap == table.top == I.quotient_top_degree()
+    assert I.table() is table and table.cap == table.top
     for _ in range(4):
         f = data.draw(polynomials(I.ring, max_degree=table.top + 1))
         g = data.draw(polynomials(I.ring, max_degree=table.top + 1))

@@ -314,7 +314,7 @@ def test_the_boxed_product_scan_sees_a_duplicate():
 
 def _adjunction_sites(source: str, filename: str) -> tuple:
     """('file: Class._refresh' per class defining _refresh, 'file: Qual.name'
-    per function calling .check_adjunction)."""
+    per function calling check_adjunction, plainly or as an attribute)."""
     refreshes, callers = [], []
 
     def visit(node, qual):
@@ -325,8 +325,10 @@ def _adjunction_sites(source: str, filename: str) -> tuple:
                     refreshes.extend(f"{filename}: {name}._refresh" for item in child.body
                                      if isinstance(item, ast.FunctionDef)
                                      and item.name == "_refresh")
-                elif any(isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
-                         and c.func.attr == "check_adjunction" for c in ast.walk(child)):
+                elif any(isinstance(c, ast.Call)
+                         and "check_adjunction" in (getattr(c.func, "attr", None),
+                                                    getattr(c.func, "id", None))
+                         for c in ast.walk(child)):
                     callers.append(f"{filename}: {name}")
                 visit(child, qual + [child.name])
 
@@ -347,9 +349,10 @@ def test_one_engine_refreshes_and_checks_adjunction():
 def test_the_adjunction_scan_sees_a_duplicate():
     planted = ("class Engine:\n    def _refresh(self):\n        pass\n"
                "class Module(Engine):\n    def _refresh(self):\n        pass\n"
-               "def build(Y, cycles):\n    cycles.check_adjunction(Y.complex)\n")
+               "def build(Y, cycles):\n    cycles.check_adjunction(Y.complex)\n"
+               "def rebuild(cx, Y, spans):\n    check_adjunction(cx, Y.complex, 1, spans)\n")
     assert _adjunction_sites(planted, "m.py") == (
-        ["m.py: Engine._refresh", "m.py: Module._refresh"], ["m.py: build"])
+        ["m.py: Engine._refresh", "m.py: Module._refresh"], ["m.py: build", "m.py: rebuild"])
 
 
 # -- one op path in the bar complex ----------------------------------------------

@@ -12,11 +12,11 @@ from burchlab.complexes import GradedFreeComplex
 from burchlab.dgmodule import (SemifreeDgModule, TaylorDgModule, build_semifree_resolution,
                                taylor_module_fast_path)
 from burchlab.errors import InternalCheckError
-from burchlab.groebner import Ideal
+from burchlab.groebner import Ideal, syzygies_of
 from burchlab.jobs import load_job
 from burchlab.matrices import FreeModuleElement, PolyMatrix
 from burchlab.resolve import ModulePresentation, minimal_module_generators
-from burchlab.tate import CycleSpace, TateAlgebra, acyclic_closure, homology_cycle_generators
+from burchlab.tate import TateAlgebra, acyclic_closure, check_adjunction, homology_generators
 from burchlab.taylor import TaylorComplex, bilinear
 
 P = 32003
@@ -366,17 +366,17 @@ def test_an_image_key_missing_one_degree_down_is_an_internal_error(monkeypatch, 
 
 def drop_last_generator_once(monkeypatch, module):
     """Make the first adjunction of two or more generators leave out its last one."""
-    real = module.homology_cycle_generators
+    real = module.homology_generators
     dropped = []
 
-    def patched(cx, d, cycles=None):
-        gens = real(cx, d, cycles)
-        if not dropped and len(gens) >= 2:
+    def patched(cx, d):
+        picks, spans = real(cx, d)
+        if not dropped and len(picks) >= 2:
             dropped.append(d)
-            return gens[:-1]
-        return gens
+            return picks[:-1], spans
+        return picks, spans
 
-    monkeypatch.setattr(module, "homology_cycle_generators", patched)
+    monkeypatch.setattr(module, "homology_generators", patched)
     return dropped
 
 
@@ -396,18 +396,18 @@ def test_tate_check_catches_a_missing_variable(monkeypatch, m2_ideal):
 
 
 def test_cycles_are_not_reused_for_a_changed_differential(monkeypatch, m2_ideal):
-    real = CycleSpace.check_adjunction
+    real = tate.check_adjunction
     calls = []
 
-    def patched(self, cx, what="homology"):
-        calls.append(self.d)
+    def patched(before, after, d, spans, what="homology"):
+        calls.append(d)
         # the check after the first adjunction: plant a change of d_1
-        col = next(iter(cx.diff(self.d).columns.values()))
+        col = next(iter(after.diff(d).columns.values()))
         i = next(iter(col))
         col[i] = col[i].scale(2)
-        return real(self, cx, what)
+        return real(before, after, d, spans, what)
 
-    monkeypatch.setattr(CycleSpace, "check_adjunction", patched)
+    monkeypatch.setattr(tate, "check_adjunction", patched)
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     with pytest.raises(InternalCheckError, match="changed since its cycles were computed"):
         resolve_k(m2_ideal, X, up_to=3)
@@ -416,18 +416,18 @@ def test_cycles_are_not_reused_for_a_changed_differential(monkeypatch, m2_ideal)
 
 def test_each_round_picks_once_and_checks_once(monkeypatch, m2_ideal):
     picks, checks = [], []
-    real_pick, real_check = tate.minimal_module_generators, CycleSpace.check_adjunction
+    real_pick, real_check = tate.minimal_module_generators, tate.check_adjunction
 
     def pick(*args, **kwargs):
         picks.append(1)
         return real_pick(*args, **kwargs)
 
-    def check(self, cx, what="homology"):
-        checks.append(self.d)
-        return real_check(self, cx, what)
+    def check(before, after, d, spans, what="homology"):
+        checks.append(d)
+        return real_check(before, after, d, spans, what)
 
     monkeypatch.setattr(tate, "minimal_module_generators", pick)
-    monkeypatch.setattr(CycleSpace, "check_adjunction", check)
+    monkeypatch.setattr(tate, "check_adjunction", check)
     resolve_k(m2_ideal, TaylorComplex(m2_ideal.ring, m2_ideal.gens), up_to=4)
     assert len(picks) == 3 and checks == [1, 2, 3]
     picks.clear()
@@ -436,18 +436,49 @@ def test_each_round_picks_once_and_checks_once(monkeypatch, m2_ideal):
     assert len(picks) == 3 and checks == [1, 2, 3]
 
 
+def complex_snapshot(cx):
+    """The degrees of cx and every column of every d_n, rows and terms, copied."""
+    return ({n: list(ds) for n, ds in cx.degrees.items()},
+            {n: (list(m.row_degrees), list(m.col_degrees),
+                 [(j, [(i, dict(f.terms)) for i, f in col.items()])
+                  for j, col in m.columns.items()])
+             for n, m in cx.diffs.items()})
+
+
+def test_the_engine_never_changes_an_assembled_complex(monkeypatch, m2_ideal):
+    # check_adjunction compares the complex a round's picks read with the
+    # one assembled after it, and keeps no copy of its own: that is sound
+    # only if an assembled complex stays as it was
+    assembled = {}
+    real = tate.AdjunctionEngine._refresh
+
+    def snapshotting(self):
+        real(self)
+        cx = self._complex
+        if id(cx) not in assembled:
+            assembled[id(cx)] = (cx, complex_snapshot(cx))
+
+    monkeypatch.setattr(tate.AdjunctionEngine, "_refresh", snapshotting)
+    X = closure(m2_ideal, through=4)
+    built_x = len(assembled)
+    Y = resolve_k(m2_ideal, X, up_to=4)
+    assert built_x >= 4 and len(assembled) - built_x >= 4   # one per round and the first
+    assert X.complex is assembled[id(X.complex)][0] and Y.complex is assembled[id(Y.complex)][0]
+    for cx, snapshot in assembled.values():
+        assert complex_snapshot(cx) == snapshot
+
+
 # -- the adjunction check, on one round of k over k[x,y]/(x,y)^2 at n = 3 ----
 
 
 def round_at_3(m2_ideal):
-    """Y with H_3 not yet killed, its cycle space at 3 after the generator
-    picks, the picked generators and their degrees."""
+    """Y with H_3 not yet killed, the picked generators at 3 with the spans
+    of the picks, and the generators' degrees."""
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     cx = resolve_k(m2_ideal, X, up_to=3).complex
-    cycles = CycleSpace(cx, 3)
-    gens = homology_cycle_generators(cx, 3, cycles)
+    gens, spans = homology_generators(cx, 3)
     assert len(gens) == 16   # beta_4 of k over R, see test_semifree_generators_count_betti
-    return cx, cycles, gens, [g.degree(cx.basis_degrees(3)) for g in gens]
+    return cx, spans, gens, [g.degree(cx.basis_degrees(3)) for g in gens]
 
 
 def adjoined(cx, n, columns, col_degrees):
@@ -464,26 +495,26 @@ def adjoined(cx, n, columns, col_degrees):
 
 
 def test_adjunction_check_passes_on_the_true_round(m2_ideal):
-    cx, cycles, gens, degs = round_at_3(m2_ideal)
+    cx, spans, gens, degs = round_at_3(m2_ideal)
     new = adjoined(cx, 3, gens, degs)
-    cycles.check_adjunction(new)
-    assert cycles.spans is None and cycles.boundaries is None
-    assert homology_cycle_generators(new, 3) == []   # the full recomputation agrees
+    check_adjunction(cx, new, 3, spans)
+    # the full recomputations agree
+    assert homology_generators(new, 3)[0] == [] and new.homology_is_zero(3)
 
 
 def test_adjunction_check_refuses_a_changed_old_boundary(m2_ideal):
-    cx, cycles, gens, degs = round_at_3(m2_ideal)
+    cx, spans, gens, degs = round_at_3(m2_ideal)
     new = adjoined(cx, 3, gens, degs)
     col = next(iter(new.diff(4).columns.values()))
     i = next(iter(col))
     col[i] = col[i].scale(2)   # same span, so only the exact comparison sees it
     with pytest.raises(InternalCheckError, match="d_4 changed in its first"):
-        cycles.check_adjunction(new)
+        check_adjunction(cx, new, 3, spans)
 
 
 @pytest.mark.parametrize("plant", ["zero", "old boundary"])
 def test_adjunction_check_reads_the_new_columns_from_the_complex(m2_ideal, plant):
-    cx, cycles, gens, degs = round_at_3(m2_ideal)
+    cx, spans, gens, degs = round_at_3(m2_ideal)
     old = cx.diff(4)
     columns, degs = list(gens), list(degs)
     if plant == "zero":
@@ -492,45 +523,37 @@ def test_adjunction_check_reads_the_new_columns_from_the_complex(m2_ideal, plant
         j = min(old.columns)
         columns[-1], degs[-1] = old.column(j), old.col_degrees[j]
     with pytest.raises(InternalCheckError, match="survived adjunction"):
-        cycles.check_adjunction(adjoined(cx, 3, columns, degs))
+        check_adjunction(cx, adjoined(cx, 3, columns, degs), 3, spans)
 
 
-def test_cycle_space_reuse_checks_d_n_exactly(m2_ideal):
-    X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
-    cx = resolve_k(m2_ideal, X, up_to=3).complex   # H_3 is not killed yet
-    cycles = CycleSpace(cx, 3)
-    gens = homology_cycle_generators(cx, 3)
-    assert len(gens) == 16
-    other = GradedFreeComplex(cx.ring, cx.degrees, {n: m.copy() for n, m in cx.diffs.items()})
-    assert homology_cycle_generators(other, 3, cycles) == gens
-    col = next(iter(other.diff(3).columns.values()))
+def test_adjunction_check_compares_d_n_exactly(m2_ideal):
+    cx, spans, gens, degs = round_at_3(m2_ideal)
+    new = adjoined(cx, 3, gens, degs)
+    col = next(iter(new.diff(3).columns.values()))
     i = next(iter(col))
-    col[i] = col[i].scale(2)
-    with pytest.raises(InternalCheckError, match="changed since"):
-        homology_cycle_generators(other, 3, cycles)
-    with pytest.raises(InternalCheckError, match="changed since"):
-        homology_cycle_generators(cx, 2, cycles)
+    col[i] = col[i].scale(2)   # same Z_3, so only the exact comparison sees it
+    with pytest.raises(InternalCheckError, match="d_3 changed since its cycles were computed"):
+        check_adjunction(cx, new, 3, spans)
 
 
 @pytest.mark.parametrize("n", [3, 2])
-def test_cycle_space_reuse_checks_the_grading(m2_ideal, n):
-    X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
-    cx = resolve_k(m2_ideal, X, up_to=3).complex
-    cycles = CycleSpace(cx, 3)
-    degrees = dict(cx.degrees)
+def test_adjunction_check_compares_the_grading(m2_ideal, n):
+    cx, spans, gens, degs = round_at_3(m2_ideal)
+    new = adjoined(cx, 3, gens, degs)
+    degrees = dict(new.degrees)
     degrees[n] = [degrees[n][0] + 1] + degrees[n][1:]   # same d_3, one element regraded
-    regraded = GradedFreeComplex(cx.ring, degrees, cx.diffs)
-    with pytest.raises(InternalCheckError, match="changed since"):
-        homology_cycle_generators(regraded, 3, cycles)
+    regraded = GradedFreeComplex(cx.ring, degrees, new.diffs)
+    with pytest.raises(InternalCheckError, match="d_3 changed since its cycles were computed"):
+        check_adjunction(cx, regraded, 3, spans)
 
 
 def test_generator_picks_over_the_zero_ideal_skip_the_normal_form(monkeypatch, m2_ideal):
     # the boundary columns and cycles of a semifree complex, over Q
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     cx = resolve_k(m2_ideal, X, up_to=3).complex
-    cycles = CycleSpace(cx, 3)
-    diff = cx.diff(4)
-    boundaries = [diff.column(j) for j in range(diff.cols)]
+    d3, d4 = cx.diff(3), cx.diff(4)
+    cycles = syzygies_of([d3.column(j) for j in range(d3.cols)], d3.rows, cx.ring)
+    boundaries = [d4.column(j) for j in range(d4.cols)]
     normal_forms = []
     real = Ideal.normal_form
 
@@ -542,7 +565,7 @@ def test_generator_picks_over_the_zero_ideal_skip_the_normal_form(monkeypatch, m
 
     def picks():
         spans = {}
-        chosen = minimal_module_generators(cycles.gens, cx.basis_degrees(3), Ideal(cx.ring, []),
+        chosen = minimal_module_generators(cycles, cx.basis_degrees(3), Ideal(cx.ring, []),
                                            extra_span=boundaries, spans=spans)
         return chosen, {d: (strand.pairs, list(ech.pivots.items()), vectors)
                         for d, (strand, ech, vectors) in spans.items()}

@@ -20,6 +20,10 @@ branch (an operator of degree (length - 1)) past the left arguments is
 computed explicitly; sigma is a fixed convention whose correctness is not
 trusted: no pipeline calls stasheff_check, and the tests run it (Tier-1
 criterion 6, tests/test_ainfty.py) on the structures the pipelines build.
+A structure is bounded by its arity cap only: stasheff_check and
+check_minimality take the degree cap of the slot tuples they evaluate
+from their caller, and no pipeline reads one (caps.degree is echoed in
+the report and read by nothing).
 
 All operations are strictly unital and evaluated lazily with memoization
 keyed by small-complex basis tuples.
@@ -52,12 +56,11 @@ class _Transferred:
     name = "m"
     has_y_slot = False
 
-    def __init__(self, ctr: Contraction, big, arity_cap: int, degree_cap: int):
+    def __init__(self, ctr: Contraction, big, arity_cap: int):
         self.ctr = ctr
         self._times = big.action_terms
         self.complex = ctr.small
         self.arity_cap = arity_cap
-        self.degree_cap = degree_cap
         self._cache = {}
 
     @property
@@ -135,8 +138,8 @@ class _Transferred:
 class AInfAlgebra(_Transferred):
     """A-infinity operations on the minimal complex of a contraction onto a dg algebra."""
 
-    def __init__(self, ctr: Contraction, big_algebra, arity_cap: int = 4, degree_cap: int = 10):
-        super().__init__(ctr, big_algebra, arity_cap, degree_cap)
+    def __init__(self, ctr: Contraction, big_algebra, arity_cap: int = 4):
+        super().__init__(ctr, big_algebra, arity_cap)
         self.alg = self
 
     def unit_ref(self):
@@ -153,9 +156,8 @@ class AInfModule(_Transferred):
     name = "mu"
     has_y_slot = True
 
-    def __init__(self, alg: AInfAlgebra, ctr_y: Contraction, big_module,
-                 arity_cap: int = 4, degree_cap: int = 10):
-        super().__init__(ctr_y, big_module, arity_cap, degree_cap)
+    def __init__(self, alg: AInfAlgebra, ctr_y: Contraction, big_module, arity_cap: int = 4):
+        super().__init__(ctr_y, big_module, arity_cap)
         self.alg = alg
 
     def op(self, n: int, refs) -> FreeModuleElement:
@@ -231,10 +233,9 @@ def _stasheff_identity(structure, n: int, refs) -> FreeModuleElement:
     return FreeModuleElement(ring, total)
 
 
-def stasheff_check(structure, n: int, degree_cap: int | None = None):
+def stasheff_check(structure, n: int, degree_cap: int):
     """Evaluate the n-th identity on every slot tuple within the degree cap."""
-    cap = structure.degree_cap if degree_cap is None else degree_cap
-    for refs in _slot_tuples(structure, n, cap):
+    for refs in _slot_tuples(structure, n, degree_cap):
         val = _stasheff_identity(structure, n, refs)
         if val.coords:
             raise InternalCheckError(
@@ -242,10 +243,11 @@ def stasheff_check(structure, n: int, degree_cap: int | None = None):
     return True
 
 
-def check_minimality(structure):
-    """m_n of positive-degree algebra inputs lands in n * X for minimal X."""
+def check_minimality(structure, degree_cap: int):
+    """m_n of positive-degree algebra inputs within the degree cap lands in
+    n * X for minimal X."""
     for n in range(2, structure.arity_cap + 1):
-        for refs in _slot_tuples(structure, n, structure.degree_cap, minimality=True):
+        for refs in _slot_tuples(structure, n, degree_cap, minimality=True):
             for f in structure._op(n, refs).coords.values():
                 if f.constant_coeff():
                     raise InternalCheckError(f"{structure.name}_{n}{refs} has a unit coordinate")

@@ -106,8 +106,8 @@ def burch_cycles(bd: BurchData, X: GradedFreeComplex) -> BurchCycleSet:
     zero_ideal = Ideal(ring, [])
     omegas = [cyc.omega for cyc in out.cycles.values()]
     kept = minimal_module_generators(omegas, degrees, zero_ideal,
-                                     extra_span=[w.mul_poly(g) for w in z1
-                                                 for g in ring.maximal_ideal_gens()])
+                                     extra_span=[(w.mul_poly(g), w.degree(degrees) + 1)
+                                                 for w in z1 for g in ring.maximal_ideal_gens()])
     if len(kept) != len(omegas):
         raise InternalCheckError("Burch cycles are dependent modulo n Z_1")
     return out

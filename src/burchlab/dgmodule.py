@@ -33,27 +33,22 @@ from .tate import AdjunctionEngine
 
 
 class SemifreeDgModule(AdjunctionEngine, DgModule):
-    """X-semifree module with generator basis (t, i) = (generator, algebra basis)."""
+    """X-semifree module with generator basis (t, i) = (generator, algebra basis).
+    Generator t is self.generators[t]; d(g_t) is in basis pairs (t', i') of Y."""
 
     def __init__(self, algebra: DgAlgebra, degree_cap: int):
         super().__init__(algebra.ring, degree_cap)  # no basis above degree_cap
         self.algebra = algebra
-        self.gen_hom_degrees = []       # homological degree of each generator
-        self.gen_int_degrees = []       # internal degree label
-        self.gen_diffs = []             # d(g_t) in basis pairs (t', i') of Y, or None
 
-    def add_generator(self, hom_degree: int, int_degree: int, diff: dict | None):
-        self.gen_hom_degrees.append(hom_degree)
-        self.gen_int_degrees.append(int_degree)
-        self.gen_diffs.append(diff)
-        self._stale = True
+    def add_generator(self, hom_degree: int, int_degree: int, diff: dict):
+        self._append(hom_degree, int_degree, diff)
 
     def _keys_by_degree(self):
         # pairs sort by (t, i), and a new generator gets the next t, so
         # adjoining appends pairs at the end of each degree
         X = self.algebra.complex
         basis = {}
-        for t, gdeg in enumerate(self.gen_hom_degrees):
+        for t, (gdeg, _, _) in enumerate(self.generators):
             for d in range(min(X.top(), self.degree_cap - gdeg) + 1):
                 basis.setdefault(d + gdeg, []).extend((t, i) for i in range(X.rank(d)))
         return basis
@@ -64,21 +59,22 @@ class SemifreeDgModule(AdjunctionEngine, DgModule):
 
     def _key_internal_degree(self, n, key) -> int:
         t, i = key
-        return self.algebra.complex.basis_degrees(n - self.gen_hom_degrees[t])[i] \
-            + self.gen_int_degrees[t]
+        gdeg, internal, _ = self.generators[t]
+        return self.algebra.complex.basis_degrees(n - gdeg)[i] + internal
 
     def _key_image(self, n, key) -> dict:
         """d(b_i (x) g_t) = d(b_i) (x) g_t + (-1)^|b_i| b_i * d(g_t), in pairs."""
         t, i = key
-        X = self.algebra.complex
-        d = n - self.gen_hom_degrees[t]
+        X, gens = self.algebra.complex, self.generators
+        gdeg, _, diff = gens[t]
+        d = n - gdeg
         out = {}
         if d >= 1:
             for i2, f in X.diff(d).columns.get(i, {}).items():
                 add_into(out, (t, i2), f)
         sign = -1 if d % 2 else 1
-        for (t2, i2), g in (self.gen_diffs[t] or {}).items():
-            d2 = self.gen_hom_degrees[t] - 1 - self.gen_hom_degrees[t2]
+        for (t2, i2), g in diff.items():
+            d2 = gdeg - 1 - gens[t2].degree
             for i3, m, c in self.algebra.product_terms(d, i, d2, i2):
                 add_into(out, (t2, i3), g.mul_term(m, sign * c))
         return out
@@ -86,7 +82,7 @@ class SemifreeDgModule(AdjunctionEngine, DgModule):
     def action_terms(self, dx, ix, ny, iy) -> tuple:
         self._refresh()
         t, i = self._basis[ny][iy]
-        terms = self.algebra.product_terms(dx, ix, ny - self.gen_hom_degrees[t], i)
+        terms = self.algebra.product_terms(dx, ix, ny - self.generators[t].degree, i)
         if not terms:
             return ()
         pos = self._pos[dx + ny]
@@ -110,7 +106,7 @@ def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra, up_t
     """
     Y = SemifreeDgModule(algebra, degree_cap=up_to + 1)
     for gdeg in pres.gen_degrees:
-        Y.add_generator(0, gdeg, None)
+        Y.add_generator(0, gdeg, {})
     # relation killers in homological degree 1, on the pairs (r, unit of X)
     for v in pres.relations:
         Y.add_generator(1, v.degree(pres.gen_degrees), {(r, 0): f for r, f in v.coords.items()})

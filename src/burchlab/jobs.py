@@ -164,9 +164,11 @@ def _parse_caps(caps_doc) -> Caps:
             continue
         v = caps_doc[key]
         if key == "generalQs":
-            if not isinstance(v, list) or not v or not all(_is_int(q) and q >= 4 for q in v):
-                raise InputError(f"caps.generalQs must be a nonempty list of integers >= 4, "
-                                 f"got {v!r}")
+            # verify-general builds its bar to q + 1, within check_hom_degree's 2..12
+            if (not isinstance(v, list) or not v
+                    or not all(_is_int(q) and 4 <= q <= 11 for q in v)):
+                raise InputError(f"caps.generalQs must be a nonempty list of integers "
+                                 f"between 4 and 11, got {v!r}")
             v = tuple(v)
         elif not _is_int(v):
             raise InputError(f"caps.{key} must be an integer, got {v!r}")

@@ -41,8 +41,8 @@ class FreeModuleElement:
         self.coords = coords
 
     @classmethod
-    def basis(cls, ring, i, coeff=None):
-        return cls(ring, {i: coeff if coeff is not None else ring.one()})
+    def basis(cls, ring, i):
+        return cls(ring, {i: ring.one()})
 
     def __bool__(self):
         return bool(self.coords)
@@ -120,17 +120,13 @@ class PolyMatrix:
 
     __slots__ = ("ring", "rows", "cols", "row_degrees", "col_degrees", "columns")
 
-    def __init__(self, ring, row_degrees, col_degrees, entries=None):
+    def __init__(self, ring, row_degrees, col_degrees):
         self.ring = ring
         self.row_degrees = list(row_degrees)
         self.col_degrees = list(col_degrees)
         self.rows = len(self.row_degrees)
         self.cols = len(self.col_degrees)
         self.columns = {}  # j -> {i -> Polynomial}
-        if entries:
-            for (i, j), f in entries.items():
-                if f:
-                    self.columns.setdefault(j, {})[i] = f
 
     @classmethod
     def from_columns(cls, ring, row_degrees, columns, col_degrees):
@@ -149,10 +145,6 @@ class PolyMatrix:
         for i in range(len(m.row_degrees)):
             m.columns[i] = {i: one}
         return m
-
-    @classmethod
-    def zero(cls, ring, row_degrees, col_degrees):
-        return cls(ring, row_degrees, col_degrees)
 
     def entry(self, i, j) -> Polynomial:
         col = self.columns.get(j)

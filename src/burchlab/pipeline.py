@@ -40,8 +40,8 @@ ORACLE_THROUGH = 9
 class Caps:
     hom_degree: int = 10
     arity: int = 4
-    degree: int = 10
-    brute_force_dim: int = 400
+    degree: int = 10             # echo-only: no pipeline reads it
+    brute_force_dim: int = 400   # echo-only
     general_qs: tuple = (4, 5)
 
 
@@ -106,27 +106,30 @@ def taylor_generators(ctx: RingContext) -> list:
     return gens
 
 
-def taylor_algebra(ctx: RingContext) -> TaylorComplex:
-    return TaylorComplex(ctx.ring, taylor_generators(ctx), verify=False)
+# How deep each pair grows Y (build_semifree_resolution to up_to: every
+# generator of degree <= up_to, H_n(Y) = 0 checked for 1 <= n < up_to):
+# * dg pair: Y to the bar's cap.  B(R, X, Y) to the cap reads y of degree
+#   <= cap only, and the cycles read psi(x) = x * y_0 at x = 1 and x = e
+#   only; a generator of degree cap + 1 would only append basis pairs of
+#   degree >= cap + 1, so Y_(<=cap) and d_1..d_cap are the same without it.
+# * A-infinity pair: the dg pair to hom_degree + 2, Y's minimal model kept
+#   through hom_degree + 1 (Contraction.truncated), where it is the minimal
+#   resolution of M over Q; above lie the unkilled H_(hom_degree + 2) and
+#   Y's top degree, which has no generators of its own.
+# * fast path: Y complete, the Taylor complex of the J-list.
 
 
 def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str = "taylor"):
-    """Dg algebra resolution X of R and semifree dg X-module Y of M.
+    """Dg algebra resolution X of R and semifree dg X-module Y of M, Y to
+    the cap (see the depths above).
 
     algebra = "taylor" uses the Taylor complex (monomial ideals; products of
     coprime generators are unit multiples of basis elements).  "tate" uses
     the acyclic closure, whose free underlying algebra the odd-degree
     general-case cycles require.
-
-    Y has every generator of degree <= cap and is checked exact in degrees
-    1..cap-1; H_cap(Y) is not killed.  That is all its readers use:
-    BarComplex(X, Y, cap) takes y of degree <= cap only, and the cycles read
-    psi(x) = x * y_0 at x = 1 and x = e only.  A generator of degree
-    cap + 1 would only add basis pairs of degree >= cap + 1, and pairs are
-    append-only, so Y_(<=cap) and d_1..d_cap are the same without that round.
     """
     if algebra == "taylor":
-        X = taylor_algebra(ctx)
+        X = TaylorComplex(ctx.ring, taylor_generators(ctx), verify=False)
     elif algebra == "tate":
         X = acyclic_closure(ctx.ring, ctx.minimal_gens, through=cap)
     else:
@@ -135,7 +138,8 @@ def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str =
 
 
 def ainf_pair(ctx: RingContext, pres: ModulePresentation, caps: Caps):
-    """Transferred A-infinity structures on the minimal resolutions of R and M."""
+    """Transferred A-infinity structures on the minimal resolutions of R and
+    M (see the depths above)."""
     cyclic_monomial = (
         pres.ambient_rank == 1
         and all(len(v.coords) == 1 and 0 in v.coords and len(v.coords[0].terms) == 1
@@ -148,13 +152,10 @@ def ainf_pair(ctx: RingContext, pres: ModulePresentation, caps: Caps):
             ctx.ring, taylor_generators(ctx), [v.coords[0] for v in pres.relations])
         ctr_y = minimalize(big_module.complex)
     else:
-        X = taylor_algebra(ctx)
-        big_module = build_semifree_resolution(pres, X, up_to=caps.hom_degree + 2)
+        X, big_module = dg_pair(ctx, pres, caps.hom_degree + 2)
         ctr_y = minimalize(big_module.complex).truncated(caps.hom_degree + 1)
-    ctr_x = minimalize(X.complex)
-    alg = AInfAlgebra(ctr_x, X, arity_cap=caps.arity, degree_cap=caps.degree)
-    mod = AInfModule(alg, ctr_y, big_module, arity_cap=caps.arity, degree_cap=caps.degree)
-    return alg, mod
+    alg = AInfAlgebra(minimalize(X.complex), X, arity_cap=caps.arity)
+    return alg, AInfModule(alg, ctr_y, big_module, arity_cap=caps.arity)
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,9 @@ def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span
 
     Elements must be homogeneous columns in R^ambient (normal form).  The
     selection order is (degree, insertion order), so results are stable.
-    extra_span elements are quotiented out in every degree (all multiples),
-    so with extra_span = boundaries this picks homology generators.
+    extra_span holds (element, degree) pairs whose elements are quotiented
+    out in every degree (all multiples), so with extra_span = boundaries
+    this picks homology generators.
 
     spans, when given, receives for each degree d of an element the triple
     (strand, echelon, vectors): the strand of degree d, the echelon of
@@ -106,18 +107,13 @@ def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span
     table = quotient.table()
     reduce = not quotient.is_zero()   # over the zero ideal the normal form is the identity
 
-    def graded(vectors):
-        out = []
-        for v in vectors:
-            w = v.map_coords(quotient.normal_form) if reduce else v
-            if w.coords:
-                out.append((w, w.degree(gen_degrees)))
-        return out
+    def reduced(v):
+        return v.map_coords(quotient.normal_form) if reduce else v
 
-    elems = graded(elements)
+    elems = [(w, w.degree(gen_degrees)) for w in map(reduced, elements) if w.coords]
     if not elems:
         return []
-    extra = graded(extra_span or [])
+    extra = [(w, dg) for w, dg in ((reduced(v), dg) for v, dg in extra_span or ()) if w.coords]
     chosen = []
     for d in sorted({dg for _, dg in elems}):
         strand = Strand(table, gen_degrees, d)

@@ -19,6 +19,7 @@ like e * f of basis variables stay basis monomials instead of degenerating.
 from __future__ import annotations
 
 from math import comb
+from typing import NamedTuple
 
 from .complexes import GradedFreeComplex, keyed_complex
 from .errors import InternalCheckError, check_rank
@@ -29,26 +30,36 @@ from .ring import PolyRing
 from .taylor import DgAlgebra
 
 
+class Generator(NamedTuple):
+    """One adjoined generator: a Tate variable or a semifree generator."""
+
+    degree: int          # homological degree
+    internal: int        # internal (polynomial) degree
+    diff: dict           # differential in basis keys of degree - 1
+
+
 class AdjunctionEngine:
     """A complex free on basis keys, grown by adjoining generators that kill
     its homology degree by degree.
 
     TateAlgebra (keys: monomials in its variables) and SemifreeDgModule
     (keys: pairs (t, i), generator t times basis element i of X) extend it.
-    A subclass lists its keys through degree_cap (_keys_by_degree) and gives
-    each key of degree d its internal degree (_key_internal_degree) and its
-    differential in keys of degree d - 1 (_key_image).  The engine sorts
-    each degree's keys into the basis, checks the total rank against the
-    rank guard, and assembles the differentials with keyed_complex.  The
-    image of a key is computed once and kept while _image_source() is the
-    same object: it depends only on the key and the generators in it, which
-    adjoining never changes.  Positions do move, so keyed_complex maps the
-    kept images to them at every assembly.
+    Both keep their generators in one list of Generator records (_append).
+    A subclass lists its keys through degree_cap (_keys_by_degree) and
+    gives each key of degree d its internal degree (_key_internal_degree)
+    and its differential in keys of degree d - 1 (_key_image).  The engine
+    sorts each degree's keys into the basis, checks the total rank against
+    the rank guard, and assembles the differentials with keyed_complex.
+    The image of a key is computed once and kept while _image_source() is
+    the same object: it depends only on the key and the generators in it,
+    which adjoining never changes.  Positions do move, so keyed_complex
+    maps the kept images to them at every assembly.
     """
 
     def __init__(self, ring: PolyRing, degree_cap: int):
         self._ring = ring
         self.degree_cap = degree_cap
+        self.generators = []       # Generator records, in the order adjoined
         self._stale = True
         self._basis = None         # d -> sorted list of keys
         self._pos = None           # d -> {key: position}, from keyed_complex
@@ -62,6 +73,10 @@ class AdjunctionEngine:
 
     def _image_source(self):
         return None
+
+    def _append(self, degree: int, internal: int, diff: dict):
+        self.generators.append(Generator(degree, internal, diff))
+        self._stale = True
 
     def _refresh(self):
         """Re-list the basis and assemble the differentials (keyed_complex)."""
@@ -121,33 +136,19 @@ class AdjunctionEngine:
 
 
 class TateAlgebra(AdjunctionEngine, DgAlgebra):
-    """Free graded-commutative divided-power dg algebra over Q, degree-capped."""
-
-    def __init__(self, ring: PolyRing, degree_cap: int):
-        super().__init__(ring, degree_cap)
-        self.var_degrees = []          # degree of each adjoined variable
-        self.var_diffs = []            # mono-keyed elements {mono: Polynomial}
-        self.var_internal = []         # internal (polynomial) degree of each variable
+    """Free graded-commutative divided-power dg algebra over Q, degree-capped.
+    Variable v is self.generators[v]; its differential is mono-keyed."""
 
     # -- monomial bookkeeping ---------------------------------------------
 
     def key_degree(self, key) -> int:
-        return sum(self.var_degrees[v] * e for v, e in key)
+        return sum(self.generators[v].degree * e for v, e in key)
 
-    def adjoin(self, degree: int, diff_elt: dict):
-        """Add a variable of the given degree with d(var) = diff_elt (mono-keyed)."""
+    def adjoin(self, degree: int, internal: int, diff: dict):
+        """Add a variable of the given degrees with d(var) = diff (mono-keyed)."""
         if degree < 1:
             raise ValueError("variables must have positive degree")
-        # the internal degree is read off one term of d(var), which lives in
-        # the earlier variables; a variable with d(var) = 0 gets degree 0
-        internal = 0
-        if diff_elt:
-            key, f = next(iter(diff_elt.items()))
-            internal = f.degree() + self._key_internal_degree(degree - 1, key)
-        self.var_degrees.append(degree)
-        self.var_diffs.append(dict(diff_elt))
-        self.var_internal.append(internal)
-        self._stale = True
+        self._append(degree, internal, diff)
 
     def _keys_by_degree(self):
         # one variable at a time, with no recursion (a closure can have
@@ -155,7 +156,7 @@ class TateAlgebra(AdjunctionEngine, DgAlgebra):
         cap = self.degree_cap
         by_degree = {d: [] for d in range(cap + 1)}
         by_degree[0].append(())
-        for v, vdeg in enumerate(self.var_degrees):
+        for v, (vdeg, _, _) in enumerate(self.generators):
             max_e = 1 if vdeg % 2 == 1 else cap   # exterior or divided powers
             # downward, so no key takes v twice: new keys land above d
             for d in range(cap - vdeg, -1, -1):
@@ -166,14 +167,15 @@ class TateAlgebra(AdjunctionEngine, DgAlgebra):
     def _key_internal_degree(self, _d, key) -> int:
         """Internal (polynomial) degree of a basis monomial: sum over factors of
         the internal degree of the variable."""
-        return sum(e * self.var_internal[v] for v, e in key)
+        return sum(e * self.generators[v].internal for v, e in key)
 
     # -- algebra operations on monomial keys -------------------------------
 
     def mul_keys(self, k1, k2):
         """(sign, binomial coefficient, product key) or None when it vanishes."""
-        odd1 = [v for v, e in k1 if self.var_degrees[v] % 2 == 1]
-        odd2 = [v for v, e in k2 if self.var_degrees[v] % 2 == 1]
+        gens = self.generators
+        odd1 = [v for v, e in k1 if gens[v].degree % 2 == 1]
+        odd2 = [v for v, e in k2 if gens[v].degree % 2 == 1]
         if set(odd1) & set(odd2):
             return None
         inv = sum(1 for u in odd1 for w in odd2 if w < u)
@@ -225,12 +227,12 @@ class TateAlgebra(AdjunctionEngine, DgAlgebra):
         prefix: list = []
         prefix_deg = 0
         for t, (v, e) in enumerate(key):
-            vdeg = self.var_degrees[v]
+            vdeg, _, dv = self.generators[v]
             rhs = []
             if vdeg % 2 == 0 and e >= 2:
                 rhs.append((v, e - 1))
             rhs.extend(key[t + 1:])
-            inner = self.mul_elt_elt(self.var_diffs[v], {tuple(rhs): ring.one()})
+            inner = self.mul_elt_elt(dv, {tuple(rhs): ring.one()})
             for k, f in self.mul_key_elt(tuple(prefix), inner).items():
                 add_into(out, k, -f if prefix_deg % 2 else f)
             prefix.append((v, e))
@@ -260,9 +262,10 @@ def homology_generators(cx: GradedFreeComplex, d: int):
     gens = syzygies_of([diff.column(j) for j in range(diff.cols)], diff.rows, cx.ring)
     if not gens:
         return [], spans
-    up = cx.diff(d + 1)
+    up, degrees = cx.diff(d + 1), cx.basis_degrees(d + 1)
     picks = minimal_module_generators(gens, cx.basis_degrees(d), Ideal(cx.ring, []),
-                                      extra_span=[up.column(j) for j in range(up.cols)],
+                                      extra_span=[(up.column(j), degrees[j])
+                                                  for j in range(up.cols)],
                                       spans=spans)
     return picks, spans
 
@@ -320,7 +323,7 @@ def acyclic_closure(ring: PolyRing, gens, through: int) -> TateAlgebra:
     """
     alg = TateAlgebra(ring, degree_cap=through)
     for a in gens:
-        alg.adjoin(1, {(): a})
-    alg.kill_homology(through, lambda degree, _internal, diff: alg.adjoin(degree, diff))
+        alg.adjoin(1, a.degree(), {(): a})
+    alg.kill_homology(through, alg.adjoin)
     alg.complex.check_dd_zero()
     return alg

@@ -275,13 +275,13 @@ def test_criterion_6_transfer_correctness(hyper_ideal, m2_ideal, m23_ideal,
         R = I.ring
         X, Ymod = taylor_module_fast_path(
             R, minimal_generators(I.gens, R), [R.parse(s) for s in mod_gens])
-        alg = AInfAlgebra(minimalize(X.complex), X, degree_cap=6)
-        mod = AInfModule(alg, minimalize(Ymod.complex), Ymod, degree_cap=6)
+        alg = AInfAlgebra(minimalize(X.complex), X)
+        mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
         for n in range(1, 5):
-            stasheff_check(alg, n)
-            stasheff_check(mod, n)
-        check_minimality(alg)
-        check_minimality(mod)
+            stasheff_check(alg, n, 6)
+            stasheff_check(mod, n, 6)
+        check_minimality(alg, 6)
+        check_minimality(mod, 6)
     # the hypersurface module: nontrivial transferred action
     R1 = hyper_ideal.ring
     X1 = TaylorComplex(R1, [R1.parse("x^2")])
@@ -290,7 +290,7 @@ def test_criterion_6_transfer_correctness(hyper_ideal, m2_ideal, m23_ideal,
     alg1 = AInfAlgebra(minimalize(X1.complex), X1, arity_cap=5)
     mod1 = AInfModule(alg1, minimalize(Y1.complex).truncated(7), Y1, arity_cap=5)
     for n in range(1, 5):
-        stasheff_check(mod1, n)
+        stasheff_check(mod1, n, 10)
     assert str(mod1.op(2, ((1, 0), (0, 0))).coords[0]) == "x"
     # identity contraction reproduces the dg product with m_{>=3} = 0
     K = TaylorComplex(R1, [R1.parse("x^2")])

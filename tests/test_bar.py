@@ -53,9 +53,9 @@ def test_bar_checks_its_rank_formula_at_construction(monkeypatch, hyper_ideal):
 
 def test_ainf_bar_periodicity_matches_resolution_oracle(hyper_ideal, hyper_pair):
     X, Y = hyper_pair
-    algX = AInfAlgebra(minimalize(X.complex), X, arity_cap=4, degree_cap=10)
+    algX = AInfAlgebra(minimalize(X.complex), X, arity_cap=4)
     ctrY = minimalize(Y.complex).truncated(8)
-    mod = AInfModule(algX, ctrY, Y, arity_cap=4, degree_cap=10)
+    mod = AInfModule(algX, ctrY, Y, arity_cap=4)
     B = BarComplex(algX, mod, hyper_ideal, cap=8, exact_through=7)
     ranks = B.rank_formula_check()
     # independent oracle: the minimal R-free resolution of k
@@ -73,8 +73,8 @@ def bione_structures(bione_ideal, regime):
         R, minimal_generators(bione_ideal.gens, R), [R.parse("x^2"), R.parse("y")])
     if regime == "dg":
         return X, Ymod
-    alg = AInfAlgebra(minimalize(X.complex), X, arity_cap=4, degree_cap=10)
-    return alg, AInfModule(alg, minimalize(Ymod.complex), Ymod, arity_cap=4, degree_cap=10)
+    alg = AInfAlgebra(minimalize(X.complex), X, arity_cap=4)
+    return alg, AInfModule(alg, minimalize(Ymod.complex), Ymod, arity_cap=4)
 
 
 @pytest.mark.parametrize("regime", ["dg", "ainf"])
@@ -396,9 +396,9 @@ def test_dg_pair_builds_y_through_the_bar_cap_only(ctx_m2, m2_ideal, algebra):
     cap = 5
     k = ModulePresentation.residue_field(m2_ideal)
     X, Y = dg_pair(ctx_m2, k, cap=cap, algebra=algebra)
-    assert max(Y.gen_hom_degrees) == cap
+    assert max(g.degree for g in Y.generators) == cap
     deep = build_semifree_resolution(k, X, up_to=cap + 1)
-    assert max(deep.gen_hom_degrees) == cap + 1
+    assert max(g.degree for g in deep.generators) == cap + 1
     for n in range(cap + 1):
         assert Y.complex.basis_degrees(n) == deep.complex.basis_degrees(n)
     for n in range(1, cap + 1):

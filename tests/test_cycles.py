@@ -84,7 +84,7 @@ def test_splitting_zero_boundary_mode(m2_ideal, bione_data):
     from burchlab.groebner import syzygy_matrix
     v = FreeModuleElement(R, {0: R.one()})
     import burchlab.matrices as mats
-    zero = mats.PolyMatrix.zero(R, [0], [3])
+    zero = mats.PolyMatrix(R, [0], [3])
     verdict = splitting_check(v, zero, bd)
     assert verdict.kind == "zero_boundary"
     assert verdict.ok

@@ -56,6 +56,24 @@ def test_golod_check_free_module_is_not_golod(m2_ideal):
     assert rep["barRanks"] == rep["poincareBound"] == [1, 3, 5, 11, 21, 43]
 
 
+@pytest.mark.parametrize("module", [
+    {"presentation": {"generatorDegrees": [0, 0], "relations": [["x", "0"], ["y", "x"]]}},
+    {"cyclic": ["x+y"]},
+])
+def test_presented_module_pm_over_q_is_the_q_resolution(module):
+    # ainf_pair's semifree Y is exact through homDegree + 1 only; its minimal
+    # model above that degree (the unkilled homology and Y's top degree) is
+    # cut off, else PMoverQ grows entries no Q-resolution of M has
+    from burchlab.cli import run_command
+    from burchlab.oracle import resolve_over_Q
+
+    spec = parse_job(m2_job(module=module, caps={"homDegree": 5}))
+    body, code = run_command("verify-golod", spec)
+    pres = spec.presentation(spec.context())
+    assert body["golod"]["PMoverQ"] == resolve_over_Q(pres).poincare_coeffs()
+    assert code == 0
+
+
 # -- job parsing --------------------------------------------------------------
 
 
@@ -275,6 +293,7 @@ def m2_job(**overrides):
     {"degree": 2.5}, {"bruteForceDim": True}, {"generalQs": []}, {"generalQs": [3]}, 5,
     {"arity": 1}, {"arity": 0}, {"arity": -3},
     {"homdegree": 3},
+    {"generalQs": [12]},
 ])
 def test_cli_bad_caps_exit_code(tmp_path, capsys, caps):
     from burchlab.cli import main
@@ -284,6 +303,12 @@ def test_cli_bad_caps_exit_code(tmp_path, capsys, caps):
     assert main(["burch", "--job", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: caps") and err.count("\n") == 1
+
+
+def test_general_qs_through_11_parse():
+    # q = 11 builds its bar to 12, the largest cap check_hom_degree allows
+    assert parse_job(m2_job(caps={"generalQs": [11]})).caps.general_qs == (11,)
+    assert parse_job(m2_job(caps={"generalQs": [4, 11]})).caps.general_qs == (4, 11)
 
 
 def test_cli_unknown_caps_key_names_the_key(tmp_path, capsys):
@@ -337,7 +362,7 @@ def test_parse_job_caps_fuzz(caps):
         return
     assert isinstance(spec.caps.hom_degree, int) and 2 <= spec.caps.hom_degree <= 12
     assert spec.caps.arity >= 2
-    assert spec.caps.general_qs and all(q >= 4 for q in spec.caps.general_qs)
+    assert spec.caps.general_qs and all(4 <= q <= 11 for q in spec.caps.general_qs)
 
 
 def test_cli_internal_error_exit_code(monkeypatch, capsys):

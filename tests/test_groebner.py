@@ -202,7 +202,7 @@ def test_mat_apply_identity_and_zero(R):
     v = FreeModuleElement(R, {0: R.parse("x+y"), 1: R.parse("y^2")})
     ident = PolyMatrix.identity(R, [0, 1])
     assert ident.apply(v) == v
-    zero = PolyMatrix.zero(R, [0], [0, 1])
+    zero = PolyMatrix(R, [0], [0, 1])
     assert not zero.apply(v).coords
 
 

@@ -61,6 +61,10 @@ The thirteenth check keeps imports live: every name a module-level import
 binds in src/burchlab/*.py is read in that module, so a move leaves no
 import behind.  __init__.py is exempt; its imports are the package's
 re-exports.
+
+The fourteenth check keeps the growing of resolutions for the pipelines
+in one place: in pipeline.py only dg_pair calls build_semifree_resolution
+or acyclic_closure, so the A-infinity pair takes its X and Y from it.
 """
 
 from __future__ import annotations
@@ -536,3 +540,27 @@ def test_the_import_scan_sees_a_stale_import():
                "def f(x: Ideal) -> S:\n"
                "    return os.path.join(x)\n")
     assert _unread_imports(planted, "m.py") == ["m.py: rank_of"]
+
+
+# -- one dg-pair builder ----------------------------------------------------------------
+
+RESOLUTION_BUILDERS = {"build_semifree_resolution", "acyclic_closure"}
+
+
+def test_only_dg_pair_grows_resolutions_in_the_pipeline():
+    path = PACKAGE / "pipeline.py"
+    assert _callers(path.read_text(encoding="utf-8"), path.name, RESOLUTION_BUILDERS) == [
+        "pipeline.py: dg_pair"]
+
+
+def test_the_resolution_scan_sees_a_duplicate():
+    planted = ("def dg_pair(ctx, pres, cap, algebra='taylor'):\n"
+               "    X = acyclic_closure(ctx.ring, ctx.minimal_gens, through=cap)\n"
+               "    return X, build_semifree_resolution(pres, X, up_to=cap)\n"
+               "def ainf_pair(ctx, pres, caps):\n"
+               "    X = TaylorComplex(ctx.ring, taylor_generators(ctx), verify=False)\n"
+               "    return X, dgmodule.build_semifree_resolution(pres, X, up_to=caps.hom_degree)\n"
+               "def bar_report(ctx, pres, caps, regime):\n"
+               "    return dg_pair(ctx, pres, cap=caps.hom_degree)\n")
+    assert _callers(planted, "m.py", RESOLUTION_BUILDERS) == ["m.py: dg_pair",
+                                                              "m.py: ainf_pair"]

@@ -56,7 +56,7 @@ def test_tate_basis_listing_takes_thousands_of_variables(m2_ideal):
     # 1,000 variables; a closure can have more
     A = TateAlgebra(m2_ideal.ring, degree_cap=2)
     for degree in [2] * 600 + [3] * 600:   # 600 of them above the cap
-        A.adjoin(degree, {})
+        A.adjoin(degree, 0, {})
     assert A.complex.poincare_coeffs() == [1, 0, 600]
     assert A._basis[2] == [((v, 1),) for v in range(600)]
 
@@ -64,7 +64,7 @@ def test_tate_basis_listing_takes_thousands_of_variables(m2_ideal):
 def test_divided_power_arithmetic(m2_ideal):
     A = closure(m2_ideal, through=6)
     # gamma_a(v) * gamma_b(v) = binom(a+b, a) gamma_{a+b}(v) for a degree-2 variable
-    v = next(i for i, d in enumerate(A.var_degrees) if d == 2)
+    v = next(i for i, g in enumerate(A.generators) if g.degree == 2)
     hit = A.mul_keys(((v, 1),), ((v, 1),))
     assert hit is not None
     sign, coeff, key = hit
@@ -237,13 +237,27 @@ def test_semifree_trivial_module_is_the_algebra(m2_ideal):
     assert Y.complex.poincare_coeffs() == X.complex.poincare_coeffs()
 
 
+@pytest.mark.parametrize("case", ["closure", "semifree"])
+def test_each_generator_carries_the_degree_of_its_differential(case, bione_ideal):
+    # kill_homology hands adjoin the internal degree of the cycle it picked;
+    # with a wrong one the differentials would not be homogeneous
+    X = closure(bione_ideal, through=5)
+    engine = X if case == "closure" else resolve_k(bione_ideal, X, up_to=4)
+    engine.complex.check_homogeneous()
+    if case == "closure":
+        for v, g in enumerate(X.generators):
+            assert X.complex.basis_degrees(g.degree)[X.position(g.degree, ((v, 1),))] \
+                == g.internal
+    assert all(g.internal > 0 for g in engine.generators if g.degree > 0)
+
+
 def test_semifree_generators_count_betti(m2_ideal):
     # generators adjoined in degree n match beta_n^R(k) = 2^n
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     k = ModulePresentation.residue_field(m2_ideal)
     Y = build_semifree_resolution(k, X, up_to=6)
     from collections import Counter
-    counts = Counter(Y.gen_hom_degrees)
+    counts = Counter(g.degree for g in Y.generators)
     assert [counts[n] for n in range(5)] == [1, 2, 4, 8, 16]
     Y.check_leibniz()   # psi(x) = x * y_0 is a chain map
 
@@ -273,8 +287,8 @@ def test_fast_path_catches_a_planted_coefficient_on_an_action_on_y0(monkeypatch,
 def rebuilt_in_one_refresh(Y):
     """A semifree module with Y's generators, all added before one refresh."""
     fresh = SemifreeDgModule(Y.algebra, degree_cap=Y.degree_cap)
-    for args in zip(Y.gen_hom_degrees, Y.gen_int_degrees, Y.gen_diffs):
-        fresh.add_generator(*args)
+    for g in Y.generators:
+        fresh.add_generator(*g)
     return fresh
 
 
@@ -290,7 +304,7 @@ def test_append_only_columns_match_a_fresh_build(case, m2_ideal, hyper_ideal):
     assert built.degrees == fresh.degrees
     for n in range(1, built.top() + 1):
         assert built.diff(n).columns == fresh.diff(n).columns
-    assert len(Y.gen_hom_degrees) > 5
+    assert len(Y.generators) > 5
 
 
 def test_semifree_images_are_dropped_when_the_algebra_complex_changes(m2_ideal):
@@ -298,7 +312,7 @@ def test_semifree_images_are_dropped_when_the_algebra_complex_changes(m2_ideal):
     Y = resolve_k(m2_ideal, X, up_to=3)
     kept = Y._images
     assert kept and Y._images_of is X.complex
-    X.adjoin(4, {})     # a new complex of X, with one more basis element in degree 4
+    X.adjoin(4, 0, {})  # a new complex of X, with one more basis element in degree 4
     Y._stale = True     # as the next generator of Y would
     built, fresh = Y.complex, rebuilt_in_one_refresh(Y).complex
     assert Y._images is not kept and Y._images_of is X.complex
@@ -314,13 +328,13 @@ def test_kept_tate_images_match_a_fresh_build(case, m2_ideal, bione_ideal):
     ideal = bione_ideal if case == "bione" else m2_ideal
     A = closure(ideal, through=5)
     fresh = TateAlgebra(A.ring, A.degree_cap)
-    for degree, diff in zip(A.var_degrees, A.var_diffs):
-        fresh.adjoin(degree, diff)
+    for g in A.generators:
+        fresh.adjoin(*g)
     built, new = A.complex, fresh.complex
     assert built.degrees == new.degrees
     for n in range(1, built.top() + 1):
         assert built.diff(n).columns == new.diff(n).columns
-    assert len(A.var_degrees) > 2
+    assert len(A.generators) > 2
 
 
 def test_tate_images_are_computed_once_and_a_planted_one_is_seen(monkeypatch, m2_ideal):
@@ -553,7 +567,7 @@ def test_generator_picks_over_the_zero_ideal_skip_the_normal_form(monkeypatch, m
     cx = resolve_k(m2_ideal, X, up_to=3).complex
     d3, d4 = cx.diff(3), cx.diff(4)
     cycles = syzygies_of([d3.column(j) for j in range(d3.cols)], d3.rows, cx.ring)
-    boundaries = [d4.column(j) for j in range(d4.cols)]
+    boundaries = [(d4.column(j), deg) for j, deg in enumerate(cx.basis_degrees(4))]
     normal_forms = []
     real = Ideal.normal_form
 

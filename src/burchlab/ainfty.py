@@ -1,11 +1,10 @@
 """Homotopy transfer of dg structures to minimal complexes, as A-infinity
-operations, with mechanical Stasheff verification.
+operations.
 
 An A-infinity module is A-infinity algebra data whose last slot, the y
 slot, holds an element of M.  AInfAlgebra and AInfModule therefore share
-one op core, one transfer recursion, one Stasheff identity and one
-minimality check, all over tuples of basis refs (deg, index) of the small
-complexes; a module's tuples end in the y slot.
+one op core and one transfer recursion over tuples of basis refs
+(deg, index) of the small complexes; a module's tuples end in the y slot.
 
 Transfer uses the two-branch tree recursion over slot intervals: on
 elements of the big dg structures define lambda_2 = product and
@@ -18,12 +17,11 @@ branch can) uses Y's inclusion, homotopy and action in place of X's
 inclusion, homotopy and product.  The Koszul sign of applying the right
 branch (an operator of degree (length - 1)) past the left arguments is
 computed explicitly; sigma is a fixed convention whose correctness is not
-trusted: no pipeline calls stasheff_check, and the tests run it (Tier-1
-criterion 6, tests/test_ainfty.py) on the structures the pipelines build.
-A structure is bounded by its arity cap only: stasheff_check and
-check_minimality take the degree cap of the slot tuples they evaluate
-from their caller, and no pipeline reads one (caps.degree is echoed in
-the report and read by nothing).
+trusted: the tests evaluate the Stasheff identities and minimality (Tier-1
+criterion 6, tests/test_ainfty.py) on the structures the pipelines build,
+with the checkers in tests/support/checks.py.  A structure is bounded by
+its arity cap only (caps.degree is echoed in the report and read by
+nothing).
 
 All operations are strictly unital and evaluated lazily with memoization
 keyed by small-complex basis tuples.
@@ -32,7 +30,7 @@ keyed by small-complex basis tuples.
 from __future__ import annotations
 
 from .contraction import Contraction
-from .errors import ArityCapError, InternalCheckError
+from .errors import ArityCapError
 from .matrices import FreeModuleElement, add_into
 from .ring import PolyRing
 from .taylor import bilinear
@@ -53,7 +51,6 @@ class _Transferred:
     its product rule) of the slot intervals that end in the last slot.
     """
 
-    name = "m"
     has_y_slot = False
 
     def __init__(self, ctr: Contraction, big, arity_cap: int):
@@ -153,7 +150,6 @@ class AInfAlgebra(_Transferred):
 class AInfModule(_Transferred):
     """A-infinity module operations on the minimal complex of a dg module."""
 
-    name = "mu"
     has_y_slot = True
 
     def __init__(self, alg: AInfAlgebra, ctr_y: Contraction, big_module, arity_cap: int = 4):
@@ -163,92 +159,3 @@ class AInfModule(_Transferred):
     def op(self, n: int, refs) -> FreeModuleElement:
         """mu_n(x_1,...,x_{n-1}, y) on small basis refs, the y slot last."""
         return self._op(n, tuple(refs))
-
-
-# ---------------------------------------------------------------------------
-# Stasheff and minimality checkers
-# ---------------------------------------------------------------------------
-
-
-def _slot_tuples(structure, n: int, degree_cap: int, minimality: bool = False):
-    """Slot tuples of length n in lexicographic order with total degree
-    within the cap.  For the minimality check the algebra slots skip
-    degree 0 and a module's y slot is neither capped nor restricted."""
-
-    def refs_of(cx, skip_zero):
-        return [(d, i) for d in range(1 if skip_zero else 0, cx.top() + 1)
-                for i in range(cx.rank(d))]
-
-    slots = [refs_of(structure.alg.complex, minimality)] * n
-    uncapped = None
-    if structure.has_y_slot:
-        slots[-1] = refs_of(structure.complex, False)
-        if minimality:
-            uncapped = n - 1
-    out = []
-
-    def rec(prefix, used):
-        k = len(prefix)
-        if k == n:
-            out.append(tuple(prefix))
-            return
-        for ref in slots[k]:
-            if k == uncapped or used + ref[0] <= degree_cap:
-                prefix.append(ref)
-                rec(prefix, used + ref[0])
-                prefix.pop()
-
-    rec([], 0)
-    return out
-
-
-def _stasheff_identity(structure, n: int, refs) -> FreeModuleElement:
-    """Value of the n-th Stasheff identity sum on one slot tuple: should be 0.
-
-    sum over r+s+t = n of (-1)^(r+st) m_(r+1+t)(1^r (x) m_s (x) 1^t), with
-    the Koszul application sign (-1)^(|m_s| * deg(first r args)).  In a
-    module the outer operation is mu; the inner one is mu when its block
-    holds the y slot (t = 0) and the algebra's m otherwise.  The outer
-    operation is applied to basis refs, the inner result's coordinate k in
-    place of the block, times its coefficient c: polynomial coefficients
-    are central and every other slot is a basis ref with coefficient 1.
-    """
-    ring = structure.ring
-    total = {}
-    for s in range(1, n + 1):
-        for r in range(0, n - s + 1):
-            t = n - s - r
-            block = refs[r:r + s]
-            inner = (structure if t == 0 else structure.alg)._op(s, block)
-            if not inner.coords:
-                continue
-            inner_deg = sum(d for d, _ in block) + s - 2
-            sign = -1 if (r + s * t) % 2 else 1
-            if (s * sum(d for d, _ in refs[:r])) % 2:
-                sign = -sign
-            for k, c in (inner if sign > 0 else -inner).coords.items():
-                outer = refs[:r] + ((inner_deg, k),) + refs[r + s:]
-                for i, f in structure._op(r + 1 + t, outer).coords.items():
-                    add_into(total, i, f * c)
-    return FreeModuleElement(ring, total)
-
-
-def stasheff_check(structure, n: int, degree_cap: int):
-    """Evaluate the n-th identity on every slot tuple within the degree cap."""
-    for refs in _slot_tuples(structure, n, degree_cap):
-        val = _stasheff_identity(structure, n, refs)
-        if val.coords:
-            raise InternalCheckError(
-                f"Stasheff identity {n} for {structure.name} fails on {refs}: {val}")
-    return True
-
-
-def check_minimality(structure, degree_cap: int):
-    """m_n of positive-degree algebra inputs within the degree cap lands in
-    n * X for minimal X."""
-    for n in range(2, structure.arity_cap + 1):
-        for refs in _slot_tuples(structure, n, degree_cap, minimality=True):
-            for f in structure._op(n, refs).coords.values():
-                if f.constant_coeff():
-                    raise InternalCheckError(f"{structure.name}_{n}{refs} has a unit coordinate")
-    return True

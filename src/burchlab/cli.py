@@ -4,8 +4,8 @@
              [--regime dg|ainf|auto] [--out report.json]
 
 Commands: burch, resolve, bar, cycles, verify-general, verify-golod, and
-corpus (runs every bundled example, one after another, and compares each
-against its golden report).
+corpus (runs every bundled example as written, one after another, and
+compares each against its golden report; it takes only --out).
 
 Exit codes: 0 every asserted bound holds (a vacuous bound holds), 1 a
 verified bound failed (the report's bounds.allHold is false), 2 input
@@ -120,13 +120,21 @@ def run_corpus(out_path: str | None) -> int:
         worst = max(worst, code)
         results[name] = strip_timing(report)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(serialize({
-                "schemaVersion": SCHEMA_VERSION,
-                "command": "corpus",
-                "results": results,
-            }))
+        write_report(out_path, serialize({
+            "schemaVersion": SCHEMA_VERSION,
+            "command": "corpus",
+            "results": results,
+        }))
     return worst
+
+
+def write_report(path: str, text: str):
+    """Write a report to --out; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def main(argv=None) -> int:
@@ -135,7 +143,7 @@ def main(argv=None) -> int:
         description="Burch indices, bar resolutions and k-summands of syzygies, exactly.",
     )
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--job", help="job JSON file (not used by 'corpus')")
+    parser.add_argument("--job", help="job JSON file (refused by 'corpus')")
     parser.add_argument("--cap", type=int, help="override caps.homDegree")
     parser.add_argument("--prime", type=int, help="override the coefficient prime p")
     parser.add_argument("--regime", choices=["dg", "ainf", "auto"], help="override the regime")
@@ -144,6 +152,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "corpus":
+            given = [f"--{name}" for name in ("job", "cap", "prime", "regime")
+                     if getattr(args, name) is not None]
+            if given:
+                raise InputError(f"corpus runs each bundled job as written; "
+                                 f"it takes no {', '.join(given)}")
             return run_corpus(args.out)
         if not args.job:
             raise InputError(f"command {args.command!r} needs --job")
@@ -156,18 +169,16 @@ def main(argv=None) -> int:
         if args.regime is not None:
             spec.regime = args.regime
         body, code = run_command(args.command, spec)
+        text = serialize(assemble(args.command, spec.to_dict(), body, code))
+        if args.out:
+            write_report(args.out, text)
+        else:
+            sys.stdout.write(text)
     except Exception as e:
         code, prefix = failure_exit(e)
         print(f"{prefix}: {e}", file=sys.stderr)
         return code
 
-    report = assemble(args.command, spec.to_dict(), body, code)
-    text = serialize(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     if code == EXIT_BOUND:
         print("BOUND VIOLATION: a verified inequality failed; see report", file=sys.stderr)
     return code

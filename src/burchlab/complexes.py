@@ -15,14 +15,14 @@ off F_p strands over R, which is how the bar checks itself.
 
 Strands is the one place that ranks F_p strands over R: the bar's checks
 and homology over Artinian R, H_(n,d) = dim C_(n,d) - rank d_(n,d) -
-rank d_(n+1,d), read its ranks.  Over Q, homology_is_zero decides
-exactness by a Groebner argument (ker(d_n) <= im(d_{n+1}) as submodules).
+rank d_(n+1,d), read its ranks.  Exactness over Q is checked only by the
+tests, by a Groebner argument (homology_is_zero in tests/support/checks.py).
 """
 
 from __future__ import annotations
 
 from .errors import InputError, InternalCheckError
-from .groebner import Ideal, Strand, SubmoduleBasis, syzygies_of
+from .groebner import Ideal, Strand
 from .linalg import rank_of
 from .matrices import PolyMatrix
 from .ring import PolyRing
@@ -96,10 +96,6 @@ class GradedFreeComplex:
 
     # -- checks ---------------------------------------------------------------
 
-    def check_homogeneous(self):
-        for n in sorted(self.diffs):
-            self.diff(n).check_homogeneous()
-
     def check_dd_zero(self):
         """d_(n-1) o d_n = 0 for every n, by composing the matrices (in R
         over a quotient)."""
@@ -111,33 +107,18 @@ class GradedFreeComplex:
             if not comp.is_zero():
                 raise InternalCheckError(f"d_{n-1} o d_{n} != 0")
 
-    def homology_is_zero(self, n: int) -> bool:
-        """Exactness at position n (1 <= n): over Q by a Groebner argument
-        (ker d_n inside im d_(n+1) as submodules), over Artinian R on F_p
-        strands."""
-        if self.quotient is None:
-            cols = [self.diff(n).column(j) for j in range(self.rank(n))]
-            syz = syzygies_of(cols, self.rank(n - 1), self.ring)
-            if not syz:
-                return True
-            up = SubmoduleBasis(self.ring,
-                                [self.diff(n + 1).column(j) for j in range(self.rank(n + 1))])
-            return all(up.contains(w) for w in syz)
-        return not Strands(self).homology(n)
-
-    def unit_entries(self, through: int | None = None):
+    def unit_entries(self):
         """Differential entries with a unit part, as (n, row, column), in the
         order of (n, column, row) whatever the order the entries were set in;
         none iff the complex is minimal.  Reduction modulo I, an ideal
         inside n, keeps the constant term, so entries are read as stored."""
-        top = self.top() if through is None else through
-        for n in range(1, top + 1):
+        for n in range(1, self.top() + 1):
             yield from sorted(((n, i, j) for j, col in self.diff(n).columns.items()
                                for i, f in col.items() if f.constant_coeff()),
                               key=lambda e: (e[2], e[1]))
 
-    def is_minimal(self, through: int | None = None) -> bool:
-        return next(self.unit_entries(through), None) is None
+    def is_minimal(self) -> bool:
+        return next(self.unit_entries(), None) is None
 
     def poincare_coeffs(self):
         """The ranks of C_0, ..., C_top."""

@@ -8,7 +8,9 @@ the inclusion i and the homotopy h are not: each elimination is logged,
 and i_n and h_{n-1} are replayed from the log of degree n when first read
 (most readers want only the small complex and p).  Together they satisfy
 p i = id, id - i p = dh + hd, and the side conditions h i = 0, p h = 0,
-h h = 0 on the nose.
+h h = 0 on the nose.  No command checks these identities; the tests do
+(verify_contraction in tests/support/checks.py), on the contractions the
+pipelines build.
 
 Eliminations run lowest homological degree first; inside a degree the
 first unit in column-major (column, then row) order wins, which makes the
@@ -23,7 +25,6 @@ import operator
 from dataclasses import dataclass
 
 from .complexes import GradedFreeComplex, keyed_complex
-from .errors import InternalCheckError
 from .matrices import PolyMatrix, add_into
 
 
@@ -147,43 +148,6 @@ class Contraction:
             alive={n: idxs for n, idxs in self.alive.items() if n <= through},
             steps=self.steps,
         )
-
-    def verify(self, through: int | None = None):
-        """Check every contraction identity mechanically."""
-        table = self.big.rtable()
-        top = self.big.top() if through is None else through
-        ring = self.big.ring
-        # compose(..., table) multiplies in R and add keeps normal forms, so
-        # the two sides of each identity compare entry by entry
-        for n in range(top + 1):
-            i_n, p_n, h_n = self.incl_at(n), self.proj_at(n), self.htpy_at(n)
-            # p i = id
-            if p_n.compose(i_n, table) != PolyMatrix.identity(ring, self.small.basis_degrees(n)):
-                raise InternalCheckError(f"p i != id at degree {n}")
-            # id - i p = d h + h d, checked as i p + d h + h d = id
-            ip = i_n.compose(p_n, table)
-            dh = self.big.diff(n + 1).compose(h_n, table)
-            hd = self.htpy_at(n - 1).compose(self.big.diff(n), table)
-            if ip.add(dh).add(hd) != PolyMatrix.identity(ring, self.big.basis_degrees(n)):
-                raise InternalCheckError(f"id - ip != dh + hd at degree {n}")
-            # side conditions
-            if not h_n.compose(i_n, table).is_zero():
-                raise InternalCheckError(f"h i != 0 at degree {n}")
-            if not self.proj_at(n + 1).compose(h_n, table).is_zero():
-                raise InternalCheckError(f"p h != 0 at degree {n}")
-            if not self.htpy_at(n + 1).compose(h_n, table).is_zero():
-                raise InternalCheckError(f"h h != 0 at degree {n}")
-            # chain maps
-            if n >= 1:
-                if (self.big.diff(n).compose(i_n, table)
-                        != self.incl_at(n - 1).compose(self.small.diff(n), table)):
-                    raise InternalCheckError(f"i is not a chain map at degree {n}")
-                if (self.small.diff(n).compose(p_n, table)
-                        != self.proj_at(n - 1).compose(self.big.diff(n), table)):
-                    raise InternalCheckError(f"p is not a chain map at degree {n}")
-        if not self.small.is_minimal(through=top):
-            raise InternalCheckError("small complex is not minimal")
-        return True
 
 
 def _unit_value(f):

@@ -274,10 +274,6 @@ class ProjectionCertificate:
     killed_by_m: bool
     outside_m_kernel: bool
 
-    @property
-    def survives(self) -> bool:
-        return self.nonzero and self.killed_by_m and self.outside_m_kernel
-
 
 def project_to_minimal(ctr, cycles, quotient: Ideal, q: int):
     """Project cycles through a contraction of the bar complex and certify

@@ -140,20 +140,6 @@ def _normal_form(v: FreeModuleElement, index: dict) -> FreeModuleElement:
     return _unflat(v.ring, _reduce(_flat(v), index, v.ring.p, full=True))
 
 
-def reduce_element(v: FreeModuleElement, basis, full: bool = True) -> FreeModuleElement:
-    """Normal form of v against basis (list of (lead, elt) with monic elts).
-
-    With full = False only the lead is reduced: the result is v minus
-    multiples of basis elements, with a lead no basis lead divides (or 0).
-    """
-    index = _lead_index([g for _, g in basis])
-    if full:
-        return _normal_form(v, index)
-    terms = _flat(v)
-    _reduce(terms, index, v.ring.p, full=False)
-    return _unflat(v.ring, terms)
-
-
 def module_groebner(gens, ring: PolyRing):
     """Reduced Groebner basis of the submodule generated by gens.
 
@@ -263,31 +249,6 @@ def lift_through(columns, ambient_rank: int, target: FreeModuleElement, ring: Po
     if any(pos < ambient_rank for pos in r.coords):
         return None
     return FreeModuleElement(ring, {pos - ambient_rank: -f for pos, f in r.coords.items()})
-
-
-class SubmoduleBasis:
-    """Cached Groebner data for a submodule of Q^ambient, for repeated queries."""
-
-    __slots__ = ("ring", "columns", "_gb", "_index")
-
-    def __init__(self, ring, columns):
-        self.ring = ring
-        self.columns = [c for c in columns if c.coords]
-        self._gb = None
-        self._index = None
-
-    def groebner(self):
-        if self._gb is None:
-            self._gb = module_groebner(self.columns, self.ring)
-            self._index = _lead_index(self._gb)
-        return self._gb
-
-    def normal_form(self, v: FreeModuleElement) -> FreeModuleElement:
-        self.groebner()
-        return _normal_form(v, self._index)
-
-    def contains(self, v: FreeModuleElement) -> bool:
-        return not self.normal_form(v).coords
 
 
 # ---------------------------------------------------------------------------
@@ -687,14 +648,3 @@ class Strand:
 
 def maximal_ideal(ring: PolyRing) -> Ideal:
     return Ideal(ring, ring.maximal_ideal_gens())
-
-
-def syzygy_matrix(m: PolyMatrix) -> PolyMatrix:
-    """Generating set of ker(m) as columns of a matrix."""
-    cols = [m.column(j) for j in range(m.cols)]
-    syz = syzygies_of(cols, m.rows, m.ring)
-    degs = [w.degree(m.col_degrees) for w in syz]
-    order = sorted(range(len(syz)), key=lambda t: (degs[t], t))
-    return PolyMatrix.from_columns(
-        m.ring, m.col_degrees, [syz[t] for t in order], [degs[t] for t in order]
-    )

@@ -205,8 +205,9 @@ def parse_job(doc) -> JobSpec:
     if not _strings(ideal):
         raise InputError("ideal must be a list of polynomial strings")
     module = doc["module"]
-    if not isinstance(module, dict) or not ({"cyclic", "presentation"} & set(module)):
-        raise InputError("module must be {'cyclic': [...]} or {'presentation': {...}}")
+    if not isinstance(module, dict) or len({"cyclic", "presentation"} & set(module)) != 1:
+        raise InputError("module must be {'cyclic': [...]} or {'presentation': {...}}, "
+                         "exactly one of them")
     caps = _parse_caps(doc.get("caps", {}))
     regime = doc.get("regime", "auto")
     if regime not in ("dg", "ainf", "auto"):
@@ -214,6 +215,9 @@ def parse_job(doc) -> JobSpec:
     command = doc.get("command")
     if command is not None and command not in COMMANDS:
         raise InputError(f"unknown command {command!r}")
+    name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        raise InputError(f"name must be a string, got {name!r}")
     spec = JobSpec(
         prime=p,
         variables=tuple(variables),
@@ -222,12 +226,20 @@ def parse_job(doc) -> JobSpec:
         caps=caps,
         regime=regime,
         command=command,
-        name=doc.get("name"),
+        name=name,
     )
     spec.ideal()   # fail fast on unparseable input and on I not inside n^2
     return spec
 
 
 def load_job(path) -> JobSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_job(fh.read())
+    """The job in a file; a file that cannot be read as UTF-8 text is an
+    input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise InputError(f"cannot read job {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"job {path} is not UTF-8 text") from None
+    return parse_job(text)

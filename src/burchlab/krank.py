@@ -7,7 +7,7 @@ the image of a matrix from ranks alone, degree by degree: it takes no
 kernel and never builds d_(i+1).  It is the only route the pipelines use.
 The presentation routes it is checked against (strand kernels on coker of
 a presentation, a Groebner module colon and a Groebner-free brute force)
-live in oracle.py.
+live in the tests, in tests/support/oracle.py.
 """
 
 from __future__ import annotations

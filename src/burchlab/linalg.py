@@ -64,22 +64,6 @@ class SparseEchelon:
                 vec_axpy(rrep, c, self.reps[m], p)
         return res, rrep
 
-    def _full_reduce(self, res: dict, rrep):
-        """Eliminate every pivot index present, not just the leading one."""
-        p = self.p
-        while True:
-            hit = None
-            for m in res:
-                if m in self.pivots:
-                    hit = m
-                    break
-            if hit is None:
-                return res, rrep
-            c = res[hit]
-            vec_axpy(res, c, self.pivots[hit], p)
-            if self.track:
-                vec_axpy(rrep, c, self.reps[hit], p)
-
     def insert(self, vec: dict, rep: dict | None = None):
         """Insert a vector; returns (pivot, residual_rep).
 

@@ -62,26 +62,12 @@ class FreeModuleElement:
     def __neg__(self):
         return FreeModuleElement(self.ring, {i: -f for i, f in self.coords.items()})
 
-    def scale(self, c: int):
-        c %= self.ring.p
-        if c == 0:
-            return FreeModuleElement(self.ring, {})
-        return FreeModuleElement(self.ring, {i: f.scale(c) for i, f in self.coords.items()})
-
     def mul_poly(self, g: Polynomial):
         if not g:
             return FreeModuleElement(self.ring, {})
         res = {}
         for i, f in self.coords.items():
             prod = f * g
-            if prod:
-                res[i] = prod
-        return FreeModuleElement(self.ring, res)
-
-    def mul_term(self, mono, coeff):
-        res = {}
-        for i, f in self.coords.items():
-            prod = f.mul_term(mono, coeff)
             if prod:
                 res[i] = prod
         return FreeModuleElement(self.ring, res)
@@ -138,20 +124,6 @@ class PolyMatrix:
                 m.columns[j] = dict(coords)
         return m
 
-    @classmethod
-    def identity(cls, ring, degrees):
-        m = cls(ring, degrees, degrees)
-        one = ring.one()
-        for i in range(len(m.row_degrees)):
-            m.columns[i] = {i: one}
-        return m
-
-    def entry(self, i, j) -> Polynomial:
-        col = self.columns.get(j)
-        if col is None:
-            return self.ring.zero()
-        return col.get(i, self.ring.zero())
-
     def set_entry(self, i, j, f: Polynomial):
         if f:
             self.columns.setdefault(j, {})[i] = f
@@ -164,9 +136,6 @@ class PolyMatrix:
 
     def column(self, j) -> FreeModuleElement:
         return FreeModuleElement(self.ring, dict(self.columns.get(j, {})))
-
-    def nnz(self) -> int:
-        return sum(len(c) for c in self.columns.values())
 
     def is_zero(self) -> bool:
         return not self.columns
@@ -218,37 +187,11 @@ class PolyMatrix:
                 out.columns[j] = acc
         return out
 
-    def add(self, other: "PolyMatrix") -> "PolyMatrix":
-        out = self.copy()
-        for j, col in other.columns.items():
-            mine = out.columns.setdefault(j, {})
-            for i, f in col.items():
-                add_into(mine, i, f)
-            if not mine:
-                del out.columns[j]
-        return out
-
     def __eq__(self, other):
         """Same degree labels and the same nonzero entries; entries are
         compared as stored, so both sides must be in the same normal form."""
         return (isinstance(other, PolyMatrix) and self.row_degrees == other.row_degrees
                 and self.col_degrees == other.col_degrees and self.columns == other.columns)
 
-    def check_homogeneous(self):
-        for j, col in self.columns.items():
-            for i, f in col.items():
-                want = self.col_degrees[j] - self.row_degrees[i]
-                for m in f.terms:
-                    if mono_deg(m) != want:
-                        raise ValueError(
-                            f"entry ({i},{j}) has a term of degree {mono_deg(m)}, expected {want}"
-                        )
-
-    def copy(self) -> "PolyMatrix":
-        out = PolyMatrix(self.ring, self.row_degrees, self.col_degrees)
-        for j, col in self.columns.items():
-            out.columns[j] = dict(col)
-        return out
-
     def __repr__(self):
-        return f"PolyMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
+        return f"PolyMatrix({self.rows}x{self.cols}, nnz={sum(map(len, self.columns.values()))})"

@@ -5,7 +5,7 @@ strand by strand with k-linear algebra, trimming generators degree by
 degree, which keeps the work proportional to the (sparse) strand data.  The
 output is a minimal resolution: every differential entry lies in the
 maximal ideal.  The lift-to-Q Groebner kernels and the resolution over Q
-that this is checked against live in oracle.py.
+that this is checked against live in the tests, in tests/support/oracle.py.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class ModulePresentation:
     @classmethod
     def residue_field(cls, quotient: Ideal) -> "ModulePresentation":
         return cls.cyclic(quotient, quotient.ring.maximal_ideal_gens())
-
-    @classmethod
-    def free(cls, quotient: Ideal, degrees) -> "ModulePresentation":
-        return cls(quotient.ring, quotient, list(degrees), [])
 
     @property
     def ambient_rank(self) -> int:

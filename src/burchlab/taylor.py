@@ -2,10 +2,10 @@
 
 A DgModule bundles a complex with a basis-level action of a dg algebra; a
 DgAlgebra, a complex with a basis-level product table and a unit, is a dg
-module over itself, so one set of unit, Leibniz and associativity checks
-serves both.  Each structure has one product rule on basis keys, returning
-plain (position, monomial, coeff) triples; the checks sum those as integers,
-and product_basis/action_basis box the same terms as a FreeModuleElement.
+module over itself, so one set of unit and Leibniz checks serves both.
+Each structure has one product rule on basis keys, returning plain
+(position, monomial, coeff) triples; the checks sum those as integers, and
+action_basis boxes the same terms as a FreeModuleElement.
 The Taylor complex of monomials m_1..m_s has basis e_S indexed by subsets,
 differential d(e_S) = sum_k (-1)^k c_(u_k) (lcm S / lcm S\\u_k) e_(S\\u_k), and
 product e_S * e_T = sign * (lcm S * lcm T / lcm(S u T)) e_(S u T) for
@@ -123,36 +123,12 @@ class DgModule:
                         raise InternalCheckError(
                             f"{self.label}Leibniz fails on basis pair ({da},{ia}) ({db},{ib})")
 
-    def check_associative(self, degree_cap: int):
-        """(a*b)*c = a*(b*c) for total degree within the cap and Y's top."""
-        X = self.algebra
-        times = self.action_terms
-        top = self.complex.top()
-        for da in range(degree_cap + 1):
-            for db in range(degree_cap + 1 - da):
-                for dc in range(degree_cap + 1 - da - db):
-                    if da + db + dc > top:
-                        continue  # both sides land in zero modules
-                    for ia in range(X.complex.rank(da)):
-                        va = FreeModuleElement.basis(self.ring, ia)
-                        for ib in range(X.complex.rank(db)):
-                            ab = X.product_basis(da, ia, db, ib)
-                            for ic in range(self.complex.rank(dc)):
-                                vc = FreeModuleElement.basis(self.ring, ic)
-                                left = bilinear(times, da + db, ab, dc, vc)
-                                bc = self.action_basis(db, ib, dc, ic)
-                                if left != bilinear(times, da, va, db + dc, bc):
-                                    raise InternalCheckError(
-                                        f"{self.label}associativity fails on "
-                                        f"({da},{ia}) ({db},{ib}) ({dc},{ic})")
-
-
 class DgAlgebra(DgModule):
     """A complex with unit and associative graded-commutative product: a dg
     module over itself, acting by its product.
 
     Subclasses implement the rule product_terms(da, ia, db, ib), with the
-    triples of DgModule.action_terms in degree da+db; product_basis boxes it.
+    triples of DgModule.action_terms in degree da+db; action_basis boxes it.
     """
 
     label = ""
@@ -168,23 +144,6 @@ class DgAlgebra(DgModule):
 
     def product_terms(self, da, ia, db, ib) -> tuple:
         raise NotImplementedError
-
-    def product_basis(self, da, ia, db, ib) -> FreeModuleElement:
-        return _boxed(self.ring, self.product_terms(da, ia, db, ib))
-
-    def check_commutative(self, through: int | None = None):
-        top = self.complex.top() if through is None else through
-        for da in range(top + 1):
-            for db in range(da, top + 1 - da):
-                for ia in range(self.complex.rank(da)):
-                    for ib in range(self.complex.rank(db)):
-                        ab = self.product_basis(da, ia, db, ib)
-                        ba = self.product_basis(db, ib, da, ia)
-                        if (da * db) % 2 == 1:
-                            ba = -ba
-                        if ab != ba:
-                            raise InternalCheckError(
-                                f"graded commutativity fails on ({da},{ia}) ({db},{ib})")
 
 
 def _boxed(ring: PolyRing, terms) -> FreeModuleElement:

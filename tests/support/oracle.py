@@ -1,6 +1,6 @@
 """Reference implementations the production routes are checked against.
 
-Nothing in the production pipelines imports this module; the tests do.
+The package never imports this module; the tests do.
 
 * krank_strand(): k-rank of coker(relations) by strand kernels: the socle
   in each degree as the kernel of multiplication by every variable modulo
@@ -22,13 +22,23 @@ Q-module coker(relations + I times the basis), built by _with_ideal_columns.
 
 from __future__ import annotations
 
-from .complexes import GradedFreeComplex
-from .errors import InputError, InternalCheckError, ResourceCapError
-from .groebner import Ideal, Strand, syzygies_of
-from .linalg import SparseEchelon, kernel_basis
-from .matrices import FreeModuleElement, PolyMatrix
-from .resolve import ModulePresentation, minimal_module_generators
-from .ring import mono_deg, mono_mul, monomials_of_degree
+from burchlab.complexes import GradedFreeComplex
+from burchlab.errors import InputError, InternalCheckError, ResourceCapError
+from burchlab.groebner import Ideal, Strand, syzygies_of
+from burchlab.linalg import SparseEchelon, kernel_basis, vec_axpy
+from burchlab.matrices import FreeModuleElement, PolyMatrix
+from burchlab.resolve import ModulePresentation, minimal_module_generators
+from burchlab.ring import mono_deg, mono_mul, monomials_of_degree
+
+
+def full_reduce(ech: SparseEchelon, res: dict) -> dict:
+    """res reduced against every pivot of ech it holds, not just the
+    leading one, so equal classes modulo the span reduce equally."""
+    while True:
+        hit = next((m for m in res if m in ech.pivots), None)
+        if hit is None:
+            return res
+        vec_axpy(res, res[hit], ech.pivots[hit], ech.p)
 
 
 def _with_ideal_columns(columns, rank: int, quotient: Ideal):
@@ -79,7 +89,7 @@ def krank_strand(pres: ModulePresentation) -> int:
             col = {}
             for j, x in enumerate(xs):
                 # fully reduced, so equal classes mod N get equal columns
-                res, _ = ech_up._full_reduce(tgt.vector({i: x}, m), {})
+                res = full_reduce(ech_up, tgt.vector({i: x}, m))
                 for t, c in res.items():
                     col[j * block + t] = c
             cols.append(col)
@@ -230,7 +240,7 @@ def krank_brute_force(pres: ModulePresentation, dim_cap: int = 400) -> int:
 
     # action of each variable: M_d -> M_{d+1} in quotient coordinates
     def reduce_to_classes(vec, ech, free_pos):
-        res, _ = ech._full_reduce(dict(vec), {})
+        res = full_reduce(ech, dict(vec))
         return {free_pos[t]: c for t, c in res.items()}
 
     actions = []  # actions[j][di] : dict col -> dict row -> c

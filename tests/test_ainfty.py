@@ -1,7 +1,7 @@
 import pytest
 from itertools import combinations_with_replacement
 
-from burchlab.ainfty import AInfAlgebra, AInfModule, check_minimality, stasheff_check
+from burchlab.ainfty import AInfAlgebra, AInfModule
 from burchlab.burch import minimal_generators
 from burchlab.contraction import minimalize
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
@@ -9,6 +9,7 @@ from burchlab.errors import ArityCapError, InternalCheckError
 from burchlab.resolve import ModulePresentation
 from burchlab.ring import PolyRing
 from burchlab.taylor import TaylorComplex
+from support.checks import check_minimality, stasheff_check
 
 P = 32003
 

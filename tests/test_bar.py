@@ -15,6 +15,7 @@ from burchlab.pipeline import dg_pair
 from burchlab.resolve import ModulePresentation, resolve_over_R
 from burchlab.ring import PolyRing
 from burchlab.taylor import TaylorComplex
+from support.checks import entry, product_basis
 
 P = 32003
 
@@ -198,7 +199,7 @@ def test_dd_zero_catches_a_planted_unit_at_the_top_degree(m2_ideal, n):
     dn = B.complex.diff(n)
     i = next(iter(dn.columns[0]))
     assert B.complex.diff(n - 1).columns.get(i)
-    dn.set_entry(i, 0, dn.entry(i, 0) + R.one())
+    dn.set_entry(i, 0, entry(dn, i, 0) + R.one())
     with pytest.raises(InternalCheckError, match=f"d_{n-1} o d_{n} != 0"):
         B.complex.check_dd_zero()
 
@@ -213,7 +214,7 @@ def test_dd_zero_passes_a_planted_change_whose_products_lie_above_top(m2_ideal, 
     dn = B.complex.diff(n)
     delta = PolyMatrix(R, dn.row_degrees, dn.col_degrees)
     for i in list(dn.columns[0]):
-        dn.set_entry(i, 0, dn.entry(i, 0) + x)
+        dn.set_entry(i, 0, entry(dn, i, 0) + x)
         delta.set_entry(i, 0, x)
     assert not B.complex.diff(n - 1).compose(delta).is_zero()   # nonzero over Q
     for m in (n, n + 1):
@@ -252,7 +253,7 @@ def dg_formula_boundary(B, w):
             put((-1) ** eps[p], xs + ((yd - 1, k),), f)
     for t in range(p - 1):             # r[..|x_t x_(t+1)|..]y
         (da, ia), (db, ib) = xs[t], xs[t + 1]
-        for k, f in X.product_basis(da, ia, db, ib).coords.items():
+        for k, f in product_basis(X, da, ia, db, ib).coords.items():
             put(-(-1) ** eps[t + 1], xs[:t] + ((da + db, k),) + xs[t + 2:] + (y,), f)
     if p:                              # r[x_1|..|x_(p-1)](x_p y)
         da, ia = xs[-1]

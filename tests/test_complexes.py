@@ -15,6 +15,8 @@ from burchlab.pipeline import _certified_cycles, dg_pair
 from burchlab.resolve import ModulePresentation
 from burchlab.ring import PolyRing
 from burchlab.taylor import TaylorComplex
+from support.checks import (check_associative, check_commutative, check_homogeneous, entry,
+                            homology_is_zero, product_basis, verify_contraction)
 
 P = 32003
 
@@ -27,7 +29,7 @@ def R():
 def test_koszul_on_one_element(R):
     K = TaylorComplex(R, [R.parse("x^2")])
     assert K.complex.poincare_coeffs() == [1, 1]
-    assert str(K.complex.diff(1).entry(0, 0)) == "x^2"
+    assert str(entry(K.complex.diff(1), 0, 0)) == "x^2"
 
 
 def test_taylor_m2_shape_and_boundary(R, ):
@@ -37,7 +39,7 @@ def test_taylor_m2_shape_and_boundary(R, ):
     # d e_{12} = +/- (y e_1 - x e_2) in the input order x^2, xy
     coeffs = {i: str(f) for i, f in col.coords.items()}
     assert coeffs in ({0: "32002*y", 1: "x"}, {0: "y", 1: "32002*x"})
-    T.complex.check_homogeneous()
+    check_homogeneous(T.complex)
 
 
 def test_keyed_complex_keeps_the_key_order_and_each_image_order(R):
@@ -56,21 +58,21 @@ def test_taylor_squares_vanish(R):
     T = TaylorComplex(R, [R.parse("x^2"), R.parse("x*y"), R.parse("y^2")])
     for n in (1, 3):
         for t in range(T.complex.rank(n)):
-            assert not T.product_basis(n, t, n, t).coords
+            assert not product_basis(T, n, t, n, t).coords
 
 
 def test_taylor_dg_axioms(R):
     T = TaylorComplex(R, [R.parse("x^4"), R.parse("x^2*y"), R.parse("y^2")])
     T.check_unit()
     T.check_leibniz()
-    T.check_commutative()
-    T.check_associative(6)
+    check_commutative(T)
+    check_associative(T, 6)
 
 
 def test_taylor_exactness_over_Q(R):
     T = TaylorComplex(R, [R.parse("x^2"), R.parse("x*y"), R.parse("y^2")])
     for n in range(1, 4):
-        assert T.complex.homology_is_zero(n)
+        assert homology_is_zero(T.complex, n)
 
 
 def test_taylor_generator_guard(R):
@@ -88,7 +90,7 @@ def test_minimal_input_identity_contraction(R):
     again = minimalize(ctr.small)
     assert again.small.poincare_coeffs() == [1, 3, 2]
     assert not again.htpy  # h = 0 on minimal input
-    again.verify()
+    verify_contraction(again)
 
 
 def test_minimalize_redundant_generator_hand_case(R):
@@ -96,32 +98,32 @@ def test_minimalize_redundant_generator_hand_case(R):
     T = TaylorComplex(R, [R.parse("x^2"), R.parse("x^2*y")])
     ctr = minimalize(T.complex)
     assert ctr.small.poincare_coeffs() == [1, 1]
-    assert str(ctr.small.diff(1).entry(0, 0)) == "x^2"
-    ctr.verify()
+    assert str(entry(ctr.small.diff(1), 0, 0)) == "x^2"
+    verify_contraction(ctr)
 
 
 def test_contraction_verify_catches_a_planted_homotopy_entry(R):
     # a new entry y in h_1 changes d h at degree 1 by y times a column of d_2
     T = TaylorComplex(R, [R.parse("x^2"), R.parse("x^2*y")])
     ctr = minimalize(T.complex)
-    ctr.verify()
+    verify_contraction(ctr)
     h = ctr.htpy[1]
-    assert not h.entry(0, 0) and T.complex.diff(2).columns.get(0)
+    assert not entry(h, 0, 0) and T.complex.diff(2).columns.get(0)
     h.set_entry(0, 0, R.parse("y"))
     with pytest.raises(InternalCheckError, match=r"id - ip != dh \+ hd at degree 1"):
-        ctr.verify()
+        verify_contraction(ctr)
 
 
 def test_contraction_verify_catches_a_planted_inclusion_entry(R):
     # p_1 = [1, y] on e_0, e_1 and i_1 = e_0: a new entry y at e_1 makes p i = 1 + y^2
     T = TaylorComplex(R, [R.parse("x^2"), R.parse("x^2*y")])
     ctr = minimalize(T.complex)
-    ctr.verify()
+    verify_contraction(ctr)
     i = ctr.incl[1]
-    assert not i.entry(1, 0) and str(ctr.proj[1].entry(0, 1)) == "y"
+    assert not entry(i, 1, 0) and str(entry(ctr.proj[1], 0, 1)) == "y"
     i.set_entry(1, 0, R.parse("y"))
     with pytest.raises(InternalCheckError, match=r"p i != id at degree 1"):
-        ctr.verify()
+        verify_contraction(ctr)
 
 
 @pytest.mark.parametrize("gens,minimal", [
@@ -133,10 +135,10 @@ def test_minimalize_corpus_taylor(R, gens, minimal):
     T = TaylorComplex(R, [R.parse(s) for s in gens])
     ctr = minimalize(T.complex)
     assert ctr.small.poincare_coeffs() == minimal
-    ctr.verify()
+    verify_contraction(ctr)
     ctr.small.check_dd_zero()
     for n in range(1, len(minimal) - 1):
-        assert ctr.small.homology_is_zero(n)
+        assert homology_is_zero(ctr.small, n)
 
 
 def test_minimalize_three_vars():
@@ -145,7 +147,7 @@ def test_minimalize_three_vars():
                       verify=False)
     ctr = minimalize(T.complex)
     assert ctr.small.poincare_coeffs() == [1, 6, 8, 3]
-    ctr.verify()
+    verify_contraction(ctr)
 
 
 # -- the unit queue of minimalize keeps the elimination order ---------------
@@ -233,7 +235,7 @@ def test_unit_queue_finds_a_unit_made_by_an_update(monkeypatch, R):
     scanned, scan_order = eliminations(monkeypatch, ScanUnits, cx)
     assert order == scan_order == [(1, 0, 0), (1, 1, 1)]
     assert matrices(queued) == matrices(scanned)
-    queued.verify()
+    verify_contraction(queued)
 
 
 # -- i and h replayed from the elimination log ----------------------------
@@ -303,7 +305,7 @@ def test_replayed_incl_and_htpy_equal_the_eager_ones(m2_ideal, case):
     assert ordered(ctr.incl) == ordered(incl) and list(ctr.incl) == list(incl)
     assert ordered(ctr.htpy) == ordered(htpy) and htpy
     assert not ctr.steps.log  # every degree replayed, and its log dropped
-    ctr.verify()
+    verify_contraction(ctr)
 
 
 def test_truncated_contraction_replays_the_shared_log(m2_ideal):
@@ -317,7 +319,7 @@ def test_truncated_contraction_replays_the_shared_log(m2_ideal):
     assert ordered(short.htpy) == ordered(htpy)
     assert short.incl_at(1) is ctr.incl_at(1) and short.htpy_at(3) is ctr.htpy_at(3)
     assert short.incl_at(2).cols == 0 and ctr.incl_at(2).cols == 1
-    short.verify(through=1)
+    verify_contraction(short, through=1)
 
 
 def counting_replays(monkeypatch):

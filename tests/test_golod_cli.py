@@ -15,6 +15,7 @@ from burchlab.errors import InputError
 from burchlab.golod import golod_check
 from burchlab.jobs import parse_job
 from burchlab.report import reports_equal, strip_timing
+from support.oracle import resolve_over_Q
 
 CORPUS = Path(__file__).resolve().parents[1] / "src" / "burchlab" / "corpus"
 
@@ -65,7 +66,6 @@ def test_presented_module_pm_over_q_is_the_q_resolution(module):
     # model above that degree (the unkilled homology and Y's top degree) is
     # cut off, else PMoverQ grows entries no Q-resolution of M has
     from burchlab.cli import run_command
-    from burchlab.oracle import resolve_over_Q
 
     spec = parse_job(m2_job(module=module, caps={"homDegree": 5}))
     body, code = run_command("verify-golod", spec)
@@ -147,6 +147,52 @@ def test_cli_composite_prime_exit_code(tmp_path):
     r = run_cli("burch", "--job", str(CORPUS / "ex_bione.json"), "--prime", "21")
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8"])
+def test_cli_unreadable_job_exit_code(tmp_path, capsys, kind):
+    # each used to exit 4 as an internal error (FileNotFoundError and so on)
+    from burchlab.cli import main
+
+    path = tmp_path / "job.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not UTF-8":
+        path.write_bytes(json.dumps(m2_job(name="ex")).encode().replace(b"ex", b"e\xff"))
+    assert main(["burch", "--job", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and str(path) in err and err.count("\n") == 1
+
+
+def test_cli_unwritable_out_exit_code(monkeypatch, tmp_path, capsys):
+    # a single command printed a traceback and exited 1, the code of a failed
+    # bound; corpus ran every job and then exited 4
+    from burchlab import cli
+
+    out = str(tmp_path / "missing" / "report.json")
+    assert cli.main(["burch", "--job", str(CORPUS / "ex_m2_2vars.json"), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {out}") and err.count("\n") == 1
+    monkeypatch.setattr(cli, "corpus_entries",
+                        lambda: [("ex_structure.json", CORPUS / "ex_structure.json")])
+    assert cli.main(["corpus", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {out}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("options", [
+    ["--job", "nothing.json"], ["--cap", "3"], ["--prime", "4"], ["--regime", "dg"],
+    ["--cap", "3", "--prime", "4", "--job", "nothing.json"],
+])
+def test_corpus_refuses_per_job_options(monkeypatch, capsys, options):
+    # each was ignored: corpus ran every job as written and exited 0
+    from burchlab import cli
+
+    monkeypatch.setattr(cli, "run_corpus", lambda out_path: pytest.fail("corpus ran"))
+    assert cli.main(["corpus", *options]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: corpus") and err.count("\n") == 1
+    assert all(option in err for option in options if option.startswith("--"))
 
 
 def test_cli_vacuous_general_bounds_exit_zero():
@@ -253,15 +299,21 @@ def test_cli_corpus_matches_goldens():
 
 
 def test_production_commands_never_import_the_oracles():
-    # a fresh interpreter, so no other test can have imported burchlab.oracle
+    # a fresh interpreter, so no other test can have imported tests/support;
+    # tests/ is on its path, so a production import of the support package
+    # would load it rather than fail
+    tests_dir = str(Path(__file__).resolve().parent)
     code = (
         "import sys\n"
+        f"sys.path.insert(0, {tests_dir!r})\n"
         "from burchlab.cli import run_command\n"
         "from burchlab.jobs import load_job\n"
         f"spec = load_job({str(CORPUS / 'ex_m2_2vars.json')!r})\n"
         "for command in ('burch', spec.command):\n"
         "    assert run_command(command, spec)[1] == 0, command\n"
-        "assert 'burchlab.oracle' not in sys.modules\n"
+        "loaded = [m for m, mod in list(sys.modules.items())\n"
+        f"          if (getattr(mod, '__file__', None) or '').startswith({tests_dir!r})]\n"
+        "assert not loaded, loaded\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
@@ -569,6 +621,7 @@ def test_cli_non_artinian_quotient_exit_code(tmp_path, capsys, command):
     {"presentation": {"generatorDegrees": [0], "relations": "x"}},
     {"presentation": {"generatorDegrees": [], "relations": []}},   # M = 0
     {"cyclic": ["1"]},                                              # M = R/R = 0
+    {"cyclic": ["x"], "presentation": {"generatorDegrees": [0], "relations": [["y"]]}},
 ])
 def test_cli_bad_module_exit_code(tmp_path, capsys, module):
     from burchlab.cli import main
@@ -577,6 +630,16 @@ def test_cli_bad_module_exit_code(tmp_path, capsys, module):
     assert main(["resolve", "--job", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_cli_non_string_name_exit_code(tmp_path, capsys):
+    # a name of 5 was echoed in the report
+    from burchlab.cli import main
+
+    path = write_job(tmp_path, m2_job(name=5))
+    assert main(["burch", "--job", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: name must be a string") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["resolve", "verify-general", "verify-golod"])

@@ -3,9 +3,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from burchlab.linalg import SparseEchelon, kernel_basis, rank_of
 from burchlab.matrices import FreeModuleElement, PolyMatrix
-from burchlab.groebner import (Ideal, SubmoduleBasis, _augment, _term_key, lift_through,
-                               maximal_ideal, module_groebner, syzygies_of, syzygy_matrix)
+from burchlab.groebner import (Ideal, _augment, _lead_index, _normal_form, _term_key,
+                               lift_through, maximal_ideal, module_groebner, syzygies_of)
 from burchlab.ring import PolyRing, Polynomial, grevlex_key, mono_divides, monomials_of_degree
+from support.checks import identity
 
 P = 32003
 
@@ -90,13 +91,14 @@ def test_syzygy_matrix_composition_is_zero(R):
     m = PolyMatrix.from_columns(
         R, [0], [FreeModuleElement(R, {0: g}) for g in
                  (R.parse("x^2"), R.parse("x*y"), R.parse("y^2"))], [2, 2, 2])
-    s = syzygy_matrix(m)
+    syz = syzygies_of([m.column(j) for j in range(m.cols)], m.rows, R)
+    s = PolyMatrix.from_columns(R, m.col_degrees, syz, [w.degree(m.col_degrees) for w in syz])
     assert s.cols == 2
     assert m.compose(s).is_zero()
     # a random kernel element reduces to zero against the syzygy basis
-    sb = SubmoduleBasis(R, [s.column(j) for j in range(s.cols)])
+    index = _lead_index(module_groebner([s.column(j) for j in range(s.cols)], R))
     k = FreeModuleElement(R, {0: R.parse("y^2"), 2: R.parse("-x^2")})
-    assert sb.contains(k)
+    assert not _normal_form(k, index).coords
 
 
 def test_lift_through(R):
@@ -132,7 +134,8 @@ def naive_normal_form(v, basis):
             gpos, gm = naive_lead(g)
             if gpos == pos and mono_divides(gm, m):
                 q = tuple(a - b for a, b in zip(m, gm))
-                v = v - g.mul_term(q, c * ring.inv(g.coords[gpos].terms[gm]))
+                u = c * ring.inv(g.coords[gpos].terms[gm])
+                v = v - g.map_coords(lambda f: f.mul_term(q, u))
                 break
         else:
             piece = FreeModuleElement(ring, {pos: ring.monomial(m, c)})
@@ -184,8 +187,9 @@ def test_module_groebner_meets_buchberger_criterion(sub, augmented):
             (pi, mi), (pj, mj) = leads[i], leads[j]
             if pi == pj:
                 lcm = tuple(max(u, w) for u, w in zip(mi, mj))
-                s = (gb[i].mul_term(tuple(u - w for u, w in zip(lcm, mi)), 1)
-                     - gb[j].mul_term(tuple(u - w for u, w in zip(lcm, mj)), 1))
+                qi, qj = (tuple(u - w for u, w in zip(lcm, m)) for m in (mi, mj))
+                s = (gb[i].map_coords(lambda f: f.mul_term(qi, 1))
+                     - gb[j].map_coords(lambda f: f.mul_term(qj, 1)))
                 assert not naive_normal_form(s, gb).coords
     # syzygies annihilate the columns
     for w in syzygies_of(cols, a, R):
@@ -200,7 +204,7 @@ def test_module_groebner_meets_buchberger_criterion(sub, augmented):
 
 def test_mat_apply_identity_and_zero(R):
     v = FreeModuleElement(R, {0: R.parse("x+y"), 1: R.parse("y^2")})
-    ident = PolyMatrix.identity(R, [0, 1])
+    ident = identity(R, [0, 1])
     assert ident.apply(v) == v
     zero = PolyMatrix(R, [0], [0, 1])
     assert not zero.apply(v).coords
@@ -229,7 +233,7 @@ def test_mat_apply_composition(data):
 
 
 def test_mat_apply_rank_mismatch(R):
-    m = PolyMatrix.identity(R, [0])
+    m = identity(R, [0])
     with pytest.raises(ValueError):
         m.apply(FreeModuleElement(R, {3: R.one()}))
 

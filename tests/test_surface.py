@@ -1,12 +1,17 @@
-"""Every definition in the package has a caller or a reader, and every
+"""Every definition in the package is reached by shipped code, and every
 local a function assigns is read.
 
 Walks src/burchlab with ast and collects each top-level function and class
-and each non-dunder method of a top-level class.  A name counts as used if
-it occurs as a whole word (an identifier token, so docstrings and comments
-count too) anywhere in src/, tests/, scripts/ or perfbench/ outside the
-lines of its own definition.  A re-export in burchlab/__init__.py counts as
-a use.  The scan reads each file once and runs well under a second.
+and each non-dunder method of a top-level class.  Each must be referenced,
+outside the lines of its own definition, by code that ships: src/,
+scripts/ or perfbench/.  A test reference does not count; code only the
+tests run lives under tests/support.  References are the names and
+attributes the code loads, read from the ast, so words in docstrings and
+comments do not count.  Methods of one class hierarchy that share a name
+count as one definition.  A name that definitions in unrelated classes
+share needs a reference that resolves to the definition's class (through
+self, cls, super() or the class name) or an entry in SHARED_NAME_CALLERS
+naming a shipped function that reaches it.
 
 The second check walks every function body: a name it stores (assignment,
 unpacking, loop or with target) must be loaded somewhere in the function
@@ -25,12 +30,12 @@ only burch.py (burch_data) and pipeline.py (RingContext.build) name
 minimal_generators; every resolution of R takes the job's list.
 
 The sixth check keeps the dg checks in one place: a dg algebra is a dg
-module over itself, so only taylor.DgModule defines check_unit,
-check_leibniz and check_associative.  It also keeps one product path per
-structure: each structure defines its rule on keys (product_terms,
-action_terms), and only taylor.DgModule.action_basis and
-taylor.DgAlgebra.product_basis box it, so no class keeps a second product
-beside the rule.
+module over itself, so only taylor.DgModule defines check_unit and
+check_leibniz, and no class defines the associativity and commutativity
+checks that only the tests run (tests/support/checks.py).  It also keeps
+one product path per structure: each structure defines its rule on keys
+(product_terms, action_terms), and only taylor.DgModule.action_basis
+boxes it, so no class keeps a second product beside the rule.
 
 The seventh check keeps adjunction in one place: the Tate closure and the
 semifree module both extend tate.AdjunctionEngine, so only it defines
@@ -49,9 +54,8 @@ cli.run_command writes "timingSeconds" (as a dict key or an item store).
 
 The eleventh check keeps the assembly of keyed differentials in one place:
 only complexes.keyed_complex, Contraction.truncated (which cuts a complex
-it already has) and the two resolutions, over R and over Q (which grow
-their matrices degree by degree from kernels), construct a
-GradedFreeComplex.
+it already has) and the resolution over R (which grows its matrices degree
+by degree from kernels) construct a GradedFreeComplex.
 
 The twelfth check keeps strand ranks over R in one place: only
 complexes.Strands.rank calls linalg.rank_of, so the bar's checks and
@@ -76,19 +80,30 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "burchlab"
-SEARCHED = ("src", "tests", "scripts", "perfbench")
-WORD = re.compile(r"\w+")
+SHIPPED = ("src", "scripts", "perfbench")
 
-
-def _occurrences() -> dict:
-    """name -> list of (path, line) of every identifier-shaped word."""
-    seen = defaultdict(list)
-    for top in SEARCHED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-                for m in WORD.finditer(line):
-                    seen[m.group()].append((path, lineno))
-    return seen
+# Definitions whose bare name an unrelated definition shares (outside their
+# own class hierarchy), so that a reference through an object of unknown
+# type does not tell which one it reaches.  Each names a shipped function
+# that reaches it, which the scan checks to reference the name.
+SHARED_NAME_CALLERS = {
+    "ainfty.py: AInfAlgebra.op": "bar.py: BarComplex._block_image",
+    "ainfty.py: AInfModule.op": "bar.py: BarComplex._block_image",
+    "taylor.py: DgModule.op": "bar.py: BarComplex._block_image",
+    "complexes.py: GradedFreeComplex.check_dd_zero": "taylor.py: TaylorComplex.__init__",
+    "complexes.py: Strands.check_dd_zero": "bar.py: BarComplex.__init__",
+    "groebner.py: RTable.socle": "groebner.py: Strand.socle",
+    "groebner.py: Strand.socle": "krank.py: krank_image",
+    "groebner.py: Strand.position": "complexes.py: Strands.generator_columns",
+    "tate.py: AdjunctionEngine.position": "scripts/complex_fingerprints.py: keys_record",
+    "jobs.py: JobSpec.to_dict": "cli.py: main",
+    "krank.py: KRankReport.to_dict": "pipeline.py: resolve_report",
+    "linalg.py: SparseEchelon.rank": "linalg.py: rank_of",
+    "matrices.py: FreeModuleElement.degree": "resolve.py: resolve_over_R",
+    "ring.py: Polynomial.degree": "burch.py: check_in_square",
+    "matrices.py: PolyMatrix.is_zero": "complexes.py: GradedFreeComplex.check_dd_zero",
+    "resolve.py: ModulePresentation.is_zero": "jobs.py: JobSpec.presentation",
+}
 
 
 def _span(node) -> tuple:
@@ -96,28 +111,147 @@ def _span(node) -> tuple:
     return first, node.end_lineno
 
 
-def _definitions():
-    """(qualified name, bare name, path, (first line, last line)) per definition."""
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield node.name, node.name, path, _span(node)
-            if not isinstance(node, ast.ClassDef):
+def _definitions(tree):
+    """(qualified name, bare name, class or None, span) per top-level
+    function and class and per non-dunder method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, None, _span(node)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))):
+                yield f"{node.name}.{item.name}", item.name, node.name, _span(item)
+
+
+def _references(tree, family) -> list:
+    """(name, line, owner, function) per name the code loads, as a name or
+    as an attribute.  owner is the class family an attribute resolves to
+    (through self, cls, super() or a package class), else None; function
+    is the qualified name of the enclosing function, or ''."""
+    out = []
+
+    def visit(node, cls, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if isinstance(child, ast.ClassDef) else cls,
+                      qual + [child.name])
                 continue
-            for item in node.body:
-                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not (item.name.startswith("__") and item.name.endswith("__"))):
-                    yield f"{node.name}.{item.name}", item.name, path, _span(item)
+            fn = ".".join(qual)
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                out.append((child.id, child.lineno, None, fn))
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                value, owner = child.value, None
+                if isinstance(value, ast.Name) and value.id in ("self", "cls"):
+                    owner = cls
+                elif isinstance(value, ast.Name):
+                    owner = value.id
+                elif (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                        and value.func.id == "super"):
+                    owner = cls
+                out.append((child.attr, child.lineno, family(owner), fn))
+            visit(child, cls, qual)
+
+    visit(tree, None, [])
+    return out
 
 
-def test_every_definition_is_referenced_outside_itself():
-    seen = _occurrences()
-    unused = []
-    for qualified, name, path, (first, last) in _definitions():
-        if not any(p != path or not first <= line <= last for p, line in seen[name]):
-            unused.append(f"{path.name}: {qualified}")
-    assert not unused, "defined but never referenced:\n" + "\n".join(unused)
+def _unshipped(package: dict, shipped: dict, shared_callers: dict) -> tuple:
+    """(unreached, stale) over package {file name: source} and shipped
+    {label: source}, the package's files labelled by their names.
+
+    unreached lists 'file: Qualified.name' per definition of the package
+    that no shipped code references outside the definition's own lines.
+    Methods of one class hierarchy that share a name count as one.  A name
+    that unrelated definitions share needs a reference that resolves to the
+    definition's hierarchy, or an entry in shared_callers whose caller
+    references the name; stale lists the entries that are not needed or
+    whose caller does not."""
+    trees = {label: ast.parse(source) for label, source in shipped.items()}
+    parent = {}
+    for label in package:
+        for node in trees[label].body:
+            if isinstance(node, ast.ClassDef):
+                parent.setdefault(node.name, node.name)
+                for base in node.bases:
+                    if isinstance(base, ast.Name):
+                        parent.setdefault(base.id, base.id)
+
+    def family(name):
+        if name not in parent:
+            return None
+        while parent[name] != name:
+            name = parent[name]
+        return name
+
+    for label in package:
+        for node in trees[label].body:
+            if isinstance(node, ast.ClassDef):
+                for base in node.bases:
+                    if isinstance(base, ast.Name):
+                        parent[family(node.name)] = family(base.id)
+
+    defs = [(label, qual, name, family(cls) if cls else (label, name), span)
+            for label in package for qual, name, cls, span in _definitions(trees[label])]
+    groups = defaultdict(set)
+    for _, _, name, group, _ in defs:
+        groups[name].add(group)
+    refs = defaultdict(list)
+    for label, tree in trees.items():
+        for name, line, owner, fn in _references(tree, family):
+            refs[name].append((label, line, owner, fn))
+
+    unreached, needed = [], set()
+    for label, qual, name, group, (first, last) in defs:
+        key = f"{label}: {qual}"
+        outside = [r for r in refs[name] if r[0] != label or not first <= r[1] <= last]
+        if len(groups[name]) > 1:
+            if any(owner == group for _, _, owner, _ in outside):
+                continue
+            caller = shared_callers.get(key, "")
+            needed.add(key)
+            if any(f"{r[0]}: {r[3]}" == caller and r[2] is None for r in outside):
+                continue
+        elif outside:
+            continue
+        unreached.append(key)
+    stale = sorted(key for key in shared_callers if key not in needed or key in unreached)
+    return unreached, stale
+
+
+def test_every_definition_is_reached_from_shipped_code():
+    package = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    shipped = dict(package)
+    for top in SHIPPED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.parent != PACKAGE:
+                shipped[str(path.relative_to(ROOT))] = path.read_text(encoding="utf-8")
+    unreached, stale = _unshipped(package, shipped, SHARED_NAME_CALLERS)
+    assert not unreached, ("referenced by no shipped code; move it under tests/support "
+                           "or delete it:\n" + "\n".join(unreached))
+    assert not stale, "SHARED_NAME_CALLERS entries not needed or not held:\n" + "\n".join(stale)
+
+
+def test_the_shipped_scan_sees_a_test_only_definition():
+    package = {"m.py": ("class Contraction:\n"
+                        "    def verify(self):\n        pass\n"
+                        "    def truncated(self):\n        return self\n"
+                        "class BurchData:\n    def verify(self):\n        return self.verify\n"
+                        "def check_minimality(structure):\n    return check_minimality\n"
+                        "def minimalize(cx):\n    return Contraction().truncated()\n")}
+    shipped = dict(package, **{"cli.py": ('"""check_minimality runs in the tests."""\n'
+                                          "def main(ctx):\n"
+                                          "    ctx.data.verify()\n"
+                                          "    return minimalize(ctx), BurchData\n")})
+    callers = {"m.py: BurchData.verify": "cli.py: main"}
+    assert _unshipped(package, shipped, callers) == (
+        ["m.py: Contraction.verify", "m.py: check_minimality"], [])
+    # a caller that does not reference the name, and an entry nothing needs
+    callers = {"m.py: BurchData.verify": "m.py: minimalize", "m.py: minimalize": "cli.py: main"}
+    assert _unshipped(package, shipped, callers) == (
+        ["m.py: Contraction.verify", "m.py: BurchData.verify", "m.py: check_minimality"],
+        ["m.py: BurchData.verify", "m.py: minimalize"])
 
 
 def _dead_locals(fn) -> list:
@@ -259,7 +393,8 @@ def test_only_burch_and_pipeline_choose_minimal_generators_of_i():
 
 # -- one set of dg checks -------------------------------------------------------
 
-DG_CHECKS = ("check_unit", "check_leibniz", "check_associative")
+# the package runs the first two; the tests' support package holds the others
+DG_CHECKS = ("check_unit", "check_leibniz", "check_associative", "check_commutative")
 
 
 def _class_attribute_names(item) -> list:
@@ -282,7 +417,7 @@ def test_only_dg_module_defines_the_dg_checks():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += _dg_check_definitions(path.read_text(encoding="utf-8"), path.name)
-    assert sorted(found) == sorted(f"taylor.py: DgModule.{name}" for name in DG_CHECKS)
+    assert sorted(found) == ["taylor.py: DgModule.check_leibniz", "taylor.py: DgModule.check_unit"]
 
 
 def test_the_dg_check_scan_sees_a_duplicate():
@@ -300,8 +435,7 @@ def test_only_dg_module_and_dg_algebra_box_the_rule():
     for path in sorted(PACKAGE.glob("*.py")):
         found += _dg_check_definitions(path.read_text(encoding="utf-8"), path.name,
                                        BOXED_PRODUCTS)
-    assert sorted(found) == ["taylor.py: DgAlgebra.product_basis",
-                             "taylor.py: DgModule.action_basis"]
+    assert found == ["taylor.py: DgModule.action_basis"]
 
 
 def test_the_boxed_product_scan_sees_a_duplicate():
@@ -466,7 +600,7 @@ def test_the_timing_scan_sees_a_duplicate():
 # -- one keyed-complex builder -------------------------------------------------------
 
 COMPLEX_BUILDERS = ["complexes.py: keyed_complex", "contraction.py: Contraction.truncated",
-                    "oracle.py: resolve_over_Q", "resolve.py: resolve_over_R"]
+                    "resolve.py: resolve_over_R"]
 
 
 def test_only_the_keyed_builder_and_the_resolutions_construct_a_complex():

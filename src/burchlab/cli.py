@@ -89,6 +89,8 @@ def corpus_entries():
 
 def run_corpus(out_path: str | None) -> int:
     """Run every bundled job in turn, compare against goldens, aggregate exit codes."""
+    if out_path:
+        write_report(out_path, "")  # an unwritable --out fails before the first job
     golden_base = resources.files("burchlab").joinpath("corpus", "golden")
     worst = EXIT_OK
     results = {}

@@ -4,8 +4,7 @@
   minimality of the transferred A-infinity structures of ainfty;
 * verify_contraction: every identity of a contraction minimalize returns;
 * check_associative and check_commutative: the dg laws beside the unit and
-  Leibniz checks that taylor.DgModule runs itself, and product_basis, the
-  boxed product rule of a dg algebra;
+  Leibniz checks that taylor.DgModule runs itself;
 * homology_is_zero: exactness of a complex, over Q by a Groebner argument;
 * check_homogeneous: every differential entry has the degree its labels ask;
 * reduce_element: normal forms against a module Groebner basis, the
@@ -18,11 +17,11 @@ from __future__ import annotations
 from burchlab.complexes import GradedFreeComplex, Strands
 from burchlab.contraction import Contraction
 from burchlab.errors import InternalCheckError
-from burchlab.groebner import (_flat, _lead_index, _normal_form, _reduce, _unflat,
-                               module_groebner, syzygies_of)
+from burchlab.groebner import _lead_index, _normal_form, module_groebner, syzygies_of
 from burchlab.matrices import FreeModuleElement, PolyMatrix, add_into
 from burchlab.ring import Polynomial, mono_deg
-from burchlab.taylor import _boxed, bilinear
+from burchlab.taylor import bilinear
+
 
 def identity(ring, degrees) -> PolyMatrix:
     m = PolyMatrix(ring, degrees, degrees)
@@ -84,18 +83,9 @@ def homology_is_zero(cx: GradedFreeComplex, n: int) -> bool:
     return not Strands(cx).homology(n)
 
 
-def reduce_element(v: FreeModuleElement, basis, full: bool = True) -> FreeModuleElement:
-    """Normal form of v against basis (list of (lead, elt) with monic elts).
-
-    With full = False only the lead is reduced: the result is v minus
-    multiples of basis elements, with a lead no basis lead divides (or 0).
-    """
-    index = _lead_index([g for _, g in basis])
-    if full:
-        return _normal_form(v, index)
-    terms = _flat(v)
-    _reduce(terms, index, v.ring.p, full=False)
-    return _unflat(v.ring, terms)
+def reduce_element(v: FreeModuleElement, basis) -> FreeModuleElement:
+    """Normal form of v against basis (list of (lead, elt) with monic elts)."""
+    return _normal_form(v, _lead_index([g for _, g in basis]))
 
 
 def verify_contraction(ctr: Contraction, through: int | None = None):
@@ -137,11 +127,6 @@ def verify_contraction(ctr: Contraction, through: int | None = None):
     return True
 
 
-def product_basis(A, da, ia, db, ib) -> FreeModuleElement:
-    """The product rule of a dg algebra A on two basis elements, boxed."""
-    return _boxed(A.ring, A.product_terms(da, ia, db, ib))
-
-
 def check_associative(Y, degree_cap: int):
     """(a*b)*c = a*(b*c) in a dg module Y (an algebra acts on itself) for
     total degree within the cap and Y's top."""
@@ -156,7 +141,7 @@ def check_associative(Y, degree_cap: int):
                 for ia in range(X.complex.rank(da)):
                     va = FreeModuleElement.basis(Y.ring, ia)
                     for ib in range(X.complex.rank(db)):
-                        ab = product_basis(X, da, ia, db, ib)
+                        ab = X.action_basis(da, ia, db, ib)
                         for ic in range(Y.complex.rank(dc)):
                             vc = FreeModuleElement.basis(Y.ring, ic)
                             left = bilinear(times, da + db, ab, dc, vc)
@@ -174,8 +159,8 @@ def check_commutative(A, through: int | None = None):
         for db in range(da, top + 1 - da):
             for ia in range(A.complex.rank(da)):
                 for ib in range(A.complex.rank(db)):
-                    ab = product_basis(A, da, ia, db, ib)
-                    ba = product_basis(A, db, ib, da, ia)
+                    ab = A.action_basis(da, ia, db, ib)
+                    ba = A.action_basis(db, ib, da, ia)
                     if (da * db) % 2 == 1:
                         ba = -ba
                     if ab != ba:

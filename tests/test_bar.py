@@ -15,7 +15,7 @@ from burchlab.pipeline import dg_pair
 from burchlab.resolve import ModulePresentation, resolve_over_R
 from burchlab.ring import PolyRing
 from burchlab.taylor import TaylorComplex
-from support.checks import entry, product_basis
+from support.checks import entry
 
 P = 32003
 
@@ -253,7 +253,7 @@ def dg_formula_boundary(B, w):
             put((-1) ** eps[p], xs + ((yd - 1, k),), f)
     for t in range(p - 1):             # r[..|x_t x_(t+1)|..]y
         (da, ia), (db, ib) = xs[t], xs[t + 1]
-        for k, f in product_basis(X, da, ia, db, ib).coords.items():
+        for k, f in X.action_basis(da, ia, db, ib).coords.items():
             put(-(-1) ** eps[t + 1], xs[:t] + ((da + db, k),) + xs[t + 2:] + (y,), f)
     if p:                              # r[x_1|..|x_(p-1)](x_p y)
         da, ia = xs[-1]

@@ -16,7 +16,7 @@ from burchlab.resolve import ModulePresentation
 from burchlab.ring import PolyRing
 from burchlab.taylor import TaylorComplex
 from support.checks import (check_associative, check_commutative, check_homogeneous, entry,
-                            homology_is_zero, product_basis, verify_contraction)
+                            homology_is_zero, verify_contraction)
 
 P = 32003
 
@@ -58,7 +58,7 @@ def test_taylor_squares_vanish(R):
     T = TaylorComplex(R, [R.parse("x^2"), R.parse("x*y"), R.parse("y^2")])
     for n in (1, 3):
         for t in range(T.complex.rank(n)):
-            assert not product_basis(T, n, t, n, t).coords
+            assert not T.action_basis(n, t, n, t).coords
 
 
 def test_taylor_dg_axioms(R):

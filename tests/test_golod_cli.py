@@ -166,7 +166,7 @@ def test_cli_unreadable_job_exit_code(tmp_path, capsys, kind):
 
 def test_cli_unwritable_out_exit_code(monkeypatch, tmp_path, capsys):
     # a single command printed a traceback and exited 1, the code of a failed
-    # bound; corpus ran every job and then exited 4
+    # bound; corpus ran every job and then exited 4, and now runs none
     from burchlab import cli
 
     out = str(tmp_path / "missing" / "report.json")
@@ -175,9 +175,12 @@ def test_cli_unwritable_out_exit_code(monkeypatch, tmp_path, capsys):
     assert err.startswith(f"input error: cannot write {out}") and err.count("\n") == 1
     monkeypatch.setattr(cli, "corpus_entries",
                         lambda: [("ex_structure.json", CORPUS / "ex_structure.json")])
+    monkeypatch.setattr(cli, "run_command", lambda command, spec: pytest.fail("a job ran"))
     assert cli.main(["corpus", "--out", out]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"input error: cannot write {out}") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: cannot write {out}")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("options", [

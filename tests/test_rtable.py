@@ -24,7 +24,7 @@ coeffs = st.integers(min_value=1, max_value=P - 1)
 def gb_normal_form(I: Ideal, f: Polynomial) -> Polynomial:
     basis = [(lead_term(FreeModuleElement(I.ring, {0: g})), FreeModuleElement(I.ring, {0: g}))
              for g in I.groebner()]
-    r = reduce_element(FreeModuleElement(I.ring, {0: f}), basis, full=True)
+    r = reduce_element(FreeModuleElement(I.ring, {0: f}), basis)
     return r.coords.get(0, I.ring.zero())
 
 

@@ -2,28 +2,35 @@
 local a function assigns is read.
 
 Walks src/burchlab with ast and collects each top-level function and class
-and each non-dunder method of a top-level class.  Each must be referenced,
-outside the lines of its own definition, by code that ships: src/,
-scripts/ or perfbench/.  A test reference does not count; code only the
-tests run lives under tests/support.  References are the names and
-attributes the code loads, read from the ast, so words in docstrings and
-comments do not count.  Methods of one class hierarchy that share a name
+and each non-dunder method of a top-level class.  Each must be reached
+from code that ships: src/, scripts/ or perfbench/ (its test modules
+aside).  The roots are those files' code outside every package definition;
+a definition is reached when a root or a reached definition references it
+outside its own lines, so two definitions that only reference each other
+are not.  A test reference does not count; code only the tests run lives
+under tests/support.  References are the names and attributes the code
+loads, read from the ast, so words in docstrings and comments do not
+count.  Methods of one class hierarchy that share a name
 count as one definition.  A name that definitions in unrelated classes
 share needs a reference that resolves to the definition's class (through
 self, cls, super() or the class name) or an entry in SHARED_NAME_CALLERS
 naming a shipped function that reaches it.
 
-The second check walks every function body: a name it stores (assignment,
-unpacking, loop or with target) must be loaded somewhere in the function
-or in a function nested in it.  Names starting with _ are exempt, so an
-unpacking can discard a value as _.
+Every definition of tests/support is reached from a test the same way,
+so the support package keeps no check that nothing runs.
+
+The second check walks every function body of the package and of
+tests/support: a name it stores (assignment, unpacking, loop or with
+target) must be loaded somewhere in the function or in a function nested
+in it.  Names starting with _ are exempt, so an unpacking can discard a
+value as _.
 
 The third check keeps keyed sums in one place: outside an allowlist of
-scalar kernels, no function writes the cancel-and-drop loop that
-matrices.add_into holds.
+scalar kernels, no function of the package or of tests/support writes the
+cancel-and-drop loop that matrices.add_into holds.
 
 The fourth check keeps the package's own imports at module top: no
-function body imports from burchlab.
+function body of the package or of tests/support imports from burchlab.
 
 The fifth check keeps the choice of minimal generators of I in one place:
 only burch.py (burch_data) and pipeline.py (RingContext.build) name
@@ -62,9 +69,9 @@ complexes.Strands.rank calls linalg.rank_of, so the bar's checks and
 homology over R read one rank cache.
 
 The thirteenth check keeps imports live: every name a module-level import
-binds in src/burchlab/*.py is read in that module, so a move leaves no
-import behind.  __init__.py is exempt; its imports are the package's
-re-exports.
+binds in src/burchlab/*.py or tests/support/*.py is read in that module,
+so a move leaves no import behind.  The package's __init__.py is exempt;
+its imports are the package's re-exports.
 
 The fourteenth check keeps the growing of resolutions for the pipelines
 in one place: in pipeline.py only dg_pair calls build_semifree_resolution
@@ -80,6 +87,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "burchlab"
+SUPPORT = ROOT / "tests" / "support"
 SHIPPED = ("src", "scripts", "perfbench")
 
 # Definitions whose bare name an unrelated definition shares (outside their
@@ -157,18 +165,23 @@ def _references(tree, family) -> list:
     return out
 
 
-def _unshipped(package: dict, shipped: dict, shared_callers: dict) -> tuple:
-    """(unreached, stale) over package {file name: source} and shipped
-    {label: source}, the package's files labelled by their names.
+def _unreached(package: dict, sources: dict, shared_callers: dict) -> tuple:
+    """(unreached, stale) over package {file name: source} and sources
+    {label: source}, which holds the package's files under their names.
 
-    unreached lists 'file: Qualified.name' per definition of the package
-    that no shipped code references outside the definition's own lines.
-    Methods of one class hierarchy that share a name count as one.  A name
-    that unrelated definitions share needs a reference that resolves to the
-    definition's hierarchy, or an entry in shared_callers whose caller
-    references the name; stale lists the entries that are not needed or
-    whose caller does not."""
-    trees = {label: ast.parse(source) for label, source in shipped.items()}
+    Roots are the code outside every package definition: the files of
+    sources that are not the package's, and the module-level statements of
+    the package's own.  A reference belongs to the innermost package
+    definition whose lines hold it (a dunder method's to its class), and
+    counts once that definition is reached.  A definition is reached by a
+    counted reference outside its own lines; the scan repeats until nothing
+    more is reached, so definitions that reference only each other stay
+    unreached.  Methods of one class hierarchy that share a name count as
+    one.  A name that unrelated definitions share needs a reference that
+    resolves to the definition's hierarchy, or an entry in shared_callers
+    whose caller references the name; stale lists the entries that are not
+    needed or whose caller does not reach it."""
+    trees = {label: ast.parse(source) for label, source in sources.items()}
     parent = {}
     for label in package:
         for node in trees[label].body:
@@ -192,45 +205,62 @@ def _unshipped(package: dict, shipped: dict, shared_callers: dict) -> tuple:
                     if isinstance(base, ast.Name):
                         parent[family(node.name)] = family(base.id)
 
-    defs = [(label, qual, name, family(cls) if cls else (label, name), span)
+    defs = [(f"{label}: {qual}", label, name, family(cls) if cls else (label, name), span)
             for label in package for qual, name, cls, span in _definitions(trees[label])]
     groups = defaultdict(set)
     for _, _, name, group, _ in defs:
         groups[name].add(group)
+    holder = {}
+    for key, label, _, _, (first, last) in sorted(defs, key=lambda d: d[4][0] - d[4][1]):
+        holder.update(((label, line), key) for line in range(first, last + 1))
     refs = defaultdict(list)
     for label, tree in trees.items():
         for name, line, owner, fn in _references(tree, family):
-            refs[name].append((label, line, owner, fn))
+            refs[name].append((label, line, owner, fn, holder.get((label, line))))
 
-    unreached, needed = [], set()
-    for label, qual, name, group, (first, last) in defs:
-        key = f"{label}: {qual}"
-        outside = [r for r in refs[name] if r[0] != label or not first <= r[1] <= last]
-        if len(groups[name]) > 1:
-            if any(owner == group for _, _, owner, _ in outside):
-                continue
-            caller = shared_callers.get(key, "")
-            needed.add(key)
-            if any(f"{r[0]}: {r[3]}" == caller and r[2] is None for r in outside):
-                continue
-        elif outside:
-            continue
-        unreached.append(key)
+    def reach(key, label, name, group, span, reached) -> str:
+        """How counted references reach a definition: 'name', 'owner',
+        'caller', or '' when they do not."""
+        first, last = span
+        live = [r for r in refs[name] if (r[4] is None or r[4] in reached)
+                and (r[0] != label or not first <= r[1] <= last)]
+        if len(groups[name]) == 1:
+            return "name" if live else ""
+        if any(r[2] == group for r in live):
+            return "owner"
+        caller = shared_callers.get(key, "")
+        return "caller" if any(f"{r[0]}: {r[3]}" == caller and r[2] is None for r in live) else ""
+
+    reached, verdicts = None, {}
+    while reached != {key for key, how in verdicts.items() if how}:
+        reached = {key for key, how in verdicts.items() if how}
+        verdicts = {key: reach(key, label, name, group, span, reached)
+                    for key, label, name, group, span in defs}
+    unreached = [key for key, how in verdicts.items() if not how]
+    needed = {key for key, _, name, _, _ in defs
+              if len(groups[name]) > 1 and verdicts[key] != "owner"}
     stale = sorted(key for key in shared_callers if key not in needed or key in unreached)
     return unreached, stale
 
 
 def test_every_definition_is_reached_from_shipped_code():
     package = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    shipped = dict(package)
-    for top in SHIPPED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            if path.parent != PACKAGE:
-                shipped[str(path.relative_to(ROOT))] = path.read_text(encoding="utf-8")
-    unreached, stale = _unshipped(package, shipped, SHARED_NAME_CALLERS)
-    assert not unreached, ("referenced by no shipped code; move it under tests/support "
+    # perfbench's own test module (test_perfbench.py) does not ship
+    shipped = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for top in SHIPPED for path in sorted((ROOT / top).rglob("*.py"))
+               if path.parent != PACKAGE and not path.name.startswith("test_")}
+    unreached, stale = _unreached(package, {**package, **shipped}, SHARED_NAME_CALLERS)
+    assert not unreached, ("reached by no shipped code; move it under tests/support "
                            "or delete it:\n" + "\n".join(unreached))
     assert not stale, "SHARED_NAME_CALLERS entries not needed or not held:\n" + "\n".join(stale)
+
+
+def test_every_support_definition_is_reached_from_a_test():
+    support = {path.name: path.read_text(encoding="utf-8") for path in sorted(SUPPORT.glob("*.py"))}
+    tests = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+             for path in sorted((ROOT / "tests").glob("*.py"))}
+    unreached, _ = _unreached(support, {**support, **tests}, {})
+    assert not unreached, "reached by no test; delete it:\n" + "\n".join(unreached)
 
 
 def test_the_shipped_scan_sees_a_test_only_definition():
@@ -239,19 +269,27 @@ def test_the_shipped_scan_sees_a_test_only_definition():
                         "    def truncated(self):\n        return self\n"
                         "class BurchData:\n    def verify(self):\n        return self.verify\n"
                         "def check_minimality(structure):\n    return check_minimality\n"
-                        "def minimalize(cx):\n    return Contraction().truncated()\n")}
+                        "def minimalize(cx):\n    return Contraction().truncated()\n"
+                        "def stasheff_check(structure):\n    return _slot_tuples(structure)\n"
+                        "def _slot_tuples(structure):\n    return stasheff_check(structure)\n")}
     shipped = dict(package, **{"cli.py": ('"""check_minimality runs in the tests."""\n'
                                           "def main(ctx):\n"
                                           "    ctx.data.verify()\n"
                                           "    return minimalize(ctx), BurchData\n")})
     callers = {"m.py: BurchData.verify": "cli.py: main"}
-    assert _unshipped(package, shipped, callers) == (
-        ["m.py: Contraction.verify", "m.py: check_minimality"], [])
+    assert _unreached(package, shipped, callers) == (
+        ["m.py: Contraction.verify", "m.py: check_minimality", "m.py: stasheff_check",
+         "m.py: _slot_tuples"], [])
     # a caller that does not reference the name, and an entry nothing needs
     callers = {"m.py: BurchData.verify": "m.py: minimalize", "m.py: minimalize": "cli.py: main"}
-    assert _unshipped(package, shipped, callers) == (
-        ["m.py: Contraction.verify", "m.py: BurchData.verify", "m.py: check_minimality"],
+    assert _unreached(package, shipped, callers) == (
+        ["m.py: Contraction.verify", "m.py: BurchData.verify", "m.py: check_minimality",
+         "m.py: stasheff_check", "m.py: _slot_tuples"],
         ["m.py: BurchData.verify", "m.py: minimalize"])
+    # a root that only a dead function references reaches nothing
+    package["m.py"] += "def unused():\n    return main_helper()\ndef main_helper():\n    pass\n"
+    shipped["m.py"] = package["m.py"]
+    assert _unreached(package, shipped, {})[0][-2:] == ["m.py: unused", "m.py: main_helper"]
 
 
 def _dead_locals(fn) -> list:
@@ -278,12 +316,20 @@ def _dead_locals(fn) -> list:
     return [name for name in stored if name not in loaded]
 
 
+def _scanned() -> list:
+    """(label, source) per module of the package and of the tests' support
+    package (labelled support/<name>), the modules the code checks walk."""
+    return ([(path.name, path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+            + [(f"support/{path.name}", path.read_text(encoding="utf-8"))
+               for path in sorted(SUPPORT.glob("*.py"))])
+
+
 def test_no_function_assigns_a_local_it_never_reads():
     dead = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for label, source in _scanned():
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                dead += [f"{path.name}: {node.name}: {name}" for name in _dead_locals(node)]
+                dead += [f"{label}: {node.name}: {name}" for name in _dead_locals(node)]
     assert not dead, "locals assigned but never read:\n" + "\n".join(dead)
 
 
@@ -325,17 +371,17 @@ def _cancel_and_drop_functions() -> set:
     (a nested function reports under its own name)."""
     found = set()
 
-    def visit(node, path, qual):
+    def visit(node, label, qual):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, path, qual + [child.name])
+                visit(child, label, qual + [child.name])
                 continue
             if _is_cancel_and_drop(child) and qual:
-                found.add(f"{path.name}: {'.'.join(qual)}")
-            visit(child, path, qual)
+                found.add(f"{label}: {'.'.join(qual)}")
+            visit(child, label, qual)
 
-    for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), path, [])
+    for label, source in _scanned():
+        visit(ast.parse(source), label, [])
     return found
 
 
@@ -374,8 +420,8 @@ def _local_package_imports(source: str, filename: str) -> list:
 
 def test_no_function_imports_from_the_package():
     local = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        local += _local_package_imports(path.read_text(encoding="utf-8"), path.name)
+    for label, source in _scanned():
+        local += _local_package_imports(source, label)
     assert not local, "a function-local package import; move it to module top:\n" + "\n".join(local)
 
 
@@ -660,9 +706,9 @@ def _unread_imports(source: str, filename: str) -> list:
 
 def test_every_module_import_is_read():
     unread = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name != "__init__.py":
-            unread += _unread_imports(path.read_text(encoding="utf-8"), path.name)
+    for label, source in _scanned():
+        if label != "__init__.py":
+            unread += _unread_imports(source, label)
     assert not unread, "imported but never read:\n" + "\n".join(unread)
 
 

@@ -19,7 +19,7 @@ from burchlab.resolve import ModulePresentation, minimal_module_generators
 from burchlab.tate import TateAlgebra, acyclic_closure, check_adjunction, homology_generators
 from burchlab.taylor import TaylorComplex, bilinear
 from support.checks import (check_associative, check_commutative, check_homogeneous, copy,
-                            homology_is_zero, product_basis)
+                            homology_is_zero)
 
 P = 32003
 
@@ -90,7 +90,7 @@ def test_fast_path_module(m2_ideal):
         for db in range(X.complex.top() + 1 - da):
             for ia in range(X.complex.rank(da)):
                 for ib in range(X.complex.rank(db)):
-                    left = bilinear(Y.action_terms, da + db, product_basis(X, da, ia, db, ib),
+                    left = bilinear(Y.action_terms, da + db, X.action_basis(da, ia, db, ib),
                                     0, y0)
                     right = bilinear(Y.action_terms, da, FreeModuleElement.basis(R, ia),
                                      db, Y.action_basis(db, ib, 0, 0))
@@ -99,7 +99,7 @@ def test_fast_path_module(m2_ideal):
 
 @pytest.mark.parametrize("case", ["taylor", "fast_path", "tate_hyper", "tate_m2", "semifree"])
 def test_the_boxed_products_are_the_rule(case, m2_ideal, hyper_ideal):
-    # product_basis/action_basis box the rule's triples, entry for entry, on
+    # action_basis boxes the rule's triples, entry for entry, on
     # every pair of basis elements within the degree caps
     R = m2_ideal.ring
     if case == "taylor":
@@ -124,7 +124,6 @@ def test_the_boxed_products_are_the_rule(case, m2_ideal, hyper_ideal):
                 assert [(i, list(f.terms.items())) for i, f in got.coords.items()] == want
                 if X is Y:
                     assert Y.product_terms(dx, ix, ny, iy) == terms
-                    assert product_basis(Y, dx, ix, ny, iy) == got
                 checked += 1
     assert checked >= 3   # 1 * 1, 1 * e and e * 1 on the hypersurface
 

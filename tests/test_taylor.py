@@ -10,7 +10,6 @@ from burchlab.burch import minimal_generators
 from burchlab.errors import InternalCheckError
 from burchlab.ring import PolyRing, mono_div, mono_lcm, mono_mul
 from burchlab.taylor import DgAlgebra, DgModule, TaylorComplex
-from support.checks import product_basis
 
 P = 32003
 
@@ -49,7 +48,7 @@ def test_product_basis_matches_the_docstring_formula(data):
     s = len(monos)
     for da, db in product(range(s + 1), repeat=2):
         for (ia, S), (ib, Tset) in product(enumerate(T.subsets[da]), enumerate(T.subsets[db])):
-            got = product_basis(T, da, ia, db, ib)
+            got = T.action_basis(da, ia, db, ib)
             terms = T.product_terms(da, ia, db, ib)
             want = docstring_product(T, S, Tset)
             if want is None:
@@ -189,8 +188,8 @@ def test_a_generator_with_more_than_one_term_is_refused():
 def test_a_dg_algebra_is_a_dg_module_over_itself():
     T = taylor_m2_3vars()
     assert isinstance(T, DgModule) and T.algebra is T
-    honest = product_basis(T, 1, 0, 1, 1)
+    honest = T.action_basis(1, 0, 1, 1)
     assert T.op(2, ((1, 0), (1, 1))) == honest
     plant_sign_flip(T, 1, (0,), 1, (1,))   # the action reads the patched rule
     assert T.action_basis(1, 0, 1, 1) == -honest
-    assert product_basis(T, 1, 0, 1, 1) == -honest
+    assert T.op(2, ((1, 0), (1, 1))) == -honest

@@ -2,8 +2,10 @@
 
 A complex stores per homological degree the list of internal basis degrees
 and the differential as a PolyMatrix.  Complexes over R carry the quotient
-ideal; their entries are kept in normal form and their graded strands use
-the standard monomials of R as coefficient bases.
+ideal, and their graded strands use the standard monomials of R as
+coefficient bases.  Every builder of a complex over R (the bar, the small
+complex of minimalize, resolve_over_R) stores nonzero normal forms, so
+readers take the entries as stored and never reduce them again.
 
 A complex given by basis keys and the boundary of each key (Taylor, Tate,
 semifree, bar, minimalized) is assembled by keyed_complex.
@@ -85,9 +87,6 @@ class GradedFreeComplex:
         if m is None:
             return PolyMatrix(self.ring, self.degrees.get(n - 1, []), self.degrees.get(n, []))
         return m
-
-    def reduce_poly(self, f):
-        return self.quotient.normal_form(f) if self.quotient is not None else f
 
     def rtable(self):
         """The RTable of R = Q/I over a quotient, None over Q; `PolyMatrix.compose`

@@ -196,13 +196,13 @@ class _UnitQueue:
 def minimalize(complex_: GradedFreeComplex) -> Contraction:
     """Contract a complex onto a minimal one (all differential entries in n).
 
-    Works over Q or over R.  Over R the entries are normal-formed once on
-    entry and every update adds a reduced product `RTable.mul`, so they stay
-    in normal form (a sum of normal forms is one) and a unit is read off the
-    stored entry.
+    Works over Q or over R.  Over R the entries come in as stored, nonzero
+    normal forms (every builder of a complex over R stores them so), and
+    every update adds a reduced product `RTable.mul`, so they stay in normal
+    form (a sum of normal forms is one) and a unit is read off the stored
+    entry.
     """
     ring = complex_.ring
-    red = complex_.reduce_poly
     table = complex_.rtable()
     times = operator.mul if table is None else table.mul
     top = complex_.top()
@@ -210,18 +210,11 @@ def minimalize(complex_: GradedFreeComplex) -> Contraction:
     # mutable copies: D[n][col][row], with row index rows_of[n][row] = set of cols
     D, rows_of = {}, {}
     for n in range(1, top + 1):
-        mat = complex_.diff(n)
-        D[n] = {}
+        D[n] = {j: dict(col) for j, col in complex_.diff(n).columns.items()}
         rows_of[n] = {}
-        for j, col in mat.columns.items():
-            newcol = {}
-            for i, f in col.items():
-                g = red(f)
-                if g:
-                    newcol[i] = g
-                    rows_of[n].setdefault(i, set()).add(j)
-            if newcol:
-                D[n][j] = newcol
+        for j, col in D[n].items():
+            for i in col:
+                rows_of[n].setdefault(i, set()).add(j)
 
     alive = {n: set(range(complex_.rank(n))) for n in complex_.degrees}
     # p over original indices; i and h are replayed from log (_Eliminations)

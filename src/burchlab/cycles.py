@@ -49,7 +49,6 @@ class BurchCycle:
 @dataclass
 class BurchCycleSet:
     data: BurchData
-    complex: GradedFreeComplex
     cycles: dict = field(default_factory=dict)  # (i, j) -> BurchCycle, 0-based, i < j, i < b
 
     def pairs(self):
@@ -71,7 +70,7 @@ def burch_cycles(bd: BurchData, X: GradedFreeComplex) -> BurchCycleSet:
         raise InternalCheckError("X_1 basis is not aligned with the Burch generators")
 
     d2_cols = [X.diff(2).column(j) for j in range(X.rank(2))]
-    out = BurchCycleSet(data=bd, complex=X)
+    out = BurchCycleSet(data=bd)
     n_lin = len(bd.xs)
     for i in range(bd.b):
         for j in range(i + 1, n_lin):

@@ -161,7 +161,7 @@ def taylor_module_fast_path(ring: PolyRing, gens, extra_gens):
         if m not in base and m not in extra:
             extra.append(m)
     X = TaylorComplex(ring, gens)
-    Y = TaylorComplex(ring, [*gens, *extra], verify=False)
+    Y = TaylorComplex(ring, [*gens, *map(ring.monomial, extra)], verify=False)
     Y.complex.check_dd_zero()
     mod = TaylorDgModule(X, Y)
     mod.check_unit()

@@ -88,7 +88,9 @@ def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span
                               spans: dict | None = None):
     """Greedy minimal generating subset over R, degree by degree.
 
-    Elements must be homogeneous columns in R^ambient (normal form).  The
+    Elements, and those of extra_span, must be homogeneous columns in
+    R^ambient in normal form; none is reduced here (ModulePresentation
+    reduces its relations, and the other callers work over Q).  The
     selection order is (degree, insertion order), so results are stable.
     extra_span holds (element, degree) pairs whose elements are quotiented
     out in every degree (all multiples), so with extra_span = boundaries
@@ -101,15 +103,10 @@ def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span
     copy, so no chosen element is in the kept echelon.
     """
     table = quotient.table()
-    reduce = not quotient.is_zero()   # over the zero ideal the normal form is the identity
-
-    def reduced(v):
-        return v.map_coords(quotient.normal_form) if reduce else v
-
-    elems = [(w, w.degree(gen_degrees)) for w in map(reduced, elements) if w.coords]
+    elems = [(w, w.degree(gen_degrees)) for w in elements if w.coords]
     if not elems:
         return []
-    extra = [(w, dg) for w, dg in ((reduced(v), dg) for v, dg in extra_span or ()) if w.coords]
+    extra = [(w, dg) for w, dg in extra_span or () if w.coords]
     chosen = []
     for d in sorted({dg for _, dg in elems}):
         strand = Strand(table, gen_degrees, d)

@@ -24,10 +24,10 @@ from typing import NamedTuple
 from .complexes import GradedFreeComplex, keyed_complex
 from .errors import InternalCheckError, check_rank
 from .groebner import Ideal, syzygies_of
-from .matrices import add_into
+from .matrices import FreeModuleElement, add_into
 from .resolve import minimal_module_generators
 from .ring import PolyRing
-from .taylor import DgAlgebra
+from .taylor import DgAlgebra, bilinear
 
 
 class Generator(NamedTuple):
@@ -141,9 +141,6 @@ class TateAlgebra(AdjunctionEngine, DgAlgebra):
 
     # -- monomial bookkeeping ---------------------------------------------
 
-    def key_degree(self, key) -> int:
-        return sum(self.generators[v].degree * e for v, e in key)
-
     def adjoin(self, degree: int, internal: int, diff: dict):
         """Add a variable of the given degrees with d(var) = diff (mono-keyed)."""
         if degree < 1:
@@ -169,73 +166,58 @@ class TateAlgebra(AdjunctionEngine, DgAlgebra):
         the internal degree of the variable."""
         return sum(e * self.generators[v].internal for v, e in key)
 
-    # -- algebra operations on monomial keys -------------------------------
+    # -- the product rule on monomial keys -----------------------------------
 
-    def mul_keys(self, k1, k2):
-        """(sign, binomial coefficient, product key) or None when it vanishes."""
+    def mul_keys(self, da, k1, db, k2) -> tuple:
+        """The product of basis monomials k1 of degree da and k2 of degree db:
+        ((product key, monomial 1, coeff),) with coeff in 1..p-1, or () when it
+        vanishes or lies above the degree cap.  The coefficient is the Koszul
+        sign of interleaving the odd variables times the divided-power
+        binomials."""
         gens = self.generators
         odd1 = [v for v, e in k1 if gens[v].degree % 2 == 1]
         odd2 = [v for v, e in k2 if gens[v].degree % 2 == 1]
-        if set(odd1) & set(odd2):
-            return None
+        if da + db > self.degree_cap or set(odd1) & set(odd2):
+            return ()
         inv = sum(1 for u in odd1 for w in odd2 if w < u)
-        sign = -1 if inv % 2 else 1
-        coeff = 1
+        coeff = -1 if inv % 2 else 1
         exps = dict(k1)
         for v, e in k2:
             if v in exps:
-                a, b = exps[v], e
-                coeff *= comb(a + b, a)
-                exps[v] = a + b
+                coeff *= comb(exps[v] + e, e)
+                exps[v] += e
             else:
                 exps[v] = e
-        key = tuple(sorted(exps.items()))
-        if self.key_degree(key) > self.degree_cap:
-            return None
-        return sign, coeff, key
+        c = coeff % self.ring.p
+        if not c:
+            return ()
+        return ((tuple(sorted(exps.items())), (0,) * self.ring.nvars, c),)
 
-    def mul_key_elt(self, k1, elt: dict) -> dict:
-        """Product (basis monomial) * (mono-keyed element)."""
-        out = {}
-        for k2, f in elt.items():
-            hit = self.mul_keys(k1, k2)
-            if hit is None:
-                continue
-            sign, coeff, key = hit
-            c = (sign * coeff) % self.ring.p
-            if c:
-                add_into(out, key, f.scale(c))
-        return out
-
-    def mul_elt_elt(self, e1: dict, e2: dict) -> dict:
-        out = {}
-        for k1, f1 in e1.items():
-            for k, f in self.mul_key_elt(k1, e2).items():
-                add_into(out, k, f * f1)
-        return out
-
-    def _key_image(self, _d, key) -> dict:
-        """Differential of a basis monomial, mono-keyed.
+    def _key_image(self, d, key) -> dict:
+        """Differential of a basis monomial of degree d, mono-keyed.
 
         Leibniz: d(f1...fk) = sum_i (-1)^deg(prefix) f1..f_{i-1} d(f_i) f_{i+1}..fk
         with d(gamma_e(v)) = d(v) gamma_{e-1}(v).  Each term is evaluated as
-        prefix * (d(v) * reduced-tail), so every Koszul sign beyond the
-        Leibniz prefactor comes from the product machinery itself.
+        prefix * (d(v) * reduced-tail), the rule mul_keys extended to elements
+        by taylor.bilinear, so every Koszul sign beyond the Leibniz prefactor
+        comes from the rule.
         """
         out = {}
         ring = self.ring
-        prefix: list = []
+        one = ring.one()
+        prefix = ()
         prefix_deg = 0
         for t, (v, e) in enumerate(key):
             vdeg, _, dv = self.generators[v]
-            rhs = []
-            if vdeg % 2 == 0 and e >= 2:
-                rhs.append((v, e - 1))
-            rhs.extend(key[t + 1:])
-            inner = self.mul_elt_elt(dv, {tuple(rhs): ring.one()})
-            for k, f in self.mul_key_elt(tuple(prefix), inner).items():
+            rest = ((v, e - 1),) if vdeg % 2 == 0 and e >= 2 else ()
+            tail = FreeModuleElement(ring, {rest + key[t + 1:]: one})
+            inner = bilinear(self.mul_keys, vdeg - 1, FreeModuleElement(ring, dv),
+                             d - prefix_deg - vdeg, tail)
+            term = bilinear(self.mul_keys, prefix_deg, FreeModuleElement(ring, {prefix: one}),
+                            d - prefix_deg - 1, inner)
+            for k, f in term.coords.items():
                 add_into(out, k, -f if prefix_deg % 2 else f)
-            prefix.append((v, e))
+            prefix += ((v, e),)
             prefix_deg += vdeg * e
         return out
 
@@ -243,14 +225,11 @@ class TateAlgebra(AdjunctionEngine, DgAlgebra):
 
     def product_terms(self, da, ia, db, ib) -> tuple:
         self._refresh()
-        hit = self.mul_keys(self._basis[da][ia], self._basis[db][ib])
-        if hit is None:
+        hit = self.mul_keys(da, self._basis[da][ia], db, self._basis[db][ib])
+        if not hit:
             return ()
-        sign, coeff, key = hit
-        c = (sign * coeff) % self.ring.p
-        if not c:
-            return ()
-        return ((self._pos[da + db][key], (0,) * self.ring.nvars, c),)
+        (key, m, c), = hit
+        return ((self._pos[da + db][key], m, c),)
 
 
 def homology_generators(cx: GradedFreeComplex, d: int):

@@ -200,15 +200,14 @@ class TaylorComplex(DgAlgebra):
     def __init__(self, ring: PolyRing, monomials, verify: bool = True):
         if not monomials:
             raise ValueError("need at least one monomial")
-        if any(not isinstance(m, tuple) and len(m.terms) != 1 for m in monomials):
+        if any(len(m.terms) != 1 for m in monomials):
             raise ValueError("Taylor generators must be monomials")
         if len(monomials) > TAYLOR_GENERATOR_CAP:
             raise ResourceCapError(
                 f"{len(monomials)} generators exceed the Taylor cap {TAYLOR_GENERATOR_CAP}")
-        self.monomials = [m if isinstance(m, tuple) else m.lead_monomial() for m in monomials]
+        self.monomials = [m.lead_monomial() for m in monomials]
         # d(e_u) = c_u m_u for a generator c_u m_u: every d entry that drops u carries c_u
-        units = [1 if isinstance(m, tuple) else m.terms[u]
-                 for m, u in zip(monomials, self.monomials)]
+        units = [m.terms[u] for m, u in zip(monomials, self.monomials)]
         self.ringref = ring
         s = len(self.monomials)
         self.subsets = {n: sorted(combinations(range(s), n)) for n in range(s + 1)}

@@ -25,9 +25,9 @@ from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.groebner import Ideal, maximal_ideal
 from burchlab.krank import theorem_verdicts
 from burchlab.matrices import FreeModuleElement
-from burchlab.pipeline import Caps, dg_pair, verify_general
+from burchlab.pipeline import Caps, dg_pair
 from burchlab.resolve import ModulePresentation, resolve_over_R
-from burchlab.ring import PolyRing, monomials_of_degree
+from burchlab.ring import monomials_of_degree
 from burchlab.taylor import TaylorComplex
 from support.checks import check_minimality, stasheff_check, verify_contraction
 from support.oracle import (krank_brute_force, krank_gb, krank_strand, syzygy_presentation,

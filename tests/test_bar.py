@@ -11,7 +11,7 @@ from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.errors import InternalCheckError
 from burchlab.groebner import Ideal
 from burchlab.matrices import PolyMatrix, add_into
-from burchlab.pipeline import dg_pair
+from burchlab.pipeline import Caps, ainf_pair, dg_pair
 from burchlab.resolve import ModulePresentation, resolve_over_R
 from burchlab.ring import PolyRing
 from burchlab.taylor import TaylorComplex
@@ -582,3 +582,26 @@ def test_the_commands_check_exactness_at_construction(ctx_m2, m2_ideal, command,
             pipeline.verify_golod(ctx_m2, k, caps)
         else:
             pipeline.bar_report(ctx_m2, k, caps, command.split()[1])
+
+
+@pytest.mark.parametrize("ctx", ["ctx_m2", "ctx_bione", "ctx_jn"])
+@pytest.mark.parametrize("module", ["k", "R/(x)"])
+def test_complexes_over_r_hold_nonzero_normal_forms(request, ctx, module):
+    # minimalize and minimal_module_generators read entries as stored, which
+    # holds only if every complex over R is built from nonzero normal forms
+    ctx = request.getfixturevalue(ctx)
+    ideal = ctx.ideal
+    if module == "k":
+        pres = ModulePresentation.residue_field(ideal)
+    else:
+        pres = ModulePresentation.cyclic(ideal, [ctx.ring.parse("x")])
+    bars = [BarComplex(*dg_pair(ctx, pres, cap=5, algebra=algebra), ideal, cap=5)
+            for algebra in ("taylor", "tate")]
+    bars.append(BarComplex(*ainf_pair(ctx, pres, Caps(hom_degree=5)), ideal, cap=5))
+    complexes = [bar.complex for bar in bars] + [minimalize(bar.complex).small for bar in bars]
+    complexes.append(resolve_over_R(pres, 5))
+    for cx in complexes:
+        assert cx.quotient is ideal
+        entries = [f for n in range(1, cx.top() + 1)
+                   for col in cx.diff(n).columns.values() for f in col.values()]
+        assert entries and all(f and ideal.normal_form(f) == f for f in entries)

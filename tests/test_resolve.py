@@ -1,9 +1,6 @@
-import pytest
-
 from burchlab.groebner import Ideal
 from burchlab.matrices import FreeModuleElement
 from burchlab.resolve import ModulePresentation, kernel_gens_over_R, resolve_over_R
-from burchlab.ring import PolyRing
 from support.checks import homology_is_zero
 from support.oracle import kernel_gens_over_R_gb, resolve_over_Q
 

@@ -42,7 +42,9 @@ check_leibniz, and no class defines the associativity and commutativity
 checks that only the tests run (tests/support/checks.py).  It also keeps
 one product path per structure: each structure defines its rule on keys
 (product_terms, action_terms), and only taylor.DgModule.action_basis
-boxes it, so no class keeps a second product beside the rule.
+boxes it, so no class keeps a second product beside the rule: no method
+calls a rule, or the rule on keys a rule maps to positions, on self inside
+a loop, since taylor.bilinear alone extends a rule to elements.
 
 The seventh check keeps adjunction in one place: the Tate closure and the
 semifree module both extend tate.AdjunctionEngine, so only it defines
@@ -70,8 +72,9 @@ homology over R read one rank cache.
 
 The thirteenth check keeps imports live: every name a module-level import
 binds in src/burchlab/*.py or tests/support/*.py is read in that module,
-so a move leaves no import behind.  The package's __init__.py is exempt;
-its imports are the package's re-exports.
+so a move leaves no import behind, and so is every name one binds in
+tests/*.py or scripts/*.py.  The package's __init__.py is exempt; its
+imports are the package's re-exports.
 
 The fourteenth check keeps the growing of resolutions for the pipelines
 in one place: in pipeline.py only dg_pair calls build_semifree_resolution
@@ -493,6 +496,70 @@ def test_the_boxed_product_scan_sees_a_duplicate():
         "m.py: SemifreeDgModule.action_basis"]
 
 
+RULES = ("product_terms", "action_terms")
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def _self_calls(node) -> set:
+    """Names of the methods node calls on self."""
+    return {call.func.attr for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Name) and call.func.value.id == "self"}
+
+
+def _element_products(source: str, filename: str) -> list:
+    """'file: Qual.name' per function that calls a product on self inside a
+    loop: an element-level product beside the rule.
+
+    The products are the rules (RULES), each method a rule of its own class
+    calls on self (the rule on keys it maps to positions, as
+    TateAlgebra.mul_keys) and, in turn, each method found.  A method that
+    passes a rule to taylor.bilinear calls no product, and the dg checks
+    read the rule through a local name, so neither is found.
+    """
+    products = set(RULES)
+    for cls in ast.walk(ast.parse(source)):
+        if isinstance(cls, ast.ClassDef):
+            own = {item.name: item for item in cls.body if isinstance(item, ast.FunctionDef)}
+            for rule in own.keys() & products:
+                products |= _self_calls(own[rule]) & own.keys()
+
+    def hit(node):
+        return isinstance(node, LOOPS) and bool(_self_calls(node) & products)
+
+    found = []
+    while new := [f for f in _functions_with(source, filename, hit) if f not in found]:
+        found += new
+        products |= {f.rsplit(".", 1)[-1] for f in new}
+    return found
+
+
+def test_no_class_multiplies_elements_beside_its_rule():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _element_products(path.read_text(encoding="utf-8"), path.name)
+    assert not found, "element-level products beside the rule:\n" + "\n".join(found)
+
+
+def test_the_element_product_scan_sees_a_second_product():
+    planted = ("class TateAlgebra(DgAlgebra):\n"
+               "    def mul_keys(self, da, k1, db, k2):\n        return ()\n"
+               "    def product_terms(self, da, ia, db, ib):\n"
+               "        return self.mul_keys(da, ia, db, ib)\n"
+               "    def mul_key_elt(self, k1, elt):\n"
+               "        return [self.mul_keys(0, k1, 0, k2) for k2 in elt]\n"
+               "    def mul_elt_elt(self, e1, e2):\n"
+               "        for k1 in e1:\n            self.mul_key_elt(k1, e2)\n"
+               "    def _key_image(self, d, key):\n"
+               "        for k in key:\n            bilinear(self.mul_keys, 0, k, 0, k)\n"
+               "class Square(TaylorComplex):\n"
+               "    def square(self, elt):\n"
+               "        while elt:\n            self.product_terms(0, elt.pop(), 0, 0)\n")
+    assert _element_products(planted, "m.py") == [
+        "m.py: TateAlgebra.mul_key_elt", "m.py: Square.square", "m.py: TateAlgebra.mul_elt_elt"]
+
+
 # -- one adjunction engine -------------------------------------------------------
 
 
@@ -709,6 +776,14 @@ def test_every_module_import_is_read():
     for label, source in _scanned():
         if label != "__init__.py":
             unread += _unread_imports(source, label)
+    assert not unread, "imported but never read:\n" + "\n".join(unread)
+
+
+def test_every_test_and_script_import_is_read():
+    unread = []
+    for folder in ("tests", "scripts"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            unread += _unread_imports(path.read_text(encoding="utf-8"), f"{folder}/{path.name}")
     assert not unread, "imported but never read:\n" + "\n".join(unread)
 
 

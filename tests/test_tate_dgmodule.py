@@ -15,7 +15,8 @@ from burchlab.errors import InternalCheckError
 from burchlab.groebner import Ideal, syzygies_of
 from burchlab.jobs import load_job
 from burchlab.matrices import FreeModuleElement, PolyMatrix
-from burchlab.resolve import ModulePresentation, minimal_module_generators
+from burchlab.resolve import (ModulePresentation, kernel_gens_over_R,
+                              minimal_module_generators, resolve_over_R)
 from burchlab.tate import TateAlgebra, acyclic_closure, check_adjunction, homology_generators
 from burchlab.taylor import TaylorComplex, bilinear
 from support.checks import (check_associative, check_commutative, check_homogeneous, copy,
@@ -67,10 +68,8 @@ def test_divided_power_arithmetic(m2_ideal):
     A = closure(m2_ideal, through=6)
     # gamma_a(v) * gamma_b(v) = binom(a+b, a) gamma_{a+b}(v) for a degree-2 variable
     v = next(i for i, g in enumerate(A.generators) if g.degree == 2)
-    hit = A.mul_keys(((v, 1),), ((v, 1),))
-    assert hit is not None
-    sign, coeff, key = hit
-    assert (sign, coeff, key) == (1, 2, ((v, 2),))
+    one = (0,) * m2_ideal.ring.nvars
+    assert A.mul_keys(2, ((v, 1),), 2, ((v, 1),)) == ((((v, 2),), one, 2),)
 
 
 def test_fast_path_module(m2_ideal):
@@ -562,13 +561,16 @@ def test_adjunction_check_compares_the_grading(m2_ideal, n):
         check_adjunction(cx, regraded, 3, spans)
 
 
-def test_generator_picks_over_the_zero_ideal_skip_the_normal_form(monkeypatch, m2_ideal):
-    # the boundary columns and cycles of a semifree complex, over Q
+def test_generator_picks_take_no_normal_form(monkeypatch, m2_ideal):
+    # over Q: the cycles and boundary columns of a semifree complex
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     cx = resolve_k(m2_ideal, X, up_to=3).complex
     d3, d4 = cx.diff(3), cx.diff(4)
     cycles = syzygies_of([d3.column(j) for j in range(d3.cols)], d3.rows, cx.ring)
     boundaries = [(d4.column(j), deg) for j, deg in enumerate(cx.basis_degrees(4))]
+    # over R: the kernel of d_1 of k's resolution, in normal form as it is made
+    d1 = resolve_over_R(ModulePresentation.residue_field(m2_ideal), 1).diff(1)
+    kernel = kernel_gens_over_R(d1, m2_ideal)
     normal_forms = []
     real = Ideal.normal_form
 
@@ -577,17 +579,10 @@ def test_generator_picks_over_the_zero_ideal_skip_the_normal_form(monkeypatch, m
         return real(self, f)
 
     monkeypatch.setattr(Ideal, "normal_form", counted)
-
-    def picks():
-        spans = {}
-        chosen = minimal_module_generators(cycles, cx.basis_degrees(3), Ideal(cx.ring, []),
-                                           extra_span=boundaries, spans=spans)
-        return chosen, {d: (strand.pairs, list(ech.pivots.items()), vectors)
-                        for d, (strand, ech, vectors) in spans.items()}
-
-    skipped = picks()
+    spans = {}
+    over_q = minimal_module_generators(cycles, cx.basis_degrees(3), Ideal(cx.ring, []),
+                                       extra_span=boundaries, spans=spans)
+    over_r = minimal_module_generators(kernel, d1.col_degrees, m2_ideal)
     assert not normal_forms
-    monkeypatch.setattr(Ideal, "is_zero", lambda self: False)   # apply the normal form
-    applied = picks()
-    assert normal_forms
-    assert skipped == applied and len(skipped[0]) == 16
+    assert len(over_q) == 16 and spans
+    assert over_r == kernel and len(kernel) == 4   # ker (x y) = m R^2, as m^2 = 0

@@ -110,9 +110,10 @@ class BurchData:
     xs: linear forms spanning n/n^2; the first b are independent mod BI.
     socle_lifts: s_1..s_b in (I : n) with gens[j_indices[i]] = xs[i]*s_i.
     nI: the product n*I, kept so its R-table is built once per ideal.
-    socle_gens: minimal generators of (I : n), in the order
-      minimal_generators returns them (splitting_check takes the first
-      witness in this order).
+    socle_gens: minimal generators of (I : n) taken from its reduced
+      Groebner basis, so they are monic and do not depend on how the colon
+      was computed, in the order minimal_generators returns them
+      (splitting_check takes the first witness in this order).
     """
 
     ideal: Ideal
@@ -288,7 +289,7 @@ def burch_data(I: Ideal, BI: Ideal | None = None) -> BurchData:
     assert len(burch_vars) == b, "variables must span n/BI since they span n/n^2"
     xs = [ring.var(i) for i in burch_vars + other_vars]
 
-    socle_gens = minimal_generators(soc.gens, ring)
+    socle_gens = minimal_generators(soc.groebner(), ring)
     soc_min = sorted(socle_gens, key=poly_sort_key)
     nI = n.product(I)
     q_table = Ideal(ring, []).table()

@@ -55,12 +55,16 @@ def run_command(command: str, spec: JobSpec) -> tuple:
     The exit code is EXIT_BOUND iff the body has bounds and bounds.allHold
     is false; a body without bounds asserts no bound.  Every body but
     burch's ends with timingSeconds, the wall time of the whole job from
-    building the ring data on.
+    building the ring data on.  Every command but burch works degree by
+    degree over R and needs R Artinian; this is the one place that checks.
     """
     t0 = time.perf_counter()
     ctx = spec.context()
     if command == "burch":
         return {"burch": ctx.burch_summary()}, EXIT_OK
+    if ctx.ideal.table().top is None:
+        raise InputError(f"{command} needs an Artinian quotient: R = Q/I must vanish "
+                         "in every large degree")
     pres = spec.presentation(ctx)
     if command == "resolve":
         body = resolve_report(ctx, pres, spec.caps)

@@ -23,7 +23,7 @@ tests, by a Groebner argument (homology_is_zero in tests/support/checks.py).
 
 from __future__ import annotations
 
-from .errors import InputError, InternalCheckError
+from .errors import InternalCheckError
 from .groebner import Ideal, Strand
 from .linalg import rank_of
 from .matrices import PolyMatrix
@@ -96,8 +96,9 @@ class GradedFreeComplex:
     # -- checks ---------------------------------------------------------------
 
     def check_dd_zero(self):
-        """d_(n-1) o d_n = 0 for every n, by composing the matrices (in R
-        over a quotient)."""
+        """d_(n-1) o d_n = 0 for every n, by composing the matrices; over a
+        quotient compose multiplies in R through its table, forming no term
+        above the top degree of R."""
         table = self.rtable()
         for n in range(2, self.top() + 1):
             if self.rank(n) == 0:
@@ -163,9 +164,6 @@ class Strands:
         degs = self.cx.basis_degrees(n)
         if not degs:
             return range(0)
-        if self.table.top is None:
-            # the ring came in with the job: a bad input, not a failed check
-            raise InputError("strand ranges need an Artinian quotient")
         return range(min(degs), max(degs) + self.table.top + 1)
 
     def strand(self, n: int, d: int) -> Strand:

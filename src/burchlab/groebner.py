@@ -267,13 +267,12 @@ def _unwrap(v: FreeModuleElement) -> Polynomial:
 class Ideal:
     """Homogeneous ideal of Q with a cached reduced Groebner basis."""
 
-    __slots__ = ("ring", "gens", "_gb", "_leads", "_table")
+    __slots__ = ("ring", "gens", "_gb", "_table")
 
     def __init__(self, ring: PolyRing, gens):
         self.ring = ring
         self.gens = [g for g in gens if g]
         self._gb = None
-        self._leads = None
         self._table = None
 
     def groebner(self):
@@ -283,7 +282,6 @@ class Ideal:
             else:
                 gb = module_groebner([_wrap(g) for g in self.gens], self.ring)
                 self._gb = [_unwrap(v) for v in gb]
-            self._leads = [g.lead_monomial() for g in self._gb]
         return self._gb
 
     def table(self) -> "RTable":
@@ -292,18 +290,12 @@ class Ideal:
             self._table = RTable(self)
         return self._table
 
-    def lead_monomials(self):
-        self.groebner()
-        return self._leads
-
     def is_zero(self) -> bool:
         return not self.gens
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         """The linear combination of the table's monomial normal forms."""
         table = self._table or self.table()
-        if not table.leads:
-            return f
         return Polynomial(self.ring, table._combine(f.terms.items()))
 
     def contains(self, f: Polynomial) -> bool:
@@ -395,24 +387,25 @@ class RTable:
     forms against a Groebner basis are linear, so the normal form of a
     polynomial is the combination of the forms of its monomials.
 
-    Products over R skip what is 0 by degree.  When the Groebner basis is
-    homogeneous (as it is for every homogeneous I), reduction keeps degrees,
-    so the normal form of a monomial of degree e lies in R_e; when R is
-    Artinian, R_e = 0 for e > top.  A monomial of degree above top therefore
-    has normal form 0, and dropping it from a sum changes no normal form,
-    whether or not the factors are homogeneous.  `cap` is top in exactly that
-    case and None otherwise (an inhomogeneous basis can reduce a high-degree
-    monomial to a nonzero one of low degree), and `mul` skips a monomial
-    pair only when its degree sum exceeds cap.
+    I must be homogeneous (every ideal the package builds is; a table of an
+    inhomogeneous basis raises ValueError), so reduction keeps degrees and
+    the normal form of a monomial of degree e lies in R_e.  When R is
+    Artinian, R_e = 0 for e > top, so a monomial of degree above top has
+    normal form 0 and dropping it from a sum changes no normal form.  top
+    is the one degree bound over R: `mul` skips every monomial pair whose
+    degree sum exceeds it, and a Strand skips every summand above it.
+    top is None when R is not Artinian, and then nothing is skipped.
     """
 
-    __slots__ = ("ring", "leads", "forms", "top", "cap", "_monomial_gb", "_reducers",
+    __slots__ = ("ring", "leads", "forms", "top", "_monomial_gb", "_reducers",
                  "_bases", "_indexes", "_socles")
 
     def __init__(self, ideal: Ideal):
         gb = ideal.groebner()
+        if not all(g.is_homogeneous() for g in gb):
+            raise ValueError("the graded data of Q/I needs a homogeneous ideal")
         self.ring = ideal.ring
-        self.leads = ideal.lead_monomials()
+        self.leads = [g.lead_monomial() for g in gb]
         self.forms = {}     # monomial -> tuple of (standard monomial, coefficient)
         self._monomial_gb = all(len(g.terms) == 1 for g in gb)
         self._reducers = _lead_index([_wrap(g) for g in gb])
@@ -421,8 +414,6 @@ class RTable:
         self._socles = {}   # degree -> k-basis of soc(R) in that degree
         self.top = None     # basis() cuts off above top, once it is known
         self.top = self._top_degree()
-        homogeneous = all(g.is_homogeneous() for g in gb)
-        self.cap = self.top if homogeneous else None
 
     def _top_degree(self):
         """Largest d with R_d != 0, or None if R is not Artinian within degree 200."""
@@ -489,17 +480,15 @@ class RTable:
         return form
 
     def mul(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """Normal form of f * g, never forming a monomial of degree above cap."""
-        if not self.leads:
-            return f * g
+        """Normal form of f * g, never forming a monomial of degree above top."""
         products = self._products(f.terms.items(), g.terms.items())
         return Polynomial(self.ring, self._combine(products))
 
     def _products(self, fterms, gterms):
-        """(m1 * m2, c1 * c2) over the term pairs whose degree sum is at most cap."""
-        cap = inf if self.cap is None else self.cap
+        """(m1 * m2, c1 * c2) over the term pairs whose degree sum is at most top."""
+        top = inf if self.top is None else self.top
         for m1, c1 in fterms:
-            room = cap - sum(m1)
+            room = top - sum(m1)
             if room < 0:
                 continue
             for m2, c2 in gterms:
@@ -546,9 +535,9 @@ class Strand:
     monomial of degree d - degrees[i], ordered by i and then by grevlex.
     Vectors are sparse dicts {position: nonzero residue mod p}.
 
-    When table.cap is set, a summand of degree d - degrees[i] above
-    table.top is R_e = 0 in a homogeneous quotient, and vector skips its
-    entries unread: every product landing there is 0 in R.
+    A summand whose degree d - degrees[i] of R lies above table.top is
+    R_e = 0, and vector skips its entries unread: every product landing
+    there is 0 in R.
     """
 
     __slots__ = ("table", "d", "pairs", "_offsets", "_indexes", "_shifts")
@@ -560,7 +549,7 @@ class Strand:
         self._offsets = []
         self._indexes = []   # per summand {standard monomial: position}, None when skipped
         self._shifts = [d - bdeg for bdeg in degrees]  # degree of R in each summand
-        above = inf if table.cap is None else table.cap
+        above = inf if table.top is None else table.top
         pairs, offsets, indexes = self.pairs, self._offsets, self._indexes
         for i, e in enumerate(self._shifts):
             offsets.append(len(pairs))

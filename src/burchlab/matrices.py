@@ -27,10 +27,6 @@ def add_into(acc: dict, key, f: Polynomial) -> None:
         acc.pop(key, None)
 
 
-def _lowest_degree(f: Polynomial) -> int:
-    return min(map(sum, f.terms), default=0)
-
-
 class FreeModuleElement:
     """Sparse element of a free module Q^r: coords maps index -> nonzero Polynomial."""
 
@@ -158,15 +154,12 @@ class PolyMatrix:
 
         With table (the RTable of R = Q/I) the entries are multiplied in R:
         table.mul(g, f) replaces g * f, so the result is already in normal
-        form (a sum of normal forms is one).  When table.cap is set, every
-        monomial of degree above it is 0 in R, and an entry pair whose
-        lowest degrees sum above cap is skipped unmultiplied.
+        form (a sum of normal forms is one), and no term pair of degree
+        above table.top is formed.
         """
         if self.cols != other.rows:
             raise ValueError(f"rank mismatch: {self.cols} vs {other.rows}")
         mul = operator.mul if table is None else table.mul
-        cap = None if table is None else table.cap
-        lows = {}   # k -> {i: lowest degree of entry (i, k) of self}, used with a cap
         out = PolyMatrix(self.ring, self.row_degrees, other.col_degrees)
         for j, col in other.columns.items():
             acc = {}
@@ -174,14 +167,7 @@ class PolyMatrix:
                 mycol = self.columns.get(k)
                 if mycol is None:
                     continue
-                if cap is not None:
-                    room = cap - _lowest_degree(f)
-                    low = lows.get(k)
-                    if low is None:
-                        low = lows[k] = {i: _lowest_degree(g) for i, g in mycol.items()}
                 for i, g in mycol.items():
-                    if cap is not None and low[i] > room:
-                        continue
                     add_into(acc, i, mul(g, f))
             if acc:
                 out.columns[j] = acc

@@ -99,8 +99,6 @@ class RingContext:
 
 def taylor_generators(ctx: RingContext) -> list:
     gens = ctx.minimal_gens
-    if not gens:
-        raise InputError("Taylor resolutions need a nonzero ideal")
     if not all(len(g.terms) == 1 for g in gens):
         raise InputError("Taylor resolutions need a monomial ideal")
     return gens

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from burchlab.burch import burch_data, burch_ideal, burch_index, minimal_generators
 from burchlab.errors import InputError, InternalCheckError
 from burchlab.groebner import Ideal, maximal_ideal
+from burchlab.pipeline import Caps, RingContext, verify_general
+from burchlab.resolve import ModulePresentation
 from burchlab.ring import PolyRing, monomials_of_degree
 
 P = 32003
@@ -193,11 +195,12 @@ def test_burch_results_are_computed_once_per_job(monkeypatch):
     def counted_colon(self, other):
         J = real_colon(self, other)
         if other.gens == maximal_ideal(self.ring).gens:
-            socles.append(J.gens)
+            socles.append(J)
         return J
 
     def counted_min(gens, ring):
-        calls["socle"] += any(gens is s for s in socles)
+        # burch_data takes the socle's generators from its Groebner basis
+        calls["socle"] += any(gens is s.groebner() for s in socles)
         return real_min(gens, ring)
 
     for mod in (burch, pipeline):
@@ -245,6 +248,31 @@ def test_xs_take_distinct_generators_when_they_can(R, ideal, lifts, gens):
     assert [str(s) for s in bd.socle_lifts] == lifts
     assert [str(bd.gens[j]) for j in bd.j_indices] == gens
     assert bd.verify()
+
+
+def test_an_x_without_an_exact_lift_adapts_a_generator(R):
+    # x takes the exact lift 2y onto 2xy, but y divides no generator with a
+    # quotient in (I : n); y * y carries x*y + 3*y^2 modulo nI, so that
+    # generator becomes 3*y^2 (without the adapt stage the job exits 4)
+    bd = burch_data(Ideal(R, [R.parse(g) for g in ("2*x*y", "x*y + 3*y^2", "x^3", "y^3")]))
+    assert [str(g) for g in bd.gens] == ["3*y^2", "2*x*y", "x^3"]
+    assert [str(s) for s in bd.socle_lifts] == ["2*y", "3*y"]
+    assert [j + 1 for j in bd.j_indices] == [2, 1]
+    assert bd.verify()
+
+
+@pytest.mark.parametrize("ideal", [
+    ["x^2", "x*y + x^2", "y^2"], ["x^2", "x*y", "y^2"],
+    ["2*x*y", "x*y + 3*y^2", "x^3", "y^3"], ["x*y", "y^2", "x^3"],
+])
+def test_witnesses_do_not_depend_on_how_the_socle_was_computed(R, ideal):
+    # the socle generators come from its reduced Groebner basis; as the colon
+    # wrote them, the first and third ideal printed 32002*x + 32002*y and
+    # 32001*y where their monomial forms print y
+    ctx = RingContext.build(R, Ideal(R, [R.parse(g) for g in ideal]))
+    pres = ModulePresentation.residue_field(ctx.ideal)
+    report = verify_general(ctx, pres, Caps(general_qs=(5,)), oracle_through=1)
+    assert [row["witnesses"] for row in report["cycles"]] == [["y"]]
 
 
 def test_xs_share_a_generator_when_n_soc_reaches_fewer_than_b(R):

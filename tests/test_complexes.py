@@ -364,7 +364,7 @@ def test_strand_vector_skips_a_row_above_top(m2_ideal):
     # R_2 = 0, so an entry there is unread, whatever its terms
     R = m2_ideal.ring
     table = m2_ideal.table()
-    assert table.cap == table.top == 1
+    assert table.top == 1
     strand = Strand(table, [1, 0], 2)
     assert strand.pairs == [(0, (0, 1)), (0, (1, 0))]   # y, x
     want = strand.vector({0: R.parse("3*x + y")})

@@ -323,9 +323,9 @@ def test_production_commands_never_import_the_oracles():
 
 
 def test_cli_resource_cap_exit_code(tmp_path):
-    # 13 monomial generators trip the Taylor guard
+    # the 14 monomials of degree 13 (an Artinian quotient) trip the Taylor guard
     gens = [f"x^{13 - a}*y^{a}" if a and a != 13 else ("x^13" if a == 0 else "y^13")
-            for a in range(13)]
+            for a in range(14)]
     job = {"p": 32003, "vars": ["x", "y"], "ideal": gens,
            "module": {"cyclic": ["x", "y"]}, "regime": "dg"}
     path = tmp_path / "big.json"
@@ -598,17 +598,18 @@ def write_job(tmp_path, job) -> str:
 def test_cli_empty_ideal_exit_code(tmp_path, capsys, command):
     from burchlab.cli import main
 
+    # I = 0 leaves R = Q, which is not Artinian
     path = write_job(tmp_path, m2_job(ideal=[], caps={"homDegree": 4}))
     assert main([command, "--job", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("input error: Taylor") and err.count("\n") == 1
+    assert err.startswith("input error: ") and "Artinian" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["resolve", "bar", "cycles", "verify-general",
                                      "verify-golod"])
 def test_cli_non_artinian_quotient_exit_code(tmp_path, capsys, command):
-    # k[x,y]/(x^2, xy) is not Artinian; every command that reads strands of R
-    # rejects it as an input error (bar, cycles and verify-golod exited 4)
+    # k[x,y]/(x^2, xy) is not Artinian; every command but burch works degree
+    # by degree over R, and cli.run_command rejects it as an input error
     from burchlab.cli import main
 
     path = write_job(tmp_path, m2_job(ideal=["x^2", "x*y"], caps={"homDegree": 4}))

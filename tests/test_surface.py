@@ -43,8 +43,10 @@ checks that only the tests run (tests/support/checks.py).  It also keeps
 one product path per structure: each structure defines its rule on keys
 (product_terms, action_terms), and only taylor.DgModule.action_basis
 boxes it, so no class keeps a second product beside the rule: no method
-calls a rule, or the rule on keys a rule maps to positions, on self inside
-a loop, since taylor.bilinear alone extends a rule to elements.
+calls a rule, or the rule on keys a rule maps to positions, inside a loop,
+on self or an attribute of it or through a local bound to one, since
+taylor.bilinear alone extends a rule to elements.  An allowlist names the
+loops kept for speed, each with its measured reason.
 
 The seventh check keeps adjunction in one place: the Tate closure and the
 semifree module both extend tate.AdjunctionEngine, so only it defines
@@ -501,22 +503,46 @@ LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictCo
          ast.GeneratorExp)
 
 
-def _self_calls(node) -> set:
-    """Names of the methods node calls on self."""
-    return {call.func.attr for call in ast.walk(node)
-            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-            and isinstance(call.func.value, ast.Name) and call.func.value.id == "self"}
+def _on_self(node) -> bool:
+    """node is self or an attribute read off it (self.algebra)."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _aliases(fn) -> dict:
+    """{local name: method} for each local fn binds to a method read off self
+    or an attribute of it (times = self.action_terms)."""
+    return {t.id: a.value.attr for a in ast.walk(fn)
+            if isinstance(a, ast.Assign) and isinstance(a.value, ast.Attribute)
+            and _on_self(a.value.value) for t in a.targets if isinstance(t, ast.Name)}
+
+
+def _self_calls(node, aliases=None) -> set:
+    """Names of the methods node calls on self or on an attribute of it
+    (self.algebra.product_terms), directly or through a local in aliases."""
+    aliases = aliases or {}
+    names = set()
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            f = call.func
+            if isinstance(f, ast.Attribute) and _on_self(f.value):
+                names.add(f.attr)
+            elif isinstance(f, ast.Name) and f.id in aliases:
+                names.add(aliases[f.id])
+    return names
 
 
 def _element_products(source: str, filename: str) -> list:
-    """'file: Qual.name' per function that calls a product on self inside a
-    loop: an element-level product beside the rule.
+    """'file: Qual.name' per function that calls a product inside a loop:
+    an element-level product beside the rule.
 
     The products are the rules (RULES), each method a rule of its own class
     calls on self (the rule on keys it maps to positions, as
-    TateAlgebra.mul_keys) and, in turn, each method found.  A method that
-    passes a rule to taylor.bilinear calls no product, and the dg checks
-    read the rule through a local name, so neither is found.
+    TateAlgebra.mul_keys) and, in turn, each method found.  A call counts
+    on self, on an attribute of self (self.algebra.product_terms) and
+    through a local bound to either (times = self.action_terms).  A method
+    that passes a rule to taylor.bilinear calls no product.
     """
     products = set(RULES)
     for cls in ast.walk(ast.parse(source)):
@@ -525,8 +551,12 @@ def _element_products(source: str, filename: str) -> list:
             for rule in own.keys() & products:
                 products |= _self_calls(own[rule]) & own.keys()
 
-    def hit(node):
-        return isinstance(node, LOOPS) and bool(_self_calls(node) & products)
+    def hit(fn):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return False
+        aliases = _aliases(fn)
+        return any(isinstance(node, LOOPS) and _self_calls(node, aliases) & products
+                   for node in ast.walk(fn))
 
     found = []
     while new := [f for f in _functions_with(source, filename, hit) if f not in found]:
@@ -535,11 +565,29 @@ def _element_products(source: str, filename: str) -> list:
     return found
 
 
+# Functions that may call a rule inside a loop, each with its measured reason.
+# Every other element-level product goes through taylor.bilinear.
+ELEMENT_PRODUCTS_ALLOWED = {
+    "taylor.py: DgModule.check_unit":
+        "sums the rule's integer terms; checking through element products made "
+        "the corpus 24% slower",
+    "taylor.py: DgModule.check_leibniz":
+        "sums the rule's integer terms; checking through element products made "
+        "the corpus 24% slower",
+    "dgmodule.py: SemifreeDgModule._key_image":
+        "b_i * d(g_t) by its own loop; through taylor.bilinear theorem-a ran about "
+        "8% slower in-process",
+}
+
+
 def test_no_class_multiplies_elements_beside_its_rule():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         found += _element_products(path.read_text(encoding="utf-8"), path.name)
-    assert not found, "element-level products beside the rule:\n" + "\n".join(found)
+    stray = sorted(set(found) - set(ELEMENT_PRODUCTS_ALLOWED))
+    assert not stray, "element-level products beside the rule:\n" + "\n".join(stray)
+    stale = sorted(set(ELEMENT_PRODUCTS_ALLOWED) - set(found))
+    assert not stale, "allowed but no longer calls a rule in a loop:\n" + "\n".join(stale)
 
 
 def test_the_element_product_scan_sees_a_second_product():
@@ -558,6 +606,25 @@ def test_the_element_product_scan_sees_a_second_product():
                "        while elt:\n            self.product_terms(0, elt.pop(), 0, 0)\n")
     assert _element_products(planted, "m.py") == [
         "m.py: TateAlgebra.mul_key_elt", "m.py: Square.square", "m.py: TateAlgebra.mul_elt_elt"]
+
+
+def test_the_element_product_scan_sees_an_attribute_and_an_alias():
+    planted = ("class DgModule:\n"
+               "    def action_terms(self, dx, ix, ny, iy):\n        return ()\n"
+               "    def check_unit(self, basis):\n"
+               "        times = self.action_terms\n"
+               "        return [times(0, 0, 0, i) for i in basis]\n"
+               "    def unit(self, i):\n"
+               "        times = self.action_terms\n"
+               "        return bilinear(times, 0, i, 0, i)\n"
+               "class SemifreeDgModule(DgModule):\n"
+               "    def _key_image(self, n, key):\n"
+               "        for i in key:\n"
+               "            self.algebra.product_terms(0, i, 0, 0)\n"
+               "    def action_terms(self, dx, ix, ny, iy):\n"
+               "        return self.algebra.product_terms(dx, ix, ny, iy)\n")
+    assert _element_products(planted, "m.py") == [
+        "m.py: DgModule.check_unit", "m.py: SemifreeDgModule._key_image"]
 
 
 # -- one adjunction engine -------------------------------------------------------

@@ -173,10 +173,13 @@ class Strands:
         return got
 
     def columns(self, n: int, d: int) -> list:
+        """The strand vectors of d_n at d; with an empty target strand they
+        are all zero, and none is vectorized."""
         got = self._columns.get((n, d))
         if got is None:
-            got = self._columns[n, d] = self.table.matrix_strand(
-                self.cx.diff(n), d, self.strand(n, d), self.strand(n - 1, d))[1]
+            src, tgt = self.strand(n, d), self.strand(n - 1, d)
+            got = self._columns[n, d] = (self.table.matrix_strand(self.cx.diff(n), d, src, tgt)[1]
+                                         if tgt else [{} for _ in src])
         return got
 
     def generator_columns(self, n: int, d: int, js) -> list:
@@ -187,6 +190,8 @@ class Strands:
             one = (0,) * self.cx.ring.nvars
             return [cols[src.position(j, one)] for j in js]
         tgt = self.strand(n - 1, d)
+        if not tgt:
+            return [{} for _ in js]
         entries = self.cx.diff(n).columns
         return [tgt.vector(entries.get(j, {})) for j in js]
 

@@ -3,8 +3,9 @@
 The split map psi: X -> Y of the Theorem-A cycles is the action on Y's
 first generator y_0, psi(x) = x * y_0, read through the action rule.  As
 d(y_0) = 0, psi is a chain map wherever the module Leibniz law holds on
-the pairs (x, y_0): the fast path checks them, and the semifree
-differential (SemifreeDgModule._key_image) is that law by construction.
+the pairs (x, y_0): the fast path checks them through the top degree
+of Y's minimal model, and the semifree differential
+(SemifreeDgModule._key_image) is that law by construction.
 
 Two constructions:
 
@@ -17,13 +18,15 @@ Two constructions:
   caller passes (the pipelines pass the job's list, so X_1 is aligned
   with the Burch generators), the Taylor complex of the J-list is itself a
   dg algebra containing the Taylor complex of I as a subalgebra.  Y's
-  product is read only as the action of X, so the checks are X's full
-  dg-algebra checks, d^2 = 0 on Y, and the module unit and Leibniz laws
-  on X x Y.
+  product is read only as the action of X, and the A-infinity transfer
+  reads products only through the top degrees of the minimal models, so
+  the checks are d^2 = 0 and the unit laws on X and Y in full, and the
+  Leibniz laws of X and of the action of X on Y through those degrees.
 """
 
 from __future__ import annotations
 
+from .contraction import minimalize
 from .errors import InternalCheckError
 from .matrices import add_into
 from .resolve import ModulePresentation
@@ -139,18 +142,35 @@ class TaylorDgModule(DgModule):
 
 
 def taylor_module_fast_path(ring: PolyRing, gens, extra_gens):
-    """Y = Taylor(gens + extra monomial gens) over X = Taylor(gens).
+    """Y = Taylor(gens + extra monomial gens) over X = Taylor(gens), with
+    the contractions of X and Y onto their minimal models.
 
     gens is the minimal generating list of a monomial ideal I, in order, as
     for TaylorComplex(ring, gens); resolves R/(extra)R = Q/(I + extra).
-    Returns (X, Y) with Y the TaylorDgModule.
+    Returns (X, Y, ctr_x, ctr_y): Y is the TaylorDgModule, ctr_x and ctr_y
+    are minimalize(X.complex) and minimalize(Y.complex), of tops t_X and t_Y.
 
-    Checks run: X's d^2 = 0, two-sided unit and Leibniz laws (AInfAlgebra
-    reads X's product); Y's d^2 = 0 (minimalize reads Y's differential);
-    the module laws 1*c = c and Leibniz on the pairs of X x Y meeting in at
-    most one index, the pairs (x, y_0 = e_(empty set)) among them.  Y's own
-    product is read only through action_terms, whose left factor lies in X,
-    so products e_S * e_T of Y with S not in the base are not checked.
+    Checks run, in full: d^2 = 0 on X and Y (minimalize reads every
+    differential) and the unit laws, X's two-sided and the module's 1*c = c.
+    Leibniz runs on X through max(t_X, t_Y) and on the pairs of X x Y
+    meeting in at most one index through t_Y, the pairs (x, y_0 = e_(empty
+    set)) among them: a pair (a, c) with |a| + |c| = n reads the products
+    landing in degrees n and n - 1, so these are all the products that the
+    A-infinity transfer on the minimal models reads (AInfAlgebra,
+    AInfModule):
+    * an n-ary op whose output degree sum(d) + n - 2 exceeds the top of its
+      minimal complex is 0 unread, and along the transfer tree degrees never
+      decrease: lambda on a slot interval of length k has degree
+      sum(d) + k - 2, the homotopy adds 1, and each product lands in the sum
+      of its factors' degrees, at most the output degree;
+    * so a module op reads the action of X on Y in degrees <= t_Y, and X's
+      product on its x-slot intervals in degrees <= t_Y as well; an algebra
+      op reads X's product in degrees <= t_X.
+    ctr_y is not truncated: its small complex is the minimal Q-resolution
+    of M, so t_Y <= nvars (Hilbert's syzygy theorem).  Y's own product is
+    read only through action_terms, whose left factor lies in X, so
+    products e_S * e_T of Y with S not in the base are not checked; a
+    caller reading products above those degrees checks them itself.
     """
     if not all(len(g.terms) == 1 for g in [*gens, *extra_gens]):
         raise InternalCheckError("fast path needs monomial generators")
@@ -160,10 +180,14 @@ def taylor_module_fast_path(ring: PolyRing, gens, extra_gens):
         m = g.lead_monomial()
         if m not in base and m not in extra:
             extra.append(m)
-    X = TaylorComplex(ring, gens)
+    X = TaylorComplex(ring, gens, verify=False)
     Y = TaylorComplex(ring, [*gens, *map(ring.monomial, extra)], verify=False)
-    Y.complex.check_dd_zero()
     mod = TaylorDgModule(X, Y)
-    mod.check_unit()
-    mod.check_leibniz()
-    return X, mod
+    for structure in (X, mod):
+        structure.complex.check_dd_zero()
+        structure.check_unit()
+    ctr_x, ctr_y = minimalize(X.complex), minimalize(Y.complex)
+    t_y = ctr_y.small.top()
+    X.check_leibniz(through=max(ctr_x.small.top(), t_y))
+    mod.check_leibniz(through=t_y)
+    return X, mod, ctr_x, ctr_y

@@ -114,7 +114,11 @@ def taylor_generators(ctx: RingContext) -> list:
 #   through hom_degree + 1 (Contraction.truncated), where it is the minimal
 #   resolution of M over Q; above lie the unkilled H_(hom_degree + 2) and
 #   Y's top degree, which has no generators of its own.
-# * fast path: Y complete, the Taylor complex of the J-list.
+# * fast path: Y complete, the Taylor complex of the J-list, and its
+#   minimal model complete, the minimal Q-resolution of M (top t_Y <= nvars).
+#   The transfer reads X's product and the action only in degrees up to the
+#   tops of the minimal models, max(t_X, t_Y) and t_Y, and the fast path
+#   checks Leibniz through those degrees (taylor_module_fast_path).
 
 
 def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str = "taylor"):
@@ -146,13 +150,13 @@ def ainf_pair(ctx: RingContext, pres: ModulePresentation, caps: Caps):
     if cyclic_monomial:
         # no rank guard: the Taylor complex of s generators has 2^s basis
         # elements, and TaylorComplex refuses s > TAYLOR_GENERATOR_CAP
-        X, big_module = taylor_module_fast_path(
+        X, big_module, ctr_x, ctr_y = taylor_module_fast_path(
             ctx.ring, taylor_generators(ctx), [v.coords[0] for v in pres.relations])
-        ctr_y = minimalize(big_module.complex)
     else:
         X, big_module = dg_pair(ctx, pres, caps.hom_degree + 2)
+        ctr_x = minimalize(X.complex)
         ctr_y = minimalize(big_module.complex).truncated(caps.hom_degree + 1)
-    alg = AInfAlgebra(minimalize(X.complex), X, arity_cap=caps.arity)
+    alg = AInfAlgebra(ctr_x, X, arity_cap=caps.arity)
     return alg, AInfModule(alg, ctr_y, big_module, arity_cap=caps.arity)
 
 

@@ -23,7 +23,7 @@ Q-module coker(relations + I times the basis), built by _with_ideal_columns.
 from __future__ import annotations
 
 from burchlab.complexes import GradedFreeComplex
-from burchlab.errors import InputError, InternalCheckError, ResourceCapError
+from burchlab.errors import InternalCheckError, ResourceCapError
 from burchlab.groebner import Ideal, Strand, syzygies_of
 from burchlab.linalg import SparseEchelon, kernel_basis, vec_axpy
 from burchlab.matrices import FreeModuleElement, PolyMatrix
@@ -49,11 +49,8 @@ def _with_ideal_columns(columns, rank: int, quotient: Ideal):
 
 
 def total_dim_bound(pres: ModulePresentation) -> int:
-    """dim_k M summed over every degree where M can be nonzero."""
-    top = pres.quotient.table().top
-    if top is None:
-        raise InputError("module is not finite dimensional (quotient not Artinian)")
-    return sum(pres.dims(max(pres.gen_degrees) + top))
+    """dim_k M summed over every degree where M can be nonzero; R is Artinian."""
+    return sum(pres.dims(max(pres.gen_degrees) + pres.quotient.table().top))
 
 
 # ---------------------------------------------------------------------------

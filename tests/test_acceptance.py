@@ -195,10 +195,10 @@ def test_criterion_4_golod_pipeline(m2_ideal):
     t0 = time.time()
     R = m2_ideal.ring
     bd = burch_data(m2_ideal)
-    X, Ymod = taylor_module_fast_path(
+    X, Ymod, ctr_x, ctr_y = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
-    alg = AInfAlgebra(minimalize(X.complex), X)
-    mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
+    alg = AInfAlgebra(ctr_x, X)
+    mod = AInfModule(alg, ctr_y, Ymod)
     from burchlab.golod import golod_check
 
     golod, bar = golod_check(alg, mod, m2_ideal, 8)
@@ -252,10 +252,10 @@ def test_criterion_5_bar_correctness_both_regimes(hyper_ideal, m2_ideal, m23_ide
         assert not any(strands.homology(n) for n in range(1, dg_cap))
         assert Bdg.h0_dims(3) == pres.dims(3)
         # A-infinity regime over the minimal structures
-        X2, Ymod = taylor_module_fast_path(
+        X2, Ymod, ctr_x, ctr_y = taylor_module_fast_path(
             R, minimal_generators(I.gens, R), [R.parse(s) for s in mod_gens])
-        alg = AInfAlgebra(minimalize(X2.complex), X2)
-        mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
+        alg = AInfAlgebra(ctr_x, X2)
+        mod = AInfModule(alg, ctr_y, Ymod)
         Bainf = BarComplex(alg, mod, I, cap=ainf_cap)
         Bainf.rank_formula_check()
         strands = Strands(Bainf.complex)
@@ -274,10 +274,10 @@ def test_criterion_6_transfer_correctness(hyper_ideal, m2_ideal, m23_ideal,
     for I, mod_gens in ((m2_ideal, ["x", "y"]), (bione_ideal, ["x^2", "y"]),
                         (jn_ideal, ["x", "y"]), (m23_ideal, ["x", "y", "z"])):
         R = I.ring
-        X, Ymod = taylor_module_fast_path(
+        X, Ymod, ctr_x, ctr_y = taylor_module_fast_path(
             R, minimal_generators(I.gens, R), [R.parse(s) for s in mod_gens])
-        alg = AInfAlgebra(minimalize(X.complex), X)
-        mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
+        alg = AInfAlgebra(ctr_x, X)
+        mod = AInfModule(alg, ctr_y, Ymod)
         for n in range(1, 5):
             stasheff_check(alg, n, 6)
             stasheff_check(mod, n, 6)

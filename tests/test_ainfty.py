@@ -40,6 +40,18 @@ def test_transfer_on_bione_ring(bione_ideal):
     check_minimality(alg, 8)
 
 
+def test_transfer_signs_on_an_algebra_with_nonzero_m3():
+    # on k[x,y,z,w]/(xy, yz, zw, x^2, y^2, z^2, w^2) four m_3 values within
+    # degree 3 are nonzero, so the identities of arity 3 read the transfer's
+    # sign convention sigma, which the rings above, all with m_3 = 0, do not
+    R = PolyRing(P, ("x", "y", "z", "w"))
+    T = TaylorComplex(R, [R.parse(s) for s in ("x*y", "y*z", "z*w", "x^2", "y^2", "z^2", "w^2")])
+    alg = AInfAlgebra(minimalize(T.complex), T, arity_cap=4)
+    assert alg.op(3, ((1, 1), (1, 6), (1, 3))).coords
+    for n in range(1, 4):
+        stasheff_check(alg, n, 3)
+
+
 def test_strict_unitality(m2_ideal):
     T = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
     alg = AInfAlgebra(minimalize(T.complex), T, arity_cap=4)
@@ -72,10 +84,10 @@ def test_module_transfer_hypersurface(hyper_ideal):
 
 def test_module_transfer_m2(ctx_m2, m2_ideal):
     R = m2_ideal.ring
-    X, Ymod = taylor_module_fast_path(
+    X, Ymod, ctr_x, ctr_y = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
-    alg = AInfAlgebra(minimalize(X.complex), X, arity_cap=4)
-    mod = AInfModule(alg, minimalize(Ymod.complex), Ymod, arity_cap=4)
+    alg = AInfAlgebra(ctr_x, X, arity_cap=4)
+    mod = AInfModule(alg, ctr_y, Ymod, arity_cap=4)
     for n in range(1, 5):
         stasheff_check(alg, n, 10)
         stasheff_check(mod, n, 10)
@@ -138,10 +150,10 @@ def test_planted_wrong_m2_is_caught(m2_ideal):
 def test_planted_wrong_mu3_is_caught(m23_ideal):
     # mu_3 of the m23 module is nonzero on three tuples within degree 6
     R = m23_ideal.ring
-    X, Ymod = taylor_module_fast_path(
+    X, Ymod, ctr_x, ctr_y = taylor_module_fast_path(
         R, minimal_generators(m23_ideal.gens, R), [R.var(i) for i in range(3)])
-    alg = AInfAlgebra(minimalize(X.complex), X)
-    mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
+    alg = AInfAlgebra(ctr_x, X)
+    mod = AInfModule(alg, ctr_y, Ymod)
     plant_negated_value(mod, 3, ((1, 3), (1, 2), (0, 0)))
     with pytest.raises(InternalCheckError, match="Stasheff identity"):
         for n in range(1, 5):

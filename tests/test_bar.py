@@ -9,7 +9,8 @@ from burchlab.contraction import minimalize
 from burchlab.complexes import Strands
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.errors import InternalCheckError
-from burchlab.groebner import Ideal
+from burchlab.groebner import Ideal, Strand
+from burchlab.linalg import rank_of
 from burchlab.matrices import PolyMatrix, add_into
 from burchlab.pipeline import Caps, ainf_pair, dg_pair
 from burchlab.resolve import ModulePresentation, resolve_over_R
@@ -70,12 +71,13 @@ def test_ainf_bar_periodicity_matches_resolution_oracle(hyper_ideal, hyper_pair)
 def bione_structures(bione_ideal, regime):
     """(X, Y) of the Taylor fast path for R/(x^2, y), or their transferred pair."""
     R = bione_ideal.ring
-    X, Ymod = taylor_module_fast_path(
+    X, Ymod, ctr_x, ctr_y = taylor_module_fast_path(
         R, minimal_generators(bione_ideal.gens, R), [R.parse("x^2"), R.parse("y")])
     if regime == "dg":
+        Ymod.check_leibniz()   # the dg bar reads the action above the fast path's depth
         return X, Ymod
-    alg = AInfAlgebra(minimalize(X.complex), X, arity_cap=4)
-    return alg, AInfModule(alg, minimalize(Ymod.complex), Ymod, arity_cap=4)
+    alg = AInfAlgebra(ctr_x, X, arity_cap=4)
+    return alg, AInfModule(alg, ctr_y, Ymod, arity_cap=4)
 
 
 @pytest.mark.parametrize("regime", ["dg", "ainf"])
@@ -92,8 +94,9 @@ def test_dg_bar_rank_formula_mixed_shape(m2_ideal):
     # ranks (1,3,3,1) x (1,2,1)-shaped Y: the composition count must match
     # the generating function expansion exactly
     R = m2_ideal.ring
-    X, Ymod = taylor_module_fast_path(
+    X, Ymod, _, _ = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
+    Ymod.check_leibniz()   # the dg bar reads the action above the fast path's depth
     B = BarComplex(X, Ymod, m2_ideal, cap=6)
     ranks = B.rank_formula_check()
     # hand expansion of (1+t)^5 / (1 - t((1+t)^3 - 1)) through degree 4
@@ -102,19 +105,19 @@ def test_dg_bar_rank_formula_mixed_shape(m2_ideal):
 
 def test_ainf_bar_golod_ranks(m2_ideal, m23_ideal):
     R = m2_ideal.ring
-    X, Ymod = taylor_module_fast_path(
+    X, Ymod, ctr_x, ctr_y = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
-    alg = AInfAlgebra(minimalize(X.complex), X)
-    mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
+    alg = AInfAlgebra(ctr_x, X)
+    mod = AInfModule(alg, ctr_y, Ymod)
     B = BarComplex(alg, mod, m2_ideal, cap=8, exact_through=7)
     assert B.rank_formula_check() == [2 ** i for i in range(9)]
     assert B.complex.is_minimal()
 
     R3 = m23_ideal.ring
-    X3, Y3 = taylor_module_fast_path(
+    X3, Y3, ctr_x, ctr_y = taylor_module_fast_path(
         R3, minimal_generators(m23_ideal.gens, R3), [R3.var(i) for i in range(3)])
-    alg3 = AInfAlgebra(minimalize(X3.complex), X3)
-    mod3 = AInfModule(alg3, minimalize(Y3.complex), Y3)
+    alg3 = AInfAlgebra(ctr_x, X3)
+    mod3 = AInfModule(alg3, ctr_y, Y3)
     B3 = BarComplex(alg3, mod3, m23_ideal, cap=6, exact_through=5)
     assert B3.rank_formula_check() == [3 ** i for i in range(7)]
     assert B3.complex.is_minimal()
@@ -125,10 +128,11 @@ def test_dg_and_ainf_bars_agree_on_identity_contractions():
     # identities and the transferred pair is the dg pair itself
     R = PolyRing(P, ("x", "y"))
     I = Ideal(R, [R.parse("x^2"), R.parse("y^2")])
-    X, Ymod = taylor_module_fast_path(R, minimal_generators(I.gens, R), [])
+    X, Ymod, ctr_x, ctr_y = taylor_module_fast_path(R, minimal_generators(I.gens, R), [])
+    Ymod.check_leibniz()   # the dg bar reads the action above the fast path's depth
     Bdg = BarComplex(X, Ymod, I, cap=6)
-    alg = AInfAlgebra(minimalize(X.complex), X)
-    mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
+    alg = AInfAlgebra(ctr_x, X)
+    mod = AInfModule(alg, ctr_y, Ymod)
     Bainf = BarComplex(alg, mod, I, cap=6)
     assert [Bdg.rank(n) for n in range(7)] == [1, 2, 3, 5, 8, 13, 21]
     for n in range(7):
@@ -139,10 +143,10 @@ def test_dg_and_ainf_bars_agree_on_identity_contractions():
 def ainf_bar_of_k(m2_ideal, cap, exact_through=None):
     """The minimal A-infinity bar of k over k[x,y]/(x,y)^2; ranks 2^i, exact."""
     R = m2_ideal.ring
-    X, Ymod = taylor_module_fast_path(
+    X, Ymod, ctr_x, ctr_y = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
-    alg = AInfAlgebra(minimalize(X.complex), X)
-    mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
+    alg = AInfAlgebra(ctr_x, X)
+    mod = AInfModule(alg, ctr_y, Ymod)
     return BarComplex(alg, mod, m2_ideal, cap=cap, exact_through=exact_through)
 
 
@@ -179,6 +183,37 @@ def test_exactness_check_ranks_each_strand_once(m2_ideal, monkeypatch):
     assert set(built.values()) == {1}
     needed = {(m, d) for n in range(1, 5) for d in strands.degrees(n) for m in (n, n + 1)}
     assert set(built) == needed
+
+
+def test_empty_target_strands_are_ranked_without_vectorizing(m2_ideal, monkeypatch):
+    # a strand of d_n whose target strand is empty has rank 0 and dimension
+    # len(source); every dimension of H_n must equal that of ranks taken by
+    # vectorizing every strand in full
+    B = ainf_bar_of_k(m2_ideal, cap=5)
+    del B.complex.diff(3).columns[0]   # so that H_2 != 0
+    cx, table = B.complex, m2_ideal.table()
+
+    def full_rank(n, d):
+        return rank_of(table.matrix_strand(cx.diff(n), d)[1], P)
+
+    want = {}
+    for n in range(B.cap + 1):
+        dims = {d: len(Strand(table, cx.basis_degrees(n), d)) - full_rank(n, d)
+                - full_rank(n + 1, d) for d in Strands(cx).degrees(n)}
+        want[n] = {d: h for d, h in dims.items() if h}
+    assert want[2] and not want[1]
+    real, empty = Strand.vector, []
+
+    def vector(self, *args):
+        if not self:
+            empty.append(self.d)
+        return real(self, *args)
+
+    monkeypatch.setattr(Strand, "vector", vector)
+    strands = Strands(cx, exact_through=B.cap - 1)
+    strands.check_dd_zero()
+    assert {n: strands.homology(n) for n in range(B.cap + 1)} == want
+    assert not empty
 
 
 @pytest.mark.parametrize("through", [5, 6])

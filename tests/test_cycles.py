@@ -4,12 +4,13 @@ from burchlab.ainfty import AInfAlgebra, AInfModule
 from burchlab.bar import BarComplex
 from burchlab.burch import burch_data, minimal_generators
 from burchlab.contraction import minimalize
-from burchlab.cycles import (burch_cycles, project_to_minimal, rho_cycles_general,
+from burchlab.complexes import GradedFreeComplex
+from burchlab.cycles import (RhoCycle, burch_cycles, project_to_minimal, rho_cycles_general,
                              rho_cycles_golod, splitting_check)
 from burchlab.dgmodule import build_semifree_resolution, taylor_module_fast_path
 from burchlab.errors import InputError, InternalCheckError
 from burchlab.groebner import Ideal
-from burchlab.matrices import FreeModuleElement
+from burchlab.matrices import FreeModuleElement, PolyMatrix
 from burchlab.resolve import ModulePresentation
 from burchlab.taylor import TaylorComplex
 
@@ -89,6 +90,18 @@ def test_splitting_zero_boundary_mode(m2_ideal, bione_data):
     assert verdict.ok
 
 
+def test_a_boundary_with_a_unit_coefficient_does_not_split(m2_ideal):
+    # d(rho) = 1 * e_0: a unit lies outside BI, so only the unit test keeps
+    # this boundary from being reported as splitting
+    bd = burch_data(m2_ideal)
+    R = m2_ideal.ring
+    unit = PolyMatrix(R, [0], [0])
+    unit.columns[0] = {0: R.one()}
+    verdict = splitting_check(FreeModuleElement.basis(R, 0), unit, bd)
+    assert (verdict.kind, verdict.reason) == ("fails", "boundary has a unit coefficient")
+    assert not verdict.ok
+
+
 def test_splitting_precondition(m2_ideal):
     bd = burch_data(m2_ideal)
     X = TaylorComplex(m2_ideal.ring, bd.gens)
@@ -136,6 +149,16 @@ def test_general_cycle_projection_measured(m2_dg_bar):
     assert survivors >= 0
 
 
+def test_a_projected_cycle_that_m_does_not_kill_is_no_survivor(m2_ideal):
+    # C_1 = R e_0 with d_1 = 0 is minimal, and e_0 is a cycle with x e_0 != 0
+    R = m2_ideal.ring
+    cx = GradedFreeComplex(R, {0: [0], 1: [0]}, {}, quotient=m2_ideal)
+    rec = RhoCycle(rho=FreeModuleElement.basis(R, 0), alpha=FreeModuleElement.basis(R, 0))
+    (cert,), survivors = project_to_minimal(minimalize(cx), [rec], m2_ideal, 1)
+    assert cert.nonzero
+    assert (cert.killed_by_m, cert.outside_m_kernel, survivors) == (False, False, 0)
+
+
 def test_odd_q_requires_free_algebra(m2_dg_bar):
     bd, B, bcs = m2_dg_bar
     from burchlab.errors import InternalCheckError
@@ -147,10 +170,10 @@ def test_odd_q_requires_free_algebra(m2_dg_bar):
 def m2_golod_bar(m2_ideal):
     R = m2_ideal.ring
     bd = burch_data(m2_ideal)
-    X, Ymod = taylor_module_fast_path(
+    X, Ymod, ctr_x, ctr_y = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
-    alg = AInfAlgebra(minimalize(X.complex), X)
-    mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
+    alg = AInfAlgebra(ctr_x, X)
+    mod = AInfModule(alg, ctr_y, Ymod)
     B = BarComplex(alg, mod, m2_ideal, cap=8)
     bcs = burch_cycles(bd, alg.complex)
     return bd, B, bcs

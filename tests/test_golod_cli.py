@@ -28,10 +28,10 @@ def test_poincare_bound_series_m2():
 
 def test_golod_check_m2(m2_ideal):
     R = m2_ideal.ring
-    X, Ymod = taylor_module_fast_path(
+    X, Ymod, ctr_x, ctr_y = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
-    alg = AInfAlgebra(minimalize(X.complex), X)
-    mod = AInfModule(alg, minimalize(Ymod.complex), Ymod)
+    alg = AInfAlgebra(ctr_x, X)
+    mod = AInfModule(alg, ctr_y, Ymod)
     rep, bar = golod_check(alg, mod, m2_ideal, 8)
     assert rep["golod"] and rep["barMinimal"]
     assert rep["barRanks"] == rep["poincareBound"] == [2 ** i for i in range(9)]

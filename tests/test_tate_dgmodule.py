@@ -1,3 +1,4 @@
+import json
 import re
 from collections import Counter
 from itertools import product
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from burchlab import tate
+from burchlab import pipeline, tate
 from burchlab.burch import minimal_generators
 from burchlab.cli import run_command
 from burchlab.complexes import GradedFreeComplex
@@ -15,10 +16,11 @@ from burchlab.errors import InternalCheckError
 from burchlab.groebner import Ideal, syzygies_of
 from burchlab.jobs import load_job
 from burchlab.matrices import FreeModuleElement, PolyMatrix
+from burchlab.report import assemble, reports_equal
 from burchlab.resolve import (ModulePresentation, kernel_gens_over_R,
                               minimal_module_generators, resolve_over_R)
 from burchlab.tate import TateAlgebra, acyclic_closure, check_adjunction, homology_generators
-from burchlab.taylor import TaylorComplex, bilinear
+from burchlab.taylor import DgModule, TaylorComplex, bilinear
 from support.checks import (check_associative, check_commutative, check_homogeneous, copy,
                             homology_is_zero)
 
@@ -74,7 +76,7 @@ def test_divided_power_arithmetic(m2_ideal):
 
 def test_fast_path_module(m2_ideal):
     R = m2_ideal.ring
-    X, Y = taylor_module_fast_path(
+    X, Y, _, _ = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     assert X.complex.poincare_coeffs() == [1, 3, 3, 1]
     assert Y.complex.poincare_coeffs() == [1, 5, 10, 10, 5, 1]
@@ -104,7 +106,7 @@ def test_the_boxed_products_are_the_rule(case, m2_ideal, hyper_ideal):
     if case == "taylor":
         Y = TaylorComplex(R, m2_ideal.gens)
     elif case == "fast_path":
-        _, Y = taylor_module_fast_path(
+        _, Y, _, _ = taylor_module_fast_path(
             R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     elif case.startswith("tate"):
         Y = closure(hyper_ideal if case == "tate_hyper" else m2_ideal, through=4)
@@ -159,9 +161,58 @@ def test_fast_path_reads_products_of_y_only_with_the_left_factor_in_the_base(mon
     assert any(mT & ~base for mT in right[full])   # the right factor ranges over all of Y
 
 
+GOLOD_JOBS = sorted(path.name for path in CORPUS.glob("*.json")
+                    if load_job(path).command == "verify-golod")
+
+
+@pytest.mark.parametrize("name", GOLOD_JOBS)
+def test_every_product_read_lies_within_the_checked_depth(monkeypatch, name):
+    # a whole job, fast path, transfer, golod check and cycles included:
+    # outside the unit laws, which are checked in full, every product of X
+    # and every action on Y read lands at most in the degree through which
+    # the fast path checked Leibniz, max(t_X, t_Y) for X and t_Y for Y
+    built, reads, in_unit_check = [], {}, []
+    real_fast_path, real_unit = pipeline.taylor_module_fast_path, DgModule.check_unit
+    real_action, real_product = TaylorDgModule.action_terms, TaylorComplex.product_terms
+
+    def fast_path(*args):
+        out = real_fast_path(*args)
+        built.append(out)
+        return out
+
+    def check_unit(self, *args):
+        in_unit_check.append(self)
+        try:
+            return real_unit(self, *args)
+        finally:
+            in_unit_check.pop()
+
+    def action_terms(self, dx, ix, ny, iy):
+        if not in_unit_check:
+            reads.setdefault(self, set()).add(dx + ny)
+        return real_action(self, dx, ix, ny, iy)
+
+    def product_terms(self, da, ia, db, ib):
+        if not in_unit_check:
+            reads.setdefault(self, set()).add(da + db)
+        return real_product(self, da, ia, db, ib)
+
+    monkeypatch.setattr(pipeline, "taylor_module_fast_path", fast_path)
+    monkeypatch.setattr(DgModule, "check_unit", check_unit)
+    monkeypatch.setattr(TaylorDgModule, "action_terms", action_terms)
+    monkeypatch.setattr(TaylorComplex, "product_terms", product_terms)
+    spec = load_job(CORPUS / name)
+    run_command(spec.command, spec)
+    (X, mod, ctr_x, ctr_y), = built
+    t_x, t_y = ctr_x.small.top(), ctr_y.small.top()
+    assert t_y <= len(spec.variables)   # the minimal Q-resolution of M
+    assert reads[X] and max(reads[X]) <= max(t_x, t_y)
+    assert reads[mod] and max(reads[mod]) <= t_y
+
+
 def test_taylor_module_leibniz_pairs_are_exactly_the_pairs_meeting_in_at_most_one_index(m2_ideal):
     R = m2_ideal.ring
-    X, mod = taylor_module_fast_path(
+    X, mod, _, _ = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     Y = mod.full
     for dx in range(X.complex.top() + 1):
@@ -176,27 +227,53 @@ def test_taylor_module_leibniz_pairs_are_exactly_the_pairs_meeting_in_at_most_on
 
 def flip_one_product_of_y(monkeypatch, base_len, S, U):
     """Make the rule TaylorComplex.product_terms return -(e_S * e_U) on that
-    one pair, on any Taylor complex with more than base_len generators."""
+    one pair, on any Taylor complex with more than base_len generators.
+    Returns the list that each flipped read appends to."""
     real = TaylorComplex.product_terms
     mS, mU = (sum(1 << k for k in V) for V in (S, U))
+    hits = []
 
     def planted(self, da, ia, db, ib):
         out = real(self, da, ia, db, ib)
         hit = (self._masks[da][ia], self._masks[db][ib]) == (mS, mU)
         if hit and len(self.monomials) > base_len:
+            hits.append((da, ia, db, ib))
             return tuple((i, m, P - c) for i, m, c in out)
         return out
 
     monkeypatch.setattr(TaylorComplex, "product_terms", planted)
+    return hits
 
 
 def test_fast_path_catches_a_planted_sign_on_a_disjoint_action_pair(monkeypatch, m2_ideal):
-    # e_0 * e_(1,3): index 3 is the extra generator x
+    # e_0 * e_3: index 3 is the extra generator x; the product lands in
+    # degree 2, the top t_Y of the minimal resolution of k over k[x,y]
     R = m2_ideal.ring
-    flip_one_product_of_y(monkeypatch, 3, (0,), (1, 3))
-    with pytest.raises(InternalCheckError, match="module Leibniz fails"):
+    flip_one_product_of_y(monkeypatch, 3, (0,), (3,))
+    with pytest.raises(InternalCheckError, match=r"module Leibniz fails on basis pair \(1,0\)"):
         taylor_module_fast_path(
             R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
+
+
+def test_a_planted_sign_above_the_read_depth_is_seen_in_full_and_never_read(monkeypatch,
+                                                                           m2_ideal):
+    # e_0 * e_(1,3) lands in degree 3, above t_Y = 2: the fast path does
+    # not check it, the full module check catches it, and a whole
+    # verify-golod run never reads it and keeps its golden report
+    R = m2_ideal.ring
+    hits = flip_one_product_of_y(monkeypatch, 3, (0,), (1, 3))
+    _, mod, _, ctr_y = taylor_module_fast_path(
+        R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
+    assert ctr_y.small.top() == 2 and not hits
+    with pytest.raises(InternalCheckError, match="module Leibniz fails"):
+        mod.check_leibniz()
+    assert hits
+    hits.clear()
+    spec = load_job(CORPUS / "ex_m2_2vars.json")
+    body, code = run_command(spec.command, spec)
+    golden = json.loads((CORPUS / "golden" / "ex_m2_2vars.json").read_text(encoding="utf-8"))
+    assert reports_equal(assemble(spec.command, spec.to_dict(), body, code), golden)
+    assert not hits
 
 
 def test_module_check_catches_a_planted_sign_in_a_pair_meeting_in_one_index(monkeypatch, m2_ideal):
@@ -204,7 +281,7 @@ def test_module_check_catches_a_planted_sign_in_a_pair_meeting_in_one_index(monk
     # terms only d(e_S) * e_U ~ e_0 * e_13 and e_S * d(e_U) ~ e_01 * e_3 are
     # nonzero; they must cancel.  Flip the sign of e_0 * e_13 only.
     R = m2_ideal.ring
-    X, mod = taylor_module_fast_path(
+    X, mod, _, _ = taylor_module_fast_path(
         R, minimal_generators(m2_ideal.gens, R), [R.parse("x"), R.parse("y")])
     ix, iy = X.position[2][(0, 1)], mod.full.position[2][(1, 3)]
     mod.leibniz_pairs = lambda dx, ny: [(ix, iy)] if (dx, ny) == (2, 2) else []

@@ -124,7 +124,7 @@ def pair_hash(ctx, pres) -> str:
 
 def resolve_hash(ctx, pres) -> str:
     res = resolve_over_R(pres, RESOLVE_THROUGH)
-    rows = theorem_verdicts(ctx.ideal, res, RESOLVE_THROUGH, ctx.index, ctx.mu, golod=False)
+    rows = theorem_verdicts(res, RESOLVE_THROUGH, ctx.index, ctx.mu, golod=False)
     return digest((complex_record(res), rows.to_dict()["rows"]))
 
 

@@ -173,13 +173,11 @@ class Strands:
         return got
 
     def columns(self, n: int, d: int) -> list:
-        """The strand vectors of d_n at d; with an empty target strand they
-        are all zero, and none is vectorized."""
+        """The strand vectors of d_n at d (RTable.matrix_strand)."""
         got = self._columns.get((n, d))
         if got is None:
-            src, tgt = self.strand(n, d), self.strand(n - 1, d)
-            got = self._columns[n, d] = (self.table.matrix_strand(self.cx.diff(n), d, src, tgt)[1]
-                                         if tgt else [{} for _ in src])
+            got = self._columns[n, d] = self.table.matrix_strand(
+                self.cx.diff(n), d, self.strand(n, d), self.strand(n - 1, d))[1]
         return got
 
     def generator_columns(self, n: int, d: int, js) -> list:

@@ -32,7 +32,7 @@ from .bar import BarComplex
 from .burch import BurchData
 from .complexes import GradedFreeComplex
 from .errors import InputError, InternalCheckError
-from .groebner import Ideal, Strand, lift_through, syzygies_of
+from .groebner import Ideal, lift_through, syzygies_of
 from .linalg import SparseEchelon
 from .matrices import FreeModuleElement, PolyMatrix, add_into
 from .resolve import kernel_gens_over_R, minimal_module_generators
@@ -279,17 +279,17 @@ def project_to_minimal(ctr, cycles, quotient: Ideal, q: int):
     each image as a k-summand generator of ker(d_q) of the minimal complex.
 
     The direct test: u generates a k-summand of K iff m u = 0 and u is
-    nonzero in K/mK.  Returns (certificates, survivor count = rank of the
-    projected span modulo m K).
+    nonzero in K/mK.  u is reduced against the echelon of (mK)_d at its
+    degree d that kernel_gens_over_R built when it picked K's generators.
+    Returns (certificates, survivor count = rank of the projected span
+    modulo m K).
     """
     ring = quotient.ring
     small = ctr.small
     proj = ctr.proj_at(q)
     red = quotient.normal_form
     gen_degrees = small.basis_degrees(q)
-    kergens = [(g, g.degree(gen_degrees)) for g in kernel_gens_over_R(small.diff(q), quotient)]
-    table = quotient.table()
-    spans = {}  # internal degree -> (strand, echelon of m * K), built on demand
+    _, strands = kernel_gens_over_R(small.diff(q), quotient)
 
     certs = []
     residual_rank = SparseEchelon(ring.p)
@@ -308,10 +308,7 @@ def project_to_minimal(ctr, cycles, quotient: Ideal, q: int):
                 raise InternalCheckError("projected element is not a cycle")
         if nonzero and killed:
             dsum = v.degree(gen_degrees)
-            if dsum not in spans:
-                strand = Strand(table, gen_degrees, dsum)
-                spans[dsum] = (strand, strand.span(kergens, 1))
-            strand, ech = spans[dsum]
+            strand, ech, _ = strands[dsum]   # v is a nonzero cycle, so K_dsum != 0
             res, _ = ech.reduce(strand.vector(v.coords))
             outside = bool(res)
             if outside:

@@ -180,8 +180,8 @@ def taylor_module_fast_path(ring: PolyRing, gens, extra_gens):
         m = g.lead_monomial()
         if m not in base and m not in extra:
             extra.append(m)
-    X = TaylorComplex(ring, gens, verify=False)
-    Y = TaylorComplex(ring, [*gens, *map(ring.monomial, extra)], verify=False)
+    X = TaylorComplex(ring, gens)
+    Y = TaylorComplex(ring, [*gens, *map(ring.monomial, extra)])
     mod = TaylorDgModule(X, Y)
     for structure in (X, mod):
         structure.complex.check_dd_zero()

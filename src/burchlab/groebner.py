@@ -519,11 +519,15 @@ class RTable:
         target strand, for the t-th source basis element (i, m).  src and
         tgt, the strands of the column and row degrees at d, are built
         here unless the caller passes strands it shares with other matrices.
+        With an empty target strand every column is zero, and none is
+        vectorized.
         """
         if src is None:
             src = Strand(self, matrix.col_degrees, d)
         if tgt is None:
             tgt = Strand(self, matrix.row_degrees, d)
+        if not tgt:
+            return src, [{} for _ in src]
         columns = matrix.columns
         return src, [tgt.vector(columns.get(i, {}), m) for i, m in src]
 

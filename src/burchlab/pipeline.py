@@ -131,7 +131,7 @@ def dg_pair(ctx: RingContext, pres: ModulePresentation, cap: int, algebra: str =
     general-case cycles require.
     """
     if algebra == "taylor":
-        X = TaylorComplex(ctx.ring, taylor_generators(ctx), verify=False)
+        X = TaylorComplex(ctx.ring, taylor_generators(ctx))
     elif algebra == "tate":
         X = acyclic_closure(ctx.ring, ctx.minimal_gens, through=cap)
     else:
@@ -195,7 +195,7 @@ def _verdict_tail(report: dict, ctx: RingContext, pres: ModulePresentation, rows
     """
     report["cycles"] = rows
     res = resolve_over_R(pres, through)
-    verdicts = theorem_verdicts(ctx.ideal, res, through, ctx.index, ctx.mu, golod=golod)
+    verdicts = theorem_verdicts(res, through, ctx.index, ctx.mu, golod=golod)
     report["krank"] = verdicts.to_dict()
     report["bounds"] = {"vacuous": ctx.index < 2, "allHold": verdicts.all_ok() and holds}
     return report
@@ -255,8 +255,7 @@ def resolve_report(ctx: RingContext, pres: ModulePresentation, caps: Caps) -> di
     """Betti numbers through caps.hom_degree and the verdict table through
     one degree less; no bound is asserted."""
     res = resolve_over_R(pres, caps.hom_degree)
-    verdicts = theorem_verdicts(ctx.ideal, res, caps.hom_degree - 1, ctx.index, ctx.mu,
-                                golod=False)
+    verdicts = theorem_verdicts(res, caps.hom_degree - 1, ctx.index, ctx.mu, golod=False)
     return {"betti": res.poincare_coeffs(), "krank": verdicts.to_dict()}
 
 

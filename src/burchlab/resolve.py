@@ -4,8 +4,10 @@ Over an Artinian graded R the kernel of a homogeneous matrix is computed
 strand by strand with k-linear algebra, trimming generators degree by
 degree, which keeps the work proportional to the (sparse) strand data.  The
 output is a minimal resolution: every differential entry lies in the
-maximal ideal.  The lift-to-Q Groebner kernels and the resolution over Q
-that this is checked against live in the tests, in tests/support/oracle.py.
+maximal ideal, and it carries krank(syz_i), read off the strands that
+picked syz_i's generators (krank.syzygy_krank).  The lift-to-Q Groebner
+kernels and the resolution over Q that this is checked against live in the
+tests, in tests/support/oracle.py.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 from .complexes import GradedFreeComplex
 from .errors import InputError, InternalCheckError, check_rank
 from .groebner import Ideal, Strand
+from .krank import syzygy_krank
 from .linalg import kernel_basis
 from .matrices import FreeModuleElement, PolyMatrix
 from .ring import PolyRing
@@ -127,51 +130,62 @@ def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span
 
 
 def kernel_gens_over_R(matrix: PolyMatrix, quotient: Ideal):
-    """Minimal generators of ker(matrix) over Artinian R, strand by strand."""
+    """Minimal generators of K = ker(matrix) over Artinian R, strand by
+    strand, and {d: (strand, echelon of (mK)_d before the picks at d, basis
+    of K_d)} over the d with K_d != 0, as minimal_module_generators(spans=)
+    records them; the generators below d generate K_(<d)."""
     table = quotient.table()
     if not matrix.col_degrees:
-        return []
-    gens = []  # list of (element, degree)
+        return [], {}
+    picked, strands = [], {}  # picked: (element, degree)
     for d in range(min(matrix.col_degrees), max(matrix.col_degrees) + table.top + 1):
         src, cols = table.matrix_strand(matrix, d)
         _, kern = kernel_basis(cols, matrix.ring.p)
         if not kern:
             continue
-        span = src.span(gens, 1)
+        span = src.span(picked, 1)
+        strands[d] = (src, span, kern)
+        span = span.copy()
         for kv in kern:
-            piv, _ = span.insert(dict(kv))
-            if piv is not None:
-                gens.append((src.element(kv), d))
-    return [g for g, _ in gens]
+            if span.insert(kv)[0] is not None:
+                picked.append((src.element(kv), d))
+    return [g for g, _ in picked], strands
 
 
-def resolve_over_R(pres: ModulePresentation, up_to: int) -> GradedFreeComplex:
-    """Minimal free resolution of the presented module over R, to degree up_to."""
+class Resolution(GradedFreeComplex):
+    """A minimal resolution over R; kranks[i - 1] = krank(syz_i), 1 <= i <= top()."""
+
+    __slots__ = ("kranks",)
+
+
+def resolve_over_R(pres: ModulePresentation, up_to: int) -> Resolution:
+    """Minimal free resolution of the presented module over R, to degree
+    up_to; each syzygy's k-rank is read off the strands that picked its
+    generators, which are dropped before the next kernel is taken."""
     quotient = pres.quotient
     ring = pres.ring
-    rels = minimal_module_generators(pres.relations, pres.gen_degrees, quotient)
+    strands = {}
+    current = minimal_module_generators(pres.relations, pres.gen_degrees, quotient, spans=strands)
     degrees = {0: list(pres.gen_degrees)}
     diffs = {}
+    kranks = []
     prev_degrees = pres.gen_degrees
-    current = rels
-    n = 1
     total = len(pres.gen_degrees)
-    while n <= up_to:
+    for n in range(1, up_to + 1):
         col_degs = [v.degree(prev_degrees) for v in current]
-        mat = PolyMatrix.from_columns(ring, prev_degrees, current, col_degs)
-        if current:
-            degrees[n] = col_degs
-            diffs[n] = mat
         total += len(col_degs)
         check_rank(total, f"resolution over R through degree {n}")
         if not current:
             break
-        if n == up_to:
-            break
-        prev_degrees = col_degs
-        current = kernel_gens_over_R(mat, quotient)
-        n += 1
-    cx = GradedFreeComplex(ring, degrees, diffs, quotient=quotient)
+        degrees[n] = col_degs
+        diffs[n] = mat = PolyMatrix.from_columns(ring, prev_degrees, current, col_degs)
+        kranks.append(syzygy_krank(strands, col_degs))
+        del strands
+        if n < up_to:
+            prev_degrees = col_degs
+            current, strands = kernel_gens_over_R(mat, quotient)
+    cx = Resolution(ring, degrees, diffs, quotient)
+    cx.kranks = kranks
     if not cx.is_minimal():
         raise InternalCheckError("resolution over R is not minimal")
     return cx

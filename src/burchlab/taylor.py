@@ -66,15 +66,14 @@ class DgModule:
 
     # -- mechanical dg checks -------------------------------------------------
 
-    def check_unit(self, through: int | None = None):
-        """1 * c = c on every basis element c of degree <= through (and
-        c * 1 = c in an algebra, which acts on itself)."""
-        top = self.complex.top() if through is None else through
+    def check_unit(self):
+        """1 * c = c on every basis element c (and c * 1 = c in an algebra,
+        which acts on itself)."""
         p = self.ring.p
         one = (0,) * self.ring.nvars
         times = self.action_terms
         two_sided = self.algebra is self
-        for d in range(top + 1):
+        for d in range(self.complex.top() + 1):
             for i in range(self.complex.rank(d)):
                 want = {(i, one): 1}
                 if (_term_sums(times(0, 0, d, i), p) != want
@@ -195,9 +194,10 @@ def _term_sums(terms, p: int) -> dict:
 
 
 class TaylorComplex(DgAlgebra):
-    """Taylor complex of a finite monomial list with its standard dg product."""
+    """Taylor complex of a finite monomial list with its standard dg product;
+    construction runs no check (taylor_module_fast_path runs them)."""
 
-    def __init__(self, ring: PolyRing, monomials, verify: bool = True):
+    def __init__(self, ring: PolyRing, monomials):
         if not monomials:
             raise ValueError("need at least one monomial")
         if any(len(m.terms) != 1 for m in monomials):
@@ -230,10 +230,6 @@ class TaylorComplex(DgAlgebra):
 
         self.complex, self.position = keyed_complex(
             ring, self.subsets, lambda _n, S: mono_deg(self._lcm[sum(1 << k for k in S)]), image)
-        if verify:
-            self.complex.check_dd_zero()
-            self.check_unit()
-            self.check_leibniz()
 
     def leibniz_pairs(self, da, db):
         """Only the pairs with |S n T| <= 1; every other pair holds by construction.

@@ -4,7 +4,8 @@ The package never imports this module; the tests do.
 
 * krank_strand(): k-rank of coker(relations) by strand kernels: the socle
   in each degree as the kernel of multiplication by every variable modulo
-  the relations one degree up, the route krank.krank_image replaced;
+  the relations one degree up, the pipelines' route before
+  krank.syzygy_krank;
 * syzygy_presentation(): syz_i of a resolution as coker(d_(i+1)), the
   presentation krank_strand and the two routes below read;
 * krank_gb(): k-rank through the socle as a module colon over Q (one

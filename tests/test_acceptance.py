@@ -89,7 +89,7 @@ def oracle_tables(m2_ideal, m23_ideal, modules_for_theorem_a):
                 for name, pres in modules_for_theorem_a[I.ring.nvars]:
                     golod = name == "k"  # k is Golod over these rings
                     cache[(I.ring.nvars, name)] = theorem_verdicts(
-                        I, resolve_over_R(pres, 9), 9, burch_idx=b, mu=mu, golod=golod)
+                        resolve_over_R(pres, 9), 9, burch_idx=b, mu=mu, golod=golod)
         return cache
 
     return get
@@ -124,7 +124,7 @@ def test_criterion_2_negative_control_syzygies(bione_ideal):
     t0 = time.time()
     R = bione_ideal.ring
     M = ModulePresentation.cyclic(bione_ideal, [R.parse("x^2"), R.parse("y")])
-    rep = theorem_verdicts(bione_ideal, resolve_over_R(M, 9), 8, burch_idx=1, mu=3, golod=False)
+    rep = theorem_verdicts(resolve_over_R(M, 9), 8, burch_idx=1, mu=3, golod=False)
     assert [r.krank for r in rep.rows] == [0] * 8
     report(2, t0, 30.0)
 
@@ -313,7 +313,7 @@ def test_criterion_7_contraction_correctness(m2_ideal, bione_ideal, jn_ideal, m2
         TaylorComplex(R, m2_ideal.gens).complex,
         TaylorComplex(R, bione_ideal.gens).complex,
         TaylorComplex(R, jn_ideal.gens).complex,
-        TaylorComplex(m23_ideal.ring, m23_ideal.gens, verify=False).complex,
+        TaylorComplex(m23_ideal.ring, m23_ideal.gens).complex,
     ]
     for cx in cases:
         ctr = minimalize(cx)
@@ -378,7 +378,7 @@ def test_criterion_9_exponential_growth_onset(m2_ideal, m23_ideal, jn_ideal,
     cases.append((onset(oracle_tables()[(2, "k")]), min(9, 2 + 4)))
     cases.append((onset(oracle_tables()[(3, "k")]), min(9, 3 + 4)))
     jn_res = resolve_over_R(ModulePresentation.residue_field(jn_ideal), 9)
-    jn_table = theorem_verdicts(jn_ideal, jn_res, 8, burch_idx=2, mu=3, golod=True)
+    jn_table = theorem_verdicts(jn_res, 8, burch_idx=2, mu=3, golod=True)
     assert jn_table.all_ok()
     cases.append((onset(jn_table), min(9, 2 + 4)))
     for got, bound in cases:

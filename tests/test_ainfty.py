@@ -105,7 +105,7 @@ def test_four_variable_transfer():
         for i in c:
             e[i] += 1
         gens.append(R4.monomial(tuple(e)))
-    T = TaylorComplex(R4, gens, verify=False)
+    T = TaylorComplex(R4, gens)
     ctr = minimalize(T.complex)
     assert ctr.small.poincare_coeffs() == [1, 10, 20, 15, 4]
     alg = AInfAlgebra(ctr, T, arity_cap=4)
@@ -120,7 +120,7 @@ def test_arity_cap_error():
         for i in c:
             e[i] += 1
         gens.append(R4.monomial(tuple(e)))
-    T = TaylorComplex(R4, gens, verify=False)
+    T = TaylorComplex(R4, gens)
     ctr = minimalize(T.complex)
     alg = AInfAlgebra(ctr, T, arity_cap=2)
     # m_3 on three degree-1 inputs lands in degree 4 <= top, so the cap bites

@@ -143,8 +143,7 @@ def test_minimalize_corpus_taylor(R, gens, minimal):
 
 def test_minimalize_three_vars():
     R3 = PolyRing(P, ("x", "y", "z"))
-    T = TaylorComplex(R3, [R3.parse(t) for t in ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"]],
-                      verify=False)
+    T = TaylorComplex(R3, [R3.parse(t) for t in ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"]])
     ctr = minimalize(T.complex)
     assert ctr.small.poincare_coeffs() == [1, 6, 8, 3]
     verify_contraction(ctr)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from burchlab.groebner import Ideal, RTable
-from burchlab.krank import krank_image, theorem_verdicts
+from burchlab.krank import theorem_verdicts
 from burchlab.matrices import FreeModuleElement
 from burchlab.resolve import ModulePresentation, resolve_over_R
 from burchlab.ring import PolyRing, monomials_of_degree
@@ -106,7 +106,7 @@ def test_krank_additivity_under_direct_sum(m2_ideal):
 def test_negative_control_verdicts(bione_ideal):
     R = bione_ideal.ring
     M = ModulePresentation.cyclic(bione_ideal, [R.parse("x^2"), R.parse("y")])
-    rep = theorem_verdicts(bione_ideal, resolve_over_R(M, 9), 8, burch_idx=1, mu=3, golod=False)
+    rep = theorem_verdicts(resolve_over_R(M, 9), 8, burch_idx=1, mu=3, golod=False)
     assert all(r.krank == 0 for r in rep.rows)
     assert all(r.bound_general is None and r.bound_golod is None for r in rep.rows)
     assert rep.all_ok()
@@ -114,7 +114,7 @@ def test_negative_control_verdicts(bione_ideal):
 
 def test_verdict_bounds_m2(m2_ideal):
     k = ModulePresentation.residue_field(m2_ideal)
-    rep = theorem_verdicts(m2_ideal, resolve_over_R(k, 9), 8, burch_idx=2, mu=3, golod=True)
+    rep = theorem_verdicts(resolve_over_R(k, 9), 8, burch_idx=2, mu=3, golod=True)
     for row in rep.rows:
         assert row.krank == 2 ** row.index
         if row.index >= 5:
@@ -124,7 +124,9 @@ def test_verdict_bounds_m2(m2_ideal):
     assert rep.all_ok()
 
 
-# -- the image route: k-ranks of syz_i = im(d_i) from ranks alone --------------
+# -- the route the pipelines use: krank(syz_i) read off the strands that picked
+# syz_i's generators (resolve_over_R's kranks, krank.syzygy_krank); the tests
+# keep the name "image route" of the route it replaced --------------------------
 
 R2 = PolyRing(P, ("x", "y"))
 R3 = PolyRing(P, ("x", "y", "z"))
@@ -171,14 +173,15 @@ def minimal_presentations(draw):
 
 
 def check_image_route(pres, through=3) -> list:
-    """k-ranks of syz_1..syz_through by the image route, each checked
-    against krank_strand and, when small enough, krank_brute_force."""
+    """k-ranks of syz_1..syz_through as resolve_over_R reads them, each
+    checked against krank_strand and, when small enough,
+    krank_brute_force, on the presentation coker(d_(i+1))."""
     I = pres.quotient
     res = resolve_over_R(pres, through + 1)
     out = []
     for i in range(1, min(through, res.top()) + 1):
         sp = syzygy_presentation(res, i, I)
-        got = krank_image(res.diff(i), I)
+        got = res.kranks[i - 1]
         assert got == krank_strand(sp), (i, got)
         if total_dim_bound(sp) <= 150:
             assert got == krank_brute_force(sp, dim_cap=150), (i, got)
@@ -213,13 +216,15 @@ def test_image_route_on_cyclic_modules(ring, gens, gorenstein):
 
 
 def test_image_route_on_a_planted_wrong_socle(monkeypatch):
-    # k over (x,y)^2: syz_1 = m = k(-1)^2, every vector of R_1 is a socle vector
+    # k over (x,y)^2: syz_1 = m = k(-1)^2 and syz_2 = k(-2)^4, every vector
+    # of R_1 is a socle vector
     I = Ideal(R2, [R2.parse(g) for g in ("x^2", "x*y", "y^2")])
-    res = resolve_over_R(ModulePresentation.residue_field(I), 1)
-    assert krank_image(res.diff(1), I) == 2
+    k = ModulePresentation.residue_field(I)
+    assert resolve_over_R(k, 2).kranks == [2, 4]
     real = RTable.socle
     monkeypatch.setattr(RTable, "socle", lambda table, e: real(table, e)[:-1])
-    assert krank_image(res.diff(1), I) == 1
+    # F_1 = R(-1)^2 loses one socle vector per summand in degree 2
+    assert resolve_over_R(k, 2).kranks == [1, 2]
 
 
 def test_socle_cache_lives_on_the_table():
@@ -228,7 +233,7 @@ def test_socle_cache_lives_on_the_table():
     def syz1_krank(ring):
         I = Ideal(ring, [a * b for a in ring.maximal_ideal_gens()
                          for b in ring.maximal_ideal_gens()])
-        return krank_image(resolve_over_R(ModulePresentation.residue_field(I), 1).diff(1), I)
+        return resolve_over_R(ModulePresentation.residue_field(I), 1).kranks[0]
 
     assert syz1_krank(PolyRing(P, ("x", "y"))) == 2
     gc.collect()

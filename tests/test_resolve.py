@@ -1,4 +1,4 @@
-from burchlab.groebner import Ideal
+from burchlab.groebner import Ideal, RTable, Strand
 from burchlab.matrices import FreeModuleElement
 from burchlab.resolve import ModulePresentation, kernel_gens_over_R, resolve_over_R
 from support.checks import homology_is_zero
@@ -21,7 +21,7 @@ def test_strand_and_gb_kernels_agree(m2_ideal):
     k = ModulePresentation.residue_field(m2_ideal)
     res = resolve_over_R(k, 3)
     for n in (1, 2):
-        a = kernel_gens_over_R(res.diff(n), m2_ideal)
+        a, _ = kernel_gens_over_R(res.diff(n), m2_ideal)
         b = kernel_gens_over_R_gb(res.diff(n), m2_ideal)
         assert len(a) == len(b)
 
@@ -31,7 +31,7 @@ def test_strand_and_gb_kernels_agree_bione(bione_ideal):
                                                 bione_ideal.ring.parse("y")])
     res = resolve_over_R(M, 3)
     for n in (1, 2):
-        a = kernel_gens_over_R(res.diff(n), bione_ideal)
+        a, _ = kernel_gens_over_R(res.diff(n), bione_ideal)
         b = kernel_gens_over_R_gb(res.diff(n), bione_ideal)
         assert len(a) == len(b)
 
@@ -71,3 +71,39 @@ def test_presented_module_resolution(m2_ideal):
     for n in range(1, 5):
         assert homology_is_zero(res, n)
     assert res.is_minimal()
+
+
+def test_empty_target_strands_are_not_vectorized(monkeypatch, m2_ideal, bione_ideal):
+    # RTable.matrix_strand returns zero columns for an empty target strand;
+    # their kernel is the unit vectors in order, so the picks, the Betti
+    # numbers and the k-ranks are those of a full vectorization
+    R = m2_ideal.ring
+    two = ModulePresentation(R, m2_ideal, [0, 0],
+                             [FreeModuleElement(R, {0: R.parse("x"), 1: R.parse("y")})])
+    modules = [ModulePresentation.residue_field(m2_ideal), two,
+               ModulePresentation.cyclic(bione_ideal, [R.parse("x^2"), R.parse("y")])]
+
+    def fingerprint(res):
+        return (res.poincare_coeffs(), res.kranks,
+                [res.diff(n).columns for n in range(1, res.top() + 1)])
+
+    empty = []
+    real_vector = Strand.vector
+
+    def watched(self, coords, mono=None):
+        if not self:
+            empty.append(self.d)
+        return real_vector(self, coords, mono)
+
+    def vectorize_all(table, matrix, d, src=None, tgt=None):
+        src = src or Strand(table, matrix.col_degrees, d)
+        tgt = tgt or Strand(table, matrix.row_degrees, d)
+        return src, [tgt.vector(matrix.columns.get(i, {}), m) for i, m in src]
+
+    monkeypatch.setattr(Strand, "vector", watched)
+    got = [fingerprint(resolve_over_R(M, 5)) for M in modules]
+    assert empty == []
+    monkeypatch.setattr(RTable, "matrix_strand", vectorize_all)
+    want = [fingerprint(resolve_over_R(M, 5)) for M in modules]
+    assert empty   # the strands above the top of F's summands are empty
+    assert got == want

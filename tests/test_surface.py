@@ -66,7 +66,8 @@ cli.run_command writes "timingSeconds" (as a dict key or an item store).
 The eleventh check keeps the assembly of keyed differentials in one place:
 only complexes.keyed_complex, Contraction.truncated (which cuts a complex
 it already has) and the resolution over R (which grows its matrices degree
-by degree from kernels) construct a GradedFreeComplex.
+by degree from kernels) construct a GradedFreeComplex or its subclass
+resolve.Resolution.
 
 The twelfth check keeps strand ranks over R in one place: only
 complexes.Strands.rank calls linalg.rank_of, so the bar's checks and
@@ -81,6 +82,11 @@ imports are the package's re-exports.
 The fourteenth check keeps the growing of resolutions for the pipelines
 in one place: in pipeline.py only dg_pair calls build_semifree_resolution
 or acyclic_closure, so the A-infinity pair takes its X and Y from it.
+
+The fifteenth check keeps the strands of syzygies in one place: no
+function of krank.py or cycles.py constructs a Strand or calls .span(, so
+the k-rank and the projection read the strands and echelons that the
+resolution over R built when it picked the syzygy's generators.
 """
 
 from __future__ import annotations
@@ -103,10 +109,10 @@ SHARED_NAME_CALLERS = {
     "ainfty.py: AInfAlgebra.op": "bar.py: BarComplex._block_image",
     "ainfty.py: AInfModule.op": "bar.py: BarComplex._block_image",
     "taylor.py: DgModule.op": "bar.py: BarComplex._block_image",
-    "complexes.py: GradedFreeComplex.check_dd_zero": "taylor.py: TaylorComplex.__init__",
+    "complexes.py: GradedFreeComplex.check_dd_zero": "dgmodule.py: taylor_module_fast_path",
     "complexes.py: Strands.check_dd_zero": "bar.py: BarComplex.__init__",
     "groebner.py: RTable.socle": "groebner.py: Strand.socle",
-    "groebner.py: Strand.socle": "krank.py: krank_image",
+    "groebner.py: Strand.socle": "krank.py: syzygy_krank",
     "groebner.py: Strand.position": "complexes.py: Strands.generator_columns",
     "tate.py: AdjunctionEngine.position": "scripts/complex_fingerprints.py: keys_record",
     "jobs.py: JobSpec.to_dict": "cli.py: main",
@@ -781,12 +787,14 @@ def test_the_timing_scan_sees_a_duplicate():
 
 COMPLEX_BUILDERS = ["complexes.py: keyed_complex", "contraction.py: Contraction.truncated",
                     "resolve.py: resolve_over_R"]
+# GradedFreeComplex and its subclass resolve.Resolution
+COMPLEX_CLASSES = {"GradedFreeComplex", "Resolution"}
 
 
 def test_only_the_keyed_builder_and_the_resolutions_construct_a_complex():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        found += _callers(path.read_text(encoding="utf-8"), path.name, {"GradedFreeComplex"})
+        found += _callers(path.read_text(encoding="utf-8"), path.name, COMPLEX_CLASSES)
     assert found == COMPLEX_BUILDERS
 
 
@@ -797,9 +805,11 @@ def test_the_complex_scan_sees_a_duplicate():
                "    def _assemble(self):\n"
                "        return complexes.GradedFreeComplex(self.ring, {}, {})\n"
                "def minimal_degrees(cx) -> GradedFreeComplex:\n"
-               "    return cx.degrees\n")
-    assert _callers(planted, "m.py", {"GradedFreeComplex"}) == [
-        "m.py: keyed_complex", "m.py: BarComplex._assemble"]
+               "    return cx.degrees\n"
+               "def resolve_again(ring, degrees):\n"
+               "    return Resolution(ring, degrees, {})\n")
+    assert _callers(planted, "m.py", COMPLEX_CLASSES) == [
+        "m.py: keyed_complex", "m.py: BarComplex._assemble", "m.py: resolve_again"]
 
 
 # -- one home for strand ranks over R ----------------------------------------------
@@ -880,9 +890,46 @@ def test_the_resolution_scan_sees_a_duplicate():
                "    X = acyclic_closure(ctx.ring, ctx.minimal_gens, through=cap)\n"
                "    return X, build_semifree_resolution(pres, X, up_to=cap)\n"
                "def ainf_pair(ctx, pres, caps):\n"
-               "    X = TaylorComplex(ctx.ring, taylor_generators(ctx), verify=False)\n"
+               "    X = TaylorComplex(ctx.ring, taylor_generators(ctx))\n"
                "    return X, dgmodule.build_semifree_resolution(pres, X, up_to=caps.hom_degree)\n"
                "def bar_report(ctx, pres, caps, regime):\n"
                "    return dg_pair(ctx, pres, cap=caps.hom_degree)\n")
     assert _callers(planted, "m.py", RESOLUTION_BUILDERS) == ["m.py: dg_pair",
                                                               "m.py: ainf_pair"]
+
+
+# -- one strand pass per syzygy ----------------------------------------------------------
+
+
+def _strand_builders(source: str, filename: str) -> list:
+    """'file: Qual.name' per function that constructs a Strand or calls
+    .span(, plainly or as an attribute."""
+    def hit(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+        return name == "Strand" or (name == "span" and isinstance(node.func, ast.Attribute))
+
+    return _functions_with(source, filename, hit)
+
+
+def test_the_k_rank_and_the_projection_build_no_strand():
+    found = []
+    for name in ("krank.py", "cycles.py"):
+        found += _strand_builders((PACKAGE / name).read_text(encoding="utf-8"), name)
+    assert found == []
+
+
+def test_the_strand_scan_sees_a_rebuilt_strand():
+    planted = ("def krank_image(matrix, quotient):\n"
+               "    strand = Strand(quotient.table(), matrix.row_degrees, 0)\n"
+               "    return strand.socle()\n"
+               "def project_to_minimal(ctr, cycles, quotient, q):\n"
+               "    return [strand.span(kergens, 1) for strand in cycles]\n"
+               "def theorem_verdicts(res, up_to):\n"
+               "    return groebner.Strand, res.kranks[:up_to]\n"
+               "def span(rows):\n"
+               "    return rows\n"
+               "def rows(res):\n"
+               "    return span(res)\n")
+    assert _strand_builders(planted, "m.py") == ["m.py: krank_image", "m.py: project_to_minimal"]

@@ -647,7 +647,7 @@ def test_generator_picks_take_no_normal_form(monkeypatch, m2_ideal):
     boundaries = [(d4.column(j), deg) for j, deg in enumerate(cx.basis_degrees(4))]
     # over R: the kernel of d_1 of k's resolution, in normal form as it is made
     d1 = resolve_over_R(ModulePresentation.residue_field(m2_ideal), 1).diff(1)
-    kernel = kernel_gens_over_R(d1, m2_ideal)
+    kernel, _ = kernel_gens_over_R(d1, m2_ideal)
     normal_forms = []
     real = Ideal.normal_form
 

@@ -44,7 +44,7 @@ monomial_lists = st.integers(2, 3).flatmap(lambda nvars: st.tuples(
 def test_product_basis_matches_the_docstring_formula(data):
     nvars, monos = data
     R = PolyRing(P, ("x", "y", "z")[:nvars])
-    T = TaylorComplex(R, [R.monomial(m) for m in monos], verify=False)
+    T = TaylorComplex(R, [R.monomial(m) for m in monos])
     s = len(monos)
     for da, db in product(range(s + 1), repeat=2):
         for (ia, S), (ib, Tset) in product(enumerate(T.subsets[da]), enumerate(T.subsets[db])):
@@ -63,8 +63,7 @@ def test_product_basis_matches_the_docstring_formula(data):
 
 def test_leibniz_pairs_are_exactly_the_pairs_meeting_in_at_most_one_index():
     R = PolyRing(P, ("x", "y"))
-    T = TaylorComplex(R, [R.parse(t) for t in ["x^3", "x^2*y", "x*y^2", "y^3", "x*y"]],
-                      verify=False)
+    T = TaylorComplex(R, [R.parse(t) for t in ["x^3", "x^2*y", "x*y^2", "y^3", "x*y"]])
     s = len(T.monomials)
     total = 0
     for da in range(s + 1):
@@ -128,7 +127,7 @@ def plant_sign_flip(T, da, S, db, U):
 
 def taylor_m2_3vars():
     R = PolyRing(P, ("x", "y", "z"))
-    return TaylorComplex(R, [R.parse(t) for t in ["x^2", "x*y", "y^2", "z^2"]], verify=False)
+    return TaylorComplex(R, [R.parse(t) for t in ["x^2", "x*y", "y^2", "z^2"]])
 
 
 def test_planted_sign_on_any_disjoint_pair_is_caught():
@@ -177,6 +176,36 @@ def test_a_planted_coefficient_on_either_unit_product_is_caught(pair):
     T.product_terms = planted
     with pytest.raises(InternalCheckError, match=r"^unit law fails on basis \(1,2\)$"):
         T.check_unit()
+
+
+# Every generator list the tests build a Taylor complex from, as (variables,
+# generators); the constructor runs no check, so the dg laws of each are
+# checked here in full.
+TESTED_TAYLOR_LISTS = [
+    ("x", ["x^2"]),
+    ("xy", ["x^2"]),
+    ("xy", ["x^2", "x^2*y"]),
+    ("xy", ["y^2", "x*y"]),
+    ("xy", ["x^2", "x*y", "y^2"]),
+    ("xy", ["y^2", "x*y", "x^2"]),
+    ("xy", ["x^4", "x^2*y", "y^2"]),
+    ("xy", ["y^2", "x^2*y", "x^4"]),
+    ("xy", ["x^3", "x^2*y", "x*y", "y^2"]),
+    ("xy", ["y^2", "x*y", "x^3"]),
+    ("xyz", ["x^2", "x*y", "y^2", "z^2"]),
+    ("xyz", ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"]),
+    ("xyz", ["z^2", "y*z", "x*z", "y^2", "x*y", "x^2"]),
+    ("xyzw", ["x*y", "y*z", "z*w", "x^2", "y^2", "z^2", "w^2"]),
+]
+
+
+@pytest.mark.parametrize("variables, gens", TESTED_TAYLOR_LISTS)
+def test_the_tested_taylor_complexes_are_dg_algebras(variables, gens):
+    R = PolyRing(P, tuple(variables))
+    T = TaylorComplex(R, [R.parse(g) for g in gens])
+    T.complex.check_dd_zero()
+    T.check_unit()
+    T.check_leibniz()
 
 
 def test_a_generator_with_more_than_one_term_is_refused():

@@ -17,6 +17,11 @@ covers:
   pair is transferred along (alg.ctr and mod.ctr);
 * minimalize(bar) of each of the four bars.
 
+Each part is hashed as deep as the pair claims it: Y and its key listing
+through the cap (build_semifree_resolution lists Y through up_to = cap),
+and mod.ctr through hom_degree + 1, the depth ainf_pair keeps Y's minimal
+model to.
+
 A non-monomial ring has no Taylor complex, so its first hash covers the
 Tate pair at cap 4, its bar and minimalize(bar).  The second hash of every
 case covers resolve_over_R(pres, 6) and the k-rank rows of its syzygies.
@@ -25,8 +30,8 @@ A complex hashes its degree labels and every d_n in column order, with the
 row order within each column and the term order of each entry; X and Y
 add their key listings and positions, a bar its words and positions.  A
 contraction hashes its small complex, its alive indices, and incl, proj
-and htpy at every degree: the degree labels, then each matrix's columns in
-their stored order, with row and term order.
+and htpy at every degree through its depth: the degree labels, then each
+matrix's columns in their stored order, with row and term order.
 Run it on two checkouts and diff the output:
 
     PYTHONPATH=src python scripts/complex_fingerprints.py > after.txt
@@ -64,9 +69,10 @@ def modules(ideal):
     }
 
 
-def complex_record(cx):
+def complex_record(cx, through=None):
     out = []
-    for n in range(cx.top() + 1):
+    top = cx.top() if through is None else min(cx.top(), through)
+    for n in range(top + 1):
         d = cx.diff(n)
         cols = [(j, [(i, list(f.terms.items())) for i, f in d.columns[j].items()])
                 for j in range(d.cols) if j in d.columns]
@@ -80,20 +86,23 @@ def matrix_record(m):
              for j, col in m.columns.items()])
 
 
-def contraction_record(ctr):
-    return (complex_record(ctr.small), ctr.alive,
-            [[(n, matrix_record(maps[n])) for n in sorted(maps)]
+def contraction_record(ctr, through=None):
+    def kept(n):
+        return through is None or n <= through
+    return (complex_record(ctr.small, through), {n: a for n, a in ctr.alive.items() if kept(n)},
+            [[(n, matrix_record(maps[n])) for n in sorted(maps) if kept(n)]
              for maps in (ctr.incl, ctr.proj, ctr.htpy)])
 
 
-def keys_record(structure):
-    """The key listing and positions of a Taylor complex or an adjunction engine."""
+def keys_record(structure, through=None):
+    """The key listing and positions of a Taylor complex or an adjunction
+    engine, through a degree when one is given."""
     if hasattr(structure, "subsets"):
         return structure.subsets, structure.position
     if hasattr(structure, "_basis"):
         structure.complex  # lists the basis
-        return structure._basis, {d: structure.position(d, k) for d, ks in
-                                  structure._basis.items() for k in ks}
+        basis = {d: ks for d, ks in structure._basis.items() if through is None or d <= through}
+        return basis, {d: structure.position(d, k) for d, ks in basis.items() for k in ks}
     return None
 
 
@@ -112,13 +121,15 @@ def pair_hash(ctx, pres) -> str:
     for algebra, cap in (("taylor", 4), ("tate", 4), ("tate", 6)) if monomial else (("tate", 4),):
         X, Y = dg_pair(ctx, pres, cap=cap, algebra=algebra)
         parts.append((algebra, cap, complex_record(X.complex), keys_record(X),
-                      complex_record(Y.complex), keys_record(Y),
+                      complex_record(Y.complex, cap), keys_record(Y, cap),
                       bar_record(BarComplex(X, Y, ctx.ideal, cap=cap))))
     if monomial:
-        alg, mod = ainf_pair(ctx, pres, Caps(hom_degree=5))
+        caps = Caps(hom_degree=5)
+        alg, mod = ainf_pair(ctx, pres, caps)
         parts.append(("ainf", complex_record(alg.complex), complex_record(mod.complex),
                       bar_record(BarComplex(alg, mod, ctx.ideal, cap=5)),
-                      contraction_record(alg.ctr), contraction_record(mod.ctr)))
+                      contraction_record(alg.ctr),
+                      contraction_record(mod.ctr, caps.hom_degree + 1)))
     return digest(parts)
 
 

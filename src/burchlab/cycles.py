@@ -99,14 +99,19 @@ def burch_cycles(bd: BurchData, X: GradedFreeComplex) -> BurchCycleSet:
             if all(BI.contains(c) for c in cyc.omega.coords.values()):
                 raise InternalCheckError(f"omega for pair {(i, j)} lies in BI X_1")
 
-    # independence of the omegas in Z_1 / n Z_1
+    # independence of the omegas in Z_1 / n Z_1; (n Z_1)_e is spanned by the
+    # m * z, z a generator of Z_1 and m a monomial of degree e - deg z >= 1,
+    # passed in the omegas' degrees e (minimal_module_generators spans an
+    # extra element in its own degree only)
     z1 = syzygies_of([d1.column(t) for t in range(d1.cols)], 1, ring)
     degrees = X.basis_degrees(1)
     zero_ideal = Ideal(ring, [])
+    monomials = zero_ideal.table().basis
     omegas = [cyc.omega for cyc in out.cycles.values()]
-    kept = minimal_module_generators(omegas, degrees, zero_ideal,
-                                     extra_span=[(w.mul_poly(g), w.degree(degrees) + 1)
-                                                 for w in z1 for g in ring.maximal_ideal_gens()])
+    n_z1 = [(z.mul_poly(ring.monomial(m)), e)
+            for e in sorted({w.degree(degrees) for w in omegas}) for z in z1
+            if e > z.degree(degrees) for m in monomials(e - z.degree(degrees))]
+    kept = minimal_module_generators(omegas, degrees, zero_ideal, extra_span=n_z1)
     if len(kept) != len(omegas):
         raise InternalCheckError("Burch cycles are dependent modulo n Z_1")
     return out

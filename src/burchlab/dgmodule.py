@@ -103,11 +103,18 @@ def build_semifree_resolution(pres: ModulePresentation, algebra: DgAlgebra, up_t
 
     What up_to gives: every generator of degree <= up_to (rounds n =
     1..up_to-1 adjoin those of degree n+1), H_n(Y) = 0 checked for
-    1 <= n <= up_to-1, and a basis enumerated through degree up_to + 1.
-    That top degree holds pairs of the lower generators only, none of its
-    own: Y_(up_to+1) and H_up_to(Y) are not those of a resolution.
+    1 <= n <= up_to-1, and a basis enumerated through degree up_to, as deep
+    as any reader goes: the last round (n = up_to - 1) reads d_up_to, the
+    dg bar to a cap of up_to reads y of degree <= up_to, and the A-infinity
+    pair keeps Y's minimal model through up_to - 1.  H_up_to(Y) is not that
+    of a resolution.
+
+    d o d = 0 holds by construction: X's Leibniz rule and d o d = 0 on X,
+    and each d(g_t) a cycle (check_adjunction checks the new ones).  No
+    separate compose check runs here; the bar over Y checks d o d = 0 on
+    its strands.
     """
-    Y = SemifreeDgModule(algebra, degree_cap=up_to + 1)
+    Y = SemifreeDgModule(algebra, degree_cap=up_to)
     for gdeg in pres.gen_degrees:
         Y.add_generator(0, gdeg, {})
     # relation killers in homological degree 1, on the pairs (r, unit of X)

@@ -105,15 +105,18 @@ def taylor_generators(ctx: RingContext) -> list:
 
 
 # How deep each pair grows Y (build_semifree_resolution to up_to: every
-# generator of degree <= up_to, H_n(Y) = 0 checked for 1 <= n < up_to):
+# generator of degree <= up_to, H_n(Y) = 0 checked for 1 <= n < up_to, and
+# the basis listed through degree up_to):
 # * dg pair: Y to the bar's cap.  B(R, X, Y) to the cap reads y of degree
 #   <= cap only, and the cycles read psi(x) = x * y_0 at x = 1 and x = e
 #   only; a generator of degree cap + 1 would only append basis pairs of
 #   degree >= cap + 1, so Y_(<=cap) and d_1..d_cap are the same without it.
 # * A-infinity pair: the dg pair to hom_degree + 2, Y's minimal model kept
 #   through hom_degree + 1 (Contraction.truncated), where it is the minimal
-#   resolution of M over Q; above lie the unkilled H_(hom_degree + 2) and
-#   Y's top degree, which has no generators of its own.
+#   resolution of M over Q; above lies Y's top degree hom_degree + 2, with
+#   H_(hom_degree + 2) unkilled.  Listing one degree more would change none
+#   of the model kept: minimalize eliminates level by level going up, and
+#   that level would come last and touch only degree >= hom_degree + 2.
 # * fast path: Y complete, the Taylor complex of the J-list, and its
 #   minimal model complete, the minimal Q-resolution of M (top t_Y <= nvars).
 #   The transfer reads X's product and the action only in degrees up to the

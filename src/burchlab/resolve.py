@@ -95,9 +95,15 @@ def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span
     R^ambient in normal form; none is reduced here (ModulePresentation
     reduces its relations, and the other callers work over Q).  The
     selection order is (degree, insertion order), so results are stable.
-    extra_span holds (element, degree) pairs whose elements are quotiented
-    out in every degree (all multiples), so with extra_span = boundaries
-    this picks homology generators.
+
+    extra_span holds (element, degree) pairs quotiented out in their own
+    degree only: the strand of degree d is spanned by m * elements with
+    deg m >= 1 and the extra elements of degree d, with no multiples of
+    them.  A caller that quotients out a submodule N passes N's elements
+    of every degree it needs.  With elements the generators of the cycles
+    Z and extra_span the boundaries B, this picks homology generators:
+    B is inside Z, so m * b with deg m >= 1 lies in m * Z already, and the
+    span at d is (m * Z + B)_d.
 
     spans, when given, receives for each degree d of an element the triple
     (strand, echelon, vectors): the strand of degree d, the echelon of
@@ -109,11 +115,14 @@ def minimal_module_generators(elements, gen_degrees, quotient: Ideal, extra_span
     elems = [(w, w.degree(gen_degrees)) for w in elements if w.coords]
     if not elems:
         return []
-    extra = [(w, dg) for w, dg in extra_span or () if w.coords]
+    extra = {}
+    for w, dg in extra_span or ():
+        if w.coords:
+            extra.setdefault(dg, []).append((w, dg))
     chosen = []
     for d in sorted({dg for _, dg in elems}):
         strand = Strand(table, gen_degrees, d)
-        ech = strand.span(extra, 0, strand.span(elems, 1))
+        ech = strand.span(extra.get(d, ()), 0, strand.span(elems, 1))
         here = [(w, strand.vector(w.coords)) for w, dg in elems if dg == d]
         if spans is not None:
             spans[d] = (strand, ech, [vec for _, vec in here])

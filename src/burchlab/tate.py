@@ -234,9 +234,17 @@ class TateAlgebra(AdjunctionEngine, DgAlgebra):
 
 def homology_generators(cx: GradedFreeComplex, d: int):
     """Minimal Q-module generators of H_d(cx), as cycle elements of C_d, and
-    the spans of their picks: per degree of a cycle generator, the echelon of
-    m * Z_d + B_d before the picks and the cycle vectors
-    (minimal_module_generators), for check_adjunction."""
+    the spans of their picks: per degree e of a cycle generator, the echelon
+    of (m * Z_d + B_d)_e before the picks and the cycle vectors
+    (minimal_module_generators), for check_adjunction.
+
+    The strand at e is spanned by m * (generators of Z_d), deg m >= 1, and
+    the boundary columns of degree exactly e: B_d lies in Z_d, so every
+    multiple m * b with deg m >= 1 lies in m * Z_d already.  B_d lies in Z_d
+    because cx is a complex, which holds by construction (the Leibniz rule
+    on keys and every generator's boundary a cycle); acyclic_closure checks
+    d o d = 0 at the end, and the bar over Y checks it on its strands.
+    """
     diff, spans = cx.diff(d), {}
     gens = syzygies_of([diff.column(j) for j in range(diff.cols)], diff.rows, cx.ring)
     if not gens:
@@ -257,9 +265,12 @@ def check_adjunction(before: GradedFreeComplex, after: GradedFreeComplex, d: int
 
     d_d and the grading of C_d and C_(d-1) are compared exactly (so Z_d is
     unchanged), and so are the old columns of d_(d+1) (so B_d is contained
-    in the new boundaries).  The new columns are read from after and all
-    their multiples go into each kept echelon, which then spans m * Z_d +
-    B'_d in its degree, B'_d the boundaries of after: the span
+    in the new boundaries).  The new columns are read from after, and d_d
+    must map each of them to 0, composed over Q on those columns only (as
+    few as the round's picks).  So B'_d, the boundaries of after, lies in
+    Z_d, and each kept echelon, of degree e, takes the new columns of
+    degree exactly e: it then spans (m * Z_d + B'_d)_e, as a multiple
+    m * b' with deg m >= 1 lies in m * Z_d already.  That is the span
     homology_generators(after, d) would build from scratch.  Every cycle
     generator must reduce to 0 in it.  The check uses spans up: their
     echelons take the new columns, and are dropped once it passes.
@@ -283,10 +294,12 @@ def check_adjunction(before: GradedFreeComplex, after: GradedFreeComplex, d: int
             or {j: col for j, col in diff.columns.items() if j < cols} != old.columns):
         raise InternalCheckError(f"d_{d + 1} changed in its first {cols} columns "
                                  "since its cycles were computed")
-    degrees = after.basis_degrees(d)
+    degrees, down = after.basis_degrees(d), after.diff(d)
     new = [(v, v.degree(degrees)) for v in map(diff.column, range(cols, diff.cols)) if v.coords]
-    for strand, ech, vectors in spans.values():
-        strand.span(new, 0, ech)
+    if any(down.apply(v).coords for v, _ in new):
+        raise InternalCheckError(f"a new column of d_{d + 1} is not a cycle")
+    for e, (strand, ech, vectors) in spans.items():
+        strand.span([(v, dg) for v, dg in new if dg == e], 0, ech)
         if any(ech.reduce(vec)[0] for vec in vectors):
             raise InternalCheckError(f"{what} at degree {d} survived adjunction")
     spans.clear()

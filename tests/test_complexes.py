@@ -321,6 +321,17 @@ def test_truncated_contraction_replays_the_shared_log(m2_ideal):
     verify_contraction(short, through=1)
 
 
+def test_contraction_identities_hold_with_pivots_other_than_one(ctx_m2):
+    # the dg Tate bar of k over (x, y)^2 at cap 6 pivots on units other than
+    # +-1, so the identities read the inverse each elimination takes
+    pres = ModulePresentation.residue_field(ctx_m2.ideal)
+    X, Y = dg_pair(ctx_m2, pres, cap=6, algebra="tate")
+    ctr = minimalize(BarComplex(X, Y, ctx_m2.ideal, cap=6).complex)
+    p = ctx_m2.ring.p
+    assert any(inv not in (1, p - 1) for steps in ctr.steps.log.values() for _, inv, _, _ in steps)
+    verify_contraction(ctr)
+
+
 def counting_replays(monkeypatch):
     """Patch _Eliminations.replay to record the degree of every replay."""
     replayed = []

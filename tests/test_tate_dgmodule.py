@@ -32,6 +32,14 @@ def resolve_k(ideal, X, up_to):
     return build_semifree_resolution(ModulePresentation.residue_field(ideal), X, up_to=up_to)
 
 
+def listed_through(Y, n):
+    """Y with its basis listed through degree n + 1, so that a round at n can
+    read d_(n+1) (build_semifree_resolution lists Y only through up_to)."""
+    Y.degree_cap = n + 1
+    Y._stale = True
+    return Y
+
+
 def closure(ideal, through):
     """The acyclic closure of Q/ideal on the minimal generating list of ideal."""
     return acyclic_closure(ideal.ring, minimal_generators(ideal.gens, ideal.ring), through)
@@ -386,7 +394,7 @@ def test_append_only_columns_match_a_fresh_build(case, m2_ideal, hyper_ideal):
 
 def test_semifree_images_are_dropped_when_the_algebra_complex_changes(m2_ideal):
     X = closure(m2_ideal, through=4)
-    Y = resolve_k(m2_ideal, X, up_to=3)
+    Y = listed_through(resolve_k(m2_ideal, X, up_to=3), 3)
     kept = Y._images
     assert kept and Y._images_of is X.complex
     X.adjoin(4, 0, {})  # a new complex of X, with one more basis element in degree 4
@@ -559,6 +567,32 @@ def test_the_engine_never_changes_an_assembled_complex(monkeypatch, m2_ideal):
         assert complex_snapshot(cx) == snapshot
 
 
+def test_a_verify_general_job_lists_y_only_as_deep_as_it_reads_it(monkeypatch):
+    # theorem-a's job on k: the Taylor pair to cap 5 and the Tate pair to
+    # cap 6; no semifree key above up_to is listed or has its image taken
+    built, imaged = [], []
+    real_build, real_image = pipeline.build_semifree_resolution, SemifreeDgModule._key_image
+
+    def build(pres, algebra, up_to):
+        Y = real_build(pres, algebra, up_to)
+        built.append((Y, up_to))
+        return Y
+
+    def image(self, n, key):
+        imaged.append((self, n))
+        return real_image(self, n, key)
+
+    monkeypatch.setattr(pipeline, "build_semifree_resolution", build)
+    monkeypatch.setattr(SemifreeDgModule, "_key_image", image)
+    spec = load_job(CORPUS / "ex_m2_2vars.json")
+    spec.command, spec.caps.general_qs = "verify-general", (4, 5)
+    assert run_command(spec.command, spec)[1] == 0
+    assert [up_to for _, up_to in built] == [5, 6]
+    for Y, up_to in built:
+        assert Y.complex.top() == up_to
+        assert max(n for owner, n in imaged if owner is Y) == up_to
+
+
 # -- the adjunction check, on one round of k over k[x,y]/(x,y)^2 at n = 3 ----
 
 
@@ -566,7 +600,7 @@ def round_at_3(m2_ideal):
     """Y with H_3 not yet killed, the picked generators at 3 with the spans
     of the picks, and the generators' degrees."""
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
-    cx = resolve_k(m2_ideal, X, up_to=3).complex
+    cx = listed_through(resolve_k(m2_ideal, X, up_to=3), 3).complex
     gens, spans = homology_generators(cx, 3)
     assert len(gens) == 16   # beta_4 of k over R, see test_semifree_generators_count_betti
     return cx, spans, gens, [g.degree(cx.basis_degrees(3)) for g in gens]
@@ -600,6 +634,18 @@ def test_adjunction_check_refuses_a_changed_old_boundary(m2_ideal):
     i = next(iter(col))
     col[i] = col[i].scale(2)   # same span, so only the exact comparison sees it
     with pytest.raises(InternalCheckError, match="d_4 changed in its first"):
+        check_adjunction(cx, new, 3, spans)
+
+
+def test_adjunction_check_refuses_a_new_column_that_is_not_a_cycle(m2_ideal):
+    # each kept echelon takes the new columns of its own degree only, which
+    # spans the new boundaries' multiples only when they lie in Z_3; one
+    # more column outside Z_3 would only enlarge the span
+    cx, spans, gens, degs = round_at_3(m2_ideal)
+    j = min(cx.diff(3).columns)
+    stray = FreeModuleElement(cx.ring, {j: cx.ring.one()})
+    new = adjoined(cx, 3, gens + [stray], degs + [cx.basis_degrees(3)[j]])
+    with pytest.raises(InternalCheckError, match="new column of d_4 is not a cycle"):
         check_adjunction(cx, new, 3, spans)
 
 
@@ -641,7 +687,7 @@ def test_adjunction_check_compares_the_grading(m2_ideal, n):
 def test_generator_picks_take_no_normal_form(monkeypatch, m2_ideal):
     # over Q: the cycles and boundary columns of a semifree complex
     X = TaylorComplex(m2_ideal.ring, m2_ideal.gens)
-    cx = resolve_k(m2_ideal, X, up_to=3).complex
+    cx = listed_through(resolve_k(m2_ideal, X, up_to=3), 3).complex
     d3, d4 = cx.diff(3), cx.diff(4)
     cycles = syzygies_of([d3.column(j) for j in range(d3.cols)], d3.rows, cx.ring)
     boundaries = [(d4.column(j), deg) for j, deg in enumerate(cx.basis_degrees(4))]

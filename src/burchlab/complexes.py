@@ -7,8 +7,10 @@ coefficient bases.  Every builder of a complex over R (the bar, the small
 complex of minimalize, resolve_over_R) stores nonzero normal forms, so
 readers take the entries as stored and never reduce them again.
 
-A complex given by basis keys and the boundary of each key (Taylor, Tate,
-semifree, bar, minimalized) is assembled by keyed_complex.
+A complex given by basis keys and the boundary of each key (Taylor, bar,
+minimalized) is assembled by keyed_complex.  The Tate closure and the
+semifree module grow theirs a degree at a time (tate.AdjunctionEngine);
+both place a key's boundary through place_columns.
 
 d o d = 0 is checked two ways: GradedFreeComplex.check_dd_zero composes
 the matrices (over Q, and over R multiplying in R), the only check for
@@ -30,6 +32,21 @@ from .matrices import PolyMatrix
 from .ring import PolyRing
 
 
+def place_columns(mat: PolyMatrix, n: int, keys, target: dict, image, start: int = 0):
+    """Set column start + j of mat, a d_n, to the boundary image(n, keys[j])
+    with each key mapped to its position in target, {key of degree n - 1:
+    index}, in the image's own order.  A key of an image missing from target
+    raises InternalCheckError."""
+    for j, key in enumerate(keys, start):
+        try:
+            col = {target[k]: f for k, f in image(n, key).items()}
+        except KeyError as missing:
+            raise InternalCheckError(f"boundary key {missing.args[0]} of {key} is missing "
+                                     f"at degree {n - 1}") from None
+        if col:
+            mat.columns[j] = col
+
+
 def keyed_complex(ring: PolyRing, basis: dict, internal_degree, image, quotient: Ideal | None = None):
     """The free complex on basis keys, and the position of each key.
 
@@ -37,9 +54,7 @@ def keyed_complex(ring: PolyRing, basis: dict, internal_degree, image, quotient:
     internal_degree(n, key) is a key's degree label and image(n, key) its
     boundary, {key of degree n - 1: Polynomial}, with nonzero entries.
     Returns (GradedFreeComplex, positions), positions[n] = {key: index}.
-    Column j of d_n lists the image of basis[n][j] in the image's own
-    order; a key of an image missing from basis[n - 1] raises
-    InternalCheckError.
+    Column j of d_n is the image of basis[n][j] (place_columns).
     """
     positions = {n: {key: t for t, key in enumerate(keys)} for n, keys in basis.items()}
     degrees = {n: [internal_degree(n, key) for key in keys] for n, keys in basis.items()}
@@ -47,18 +62,8 @@ def keyed_complex(ring: PolyRing, basis: dict, internal_degree, image, quotient:
     for n, keys in basis.items():
         if n == 0 or not keys:
             continue
-        target = positions.get(n - 1, {})
-        mat = PolyMatrix(ring, degrees.get(n - 1, []), degrees[n])
-        for j, key in enumerate(keys):
-            img = image(n, key)
-            try:
-                col = {target[k]: f for k, f in img.items()}
-            except KeyError as missing:
-                raise InternalCheckError(f"boundary key {missing.args[0]} of {key} is missing "
-                                         f"at degree {n - 1}") from None
-            if col:
-                mat.columns[j] = col
-        diffs[n] = mat
+        mat = diffs[n] = PolyMatrix(ring, degrees.get(n - 1, []), degrees[n])
+        place_columns(mat, n, keys, positions.get(n - 1, {}), image)
     return GradedFreeComplex(ring, degrees, diffs, quotient), positions
 
 

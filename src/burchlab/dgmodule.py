@@ -46,19 +46,15 @@ class SemifreeDgModule(AdjunctionEngine, DgModule):
     def add_generator(self, hom_degree: int, int_degree: int, diff: dict):
         self._append(hom_degree, int_degree, diff)
 
-    def _keys_by_degree(self):
+    def _keys_by_degree(self, top):
         # pairs sort by (t, i), and a new generator gets the next t, so
         # adjoining appends pairs at the end of each degree
         X = self.algebra.complex
         basis = {}
         for t, (gdeg, _, _) in enumerate(self.generators):
-            for d in range(min(X.top(), self.degree_cap - gdeg) + 1):
+            for d in range(min(X.top(), top - gdeg) + 1):
                 basis.setdefault(d + gdeg, []).extend((t, i) for i in range(X.rank(d)))
         return basis
-
-    def _image_source(self):
-        # images read X's differential and product: a new X complex drops them
-        return self.algebra.complex
 
     def _key_internal_degree(self, n, key) -> int:
         t, i = key
@@ -83,7 +79,7 @@ class SemifreeDgModule(AdjunctionEngine, DgModule):
         return out
 
     def action_terms(self, dx, ix, ny, iy) -> tuple:
-        self._refresh()
+        self._through(self.degree_cap)
         t, i = self._basis[ny][iy]
         terms = self.algebra.product_terms(dx, ix, ny - self.generators[t].degree, i)
         if not terms:

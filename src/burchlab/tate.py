@@ -21,10 +21,10 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .complexes import GradedFreeComplex, keyed_complex
+from .complexes import GradedFreeComplex, place_columns
 from .errors import InternalCheckError, check_rank
 from .groebner import Ideal, syzygies_of
-from .matrices import FreeModuleElement, add_into
+from .matrices import FreeModuleElement, PolyMatrix, add_into
 from .resolve import minimal_module_generators
 from .ring import PolyRing
 from .taylor import DgAlgebra, bilinear
@@ -45,67 +45,82 @@ class AdjunctionEngine:
     TateAlgebra (keys: monomials in its variables) and SemifreeDgModule
     (keys: pairs (t, i), generator t times basis element i of X) extend it.
     Both keep their generators in one list of Generator records (_append).
-    A subclass lists its keys through degree_cap (_keys_by_degree) and
-    gives each key of degree d its internal degree (_key_internal_degree)
-    and its differential in keys of degree d - 1 (_key_image).  The engine
-    sorts each degree's keys into the basis, checks the total rank against
-    the rank guard, and assembles the differentials with keyed_complex.
-    The image of a key is computed once and kept while _image_source() is
-    the same object: it depends only on the key and the generators in it,
-    which adjoining never changes.  Positions do move, so keyed_complex
-    maps the kept images to them at every assembly.
+    A subclass lists its keys through a degree (_keys_by_degree) and gives
+    each key of degree d its internal degree (_key_internal_degree) and its
+    differential in keys of degree d - 1 (_key_image).
+
+    The complex grows append-only (_through): a degree is assembled once,
+    its keys sorted, when a reader first needs it, and a later listing may
+    only add keys to the top assembled degree, after its old ones.  So each
+    key is placed and imaged once, and its image depends only on the key
+    and the generators in it, which adjoining never changes.  A round at d
+    adjoins generators of degree d + 1 with the top at d + 1: they occur in
+    no key of lower degree, and their keys of degree d + 1 sort last.  Any
+    other change raises InternalCheckError.  Each growth returns a new
+    GradedFreeComplex sharing the matrices it leaves alone, so an assembled
+    complex is never changed.
     """
 
     def __init__(self, ring: PolyRing, degree_cap: int):
         self._ring = ring
         self.degree_cap = degree_cap
         self.generators = []       # Generator records, in the order adjoined
-        self._stale = True
-        self._basis = None         # d -> sorted list of keys
-        self._pos = None           # d -> {key: position}, from keyed_complex
+        self._listed = None        # len(generators) when C_0..C_top were listed
+        self._top = -1
+        self._basis = {}           # d -> sorted keys, nonempty degrees d <= _top
+        self._pos = {}             # d -> {key: position}
         self._complex = None
-        self._images = {}          # (d, key) -> image in keys of degree d - 1
-        self._images_of = None     # the _image_source() the images were computed from
 
     @property
     def ring(self) -> PolyRing:
         return self._ring
 
-    def _image_source(self):
-        return None
-
     def _append(self, degree: int, internal: int, diff: dict):
         self.generators.append(Generator(degree, internal, diff))
-        self._stale = True
 
-    def _refresh(self):
-        """Re-list the basis and assemble the differentials (keyed_complex)."""
-        if not self._stale:
-            return
-        listing = self._keys_by_degree()
+    def _through(self, top: int) -> GradedFreeComplex:
+        """The complex on the keys of degree <= top, grown from the last one.
+
+        The keys are listed again through top and each degree sorted.  A
+        degree above the last top is assembled; the last top may gain keys
+        after its old ones, whose columns are appended to a new d_top that
+        keeps the old column dicts; any other change to an assembled degree
+        raises InternalCheckError.
+        """
+        if top <= self._top and self._listed == len(self.generators):
+            return self._complex
+        top = max(top, self._top)
+        listing = self._keys_by_degree(top)
         check_rank(sum(map(len, listing.values())), type(self).__name__)
-        self._basis = {d: sorted(keys) for d, keys in sorted(listing.items()) if keys}
-        source = self._image_source()
-        if self._images_of is not source:
-            self._images, self._images_of = {}, source
-
-        def image(d, key):
-            img = self._images.get((d, key))
-            if img is None:
-                img = self._images[d, key] = self._key_image(d, key)
-            return img
-
-        self._complex, self._pos = keyed_complex(self.ring, self._basis,
-                                                 self._key_internal_degree, image)
-        self._stale = False
+        cx = self._complex
+        degrees, diffs = (dict(cx.degrees), dict(cx.diffs)) if cx else ({}, {})
+        for n in range(top + 1):
+            keys, old = sorted(listing.get(n, ())), self._basis.get(n, [])
+            if keys == old:
+                continue
+            if n < self._top or keys[:len(old)] != old:
+                raise InternalCheckError(
+                    f"keys of degree {n} changed after it was assembled: only the top "
+                    f"degree {self._top} may gain keys, after its old ones")
+            new = keys[len(old):]
+            self._basis[n] = keys
+            self._pos.setdefault(n, {}).update((key, j) for j, key in enumerate(new, len(old)))
+            degrees[n] = degrees.get(n, []) + [self._key_internal_degree(n, key) for key in new]
+            if n:
+                mat = PolyMatrix(self.ring, degrees.get(n - 1, []), degrees[n])
+                mat.columns = dict(diffs[n].columns) if n in diffs else {}
+                place_columns(mat, n, new, self._pos.get(n - 1, {}), self._key_image, len(old))
+                diffs[n] = mat
+        self._top, self._listed = top, len(self.generators)
+        self._complex = GradedFreeComplex(self.ring, degrees, diffs)
+        return self._complex
 
     @property
     def complex(self) -> GradedFreeComplex:
-        self._refresh()
-        return self._complex
+        return self._through(self.degree_cap)
 
     def position(self, d: int, key) -> int:
-        self._refresh()
+        self._through(d)
         return self._pos[d][key]
 
     def kill_homology(self, through: int, adjoin):
@@ -114,25 +129,23 @@ class AdjunctionEngine:
         calls adjoin(d + 1, internal degree, differential in basis keys),
         then check that H_d is now 0 (check_adjunction).
 
-        The check compares the complex the picks read with the one assembled
-        after the round, and reuses Z_d and the echelons of the picks: a
-        generator of degree d+1 occurs in no basis key of degree <= d, so the
-        basis in degrees d and d-1 and d_d are the same before and after the
-        round, and its keys of degree d+1 sort after the old ones, so d_(d+1)
-        only gains columns (both compared exactly).  Every pick is a
-        deterministic minimal-generator pick.  A failed check names the
-        homology by the DgModule label: "homology" for X, "module homology"
-        for Y.
+        The picks read the complex through d + 1, and the check reads the one
+        grown from it by the round's generators: the same d_d and the same
+        old columns of d_(d+1), with one new column per pick appended
+        (_through).  Every pick is a deterministic minimal-generator pick.
+        A failed check names the homology by the DgModule label: "homology"
+        for X, "module homology" for Y.
         """
         for d in range(1, through):
-            cx = self.complex
+            cx = self._through(d + 1)
             picks, spans = homology_generators(cx, d)
             if not picks:
                 continue
             keys, degrees = self._basis[d], cx.basis_degrees(d)
             for g in picks:
                 adjoin(d + 1, g.degree(degrees), {keys[i]: f for i, f in g.coords.items()})
-            check_adjunction(cx, self.complex, d, spans, f"{self.label}homology")
+            check_adjunction(self._through(d + 1), d, cx.rank(d + 1), spans,
+                             f"{self.label}homology")
 
 
 class TateAlgebra(AdjunctionEngine, DgAlgebra):
@@ -147,17 +160,16 @@ class TateAlgebra(AdjunctionEngine, DgAlgebra):
             raise ValueError("variables must have positive degree")
         self._append(degree, internal, diff)
 
-    def _keys_by_degree(self):
+    def _keys_by_degree(self, top):
         # one variable at a time, with no recursion (a closure can have
-        # thousands of them); _refresh sorts each degree
-        cap = self.degree_cap
-        by_degree = {d: [] for d in range(cap + 1)}
+        # thousands of them); _through sorts each degree
+        by_degree = {d: [] for d in range(top + 1)}
         by_degree[0].append(())
         for v, (vdeg, _, _) in enumerate(self.generators):
-            max_e = 1 if vdeg % 2 == 1 else cap   # exterior or divided powers
+            max_e = 1 if vdeg % 2 == 1 else top   # exterior or divided powers
             # downward, so no key takes v twice: new keys land above d
-            for d in range(cap - vdeg, -1, -1):
-                for e in range(1, min(max_e, (cap - d) // vdeg) + 1):
+            for d in range(top - vdeg, -1, -1):
+                for e in range(1, min(max_e, (top - d) // vdeg) + 1):
                     by_degree[d + e * vdeg] += [key + ((v, e),) for key in by_degree[d]]
         return by_degree
 
@@ -224,7 +236,7 @@ class TateAlgebra(AdjunctionEngine, DgAlgebra):
     # -- positional interface (DgAlgebra) -----------------------------------
 
     def product_terms(self, da, ia, db, ib) -> tuple:
-        self._refresh()
+        self._through(self.degree_cap)
         hit = self.mul_keys(da, self._basis[da][ia], db, self._basis[db][ib])
         if not hit:
             return ()
@@ -257,45 +269,29 @@ def homology_generators(cx: GradedFreeComplex, d: int):
     return picks, spans
 
 
-def check_adjunction(before: GradedFreeComplex, after: GradedFreeComplex, d: int, spans: dict,
+def check_adjunction(cx: GradedFreeComplex, d: int, old_cols: int, spans: dict,
                      what: str = "homology"):
-    """Raise InternalCheckError unless H_d(after) = 0, where after is before
-    with new columns appended to d_(d+1) and spans are those of
-    homology_generators(before, d).
+    """Raise InternalCheckError unless H_d(cx) = 0, where cx is the complex
+    a round of adjunction grew, columns old_cols and on of d_(d+1) are the
+    round's new generators, and spans are those of homology_generators on
+    the complex the picks read.
 
-    d_d and the grading of C_d and C_(d-1) are compared exactly (so Z_d is
-    unchanged), and so are the old columns of d_(d+1) (so B_d is contained
-    in the new boundaries).  The new columns are read from after, and d_d
-    must map each of them to 0, composed over Q on those columns only (as
-    few as the round's picks).  So B'_d, the boundaries of after, lies in
-    Z_d, and each kept echelon, of degree e, takes the new columns of
-    degree exactly e: it then spans (m * Z_d + B'_d)_e, as a multiple
-    m * b' with deg m >= 1 lies in m * Z_d already.  That is the span
-    homology_generators(after, d) would build from scratch.  Every cycle
+    cx shares d_d and the first old_cols column dicts of d_(d+1) with that
+    complex, and has its grading of C_d and C_(d-1), as the engine's growth
+    (AdjunctionEngine._through) only appends keys to its top degree d + 1
+    and places nothing again.  So Z_d is the one the picks read, and B_d
+    lies in B'_d, the boundaries of cx.
+    The new columns are read from cx, and d_d must map each of them to 0,
+    composed over Q on those columns only (as few as the round's picks).
+    So B'_d lies in Z_d, and each kept echelon, of degree e, takes the new
+    columns of degree exactly e: it then spans (m * Z_d + B'_d)_e, as a
+    multiple m * b' with deg m >= 1 lies in m * Z_d already.  That is the
+    span homology_generators(cx, d) would build from scratch.  Every cycle
     generator must reduce to 0 in it.  The check uses spans up: their
     echelons take the new columns, and are dropped once it passes.
-
-    before is the complex the picks read, not a copy of it: an assembled
-    complex is never changed (AdjunctionEngine._refresh builds new matrices
-    through keyed_complex), so before still holds the d_d and d_(d+1) the
-    picks read.  For the same reason no check runs at pick time: comparing
-    the d_d the picks read with the complex it was read from one line
-    earlier could fail only for a caller handing in cycles of another
-    complex, and homology_generators takes none.
     """
-    diff, old = after.diff(d), before.diff(d)
-    if ((diff.rows, diff.cols) != (old.rows, old.cols) or diff.columns != old.columns
-            or after.basis_degrees(d) != before.basis_degrees(d)
-            or after.basis_degrees(d - 1) != before.basis_degrees(d - 1)):
-        raise InternalCheckError(f"d_{d} changed since its cycles were computed")
-    diff, old = after.diff(d + 1), before.diff(d + 1)
-    cols = old.cols
-    if (diff.rows != old.rows or diff.cols < cols
-            or {j: col for j, col in diff.columns.items() if j < cols} != old.columns):
-        raise InternalCheckError(f"d_{d + 1} changed in its first {cols} columns "
-                                 "since its cycles were computed")
-    degrees, down = after.basis_degrees(d), after.diff(d)
-    new = [(v, v.degree(degrees)) for v in map(diff.column, range(cols, diff.cols)) if v.coords]
+    up, degrees, down = cx.diff(d + 1), cx.basis_degrees(d), cx.diff(d)
+    new = [(v, v.degree(degrees)) for v in map(up.column, range(old_cols, up.cols)) if v.coords]
     if any(down.apply(v).coords for v, _ in new):
         raise InternalCheckError(f"a new column of d_{d + 1} is not a cycle")
     for e, (strand, ech, vectors) in spans.items():

@@ -50,7 +50,8 @@ loops kept for speed, each with its measured reason.
 
 The seventh check keeps adjunction in one place: the Tate closure and the
 semifree module both extend tate.AdjunctionEngine, so only it defines
-_refresh, and only its kill_homology loop calls check_adjunction.
+_through, the append-only growth of the complex, and only its
+kill_homology loop calls check_adjunction.
 
 The eighth check keeps the bar's operations in one place: in bar.py only
 BarComplex._block_image calls .op(, so every block's image is computed
@@ -65,9 +66,12 @@ cli.run_command writes "timingSeconds" (as a dict key or an item store).
 
 The eleventh check keeps the assembly of keyed differentials in one place:
 only complexes.keyed_complex, Contraction.truncated (which cuts a complex
-it already has) and the resolution over R (which grows its matrices degree
-by degree from kernels) construct a GradedFreeComplex or its subclass
-resolve.Resolution.
+it already has), the resolution over R (which grows its matrices degree
+by degree from kernels) and AdjunctionEngine._through (which grows the
+Tate and semifree complexes degree by degree, keeping the matrices it
+already placed) construct a GradedFreeComplex or its subclass
+resolve.Resolution.  keyed_complex and the engine place columns through
+one helper, complexes.place_columns.
 
 The twelfth check keeps strand ranks over R in one place: only
 complexes.Strands.rank calls linalg.rank_of, so the bar's checks and
@@ -637,18 +641,18 @@ def test_the_element_product_scan_sees_an_attribute_and_an_alias():
 
 
 def _adjunction_sites(source: str, filename: str) -> tuple:
-    """('file: Class._refresh' per class defining _refresh, 'file: Qual.name'
+    """('file: Class._through' per class defining _through, 'file: Qual.name'
     per function calling check_adjunction, plainly or as an attribute)."""
-    refreshes, callers = [], []
+    growths, callers = [], []
 
     def visit(node, qual):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = ".".join(qual + [child.name])
                 if isinstance(child, ast.ClassDef):
-                    refreshes.extend(f"{filename}: {name}._refresh" for item in child.body
-                                     if isinstance(item, ast.FunctionDef)
-                                     and item.name == "_refresh")
+                    growths.extend(f"{filename}: {name}._through" for item in child.body
+                                   if isinstance(item, ast.FunctionDef)
+                                   and item.name == "_through")
                 elif any(isinstance(c, ast.Call)
                          and "check_adjunction" in (getattr(c.func, "attr", None),
                                                     getattr(c.func, "id", None))
@@ -657,26 +661,26 @@ def _adjunction_sites(source: str, filename: str) -> tuple:
                 visit(child, qual + [child.name])
 
     visit(ast.parse(source), [])
-    return refreshes, callers
+    return growths, callers
 
 
 def test_one_engine_refreshes_and_checks_adjunction():
-    refreshes, callers = [], []
+    growths, callers = [], []
     for path in sorted(PACKAGE.glob("*.py")):
         found = _adjunction_sites(path.read_text(encoding="utf-8"), path.name)
-        refreshes += found[0]
+        growths += found[0]
         callers += found[1]
-    assert refreshes == ["tate.py: AdjunctionEngine._refresh"]
+    assert growths == ["tate.py: AdjunctionEngine._through"]
     assert callers == ["tate.py: AdjunctionEngine.kill_homology"]
 
 
 def test_the_adjunction_scan_sees_a_duplicate():
-    planted = ("class Engine:\n    def _refresh(self):\n        pass\n"
-               "class Module(Engine):\n    def _refresh(self):\n        pass\n"
+    planted = ("class Engine:\n    def _through(self, top):\n        pass\n"
+               "class Module(Engine):\n    def _through(self, top):\n        pass\n"
                "def build(Y, cycles):\n    cycles.check_adjunction(Y.complex)\n"
-               "def rebuild(cx, Y, spans):\n    check_adjunction(cx, Y.complex, 1, spans)\n")
+               "def rebuild(Y, spans):\n    check_adjunction(Y.complex, 1, 0, spans)\n")
     assert _adjunction_sites(planted, "m.py") == (
-        ["m.py: Engine._refresh", "m.py: Module._refresh"], ["m.py: build", "m.py: rebuild"])
+        ["m.py: Engine._through", "m.py: Module._through"], ["m.py: build", "m.py: rebuild"])
 
 
 # -- one op path in the bar complex ----------------------------------------------
@@ -785,8 +789,12 @@ def test_the_timing_scan_sees_a_duplicate():
 
 # -- one keyed-complex builder -------------------------------------------------------
 
+# keyed_complex assembles a keyed complex at once; truncated cuts one it
+# has; resolve_over_R grows its matrices from kernels; the adjunction
+# engine's _through appends to its top degree and shares the matrices it
+# already placed, so each key is imaged and placed once
 COMPLEX_BUILDERS = ["complexes.py: keyed_complex", "contraction.py: Contraction.truncated",
-                    "resolve.py: resolve_over_R"]
+                    "resolve.py: resolve_over_R", "tate.py: AdjunctionEngine._through"]
 # GradedFreeComplex and its subclass resolve.Resolution
 COMPLEX_CLASSES = {"GradedFreeComplex", "Resolution"}
 
